@@ -1,48 +1,48 @@
 """Vectorized word enumeration and matrix batch evaluation.
 
 Words are stored as int8 arrays of letter ranks.  Rank order is the
-shortlex generator order (positive letters then inverses), so arrays
-built by in-order extension are shortlex-sorted within each length.
-Genus-2 throughout (8 ranks); lengths up to 8 pack into base-8 integers
-for rotation-minimum tests.
+shortlex generator order of the genus-g presentation: ranks 0..2g-1 are
+the letters 1..2g and ranks 2g..4g-1 their inverses, so the inverse of
+rank r is r +- 2g and arrays built by in-order extension are
+shortlex-sorted within each length.  Enumeration works for any genus;
+the matrix evaluators take genus-2 generator arrays (8 ranks).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-RANK_COUNT = 8
-# rank r <-> letter: 0..3 -> 1..4, 4..7 -> -1..-4
-RANK_TO_LETTER = np.array([1, 2, 3, 4, -1, -2, -3, -4], dtype=np.int8)
-INVERSE_RANK = np.array([4, 5, 6, 7, 0, 1, 2, 3], dtype=np.int8)
+
+def _inverse_ranks(genus: int) -> np.ndarray:
+    count = 4 * genus
+    return ((np.arange(count) + 2 * genus) % count).astype(np.int8)
 
 
-def letters_to_ranks(letters: tuple[int, ...]) -> np.ndarray:
-    out = np.empty(len(letters), dtype=np.int8)
-    for i, x in enumerate(letters):
-        out[i] = (x - 1) if x > 0 else (3 - x)
-    return out
+def ranks_to_letters(ranks: np.ndarray, genus: int = 2) -> tuple[int, ...]:
+    """Letters of one rank row; -1 padding is skipped."""
+    half = 2 * genus
+    return tuple(r + 1 if r < half else half - 1 - r
+                 for r in ranks.tolist() if r >= 0)
 
 
-def ranks_to_letters(ranks: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(RANK_TO_LETTER[r]) for r in ranks)
-
-
-def reduced_word_levels(maxlen: int) -> list[np.ndarray]:
+def reduced_word_levels(maxlen: int, genus: int = 2) -> list[np.ndarray]:
     """Freely reduced words as rank arrays, one (n, L) array per length L.
 
     Each level is in shortlex order.  Level L is built by appending every
     non-cancelling rank to each level-(L-1) word in rank order.
     """
-    levels: list[np.ndarray] = []
-    current = np.arange(RANK_COUNT, dtype=np.int8).reshape(-1, 1)
-    levels.append(current)
+    if maxlen < 1:
+        return []
+    count = 4 * genus
+    inverse = _inverse_ranks(genus)
+    ranks = np.arange(count, dtype=np.int8)
+    current = ranks.reshape(-1, 1)
+    levels = [current]
     for _ in range(2, maxlen + 1):
         n = current.shape[0]
-        last = current[:, -1]
         # candidate extensions: all ranks except the inverse of the last letter
-        ext = np.broadcast_to(np.arange(RANK_COUNT, dtype=np.int8), (n, RANK_COUNT))
-        keep = ext != INVERSE_RANK[last][:, None]
+        ext = np.broadcast_to(ranks, (n, count))
+        keep = ext != inverse[current[:, -1]][:, None]
         parent_idx, rank_new = np.nonzero(keep)
         new = np.empty((parent_idx.size, current.shape[1] + 1), dtype=np.int8)
         new[:, :-1] = current[parent_idx]
@@ -52,41 +52,35 @@ def reduced_word_levels(maxlen: int) -> list[np.ndarray]:
     return levels
 
 
-def pack_base8(words: np.ndarray) -> np.ndarray:
+def _pack(words: np.ndarray, base: int) -> np.ndarray:
     """Pack rank rows into integers; lexicographic order is preserved."""
-    n, L = words.shape
-    out = np.zeros(n, dtype=np.int64)
-    for j in range(L):
-        out = out * 8 + words[:, j].astype(np.int64)
+    out = np.zeros(words.shape[0], dtype=np.int64)
+    for j in range(words.shape[1]):
+        out = out * base + words[:, j].astype(np.int64)
     return out
 
 
-def conjugacy_class_mask(words: np.ndarray) -> np.ndarray:
-    """True for rows that are cyclically reduced and minimal among rotations."""
-    n, L = words.shape
-    mask = words[:, 0] != INVERSE_RANK[words[:, -1]]
-    if L == 1:
-        return mask
-    own = pack_base8(words)
+def conjugacy_class_mask(words: np.ndarray, genus: int = 2) -> np.ndarray:
+    """True for rows that are cyclically reduced and minimal among rotations.
+
+    Freely reduced rows of one length are assumed; the kept rows are the
+    shortlex-least spelling of each rotation class.
+    """
+    base = 4 * genus
+    mask = words[:, 0] != _inverse_ranks(genus)[words[:, -1]]
+    own = _pack(words, base)
     best = own.copy()
-    for shift in range(1, L):
-        rot = np.concatenate([words[:, shift:], words[:, :shift]], axis=1)
-        np.minimum(best, pack_base8(rot), out=best)
+    for shift in range(1, words.shape[1]):
+        np.minimum(best, _pack(np.roll(words, -shift, axis=1), base), out=best)
     return mask & (own == best)
 
 
-def compose_matrices(words: np.ndarray, gen_mats: np.ndarray,
-                     chunk: int = 1 << 18) -> np.ndarray:
+def compose_matrices(words: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
     """Product matrices for rank rows; gen_mats is (8, 2, 2) complex."""
-    n, L = words.shape
-    out = np.empty((n, 2, 2), dtype=complex)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        m = gen_mats[words[lo:hi, 0]]
-        for j in range(1, L):
-            m = np.einsum("nij,njk->nik", m, gen_mats[words[lo:hi, j]])
-        out[lo:hi] = m
-    return out
+    m = gen_mats[words[:, 0]]
+    for j in range(1, words.shape[1]):
+        m = np.einsum("nij,njk->nik", m, gen_mats[words[:, j]])
+    return m
 
 
 def traces(mats: np.ndarray) -> np.ndarray:

@@ -207,8 +207,7 @@ class LimitSetSample:
         return int(self.angles.shape[0])
 
     def word_at(self, i: int) -> Word:
-        row = self.ranks[i]
-        return Word(tuple(int(wa.RANK_TO_LETTER[r]) for r in row if r >= 0))
+        return Word(wa.ranks_to_letters(self.ranks[i]))
 
     def image_complex(self) -> np.ndarray:
         w1 = self.image_pairs[:, 0]
@@ -242,8 +241,8 @@ def _accumulate_level(words: np.ndarray, ref_gens: np.ndarray,
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         part = words[lo:hi]
-        ref_m = wa.compose_matrices(part, ref_gens, chunk=chunk)
-        rep_m = wa.compose_matrices(part, rep_gens, chunk=chunk)
+        ref_m = wa.compose_matrices(part, ref_gens)
+        rep_m = wa.compose_matrices(part, rep_gens)
         ok = (wa.translation_lengths(ref_m) > 1e-9) \
             & (wa.translation_lengths(rep_m) > 1e-9)
         angles[lo:hi] = wa.disk_angles_turns(wa.attracting_fixed_pairs(ref_m))

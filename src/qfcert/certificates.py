@@ -60,7 +60,7 @@ from .representations import (
     representation_hash,
     stable_length,
 )
-from .surface_group import Word, enumerate_words, shortlex_key
+from .surface_group import Word, enumerate_words
 
 # a certificate must clear 1 by at least this much to be emitted
 MIN_CERTIFICATE_MARGIN = 1e-6
@@ -202,37 +202,33 @@ def ratio_lower_bound(spec1: LengthSpectrum, spec2: LengthSpectrum,
                           a=a, b=b, value=dev[a] - dev[b])
 
 
-def _pair_search_arrays(rep: Representation, maxlen: int,
-                        mode: str = "conjugacy"):
-    """Candidate words with lengths and boundary angles, vectorized.
+def _pair_search_arrays(rep: Representation, maxlen: int):
+    """Rotation-class rank rows with translation lengths and boundary
+    angles, vectorized.
 
-    mode "conjugacy" (the default) enumerates rotation-class
-    representatives; classes that the relator merges appear more than
-    once, which is harmless for a maximum search.  mode "reduced" widens
-    the pool to all freely reduced words, whose conjugate spellings
-    position their axes differently.
+    Rows are -1 padded to maxlen and globally shortlex-sorted.  Classes
+    that the relator merges appear more than once, which is harmless for
+    a maximum search.
     """
-    ref = reference_representation()
-    pres = rep.presentation
-    words = list(enumerate_words(pres, maxlen, mode=mode))
-    # rows are padded with rank 8, which maps to the identity matrix
-    arr = np.full((len(words), maxlen), 8, dtype=np.int8)
-    for i, w in enumerate(words):
-        arr[i, : len(w)] = wa.letters_to_ranks(w.letters)
-
-    def with_identity(gens: np.ndarray) -> np.ndarray:
-        return np.concatenate([gens, np.eye(2, dtype=complex)[None]])
-
-    ref_m = wa.compose_matrices(arr, with_identity(ref.generator_matrix_array()))
-    rep_m = wa.compose_matrices(arr, with_identity(rep.generator_matrix_array()))
-    ell_ref = wa.translation_lengths(ref_m)
+    ref_gens = reference_representation().generator_matrix_array()
+    rep_gens = rep.generator_matrix_array()
+    rows, ref_m, rep_m = [], [], []
+    for level in wa.reduced_word_levels(maxlen):
+        level = level[wa.conjugacy_class_mask(level)]
+        padded = np.full((level.shape[0], maxlen), -1, dtype=np.int8)
+        padded[:, :level.shape[1]] = level
+        rows.append(padded)
+        ref_m.append(wa.compose_matrices(level, ref_gens))
+        rep_m.append(wa.compose_matrices(level, rep_gens))
+    rows = np.concatenate(rows)
+    ref_m = np.concatenate(ref_m)
+    rep_m = np.concatenate(rep_m)
     ell_rep = wa.translation_lengths(rep_m)
-    keep = (ell_ref > 1e-9) & (ell_rep > 1e-9)
-    words = [w for w, k in zip(words, keep) if k]
-    ref_m, rep_m, ell_rep = ref_m[keep], rep_m[keep], ell_rep[keep]
+    keep = (wa.translation_lengths(ref_m) > 1e-9) & (ell_rep > 1e-9)
+    ref_m = ref_m[keep]
     att = wa.disk_angles_turns(wa.attracting_fixed_pairs(ref_m))
     rpl = wa.disk_angles_turns(wa.repelling_fixed_pairs(ref_m))
-    return words, rep_m, ell_rep, rpl, att
+    return rows[keep], rep_m[keep], ell_rep[keep], rpl, att
 
 
 def _circ_gap_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -249,18 +245,22 @@ def find_separation_certificate(
     scanned (vectorized, in blocks); among pairs classified
     unlinked-aligned on the group boundary with ratio at or above the
     threshold, the maximal-ratio pair wins, with exact ties broken by
-    total word length then shortlex.  When nothing reaches the
-    threshold, the raised error reports the best ratio found so the
-    caller can increase maxlen or the deformation.
+    total word length then shortlex order of a, then of b.  When nothing
+    reaches the threshold, the raised error reports the best ratio found
+    so the caller can increase maxlen or the deformation.
     """
+    if maxlen < 1:
+        raise CertificateError("maxlen must be at least 1")
     threshold = max(min_ratio, 1.0 + MIN_CERTIFICATE_MARGIN)
-    words, rep_m, ell, rpl, att = _pair_search_arrays(rep_q, maxlen)
-    n = len(words)
+    rows, rep_m, ell, rpl, att = _pair_search_arrays(rep_q, maxlen)
+    lengths = (rows >= 0).sum(axis=1)
+    n = rows.shape[0]
     if n < 2:
         raise CertificateError("not enough classes to form a pair")
     tol = 1e-8
     best_any = -math.inf
-    best: tuple[float, tuple, int, int] | None = None
+    # (-ratio, total length, row of a, row of b): the least tuple wins
+    best: tuple[float, int, int, int] | None = None
     # cap the per-block grid footprint; the scan is quadratic in the
     # number of classes, so large maxlen is supported but slow
     block = max(1, min(256, (1 << 24) // n))
@@ -293,13 +293,11 @@ def find_separation_certificate(
         if block_best < threshold:
             continue
         ii, jj = np.nonzero(ratio >= max(threshold, block_best))
+        # rows are shortlex-sorted, so row order is the shortlex tie-break
         for i, j in zip(ii.tolist(), jj.tolist()):
-            a, b = words[lo + i], words[j]
-            key = (len(a) + len(b), shortlex_key(a), shortlex_key(b))
-            r = float(ratio[i, j])
-            cand = (r, key, lo + i, j)
-            if best is None or r > best[0] \
-                    or (r == best[0] and key < best[1]):
+            cand = (-float(ratio[i, j]), int(lengths[lo + i] + lengths[j]),
+                    lo + i, j)
+            if best is None or cand < best:
                 best = cand
     if best is None:
         raise CertificateError(
@@ -307,7 +305,8 @@ def find_separation_certificate(
             "(best found %.7f); increase maxlen or the deformation"
             % (threshold, best_any), best_ratio=best_any)
     _, _, i, j = best
-    a, b = words[i], words[j]
+    a = Word(wa.ranks_to_letters(rows[i]))
+    b = Word(wa.ranks_to_letters(rows[j]))
     # final certificate fields are recomputed scalar, not taken from the
     # vectorized scan
     ell_a = stable_length(rep_q, a)

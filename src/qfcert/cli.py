@@ -13,7 +13,6 @@ Config schema (all keys optional)::
       "bend_angle": 0.6,       # radians; wrapped into (-pi, pi)
       "maxlen": 4,             # word-length bound (per-command default)
       "Rmax": 12.0,            # orbit-count radius for growth runs
-      "seed": 20260816,        # recorded for randomized downstream checks
       "min_ratio": 1.000001,   # certificate acceptance threshold
       "outdir": "qfcert-out"   # artifact directory
     }
@@ -68,10 +67,7 @@ from .representations import (
 SCHEMA = "qfcert/1"
 
 _MAXLEN_DEFAULTS = {
-    "ref-rep": 4,
-    "bend": 4,
     "spectrum": 4,
-    "growth": 4,
     "triangle-check": 3,
     "witness": 8,
     "certify": 4,
@@ -91,7 +87,6 @@ class RunConfig:
     bend_angle: float = 0.6
     maxlen: int | None = None
     Rmax: float = 12.0
-    seed: int = 20260816
     min_ratio: float = 1.0 + 1e-6
     outdir: str | None = None
 
@@ -113,7 +108,6 @@ _FIELD_TYPES = {
     "bend_angle": float,
     "maxlen": int,
     "Rmax": float,
-    "seed": int,
     "min_ratio": float,
     "outdir": str,
 }
@@ -380,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bend-angle", type=float, dest="bend_angle")
     parser.add_argument("--maxlen", type=int)
     parser.add_argument("--rmax", type=float, dest="Rmax")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--min-ratio", type=float, dest="min_ratio")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:

@@ -129,10 +129,12 @@ class Representation:
         return evaluate(self, w)
 
     def generator_matrix_array(self) -> np.ndarray:
-        """(8, 2, 2) complex array in rank order for batch evaluation."""
-        out = np.empty((8, 2, 2), dtype=complex)
-        for r in range(8):
-            m = self.images[int(wa.RANK_TO_LETTER[r])]
+        """(4g, 2, 2) complex array in rank (shortlex letter) order for
+        batch evaluation."""
+        letters = self.presentation.letters()
+        out = np.empty((len(letters), 2, 2), dtype=complex)
+        for r, x in enumerate(letters):
+            m = self.images[x]
             out[r] = [[m.a, m.b], [m.c, m.d]]
         return out
 
@@ -380,7 +382,8 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
             new_mask &= ~wa.member_of_sorted(uniq_v, level_keys)
             if not new_mask.any():
                 continue
-            level_keys = np.sort(np.concatenate([level_keys, uniq_v[new_mask]]))
+            level_keys = np.concatenate([level_keys, uniq_v[new_mask]])
+            level_keys.sort()
             fresh = cand[uniq_idx[new_mask]]
             dist = _orbit_distances_of(fresh, y)
             if prune_radius is not None:
@@ -392,7 +395,10 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
                 level_dists.append(dist)
         if level_keys.size == 0:
             break
-        seen = np.sort(np.concatenate([seen, level_keys]))
+        # sorted in place: np.sort would hold a third copy of the table
+        # at the level's memory peak
+        seen = np.concatenate([seen, level_keys])
+        seen.sort()
         if level_mats:
             frontier = np.concatenate(level_mats)
             dists.extend(level_dists)
@@ -435,60 +441,6 @@ def find_complex_trace_element(rep: Representation, maxlen: int) -> Word:
         "no word of length <= %d has non-real trace; the representation "
         "looks conjugate into the real maps" % maxlen
     )
-
-
-@dataclass(frozen=True, eq=False)
-class JorgensenReport:
-    """Necessary-condition screen for discreteness on word pairs."""
-
-    checked: int
-    skipped: int
-    violations: list[tuple[Word, Word, float]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def jorgensen_spot_check(rep: Representation, maxlen: int) -> JorgensenReport:
-    """Check |tr^2 A - 4| + |tr [A,B] - 2| >= 1 over image pairs.
-
-    Pairs generating elementary subgroups (shared fixed point, or either
-    map too close to the identity or non-translation type) are skipped:
-    the inequality is a theorem only for nonelementary discrete pairs.
-    """
-    words = list(enumerate_words(rep.presentation, maxlen, mode="conjugacy"))
-    data = []
-    for w in words:
-        m = evaluate(rep, w)
-        cl = classify(m)
-        if cl.kind in (IsometryKind.HYPERBOLIC, IsometryKind.LOXODROMIC):
-            data.append((w, m, cl.data))
-    checked = 0
-    skipped = 0
-    violations: list[tuple[Word, Word, float]] = []
-    for i, (word_a, ma, da) in enumerate(data):
-        for word_b, mb, db in data[i + 1:]:
-            shared = min(
-                da.fix_minus.chordal(db.fix_minus),
-                da.fix_minus.chordal(db.fix_plus),
-                da.fix_plus.chordal(db.fix_minus),
-                da.fix_plus.chordal(db.fix_plus),
-            )
-            if shared < 1e-6:
-                skipped += 1
-                continue
-            comm = ma @ mb @ ma.inverse() @ mb.inverse()
-            value = abs(ma.trace ** 2 - 4.0) + abs(comm.trace - 2.0)
-            checked += 1
-            if value < 1.0 - 1e-9:
-                violations.append((word_a, word_b, float(value)))
-    return JorgensenReport(checked=checked, skipped=skipped, violations=violations)
-
-
-def jorgensen_pair_value(ma: MoebiusMap, mb: MoebiusMap) -> float:
-    comm = ma @ mb @ ma.inverse() @ mb.inverse()
-    return abs(ma.trace ** 2 - 4.0) + abs(comm.trace - 2.0)
 
 
 # -- serialization -----------------------------------------------------------

@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+from . import _wordarrays as wa
 from .moebius import MoebiusMap
 
 FINGERPRINT_TOL = 1e-6
@@ -217,22 +218,6 @@ class GroupPresentation:
         return self.is_identity(u * v.inverse())
 
 
-def enumerate_reduced_words(pres: GroupPresentation, maxlen: int) -> Iterator[Word]:
-    """All nonempty freely reduced words up to maxlen in shortlex order."""
-    alphabet = pres.letters()
-    level: list[tuple[int, ...]] = [()]
-    for _ in range(maxlen):
-        nxt: list[tuple[int, ...]] = []
-        for prefix in level:
-            for x in alphabet:
-                if prefix and prefix[-1] == -x:
-                    continue
-                word = prefix + (x,)
-                nxt.append(word)
-                yield Word(word)
-        level = nxt
-
-
 class _ConjugacyDedup:
     """Filter words equal in the group to a rotation of an earlier class.
 
@@ -271,27 +256,15 @@ class _ConjugacyDedup:
         return False
 
 
-def enumerate_conjugacy_representatives(
-    pres: GroupPresentation,
-    maxlen: int,
-    evaluate: Callable[[Word], MoebiusMap] | None = None,
-) -> Iterator[Word]:
-    """One cyclically reduced word per rotation class, in shortlex order.
-
-    A word is emitted when it is cyclically reduced and shortlex-minimal
-    among its rotations.  When a faithful evaluation map is supplied,
-    classes that the relator makes conjugate to an earlier class are
-    dropped as well.
-    """
-    dedup = _ConjugacyDedup(evaluate) if evaluate is not None else None
-    for w in enumerate_reduced_words(pres, maxlen):
-        if cyclic_reduce(w).letters != w.letters:
-            continue
-        if shortlex_min_rotation(w).letters != w.letters:
-            continue
-        if dedup is not None and dedup.is_duplicate(w):
-            continue
-        yield w
+def _words_from_rows(pres: GroupPresentation, maxlen: int, classes: bool,
+                     dedup: _ConjugacyDedup | None) -> Iterator[Word]:
+    for level in wa.reduced_word_levels(maxlen, pres.genus):
+        if classes:
+            level = level[wa.conjugacy_class_mask(level, pres.genus)]
+        for row in level:
+            w = Word(wa.ranks_to_letters(row, pres.genus))
+            if dedup is None or not dedup.is_duplicate(w):
+                yield w
 
 
 def enumerate_words(
@@ -300,8 +273,17 @@ def enumerate_words(
     mode: str = "reduced",
     evaluate: Callable[[Word], MoebiusMap] | None = None,
 ) -> Iterator[Word]:
-    if mode == "reduced":
-        return enumerate_reduced_words(pres, maxlen)
-    if mode == "conjugacy":
-        return enumerate_conjugacy_representatives(pres, maxlen, evaluate)
-    raise WordError("unknown enumeration mode %r" % (mode,))
+    """Nonempty words up to maxlen in shortlex order, from rank arrays.
+
+    mode "reduced" yields every freely reduced word.  mode "conjugacy"
+    yields one cyclically reduced word per rotation class, the
+    shortlex-least rotation; when a faithful evaluation map is supplied,
+    classes that the relator makes conjugate to an earlier class are
+    dropped as well.
+    """
+    if mode not in ("reduced", "conjugacy"):
+        raise WordError("unknown enumeration mode %r" % (mode,))
+    dedup = None
+    if mode == "conjugacy" and evaluate is not None:
+        dedup = _ConjugacyDedup(evaluate)
+    return _words_from_rows(pres, maxlen, mode == "conjugacy", dedup)

@@ -141,6 +141,10 @@ class TestSeparationCertificate:
         assert info.value.best_ratio is not None
         assert info.value.best_ratio < 1.0
 
+    def test_nonpositive_maxlen_is_an_error(self, bent_rep):
+        with pytest.raises(CertificateError):
+            find_separation_certificate(bent_rep, 0)
+
     def test_tampered_length_is_rejected_with_discrepancy(
             self, bent_certificate, bent_rep):
         bad = dataclasses.replace(bent_certificate,

@@ -1,6 +1,7 @@
 """Command-line harness: artifact determinism, schema tags, config
 handling, exit-code contract, and the per-command happy paths."""
 
+import hashlib
 import json
 
 import pytest
@@ -64,6 +65,17 @@ class TestConfigHandling:
             main(["--no-such-flag", "ref-rep"])
         assert info.value.code == 2
 
+    def test_seed_config_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 20260816}')
+        assert main(["--config", str(cfg), "ref-rep"]) == 2
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+
+    def test_seed_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as info:
+            main(["--seed", "1", "ref-rep"])
+        assert info.value.code == 2
+
 
 class TestArtifacts:
     def test_ref_rep_writes_schema_tagged_json(self, tmp_path, capsys):
@@ -109,6 +121,24 @@ class TestArtifacts:
         lines = (out / "triangle.csv").read_text().splitlines()
         assert lines[0] == "# schema: " + SCHEMA
         assert len(lines) > 1000
+
+
+class TestPinnedArtifacts:
+    """Artifact digests recorded from an earlier implementation of the
+    enumeration and pair search; a refactor must reproduce them exactly."""
+
+    @pytest.mark.parametrize("argv,name,digest", [
+        (["--maxlen", "4", "spectrum"], "spectrum.csv",
+         "f99b2d2e603d049bc28ba689c25c6ee4c5b4e8f93ff4c87a60ccb8ff351aafad"),
+        (["--maxlen", "4", "certify"], "separation_certificate.json",
+         "753506d53822c0b07b0d08dda10e81f89e4d0d6f92a3dad9201fe63f278424f1"),
+        (["triangle-check"], "triangle.csv",
+         "305a990e3e7da601a36e16a72c181e4a9e1f5ddeb47f51400734005d6e1f7aaf"),
+    ], ids=["spectrum", "certify", "triangle-check"])
+    def test_artifact_digest(self, tmp_path, argv, name, digest):
+        code, out = run(tmp_path, "--bend-angle", "0.6", *argv)
+        assert code == 0
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 class TestBendCommand:

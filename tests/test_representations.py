@@ -33,8 +33,6 @@ from qfcert.representations import (
     evaluate,
     find_complex_trace_element,
     fuchsian_octagon,
-    jorgensen_pair_value,
-    jorgensen_spot_check,
     normalize_spectrum,
     orbit_distance,
     orbit_length_estimate,
@@ -413,39 +411,6 @@ class TestComplexTraceSearch:
             if earlier == w:
                 break
             assert abs(evaluate(bent_rep, earlier).trace.imag) <= 1e-6
-
-
-class TestJorgensen:
-    def test_reference_is_clean(self, base_rep):
-        report = jorgensen_spot_check(base_rep, 2)
-        assert report.ok
-        assert report.checked > 0
-        assert report.violations == []
-
-    def test_bent_is_clean(self, base_rep):
-        report = jorgensen_spot_check(bend(base_rep, 0.3), 2)
-        assert report.ok
-        assert report.violations == []
-
-    def test_pair_value_known_clean_pair(self, base_rep):
-        value = jorgensen_pair_value(base_rep.images[1], base_rep.images[2])
-        assert value >= 1.0 - 1e-9
-
-    def test_detects_violation_in_indiscrete_images(self, base_rep):
-        # a1 -> tiny translation A, b1 -> B off-axis: the pair value
-        # |tr(A)^2 - 4| + |tr([A,B]) - 2| collapses below 1; choosing
-        # a2 -> B, b2 -> A makes the two commutators cancel exactly
-        s = 0.05
-        A = MoebiusMap(math.exp(s / 2), 0.0, 0.0, math.exp(-s / 2))
-        t = 0.4
-        B = MoebiusMap(math.cosh(t / 2), math.sinh(t / 2),
-                       math.sinh(t / 2), math.cosh(t / 2))
-        rep = Representation(base_rep.presentation,
-                             {1: A, 2: B, 3: B, 4: A}, kind="fuchsian")
-        report = jorgensen_spot_check(rep, 1)
-        assert not report.ok
-        assert report.checked > 0
-        assert any(v < 1.0 - 1e-9 for _, _, v in report.violations)
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 """Tests for words, Dehn reduction, and enumeration in surface groups."""
 
+import itertools
 import math
 
 import numpy as np
@@ -218,3 +219,36 @@ class TestEnumeration:
     def test_unknown_mode(self, pres):
         with pytest.raises(WordError):
             list(enumerate_words(pres, 2, mode="woof"))
+
+
+def brute_force_reduced(pres: GroupPresentation, maxlen: int) -> list[Word]:
+    """Every freely reduced word up to maxlen, sorted by shortlex_key."""
+    words = (Word(t) for n in range(1, maxlen + 1)
+             for t in itertools.product(pres.letters(), repeat=n))
+    return sorted((w for w in words if w.is_reduced), key=shortlex_key)
+
+
+class TestEnumerationParity:
+    """The rank-array enumerator against product-and-filter references."""
+
+    @pytest.mark.parametrize("genus,maxlen", [(2, 4), (3, 3)])
+    def test_reduced_matches_brute_force(self, genus, maxlen):
+        pres = GroupPresentation(genus=genus)
+        assert list(enumerate_words(pres, maxlen, mode="reduced")) \
+            == brute_force_reduced(pres, maxlen)
+
+    @pytest.mark.parametrize("genus,maxlen", [(2, 5), (3, 3)])
+    def test_conjugacy_matches_rotation_filter(self, genus, maxlen):
+        pres = GroupPresentation(genus=genus)
+        expected = [w for w in brute_force_reduced(pres, maxlen)
+                    if cyclic_reduce(w) == w and shortlex_min_rotation(w) == w]
+        assert list(enumerate_words(pres, maxlen, mode="conjugacy")) == expected
+
+    def test_cumulative_rotation_class_counts(self, pres):
+        words = list(enumerate_words(pres, 5, mode="conjugacy"))
+        counts = [sum(len(w) <= n for w in words) for n in range(1, 6)]
+        assert counts == [8, 40, 160, 780, 4148]
+
+    def test_zero_maxlen_yields_nothing(self, pres):
+        assert list(enumerate_words(pres, 0, mode="reduced")) == []
+        assert list(enumerate_words(pres, 0, mode="conjugacy")) == []
