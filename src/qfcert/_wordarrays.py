@@ -4,13 +4,24 @@ Words are stored as int8 arrays of letter ranks.  Rank order is the
 shortlex generator order of the genus-g presentation: ranks 0..2g-1 are
 the letters 1..2g and ranks 2g..4g-1 their inverses, so the inverse of
 rank r is r +- 2g and arrays built by in-order extension are
-shortlex-sorted within each length.  Enumeration works for any genus;
-the matrix evaluators take genus-2 generator arrays (8 ranks).
+shortlex-sorted within each length; any genus works.  The spectrum,
+the triangle harness and the certificate search read one class table,
+``conjugacy_classes``.  Products multiply left to right, as
+``representations.evaluate`` does, and equal its entries bit for bit
+after ``MoebiusMap._unit_det``'s sign, so artifact lengths must be
+``moebius.translation_length`` of them: ``translation_lengths`` uses
+``np.arccosh``, which differs from ``cmath.acosh`` in the last bit for
+about one word in ten.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# class dedup: matrices equal up to sign within FINGERPRINT_TOL per entry
+# are one element; only classes in neighbouring |trace| buckets compare
+FINGERPRINT_TOL = 1e-6
+TRACE_BUCKET = 1e-4
 
 
 def _inverse_ranks(genus: int) -> np.ndarray:
@@ -76,11 +87,57 @@ def conjugacy_class_mask(words: np.ndarray, genus: int = 2) -> np.ndarray:
 
 
 def compose_matrices(words: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
-    """Product matrices for rank rows; gen_mats is (8, 2, 2) complex."""
+    """Product matrices for rank rows, which may end in -1 padding;
+    gen_mats is (4g, 2, 2) complex."""
     m = gen_mats[words[:, 0]]
     for j in range(1, words.shape[1]):
-        m = np.einsum("nij,njk->nik", m, gen_mats[words[:, j]])
+        live = words[:, j] >= 0
+        if live.all():
+            m = np.einsum("nij,njk->nik", m, gen_mats[words[:, j]])
+        else:
+            m[live] = np.einsum("nij,njk->nik", m[live],
+                                gen_mats[words[live, j]])
     return m
+
+
+def conjugacy_classes(maxlen: int,
+                      gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The class table up to maxlen >= 1: rank rows and their products.
+
+    gens is the (4g, 2, 2) generator array of a faithful representation.
+    Rows are the rotation-class minima of conjugacy_class_mask, -1 padded
+    and globally shortlex-sorted.  A rotation class that the relator
+    makes conjugate to an earlier kept one is dropped: one of its
+    rotations has the matrix of one of that class's rotations.
+    """
+    genus = gens.shape[0] // 4
+    rows, mats, buckets = [], [], {}
+    for level in reduced_word_levels(maxlen, genus):
+        level = level[conjugacy_class_mask(level, genus)]
+        n, length = level.shape
+        rolled = np.concatenate([np.roll(level, -s, axis=1)
+                                 for s in range(length)])
+        # rots[s, i] is the product of rotation s of class row i
+        rots = compose_matrices(rolled, gens).reshape(length, n, 4)
+        tr = rots[0, :, 0] + rots[0, :, 3]
+        keys = np.rint(np.abs(np.stack([tr.real, tr.imag], axis=1))
+                       / TRACE_BUCKET).astype(np.int64).tolist()
+        keep = np.ones(n, dtype=bool)
+        for i, (kr, ki) in enumerate(keys):
+            near = [m for dr in (-1, 0, 1) for di in (-1, 0, 1)
+                    for m in buckets.get((kr + dr, ki + di), ())]
+            if near:
+                # max entry gap of each rotation pair, minimized over sign
+                a, b = rots[:, i, None], np.concatenate(near)[None]
+                keep[i] = not (np.minimum(np.abs(a - b).max(axis=-1),
+                                          np.abs(a + b).max(axis=-1))
+                               <= FINGERPRINT_TOL).any()
+            if keep[i]:
+                buckets.setdefault((kr, ki), []).append(rots[:, i])
+        rows.append(np.pad(level[keep], ((0, 0), (0, maxlen - length)),
+                           constant_values=-1))
+        mats.append(rots[0, keep].reshape(-1, 2, 2))
+    return np.concatenate(rows), np.concatenate(mats)
 
 
 def traces(mats: np.ndarray) -> np.ndarray:

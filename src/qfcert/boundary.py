@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -156,6 +157,33 @@ def classify_angle_pairs(alpha: tuple[float, float], beta: tuple[float, float],
     else:
         aligned = u1 > u2
     return PairConfig.UNLINKED_ALIGNED if aligned else PairConfig.UNLINKED_MISALIGNED
+
+
+PAIR_CONFIGS = tuple(PairConfig)
+
+
+def pair_config_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """classify_angle_pairs(alpha[i], beta[j]) for every i, j, bit for bit.
+
+    alpha and beta are (n, 2) and (m, 2) arrays of angle pairs in turns;
+    the result is an (n, m) int8 array of indices into PAIR_CONFIGS.
+    """
+    a1, a2 = alpha[:, 0, None], alpha[:, 1, None]
+    b1, b2 = beta[None, :, 0], beta[None, :, 1]
+    degenerate = np.zeros((alpha.shape[0], beta.shape[0]), dtype=bool)
+    for p, q in itertools.combinations((a1, a2, b1, b2), 2):
+        y = (p - q) - np.floor(p - q)  # abs(wrap_turns(p - q)) elementwise
+        degenerate |= np.where(y > 0.5, 1.0 - y, y) < DEGENERATE_TOL
+    v = (a2 - a1) % 1.0
+    u1 = (b1 - a1) % 1.0
+    u2 = (b2 - a1) % 1.0
+    in1 = u1 < v
+    return np.select(
+        [degenerate, in1 != (u2 < v), np.where(in1, u1 < u2, u1 > u2)],
+        [PAIR_CONFIGS.index(c) for c in (PairConfig.DEGENERATE,
+                                         PairConfig.LINKED,
+                                         PairConfig.UNLINKED_ALIGNED)],
+        PAIR_CONFIGS.index(PairConfig.UNLINKED_MISALIGNED)).astype(np.int8)
 
 
 def classify_pairs(a: Word, b: Word) -> PairConfig:

@@ -35,12 +35,12 @@ import numpy as np
 
 from . import _wordarrays as wa
 from .boundary import (
+    PAIR_CONFIGS,
     BoundaryError,
     PairConfig,
     SpiralWitness,
-    classify_angle_pairs,
     classify_pairs,
-    fixed_angles,
+    pair_config_grid,
     reference_representation,
     verify_witness_orders,
     witness_image_points,
@@ -56,11 +56,11 @@ from .representations import (
     LengthSpectrum,
     Representation,
     RepresentationError,
-    evaluate,
     representation_hash,
     stable_length,
+    stable_lengths,
 )
-from .surface_group import Word, enumerate_words
+from .surface_group import Word
 
 # a certificate must clear 1 by at least this much to be emitted
 MIN_CERTIFICATE_MARGIN = 1e-6
@@ -129,6 +129,21 @@ class DlipRatioBound:
     value: float
 
 
+def _class_table(rep: Representation, maxlen: int):
+    """Class rows, their products under rep, and (repelling, attracting)
+    reference angles; classes not translating under both are dropped."""
+    rows, mats = wa.conjugacy_classes(maxlen, rep.generator_matrix_array())
+    ref_m = wa.compose_matrices(
+        rows, reference_representation().generator_matrix_array())
+    keep = (wa.translation_lengths(ref_m) > 1e-9) \
+        & (wa.translation_lengths(mats) > 1e-9)
+    ref_m = ref_m[keep]
+    angles = np.stack(
+        [wa.disk_angles_turns(wa.repelling_fixed_pairs(ref_m)),
+         wa.disk_angles_turns(wa.attracting_fixed_pairs(ref_m))], axis=-1)
+    return rows[keep], mats[keep], angles
+
+
 def triangle_harness(rep: Representation,
                      maxlen: int) -> list[TriangleTestRecord]:
     """Check every configured conjugacy-class pair's strict inequality.
@@ -140,43 +155,31 @@ def triangle_harness(rep: Representation,
     if maxlen < 1:
         raise CertificateError("maxlen must be at least 1")
     pres = rep.presentation
-    data = []
-    for w in enumerate_words(pres, maxlen, mode="conjugacy",
-                             evaluate=lambda u: evaluate(rep, u)):
-        try:
-            angles = fixed_angles(w)
-        except BoundaryError:
-            continue
-        ell = stable_length(rep, w)
-        if ell <= 1e-12:
-            continue
-        data.append((w, angles, ell))
+    rows, mats, angles = _class_table(rep, maxlen)
+    words = [Word(wa.ranks_to_letters(row)) for row in rows]
+    lengths = stable_lengths(mats)
+    degenerate = PAIR_CONFIGS.index(PairConfig.DEGENERATE)
     records: list[TriangleTestRecord] = []
-    for i, (a, ang_a, ell_a) in enumerate(data):
-        for j, (b, ang_b, ell_b) in enumerate(data):
+    for i, (a, ell_a) in enumerate(zip(words, lengths)):
+        configs = pair_config_grid(angles[i:i + 1], angles)[0]
+        for j in np.flatnonzero(configs != degenerate).tolist():
             if i == j:
                 continue
-            config = classify_angle_pairs(ang_a, ang_b)
-            if config == PairConfig.DEGENERATE:
-                continue
+            b, ell_b = words[j], lengths[j]
+            config = PAIR_CONFIGS[configs[j]]
+            first = a.inverse() if config == PairConfig.UNLINKED_MISALIGNED else a
+            combined = stable_length(rep, first * b)
+            slack = combined - (ell_a + ell_b)
             if config == PairConfig.LINKED:
-                combined = stable_length(rep, a * b)
                 slack = (ell_a + ell_b) - combined
-            elif config == PairConfig.UNLINKED_ALIGNED:
-                combined = stable_length(rep, a * b)
-                slack = combined - (ell_a + ell_b)
-            else:
-                combined = stable_length(rep, a.inverse() * b)
-                slack = combined - (ell_a + ell_b)
-            record = TriangleTestRecord(a=a, b=b, config=config, ell_a=ell_a,
-                                        ell_b=ell_b, ell_combined=combined,
-                                        slack=slack)
             if not slack > 0.0:
                 raise CertificateError(
                     "combined-length inequality violated for %s, %s "
                     "(%s, slack %.3e)" % (pres.to_text(a), pres.to_text(b),
                                           config.value, slack))
-            records.append(record)
+            records.append(TriangleTestRecord(
+                a=a, b=b, config=config, ell_a=ell_a, ell_b=ell_b,
+                ell_combined=combined, slack=slack))
     return records
 
 
@@ -202,40 +205,6 @@ def ratio_lower_bound(spec1: LengthSpectrum, spec2: LengthSpectrum,
                           a=a, b=b, value=dev[a] - dev[b])
 
 
-def _pair_search_arrays(rep: Representation, maxlen: int):
-    """Rotation-class rank rows with translation lengths and boundary
-    angles, vectorized.
-
-    Rows are -1 padded to maxlen and globally shortlex-sorted.  Classes
-    that the relator merges appear more than once, which is harmless for
-    a maximum search.
-    """
-    ref_gens = reference_representation().generator_matrix_array()
-    rep_gens = rep.generator_matrix_array()
-    rows, ref_m, rep_m = [], [], []
-    for level in wa.reduced_word_levels(maxlen):
-        level = level[wa.conjugacy_class_mask(level)]
-        padded = np.full((level.shape[0], maxlen), -1, dtype=np.int8)
-        padded[:, :level.shape[1]] = level
-        rows.append(padded)
-        ref_m.append(wa.compose_matrices(level, ref_gens))
-        rep_m.append(wa.compose_matrices(level, rep_gens))
-    rows = np.concatenate(rows)
-    ref_m = np.concatenate(ref_m)
-    rep_m = np.concatenate(rep_m)
-    ell_rep = wa.translation_lengths(rep_m)
-    keep = (wa.translation_lengths(ref_m) > 1e-9) & (ell_rep > 1e-9)
-    ref_m = ref_m[keep]
-    att = wa.disk_angles_turns(wa.attracting_fixed_pairs(ref_m))
-    rpl = wa.disk_angles_turns(wa.repelling_fixed_pairs(ref_m))
-    return rows[keep], rep_m[keep], ell_rep[keep], rpl, att
-
-
-def _circ_gap_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    d = np.abs((x - y) % 1.0)
-    return np.minimum(d, 1.0 - d)
-
-
 def find_separation_certificate(
         rep_q: Representation, maxlen: int,
         min_ratio: float = 1.0 + MIN_CERTIFICATE_MARGIN) -> SeparationCertificate:
@@ -252,12 +221,13 @@ def find_separation_certificate(
     if maxlen < 1:
         raise CertificateError("maxlen must be at least 1")
     threshold = max(min_ratio, 1.0 + MIN_CERTIFICATE_MARGIN)
-    rows, rep_m, ell, rpl, att = _pair_search_arrays(rep_q, maxlen)
+    rows, rep_m, angles = _class_table(rep_q, maxlen)
+    ell = wa.translation_lengths(rep_m)
     lengths = (rows >= 0).sum(axis=1)
     n = rows.shape[0]
     if n < 2:
         raise CertificateError("not enough classes to form a pair")
-    tol = 1e-8
+    aligned_code = PAIR_CONFIGS.index(PairConfig.UNLINKED_ALIGNED)
     best_any = -math.inf
     # (-ratio, total length, row of a, row of b): the least tuple wins
     best: tuple[float, int, int, int] | None = None
@@ -266,21 +236,7 @@ def find_separation_certificate(
     block = max(1, min(256, (1 << 24) // n))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        a1 = rpl[lo:hi, None]
-        a2 = att[lo:hi, None]
-        b1 = rpl[None, :]
-        b2 = att[None, :]
-        degenerate = (
-            (_circ_gap_grid(a1, b1) < tol) | (_circ_gap_grid(a1, b2) < tol)
-            | (_circ_gap_grid(a2, b1) < tol) | (_circ_gap_grid(a2, b2) < tol)
-            | (_circ_gap_grid(a1, a2) < tol) | (_circ_gap_grid(b1, b2) < tol))
-        v = (a2 - a1) % 1.0
-        u1 = (b1 - a1) % 1.0
-        u2 = (b2 - a1) % 1.0
-        inside1 = u1 < v
-        inside2 = u2 < v
-        aligned = (~degenerate) & (inside1 == inside2) \
-            & np.where(inside1, u1 < u2, u1 > u2)
+        aligned = pair_config_grid(angles[lo:hi], angles) == aligned_code
         tr = np.einsum("aij,bji->ab", rep_m[lo:hi], rep_m)
         ell_ab = 2.0 * np.abs(np.arccosh(tr.astype(complex) / 2.0).real)
         ok = aligned & (ell_ab > 1e-9)
@@ -433,19 +389,24 @@ def certificate_to_dict(cert: SeparationCertificate) -> dict:
     }
 
 
-def certificate_from_dict(payload: dict) -> SeparationCertificate:
-    if payload.get("schema") != "qfcert/1" \
+def certificate_from_dict(payload: object) -> SeparationCertificate:
+    """The certificate a JSON payload describes; CertificateError names
+    what is missing or malformed."""
+    if not isinstance(payload, dict) or payload.get("schema") != "qfcert/1" \
             or payload.get("type") != "separation_certificate":
         raise CertificateError("not a separation certificate payload")
     pres = reference_representation().presentation
-    return SeparationCertificate(
-        rep_id=str(payload["rep_id"]),
-        a=pres.from_text(payload["a"]),
-        b=pres.from_text(payload["b"]),
-        config=PairConfig(payload["config"]),
-        ell_q_a=float(payload["ell_q_a"]),
-        ell_q_b=float(payload["ell_q_b"]),
-        ell_q_ab=float(payload["ell_q_ab"]),
-        ratio=float(payload["ratio"]),
-        alpha=float(payload["alpha"]),
-    )
+    try:
+        return SeparationCertificate(
+            rep_id=str(payload["rep_id"]),
+            a=pres.from_text(str(payload["a"])),
+            b=pres.from_text(str(payload["b"])),
+            config=PairConfig(payload["config"]),
+            ell_q_a=float(payload["ell_q_a"]),
+            ell_q_b=float(payload["ell_q_b"]),
+            ell_q_ab=float(payload["ell_q_ab"]),
+            ratio=float(payload["ratio"]),
+            alpha=float(payload["alpha"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CertificateError("malformed certificate payload: %r" % exc) from exc

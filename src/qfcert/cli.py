@@ -284,11 +284,12 @@ def cmd_certify(cfg: RunConfig, out: Path, args) -> int:
     rep = _bent_rep(cfg)
     if args.input is not None:
         try:
-            payload = json.loads(Path(args.input).read_text())
+            # a malformed payload raises CertificateError, a ValueError
+            cert = certificate_from_dict(
+                json.loads(Path(args.input).read_text()))
         except (OSError, ValueError) as exc:
             raise ConfigError("cannot read certificate %s: %s"
                               % (args.input, exc)) from exc
-        cert = certificate_from_dict(payload)
         problems = certificate_problems(cert, rep)
         if problems:
             print("certificate INVALID:", file=sys.stderr)

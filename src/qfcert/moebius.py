@@ -24,10 +24,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-# Algebraic identities (determinants, matrix equality).
-DET_TOL = 1e-12
-# Geometric predicates (point on geodesic, crossing checks).
-GEO_TOL = 1e-10
 # Trace-based classification thresholds.
 PARABOLIC_TRACE_TOL = 1e-9
 REAL_TRACE_TOL = 1e-9
@@ -236,10 +232,6 @@ class MoebiusMap:
         den = abs(cz_d) ** 2 + (abs(self.c) * p.t) ** 2
         z = ((self.a * p.z + self.b) * cz_d.conjugate() + self.a * self.c.conjugate() * p.t * p.t) / den
         return Point3(z, p.t / den)
-
-    def apply_complex(self, z: complex) -> complex:
-        """Boundary action on a finite complex number; raises if the image is inf."""
-        return self.apply_boundary(BoundaryPoint.from_complex(z)).to_complex()
 
     def __call__(self, x):
         if isinstance(x, Point3):

@@ -222,6 +222,13 @@ def stable_length(rep: Representation, w: Word) -> float:
     return translation_length(evaluate(rep, w))
 
 
+def stable_lengths(mats: np.ndarray) -> list[float]:
+    """stable_length of each word from its wa.compose_matrices product,
+    bit for bit: the canonical sign goes on first, as evaluate's does."""
+    return [translation_length(MoebiusMap._unit_det(*m))
+            for m in mats.reshape(-1, 4).tolist()]
+
+
 def orbit_distance(rep: Representation, w: Word) -> float:
     return dist_h3(evaluate(rep, w)(rep.basepoint), rep.basepoint)
 
@@ -298,11 +305,10 @@ class LengthSpectrum:
 def compute_spectrum(rep: Representation, maxlen: int) -> LengthSpectrum:
     if maxlen < 1:
         raise RepresentationError("maxlen must be at least 1")
-    entries: dict[Word, float] = {}
-    for w in enumerate_words(
-        rep.presentation, maxlen, mode="conjugacy", evaluate=lambda u: evaluate(rep, u)
-    ):
-        entries[w] = translation_length(evaluate(rep, w))
+    genus = rep.presentation.genus
+    rows, mats = wa.conjugacy_classes(maxlen, rep.generator_matrix_array())
+    entries = {Word(wa.ranks_to_letters(row, genus)): ell
+               for row, ell in zip(rows, stable_lengths(mats))}
     return LengthSpectrum(rep_id=representation_hash(rep), entries=entries)
 
 

@@ -21,12 +21,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import _wordarrays as wa
-from .moebius import MoebiusMap
-
-FINGERPRINT_TOL = 1e-6
 
 
 class WordError(ValueError):
@@ -218,72 +215,20 @@ class GroupPresentation:
         return self.is_identity(u * v.inverse())
 
 
-class _ConjugacyDedup:
-    """Filter words equal in the group to a rotation of an earlier class.
-
-    Two candidate class words are merged only when some rotation of one
-    evaluates to the same matrix (up to sign) as some rotation of the
-    other under the supplied faithful representation; that certifies
-    conjugacy.  Trace buckets keep the comparison sets small.
-    """
-
-    def __init__(self, evaluate: Callable[[Word], MoebiusMap]):
-        self.evaluate = evaluate
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        self.class_rotation_maps: list[list[MoebiusMap]] = []
-
-    def _keys(self, m: MoebiusMap) -> list[tuple[int, int]]:
-        q = 1e-4
-        kr = round(abs(m.trace.real) / q)
-        ki = round(abs(m.trace.imag) / q)
-        return [(kr + dr, ki + di) for dr in (-1, 0, 1) for di in (-1, 0, 1)]
-
-    def is_duplicate(self, w: Word) -> bool:
-        maps = [self.evaluate(r) for r in rotations(w)]
-        key0 = self._keys(maps[0])[4]  # center key
-        candidates: set[int] = set()
-        for key in self._keys(maps[0]):
-            candidates.update(self.buckets.get(key, ()))
-        for idx in candidates:
-            stored = self.class_rotation_maps[idx]
-            for m1 in maps:
-                for m2 in stored:
-                    if m1.distance_to(m2) <= FINGERPRINT_TOL:
-                        return True
-        idx = len(self.class_rotation_maps)
-        self.class_rotation_maps.append(maps)
-        self.buckets.setdefault(key0, []).append(idx)
-        return False
-
-
-def _words_from_rows(pres: GroupPresentation, maxlen: int, classes: bool,
-                     dedup: _ConjugacyDedup | None) -> Iterator[Word]:
-    for level in wa.reduced_word_levels(maxlen, pres.genus):
-        if classes:
-            level = level[wa.conjugacy_class_mask(level, pres.genus)]
-        for row in level:
-            w = Word(wa.ranks_to_letters(row, pres.genus))
-            if dedup is None or not dedup.is_duplicate(w):
-                yield w
-
-
-def enumerate_words(
-    pres: GroupPresentation,
-    maxlen: int,
-    mode: str = "reduced",
-    evaluate: Callable[[Word], MoebiusMap] | None = None,
-) -> Iterator[Word]:
+def enumerate_words(pres: GroupPresentation, maxlen: int,
+                    mode: str = "reduced") -> Iterator[Word]:
     """Nonempty words up to maxlen in shortlex order, from rank arrays.
 
     mode "reduced" yields every freely reduced word.  mode "conjugacy"
     yields one cyclically reduced word per rotation class, the
-    shortlex-least rotation; when a faithful evaluation map is supplied,
-    classes that the relator makes conjugate to an earlier class are
-    dropped as well.
+    shortlex-least rotation, including classes that the relator makes
+    conjugate (``_wordarrays.conjugacy_classes`` merges those).
     """
     if mode not in ("reduced", "conjugacy"):
         raise WordError("unknown enumeration mode %r" % (mode,))
-    dedup = None
-    if mode == "conjugacy" and evaluate is not None:
-        dedup = _ConjugacyDedup(evaluate)
-    return _words_from_rows(pres, maxlen, mode == "conjugacy", dedup)
+    levels = wa.reduced_word_levels(maxlen, pres.genus)
+    if mode == "conjugacy":
+        levels = [level[wa.conjugacy_class_mask(level, pres.genus)]
+                  for level in levels]
+    return (Word(wa.ranks_to_letters(row, pres.genus))
+            for level in levels for row in level)

@@ -18,7 +18,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qfcert import _wordarrays as wa
 from qfcert.boundary import (
+    DEGENERATE_TOL,
+    PAIR_CONFIGS,
     BoundaryError,
     LimitSetSample,
     MIN_THETA,
@@ -32,6 +35,7 @@ from qfcert.boundary import (
     fixed_angles,
     limit_set_sample,
     normalize_at,
+    pair_config_grid,
     reference_representation,
     sample_to_csv,
     sample_to_svg,
@@ -39,6 +43,7 @@ from qfcert.boundary import (
     witness_from_dict,
     witness_to_dict,
 )
+from qfcert.certificates import _class_table
 from qfcert.moebius import BoundaryPoint, IsometryKind, MoebiusMap, classify, wrap_turns
 from qfcert.representations import (
     RepresentationError,
@@ -176,6 +181,48 @@ class TestClassify:
     def test_real_pair_degenerate(self):
         assert classify_real_pairs((1.0, 1.0), (2.0, 3.0)) \
             == PairConfig.DEGENERATE
+
+
+def scalar_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """pair_config_grid's reference: classify_angle_pairs pair by pair."""
+    return np.array([[PAIR_CONFIGS.index(classify_angle_pairs(tuple(a), tuple(b)))
+                      for b in beta.tolist()] for a in alpha.tolist()])
+
+
+class TestPairConfigGrid:
+    def test_matches_scalar_on_all_class_pairs(self):
+        # the angles the triangle harness and the certificate search use,
+        # against classify_pairs on the words (scalar fixed_angles)
+        rows, _, angles = _class_table(reference_representation(), 3)
+        words = [Word(wa.ranks_to_letters(row)) for row in rows]
+        grid = pair_config_grid(angles, angles)
+        expected = np.array([[PAIR_CONFIGS.index(classify_pairs(a, b))
+                              for b in words] for a in words])
+        assert np.array_equal(grid, expected)
+        off = ~np.eye(len(rows), dtype=bool)
+        degenerate = grid[off] == PAIR_CONFIGS.index(PairConfig.DEGENERATE)
+        # the triangle harness's 25 260 records and 180 degenerate pairs
+        assert (int(degenerate.sum()), int((~degenerate).sum())) == (180, 25260)
+
+    def test_matches_scalar_at_the_tolerance_and_across_the_wrap(self):
+        below = DEGENERATE_TOL * (1.0 - 1e-4)
+        above = DEGENERATE_TOL * (1.0 + 1e-4)
+        values = sorted({0.1, 0.35, 0.85} | {
+            (x + d) % 1.0 for x in (0.0, 0.6)
+            for d in (0.0, below, -below, above, -above)})
+        pairs = np.array([(x, y) for x in values for y in values if x != y])
+        grid = pair_config_grid(pairs, pairs)
+        assert np.array_equal(grid, scalar_grid(pairs, pairs))
+        assert set(grid.ravel().tolist()) == set(range(len(PAIR_CONFIGS)))
+        # 1 - gap and 0 sit gap apart across the wrap
+        for gap, first, second in (
+                (below, PairConfig.DEGENERATE, PairConfig.DEGENERATE),
+                (above, PairConfig.LINKED, PairConfig.UNLINKED_MISALIGNED)):
+            alpha = np.array([[0.0, 0.2], [0.5, 1.0 - gap]])
+            beta = np.array([[1.0 - gap, 0.15], [0.0, 0.2]])
+            codes = pair_config_grid(alpha, beta)
+            assert (PAIR_CONFIGS[codes[0, 0]], PAIR_CONFIGS[codes[1, 1]]) \
+                == (first, second)
 
 
 class TestLimitSetSample:

@@ -62,6 +62,11 @@ class TestTriangleHarness:
         assert PairConfig.UNLINKED_ALIGNED in seen
         assert PairConfig.UNLINKED_MISALIGNED in seen
 
+    def test_record_configs_match_scalar_classification(
+            self, harness_records):
+        assert all(r.config is classify_pairs(r.a, r.b)
+                   for r in harness_records)
+
     def test_same_axis_pairs_are_skipped(self, harness_records):
         a1 = Word((1,))
         square = Word((1, 1))

@@ -134,7 +134,9 @@ class TestPinnedArtifacts:
          "753506d53822c0b07b0d08dda10e81f89e4d0d6f92a3dad9201fe63f278424f1"),
         (["triangle-check"], "triangle.csv",
          "305a990e3e7da601a36e16a72c181e4a9e1f5ddeb47f51400734005d6e1f7aaf"),
-    ], ids=["spectrum", "certify", "triangle-check"])
+        (["--maxlen", "5", "spectrum"], "spectrum.csv",
+         "17b99ec3f754288a20d932fe3347d7870b924beff89762ed1f4218af5bcec642"),
+    ], ids=["spectrum", "certify", "triangle-check", "spectrum-maxlen5"])
     def test_artifact_digest(self, tmp_path, argv, name, digest):
         code, out = run(tmp_path, "--bend-angle", "0.6", *argv)
         assert code == 0
@@ -189,6 +191,35 @@ class TestCertifyCommand:
     def test_missing_input_file_is_a_config_error(self, tmp_path):
         code, _ = run(tmp_path, "certify", "--input", "does-not-exist.json")
         assert code == 2
+
+
+_CERTIFICATE_PAYLOAD = {
+    "schema": SCHEMA, "type": "separation_certificate", "rep_id": "0" * 16,
+    "a": "a1 b1", "b": "a2", "config": "unlinked_aligned", "ell_q_a": 1.5,
+    "ell_q_b": 1.5, "ell_q_ab": 2.5, "ratio": 1.2, "alpha": 0.18,
+}
+
+
+class TestCertifyMalformedInput:
+    @pytest.mark.parametrize("payload", [
+        {k: v for k, v in _CERTIFICATE_PAYLOAD.items() if k != "ell_q_ab"},
+        {**_CERTIFICATE_PAYLOAD, "a": "a9"},
+        [_CERTIFICATE_PAYLOAD],
+        {**_CERTIFICATE_PAYLOAD, "config": "sideways"},
+        {**_CERTIFICATE_PAYLOAD, "ratio": "x"},
+        {**_CERTIFICATE_PAYLOAD, "schema": "qfcert/0"},
+    ], ids=["missing-key", "bad-word", "json-array", "bad-config",
+            "bad-ratio", "wrong-schema"])
+    def test_malformed_payload_is_a_config_error(self, tmp_path, capsys,
+                                                 payload):
+        path = tmp_path / "certificate.json"
+        path.write_text(json.dumps(payload))
+        code, _ = run(tmp_path, "certify", "--input", str(path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestWitnessCommand:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from qfcert import _wordarrays as wa
 from qfcert.moebius import (
     BASEPOINT,
     IsometryKind,
@@ -45,7 +46,7 @@ from qfcert.representations import (
     stable_length,
     with_basepoint,
 )
-from qfcert.surface_group import GroupPresentation, Word, enumerate_words
+from qfcert.surface_group import GroupPresentation, Word, enumerate_words, rotations
 
 # 2 * arccosh(1 + sqrt(2)), the displacement of a side-pairing
 # translation of the regular octagon with vertex angle pi/4
@@ -315,6 +316,66 @@ class TestSpectrum:
         spec = compute_spectrum(base_rep, 2)
         with pytest.raises(RepresentationError):
             normalize_spectrum(spec, 0.0)
+
+
+def dehn_classes(rep: Representation, maxlen: int) -> list[tuple[int, ...]]:
+    """The class table's reference: a rotation class merges into an earlier
+    kept one when some pair of their rotations is equal in the group (Dehn
+    reduction).  |trace| only preselects the classes compared."""
+    pres = rep.presentation
+    kept: list[tuple[float, list[Word]]] = []
+    out = []
+    for w in enumerate_words(pres, maxlen, mode="conjugacy"):
+        size = abs(evaluate(rep, w).trace)
+        rots = rotations(w)
+        for other_size, other_rots in kept:
+            if abs(size - other_size) <= 1e-6 * size and any(
+                    pres.are_equal(r, s) for r in rots for s in other_rots):
+                break
+        else:
+            kept.append((size, rots))
+            out.append(w.letters)
+    return out
+
+
+class TestClassTable:
+    """The one class table: products bit for bit equal to scalar evaluation,
+    classes equal to the group's own conjugacy merges."""
+
+    @pytest.mark.parametrize("angle", [0.0, 0.6])
+    def test_products_equal_scalar_evaluation(self, base_rep, angle):
+        rep = bend(base_rep, angle)
+        got, want = [], []
+        for level in wa.reduced_word_levels(4):
+            mats = wa.compose_matrices(level, rep.generator_matrix_array())
+            for row, m in zip(level, mats.reshape(-1, 4).tolist()):
+                got.append(MoebiusMap._unit_det(*m).entries())
+                want.append(evaluate(rep, Word(wa.ranks_to_letters(row))).entries())
+        assert len(got) == 8 + 56 + 392 + 2744
+        assert got == want
+
+    def test_spectrum_lengths_equal_scalar_lengths(self, bent_rep):
+        spec = compute_spectrum(bent_rep, 5)
+        assert len(spec.entries) == 4100
+        assert list(spec.entries.values()) == [
+            translation_length(evaluate(bent_rep, w)) for w in spec.entries]
+
+    @pytest.mark.parametrize("angle", [0.0, 0.6])
+    def test_classes_equal_dehn_reference(self, base_rep, angle):
+        rep = bend(base_rep, angle)
+        gens = rep.generator_matrix_array()
+        rows, mats = wa.conjugacy_classes(4, gens)
+        assert [wa.ranks_to_letters(row) for row in rows] \
+            == dehn_classes(rep, 4)
+        assert np.array_equal(mats, wa.compose_matrices(rows, gens))
+
+    def test_cumulative_class_counts(self, bent_rep):
+        rows, _ = wa.conjugacy_classes(5, bent_rep.generator_matrix_array())
+        lengths = (rows >= 0).sum(axis=1)
+        # the relator merges 8 rotation classes up to length 4 (780 -> 772)
+        # and 48 up to length 5 (4148 -> 4100)
+        assert [int((lengths <= n).sum()) for n in range(1, 6)] \
+            == [8, 40, 160, 772, 4100]
 
 
 class TestOrbitEnumeration:
