@@ -4,14 +4,18 @@ Words are stored as int8 arrays of letter ranks.  Rank order is the
 shortlex generator order of the genus-g presentation: ranks 0..2g-1 are
 the letters 1..2g and ranks 2g..4g-1 their inverses, so the inverse of
 rank r is r +- 2g and arrays built by in-order extension are
-shortlex-sorted within each length; any genus works.  The spectrum,
-the triangle harness and the certificate search read one class table,
-``conjugacy_classes``.  Products multiply left to right, as
-``representations.evaluate`` does, and equal its entries bit for bit
-after ``MoebiusMap._unit_det``'s sign, so artifact lengths must be
-``moebius.translation_length`` of them: ``translation_lengths`` uses
-``np.arccosh``, which differs from ``cmath.acosh`` in the last bit for
-about one word in ten.
+shortlex-sorted within each length; any genus works.  Row i of a
+level of length L >= 2 extends row i // (4g - 1) of the level before by
+its last rank, so limit-set sampling builds each word's product as its
+parent's times one generator (``extend_products``).  The spectrum, the
+triangle harness and the certificate search read one class table,
+``conjugacy_classes``; its rotations are not prefix-closed and go
+through ``compose_matrices``.  Both paths multiply with the same
+``einsum``, left to right as ``representations.evaluate`` does, and
+equal its entries bit for bit after ``MoebiusMap._unit_det``'s sign, so
+artifact lengths must be ``moebius.translation_length`` of them:
+``translation_lengths`` uses ``np.arccosh``, which differs from
+``cmath.acosh`` in the last bit for about one word in ten.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ def reduced_word_levels(maxlen: int, genus: int = 2) -> list[np.ndarray]:
     """Freely reduced words as rank arrays, one (n, L) array per length L.
 
     Each level is in shortlex order.  Level L is built by appending every
-    non-cancelling rank to each level-(L-1) word in rank order.
+    non-cancelling rank to each level-(L-1) word in rank order, so every
+    word has 4g - 1 children and row i of level L >= 2 extends row
+    i // (4g - 1) of level L - 1.
     """
     if maxlen < 1:
         return []
@@ -86,6 +92,11 @@ def conjugacy_class_mask(words: np.ndarray, genus: int = 2) -> np.ndarray:
     return mask & (own == best)
 
 
+def _times(m: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row-wise 2x2 products m[n] @ g[n]; every batch product goes here."""
+    return np.einsum("nij,njk->nik", m, g)
+
+
 def compose_matrices(words: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
     """Product matrices for rank rows, which may end in -1 padding;
     gen_mats is (4g, 2, 2) complex."""
@@ -93,11 +104,22 @@ def compose_matrices(words: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
     for j in range(1, words.shape[1]):
         live = words[:, j] >= 0
         if live.all():
-            m = np.einsum("nij,njk->nik", m, gen_mats[words[:, j]])
+            m = _times(m, gen_mats[words[:, j]])
         else:
-            m[live] = np.einsum("nij,njk->nik", m[live],
-                                gen_mats[words[live, j]])
+            m[live] = _times(m[live], gen_mats[words[live, j]])
     return m
+
+
+def extend_products(parents: np.ndarray, last: np.ndarray,
+                    gen_mats: np.ndarray) -> np.ndarray:
+    """Products of the reduced_word_levels rows that extend `parents`.
+
+    parents holds the products of consecutive rows of one level, last
+    the last ranks of their 4g - 1 children each, in level order.  The
+    result equals compose_matrices of the full child rows bit for bit.
+    """
+    fan = gen_mats.shape[0] - 1
+    return _times(np.repeat(parents, fan, axis=0), gen_mats[last])
 
 
 def conjugacy_classes(maxlen: int,

@@ -259,48 +259,68 @@ class LimitSetSample:
                 for i in range(len(self))]
 
 
-def _accumulate_level(words: np.ndarray, ref_gens: np.ndarray,
-                      rep_gens: np.ndarray, chunk: int = 1 << 16):
-    """Per-level (angles, attracting pairs, keep mask) without holding matrices."""
+# words per chunk of a sampled level, rounded down to whole sibling groups
+_CHUNK = 1 << 16
+
+
+def _accumulate_level(words: np.ndarray, gens: tuple[np.ndarray, np.ndarray],
+                      parents: tuple[np.ndarray, np.ndarray] | None,
+                      store: bool):
+    """Per-level (angles, attracting pairs, keep mask, products).
+
+    gens are the (reference, rep) generator arrays and parents the
+    previous level's products under each, or None for length-1 words.
+    Products are built one level from the last (wa.extend_products) and
+    returned only when store is set, for the next level to extend.
+    """
     n = words.shape[0]
+    fan = 1 if parents is None else gens[0].shape[0] - 1
     angles = np.empty(n, dtype=float)
     pairs = np.empty((n, 2), dtype=complex)
-    keep = np.ones(n, dtype=bool)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        part = words[lo:hi]
-        ref_m = wa.compose_matrices(part, ref_gens)
-        rep_m = wa.compose_matrices(part, rep_gens)
-        ok = (wa.translation_lengths(ref_m) > 1e-9) \
+    keep = np.empty(n, dtype=bool)
+    mats = tuple(np.empty((n, 2, 2), dtype=complex) for _ in gens) \
+        if store else None
+    step = _CHUNK // fan * fan
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        last = words[lo:hi, -1]
+        if parents is None:
+            ref_m, rep_m = (g[last] for g in gens)
+        else:
+            ref_m, rep_m = (wa.extend_products(p[lo // fan:hi // fan], last, g)
+                            for p, g in zip(parents, gens))
+        keep[lo:hi] = (wa.translation_lengths(ref_m) > 1e-9) \
             & (wa.translation_lengths(rep_m) > 1e-9)
         angles[lo:hi] = wa.disk_angles_turns(wa.attracting_fixed_pairs(ref_m))
         pairs[lo:hi] = wa.attracting_fixed_pairs(rep_m)
-        keep[lo:hi] = ok
-    return angles, pairs, keep
+        if store:
+            mats[0][lo:hi] = ref_m
+            mats[1][lo:hi] = rep_m
+    return angles, pairs, keep, mats
 
 
 def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
     """Attracting fixed points of all words up to maxlen, one per boundary point.
 
     Words sharing a boundary point (powers and roots) are merged, keeping
-    the earliest word in length-then-shortlex order.
+    the earliest word in length-then-shortlex order.  Each word's matrix
+    is its parent's times one generator; only the previous level's
+    matrices are held.
     """
     if maxlen < 1:
         raise BoundaryError("maxlen must be at least 1")
     if rep.presentation.genus != 2:
         raise BoundaryError("sampling is implemented for the genus-2 group")
-    ref = reference_representation()
-    ref_gens = ref.generator_matrix_array()
-    rep_gens = rep.generator_matrix_array()
-    levels = wa.reduced_word_levels(maxlen)
+    gens = (reference_representation().generator_matrix_array(),
+            rep.generator_matrix_array())
 
     all_ranks: list[np.ndarray] = []
     all_angles: list[np.ndarray] = []
     all_pairs: list[np.ndarray] = []
-    for words in levels:
-        if words.shape[0] == 0:
-            continue
-        angles, pairs, keep = _accumulate_level(words, ref_gens, rep_gens)
+    products = None
+    for words in wa.reduced_word_levels(maxlen):
+        angles, pairs, keep, products = _accumulate_level(
+            words, gens, products, store=words.shape[1] < maxlen)
         padded = np.full((words.shape[0], maxlen), -1, dtype=np.int8)
         padded[:, :words.shape[1]] = words
         all_ranks.append(padded[keep])
@@ -359,23 +379,23 @@ def normalize_at(rep: Representation, gamma: Word) -> tuple[Representation, Moeb
     return conjugated, chart
 
 
-def _lift_path(zs) -> list[tuple[float, float]]:
-    """(modulus, continuous argument lift in turns) along an ordered path."""
-    out: list[tuple[float, float]] = []
-    s = 0.0
-    prev = None
-    for z in zs:
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)) or z == 0:
-            raise BoundaryError("argument lift needs finite nonzero points")
-        arg = math.atan2(z.imag, z.real) / (2.0 * math.pi)
-        if prev is None:
-            s = arg
-        else:
-            s += wrap_turns(arg - prev)
-        prev = arg
-        out.append((abs(z), s))
-    return out
+def _lift_path(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(moduli, continuous argument lift in turns) along an ordered path.
+
+    Bit for bit the scalar rule: math.atan2 per point (np.arctan2 can
+    differ in the last bit), np.hypot for abs, wrap_turns of each
+    difference, and a sequential running sum.
+    """
+    re, im = zs.real, zs.imag
+    if not (np.isfinite(re).all() and np.isfinite(im).all()) \
+            or ((re == 0) & (im == 0)).any():
+        raise BoundaryError("argument lift needs finite nonzero points")
+    arg = np.array(list(map(math.atan2, im.tolist(), re.tolist()))) \
+        / (2.0 * math.pi)
+    step = np.diff(arg)
+    step -= np.floor(step)
+    step[step > 0.5] -= 1.0
+    return np.hypot(re, im), np.cumsum(np.concatenate([arg[:1], step]))
 
 
 def argument_lift(sample: LimitSetSample,
@@ -393,7 +413,8 @@ def argument_lift(sample: LimitSetSample,
     bad = (np.abs(w2) <= 1e-14 * np.abs(w1)) | (np.abs(w1) <= 1e-14 * np.abs(w2))
     if bad.any():
         raise BoundaryError("argument lift needs finite nonzero points")
-    return _lift_path(w1 / w2)
+    r, s = _lift_path(w1 / w2)
+    return list(zip(r.tolist(), s.tolist()))
 
 
 @dataclass(frozen=True)
@@ -617,9 +638,7 @@ def find_spiral_witness(rep: Representation, gamma: Word,
                             "%d points" % idx_f.size)
     order = idx_f[np.argsort(q[idx_f])]
     zs = z_all[order]
-    lift = _lift_path(zs)
-    r_f = np.array([r for r, _ in lift])
-    s_f = np.array([s for _, s in lift])
+    r_f, s_f = _lift_path(zs)
 
     # net rotation across one interval, closed by the exact translate of
     # the first point
@@ -892,30 +911,40 @@ def witness_to_dict(w: SpiralWitness) -> dict:
     }
 
 
-def witness_from_dict(payload: dict) -> SpiralWitness:
-    if payload.get("schema") != "qfcert/1" \
+def witness_from_dict(payload: object) -> SpiralWitness:
+    """The witness a JSON payload describes; BoundaryError names what is
+    missing or malformed."""
+    if not isinstance(payload, dict) or payload.get("schema") != "qfcert/1" \
             or payload.get("type") != "spiral_witness":
         raise BoundaryError("not a spiral witness payload")
     pres = reference_representation().presentation
-    xi = tuple(BoundaryPointRef(pres.from_text(d["word"]), float(d["angle"]))
-               for d in payload["xi"])
-    if len(xi) != 4:
-        raise BoundaryError("witness must carry exactly four points")
-    star = payload["xi_star"]
-    return SpiralWitness(
-        gamma=pres.from_text(payload["gamma"]),
-        Lambda=float(payload["Lambda"]),
-        Theta=float(payload["Theta"]),
-        indices_n=tuple(int(i) for i in payload["indices_n"]),
-        indices_m=tuple(int(i) for i in payload["indices_m"]),
-        xi=xi,
-        xi_star=BoundaryPointRef(pres.from_text(star["word"]),
-                                 float(star["angle"])),
-        radii=tuple(float(r) for r in payload["radii"]),
-        arglift=tuple(float(s) for s in payload["arglift"]),
-        R0=float(payload["R0"]),
-        r0=float(payload["r0"]),
-    )
+
+    def point(d) -> BoundaryPointRef:
+        return BoundaryPointRef(pres.from_text(str(d["word"])),
+                                float(d["angle"]))
+
+    try:
+        w = SpiralWitness(
+            gamma=pres.from_text(str(payload["gamma"])),
+            Lambda=float(payload["Lambda"]),
+            Theta=float(payload["Theta"]),
+            indices_n=tuple(int(i) for i in payload["indices_n"]),
+            indices_m=tuple(int(i) for i in payload["indices_m"]),
+            xi=tuple(point(d) for d in payload["xi"]),
+            xi_star=point(payload["xi_star"]),
+            radii=tuple(float(r) for r in payload["radii"]),
+            arglift=tuple(float(s) for s in payload["arglift"]),
+            R0=float(payload["R0"]),
+            r0=float(payload["r0"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BoundaryError("malformed witness payload: %r" % exc) from exc
+    short = [key for key in ("xi", "indices_n", "indices_m", "radii", "arglift")
+             if len(getattr(w, key)) != 4]
+    if short:
+        raise BoundaryError("witness must carry exactly four %s"
+                            % ", ".join(short))
+    return w
 
 
 def sample_to_csv(sample: LimitSetSample) -> str:

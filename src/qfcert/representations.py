@@ -349,6 +349,21 @@ def _orbit_distances_of(mats: np.ndarray, y: Point3) -> np.ndarray:
     return np.arccosh(np.maximum(1.0, cosh_d))
 
 
+def _trim_heap() -> None:
+    """Hand freed heap pages back to the OS (glibc ``malloc_trim``).
+
+    Each level frees tens of MB of temporaries below glibc's sliding
+    mmap threshold; left resident, they set the peak RSS of the next
+    table merge by heap layout, not by the work done.  A no-op where
+    the C library has no malloc_trim.
+    """
+    import ctypes
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
 def orbit_point_distances(rep: Representation, prune_radius: float | None = None,
                           max_word_length: int | None = None,
                           chunk: int = 1 << 16) -> np.ndarray:
@@ -375,6 +390,7 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
             break
         if depth > 64:
             raise RepresentationError("orbit enumeration failed to terminate")
+        _trim_heap()
         level_keys = seen[:0]
         level_mats: list[np.ndarray] = []
         level_dists: list[np.ndarray] = []
@@ -403,6 +419,7 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
             break
         # sorted in place: np.sort would hold a third copy of the table
         # at the level's memory peak
+        _trim_heap()
         seen = np.concatenate([seen, level_keys])
         seen.sort()
         if level_mats:

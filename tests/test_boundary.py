@@ -322,7 +322,36 @@ class TestNormalizeAt:
             normalize_at(reference_representation(), A1 * A2)
 
 
+def scalar_lift(zs) -> list[tuple[float, float]]:
+    """The argument lift as a per-point loop: the reference the array
+    version must reproduce bit for bit."""
+    out, s, prev = [], 0.0, None
+    for z in zs:
+        z = complex(z)
+        arg = math.atan2(z.imag, z.real) / (2.0 * math.pi)
+        s = arg if prev is None else s + wrap_turns(arg - prev)
+        prev = arg
+        out.append((abs(z), s))
+    return out
+
+
 class TestArgumentLift:
+    def test_equals_scalar_loop_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        n = 20000
+        radii = np.exp(rng.uniform(-30.0, 30.0, n))
+        # a walk of up to 0.45 turns per step winds many times both ways,
+        # then uniform arguments put every step through the wrap
+        turns = np.concatenate([np.cumsum(rng.uniform(-0.45, 0.45, n // 2)),
+                                rng.uniform(-40.0, 40.0, n - n // 2)])
+        # and steps of exactly half a turn sit on the wrap's closed end
+        pts = np.concatenate([[1.0, -1.0, -1j, 1j],
+                              radii * np.exp(2j * np.pi * turns)])
+        lift = argument_lift(synthetic_sample(pts), IDENTITY_CHART)
+        assert [s for _, s in lift[:4]] == [0.0, 0.5, 0.75, 1.25]
+        assert abs(lift[n // 2 + 3][1] - lift[4][1]) > 5.0
+        assert lift == scalar_lift(pts)
+
     def test_constant_argument(self):
         pts = [r * complex(math.cos(0.7), math.sin(0.7))
                for r in (0.5, 1.5, 2.5, 9.0)]
@@ -365,6 +394,12 @@ class TestArgumentLift:
                              angles=sample.angles, image_pairs=inf_pairs)
         with pytest.raises(BoundaryError):
             argument_lift(bad, IDENTITY_CHART)
+
+    @pytest.mark.parametrize("point", [complex(math.nan, 0.0),
+                                       complex(1.0, math.nan)])
+    def test_rejects_non_finite(self, point):
+        with pytest.raises(BoundaryError, match="finite nonzero"):
+            argument_lift(synthetic_sample([1.0, point, 2.0]), IDENTITY_CHART)
 
 
 class TestSpiralWitness:
@@ -426,6 +461,25 @@ class TestSpiralWitness:
         back = witness_from_dict(json.loads(text))
         assert back == w
         assert verify_witness_orders(back, witness_run.rep)
+
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda p: [p], "not a spiral witness"),
+        (lambda p: {k: v for k, v in p.items() if k != "R0"}, "R0"),
+        (lambda p: {**p, "Lambda": "big"}, "big"),
+        (lambda p: {**p, "radii": [p["radii"][0], None, *p["radii"][2:]]},
+         "NoneType"),
+        (lambda p: {**p, "xi": [{**p["xi"][0], "word": "a9"}, *p["xi"][1:]]},
+         "a9"),
+        (lambda p: {**p, "gamma": 5}, "'5'"),
+        (lambda p: {**p, "xi_star": "a1"}, "string indices"),
+        (lambda p: {**p, "radii": p["radii"][:3]}, "four radii"),
+    ], ids=["json-array", "missing-key", "non-numeric", "null-number",
+            "bad-word", "word-not-text", "point-not-object", "three-radii"])
+    def test_malformed_payload_is_a_boundary_error(self, witness_run,
+                                                   mutate, match):
+        payload = mutate(witness_to_dict(witness_run.witness))
+        with pytest.raises(BoundaryError, match=match):
+            witness_from_dict(payload)
 
     def test_lift_shift_consistency(self, bent_rep, bent_sample8, witness_run):
         # translating sample points by gamma shifts every lifted argument by

@@ -125,7 +125,8 @@ class TestArtifacts:
 
 class TestPinnedArtifacts:
     """Artifact digests recorded from an earlier implementation of the
-    enumeration and pair search; a refactor must reproduce them exactly."""
+    enumeration, the pair search and limit-set sampling; a refactor must
+    reproduce them exactly."""
 
     @pytest.mark.parametrize("argv,name,digest", [
         (["--maxlen", "4", "spectrum"], "spectrum.csv",
@@ -136,7 +137,12 @@ class TestPinnedArtifacts:
          "305a990e3e7da601a36e16a72c181e4a9e1f5ddeb47f51400734005d6e1f7aaf"),
         (["--maxlen", "5", "spectrum"], "spectrum.csv",
          "17b99ec3f754288a20d932fe3347d7870b924beff89762ed1f4218af5bcec642"),
-    ], ids=["spectrum", "certify", "triangle-check", "spectrum-maxlen5"])
+        (["--maxlen", "7", "witness"], "witness.json",
+         "f7e725723e7ee6f59228db3cbc7153abe775828712065275e0200c480ca50bd7"),
+        (["--maxlen", "6", "limitset"], "limitset.csv",
+         "43e7fc0d7aebb7db7c1b9722128713ef7b334b397f6c80abbadc0fe7e58eef40"),
+    ], ids=["spectrum", "certify", "triangle-check", "spectrum-maxlen5",
+            "witness-maxlen7", "limitset-maxlen6"])
     def test_artifact_digest(self, tmp_path, argv, name, digest):
         code, out = run(tmp_path, "--bend-angle", "0.6", *argv)
         assert code == 0

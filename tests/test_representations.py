@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qfcert import _wordarrays as wa
+from qfcert import boundary
 from qfcert.moebius import (
     BASEPOINT,
     IsometryKind,
@@ -376,6 +377,35 @@ class TestClassTable:
         # and 48 up to length 5 (4148 -> 4100)
         assert [int((lengths <= n).sum()) for n in range(1, 6)] \
             == [8, 40, 160, 772, 4100]
+
+
+class TestPrefixProducts:
+    """Limit-set sampling multiplies each word's parent product by one
+    generator; the parent of row i is row i // (4g - 1) of the level
+    before, and the products equal full composition bit for bit."""
+
+    @pytest.mark.parametrize("genus,maxlen", [(2, 5), (3, 3)])
+    def test_row_extends_parent_row(self, genus, maxlen):
+        levels = wa.reduced_word_levels(maxlen, genus)
+        for prev, level in zip(levels, levels[1:]):
+            parent = np.arange(level.shape[0]) // (4 * genus - 1)
+            assert parent[-1] == prev.shape[0] - 1
+            assert np.array_equal(level[:, :-1], prev[parent])
+
+    # 98-word chunks put sibling groups on both sides of chunk edges
+    @pytest.mark.parametrize("chunk", [boundary._CHUNK, 100])
+    @pytest.mark.parametrize("angle", [0.0, 0.6])
+    def test_sample_products_equal_full_composition(self, base_rep, angle,
+                                                    chunk, monkeypatch):
+        monkeypatch.setattr(boundary, "_CHUNK", chunk)
+        gens = (base_rep.generator_matrix_array(),
+                bend(base_rep, angle).generator_matrix_array())
+        products = None
+        for level in wa.reduced_word_levels(5):
+            _, _, _, products = boundary._accumulate_level(
+                level, gens, products, store=True)
+            for got, g in zip(products, gens):
+                assert np.array_equal(got, wa.compose_matrices(level, g))
 
 
 class TestOrbitEnumeration:
