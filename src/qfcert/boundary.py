@@ -39,7 +39,9 @@ from .moebius import (
     BoundaryPoint,
     Geodesic3,
     IsometryKind,
+    LoxodromicData,
     MoebiusMap,
+    circular_distance_turns,
     classify,
     normalizer_to_axis,
     wrap_turns,
@@ -122,10 +124,6 @@ def fixed_angles(w: Word) -> tuple[float, float]:
     return disk_angle(cl.data.fix_minus), disk_angle(cl.data.fix_plus)
 
 
-def _circular_gap(a: float, b: float) -> float:
-    return abs(wrap_turns(a - b))
-
-
 def classify_angle_pairs(alpha: tuple[float, float], beta: tuple[float, float],
                          tol: float = DEGENERATE_TOL) -> PairConfig:
     """Configuration of two ordered point pairs on a circle (angles in turns).
@@ -143,7 +141,7 @@ def classify_angle_pairs(alpha: tuple[float, float], beta: tuple[float, float],
     pts = (a1, a2, b1, b2)
     for i in range(4):
         for j in range(i + 1, 4):
-            if _circular_gap(pts[i], pts[j]) < tol:
+            if circular_distance_turns(pts[i], pts[j]) < tol:
                 return PairConfig.DEGENERATE
     v = (a2 - a1) % 1.0
     u1 = (b1 - a1) % 1.0
@@ -219,8 +217,7 @@ def classify_real_pairs(alpha: tuple[float, float],
 class LimitSetSample:
     """Sampled limit set: boundary words with reference angles and images.
 
-    Backed by arrays so that million-point samples stay compact; `entries`
-    materializes the (word, reference angle, image point) triples.
+    Backed by arrays so that million-point samples stay compact.
     Images are stored as projective pairs; `image_complex` divides them
     out, yielding inf for points at infinity.
     """
@@ -251,12 +248,6 @@ class LimitSetSample:
         return LimitSetSample(rep=self.rep, maxlen=self.maxlen,
                               ranks=self.ranks[idx], angles=self.angles[idx],
                               image_pairs=self.image_pairs[idx])
-
-    @property
-    def entries(self) -> list[tuple[Word, float, complex]]:
-        zs = self.image_complex()
-        return [(self.word_at(i), float(self.angles[i]), complex(zs[i]))
-                for i in range(len(self))]
 
 
 # words per chunk of a sampled level, rounded down to whole sibling groups
@@ -339,19 +330,10 @@ def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
                           angles=angles[first], image_pairs=pairs[first])
 
 
-def normalize_at(rep: Representation, gamma: Word) -> tuple[Representation, MoebiusMap]:
-    """Conjugate rep so gamma's image fixes (0, infinity); returns (rep', chart).
-
-    The chart sends the repelling point to 0 and the attracting point to
-    infinity, so the gamma action on the plane is z -> mu z with
-    mu = Lambda e^{2 pi i theta}.  The residual scaling freedom is pinned
-    by sending the attracting point of the first generator whose axis
-    stays off gamma's axis to 1; the chart is then a function of
-    (rep, gamma) alone, so conjugating rep moves every input and leaves
-    the chart values unchanged.
-    """
-    m = evaluate(rep, gamma)
-    cl = classify(m)
+def _gamma_chart(rep: Representation,
+                 gamma: Word) -> tuple[LoxodromicData, MoebiusMap]:
+    """gamma's loxodromic data under rep, and the chart of `normalize_at`."""
+    cl = classify(evaluate(rep, gamma))
     if cl.kind != IsometryKind.LOXODROMIC:
         raise BoundaryError(
             "normalization chart needs a strictly loxodromic element, got %s"
@@ -372,6 +354,21 @@ def normalize_at(rep: Representation, gamma: Word) -> tuple[Representation, Moeb
     else:
         raise BoundaryError("cannot pin the chart gauge: every generator "
                             "axis meets the normalization axis")
+    return cl.data, chart
+
+
+def normalize_at(rep: Representation, gamma: Word) -> tuple[Representation, MoebiusMap]:
+    """Conjugate rep so gamma's image fixes (0, infinity); returns (rep', chart).
+
+    The chart sends the repelling point to 0 and the attracting point to
+    infinity, so the gamma action on the plane is z -> mu z with
+    mu = Lambda e^{2 pi i theta}.  The residual scaling freedom is pinned
+    by sending the attracting point of the first generator whose axis
+    stays off gamma's axis to 1; the chart is then a function of
+    (rep, gamma) alone, so conjugating rep moves every input and leaves
+    the chart values unchanged.
+    """
+    _, chart = _gamma_chart(rep, gamma)
     inv = chart.inverse()
     images = {k: chart @ v @ inv for k, v in rep.images.items() if k > 0}
     conjugated = Representation(rep.presentation, images, kind=rep.kind,
@@ -398,6 +395,20 @@ def _lift_path(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.hypot(re, im), np.cumsum(np.concatenate([arg[:1], step]))
 
 
+def _chart_points(pairs: np.ndarray,
+                  chart: MoebiusMap) -> tuple[np.ndarray, np.ndarray]:
+    """(z, finite): chart values of projective pairs, and which are neither
+    0 nor infinity (one coordinate within 1e-14 of the other's size).
+
+    z is w1 / w2 where finite holds and 1 elsewhere.
+    """
+    w1 = chart.a * pairs[:, 0] + chart.b * pairs[:, 1]
+    w2 = chart.c * pairs[:, 0] + chart.d * pairs[:, 1]
+    finite = (np.abs(w2) > 1e-14 * np.abs(w1)) \
+        & (np.abs(w1) > 1e-14 * np.abs(w2))
+    return np.divide(w1, w2, out=np.ones_like(w1), where=finite), finite
+
+
 def argument_lift(sample: LimitSetSample,
                   chart: MoebiusMap) -> list[tuple[float, float]]:
     """(r, s) for each sample point, in sample order, in the given chart.
@@ -408,12 +419,10 @@ def argument_lift(sample: LimitSetSample,
     orders the sample (one boundary side, positions increasing); points
     at 0 or infinity in the chart are errors.
     """
-    w1 = chart.a * sample.image_pairs[:, 0] + chart.b * sample.image_pairs[:, 1]
-    w2 = chart.c * sample.image_pairs[:, 0] + chart.d * sample.image_pairs[:, 1]
-    bad = (np.abs(w2) <= 1e-14 * np.abs(w1)) | (np.abs(w1) <= 1e-14 * np.abs(w2))
-    if bad.any():
+    z, finite = _chart_points(sample.image_pairs, chart)
+    if not finite.all():
         raise BoundaryError("argument lift needs finite nonzero points")
-    r, s = _lift_path(w1 / w2)
+    r, s = _lift_path(z)
     return list(zip(r.tolist(), s.tolist()))
 
 
@@ -514,6 +523,17 @@ def _arc_data(gamma: Word) -> tuple[MoebiusMap, float, float]:
             disk_angle(ref_cl.data.fix_plus))
 
 
+def _arc_position(x, v: float, side):
+    """Position along a side arc of the base axis, from 0 at the repelling
+    to 1 at the attracting angle; scalars or arrays.
+
+    x and v are the turns of the point and of the attracting angle past
+    the repelling angle; side is 1 on the arc x < v and -1 on the other,
+    kept from the caller even where rounding moves x across.
+    """
+    return np.where(side == 1, x / v, (1.0 - x) / (1.0 - v))
+
+
 def _interval_bounds(side: int, ref_gamma: MoebiusMap, a_minus: float,
                      a_plus: float) -> tuple[float, float]:
     """Canonical fundamental interval [c, g(c)) of gamma on one side arc.
@@ -528,8 +548,7 @@ def _interval_bounds(side: int, ref_gamma: MoebiusMap, a_minus: float,
     else:
         ang = (a_minus + 1.0 - c * (1.0 - v)) % 1.0
     img = disk_angle(ref_gamma(_angle_to_boundary_point(ang)))
-    x = (img - a_minus) % 1.0
-    gc = x / v if side == 1 else (1.0 - x) / (1.0 - v)
+    gc = float(_arc_position((img - a_minus) % 1.0, v, side))
     if not c < gc < 1.0:
         raise BoundaryError("fundamental interval of the base element collapsed")
     return c, gc
@@ -557,8 +576,7 @@ def _canonical_ray_position(n: int, ang: float, ref_gamma: MoebiusMap,
     pt = _angle_to_boundary_point(ang)
 
     def pos(p: BoundaryPoint) -> float:
-        xx = (disk_angle(p) - a_minus) % 1.0
-        return xx / v if side == 1 else (1.0 - xx) / (1.0 - v)
+        return float(_arc_position((disk_angle(p) - a_minus) % 1.0, v, side))
 
     q = pos(pt)
     for _ in range(256):
@@ -572,6 +590,61 @@ def _canonical_ray_position(n: int, ang: float, ref_gamma: MoebiusMap,
             return side, n + (q - c) / (gc - c)
         q = pos(pt)
     raise BoundaryError("ray position failed to normalize")
+
+
+# candidates kept per index window, and level-2/3 pairs tried in order
+_WINDOW_KEEP = 256
+_PAIRS_TRIED = 64
+
+
+def _window_candidates(base_args: np.ndarray, theta_rad: float,
+                       powers: range, target: float) -> tuple[np.ndarray, ...]:
+    """(|off|, off, n, j) arrays for the _WINDOW_KEEP best translates.
+
+    off is the signed angular offset of translate n of fundamental point j
+    from the target argument, over the powers n of one index window; the
+    order is (|off|, off, n, j).  Each power contributes its _WINDOW_KEEP
+    smallest |off| and every index tied with the last of them, so the cut
+    never depends on how a sort breaks ties.
+    """
+    cols = []
+    for n in powers:
+        off = np.angle(np.exp(1j * (base_args + n * theta_rad - target)))
+        mag = np.abs(off)
+        kth = min(_WINDOW_KEEP, mag.size) - 1
+        j = np.flatnonzero(mag <= np.partition(mag, kth)[kth])
+        cols.append((mag[j], off[j], np.full(j.size, n), j))
+    mag, off, n, j = (np.concatenate(c) for c in zip(*cols))
+    best = np.lexsort((j, n, off, mag))[:_WINDOW_KEEP]
+    return mag[best], off[best], n[best], j[best]
+
+
+def _middle_pairs(c2: tuple[np.ndarray, ...], c3: tuple[np.ndarray, ...],
+                  lam: float, radii: np.ndarray) -> list[tuple[int, ...]]:
+    """(n2, j2, n3, j3) of the level-2/3 candidate pairs worth verifying.
+
+    The crossing gap scales like sqrt(r2/r3) |off2 - off3| and the
+    disjoint gap like 2 sqrt(r2/r3), so feasible pairs have nearly equal
+    offsets at a radius ratio that keeps both tolerances comfortable.
+    The best _PAIRS_TRIED come first by (|off2| + |off3|, crossing gap,
+    n2, j2, n3, j3).  lam ** k is Python's pow, once per distinct k.
+    """
+    a2, o2, n2, j2 = (x[:, None] for x in c2)
+    a3, o3, n3, j3 = (x[None, :] for x in c3)
+    ks, which = np.unique(n2 - n3, return_inverse=True)
+    scale = np.array([lam ** k for k in ks.tolist()])[
+        which.reshape(n2.size, n3.size)]
+    t_ratio = scale * (radii[j2] / radii[j3])
+    root = np.sqrt(t_ratio)
+    gap_cross = root * np.abs(o2 - o3)
+    ok = (0.0 < t_ratio) & (t_ratio < 1.0) \
+        & ~(2.0 * root < AXIS_CROSS_TOL * 4.0) \
+        & ~(gap_cross > AXIS_CROSS_TOL / 4.0)
+    n2, j2, n3, j3, gap, score = (
+        np.broadcast_to(x, ok.shape)[ok]
+        for x in (n2, j2, n3, j3, gap_cross, a2 + a3))
+    best = np.lexsort((j3, n3, j2, n2, gap, score))[:_PAIRS_TRIED]
+    return list(zip(*(x[best].tolist() for x in (n2, j2, n3, j3))))
 
 
 def find_spiral_witness(rep: Representation, gamma: Word,
@@ -589,15 +662,10 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     disjoint axes keep their separation; the assembled witness must pass
     the independent verifier before it is returned.
     """
-    m_gamma = evaluate(rep, gamma)
-    cl = classify(m_gamma)
-    if cl.kind != IsometryKind.LOXODROMIC:
-        raise BoundaryError("witness base element must be strictly loxodromic")
-    lam, theta = cl.data.lam, cl.data.theta
-    theta_rad = 2.0 * math.pi * theta
+    data, chart = _gamma_chart(rep, gamma)
+    lam, theta_rad = data.lam, 2.0 * math.pi * data.theta
     mu = lam * cmath.exp(1j * theta_rad)
     ref_gamma, a_minus, a_plus = _arc_data(gamma)
-    _, chart = normalize_at(rep, gamma)
 
     sample = limit_set_sample(rep, maxlen)
 
@@ -606,13 +674,10 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     v = (a_plus - a_minus) % 1.0
     x = (sample.angles - a_minus) % 1.0
     arc_gap = np.minimum(np.minimum(x, 1.0 - x), np.abs(x - v))
-    w1 = chart.a * sample.image_pairs[:, 0] + chart.b * sample.image_pairs[:, 1]
-    w2 = chart.c * sample.image_pairs[:, 0] + chart.d * sample.image_pairs[:, 1]
-    finite = (np.abs(w2) > 1e-14 * np.abs(w1)) & (np.abs(w1) > 1e-14 * np.abs(w2))
+    z_all, finite = _chart_points(sample.image_pairs, chart)
     valid = (arc_gap > 1e-9) & finite
-    z_all = np.divide(w1, w2, out=np.ones_like(w1), where=valid)
     side = np.where(x < v, 1, -1)
-    q = np.where(x < v, x / v, (1.0 - x) / (1.0 - v))
+    q = _arc_position(x, v, side)
 
     # deterministic seed: earliest sample point comfortably inside its arc;
     # its gamma translate closes a fundamental interval [q0, q1)
@@ -625,8 +690,7 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     q0 = float(q[seed])
     t_angle = disk_angle(ref_gamma(_angle_to_boundary_point(
         float(sample.angles[seed]))))
-    x1 = (t_angle - a_minus) % 1.0
-    q1 = float(x1 / v) if seed_side == 1 else float((1.0 - x1) / (1.0 - v))
+    q1 = float(_arc_position((t_angle - a_minus) % 1.0, v, seed_side))
     if not q0 < q1 < 1.0:
         raise BoundaryError("sample too sparse: fundamental interval collapsed")
 
@@ -663,86 +727,47 @@ def find_spiral_witness(rep: Representation, gamma: Word,
         raise BoundaryError("sample too sparse: zero radius beyond the interval")
     dm = math.floor(1.0 / abs(theta_net)) + 1
     dn = max(1, math.floor(math.log(max(R0 / r0, 1e-300)) / math.log(lam)) + 1)
-    indices_n, indices_m = [], []
-    nk = 0
-    for _ in range(4):
-        indices_n.append(nk)
-        indices_m.append(nk + dm)
-        nk += dm + dn
-    if indices_m[3] * math.log10(lam) + math.log10(float(r_f.max())) > 300.0:
+    indices_n = tuple(k * (dm + dn) for k in range(4))
+    indices_m = tuple(n + dm for n in indices_n)
+    if indices_m[3] * math.log10(lam) + math.log10(R0) > 300.0:
         raise BoundaryError("index windows push radii beyond double range")
 
     # per-window candidates: signed angular offsets from the parity target
-    # (half turn for odd levels, full turn for even), over all translate
-    # powers in the window
+    # (half turn for odd levels, full turn for even)
     base_args = np.angle(zs)
-    keep = 256
-
-    def window_candidates(k: int) -> list[tuple[float, float, int, int]]:
-        tgt = math.pi if k % 2 == 1 else 0.0
-        out: list[tuple[float, float, int, int]] = []
-        for n in range(indices_n[k - 1], indices_m[k - 1]):
-            off = np.angle(np.exp(1j * (base_args + n * theta_rad - tgt)))
-            pick = np.argsort(np.abs(off))[:keep]
-            out.extend((abs(float(off[j])), float(off[j]), n, int(j))
-                       for j in pick)
-        out.sort()
-        return out[:keep]
-
-    cands = {k: window_candidates(k) for k in (1, 2, 3, 4)}
-    for k in (1, 2, 3, 4):
-        if not cands[k] or cands[k][0][0] > 0.5:
+    cands = [_window_candidates(base_args, theta_rad, range(n, m),
+                                math.pi if k % 2 == 1 else 0.0)
+             for k, (n, m) in enumerate(zip(indices_n, indices_m), start=1)]
+    for k, (mag, *_) in enumerate(cands, start=1):
+        if mag[0] > 0.5:
             raise BoundaryError("sample too sparse: no candidate near the "
                                 "argument level of window %d" % k)
 
-    def chart_point(n: int, j: int) -> complex:
-        return (lam ** n) * cmath.exp(1j * n * theta_rad) * complex(zs[j])
-
-    def assemble(sel: dict[int, tuple[int, int]]) -> SpiralWitness:
-        refs, radii, lifts = [], [], []
-        for k in (1, 2, 3, 4):
-            n, j = sel[k]
+    def assemble(sel: list[tuple[int, int]]) -> SpiralWitness:
+        refs = []
+        for n, j in sel:
             row = int(order[j])
-            word = (gamma ** n) * sample.word_at(row) * (gamma ** -n)
             pt = _angle_to_boundary_point(float(sample.angles[row]))
             for _ in range(n):
                 pt = ref_gamma(pt)
-            refs.append(BoundaryPointRef(word, disk_angle(pt)))
-            radii.append(float(r_f[j]) * lam ** n)
-            lifts.append(float(s_f[j]) + n * theta_net)
+            refs.append(BoundaryPointRef(
+                (gamma ** n) * sample.word_at(row) * (gamma ** -n),
+                disk_angle(pt)))
         return SpiralWitness(
             gamma=gamma, Lambda=lam, Theta=theta_net,
-            indices_n=tuple(indices_n), indices_m=tuple(indices_m),
-            xi=tuple(refs),
+            indices_n=indices_n, indices_m=indices_m, xi=tuple(refs),
             xi_star=BoundaryPointRef(gamma, a_plus),
-            radii=tuple(radii), arglift=tuple(lifts), R0=R0, r0=r0)
+            radii=tuple(float(r_f[j]) * lam ** n for n, j in sel),
+            arglift=tuple(float(s_f[j]) + n * theta_net for n, j in sel),
+            R0=R0, r0=r0)
 
-    # levels 1 and 4 take the nearest candidate; levels 2 and 3 are paired:
-    # the crossing gap scales like sqrt(r2/r3) |off2 - off3| and the
-    # disjoint gap like 2 sqrt(r2/r3), so feasible pairs have nearly equal
-    # offsets at a radius ratio that keeps both tolerances comfortable
-    _, off1, n1, j1 = cands[1][0]
-    _, off4, n4, j4 = cands[4][0]
-
-    scored: list[tuple[float, float, tuple[int, int], tuple[int, int]]] = []
-    for a2, o2, n2, j2 in cands[2]:
-        for a3, o3, n3, j3 in cands[3]:
-            t_ratio = (lam ** (n2 - n3)) * float(r_f[j2] / r_f[j3])
-            if not 0.0 < t_ratio < 1.0:
-                continue
-            gap_unlink = 2.0 * math.sqrt(t_ratio)
-            gap_cross = math.sqrt(t_ratio) * abs(o2 - o3)
-            if gap_unlink < AXIS_CROSS_TOL * 4.0 \
-                    or gap_cross > AXIS_CROSS_TOL / 4.0:
-                continue
-            scored.append((a2 + a3, gap_cross, (n2, j2), (n3, j3)))
-    scored.sort()
+    # levels 1 and 4 take the nearest candidate; levels 2 and 3 are paired
+    first, fourth = ((int(c[2][0]), int(c[3][0])) for c in (cands[0], cands[3]))
     last_error = "no candidate pair balances the crossing and disjoint axes"
-    for _, _, (n2, j2), (n3, j3) in scored[:64]:
-        p1 = chart_point(n1, j1)
-        p2 = chart_point(n2, j2)
-        p3 = chart_point(n3, j3)
-        p4 = chart_point(n4, j4)
+    for n2, j2, n3, j3 in _middle_pairs(cands[1], cands[2], lam, r_f):
+        sel = [first, (n2, j2), (n3, j3), fourth]
+        p1, p2, p3, p4 = ((lam ** n) * cmath.exp(1j * n * theta_rad)
+                          * complex(zs[j]) for n, j in sel)
         if not abs(p1) < abs(p2) < abs(p3) < abs(p4):
             last_error = "candidate radii not strictly increasing"
             continue
@@ -755,17 +780,17 @@ def find_spiral_witness(rep: Representation, gamma: Word,
                 continue
         except BoundaryError:
             continue
-        witness = assemble({1: (n1, j1), 2: (n2, j2),
-                            3: (n3, j3), 4: (n4, j4)})
+        witness = assemble(sel)
         if verify_witness_orders(witness, rep):
             return witness
         last_error = "candidate witness failed independent verification"
     raise BoundaryError("sample too sparse: " + last_error)
 
 
-def _recomputed_images(w: SpiralWitness,
-                       rep: Representation) -> list[complex] | None:
-    """Chart images of the witness points, recomputed from their words.
+def witness_image_points(w: SpiralWitness,
+                         rep: Representation) -> tuple[complex, complex,
+                                                       complex, complex]:
+    """The four chart images of the witness points, recomputed from words.
 
     Each xi word factors as gamma^n u gamma^-n with u short; its image
     point is mu^n times the chart image of u's attracting point.  The
@@ -773,38 +798,21 @@ def _recomputed_images(w: SpiralWitness,
     stays accurate at radii far beyond where iterating the matrix would
     collapse the point onto the attracting direction.
     """
-    m_gamma = evaluate(rep, w.gamma)
-    cl = classify(m_gamma)
-    if cl.kind != IsometryKind.LOXODROMIC:
-        return None
-    lam, theta = cl.data.lam, cl.data.theta
-    _, chart = normalize_at(rep, w.gamma)
-    out: list[complex] = []
+    data, chart = _gamma_chart(rep, w.gamma)
+    out = []
     for ref in w.xi:
         n, core = _strip_conjugator(ref.word, w.gamma)
-        if len(core) == 0:
-            return None
-        core_cl = classify(evaluate(rep, core))
-        if core_cl.kind not in (IsometryKind.LOXODROMIC,
-                                IsometryKind.HYPERBOLIC):
-            return None
+        core_cl = classify(evaluate(rep, core)) if len(core) else None
+        if core_cl is None or core_cl.kind not in (IsometryKind.LOXODROMIC,
+                                                   IsometryKind.HYPERBOLIC):
+            raise BoundaryError("witness point word has no translating core")
         pt = chart(core_cl.data.fix_plus)
-        if pt.is_infinity:
-            return None
-        base = pt.to_complex()
+        base = math.inf if pt.is_infinity else pt.to_complex()
         if base == 0 or not math.isfinite(abs(base)):
-            return None
-        out.append((lam ** n) * cmath.exp(2.0j * math.pi * theta * n) * base)
-    return out
-
-
-def witness_image_points(w: SpiralWitness,
-                         rep: Representation) -> tuple[complex, complex,
-                                                       complex, complex]:
-    """The four chart images of the witness points, recomputed from words."""
-    out = _recomputed_images(w, rep)
-    if out is None:
-        raise BoundaryError("cannot recompute the witness image points")
+            raise BoundaryError("witness point core sits at 0 or infinity "
+                                "in the chart")
+        out.append((data.lam ** n) * cmath.exp(2.0j * math.pi * data.theta * n)
+                   * base)
     return tuple(out)
 
 
@@ -855,7 +863,7 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
             return False
         if not all(positions[i] < positions[i + 1] for i in range(3)):
             return False
-        if _circular_gap(w.xi_star.angle, a_plus) > 1e-9:
+        if circular_distance_turns(w.xi_star.angle, a_plus) > 1e-9:
             return False
 
         # boundary-side pair configurations in the ray coordinate
@@ -867,9 +875,7 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
             return False
 
         # image side, recomputed from the words
-        images = _recomputed_images(w, rep)
-        if images is None:
-            return False
+        images = witness_image_points(w, rep)
         for p, r_stored in zip(images, w.radii):
             if not math.isfinite(abs(p)) or abs(p) == 0.0:
                 return False
@@ -950,17 +956,16 @@ def witness_from_dict(payload: object) -> SpiralWitness:
 def sample_to_csv(sample: LimitSetSample) -> str:
     """CSV text: word, reference angle, real part, imaginary part."""
     pres = sample.rep.presentation
-    zs = sample.image_complex()
+    names = [pres.letter_name(x) for x in pres.letters()]  # in rank order
     lines = ["word,angle_ref,re,im"]
-    for i in range(len(sample)):
-        zv = complex(zs[i])
+    for row, angle, zv in zip(sample.ranks.tolist(), sample.angles.tolist(),
+                              sample.image_complex().tolist()):
         if not math.isfinite(abs(zv)):
             re_s, im_s = "inf", "inf"
         else:
             re_s, im_s = repr(zv.real), repr(zv.imag)
-        lines.append("%s,%s,%s,%s" % (pres.to_text(sample.word_at(i)),
-                                      repr(float(sample.angles[i])),
-                                      re_s, im_s))
+        lines.append("%s,%r,%s,%s" % (" ".join(names[r] for r in row if r >= 0),
+                                      angle, re_s, im_s))
     return "\n".join(lines) + "\n"
 
 

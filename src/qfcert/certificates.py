@@ -45,13 +45,7 @@ from .boundary import (
     verify_witness_orders,
     witness_image_points,
 )
-from .moebius import (
-    INF,
-    BoundaryPoint,
-    Geodesic3,
-    MoebiusError,
-    axis_crossing_gap,
-)
+from .moebius import MoebiusError
 from .representations import (
     LengthSpectrum,
     Representation,
@@ -338,16 +332,25 @@ def certify(cert: SeparationCertificate, rep_q: Representation) -> bool:
 
 
 def diagnostic_delta(rep_q: Representation, witness: SpiralWitness) -> float:
-    """Busemann gap of the witness diagonal at the image-axis crossing.
+    """Busemann gap of the witness diagonal where the image axes cross.
 
-    The crossing point of the image axes through points (1,4) and (2,3)
-    sits off the diagonal geodesic through points (2,4) exactly when the
-    four image points are not concircular; the gap quantifies how far the
-    configuration is from flat.  The chart sending point 2 to 0, point 4
-    to infinity, and point 3 to 1 is computed as direct ratios of point
-    differences: the image radii span dozens of orders of magnitude, so
-    the points must never meet a common scale (sphere-chordal tests would
-    collapse them), while each ratio individually is well-conditioned.
+    The gap of the diagonal geodesic through image points (2,4), taken
+    where the axis through (1,4) crosses the axis through (2,3), is zero
+    exactly when the four points are concircular: it measures how far
+    the configuration is from flat.
+
+    The chart sending images 2, 3, 4 to 0, 1, infinity puts image 1 at
+    u = (d12/d14) / (d32/d34), dij = pi - pj; each ratio is
+    well-conditioned, so points whose radii span hundreds of orders of
+    magnitude never meet a common scale.  Translated by -u, the crossing
+    axis is (0, inf) and the crossed one (-u, 1-u).  The involution
+    z -> -u(1-u)/z preserves both, so it fixes the foot of their common
+    perpendicular on the crossing axis, at height sqrt(|u| |1-u|).  The
+    gap is evaluated at that foot:
+
+        delta = log1p(|u| / |1 - u|),
+
+    which is -log(1 - u) when the axes meet.
     """
     if not verify_witness_orders(witness, rep_q):
         raise CertificateError("witness does not verify against this "
@@ -362,14 +365,9 @@ def diagnostic_delta(rep_q: Representation, witness: SpiralWitness) -> float:
     if not (cmath.isfinite(q1) and cmath.isfinite(q3)) or q1 == 0 or q3 == 0:
         raise CertificateError("witness image points coincide")
     u = q1 / q3
-    try:
-        crossing = Geodesic3(BoundaryPoint.from_complex(u), INF)
-        crossed = Geodesic3(BoundaryPoint.from_complex(0.0),
-                            BoundaryPoint.from_complex(1.0))
-        diagonal = Geodesic3(BoundaryPoint.from_complex(0.0), INF)
-        return float(axis_crossing_gap(crossing, crossed, diagonal))
-    except MoebiusError as exc:
-        raise CertificateError("degenerate witness image: %s" % exc) from exc
+    if not cmath.isfinite(u) or u in (0, 1):
+        raise CertificateError("witness image points coincide")
+    return math.log1p(abs(u) / abs(1.0 - u))
 
 
 def certificate_to_dict(cert: SeparationCertificate) -> dict:

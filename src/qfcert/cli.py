@@ -339,10 +339,8 @@ def cmd_limitset(cfg: RunConfig, out: Path, args) -> int:
         sample = sample.take(order[sel])
         print("sampled %d boundary points; emitting an even thinning of %d"
               % (total, len(sample)))
-    csv_text = sample_to_csv(sample)
-    header, _, body = csv_text.partition("\n")
-    _write_csv(out / "limitset.csv", header,
-               body.splitlines() if body else [])
+    (out / "limitset.csv").write_text(
+        "# schema: %s\n%s" % (SCHEMA, sample_to_csv(sample)))
     svg = sample_to_svg(sample)
     (out / "limitset.svg").write_text(
         "<!-- schema: %s -->\n%s" % (SCHEMA, svg))

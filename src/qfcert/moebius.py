@@ -272,10 +272,6 @@ def _needs_sign_flip(a: complex, b: complex, c: complex, d: complex) -> bool:
     return False
 
 
-def compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
-    return m1 @ m2
-
-
 class IsometryKind(Enum):
     IDENTITY = "identity"
     ELLIPTIC = "elliptic"

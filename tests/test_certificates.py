@@ -21,7 +21,7 @@ from qfcert.certificates import (
     ratio_lower_bound,
     triangle_harness,
 )
-from qfcert.moebius import MoebiusMap
+from qfcert.moebius import INF, Geodesic3, MoebiusMap, axis_crossing_gap
 from qfcert.representations import (
     LengthSpectrum,
     bend,
@@ -210,3 +210,37 @@ class TestDiagnosticDelta:
                             lambda w, rep: True)
         with pytest.raises(CertificateError):
             diagnostic_delta(witness_run.rep, bad)
+
+    @staticmethod
+    def _delta_of(monkeypatch, u):
+        """diagnostic_delta on image points 1, 2, 3, 4 at 2u/(1+u), 0, 1, 2,
+        which put image 1 at u in the chart sending 2, 3, 4 to 0, 1, inf;
+        returns (delta, the u those points give)."""
+        points = (2.0 * u / (1.0 + u), 0j, 1 + 0j, 2 + 0j)
+        monkeypatch.setattr(certmod, "verify_witness_orders",
+                            lambda w, rep: True)
+        monkeypatch.setattr(certmod, "witness_image_points",
+                            lambda w, rep: points)
+        p1, p2, p3, p4 = points
+        chart_u = ((p1 - p2) / (p1 - p4)) / ((p3 - p2) / (p3 - p4))
+        # both collaborators are patched, so no witness or rep is read
+        return diagnostic_delta(None, None), chart_u
+
+    @pytest.mark.parametrize("u", [1e-3, 1e-9, 1e-12, 1e-50, 1e-150,
+                                   1e-300])
+    def test_exact_at_extreme_chart_ratios(self, monkeypatch, u):
+        # the small u put image 1 inside any sphere-chordal endpoint
+        # tolerance of image 2; the chart formula stays exact
+        delta, chart_u = self._delta_of(monkeypatch, complex(u))
+        assert chart_u.imag == 0.0
+        exact = -math.log1p(-chart_u.real)
+        assert math.isfinite(delta) and delta > 0.0
+        assert abs(delta - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("u", [0.3, 0.3 + 1e-12j])
+    def test_agrees_with_general_geometry(self, monkeypatch, u):
+        delta, chart_u = self._delta_of(monkeypatch, complex(u))
+        general = axis_crossing_gap(Geodesic3.through(chart_u, INF),
+                                    Geodesic3.through(0.0, 1.0),
+                                    Geodesic3.through(0.0, INF))
+        assert delta == pytest.approx(general, abs=1e-9)

@@ -125,8 +125,9 @@ class TestArtifacts:
 
 class TestPinnedArtifacts:
     """Artifact digests recorded from an earlier implementation of the
-    enumeration, the pair search and limit-set sampling; a refactor must
-    reproduce them exactly."""
+    enumeration, the pair search, limit-set sampling and the witness
+    search; a refactor must reproduce them exactly.  A later --bend-angle
+    overrides the default 0.6."""
 
     @pytest.mark.parametrize("argv,name,digest", [
         (["--maxlen", "4", "spectrum"], "spectrum.csv",
@@ -141,8 +142,13 @@ class TestPinnedArtifacts:
          "f7e725723e7ee6f59228db3cbc7153abe775828712065275e0200c480ca50bd7"),
         (["--maxlen", "6", "limitset"], "limitset.csv",
          "43e7fc0d7aebb7db7c1b9722128713ef7b334b397f6c80abbadc0fe7e58eef40"),
+        (["--bend-angle", "0.76", "--maxlen", "7", "witness"], "witness.json",
+         "7b58dc2405c1108d7e1bd13085be45cdf238c8e988f8f12e644394c4cc8d773e"),
+        (["--bend-angle", "0.52", "--maxlen", "7", "witness"], "witness.json",
+         "1771778fd110efc26d7f0b6eed1a846740c70e87f61f2d4b4bf97c54b28997de"),
     ], ids=["spectrum", "certify", "triangle-check", "spectrum-maxlen5",
-            "witness-maxlen7", "limitset-maxlen6"])
+            "witness-maxlen7", "limitset-maxlen6", "witness-maxlen7-theta0.76",
+            "witness-maxlen7-theta0.52"])
     def test_artifact_digest(self, tmp_path, argv, name, digest):
         code, out = run(tmp_path, "--bend-angle", "0.6", *argv)
         assert code == 0
@@ -238,6 +244,24 @@ class TestWitnessCommand:
         assert "delta/2" in text
         payload = json.loads((out / "witness.json").read_text())
         assert payload["schema"] == SCHEMA
+
+    def test_delta_at_an_extreme_chart_ratio(self, tmp_path, capsys):
+        # the diagnostic's chart puts image 1 at about 2e-15, beside image 2
+        # at 0 and far inside any sphere-chordal endpoint tolerance
+        code, _ = run(tmp_path, "--bend-angle", "0.76", "--maxlen", "7",
+                      "witness")
+        assert code == 0
+        assert "diagnostic delta" in capsys.readouterr().out
+
+    def test_unbalanced_search_fails_without_an_artifact(self, tmp_path,
+                                                         capsys):
+        code, out = run(tmp_path, "--bend-angle", "0.56", "--maxlen", "7",
+                        "witness")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "invariant falsified or computation failed: sample too sparse: "
+            "no candidate pair balances the crossing and disjoint axes\n")
+        assert not (out / "witness.json").exists()
 
 
 class TestLimitsetCommand:
