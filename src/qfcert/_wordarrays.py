@@ -6,14 +6,16 @@ the letters 1..2g and ranks 2g..4g-1 their inverses, so the inverse of
 rank r is r +- 2g and arrays built by in-order extension are
 shortlex-sorted within each length; any genus works.  Row i of a
 level of length L >= 2 extends row i // (4g - 1) of the level before by
-its last rank, so limit-set sampling builds each word's product as its
-parent's times one generator (``extend_products``).  The spectrum, the
-triangle harness and the certificate search read one class table,
-``conjugacy_classes``; its rotations are not prefix-closed and go
-through ``compose_matrices``.  Both paths multiply with the same
+its last rank (``child_ranks``), so limit-set sampling, the orbit search
+of ``growth`` and the complex-trace search build each word's product as
+its parent's times one generator (``extend_products``).  The spectrum,
+the triangle harness and the certificate search read one class table,
+``conjugacy_classes``; its rotations, and the harness's combined words
+(``join_rows``), are not prefix-closed and go through
+``compose_matrices``.  Every batch product is the one ``_times``
 ``einsum``, left to right as ``representations.evaluate`` does, and
-equal its entries bit for bit after ``MoebiusMap._unit_det``'s sign, so
-artifact lengths must be ``moebius.translation_length`` of them:
+equals its entries bit for bit after ``MoebiusMap._unit_det``'s sign,
+so artifact lengths must be ``moebius.translation_length`` of them:
 ``translation_lengths`` uses ``np.arccosh``, which differs from
 ``cmath.acosh`` in the last bit for about one word in ten.
 """
@@ -26,6 +28,8 @@ import numpy as np
 # are one element; only classes in neighbouring |trace| buckets compare
 FINGERPRINT_TOL = 1e-6
 TRACE_BUCKET = 1e-4
+# element dedup in the orbit search: canonical entries rounded to 1e-6
+KEY_DECIMALS = 6
 
 
 def _inverse_ranks(genus: int) -> np.ndarray:
@@ -50,23 +54,61 @@ def reduced_word_levels(maxlen: int, genus: int = 2) -> list[np.ndarray]:
     """
     if maxlen < 1:
         return []
-    count = 4 * genus
-    inverse = _inverse_ranks(genus)
-    ranks = np.arange(count, dtype=np.int8)
-    current = ranks.reshape(-1, 1)
+    current = np.arange(4 * genus, dtype=np.int8).reshape(-1, 1)
     levels = [current]
     for _ in range(2, maxlen + 1):
-        n = current.shape[0]
-        # candidate extensions: all ranks except the inverse of the last letter
-        ext = np.broadcast_to(ranks, (n, count))
-        keep = ext != inverse[current[:, -1]][:, None]
-        parent_idx, rank_new = np.nonzero(keep)
-        new = np.empty((parent_idx.size, current.shape[1] + 1), dtype=np.int8)
-        new[:, :-1] = current[parent_idx]
-        new[:, -1] = rank_new
+        last = child_ranks(current[:, -1], genus)
+        new = np.empty((last.size, current.shape[1] + 1), dtype=np.int8)
+        new[:, :-1] = np.repeat(current, 4 * genus - 1, axis=0)
+        new[:, -1] = last
         levels.append(new)
         current = new
     return levels
+
+
+def child_ranks(last: np.ndarray, genus: int = 2) -> np.ndarray:
+    """Last ranks of the children of words ending in the ranks `last`.
+
+    Each word has 4g - 1 children, every rank except the inverse of its
+    last one, in rank order; the result lists them word by word.
+    """
+    ranks = np.arange(4 * genus, dtype=np.int8)
+    keep = ranks != _inverse_ranks(genus)[last][:, None]
+    return np.broadcast_to(ranks, keep.shape)[keep]
+
+
+def join_rows(left: np.ndarray, right: np.ndarray, invert: np.ndarray,
+              genus: int = 2) -> np.ndarray:
+    """Freely reduced rank rows of left[i] * right[i], or of
+    left[i]^-1 * right[i] where invert[i].
+
+    Both inputs are -1-padded rows of freely reduced words, so letters
+    cancel only at the junction; the result is -1 padded to the sum of
+    the two widths.
+    """
+    inverse = _inverse_ranks(genus)
+    n_left = (left >= 0).sum(axis=1)[:, None]
+    n_right = (right >= 0).sum(axis=1)[:, None]
+    # the inverse word reads the live letters backwards, each inverted
+    back = n_left - 1 - np.arange(left.shape[1])
+    flipped = inverse[np.take_along_axis(left, np.maximum(back, 0), axis=1)]
+    left = np.where(invert[:, None] & (back >= 0), flipped, left)
+    # step t of the junction pairs the t-th letter from the end of left
+    # with the t-th letter of right; the first mismatch stops it
+    width = min(left.shape[1], right.shape[1])
+    tail = n_left - 1 - np.arange(width)
+    meet = np.take_along_axis(left, np.maximum(tail, 0), axis=1) \
+        == inverse[right[:, :width]]
+    meet &= (tail >= 0) & (np.arange(width) < n_right)
+    cut = np.cumprod(meet, axis=1).sum(axis=1)[:, None]
+    # keep left[:n_left - cut], then right[cut:n_right]
+    keep = n_left - cut
+    pos = np.arange(left.shape[1] + right.shape[1])
+    shifted = np.clip(pos - keep + cut, 0, right.shape[1] - 1)
+    out = np.where(pos < keep, np.pad(left, ((0, 0), (0, right.shape[1]))),
+                   np.take_along_axis(right, shifted, axis=1))
+    out[pos >= keep + n_right - cut] = -1
+    return out
 
 
 def _pack(words: np.ndarray, base: int) -> np.ndarray:
@@ -242,11 +284,12 @@ def canonical_sign(mats: np.ndarray) -> np.ndarray:
     return mats * sign[:, None, None]
 
 
-def quantize_keys(mats: np.ndarray, decimals: int = 6) -> np.ndarray:
-    """Integer fingerprint rows for element dedup after canonical_sign."""
+def quantize_keys(mats: np.ndarray) -> np.ndarray:
+    """Integer fingerprint rows for element dedup after canonical_sign:
+    entries rounded to KEY_DECIMALS places."""
     flat = mats.reshape(mats.shape[0], 4)
     parts = np.stack([flat.real, flat.imag], axis=-1).reshape(mats.shape[0], 8)
-    return np.round(parts * (10.0 ** decimals)).astype(np.int64)
+    return np.round(parts * (10.0 ** KEY_DECIMALS)).astype(np.int64)
 
 
 def rows_as_void(rows: np.ndarray) -> np.ndarray:

@@ -68,7 +68,7 @@ class CertificateError(ValueError):
         self.best_ratio = best_ratio
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriangleTestRecord:
     """One combined-length inequality check for a configured pair.
 
@@ -145,6 +145,8 @@ def triangle_harness(rep: Representation,
     Pairs with coincident boundary points are skipped as degenerate.  A
     single violated record raises: the inequalities admit no exceptions,
     so a violation falsifies either the representation or the harness.
+    Records are in row-major order of the class table; each combined
+    word is composed in batch, bit for bit as stable_length would.
     """
     if maxlen < 1:
         raise CertificateError("maxlen must be at least 1")
@@ -152,28 +154,41 @@ def triangle_harness(rep: Representation,
     rows, mats, angles = _class_table(rep, maxlen)
     words = [Word(wa.ranks_to_letters(row)) for row in rows]
     lengths = stable_lengths(mats)
-    degenerate = PAIR_CONFIGS.index(PairConfig.DEGENERATE)
+    ells = np.array(lengths)
+    gens = rep.generator_matrix_array()
+    degenerate, linked, misaligned = (PAIR_CONFIGS.index(c) for c in (
+        PairConfig.DEGENERATE, PairConfig.LINKED,
+        PairConfig.UNLINKED_MISALIGNED))
     records: list[TriangleTestRecord] = []
-    for i, (a, ell_a) in enumerate(zip(words, lengths)):
-        configs = pair_config_grid(angles[i:i + 1], angles)[0]
-        for j in np.flatnonzero(configs != degenerate).tolist():
-            if i == j:
-                continue
-            b, ell_b = words[j], lengths[j]
-            config = PAIR_CONFIGS[configs[j]]
-            first = a.inverse() if config == PairConfig.UNLINKED_MISALIGNED else a
-            combined = stable_length(rep, first * b)
-            slack = combined - (ell_a + ell_b)
-            if config == PairConfig.LINKED:
-                slack = (ell_a + ell_b) - combined
-            if not slack > 0.0:
-                raise CertificateError(
-                    "combined-length inequality violated for %s, %s "
-                    "(%s, slack %.3e)" % (pres.to_text(a), pres.to_text(b),
-                                          config.value, slack))
-            records.append(TriangleTestRecord(
-                a=a, b=b, config=config, ell_a=ell_a, ell_b=ell_b,
-                ell_combined=combined, slack=slack))
+    # about 2^16 pairs per block bound the joined rows and their products
+    block = max(1, (1 << 16) // max(len(words), 1))
+    for lo in range(0, len(words), block):
+        grid = pair_config_grid(angles[lo:lo + block], angles)
+        live = grid != degenerate
+        live[np.arange(grid.shape[0]), lo + np.arange(grid.shape[0])] = False
+        ii, jj = np.nonzero(live)
+        codes = grid[ii, jj]
+        ii += lo
+        combined = np.array(stable_lengths(wa.compose_matrices(
+            wa.join_rows(rows[ii], rows[jj], codes == misaligned, pres.genus),
+            gens)))
+        total = ells[ii] + ells[jj]
+        slack = np.where(codes == linked, total - combined, combined - total)
+        bad = np.flatnonzero(~(slack > 0.0))
+        if bad.size:
+            k = bad[0]
+            raise CertificateError(
+                "combined-length inequality violated for %s, %s "
+                "(%s, slack %.3e)" % (pres.to_text(words[ii[k]]),
+                                      pres.to_text(words[jj[k]]),
+                                      PAIR_CONFIGS[codes[k]].value, slack[k]))
+        records.extend(
+            TriangleTestRecord(a=words[i], b=words[j], config=PAIR_CONFIGS[c],
+                               ell_a=lengths[i], ell_b=lengths[j],
+                               ell_combined=ell, slack=gap)
+            for i, j, c, ell, gap in zip(ii.tolist(), jj.tolist(),
+                                         codes.tolist(), combined.tolist(),
+                                         slack.tolist()))
     return records
 
 

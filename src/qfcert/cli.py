@@ -97,8 +97,8 @@ class RunConfig:
             raise ConfigError("bend_angle must be a finite real")
         if self.maxlen is not None and self.maxlen < 1:
             raise ConfigError("maxlen must be at least 1")
-        if not (self.Rmax > 0.0):
-            raise ConfigError("Rmax must be positive")
+        if not (0.0 < self.Rmax < math.inf):
+            raise ConfigError("Rmax must be positive and finite")
         if not (self.min_ratio >= 1.0):
             raise ConfigError("min_ratio must be at least 1")
 
@@ -133,6 +133,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     for key, raw in values.items():
         want = _FIELD_TYPES[key]
         try:
+            if want is not str and isinstance(raw, bool):
+                raise ValueError("expected a number, not a boolean")
             if want is int and isinstance(raw, float) and raw != int(raw):
                 raise ValueError("not an integer")
             if want is str and not isinstance(raw, str):
@@ -244,9 +246,11 @@ def cmd_growth(cfg: RunConfig, out: Path, args) -> int:
 def cmd_triangle_check(cfg: RunConfig, out: Path, args) -> int:
     rep = fuchsian_octagon()
     records = triangle_harness(rep, _maxlen(cfg, "triangle-check"))
-    pres = rep.presentation
+    # every class word recurs in hundreds of records: format it once
+    texts = {w: rep.presentation.to_text(w)
+             for w in {w for r in records for w in (r.a, r.b)}}
     rows = ["%s,%s,%s,%.17g,%.17g,%.17g,%.17g"
-            % (pres.to_text(r.a), pres.to_text(r.b), r.config.value,
+            % (texts[r.a], texts[r.b], r.config.value,
                r.ell_a, r.ell_b, r.ell_combined, r.slack)
             for r in records]
     _write_csv(out / "triangle.csv",

@@ -53,7 +53,6 @@ from .moebius import (
 from .surface_group import (
     GroupPresentation,
     Word,
-    enumerate_words,
     free_reduce_letters,
 )
 
@@ -62,6 +61,9 @@ FUCHSIAN_IMAG_TOL = 1e-12
 COMPLEX_TRACE_TOL = 1e-6
 # bending envelope with documented quasi-Fuchsian expectations
 BEND_ANGLE_ENVELOPE = 1.0
+# growth prunes orbit points beyond Rmax + GROWTH_MARGIN; pruning at a
+# radius R was first seen to lose elements near R - 2.2
+GROWTH_MARGIN = 4.0
 
 # octagon constants: apothem arccosh(cot(pi/8)), side-pairing translation
 # by twice the apothem
@@ -364,24 +366,31 @@ def _trim_heap() -> None:
         pass
 
 
+# frontier elements extended per batch: bounds the candidate arrays
+_FRONTIER_CHUNK = 1 << 16
+
+
 def orbit_point_distances(rep: Representation, prune_radius: float | None = None,
-                          max_word_length: int | None = None,
-                          chunk: int = 1 << 16) -> np.ndarray:
+                          max_word_length: int | None = None) -> np.ndarray:
     """Sorted orbit distances of distinct group elements from the basepoint.
 
-    Breadth-first over words, deduplicating elements by their canonical
-    matrices (quantized at 1e-6, far below the separation of distinct
-    elements at these radii).  When prune_radius is set, elements beyond
-    it are dropped and not extended; elements beyond the radius still
-    enter the dedup table so no spelling revisits them.
+    Breadth-first over reduced words: each new element is extended by
+    the 4g - 1 generators that do not cancel its last letter, in the
+    order of reduced_word_levels.  Elements are deduplicated by their
+    canonical matrices (quantized at 1e-6, far below the separation of
+    distinct elements at these radii).  When prune_radius is set,
+    elements beyond it are dropped and not extended; elements beyond
+    the radius still enter the dedup table so no spelling revisits them.
     """
     if prune_radius is None and max_word_length is None:
         raise RepresentationError("unbounded enumeration: set a prune radius or length cap")
     gens = rep.generator_matrix_array()
+    genus = rep.presentation.genus
     y = rep.basepoint
 
     frontier = np.eye(2, dtype=complex)[None, :, :]
-    seen = np.sort(wa.rows_as_void(wa.quantize_keys(wa.canonical_sign(frontier))))
+    seen = np.sort(wa.rows_as_void(wa.quantize_keys(frontier)))
+    last = None  # the identity has every generator as a child
     dists: list[np.ndarray] = [np.zeros(1)]
     depth = 0
     while frontier.shape[0]:
@@ -393,10 +402,15 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
         _trim_heap()
         level_keys = seen[:0]
         level_mats: list[np.ndarray] = []
+        level_last: list[np.ndarray] = []
         level_dists: list[np.ndarray] = []
-        for lo in range(0, frontier.shape[0], chunk):
-            part = frontier[lo:lo + chunk]
-            cand = np.einsum("nij,gjk->ngik", part, gens).reshape(-1, 2, 2)
+        for lo in range(0, frontier.shape[0], _FRONTIER_CHUNK):
+            if last is None:
+                kids, cand = np.arange(gens.shape[0], dtype=np.int8), gens
+            else:
+                kids = wa.child_ranks(last[lo:lo + _FRONTIER_CHUNK], genus)
+                cand = wa.extend_products(frontier[lo:lo + _FRONTIER_CHUNK],
+                                          kids, gens)
             cand = wa.canonical_sign(cand)
             v = wa.rows_as_void(wa.quantize_keys(cand))
             uniq_v, uniq_idx = np.unique(v, return_index=True)
@@ -406,14 +420,15 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
                 continue
             level_keys = np.concatenate([level_keys, uniq_v[new_mask]])
             level_keys.sort()
-            fresh = cand[uniq_idx[new_mask]]
+            pick = uniq_idx[new_mask]
+            fresh, fresh_last = cand[pick], kids[pick]
             dist = _orbit_distances_of(fresh, y)
             if prune_radius is not None:
                 keep = dist <= prune_radius
-                fresh = fresh[keep]
-                dist = dist[keep]
+                fresh, fresh_last, dist = fresh[keep], fresh_last[keep], dist[keep]
             if fresh.shape[0]:
                 level_mats.append(fresh)
+                level_last.append(fresh_last)
                 level_dists.append(dist)
         if level_keys.size == 0:
             break
@@ -424,22 +439,23 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
         seen.sort()
         if level_mats:
             frontier = np.concatenate(level_mats)
+            last = np.concatenate(level_last)
             dists.extend(level_dists)
         else:
             frontier = frontier[:0]
     return np.sort(np.concatenate(dists))
 
 
-def estimate_growth(rep: Representation, Rmax: float, margin: float = 4.0) -> GrowthEstimate:
+def estimate_growth(rep: Representation, Rmax: float) -> GrowthEstimate:
     """Exponential growth rate of orbit-ball counts N(R), R up to Rmax.
 
-    Words are pruned once their orbit distance exceeds Rmax + margin;
+    Words are pruned once their orbit distance exceeds Rmax + GROWTH_MARGIN;
     the growth rate is the least-squares slope of log N(R) over the
     upper half of the radius grid.
     """
     if Rmax < 6.0:
         raise RepresentationError("Rmax below 6 leaves too few usable grid points")
-    dists = orbit_point_distances(rep, prune_radius=Rmax + margin)
+    dists = orbit_point_distances(rep, prune_radius=Rmax + GROWTH_MARGIN)
     radii = [1.0 + 0.5 * k for k in range(int(round((Rmax - 1.0) / 0.5)) + 1)]
     counts = [int(np.searchsorted(dists, r, side="left")) for r in radii]
     upper = [(r, n) for r, n in zip(radii, counts) if r >= radii[len(radii) // 2] and n > 0]
@@ -454,12 +470,19 @@ def estimate_growth(rep: Representation, Rmax: float, margin: float = 4.0) -> Gr
 
 
 def find_complex_trace_element(rep: Representation, maxlen: int) -> Word:
-    """Shortlex-first word whose image has decisively non-real trace."""
-    for w in enumerate_words(rep.presentation, maxlen, mode="reduced"):
-        m = evaluate(rep, w)
-        if abs(m.trace.imag) > COMPLEX_TRACE_TOL:
-            if classify(m).kind is IsometryKind.LOXODROMIC:
-                return w
+    """Shortlex-first word whose image has decisively non-real trace.
+
+    Such an image is loxodromic: every other kind has a real trace.
+    """
+    genus = rep.presentation.genus
+    gens = rep.generator_matrix_array()
+    mats = None
+    for level in wa.reduced_word_levels(maxlen, genus):
+        mats = gens if mats is None else \
+            wa.extend_products(mats, level[:, -1], gens)
+        hits = np.flatnonzero(np.abs(wa.traces(mats).imag) > COMPLEX_TRACE_TOL)
+        if hits.size:
+            return Word(wa.ranks_to_letters(level[hits[0]], genus))
     raise RepresentationError(
         "no word of length <= %d has non-real trace; the representation "
         "looks conjugate into the real maps" % maxlen
@@ -489,29 +512,6 @@ def representation_to_dict(rep: Representation) -> dict:
                       float(rep.basepoint.t)],
         "images": images,
     }
-
-
-def representation_from_dict(payload: dict) -> Representation:
-    if payload.get("schema") != "qfcert/1" or payload.get("type") != "representation":
-        raise RepresentationError("not a qfcert/1 representation payload")
-    pres = GroupPresentation(genus=int(payload["genus"]))
-    images: dict[int, MoebiusMap] = {}
-    for x in range(1, pres.generator_count + 1):
-        name = pres.letter_name(x)
-        try:
-            rows = payload["images"][name]
-        except KeyError as exc:
-            raise RepresentationError("missing image for %s" % name) from exc
-        entries = [complex(re, im) for re, im in rows]
-        images[x] = MoebiusMap(*entries)
-    bp = payload.get("basepoint", [0.0, 0.0, 1.0])
-    return Representation(
-        presentation=pres,
-        images=images,
-        kind=str(payload["kind"]),
-        angle=float(payload.get("angle", 0.0)),
-        basepoint=Point3(complex(bp[0], bp[1]), bp[2]),
-    )
 
 
 def representation_json(rep: Representation) -> str:

@@ -4,11 +4,13 @@ the witness-based boundary diagnostic."""
 
 import cmath
 import dataclasses
+import itertools
 import math
 
 import pytest
 
 import qfcert.certificates as certmod
+from qfcert import _wordarrays as wa
 from qfcert.boundary import PairConfig, classify_pairs
 from qfcert.certificates import (
     CertificateError,
@@ -21,7 +23,7 @@ from qfcert.certificates import (
     ratio_lower_bound,
     triangle_harness,
 )
-from qfcert.moebius import INF, Geodesic3, MoebiusMap, axis_crossing_gap
+from qfcert.moebius import INF, Geodesic3, MoebiusMap
 from qfcert.representations import (
     LengthSpectrum,
     bend,
@@ -33,6 +35,8 @@ from qfcert.representations import (
     stable_length,
 )
 from qfcert.surface_group import Word
+
+from geometry_reference import axis_crossing_gap
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +87,46 @@ class TestTriangleHarness:
         assert rec.ell_combined == pytest.approx(ell, abs=1e-9)
         assert rec.slack == pytest.approx(
             (rec.ell_a + rec.ell_b) - ell, abs=1e-9)
+
+    def test_lengths_equal_scalar_stable_length(self, reference_rep,
+                                                harness_records):
+        # the batch join and composition reproduce the scalar lengths
+        # bit for bit, on every maxlen-3 record
+        for r in harness_records:
+            first = r.a.inverse() \
+                if r.config is PairConfig.UNLINKED_MISALIGNED else r.a
+            assert r.ell_combined == stable_length(reference_rep, first * r.b)
+            assert r.ell_a == stable_length(reference_rep, r.a)
+            assert r.ell_b == stable_length(reference_rep, r.b)
+
+    @pytest.mark.parametrize("angle", [0.8, 1.0])
+    def test_first_violation_matches_scalar_scan(self, angle):
+        # a bent representation breaks the plane inequalities; the error
+        # names the first violated pair in row-major class order
+        rep = bend(fuchsian_octagon(), angle)
+        rows, _, _ = certmod._class_table(rep, 2)
+        words = [Word(wa.ranks_to_letters(row)) for row in rows]
+        expected = None
+        for a, b in itertools.product(words, words):
+            config = classify_pairs(a, b)
+            if a == b or config is PairConfig.DEGENERATE:
+                continue
+            first = a.inverse() \
+                if config is PairConfig.UNLINKED_MISALIGNED else a
+            gap = stable_length(rep, first * b) \
+                - stable_length(rep, a) - stable_length(rep, b)
+            if config is PairConfig.LINKED:
+                gap = -gap
+            if not gap > 0.0:
+                expected = "combined-length inequality violated for " \
+                    "%s, %s (%s, slack %.3e)" % (
+                        rep.presentation.to_text(a),
+                        rep.presentation.to_text(b), config.value, gap)
+                break
+        assert expected is not None
+        with pytest.raises(CertificateError) as info:
+            triangle_harness(rep, 2)
+        assert str(info.value) == expected
 
 
 class TestRatioLowerBound:

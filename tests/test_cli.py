@@ -76,6 +76,33 @@ class TestConfigHandling:
             main(["--seed", "1", "ref-rep"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("text", ['{"maxlen": true}', '{"Rmax": false}',
+                                      '{"bend_angle": true}'],
+                             ids=["maxlen", "Rmax", "bend_angle"])
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, text):
+        # int(True) is 1: without the check, maxlen true ran at maxlen 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["--config", str(cfg), "--outdir", str(tmp_path / "out"),
+                     "spectrum"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "boolean" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_rmax_must_be_finite_and_positive(self, tmp_path, capsys, value):
+        # an infinite radius never stops pruning, so growth would run
+        # forever; the config is checked before any command runs, and
+        # ref-rep makes a regression fail fast instead of hanging
+        code = main(["--outdir", str(tmp_path / "out"), "--rmax", value,
+                     "ref-rep"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Rmax" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestArtifacts:
     def test_ref_rep_writes_schema_tagged_json(self, tmp_path, capsys):
@@ -125,8 +152,9 @@ class TestArtifacts:
 
 class TestPinnedArtifacts:
     """Artifact digests recorded from an earlier implementation of the
-    enumeration, the pair search, limit-set sampling and the witness
-    search; a refactor must reproduce them exactly.  A later --bend-angle
+    enumeration, the pair search, limit-set sampling, the witness
+    search, the orbit search and the combined-length harness; a refactor
+    must reproduce them exactly.  A later --bend-angle
     overrides the default 0.6."""
 
     @pytest.mark.parametrize("argv,name,digest", [
@@ -146,9 +174,14 @@ class TestPinnedArtifacts:
          "7b58dc2405c1108d7e1bd13085be45cdf238c8e988f8f12e644394c4cc8d773e"),
         (["--bend-angle", "0.52", "--maxlen", "7", "witness"], "witness.json",
          "1771778fd110efc26d7f0b6eed1a846740c70e87f61f2d4b4bf97c54b28997de"),
+        (["--rmax", "10", "growth"], "growth.json",
+         "b445ab56994bd2c45fc4042bc0f4e8ee9830414a6680937d29e817749c8066ec"),
+        (["--maxlen", "4", "triangle-check"], "triangle.csv",
+         "e56ca74f1d2b96207510192f7094b86c2b6f2801942f3f5fd779419fff1ae974"),
     ], ids=["spectrum", "certify", "triangle-check", "spectrum-maxlen5",
             "witness-maxlen7", "limitset-maxlen6", "witness-maxlen7-theta0.76",
-            "witness-maxlen7-theta0.52"])
+            "witness-maxlen7-theta0.52", "growth-rmax10",
+            "triangle-check-maxlen4"])
     def test_artifact_digest(self, tmp_path, argv, name, digest):
         code, out = run(tmp_path, "--bend-angle", "0.6", *argv)
         assert code == 0
@@ -168,6 +201,13 @@ class TestBendCommand:
         code, _ = run(tmp_path, "--bend-angle", "0.0", "bend")
         assert code == 0
         assert "no complex-trace word" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("angle", ["0.1", "0.6", "1.0"])
+    def test_first_complex_trace_word(self, tmp_path, capsys, angle):
+        code, _ = run(tmp_path, "--bend-angle", angle, "bend")
+        assert code == 0
+        assert "first complex-trace word up to length 4: a1 a2\n" \
+            in capsys.readouterr().out
 
     def test_half_turn_angle_is_a_config_error(self, tmp_path, capsys):
         import math

@@ -19,21 +19,26 @@ from qfcert.moebius import (
     MoebiusError,
     MoebiusMap,
     Point3,
-    axis_crossing_gap,
     busemann_gap,
     circular_distance_turns,
     classify,
     dist_h3,
     dist_to_geodesic,
     fixed_points,
-    geodesic_distance,
     geodesic_point,
-    geodesic_through_points,
-    midpoint,
     normalizer_to_axis,
     point_near_geodesic,
     translation_length,
     wrap_turns,
+)
+
+# general geodesic geometry that no command uses: its closed-form tests
+# below keep it a trustworthy oracle for certificates.diagnostic_delta
+from geometry_reference import (
+    axis_crossing_gap,
+    geodesic_distance,
+    geodesic_through_points,
+    midpoint,
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0

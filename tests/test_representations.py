@@ -7,6 +7,7 @@ definition, and enumeration counts are checked against word counts with
 relator coincidences removed.
 """
 
+import hashlib
 import json
 import math
 
@@ -40,7 +41,6 @@ from qfcert.representations import (
     orbit_length_estimate,
     orbit_point_distances,
     power_displacement,
-    representation_from_dict,
     representation_hash,
     representation_json,
     representation_to_dict,
@@ -506,11 +506,17 @@ class TestComplexTraceSearch:
 
 class TestSerialization:
     def test_roundtrip_bytes_stable(self, base_rep, bent_rep):
+        # the JSON text reparses to the same bytes, and the hash is the
+        # digest of that payload's compact form
         for rep in (base_rep, bent_rep):
             payload = representation_json(rep)
-            back = representation_from_dict(json.loads(payload))
-            assert representation_json(back) == payload
-            assert representation_hash(back) == representation_hash(rep)
+            parsed = json.loads(payload)
+            assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" \
+                == payload
+            compact = json.dumps(parsed, sort_keys=True,
+                                 separators=(",", ":")).encode()
+            assert representation_hash(rep) \
+                == hashlib.sha256(compact).hexdigest()[:16]
 
     def test_schema_and_fields(self, bent_rep):
         d = representation_to_dict(bent_rep)
@@ -524,27 +530,10 @@ class TestSerialization:
             assert len(quad) == 4
             assert all(len(pair) == 2 for pair in quad)
 
-    def test_roundtrip_preserves_action(self, bent_rep):
-        back = representation_from_dict(representation_to_dict(bent_rep))
-        for letter in (1, 2, 3, 4):
-            assert back.images[letter].distance_to(bent_rep.images[letter]) == 0.0
-
     def test_hash_distinguishes_angles(self, base_rep):
         h1 = representation_hash(bend(base_rep, 0.3))
         h2 = representation_hash(bend(base_rep, 0.31))
         assert h1 != h2
-
-    def test_rejects_unknown_schema(self, base_rep):
-        d = representation_to_dict(base_rep)
-        d["schema"] = "qfcert/999"
-        with pytest.raises(RepresentationError):
-            representation_from_dict(d)
-
-    def test_rejects_tampered_images(self, base_rep):
-        d = representation_to_dict(base_rep)
-        d["images"]["a1"][0][0] *= 1.001
-        with pytest.raises(RepresentationError):
-            representation_from_dict(d)
 
     def test_deterministic_bytes_across_rebuilds(self):
         a = representation_json(bend(fuchsian_octagon(), 0.6))

@@ -15,6 +15,7 @@ from qfcert.surface_group import (
     cyclic_reduce,
     enumerate_words,
     free_reduce,
+    free_reduce_letters,
     rotations,
     shortlex_key,
     shortlex_min_rotation,
@@ -247,3 +248,50 @@ class TestEnumerationParity:
     def test_zero_maxlen_yields_nothing(self, pres):
         assert list(enumerate_words(pres, 0, mode="reduced")) == []
         assert list(enumerate_words(pres, 0, mode="conjugacy")) == []
+
+
+class TestJoinRows:
+    """wa.join_rows against free_reduce_letters on every pair of short
+    reduced words; genus 3 stops at length 2 to keep the Python
+    reference loop short."""
+
+    @staticmethod
+    def _padded_words(genus, maxlen):
+        return np.concatenate([
+            np.pad(level, ((0, 0), (0, maxlen - level.shape[1])),
+                   constant_values=-1)
+            for level in wa.reduced_word_levels(maxlen, genus)])
+
+    @pytest.mark.parametrize("genus,maxlen", [(2, 3), (3, 2)])
+    def test_matches_free_reduction(self, genus, maxlen):
+        words = self._padded_words(genus, maxlen)
+        letters = [wa.ranks_to_letters(row, genus) for row in words]
+        ii, jj = np.divmod(np.arange(words.shape[0] ** 2), words.shape[0])
+        # each pair is joined twice, once per orientation of the left
+        # factor, with the inverted rows interleaved with plain ones
+        flip = ii % 2 == jj % 2
+        names = wa.ranks_to_letters(np.arange(4 * genus), genus)
+        swallowed = {"left": 0, "right": 0}
+        for invert in (flip, ~flip):
+            out = wa.join_rows(words[ii], words[jj], invert, genus)
+            assert out.shape == (ii.size, 2 * maxlen)
+            assert out.dtype == np.int8
+            for i, j, inv, row in zip(ii.tolist(), jj.tolist(),
+                                      invert.tolist(), out.tolist()):
+                left, right = letters[i], letters[j]
+                if inv:
+                    left = tuple(-x for x in reversed(left))
+                want = free_reduce_letters(left + right)
+                assert row[len(want):] == [-1] * (len(row) - len(want))
+                assert tuple(names[r] for r in row[:len(want)]) == want
+                if len(want) == len(right) - len(left):
+                    swallowed["left"] += 1
+                if len(want) == len(left) - len(right):
+                    swallowed["right"] += 1
+        # a whole factor cancels into the other one, on either side
+        assert min(swallowed.values()) > words.shape[0]
+
+    def test_empty_product_is_all_padding(self):
+        words = self._padded_words(2, 3)
+        out = wa.join_rows(words, words, np.ones(words.shape[0], bool))
+        assert (out == -1).all()
