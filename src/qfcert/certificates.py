@@ -58,6 +58,9 @@ from .surface_group import Word
 
 # a certificate must clear 1 by at least this much to be emitted
 MIN_CERTIFICATE_MARGIN = 1e-6
+# class pairs per block of the certificate scan: bounds the pair grid and
+# the matrices gathered from it (64 rows of 4 100 classes at maxlen 5)
+_PAIR_BLOCK = 1 << 18
 
 
 class CertificateError(ValueError):
@@ -214,18 +217,45 @@ def ratio_lower_bound(spec1: LengthSpectrum, spec2: LengthSpectrum,
                           a=a, b=b, value=dev[a] - dev[b])
 
 
+def _pair_ratios(table: np.ndarray, ell: np.ndarray, first: np.ndarray,
+                 second: np.ndarray) -> np.ndarray:
+    """(l(a) + l(b)) / l(ab) for the class pairs (first[k], second[k]),
+    -inf where l(ab) is not above 1e-9; table holds the class products
+    with the class axis last, (2, 2, n), and ell their lengths.
+
+    Each ratio is bit for bit the one of an (a rows x b rows) grid
+    contraction "aij,bji->ab": np.einsum sums a trace in an order set by
+    the operand layout, and with the pair axis last and contiguous it is
+    the grid's order.
+    """
+    tr = np.einsum("ijk,jik->k", table.take(first, axis=2),
+                   table.take(second, axis=2))
+    ell_ab = 2.0 * np.abs(np.arccosh(tr.astype(complex) / 2.0).real)
+    ok = ell_ab > 1e-9
+    return np.where(ok, (ell[first] + ell[second]) / np.where(ok, ell_ab, 1.0),
+                    -np.inf)
+
+
 def find_separation_certificate(
         rep_q: Representation, maxlen: int,
         min_ratio: float = 1.0 + MIN_CERTIFICATE_MARGIN) -> SeparationCertificate:
     """Search class pairs for an unlinked-aligned pair with contracting ratio.
 
     All ordered pairs of conjugacy representatives up to maxlen are
-    scanned (vectorized, in blocks); among pairs classified
-    unlinked-aligned on the group boundary with ratio at or above the
-    threshold, the maximal-ratio pair wins, with exact ties broken by
-    total word length then shortlex order of a, then of b.  When nothing
-    reaches the threshold, the raised error reports the best ratio found
-    so the caller can increase maxlen or the deformation.
+    candidates; among pairs classified unlinked-aligned on the group
+    boundary with ratio at or above the threshold, the maximal-ratio pair
+    wins, with exact ties broken by total word length then shortlex order
+    of a, then of b.  When nothing reaches the threshold, the raised
+    error reports the best ratio found so the caller can increase maxlen
+    or the deformation.
+
+    The scan is vectorized in blocks of unordered pairs: the boundary
+    configuration is classified once per pair i < j, which relies on the
+    unlinked-aligned relation being symmetric (a pair is aligned with b
+    exactly when b is aligned with a, and no class with itself).  Traces,
+    lengths and ratios are computed only for aligned pairs, in both
+    orientations (i, j) and (j, i), each bit for bit as a full
+    ordered-pair scan computes it.
     """
     if maxlen < 1:
         raise CertificateError("maxlen must be at least 1")
@@ -237,31 +267,33 @@ def find_separation_certificate(
     if n < 2:
         raise CertificateError("not enough classes to form a pair")
     aligned_code = PAIR_CONFIGS.index(PairConfig.UNLINKED_ALIGNED)
+    table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
     best_any = -math.inf
     # (-ratio, total length, row of a, row of b): the least tuple wins
     best: tuple[float, int, int, int] | None = None
-    # cap the per-block grid footprint; the scan is quadratic in the
-    # number of classes, so large maxlen is supported but slow
-    block = max(1, min(256, (1 << 24) // n))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        aligned = pair_config_grid(angles[lo:hi], angles) == aligned_code
-        tr = np.einsum("aij,bji->ab", rep_m[lo:hi], rep_m)
-        ell_ab = 2.0 * np.abs(np.arccosh(tr.astype(complex) / 2.0).real)
-        ok = aligned & (ell_ab > 1e-9)
-        denom = np.where(ok, ell_ab, 1.0)
-        ratio = np.where(ok, (ell[lo:hi, None] + ell[None, :]) / denom,
-                         -np.inf)
+    lo = 0
+    while lo < n - 1:
+        hi = min(n, lo + max(1, _PAIR_BLOCK // (n - lo)))
+        aligned = pair_config_grid(angles[lo:hi], angles[lo:]) == aligned_code
+        # the aligned grid is symmetric with an empty diagonal, so each
+        # unordered pair is classified once, at j > i
+        ii, jj = np.nonzero(np.triu(aligned, 1))
+        ii += lo
+        jj += lo
+        lo = hi
+        # traces of (i, j) and (j, i) differ in the last bit, so each
+        # orientation gets its own ratio
+        first, second = np.concatenate([ii, jj]), np.concatenate([jj, ii])
+        ratio = _pair_ratios(table, ell, first, second)
         block_best = float(ratio.max()) if ratio.size else -math.inf
         if block_best > best_any:
             best_any = block_best
         if block_best < threshold:
             continue
-        ii, jj = np.nonzero(ratio >= max(threshold, block_best))
         # rows are shortlex-sorted, so row order is the shortlex tie-break
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            cand = (-float(ratio[i, j]), int(lengths[lo + i] + lengths[j]),
-                    lo + i, j)
+        for k in np.flatnonzero(ratio >= max(threshold, block_best)).tolist():
+            i, j = int(first[k]), int(second[k])
+            cand = (-float(ratio[k]), int(lengths[i] + lengths[j]), i, j)
             if best is None or cand < best:
                 best = cand
     if best is None:

@@ -99,8 +99,8 @@ class RunConfig:
             raise ConfigError("maxlen must be at least 1")
         if not (0.0 < self.Rmax < math.inf):
             raise ConfigError("Rmax must be positive and finite")
-        if not (self.min_ratio >= 1.0):
-            raise ConfigError("min_ratio must be at least 1")
+        if not (1.0 <= self.min_ratio < math.inf):
+            raise ConfigError("min_ratio must be at least 1 and finite")
 
 
 _FIELD_TYPES = {

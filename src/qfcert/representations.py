@@ -41,8 +41,11 @@ import numpy as np
 from . import _wordarrays as wa
 from .moebius import (
     BASEPOINT,
+    PARABOLIC_TRACE_TOL,
+    REAL_TRACE_TOL,
     Geodesic3,
     IsometryKind,
+    MoebiusError,
     MoebiusMap,
     Point3,
     classify,
@@ -226,9 +229,27 @@ def stable_length(rep: Representation, w: Word) -> float:
 
 def stable_lengths(mats: np.ndarray) -> list[float]:
     """stable_length of each word from its wa.compose_matrices product,
-    bit for bit: the canonical sign goes on first, as evaluate's does."""
-    return [translation_length(MoebiusMap._unit_det(*m))
-            for m in mats.reshape(-1, 4).tolist()]
+    bit for bit, read from the trace a + d alone.
+
+    translation_length's thresholds ignore the sign of the trace.  A trace
+    past them has modulus above 1e-12, so evaluate's canonical sign
+    negates it by _needs_sign_flip's trace rule (np.hypot is the modulus
+    abs() takes, and (-a) + (-d) is exactly -(a + d)).  Each length is
+    then translation_length's cmath.acosh, never np.arccosh.
+    """
+    flat = mats.reshape(-1, 4)
+    if not np.isfinite(np.abs(flat)).all():
+        raise MoebiusError("non-finite matrix entries in a product")
+    tr = flat[:, 0] + flat[:, 3]
+    live = (np.abs(tr.imag) > REAL_TRACE_TOL) \
+        | (np.abs(tr.real) > 2.0 + PARABOLIC_TRACE_TOL)
+    tr = tr[live]
+    flip = np.where(np.abs(tr.real) > 1e-14 * np.hypot(tr.real, tr.imag),
+                    tr.real < 0.0, tr.imag < 0.0)
+    lengths = np.zeros(flat.shape[0])
+    lengths[live] = [2.0 * abs(cmath.acosh(t / 2.0).real)
+                     for t in np.where(flip, -tr, tr).tolist()]
+    return lengths.tolist()
 
 
 def orbit_distance(rep: Representation, w: Word) -> float:
@@ -351,17 +372,21 @@ def _orbit_distances_of(mats: np.ndarray, y: Point3) -> np.ndarray:
     return np.arccosh(np.maximum(1.0, cosh_d))
 
 
-def _trim_heap() -> None:
-    """Hand freed heap pages back to the OS (glibc ``malloc_trim``).
+def _pin_mmap_threshold() -> None:
+    """Serve every allocation of 1 MiB or more by mmap, for the rest of
+    the process (glibc ``mallopt(M_MMAP_THRESHOLD)``).
 
-    Each level frees tens of MB of temporaries below glibc's sliding
-    mmap threshold; left resident, they set the peak RSS of the next
-    table merge by heap layout, not by the work done.  A no-op where
-    the C library has no malloc_trim.
+    glibc otherwise raises its mmap threshold to the size of each large
+    block freed, so the orbit search's per-level temporaries, tens of MB
+    each, stay on the heap and the peak RSS follows heap layout, not the
+    work done: at Rmax 10 it moved by up to 7 % when unrelated code or the
+    output path changed.  An mmapped block goes back to the OS when freed;
+    smaller arrays keep reusing heap pages.  A no-op where the C library
+    has no mallopt.
     """
     import ctypes
     try:
-        ctypes.CDLL(None).malloc_trim(0)
+        ctypes.CDLL(None).mallopt(-3, 1 << 20)  # -3 is M_MMAP_THRESHOLD
     except (AttributeError, OSError, TypeError):
         pass
 
@@ -384,6 +409,7 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
     """
     if prune_radius is None and max_word_length is None:
         raise RepresentationError("unbounded enumeration: set a prune radius or length cap")
+    _pin_mmap_threshold()
     gens = rep.generator_matrix_array()
     genus = rep.presentation.genus
     y = rep.basepoint
@@ -399,7 +425,6 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
             break
         if depth > 64:
             raise RepresentationError("orbit enumeration failed to terminate")
-        _trim_heap()
         level_keys = seen[:0]
         level_mats: list[np.ndarray] = []
         level_last: list[np.ndarray] = []
@@ -434,7 +459,6 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
             break
         # sorted in place: np.sort would hold a third copy of the table
         # at the level's memory peak
-        _trim_heap()
         seen = np.concatenate([seen, level_keys])
         seen.sort()
         if level_mats:

@@ -7,11 +7,17 @@ import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import qfcert.certificates as certmod
 from qfcert import _wordarrays as wa
-from qfcert.boundary import PairConfig, classify_pairs
+from qfcert.boundary import (
+    PAIR_CONFIGS,
+    PairConfig,
+    classify_pairs,
+    pair_config_grid,
+)
 from qfcert.certificates import (
     CertificateError,
     certificate_from_dict,
@@ -223,6 +229,136 @@ class TestSeparationCertificate:
         payload["schema"] = "qfcert/999"
         with pytest.raises(CertificateError):
             certificate_from_dict(payload)
+
+
+SCAN_ANGLES = [0.3, 0.5, 0.6, 0.85, 0.99]
+ALIGNED = PAIR_CONFIGS.index(PairConfig.UNLINKED_ALIGNED)
+# in this chart the bend by 0.99 reaches its best ratio, in the last bit,
+# in one orientation of its pair only: a scan of the other orientations
+# alone reports another pair and a smaller best ratio
+SKEW_CHART = MoebiusMap(-0.8691056643855141 + 0.4281468299936646j,
+                        -0.36392457162681147 + 0.36178020343117j,
+                        -0.2699619286239732 + 0.6931732713919744j,
+                        -0.9442898028405537 - 0.06255282941830957j)
+
+
+def ordered_ratio_blocks(rep_m, ell, angles):
+    """Reference: the ratio grid over all ordered class pairs as the
+    search computed it before it scanned unordered pairs, by blocks of
+    rows: (first row, ratios of those rows against every class)."""
+    n = len(rep_m)
+    block = max(1, min(256, (1 << 24) // n))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        aligned = pair_config_grid(angles[lo:hi], angles) == ALIGNED
+        tr = np.einsum("aij,bji->ab", rep_m[lo:hi], rep_m)
+        ell_ab = 2.0 * np.abs(np.arccosh(tr.astype(complex) / 2.0).real)
+        ok = aligned & (ell_ab > 1e-9)
+        denom = np.where(ok, ell_ab, 1.0)
+        yield lo, np.where(ok, (ell[lo:hi, None] + ell[None, :]) / denom,
+                           -np.inf)
+
+
+def ordered_pair_scan(rep, maxlen, min_ratio):
+    """Reference: the certificate search over the full ordered-pair grid;
+    returns the certificate's (a, b, ratio) or the failure's (message,
+    best ratio)."""
+    threshold = max(min_ratio, 1.0 + certmod.MIN_CERTIFICATE_MARGIN)
+    rows, rep_m, angles = certmod._class_table(rep, maxlen)
+    lengths = (rows >= 0).sum(axis=1)
+    best_any = -math.inf
+    best = None
+    for lo, ratio in ordered_ratio_blocks(
+            rep_m, wa.translation_lengths(rep_m), angles):
+        block_best = float(ratio.max())
+        best_any = max(best_any, block_best)
+        if block_best < threshold:
+            continue
+        ii, jj = np.nonzero(ratio >= max(threshold, block_best))
+        for i, j in zip(ii.tolist(), jj.tolist()):
+            cand = (-float(ratio[i, j]), int(lengths[lo + i] + lengths[j]),
+                    lo + i, j)
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        return ("no unlinked-aligned pair reached ratio %.7f "
+                "(best found %.7f); increase maxlen or the deformation"
+                % (threshold, best_any), best_any)
+    a, b = (Word(wa.ranks_to_letters(rows[k])) for k in best[2:])
+    ratio = (stable_length(rep, a) + stable_length(rep, b)) \
+        / stable_length(rep, a * b)
+    return a, b, ratio
+
+
+class TestCertificateScan:
+    """The search classifies unordered pairs and evaluates only aligned
+    ones; it must find what a full ordered-pair scan finds."""
+
+    @pytest.mark.parametrize("angle,min_ratio,chart", [
+        *((angle, 1.0 + 1e-6, None) for angle in SCAN_ANGLES),
+        (0.6, 1.001, None),  # above the best ratio: the failure path, bent
+        (0.99, 1.0 + 1e-6, SKEW_CHART),
+        (0.99, 1.1, SKEW_CHART),
+    ], ids=[*map(str, SCAN_ANGLES), "0.6-failing", "0.99-skew",
+            "0.99-skew-failing"])
+    def test_equals_ordered_pair_scan(self, angle, min_ratio, chart):
+        rep = bend(fuchsian_octagon(), angle)
+        if chart is not None:
+            rep = conjugate_representation(rep, chart)
+        want = ordered_pair_scan(rep, 4, min_ratio)
+        try:
+            cert = find_separation_certificate(rep, 4, min_ratio)
+            got = (cert.a, cert.b, cert.ratio)
+        except CertificateError as exc:
+            got = (str(exc), exc.best_ratio)
+        assert got == want
+        if min_ratio > 1.0 + 1e-6:
+            assert 1.0 < want[1] < min_ratio
+
+    @pytest.mark.parametrize("maxlen,angle", [
+        *((4, angle) for angle in SCAN_ANGLES), (5, 0.6)])
+    def test_aligned_grid_is_symmetric(self, maxlen, angle):
+        # the scan classifies each unordered pair once, at j > i
+        _, _, angles = certmod._class_table(
+            bend(fuchsian_octagon(), angle), maxlen)
+        aligned = np.concatenate([
+            pair_config_grid(angles[lo:lo + 512], angles) == ALIGNED
+            for lo in range(0, len(angles), 512)])
+        assert np.array_equal(aligned, aligned.T)
+        assert not aligned.diagonal().any()
+
+    @pytest.mark.parametrize("chart", [None, SKEW_CHART],
+                             ids=["plain", "skew"])
+    @pytest.mark.parametrize("angle", SCAN_ANGLES)
+    def test_pair_ratios_equal_the_ordered_grid(self, angle, chart):
+        # every aligned ordered pair, not only the winner, gets the
+        # ratio of the full grid bit for bit
+        rep = bend(fuchsian_octagon(), angle)
+        if chart is not None:
+            rep = conjugate_representation(rep, chart)
+        _, rep_m, angles = certmod._class_table(rep, 4)
+        ell = wa.translation_lengths(rep_m)
+        grid = np.concatenate(
+            [ratio for _, ratio in ordered_ratio_blocks(rep_m, ell, angles)])
+        ii, jj = np.nonzero(pair_config_grid(angles, angles) == ALIGNED)
+        table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
+        assert np.array_equal(certmod._pair_ratios(table, ell, ii, jj),
+                              grid[ii, jj])
+
+    def test_each_aligned_ordered_pair_is_evaluated_once(self, bent_rep,
+                                                         monkeypatch):
+        evaluated = []
+        ratios = certmod._pair_ratios
+
+        def counting(table, ell, first, second):
+            evaluated.append(len(first))
+            return ratios(table, ell, first, second)
+
+        monkeypatch.setattr(certmod, "_pair_ratios", counting)
+        find_separation_certificate(bent_rep, 4)
+        _, _, angles = certmod._class_table(bent_rep, 4)
+        aligned = pair_config_grid(angles, angles) == ALIGNED
+        assert sum(evaluated) == np.count_nonzero(aligned)
 
 
 class TestDiagnosticDelta:

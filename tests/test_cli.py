@@ -103,6 +103,23 @@ class TestConfigHandling:
         assert err.startswith("config error:") and "Rmax" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_min_ratio_must_be_finite(self, tmp_path, capsys, source):
+        # no pair reaches an infinite ratio, so certify would scan every
+        # pair and then fail asking for a larger maxlen
+        if source == "flag":
+            argv = ["--min-ratio", "inf"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"min_ratio": Infinity}')
+            argv = ["--config", str(cfg)]
+        code = main(["--outdir", str(tmp_path / "out"), *argv, "certify"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "min_ratio" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out" / "separation_certificate.json").exists()
+
 
 class TestArtifacts:
     def test_ref_rep_writes_schema_tagged_json(self, tmp_path, capsys):
@@ -162,6 +179,8 @@ class TestPinnedArtifacts:
          "f99b2d2e603d049bc28ba689c25c6ee4c5b4e8f93ff4c87a60ccb8ff351aafad"),
         (["--maxlen", "4", "certify"], "separation_certificate.json",
          "753506d53822c0b07b0d08dda10e81f89e4d0d6f92a3dad9201fe63f278424f1"),
+        (["--maxlen", "5", "certify"], "separation_certificate.json",
+         "71c23b413da1f38906acad12c23d7cac8107694c2d930e9fee24ca6df6e5c49f"),
         (["triangle-check"], "triangle.csv",
          "305a990e3e7da601a36e16a72c181e4a9e1f5ddeb47f51400734005d6e1f7aaf"),
         (["--maxlen", "5", "spectrum"], "spectrum.csv",
@@ -178,8 +197,8 @@ class TestPinnedArtifacts:
          "b445ab56994bd2c45fc4042bc0f4e8ee9830414a6680937d29e817749c8066ec"),
         (["--maxlen", "4", "triangle-check"], "triangle.csv",
          "e56ca74f1d2b96207510192f7094b86c2b6f2801942f3f5fd779419fff1ae974"),
-    ], ids=["spectrum", "certify", "triangle-check", "spectrum-maxlen5",
-            "witness-maxlen7", "limitset-maxlen6", "witness-maxlen7-theta0.76",
+    ], ids=["spectrum", "certify", "certify-maxlen5", "triangle-check",
+            "spectrum-maxlen5", "witness-maxlen7", "limitset-maxlen6", "witness-maxlen7-theta0.76",
             "witness-maxlen7-theta0.52", "growth-rmax10",
             "triangle-check-maxlen4"])
     def test_artifact_digest(self, tmp_path, argv, name, digest):

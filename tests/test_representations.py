@@ -19,6 +19,7 @@ from qfcert import boundary
 from qfcert.moebius import (
     BASEPOINT,
     IsometryKind,
+    MoebiusError,
     MoebiusMap,
     Point3,
     classify,
@@ -45,6 +46,7 @@ from qfcert.representations import (
     representation_json,
     representation_to_dict,
     stable_length,
+    stable_lengths,
     with_basepoint,
 )
 from qfcert.surface_group import GroupPresentation, Word, enumerate_words, rotations
@@ -214,6 +216,20 @@ class TestStableLength:
                 tol = 1e-9 + 16.0 * scale * scale * 2.3e-16
                 assert stable_length(rep, conj) == pytest.approx(
                     stable_length(rep, w), abs=tol)
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"),
+                                     complex(0.0, float("-inf"))])
+    def test_batch_lengths_reject_non_finite_entries(self, bad):
+        mats = np.array([[[2.0, 1.0], [1.0, 1.0]]] * 2, dtype=complex)
+        mats[1, 1, 0] = bad
+        with pytest.raises(MoebiusError, match="non-finite"):
+            stable_lengths(mats)
+
+    def test_batch_lengths_ignore_the_sign_of_the_lift(self, bent_rep):
+        # evaluate's canonical sign makes the length a function of the
+        # map, so a negated product has bit for bit the same length
+        _, mats = wa.conjugacy_classes(3, bent_rep.generator_matrix_array())
+        assert stable_lengths(-mats) == stable_lengths(mats)
 
     def test_orbit_distance_dominates(self, base_rep):
         for w in enumerate_words(base_rep.presentation, 2, mode="reduced"):
