@@ -41,6 +41,7 @@ from .boundary import (
     sample_to_csv,
     sample_to_svg,
     verify_witness_orders,
+    witness_from_dict,
     witness_to_dict,
 )
 from .certificates import (
@@ -55,6 +56,7 @@ from .certificates import (
 from .moebius import MoebiusError
 from .representations import (
     BEND_ANGLE_ENVELOPE,
+    GROWTH_MARGIN,
     RepresentationError,
     bend,
     compute_spectrum,
@@ -73,6 +75,10 @@ _MAXLEN_DEFAULTS = {
     "certify": 4,
     "limitset": 8,
 }
+
+# growth refuses an Rmax whose estimated ball holds more elements than
+# this: Rmax 14 (about 1.6e7) runs, Rmax 16 (about 1.2e8) is refused
+GROWTH_BALL_BUDGET = 2e7
 
 
 class ConfigError(ValueError):
@@ -226,7 +232,22 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
     return 0
 
 
+def _growth_ball_estimate(Rmax: float) -> float:
+    """Elements within the pruning radius Rmax + GROWTH_MARGIN, by area:
+    a hyperbolic disk of radius r has area 2 pi (cosh r - 1), and the
+    genus-2 fundamental domain has area 4 pi."""
+    try:
+        return (math.cosh(Rmax + GROWTH_MARGIN) - 1.0) / 2.0
+    except OverflowError:
+        return math.inf
+
+
 def cmd_growth(cfg: RunConfig, out: Path, args) -> int:
+    ball = _growth_ball_estimate(cfg.Rmax)
+    if ball > GROWTH_BALL_BUDGET:
+        raise ConfigError("growth at Rmax %g would enumerate about %.3g "
+                          "elements, over the budget of %.3g"
+                          % (cfg.Rmax, ball, GROWTH_BALL_BUDGET))
     rep = fuchsian_octagon()
     est = estimate_growth(rep, cfg.Rmax)
     _write_json(out / "growth.json", {
@@ -264,6 +285,21 @@ def cmd_triangle_check(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_witness(cfg: RunConfig, out: Path, args) -> int:
     rep = _bent_rep(cfg)
+    if args.input is not None:
+        try:
+            # a malformed payload raises BoundaryError, a ValueError
+            witness = witness_from_dict(
+                json.loads(Path(args.input).read_text()))
+        except (OSError, ValueError) as exc:
+            raise ConfigError("cannot read witness %s: %s"
+                              % (args.input, exc)) from exc
+        if not verify_witness_orders(witness, rep):
+            print("witness INVALID: fails independent verification",
+                  file=sys.stderr)
+            return 1
+        print("witness valid: spiraling element %s"
+              % rep.presentation.to_text(witness.gamma))
+        return 0
     gamma = find_complex_trace_element(rep, 4)
     print("spiraling element: %s" % rep.presentation.to_text(gamma))
     witness = find_spiral_witness(rep, gamma, _maxlen(cfg, "witness"))
@@ -381,9 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        if name == "certify":
-            p.add_argument("--input", help="certificate file to validate "
-                           "instead of searching")
+        if name in ("certify", "witness"):
+            p.add_argument("--input", help="%s file to validate instead of "
+                           "searching" % name)
     return parser
 
 

@@ -401,11 +401,17 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
 
     Breadth-first over reduced words: each new element is extended by
     the 4g - 1 generators that do not cancel its last letter, in the
-    order of reduced_word_levels.  Elements are deduplicated by their
-    canonical matrices (quantized at 1e-6, far below the separation of
-    distinct elements at these radii).  When prune_radius is set,
-    elements beyond it are dropped and not extended; elements beyond
-    the radius still enter the dedup table so no spelling revisits them.
+    order of reduced_word_levels.  When prune_radius is set, candidates
+    beyond it are dropped before dedup and never extended.  An element's
+    distance does not depend on its spelling, so a pruned element is
+    pruned again on every later spelling and the dedup tables need only
+    hold elements inside the radius (rounding can differ only within
+    about 1e-12 of the radius).  The rest are deduplicated by their
+    canonical matrices, quantized at 1e-6, far below the separation of
+    distinct elements at these radii.  New keys are merged into the
+    sorted tables by a stable sort, which merges two sorted runs of
+    unique keys in linear time; the frontier keeps the key order of
+    np.unique, which decides the spelling each element is extended from.
     """
     if prune_radius is None and max_word_length is None:
         raise RepresentationError("unbounded enumeration: set a prune radius or length cap")
@@ -437,6 +443,10 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
                 cand = wa.extend_products(frontier[lo:lo + _FRONTIER_CHUNK],
                                           kids, gens)
             cand = wa.canonical_sign(cand)
+            dist = _orbit_distances_of(cand, y)
+            if prune_radius is not None:
+                keep = dist <= prune_radius
+                cand, kids, dist = cand[keep], kids[keep], dist[keep]
             v = wa.rows_as_void(wa.quantize_keys(cand))
             uniq_v, uniq_idx = np.unique(v, return_index=True)
             new_mask = ~wa.member_of_sorted(uniq_v, seen)
@@ -444,29 +454,20 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
             if not new_mask.any():
                 continue
             level_keys = np.concatenate([level_keys, uniq_v[new_mask]])
-            level_keys.sort()
+            level_keys.sort(kind="stable")
             pick = uniq_idx[new_mask]
-            fresh, fresh_last = cand[pick], kids[pick]
-            dist = _orbit_distances_of(fresh, y)
-            if prune_radius is not None:
-                keep = dist <= prune_radius
-                fresh, fresh_last, dist = fresh[keep], fresh_last[keep], dist[keep]
-            if fresh.shape[0]:
-                level_mats.append(fresh)
-                level_last.append(fresh_last)
-                level_dists.append(dist)
+            level_mats.append(cand[pick])
+            level_last.append(kids[pick])
+            level_dists.append(dist[pick])
         if level_keys.size == 0:
             break
         # sorted in place: np.sort would hold a third copy of the table
         # at the level's memory peak
         seen = np.concatenate([seen, level_keys])
-        seen.sort()
-        if level_mats:
-            frontier = np.concatenate(level_mats)
-            last = np.concatenate(level_last)
-            dists.extend(level_dists)
-        else:
-            frontier = frontier[:0]
+        seen.sort(kind="stable")
+        frontier = np.concatenate(level_mats)
+        last = np.concatenate(level_last)
+        dists.extend(level_dists)
     return np.sort(np.concatenate(dists))
 
 

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from qfcert import cli
+from qfcert.boundary import witness_to_dict
 from qfcert.cli import main
 
 SCHEMA = "qfcert/1"
@@ -119,6 +121,25 @@ class TestConfigHandling:
         assert err.startswith("config error:") and "min_ratio" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out" / "separation_certificate.json").exists()
+
+    @pytest.mark.parametrize("value", ["1e300", "40"])
+    def test_growth_refuses_an_oversized_ball(self, tmp_path, capsys,
+                                              monkeypatch, value):
+        # both radii are finite and positive, so RunConfig accepts them;
+        # the growth preflight must refuse before any search starts
+        def no_search(*args):
+            raise AssertionError("orbit search started")
+        monkeypatch.setattr(cli, "estimate_growth", no_search)
+        code, out = run(tmp_path, "--rmax", value, "growth")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "elements" in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "growth.json").exists()
+
+    def test_growth_budget_admits_rmax_14(self):
+        assert cli._growth_ball_estimate(14.0) <= cli.GROWTH_BALL_BUDGET \
+            < cli._growth_ball_estimate(16.0)
 
 
 class TestArtifacts:
@@ -321,6 +342,48 @@ class TestWitnessCommand:
             "invariant falsified or computation failed: sample too sparse: "
             "no candidate pair balances the crossing and disjoint axes\n")
         assert not (out / "witness.json").exists()
+
+
+class TestWitnessInput:
+    """witness --input re-verifies a saved witness against the bent
+    representation at the configured angle."""
+
+    @pytest.fixture
+    def witness_file(self, tmp_path, witness_run):
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(witness_to_dict(witness_run.witness)))
+        return path
+
+    def test_valid_witness_exits_zero(self, tmp_path, capsys, witness_file):
+        code, out = run(tmp_path, "--bend-angle", "0.6", "witness",
+                        "--input", str(witness_file))
+        assert code == 0
+        assert "witness valid" in capsys.readouterr().out
+        assert not (out / "witness.json").exists()
+
+    def test_tampered_witness_exits_one(self, tmp_path, capsys,
+                                        witness_file):
+        payload = json.loads(witness_file.read_text())
+        payload["radii"] = payload["radii"][::-1]
+        witness_file.write_text(json.dumps(payload))
+        code, _ = run(tmp_path, "--bend-angle", "0.6", "witness",
+                      "--input", str(witness_file))
+        assert code == 1
+        assert "INVALID" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"schema": "qfcert/1"}', "[1, 2",
+                                      None],
+                             ids=["malformed", "not-json", "missing-file"])
+    def test_unreadable_witness_is_a_config_error(self, tmp_path, capsys,
+                                                  text):
+        path = tmp_path / "witness.json"
+        if text is not None:
+            path.write_text(text)
+        code, _ = run(tmp_path, "witness", "--input", str(path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert len(err.splitlines()) == 1
 
 
 class TestLimitsetCommand:

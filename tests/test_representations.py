@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qfcert import _wordarrays as wa
-from qfcert import boundary
+from qfcert import boundary, representations
 from qfcert.moebius import (
     BASEPOINT,
     IsometryKind,
@@ -474,6 +474,81 @@ class TestOrbitEnumeration:
         inner = 8.0 - 4.0
         assert np.allclose(full[full <= inner], pruned[pruned <= inner],
                            atol=1e-9)
+
+
+def _dedup_then_prune_reference(rep, prune_radius=None, max_word_length=None):
+    """The orbit search as it was before pruning moved ahead of dedup:
+    every candidate enters the seen table, then elements beyond the
+    radius are dropped.  Kept as the bit-for-bit reference."""
+    gens = rep.generator_matrix_array()
+    genus = rep.presentation.genus
+    y = rep.basepoint
+    chunk = representations._FRONTIER_CHUNK
+    frontier = np.eye(2, dtype=complex)[None, :, :]
+    seen = np.sort(wa.rows_as_void(wa.quantize_keys(frontier)))
+    last = None
+    dists = [np.zeros(1)]
+    depth = 0
+    while frontier.shape[0]:
+        depth += 1
+        if max_word_length is not None and depth > max_word_length:
+            break
+        level_keys = seen[:0]
+        level_mats, level_last, level_dists = [], [], []
+        for lo in range(0, frontier.shape[0], chunk):
+            if last is None:
+                kids, cand = np.arange(gens.shape[0], dtype=np.int8), gens
+            else:
+                kids = wa.child_ranks(last[lo:lo + chunk], genus)
+                cand = wa.extend_products(frontier[lo:lo + chunk], kids, gens)
+            cand = wa.canonical_sign(cand)
+            v = wa.rows_as_void(wa.quantize_keys(cand))
+            uniq_v, uniq_idx = np.unique(v, return_index=True)
+            new_mask = ~wa.member_of_sorted(uniq_v, seen)
+            new_mask &= ~wa.member_of_sorted(uniq_v, level_keys)
+            level_keys = np.sort(np.concatenate([level_keys, uniq_v[new_mask]]))
+            pick = uniq_idx[new_mask]
+            fresh, fresh_last = cand[pick], kids[pick]
+            dist = representations._orbit_distances_of(fresh, y)
+            if prune_radius is not None:
+                keep = dist <= prune_radius
+                fresh, fresh_last, dist = fresh[keep], fresh_last[keep], dist[keep]
+            level_mats.append(fresh)
+            level_last.append(fresh_last)
+            level_dists.append(dist)
+        if level_keys.size == 0:
+            break
+        seen = np.sort(np.concatenate([seen, level_keys]))
+        frontier = np.concatenate(level_mats)
+        last = np.concatenate(level_last)
+        dists.extend(level_dists)
+    return np.sort(np.concatenate(dists))
+
+
+class TestOrbitSearchReference:
+    """Pruning before dedup keeps only in-radius elements in the seen
+    table and returns the same distances, bit for bit, as deduplicating
+    every candidate first."""
+
+    @pytest.mark.parametrize("prune_radius,max_word_length", [
+        (9.0, None), (10.0, None), (8.0, 5),
+        (None, 1), (None, 2), (None, 3), (None, 4), (None, 5),
+    ])
+    def test_equals_dedup_then_prune(self, base_rep, prune_radius,
+                                     max_word_length):
+        got = orbit_point_distances(base_rep, prune_radius=prune_radius,
+                                    max_word_length=max_word_length)
+        want = _dedup_then_prune_reference(base_rep, prune_radius,
+                                           max_word_length)
+        assert np.array_equal(got, want)
+
+    def test_small_chunks_equal_reference(self, base_rep, monkeypatch):
+        # 100-element chunks split every level past the third, so the
+        # chunk-order pick and the cross-chunk level table are exercised
+        monkeypatch.setattr(representations, "_FRONTIER_CHUNK", 100)
+        got = orbit_point_distances(base_rep, prune_radius=10.0)
+        want = _dedup_then_prune_reference(base_rep, 10.0)
+        assert np.array_equal(got, want)
 
 
 class TestGrowth:
