@@ -158,17 +158,16 @@ def classify_angle_pairs(alpha: tuple[float, float], beta: tuple[float, float],
 
 
 PAIR_CONFIGS = tuple(PairConfig)
+# endpoints closer than this (in turns) send their pairs to the float rule
+# of classify_angle_pairs; every other pair is classified by endpoint rank
+_NEAR_WINDOW = 2.0 * DEGENERATE_TOL
 
 
-def pair_config_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """classify_angle_pairs(alpha[i], beta[j]) for every i, j, bit for bit.
-
-    alpha and beta are (n, 2) and (m, 2) arrays of angle pairs in turns;
-    the result is an (n, m) int8 array of indices into PAIR_CONFIGS.
-    """
-    a1, a2 = alpha[:, 0, None], alpha[:, 1, None]
-    b1, b2 = beta[None, :, 0], beta[None, :, 1]
-    degenerate = np.zeros((alpha.shape[0], beta.shape[0]), dtype=bool)
+def _float_pair_codes(a1, a2, b1, b2) -> np.ndarray:
+    """classify_angle_pairs' float rule, elementwise on broadcast arrays
+    of endpoints; int8 indices into PAIR_CONFIGS."""
+    degenerate = np.zeros(np.broadcast_shapes(*map(np.shape, (a1, a2, b1, b2))),
+                          dtype=bool)
     for p, q in itertools.combinations((a1, a2, b1, b2), 2):
         y = (p - q) - np.floor(p - q)  # abs(wrap_turns(p - q)) elementwise
         degenerate |= np.where(y > 0.5, 1.0 - y, y) < DEGENERATE_TOL
@@ -182,6 +181,87 @@ def pair_config_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
                                          PairConfig.LINKED,
                                          PairConfig.UNLINKED_ALIGNED)],
         PAIR_CONFIGS.index(PairConfig.UNLINKED_MISALIGNED)).astype(np.int8)
+
+
+def _near_pairs(order: np.ndarray, points: np.ndarray):
+    """Index pairs (p, q) of points (turns in [0, 1], argsorted by order)
+    at most _NEAR_WINDOW apart around the circle, each unordered pair once.
+
+    Each sorted point is paired with every later point inside the window,
+    the points past 1 continuing from 0, so clusters of any size and the
+    wrap are covered."""
+    s = points[order]
+    n = s.size
+    start = np.arange(n)
+    end = np.searchsorted(np.concatenate([s, s + 1.0]), s + _NEAR_WINDOW,
+                          side="right")
+    count = np.minimum(end, start + n) - start - 1
+    first = np.repeat(start, count)
+    step = np.arange(first.size) - np.repeat(np.cumsum(count) - count, count)
+    return order[first], order[(first + step + 1) % n]
+
+
+def pair_config_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """classify_angle_pairs(alpha[i], beta[j]) for every i, j, bit for bit.
+
+    alpha and beta are (n, 2) and (m, 2) arrays of angle pairs in turns
+    in [0, 1]; the result is an (n, m) int8 array of indices into
+    PAIR_CONFIGS.
+
+    All 2n + 2m endpoints are sorted together once, and a pair is
+    classified from the integer ranks of its four endpoints: with
+    g1, g2 = (b1, b2 ranked above a1) and h1, h2 = (b1, b2 ranked above
+    a2), b_k lies on the arc from a1 to a2 exactly when g_k ^ h_k ^
+    (a1 ranked above a2), so the pair is linked when g1 ^ g2 ^ h1 ^ h2,
+    and an unlinked pair is misaligned when h1 ^ g2 ^ (a1 above a2) ^
+    (b1 ranked below b2).
+
+    This equals the float rule wherever it is applied.  Sorted neighbours
+    at most _NEAR_WINDOW apart (across the wrap at 0/1 too) name the
+    pairs with an endpoint of alpha near one of beta, and the rows and
+    columns whose own two endpoints are near; the float rule is applied
+    to exactly those.  In every other pair all six endpoint gaps exceed
+    _NEAR_WINDOW - 2^-52 > DEGENERATE_TOL, so the float rule finds it
+    non-degenerate, and the four endpoints are distinct, so their ranks
+    give their circular order (an angle of 1.0 sorts last, next to 0.0
+    around the circle).  The float rule's offsets (x - a1) % 1.0 of
+    angles in [0, 1] are within 2^-52 of the exact ones, while any two of
+    them differ by more than DEGENERATE_TOL, so each comparison it makes
+    agrees with the exact circular order, and with the ranks.
+    """
+    n, m = alpha.shape[0], beta.shape[0]
+    if not n or not m:
+        return np.zeros((n, m), dtype=np.int8)
+    points = np.concatenate([alpha[:, 0], alpha[:, 1], beta[:, 0], beta[:, 1]])
+    order = np.argsort(points, kind="stable")
+    rank = np.empty(points.size, dtype=np.int32)
+    rank[order] = np.arange(points.size, dtype=np.int32)
+    ra1, ra2 = rank[:n, None], rank[n:2 * n, None]
+    rb1, rb2 = rank[None, 2 * n:2 * n + m], rank[None, 2 * n + m:]
+    g2, h1 = rb2 > ra1, rb1 > ra2
+    linked = (rb1 > ra1) ^ g2 ^ h1 ^ (rb2 > ra2)
+    misaligned = g2 ^ h1 ^ (ra1 > ra2) ^ (rb1 < rb2)
+    # LINKED 0, UNLINKED_ALIGNED 1, UNLINKED_MISALIGNED 2
+    codes = np.where(linked, np.int8(0), misaligned.view(np.int8) + np.int8(1))
+    # endpoint k of the concatenation is row k % n of alpha, for k < 2n,
+    # and column (k - 2n) % m of beta after that
+    p, q = _near_pairs(order, points)
+    p_row, q_row = p < 2 * n, q < 2 * n
+    p_idx = np.where(p_row, p % n, (p - 2 * n) % m)
+    q_idx = np.where(q_row, q % n, (q - 2 * n) % m)
+    same = (p_row == q_row) & (p_idx == q_idx)
+    for i in np.unique(p_idx[same & p_row]).tolist():
+        codes[i] = _float_pair_codes(alpha[i, 0], alpha[i, 1],
+                                     beta[:, 0], beta[:, 1])
+    for j in np.unique(p_idx[same & ~p_row]).tolist():
+        codes[:, j] = _float_pair_codes(alpha[:, 0], alpha[:, 1],
+                                        beta[j, 0], beta[j, 1])
+    cross = p_row != q_row
+    ii = np.where(p_row, p_idx, q_idx)[cross]
+    jj = np.where(p_row, q_idx, p_idx)[cross]
+    codes[ii, jj] = _float_pair_codes(alpha[ii, 0], alpha[ii, 1],
+                                      beta[jj, 0], beta[jj, 1])
+    return codes
 
 
 def classify_pairs(a: Word, b: Word) -> PairConfig:

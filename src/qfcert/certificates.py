@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,9 +66,22 @@ _PAIR_BLOCK = 1 << 18
 class CertificateError(ValueError):
     """Raised for violated inequalities or failed certificate searches."""
 
-    def __init__(self, message: str, best_ratio: float | None = None):
+    def __init__(self, message: str, best_ratio: float | None = None,
+                 scan: PairScanCounts | None = None):
         super().__init__(message)
         self.best_ratio = best_ratio
+        self.scan = scan
+
+
+@dataclass(frozen=True)
+class PairScanCounts:
+    """What a certificate search touched: unordered class pairs
+    classified on the boundary, those found unlinked-aligned, and ordered
+    pairs whose ratio was evaluated exactly."""
+
+    classified: int
+    aligned: int
+    exact: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +122,9 @@ class SeparationCertificate:
     ell_q_ab: float
     ratio: float
     alpha: float
+    # the search's counts; not part of the certificate or its equality
+    scan: PairScanCounts | None = field(default=None, compare=False,
+                                        repr=False)
 
 
 @dataclass(frozen=True)
@@ -236,6 +252,54 @@ def _pair_ratios(table: np.ndarray, ell: np.ndarray, first: np.ndarray,
                     -np.inf)
 
 
+# the double rounding unit
+_U = 2.0 ** -53
+# relative error allowed between the bounded and the exact arccosh lengths
+_BOUND_SLACK = 2.0 ** -40
+# below this lower bound on l(ab) a pair is not bounded, only evaluated
+_MIN_BOUNDED_LENGTH = 0.125
+
+
+def _ratio_bounds(table: np.ndarray, ell: np.ndarray, norm: np.ndarray,
+                  first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Upper bounds on _pair_ratios at both (first[k], second[k]) and
+    (second[k], first[k]); +inf where the lower bound on l(ab) is under
+    _MIN_BOUNDED_LENGTH.  norm holds the Frobenius norms of the class
+    products.
+
+    The trace t = sum_ij A_ij B_ji is summed here as four elementwise
+    products.  A complex product errs by at most sqrt(2) gamma_2 |x||y|
+    and a sum of four terms in any order by gamma_3 times their sum of
+    moduli, so this trace and the einsum one of _pair_ratios, in either
+    orientation, each lie within 6u sum |A_ij||B_ji| <= 6u |A|_F |B|_F
+    of the exact trace.  With z = t / 2,
+
+        s(z) = (|z + 1| + |z - 1|) / 2 = cosh(Re arccosh z),
+
+    and s is 1-Lipschitz, so s at the einsum trace is at least this s
+    minus 6u |A|_F |B|_F and its own rounding (5u s); s_lo subtracts
+    8u (s + |A|_F |B|_F), which also covers the rounding of the norms.
+    l(ab) >= 2 arccosh(s_lo) then bounds the exact l(ab) from below.
+    Both sides share the numerator l(a) + l(b), rounded once; the bound
+    adds _BOUND_SLACK for the arccosh evaluations and the divisions.  A
+    length computed through s with relative error u errs by about
+    2u / l^2 relative, at most 2^7 u for l >= _MIN_BOUNDED_LENGTH, so
+    the slack of 2^13 u leaves room for library arccosh errors of
+    thousands of ulps.
+    """
+    a00, a01, a10, a11 = (table[i, j].take(first) for i in (0, 1)
+                          for j in (0, 1))
+    b00, b01, b10, b11 = (table[i, j].take(second) for i in (0, 1)
+                          for j in (0, 1))
+    z = (a00 * b00 + a01 * b10 + a10 * b01 + a11 * b11) / 2.0
+    s = (np.abs(z + 1.0) + np.abs(z - 1.0)) / 2.0
+    s_lo = s - 8.0 * _U * (s + norm[first] * norm[second])
+    ell_lo = 2.0 * np.arccosh(np.maximum(s_lo, 1.0))
+    ok = ell_lo >= _MIN_BOUNDED_LENGTH
+    return np.where(ok, (ell[first] + ell[second]) * (1.0 + _BOUND_SLACK)
+                    / np.where(ok, ell_lo, 1.0), np.inf)
+
+
 def find_separation_certificate(
         rep_q: Representation, maxlen: int,
         min_ratio: float = 1.0 + MIN_CERTIFICATE_MARGIN) -> SeparationCertificate:
@@ -247,15 +311,21 @@ def find_separation_certificate(
     wins, with exact ties broken by total word length then shortlex order
     of a, then of b.  When nothing reaches the threshold, the raised
     error reports the best ratio found so the caller can increase maxlen
-    or the deformation.
+    or the deformation.  The certificate and the error carry the scan's
+    PairScanCounts.
 
-    The scan is vectorized in blocks of unordered pairs: the boundary
+    The scan runs in blocks of unordered pairs: the boundary
     configuration is classified once per pair i < j, which relies on the
     unlinked-aligned relation being symmetric (a pair is aligned with b
-    exactly when b is aligned with a, and no class with itself).  Traces,
-    lengths and ratios are computed only for aligned pairs, in both
-    orientations (i, j) and (j, i), each bit for bit as a full
-    ordered-pair scan computes it.
+    exactly when b is aligned with a, and no class with itself).  Each
+    aligned pair gets an upper bound on its ratio in both orientations
+    (_ratio_bounds).  In each block the pair with the largest bound is
+    evaluated exactly first, in both orientations, and then every pair
+    whose bound reaches the best exact ratio so far; those ratios come
+    from _pair_ratios, bit for bit as a full ordered-pair scan computes
+    them.  A pair left out has every ratio below the best one, so the
+    maximum, all pairs tied with it and the reported best ratio are the
+    full scan's.
     """
     if maxlen < 1:
         raise CertificateError("maxlen must be at least 1")
@@ -268,9 +338,11 @@ def find_separation_certificate(
         raise CertificateError("not enough classes to form a pair")
     aligned_code = PAIR_CONFIGS.index(PairConfig.UNLINKED_ALIGNED)
     table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
+    norm = np.sqrt((np.abs(rep_m) ** 2).sum(axis=(1, 2)))
     best_any = -math.inf
     # (-ratio, total length, row of a, row of b): the least tuple wins
     best: tuple[float, int, int, int] | None = None
+    n_aligned = n_exact = 0
     lo = 0
     while lo < n - 1:
         hi = min(n, lo + max(1, _PAIR_BLOCK // (n - lo)))
@@ -281,13 +353,32 @@ def find_separation_certificate(
         ii += lo
         jj += lo
         lo = hi
+        if not ii.size:
+            continue
+        n_aligned += ii.size
+        bound = _ratio_bounds(table, ell, norm, ii, jj)
+        keep = ~(bound < best_any)
+        if not keep.any():
+            continue
+        # the pair with the largest finite bound goes first: its exact
+        # ratio usually leaves no other pair of the block to evaluate
+        seed = int(np.argmax(np.where(keep & (bound < np.inf), bound,
+                                      -np.inf)))
+        first = np.array([ii[seed], jj[seed]])
+        second = first[::-1].copy()
+        ratio = _pair_ratios(table, ell, first, second)
+        best_any = max(best_any, float(ratio.max()))
+        keep &= ~(bound < best_any)
+        keep[seed] = False
         # traces of (i, j) and (j, i) differ in the last bit, so each
         # orientation gets its own ratio
-        first, second = np.concatenate([ii, jj]), np.concatenate([jj, ii])
-        ratio = _pair_ratios(table, ell, first, second)
-        block_best = float(ratio.max()) if ratio.size else -math.inf
-        if block_best > best_any:
-            best_any = block_best
+        first = np.concatenate([first, ii[keep], jj[keep]])
+        second = np.concatenate([second, jj[keep], ii[keep]])
+        ratio = np.concatenate(
+            [ratio, _pair_ratios(table, ell, first[2:], second[2:])])
+        n_exact += ratio.size
+        block_best = float(ratio.max())
+        best_any = max(best_any, block_best)
         if block_best < threshold:
             continue
         # rows are shortlex-sorted, so row order is the shortlex tie-break
@@ -296,11 +387,13 @@ def find_separation_certificate(
             cand = (-float(ratio[k]), int(lengths[i] + lengths[j]), i, j)
             if best is None or cand < best:
                 best = cand
+    scan = PairScanCounts(classified=n * (n - 1) // 2, aligned=n_aligned,
+                          exact=n_exact)
     if best is None:
         raise CertificateError(
             "no unlinked-aligned pair reached ratio %.7f "
             "(best found %.7f); increase maxlen or the deformation"
-            % (threshold, best_any), best_ratio=best_any)
+            % (threshold, best_any), best_ratio=best_any, scan=scan)
     _, _, i, j = best
     a = Word(wa.ranks_to_letters(rows[i]))
     b = Word(wa.ranks_to_letters(rows[j]))
@@ -313,11 +406,11 @@ def find_separation_certificate(
     config = classify_pairs(a, b)
     if config != PairConfig.UNLINKED_ALIGNED or not ratio >= threshold:
         raise CertificateError("winning pair failed scalar recomputation",
-                               best_ratio=ratio)
+                               best_ratio=ratio, scan=scan)
     return SeparationCertificate(
         rep_id=representation_hash(rep_q), a=a, b=b, config=config,
         ell_q_a=ell_a, ell_q_b=ell_b, ell_q_ab=ell_ab, ratio=ratio,
-        alpha=math.log(ratio))
+        alpha=math.log(ratio), scan=scan)
 
 
 def certificate_problems(cert: SeparationCertificate,

@@ -63,6 +63,7 @@ from .representations import (
     estimate_growth,
     find_complex_trace_element,
     fuchsian_octagon,
+    representation_hash,
     representation_json,
 )
 
@@ -79,6 +80,17 @@ _MAXLEN_DEFAULTS = {
 # growth refuses an Rmax whose estimated ball holds more elements than
 # this: Rmax 14 (about 1.6e7) runs, Rmax 16 (about 1.2e8) is refused
 GROWTH_BALL_BUDGET = 2e7
+# each maxlen command refuses a run whose estimate exceeds its budget:
+# reduced words up to maxlen, or class pairs (at most words squared) for
+# the pair scans.  spectrum runs to maxlen 7, witness and limitset to 8,
+# certify to 6 and triangle-check to 4; one more is refused
+MAXLEN_BUDGETS = {
+    "spectrum": ("words", 2e6),
+    "witness": ("words", 1e7),
+    "limitset": ("words", 1e7),
+    "certify": ("pairs", 1e11),
+    "triangle-check": ("pairs", 1e8),
+}
 
 
 class ConfigError(ValueError):
@@ -162,10 +174,6 @@ def _resolve_outdir(cfg: RunConfig, flag_value: str | None) -> Path:
     return out
 
 
-def _maxlen(cfg: RunConfig, command: str) -> int:
-    return cfg.maxlen if cfg.maxlen is not None else _MAXLEN_DEFAULTS[command]
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -188,6 +196,30 @@ def _wrapped_angle(angle: float) -> float:
 def _bent_rep(cfg: RunConfig):
     angle = _wrapped_angle(cfg.bend_angle)
     return bend(fuchsian_octagon(), angle)
+
+
+def _word_estimate(maxlen: int) -> float:
+    """Reduced genus-2 words of lengths 1..maxlen: 8 * 7^(L-1) at length L."""
+    try:
+        return 8.0 * (7.0 ** maxlen - 1.0) / 6.0
+    except OverflowError:
+        return math.inf
+
+
+def _preflight(cfg: RunConfig, command: str) -> int:
+    """The command's maxlen (configured or default), once its size
+    estimate is within budget."""
+    maxlen = cfg.maxlen if cfg.maxlen is not None \
+        else _MAXLEN_DEFAULTS[command]
+    unit, budget = MAXLEN_BUDGETS[command]
+    estimate = _word_estimate(maxlen)
+    if unit == "pairs":
+        estimate *= estimate
+    if estimate > budget:
+        raise ConfigError("%s at maxlen %d would take about %.3g %s, over "
+                          "the budget of %.3g" % (command, maxlen, estimate,
+                                                  unit, budget))
+    return maxlen
 
 
 def cmd_ref_rep(cfg: RunConfig, out: Path, args) -> int:
@@ -222,8 +254,9 @@ def cmd_bend(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
+    maxlen = _preflight(cfg, "spectrum")
     rep = _bent_rep(cfg)
-    spec = compute_spectrum(rep, _maxlen(cfg, "spectrum"))
+    spec = compute_spectrum(rep, maxlen)
     pres = rep.presentation
     rows = ["%s,%.17g" % (pres.to_text(w), v) for w, v in spec.entries.items()]
     _write_csv(out / "spectrum.csv", "word,length", rows)
@@ -265,8 +298,9 @@ def cmd_growth(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_triangle_check(cfg: RunConfig, out: Path, args) -> int:
+    maxlen = _preflight(cfg, "triangle-check")
     rep = fuchsian_octagon()
-    records = triangle_harness(rep, _maxlen(cfg, "triangle-check"))
+    records = triangle_harness(rep, maxlen)
     # every class word recurs in hundreds of records: format it once
     texts = {w: rep.presentation.to_text(w)
              for w in {w for r in records for w in (r.a, r.b)}}
@@ -300,9 +334,10 @@ def cmd_witness(cfg: RunConfig, out: Path, args) -> int:
         print("witness valid: spiraling element %s"
               % rep.presentation.to_text(witness.gamma))
         return 0
+    maxlen = _preflight(cfg, "witness")
     gamma = find_complex_trace_element(rep, 4)
     print("spiraling element: %s" % rep.presentation.to_text(gamma))
-    witness = find_spiral_witness(rep, gamma, _maxlen(cfg, "witness"))
+    witness = find_spiral_witness(rep, gamma, maxlen)
     if not verify_witness_orders(witness, rep):
         print("witness FAILED independent verification", file=sys.stderr)
         return 1
@@ -320,6 +355,13 @@ def cmd_witness(cfg: RunConfig, out: Path, args) -> int:
     return 0
 
 
+def _report_scan(scan) -> None:
+    if scan is not None:
+        print("pair scan: %d class pairs classified, %d unlinked-aligned, "
+              "%d ordered pairs evaluated exactly"
+              % (scan.classified, scan.aligned, scan.exact), file=sys.stderr)
+
+
 def cmd_certify(cfg: RunConfig, out: Path, args) -> int:
     rep = _bent_rep(cfg)
     if args.input is not None:
@@ -331,6 +373,14 @@ def cmd_certify(cfg: RunConfig, out: Path, args) -> int:
             raise ConfigError("cannot read certificate %s: %s"
                               % (args.input, exc)) from exc
         problems = certificate_problems(cert, rep)
+        rep_id = representation_hash(rep)
+        if cert.rep_id != rep_id:
+            # the lengths are conjugation-invariant, so certificate_problems
+            # accepts any conjugate; this configuration names one
+            # representation, and the certificate must be for it
+            problems.insert(0, "rep_id stored %s but this configuration's "
+                               "representation hashes to %s"
+                            % (cert.rep_id, rep_id))
         if problems:
             print("certificate INVALID:", file=sys.stderr)
             for line in problems:
@@ -339,12 +389,14 @@ def cmd_certify(cfg: RunConfig, out: Path, args) -> int:
         print("certificate valid: ratio %.12f, alpha %.6e"
               % (cert.ratio, cert.alpha))
         return 0
+    maxlen = _preflight(cfg, "certify")
     try:
-        cert = find_separation_certificate(rep, _maxlen(cfg, "certify"),
-                                           cfg.min_ratio)
+        cert = find_separation_certificate(rep, maxlen, cfg.min_ratio)
     except CertificateError as exc:
+        _report_scan(exc.scan)
         print("no certificate found: %s" % exc, file=sys.stderr)
         return 1
+    _report_scan(cert.scan)
     _write_json(out / "separation_certificate.json",
                 certificate_to_dict(cert))
     problems = certificate_problems(cert, rep)
@@ -368,8 +420,9 @@ LIMITSET_EMIT_CAP = 50_000
 def cmd_limitset(cfg: RunConfig, out: Path, args) -> int:
     import numpy as np
 
+    maxlen = _preflight(cfg, "limitset")
     rep = _bent_rep(cfg)
-    sample = limit_set_sample(rep, _maxlen(cfg, "limitset"))
+    sample = limit_set_sample(rep, maxlen)
     total = len(sample)
     if total > LIMITSET_EMIT_CAP:
         # deterministic even-stride thinning over the angle-sorted circle,

@@ -42,11 +42,13 @@ from qfcert.boundary import (
     verify_witness_orders,
     witness_from_dict,
     witness_to_dict,
+    _float_pair_codes,
 )
-from qfcert.certificates import _class_table
+from qfcert.certificates import _PAIR_BLOCK, _class_table
 from qfcert.moebius import BoundaryPoint, IsometryKind, MoebiusMap, classify, wrap_turns
 from qfcert.representations import (
     RepresentationError,
+    bend,
     evaluate,
     find_complex_trace_element,
     fuchsian_octagon,
@@ -189,6 +191,12 @@ def scalar_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
                       for b in beta.tolist()] for a in alpha.tolist()])
 
 
+def float_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The float rule of classify_angle_pairs over a whole grid."""
+    return _float_pair_codes(alpha[:, 0, None], alpha[:, 1, None],
+                             beta[None, :, 0], beta[None, :, 1])
+
+
 class TestPairConfigGrid:
     def test_matches_scalar_on_all_class_pairs(self):
         # the angles the triangle harness and the certificate search use,
@@ -213,6 +221,7 @@ class TestPairConfigGrid:
         pairs = np.array([(x, y) for x in values for y in values if x != y])
         grid = pair_config_grid(pairs, pairs)
         assert np.array_equal(grid, scalar_grid(pairs, pairs))
+        assert np.array_equal(grid, float_grid(pairs, pairs))
         assert set(grid.ravel().tolist()) == set(range(len(PAIR_CONFIGS)))
         # 1 - gap and 0 sit gap apart across the wrap
         for gap, first, second in (
@@ -223,6 +232,96 @@ class TestPairConfigGrid:
             codes = pair_config_grid(alpha, beta)
             assert (PAIR_CONFIGS[codes[0, 0]], PAIR_CONFIGS[codes[1, 1]]) \
                 == (first, second)
+
+
+class TestRankClassifier:
+    """pair_config_grid ranks endpoints and applies the float rule only
+    near the tolerance; it must agree with classify_angle_pairs where the
+    two rules could part: gaps near DEGENERATE_TOL, exact duplicates,
+    the wrap at 0/1 and large clusters."""
+
+    def test_near_tolerance_pairs_of_the_class_table(self):
+        # consecutive sorted endpoints of the maxlen-5 table at gaps from
+        # 5e-9 to 3e-8, e.g. 0.0020318008 / 0.0020318161 of a1 A2 and
+        # a1 A2 a1 A2 b2, on both sides of DEGENERATE_TOL
+        rows, _, angles = _class_table(
+            bend(fuchsian_octagon(), 0.594867), 5)
+        flat = angles.ravel()
+        order = np.argsort(flat, kind="stable")
+        gaps = np.diff(flat[order])
+        near = np.flatnonzero((gaps > 5e-9) & (gaps < 3e-8))
+        assert (gaps[near] < DEGENERATE_TOL).any()
+        assert (gaps[near] > DEGENERATE_TOL).any()
+        assert any(abs(flat[order[k]] - 0.0020318008) < 1e-10
+                   and abs(flat[order[k + 1]] - 0.0020318161) < 1e-10
+                   for k in near.tolist())
+        classes = np.unique(np.concatenate([order[near], order[near + 1]])
+                            // 2)
+        alpha = angles[classes]
+        beta = np.concatenate([alpha, angles[::37]])
+        assert np.array_equal(pair_config_grid(alpha, beta),
+                              scalar_grid(alpha, beta))
+
+    def test_exact_duplicate_endpoints_of_class_powers(self):
+        # a class and its powers share both fixed points exactly
+        rows, _, angles = _class_table(reference_representation(), 5)
+        flat = angles.ravel()
+        _, inverse, counts = np.unique(flat, return_inverse=True,
+                                       return_counts=True)
+        shared = np.unique(np.flatnonzero(counts[inverse] > 1) // 2)
+        assert len(shared) > 100
+        alpha = angles[shared]
+        grid = pair_config_grid(alpha, alpha)
+        assert np.array_equal(grid, scalar_grid(alpha, alpha))
+        assert (grid == PAIR_CONFIGS.index(PairConfig.DEGENERATE)).sum() \
+            > len(shared)
+
+    @pytest.mark.parametrize("gap", [0.0, 5e-9, 1.5e-8, 3e-8, 1e-3])
+    def test_an_angle_of_one_next_to_zero(self, gap):
+        # 1.0 and 0.0 are one point of the circle; gap moves a third
+        # endpoint off it on either side
+        ends = [1.0, 0.0, gap, 1.0 - gap, 0.25, 0.5, 0.75]
+        pairs = np.array([(x, y) for x in ends for y in ends if x != y])
+        assert np.array_equal(pair_config_grid(pairs, pairs),
+                              scalar_grid(pairs, pairs))
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-9, 4e-9])
+    def test_cluster_of_more_than_sixteen_points(self, spread):
+        # 40 endpoints within 40 * spread of 0.3, mixed with far ones,
+        # on both sides of the grid and inside single rows
+        rng = np.random.default_rng(11)
+        cluster = 0.3 + spread * np.arange(40)
+        far = rng.uniform(0.0, 1.0, 40)
+        alpha = np.stack([cluster, far], axis=1)
+        alpha[::5] = alpha[::5, ::-1]
+        alpha[3] = (cluster[3], cluster[5])
+        beta = np.concatenate([alpha[::-1], np.stack([far, cluster], 1)])
+        assert np.array_equal(pair_config_grid(alpha, beta),
+                              scalar_grid(alpha, beta))
+
+    def test_random_endpoints_on_a_fine_lattice(self):
+        # many gaps of a few DEGENERATE_TOL, around the wrap too
+        rng = np.random.default_rng(5)
+        step = DEGENERATE_TOL / 3.0
+        centers = rng.uniform(0.0, 1.0, 6)
+        centers[0] = 0.0
+        ends = (centers[rng.integers(0, 6, (300, 2))]
+                + step * rng.integers(-8, 9, (300, 2))) % 1.0
+        alpha, beta = ends[:120], ends[120:]
+        assert np.array_equal(pair_config_grid(alpha, beta),
+                              scalar_grid(alpha, beta))
+
+    @pytest.mark.parametrize("angle", [0.0, 0.6, 0.99])
+    def test_equals_the_float_rule_on_the_scan_blocks(self, angle):
+        # every block the certificate scan classifies at maxlen 5
+        _, _, angles = _class_table(bend(fuchsian_octagon(), angle), 5)
+        n, lo = len(angles), 0
+        while lo < n - 1:
+            hi = min(n, lo + max(1, _PAIR_BLOCK // (n - lo)))
+            alpha, beta = angles[lo:hi], angles[lo:]
+            assert np.array_equal(pair_config_grid(alpha, beta),
+                                  float_grid(alpha, beta))
+            lo = hi
 
 
 class TestLimitSetSample:

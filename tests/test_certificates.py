@@ -345,20 +345,85 @@ class TestCertificateScan:
         assert np.array_equal(certmod._pair_ratios(table, ell, ii, jj),
                               grid[ii, jj])
 
-    def test_each_aligned_ordered_pair_is_evaluated_once(self, bent_rep,
-                                                         monkeypatch):
+    def test_equals_ordered_pair_scan_at_maxlen_5(self):
+        rep = bend(fuchsian_octagon(), 0.594867)
+        cert = find_separation_certificate(rep, 5)
+        assert (cert.a, cert.b, cert.ratio) == ordered_pair_scan(
+            rep, 5, 1.0 + 1e-6)
+
+    def test_each_ordered_pair_within_its_bound_of_the_maximum_is_evaluated_once(
+            self, bent_rep, monkeypatch):
         evaluated = []
         ratios = certmod._pair_ratios
 
-        def counting(table, ell, first, second):
-            evaluated.append(len(first))
+        def recording(table, ell, first, second):
+            evaluated.extend(zip(first.tolist(), second.tolist()))
             return ratios(table, ell, first, second)
 
-        monkeypatch.setattr(certmod, "_pair_ratios", counting)
-        find_separation_certificate(bent_rep, 4)
-        _, _, angles = certmod._class_table(bent_rep, 4)
-        aligned = pair_config_grid(angles, angles) == ALIGNED
-        assert sum(evaluated) == np.count_nonzero(aligned)
+        monkeypatch.setattr(certmod, "_pair_ratios", recording)
+        cert = find_separation_certificate(bent_rep, 4)
+        table, ell, norm, ii, jj = aligned_scan_inputs(bent_rep, 4)
+        bound = certmod._ratio_bounds(table, ell, norm, ii, jj)
+        best = max(ratios(table, ell, ii, jj).max(),
+                   ratios(table, ell, jj, ii).max())
+        within = bound >= best
+        assert len(evaluated) == len(set(evaluated)) == cert.scan.exact
+        assert {*zip(ii[within].tolist(), jj[within].tolist()),
+                *zip(jj[within].tolist(), ii[within].tolist())} \
+            <= set(evaluated)
+        # the filter leaves a handful of the 95 791 aligned pairs
+        assert cert.scan.aligned == len(ii)
+        assert len(evaluated) < 100
+
+    def test_scan_counts(self, bent_rep):
+        with pytest.raises(CertificateError) as info:
+            find_separation_certificate(bent_rep, 3, min_ratio=2.0)
+        n = len(certmod._class_table(bent_rep, 3)[0])
+        scan = info.value.scan
+        assert scan.classified == n * (n - 1) // 2
+        assert 0 < scan.exact <= 2 * scan.aligned < scan.classified
+
+
+def aligned_scan_inputs(rep, maxlen):
+    """The certificate scan's class table, lengths, Frobenius norms and
+    aligned unordered pairs (i < j) for rep."""
+    _, rep_m, angles = certmod._class_table(rep, maxlen)
+    ii, jj = np.nonzero(np.triu(pair_config_grid(angles, angles) == ALIGNED))
+    table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
+    norm = np.sqrt((np.abs(rep_m) ** 2).sum(axis=(1, 2)))
+    return table, wa.translation_lengths(rep_m), norm, ii, jj
+
+
+class TestRatioBounds:
+    @pytest.mark.parametrize("chart", [None, SKEW_CHART],
+                             ids=["plain", "skew"])
+    @pytest.mark.parametrize("angle", SCAN_ANGLES)
+    def test_exact_ratios_never_exceed_their_bound(self, angle, chart):
+        # every aligned ordered pair at maxlen 4, in both orientations
+        rep = bend(fuchsian_octagon(), angle)
+        if chart is not None:
+            rep = conjugate_representation(rep, chart)
+        table, ell, norm, ii, jj = aligned_scan_inputs(rep, 4)
+        bound = certmod._ratio_bounds(table, ell, norm, ii, jj)
+        assert np.isfinite(bound).all()
+        for first, second in ((ii, jj), (jj, ii)):
+            exact = certmod._pair_ratios(table, ell, first, second)
+            assert (exact <= bound).all()
+            # and the bound is close: within 1e-11 relative
+            assert (bound <= exact * (1.0 + 1e-11)).all()
+
+    def test_short_lengths_are_not_bounded(self):
+        # a trace near 2 bounds l(ab) below only by 0: such a pair must
+        # go to the exact evaluation
+        eye = np.eye(2, dtype=complex)
+        near = np.array([[1.0, 1e-3], [0.0, 1.0]], dtype=complex)
+        mats = np.stack([eye, near, 5.0 * eye])
+        table = np.ascontiguousarray(mats.transpose(1, 2, 0))
+        norm = np.sqrt((np.abs(mats) ** 2).sum(axis=(1, 2)))
+        bound = certmod._ratio_bounds(table, np.ones(3), norm,
+                                      np.array([0, 1]), np.array([1, 2]))
+        assert bound[0] == np.inf
+        assert np.isfinite(bound[1])
 
 
 class TestDiagnosticDelta:

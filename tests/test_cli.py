@@ -141,6 +141,46 @@ class TestConfigHandling:
         assert cli._growth_ball_estimate(14.0) <= cli.GROWTH_BALL_BUDGET \
             < cli._growth_ball_estimate(16.0)
 
+    @pytest.mark.parametrize("command,searches,artifact", [
+        ("spectrum", ["compute_spectrum"], "spectrum.csv"),
+        ("certify", ["find_separation_certificate"],
+         "separation_certificate.json"),
+        ("triangle-check", ["triangle_harness"], "triangle.csv"),
+        ("witness", ["find_complex_trace_element", "find_spiral_witness"],
+         "witness.json"),
+        ("limitset", ["limit_set_sample"], "limitset.csv"),
+    ])
+    def test_maxlen_preflight_refuses_before_any_search(
+            self, tmp_path, capsys, monkeypatch, command, searches,
+            artifact):
+        # maxlen 40 passes RunConfig; the preflight must refuse it
+        # before any search starts
+        def no_search(*args):
+            raise AssertionError("search started")
+        for name in searches:
+            monkeypatch.setattr(cli, name, no_search)
+        code, out = run(tmp_path, "--maxlen", "40", command)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "maxlen 40" in err
+        assert len(err.splitlines()) == 1
+        assert not (out / artifact).exists()
+
+    @pytest.mark.parametrize("command,largest", [
+        ("spectrum", 7), ("certify", 6), ("triangle-check", 4),
+        ("witness", 8), ("limitset", 8)])
+    def test_maxlen_budgets_admit_the_documented_sizes(self, command,
+                                                       largest):
+        cfg = cli.RunConfig(maxlen=largest)
+        assert cli._preflight(cfg, command) == largest
+        with pytest.raises(cli.ConfigError):
+            cli._preflight(cli.RunConfig(maxlen=largest + 1), command)
+
+    def test_word_estimate(self):
+        assert cli._word_estimate(1) == 8.0
+        assert cli._word_estimate(3) == 8.0 + 56.0 + 392.0
+        assert cli._word_estimate(10 ** 6) == float("inf")
+
 
 class TestArtifacts:
     def test_ref_rep_writes_schema_tagged_json(self, tmp_path, capsys):
@@ -278,7 +318,42 @@ class TestCertifyCommand:
         code = main(["--outdir", str(out), "--bend-angle", "0.0",
                      "certify"])
         assert code == 1
-        assert "no certificate found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no certificate found" in err
+        assert err.startswith("pair scan: 297606 class pairs classified, "
+                              "95791 unlinked-aligned, ")
+
+    def test_search_reports_its_pair_counts_on_stderr(self, tmp_path,
+                                                      capsys):
+        code, _ = run(tmp_path, "certify")
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "pair scan" not in captured.out
+        assert captured.err == (
+            "pair scan: 297606 class pairs classified, 95791 "
+            "unlinked-aligned, 12 ordered pairs evaluated exactly\n")
+
+    @pytest.mark.parametrize("angle", ["0.6", "0.7"])
+    def test_certificate_for_another_representation_is_invalid(
+            self, tmp_path, capsys, angle):
+        code, out = run(tmp_path, "certify")
+        assert code == 0
+        cert_file = out / "separation_certificate.json"
+        if angle == "0.6":
+            # the same lengths under another fingerprint
+            payload = json.loads(cert_file.read_text())
+            payload["rep_id"] = "0" * 16
+            cert_file.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["--outdir", str(out), "--bend-angle", angle, "certify",
+                     "--input", str(cert_file)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "certificate INVALID:"
+        assert err[1].startswith("  - rep_id stored ")
+        if angle == "0.6":
+            assert len(err) == 2
+        else:
+            assert any("ell_q_a" in line for line in err[2:])
 
     def test_missing_input_file_is_a_config_error(self, tmp_path):
         code, _ = run(tmp_path, "certify", "--input", "does-not-exist.json")
