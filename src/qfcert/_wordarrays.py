@@ -12,12 +12,17 @@ its parent's times one generator (``extend_products``).  The spectrum,
 the triangle harness and the certificate search read one class table,
 ``conjugacy_classes``; its rotations, and the harness's combined words
 (``join_rows``), are not prefix-closed and go through
-``compose_matrices``.  Every batch product is the one ``_times``
-``einsum``, left to right as ``representations.evaluate`` does, and
-equals its entries bit for bit after ``MoebiusMap._unit_det``'s sign,
-so artifact lengths must be ``moebius.translation_length`` of them:
-``translation_lengths`` uses ``np.arccosh``, which differs from
-``cmath.acosh`` in the last bit for about one word in ten.
+``compose_matrices``.  Every batch product is ``_times``, left to
+right as ``representations.evaluate`` does: entry (i, k) is
+(0.0 + m_i0 g_0k) + m_i1 g_1k and a complex product is formed on the
+real and imaginary planes, the order in which ``np.einsum("nij,njk->nik")``
+computes it, so it equals ``einsum`` bit for bit and, after
+``MoebiusMap._unit_det``'s sign, the scalar entries.  Real inputs take
+a float64 branch, equal to the real part of the complex product; the
+reference octagon is real and composes there (``exact_real``).
+Artifact lengths must be ``moebius.translation_length`` of the
+products: ``translation_lengths`` uses ``np.arccosh``, which differs
+from ``cmath.acosh`` in the last bit for about one word in ten.
 """
 
 from __future__ import annotations
@@ -134,14 +139,59 @@ def conjugacy_class_mask(words: np.ndarray, genus: int = 2) -> np.ndarray:
     return mask & (own == best)
 
 
+_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _plus(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """(0.0 + p0) + p1, in place in p0: einsum's sum into a zeroed output.
+
+    The 0.0 turns a -0.0 first term into +0.0, so the sum of two -0.0
+    terms is +0.0 as in einsum.
+    """
+    p0 += 0.0
+    p0 += p1
+    return p0
+
+
 def _times(m: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Row-wise 2x2 products m[n] @ g[n]; every batch product goes here."""
-    return np.einsum("nij,njk->nik", m, g)
+    """2x2 products m[..., :, :] @ g[..., :, :], broadcast over the
+    leading axes; every batch product goes here.
+
+    Each entry sums its two terms in einsum's order (``_plus``).  A
+    complex term x y is (xr yr - xi yi, xr yi + xi yr) on the planes:
+    NumPy's complex multiply may fuse a multiply-add in its SIMD loop.
+    Real m and g give a float64 result.
+    """
+    shape = np.broadcast_shapes(m.shape, g.shape)
+    if not (np.iscomplexobj(m) or np.iscomplexobj(g)):
+        out = np.empty(shape)
+        for i, k in _ENTRIES:
+            out[..., i, k] = _plus(*(m[..., i, j] * g[..., j, k]
+                                     for j in (0, 1)))
+        return out
+    mr, mi, gr, gi = m.real, m.imag, g.real, g.imag
+    out = np.empty(shape, dtype=complex)
+    for i, k in _ENTRIES:
+        terms = [(mr[..., i, j], mi[..., i, j], gr[..., j, k], gi[..., j, k])
+                 for j in (0, 1)]
+        out.real[..., i, k] = _plus(*(xr * yr - xi * yi
+                                      for xr, xi, yr, yi in terms))
+        out.imag[..., i, k] = _plus(*(xr * yi + xi * yr
+                                      for xr, xi, yr, yi in terms))
+    return out
+
+
+def exact_real(gen_mats: np.ndarray) -> np.ndarray:
+    """gen_mats as float64 when every entry's imaginary part is zero, so
+    its products take the real branch of ``_times``; else unchanged."""
+    if np.iscomplexobj(gen_mats) and not gen_mats.imag.any():
+        return np.ascontiguousarray(gen_mats.real)
+    return gen_mats
 
 
 def compose_matrices(words: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
     """Product matrices for rank rows, which may end in -1 padding;
-    gen_mats is (4g, 2, 2) complex."""
+    gen_mats is (4g, 2, 2), complex or real."""
     m = gen_mats[words[:, 0]]
     for j in range(1, words.shape[1]):
         live = words[:, j] >= 0
@@ -157,11 +207,13 @@ def extend_products(parents: np.ndarray, last: np.ndarray,
     """Products of the reduced_word_levels rows that extend `parents`.
 
     parents holds the products of consecutive rows of one level, last
-    the last ranks of their 4g - 1 children each, in level order.  The
-    result equals compose_matrices of the full child rows bit for bit.
+    the last ranks of their 4g - 1 children each, in level order.  Each
+    parent is broadcast against its children's generators.  The result
+    equals compose_matrices of the full child rows bit for bit.
     """
     fan = gen_mats.shape[0] - 1
-    return _times(np.repeat(parents, fan, axis=0), gen_mats[last])
+    return _times(parents[:, None], gen_mats[last.reshape(-1, fan)]) \
+        .reshape(-1, 2, 2)
 
 
 def conjugacy_classes(maxlen: int,

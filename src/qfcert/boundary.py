@@ -349,7 +349,7 @@ def _accumulate_level(words: np.ndarray, gens: tuple[np.ndarray, np.ndarray],
     angles = np.empty(n, dtype=float)
     pairs = np.empty((n, 2), dtype=complex)
     keep = np.empty(n, dtype=bool)
-    mats = tuple(np.empty((n, 2, 2), dtype=complex) for _ in gens) \
+    mats = tuple(np.empty((n, 2, 2), dtype=g.dtype) for g in gens) \
         if store else None
     step = _CHUNK // fan * fan
     for lo in range(0, n, step):
@@ -376,13 +376,16 @@ def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
     Words sharing a boundary point (powers and roots) are merged, keeping
     the earliest word in length-then-shortlex order.  Each word's matrix
     is its parent's times one generator; only the previous level's
-    matrices are held.
+    matrices are held.  The reference octagon is real and composes in
+    float64.  The bent side stays complex even where it is real: a
+    float64 product there can flip the sign of a zero imaginary part
+    in an image point.
     """
     if maxlen < 1:
         raise BoundaryError("maxlen must be at least 1")
     if rep.presentation.genus != 2:
         raise BoundaryError("sampling is implemented for the genus-2 group")
-    gens = (reference_representation().generator_matrix_array(),
+    gens = (wa.exact_real(reference_representation().generator_matrix_array()),
             rep.generator_matrix_array())
 
     all_ranks: list[np.ndarray] = []

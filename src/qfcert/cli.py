@@ -57,6 +57,7 @@ from .moebius import MoebiusError
 from .representations import (
     BEND_ANGLE_ENVELOPE,
     GROWTH_MARGIN,
+    GROWTH_MIN_RMAX,
     RepresentationError,
     bend,
     compute_spectrum,
@@ -276,6 +277,9 @@ def _growth_ball_estimate(Rmax: float) -> float:
 
 
 def cmd_growth(cfg: RunConfig, out: Path, args) -> int:
+    if cfg.Rmax < GROWTH_MIN_RMAX:
+        raise ConfigError("growth needs Rmax of at least %g, got %g"
+                          % (GROWTH_MIN_RMAX, cfg.Rmax))
     ball = _growth_ball_estimate(cfg.Rmax)
     if ball > GROWTH_BALL_BUDGET:
         raise ConfigError("growth at Rmax %g would enumerate about %.3g "

@@ -67,6 +67,8 @@ BEND_ANGLE_ENVELOPE = 1.0
 # growth prunes orbit points beyond Rmax + GROWTH_MARGIN; pruning at a
 # radius R was first seen to lose elements near R - 2.2
 GROWTH_MARGIN = 4.0
+# below this Rmax the upper half of the radius grid is too short to fit
+GROWTH_MIN_RMAX = 6.0
 
 # octagon constants: apothem arccosh(cot(pi/8)), side-pairing translation
 # by twice the apothem
@@ -412,15 +414,17 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
     sorted tables by a stable sort, which merges two sorted runs of
     unique keys in linear time; the frontier keeps the key order of
     np.unique, which decides the spelling each element is extended from.
+    A representation whose generator entries all have zero imaginary
+    part composes in float64, with the same distances bit for bit.
     """
     if prune_radius is None and max_word_length is None:
         raise RepresentationError("unbounded enumeration: set a prune radius or length cap")
     _pin_mmap_threshold()
-    gens = rep.generator_matrix_array()
+    gens = wa.exact_real(rep.generator_matrix_array())
     genus = rep.presentation.genus
     y = rep.basepoint
 
-    frontier = np.eye(2, dtype=complex)[None, :, :]
+    frontier = np.eye(2, dtype=gens.dtype)[None, :, :]
     seen = np.sort(wa.rows_as_void(wa.quantize_keys(frontier)))
     last = None  # the identity has every generator as a child
     dists: list[np.ndarray] = [np.zeros(1)]
@@ -478,8 +482,9 @@ def estimate_growth(rep: Representation, Rmax: float) -> GrowthEstimate:
     the growth rate is the least-squares slope of log N(R) over the
     upper half of the radius grid.
     """
-    if Rmax < 6.0:
-        raise RepresentationError("Rmax below 6 leaves too few usable grid points")
+    if Rmax < GROWTH_MIN_RMAX:
+        raise RepresentationError("Rmax below %g leaves too few usable grid "
+                                  "points" % GROWTH_MIN_RMAX)
     dists = orbit_point_distances(rep, prune_radius=Rmax + GROWTH_MARGIN)
     radii = [1.0 + 0.5 * k for k in range(int(round((Rmax - 1.0) / 0.5)) + 1)]
     counts = [int(np.searchsorted(dists, r, side="left")) for r in radii]

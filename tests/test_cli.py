@@ -137,6 +137,25 @@ class TestConfigHandling:
         assert len(err.splitlines()) == 1
         assert not (out / "growth.json").exists()
 
+    @pytest.mark.parametrize("value", ["5", "5.99"])
+    def test_growth_refuses_rmax_below_six(self, tmp_path, capsys,
+                                           monkeypatch, value):
+        # too few grid points to fit is known before any search starts
+        def no_search(*args):
+            raise AssertionError("orbit search started")
+        monkeypatch.setattr(cli, "estimate_growth", no_search)
+        code, out = run(tmp_path, "--rmax", value, "growth")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Rmax" in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "growth.json").exists()
+
+    def test_growth_admits_rmax_six(self, tmp_path):
+        code, out = run(tmp_path, "--rmax", "6", "growth")
+        assert code == 0
+        assert json.loads((out / "growth.json").read_text())["Rmax"] == 6.0
+
     def test_growth_budget_admits_rmax_14(self):
         assert cli._growth_ball_estimate(14.0) <= cli.GROWTH_BALL_BUDGET \
             < cli._growth_ball_estimate(16.0)
@@ -250,6 +269,11 @@ class TestPinnedArtifacts:
          "f7e725723e7ee6f59228db3cbc7153abe775828712065275e0200c480ca50bd7"),
         (["--maxlen", "6", "limitset"], "limitset.csv",
          "43e7fc0d7aebb7db7c1b9722128713ef7b334b397f6c80abbadc0fe7e58eef40"),
+        # at angle 0 the bent representation is real, but its side of the
+        # sample stays complex: float64 products there can flip the sign
+        # of a zero imaginary part, which the csv writes as -0.0
+        (["--bend-angle", "0", "--maxlen", "6", "limitset"], "limitset.csv",
+         "9d8b20401fcd6fe4a7028c8bf6847f2ce8dd26ed260992e5cf80ed16d77b3374"),
         (["--bend-angle", "0.76", "--maxlen", "7", "witness"], "witness.json",
          "7b58dc2405c1108d7e1bd13085be45cdf238c8e988f8f12e644394c4cc8d773e"),
         (["--bend-angle", "0.52", "--maxlen", "7", "witness"], "witness.json",
@@ -259,7 +283,8 @@ class TestPinnedArtifacts:
         (["--maxlen", "4", "triangle-check"], "triangle.csv",
          "e56ca74f1d2b96207510192f7094b86c2b6f2801942f3f5fd779419fff1ae974"),
     ], ids=["spectrum", "certify", "certify-maxlen5", "triangle-check",
-            "spectrum-maxlen5", "witness-maxlen7", "limitset-maxlen6", "witness-maxlen7-theta0.76",
+            "spectrum-maxlen5", "witness-maxlen7", "limitset-maxlen6",
+            "limitset-maxlen6-theta0", "witness-maxlen7-theta0.76",
             "witness-maxlen7-theta0.52", "growth-rmax10",
             "triangle-check-maxlen4"])
     def test_artifact_digest(self, tmp_path, argv, name, digest):

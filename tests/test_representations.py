@@ -395,6 +395,87 @@ class TestClassTable:
             == [8, 40, 160, 772, 4100]
 
 
+def _einsum_times(m, g):
+    """The batch product as np.einsum computes it: the reference that
+    wa._times must equal bit for bit."""
+    return np.einsum("nij,njk->nik", m, g)
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+def _random_mats(rng, n, real):
+    """(n, 2, 2) entries spread over many binades, with signed zeros."""
+    def plane():
+        x = rng.normal(size=(n, 2, 2)) * 10.0 ** rng.uniform(-4, 4, (n, 2, 2))
+        zero = rng.random((n, 2, 2)) < 0.1
+        x[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        return x
+    return plane() if real else plane() + 1j * plane()
+
+
+class TestProductKernel:
+    """wa._times sums each entry as (0.0 + p0) + p1 with complex terms
+    formed on the planes, so it equals np.einsum("nij,njk->nik") bit for
+    bit; its float64 branch equals the real part of the complex einsum."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_times_equals_einsum(self, real):
+        rng = np.random.default_rng(7)
+        m, g = _random_mats(rng, 5000, real), _random_mats(rng, 5000, real)
+        got = wa._times(m, g)
+        assert got.dtype == (np.float64 if real else np.complex128)
+        assert _same_bits(got, _einsum_times(m, g))
+
+    def test_real_branch_equals_real_part_of_complex_einsum(self):
+        rng = np.random.default_rng(8)
+        m, g = _random_mats(rng, 5000, True), _random_mats(rng, 5000, True)
+        want = _einsum_times(m.astype(complex), g.astype(complex))
+        assert _same_bits(wa._times(m, g), np.ascontiguousarray(want.real))
+        assert not want.imag.any()
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_two_negative_zero_terms_sum_to_positive_zero(self, real):
+        # entry (0, 0) is (-1)(0) + (1)(-0): both terms are -0.0
+        m = np.array([[[-1.0, 1.0], [2.0, 3.0]]])
+        g = np.array([[[0.0, 1.0], [-0.0, 1.0]]])
+        if not real:
+            m, g = m.astype(complex), g.astype(complex)
+        got = wa._times(m, g)
+        assert _same_bits(got, _einsum_times(m, g))
+        assert got[0, 0, 0] == 0.0 and not np.signbit(got.real[0, 0, 0])
+
+    @pytest.mark.parametrize("genus", [2, 3])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_extend_products_equals_repeat_and_einsum(self, genus, real):
+        rng = np.random.default_rng(genus)
+        gens = _random_mats(rng, 4 * genus, real)
+        fan = 4 * genus - 1
+        parents = None
+        for level in wa.reduced_word_levels(4 if genus == 2 else 3, genus):
+            last = level[:, -1]
+            if parents is None:
+                parents = gens[last]
+                continue
+            got = wa.extend_products(parents, last, gens)
+            want = _einsum_times(np.repeat(parents, fan, axis=0), gens[last])
+            assert _same_bits(got, want)
+            parents = want
+
+    def test_reference_octagon_composes_in_float64(self, base_rep, bent_rep):
+        gens = base_rep.generator_matrix_array()
+        real = wa.exact_real(gens)
+        assert real.dtype == np.float64 and np.array_equal(real, gens)
+        assert wa.exact_real(bent_rep.generator_matrix_array()).dtype \
+            == np.complex128
+        levels = wa.reduced_word_levels(5)
+        got = wa.compose_matrices(levels[-1], real)
+        want = wa.compose_matrices(levels[-1], gens)
+        assert _same_bits(got, np.ascontiguousarray(want.real))
+
+
 class TestPrefixProducts:
     """Limit-set sampling multiplies each word's parent product by one
     generator; the parent of row i is row i // (4g - 1) of the level
@@ -414,7 +495,8 @@ class TestPrefixProducts:
     def test_sample_products_equal_full_composition(self, base_rep, angle,
                                                     chunk, monkeypatch):
         monkeypatch.setattr(boundary, "_CHUNK", chunk)
-        gens = (base_rep.generator_matrix_array(),
+        # the reference side composes in float64, as limit_set_sample does
+        gens = (wa.exact_real(base_rep.generator_matrix_array()),
                 bend(base_rep, angle).generator_matrix_array())
         products = None
         for level in wa.reduced_word_levels(5):
@@ -479,7 +561,9 @@ class TestOrbitEnumeration:
 def _dedup_then_prune_reference(rep, prune_radius=None, max_word_length=None):
     """The orbit search as it was before pruning moved ahead of dedup:
     every candidate enters the seen table, then elements beyond the
-    radius are dropped.  Kept as the bit-for-bit reference."""
+    radius are dropped.  It composes with the complex generators by
+    np.repeat and einsum, not the kernel under test.  Kept as the
+    bit-for-bit reference."""
     gens = rep.generator_matrix_array()
     genus = rep.presentation.genus
     y = rep.basepoint
@@ -500,7 +584,9 @@ def _dedup_then_prune_reference(rep, prune_radius=None, max_word_length=None):
                 kids, cand = np.arange(gens.shape[0], dtype=np.int8), gens
             else:
                 kids = wa.child_ranks(last[lo:lo + chunk], genus)
-                cand = wa.extend_products(frontier[lo:lo + chunk], kids, gens)
+                cand = _einsum_times(
+                    np.repeat(frontier[lo:lo + chunk], gens.shape[0] - 1,
+                              axis=0), gens[kids])
             cand = wa.canonical_sign(cand)
             v = wa.rows_as_void(wa.quantize_keys(cand))
             uniq_v, uniq_idx = np.unique(v, return_index=True)
