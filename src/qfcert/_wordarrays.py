@@ -13,13 +13,12 @@ the triangle harness and the certificate search read one class table,
 ``conjugacy_classes``; its rotations, and the harness's combined words
 (``join_rows``), are not prefix-closed and go through
 ``compose_matrices``.  Every batch product is ``_times``, left to
-right as ``representations.evaluate`` does: entry (i, k) is
-(0.0 + m_i0 g_0k) + m_i1 g_1k and a complex product is formed on the
-real and imaginary planes, the order in which ``np.einsum("nij,njk->nik")``
-computes it, so it equals ``einsum`` bit for bit and, after
-``MoebiusMap._unit_det``'s sign, the scalar entries.  Real inputs take
-a float64 branch, equal to the real part of the complex product; the
-reference octagon is real and composes there (``exact_real``).
+right as ``representations.evaluate`` does, in one fixed order: entry
+(i, k) is (0.0 + m_i0 g_0k) + m_i1 g_1k, and a complex product is
+formed on the real and imaginary planes, so it equals the scalar
+entries bit for bit after ``MoebiusMap._unit_det``'s sign.  Real inputs
+take a float64 branch, equal to the real part of the complex product;
+the reference octagon is real and composes there (``exact_real``).
 Artifact lengths must be ``moebius.translation_length`` of the
 products: ``translation_lengths`` uses ``np.arccosh``, which differs
 from ``cmath.acosh`` in the last bit for about one word in ten.
@@ -143,10 +142,10 @@ _ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _plus(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """(0.0 + p0) + p1, in place in p0: einsum's sum into a zeroed output.
+    """(0.0 + p0) + p1, in place in p0: a sum into a zeroed output.
 
     The 0.0 turns a -0.0 first term into +0.0, so the sum of two -0.0
-    terms is +0.0 as in einsum.
+    terms is +0.0.
     """
     p0 += 0.0
     p0 += p1
@@ -157,7 +156,7 @@ def _times(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """2x2 products m[..., :, :] @ g[..., :, :], broadcast over the
     leading axes; every batch product goes here.
 
-    Each entry sums its two terms in einsum's order (``_plus``).  A
+    Each entry sums its two terms from 0.0 (``_plus``).  A
     complex term x y is (xr yr - xi yi, xr yi + xi yr) on the planes:
     NumPy's complex multiply may fuse a multiply-add in its SIMD loop.
     Real m and g give a float64 result.

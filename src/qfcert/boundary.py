@@ -49,6 +49,7 @@ from .moebius import (
 from .representations import (
     Representation,
     RepresentationError,
+    conjugate_representation,
     evaluate,
     fuchsian_octagon,
 )
@@ -124,42 +125,9 @@ def fixed_angles(w: Word) -> tuple[float, float]:
     return disk_angle(cl.data.fix_minus), disk_angle(cl.data.fix_plus)
 
 
-def classify_angle_pairs(alpha: tuple[float, float], beta: tuple[float, float],
-                         tol: float = DEGENERATE_TOL) -> PairConfig:
-    """Configuration of two ordered point pairs on a circle (angles in turns).
-
-    Linked when the beta points separate the alpha points.  When both
-    beta points share one complementary arc, the configuration is aligned
-    exactly if the four points read alpha1, beta1, beta2, alpha2 or
-    alpha1, alpha2, beta2, beta1 around the circle; the other two
-    patterns are misaligned.  Flipping a single pair toggles
-    aligned/misaligned; flipping both, or swapping the roles of the
-    pairs, preserves the configuration.
-    """
-    a1, a2 = alpha
-    b1, b2 = beta
-    pts = (a1, a2, b1, b2)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if circular_distance_turns(pts[i], pts[j]) < tol:
-                return PairConfig.DEGENERATE
-    v = (a2 - a1) % 1.0
-    u1 = (b1 - a1) % 1.0
-    u2 = (b2 - a1) % 1.0
-    in1 = u1 < v
-    in2 = u2 < v
-    if in1 != in2:
-        return PairConfig.LINKED
-    if in1:
-        aligned = u1 < u2
-    else:
-        aligned = u1 > u2
-    return PairConfig.UNLINKED_ALIGNED if aligned else PairConfig.UNLINKED_MISALIGNED
-
-
 PAIR_CONFIGS = tuple(PairConfig)
-# endpoints closer than this (in turns) send their pairs to the float rule
-# of classify_angle_pairs; every other pair is classified by endpoint rank
+# endpoints closer than this (in turns) send their pairs to the float rule;
+# every other pair is classified by endpoint rank
 _NEAR_WINDOW = 2.0 * DEGENERATE_TOL
 
 
@@ -181,6 +149,42 @@ def _float_pair_codes(a1, a2, b1, b2) -> np.ndarray:
                                          PairConfig.LINKED,
                                          PairConfig.UNLINKED_ALIGNED)],
         PAIR_CONFIGS.index(PairConfig.UNLINKED_MISALIGNED)).astype(np.int8)
+
+
+def _rank_pair_codes(ra1, ra2, rb1, rb2) -> np.ndarray:
+    """The rank rule, elementwise on broadcast integer arrays: the
+    configuration of pairs of four distinct points from their ranks along
+    the circle cut open anywhere; int8 indices into PAIR_CONFIGS.
+
+    With g_k = (b_k ranked above a1), h_k = (b_k ranked above a2) and
+    s = (a1 ranked above a2), b_k lies on the arc from a1 to a2 (across
+    the cut when s) exactly when g_k ^ h_k ^ s, so the pair is linked
+    when g1 ^ g2 ^ h1 ^ h2.  Going from a1, b1 comes before b2 exactly
+    when (b1 ranked below b2) ^ g1 ^ g2, and an unlinked pair is
+    misaligned when that order disagrees with b1 lying on the arc:
+    h1 ^ g2 ^ s ^ (b1 ranked below b2).
+    """
+    g2, h1 = rb2 > ra1, rb1 > ra2
+    linked = (rb1 > ra1) ^ g2 ^ h1 ^ (rb2 > ra2)
+    misaligned = g2 ^ h1 ^ (ra1 > ra2) ^ (rb1 < rb2)
+    # LINKED 0, UNLINKED_ALIGNED 1, UNLINKED_MISALIGNED 2
+    return np.where(linked, np.int8(0), misaligned.view(np.int8) + np.int8(1))
+
+
+def classify_angle_pairs(alpha: tuple[float, float],
+                         beta: tuple[float, float]) -> PairConfig:
+    """Configuration of two ordered point pairs on a circle (angles in turns).
+
+    Linked when the beta points separate the alpha points.  When both
+    beta points share one complementary arc, the configuration is aligned
+    exactly if the four points read alpha1, beta1, beta2, alpha2 or
+    alpha1, alpha2, beta2, beta1 around the circle; the other two
+    patterns are misaligned.  Flipping a single pair toggles
+    aligned/misaligned; flipping both, or swapping the roles of the
+    pairs, preserves the configuration.  Endpoints closer than
+    DEGENERATE_TOL make the pair degenerate.
+    """
+    return PAIR_CONFIGS[int(_float_pair_codes(*alpha, *beta))]
 
 
 def _near_pairs(order: np.ndarray, points: np.ndarray):
@@ -209,12 +213,8 @@ def pair_config_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     PAIR_CONFIGS.
 
     All 2n + 2m endpoints are sorted together once, and a pair is
-    classified from the integer ranks of its four endpoints: with
-    g1, g2 = (b1, b2 ranked above a1) and h1, h2 = (b1, b2 ranked above
-    a2), b_k lies on the arc from a1 to a2 exactly when g_k ^ h_k ^
-    (a1 ranked above a2), so the pair is linked when g1 ^ g2 ^ h1 ^ h2,
-    and an unlinked pair is misaligned when h1 ^ g2 ^ (a1 above a2) ^
-    (b1 ranked below b2).
+    classified from the integer ranks of its four endpoints by the rank
+    rule (_rank_pair_codes).
 
     This equals the float rule wherever it is applied.  Sorted neighbours
     at most _NEAR_WINDOW apart (across the wrap at 0/1 too) name the
@@ -238,11 +238,7 @@ def pair_config_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     rank[order] = np.arange(points.size, dtype=np.int32)
     ra1, ra2 = rank[:n, None], rank[n:2 * n, None]
     rb1, rb2 = rank[None, 2 * n:2 * n + m], rank[None, 2 * n + m:]
-    g2, h1 = rb2 > ra1, rb1 > ra2
-    linked = (rb1 > ra1) ^ g2 ^ h1 ^ (rb2 > ra2)
-    misaligned = g2 ^ h1 ^ (ra1 > ra2) ^ (rb1 < rb2)
-    # LINKED 0, UNLINKED_ALIGNED 1, UNLINKED_MISALIGNED 2
-    codes = np.where(linked, np.int8(0), misaligned.view(np.int8) + np.int8(1))
+    codes = _rank_pair_codes(ra1, ra2, rb1, rb2)
     # endpoint k of the concatenation is row k % n of alpha, for k < 2n,
     # and column (k - 2n) % m of beta after that
     p, q = _near_pairs(order, points)
@@ -275,22 +271,16 @@ def classify_real_pairs(alpha: tuple[float, float],
 
     Exact order combinatorics: no tolerance, so points whose magnitudes
     differ by hundreds of orders (which would collapse any angular chart)
-    still classify correctly.  The four values must be distinct.
+    still classify correctly.  Tied values are degenerate.
     """
-    a1, a2 = alpha
-    b1, b2 = beta
-    if len({a1, a2, b1, b2}) < 4:
+    values = (*alpha, *beta)
+    if len(set(values)) < 4:
         return PairConfig.DEGENERATE
     # the cyclic order on R u {inf} restricted to four finite points is
     # their sorted order on R
-    labels = "".join({a1: "A", a2: "a", b1: "B", b2: "b"}[x]
-                     for x in sorted((a1, a2, b1, b2)))
-    rotations = {labels[i:] + labels[:i] for i in range(4)}
-    if rotations & {"ABba", "AabB"}:
-        return PairConfig.UNLINKED_ALIGNED
-    if rotations & {"AbBa", "AaBb"}:
-        return PairConfig.UNLINKED_MISALIGNED
-    return PairConfig.LINKED
+    order = sorted(values)
+    ranks = np.array([order.index(x) for x in values])
+    return PAIR_CONFIGS[int(_rank_pair_codes(*ranks))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,11 +442,7 @@ def normalize_at(rep: Representation, gamma: Word) -> tuple[Representation, Moeb
     the chart values unchanged.
     """
     _, chart = _gamma_chart(rep, gamma)
-    inv = chart.inverse()
-    images = {k: chart @ v @ inv for k, v in rep.images.items() if k > 0}
-    conjugated = Representation(rep.presentation, images, kind=rep.kind,
-                                angle=rep.angle, basepoint=rep.basepoint)
-    return conjugated, chart
+    return conjugate_representation(rep, chart), chart
 
 
 def _lift_path(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

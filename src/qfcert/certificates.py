@@ -239,14 +239,16 @@ def _pair_ratios(table: np.ndarray, ell: np.ndarray, first: np.ndarray,
     -inf where l(ab) is not above 1e-9; table holds the class products
     with the class axis last, (2, 2, n), and ell their lengths.
 
-    Each ratio is bit for bit the one of an (a rows x b rows) grid
-    contraction "aij,bji->ab": np.einsum sums a trace in an order set by
-    the operand layout, and with the pair axis last and contiguous it is
-    the grid's order.
+    The trace is summed in one fixed order, from 0.0: A00 B00, A01 B10,
+    A10 B01, A11 B11, each complex term formed on the real and imaginary
+    planes as _wordarrays._times does.
     """
-    tr = np.einsum("ijk,jik->k", table.take(first, axis=2),
-                   table.take(second, axis=2))
-    ell_ab = 2.0 * np.abs(np.arccosh(tr.astype(complex) / 2.0).real)
+    tr = np.zeros(first.size, dtype=complex)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        x, y = table[i, j].take(first), table[j, i].take(second)
+        tr.real += x.real * y.real - x.imag * y.imag
+        tr.imag += x.real * y.imag + x.imag * y.real
+    ell_ab = 2.0 * np.abs(np.arccosh(tr / 2.0).real)
     ok = ell_ab > 1e-9
     return np.where(ok, (ell[first] + ell[second]) / np.where(ok, ell_ab, 1.0),
                     -np.inf)
@@ -270,14 +272,14 @@ def _ratio_bounds(table: np.ndarray, ell: np.ndarray, norm: np.ndarray,
     The trace t = sum_ij A_ij B_ji is summed here as four elementwise
     products.  A complex product errs by at most sqrt(2) gamma_2 |x||y|
     and a sum of four terms in any order by gamma_3 times their sum of
-    moduli, so this trace and the einsum one of _pair_ratios, in either
-    orientation, each lie within 6u sum |A_ij||B_ji| <= 6u |A|_F |B|_F
-    of the exact trace.  With z = t / 2,
+    moduli, so this trace and the fixed-order one of _pair_ratios, in
+    either orientation, each lie within 6u sum |A_ij||B_ji|
+    <= 6u |A|_F |B|_F of the exact trace.  With z = t / 2,
 
         s(z) = (|z + 1| + |z - 1|) / 2 = cosh(Re arccosh z),
 
-    and s is 1-Lipschitz, so s at the einsum trace is at least this s
-    minus 6u |A|_F |B|_F and its own rounding (5u s); s_lo subtracts
+    and s is 1-Lipschitz, so s at the trace of _pair_ratios is at least
+    this s minus 6u |A|_F |B|_F and its own rounding (5u s); s_lo subtracts
     8u (s + |A|_F |B|_F), which also covers the rounding of the norms.
     l(ab) >= 2 arccosh(s_lo) then bounds the exact l(ab) from below.
     Both sides share the numerator l(a) + l(b), rounded once; the bound

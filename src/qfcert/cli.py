@@ -70,28 +70,23 @@ from .representations import (
 
 SCHEMA = "qfcert/1"
 
-_MAXLEN_DEFAULTS = {
-    "spectrum": 4,
-    "triangle-check": 3,
-    "witness": 8,
-    "certify": 4,
-    "limitset": 8,
-}
-
 # growth refuses an Rmax whose estimated ball holds more elements than
 # this: Rmax 14 (about 1.6e7) runs, Rmax 16 (about 1.2e8) is refused
 GROWTH_BALL_BUDGET = 2e7
-# each maxlen command refuses a run whose estimate exceeds its budget:
-# reduced words up to maxlen, or class pairs (at most words squared) for
-# the pair scans.  spectrum runs to maxlen 7, witness and limitset to 8,
-# certify to 6 and triangle-check to 4; one more is refused
-MAXLEN_BUDGETS = {
-    "spectrum": ("words", 2e6),
-    "witness": ("words", 1e7),
-    "limitset": ("words", 1e7),
-    "certify": ("pairs", 1e11),
-    "triangle-check": ("pairs", 1e8),
+# per maxlen command: (default maxlen, unit, budget).  A run is refused
+# when its size estimate exceeds the budget: reduced words up to maxlen,
+# or class pairs (at most words squared) for the pair scans.  spectrum
+# runs to maxlen 7, witness and limitset to 8, certify to 6 and
+# triangle-check to 4; one more is refused
+MAXLEN_COMMANDS = {
+    "spectrum": (4, "words", 2e6),
+    "triangle-check": (3, "pairs", 1e8),
+    "witness": (8, "words", 1e7),
+    "certify": (4, "pairs", 1e11),
+    "limitset": (8, "words", 1e7),
 }
+# bend and witness look for a complex-trace word up to this length
+COMPLEX_TRACE_MAXLEN = 4
 
 
 class ConfigError(ValueError):
@@ -210,9 +205,8 @@ def _word_estimate(maxlen: int) -> float:
 def _preflight(cfg: RunConfig, command: str) -> int:
     """The command's maxlen (configured or default), once its size
     estimate is within budget."""
-    maxlen = cfg.maxlen if cfg.maxlen is not None \
-        else _MAXLEN_DEFAULTS[command]
-    unit, budget = MAXLEN_BUDGETS[command]
+    default, unit, budget = MAXLEN_COMMANDS[command]
+    maxlen = cfg.maxlen if cfg.maxlen is not None else default
     estimate = _word_estimate(maxlen)
     if unit == "pairs":
         estimate *= estimate
@@ -245,12 +239,12 @@ def cmd_bend(cfg: RunConfig, out: Path, args) -> int:
     print("bent representation written to %s" % (out / "bent_representation.json"))
     print("relator residual: %.3e" % rep.relator_residual())
     try:
-        w = find_complex_trace_element(rep, 4)
-        print("first complex-trace word up to length 4: %s"
-              % rep.presentation.to_text(w))
+        w = find_complex_trace_element(rep, COMPLEX_TRACE_MAXLEN)
+        print("first complex-trace word up to length %d: %s"
+              % (COMPLEX_TRACE_MAXLEN, rep.presentation.to_text(w)))
     except RepresentationError:
-        print("no complex-trace word up to length 4 (representation is "
-              "conjugate into the real maps)")
+        print("no complex-trace word up to length %d (representation is "
+              "conjugate into the real maps)" % COMPLEX_TRACE_MAXLEN)
     return 0
 
 
@@ -339,7 +333,7 @@ def cmd_witness(cfg: RunConfig, out: Path, args) -> int:
               % rep.presentation.to_text(witness.gamma))
         return 0
     maxlen = _preflight(cfg, "witness")
-    gamma = find_complex_trace_element(rep, 4)
+    gamma = find_complex_trace_element(rep, COMPLEX_TRACE_MAXLEN)
     print("spiraling element: %s" % rep.presentation.to_text(gamma))
     witness = find_spiral_witness(rep, gamma, maxlen)
     if not verify_witness_orders(witness, rep):

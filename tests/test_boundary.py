@@ -45,7 +45,14 @@ from qfcert.boundary import (
     _float_pair_codes,
 )
 from qfcert.certificates import _PAIR_BLOCK, _class_table
-from qfcert.moebius import BoundaryPoint, IsometryKind, MoebiusMap, classify, wrap_turns
+from qfcert.moebius import (
+    BoundaryPoint,
+    IsometryKind,
+    MoebiusMap,
+    circular_distance_turns,
+    classify,
+    wrap_turns,
+)
 from qfcert.representations import (
     RepresentationError,
     bend,
@@ -88,6 +95,46 @@ def synthetic_sample(points) -> LimitSetSample:
 
 
 IDENTITY_CHART = MoebiusMap(1.0, 0.0, 0.0, 1.0)
+
+
+def scalar_pair_config(alpha, beta, tol=DEGENERATE_TOL) -> PairConfig:
+    """Reference for the float rule: the scalar classifier, pair by pair."""
+    a1, a2 = alpha
+    b1, b2 = beta
+    pts = (a1, a2, b1, b2)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if circular_distance_turns(pts[i], pts[j]) < tol:
+                return PairConfig.DEGENERATE
+    v = (a2 - a1) % 1.0
+    u1 = (b1 - a1) % 1.0
+    u2 = (b2 - a1) % 1.0
+    in1 = u1 < v
+    in2 = u2 < v
+    if in1 != in2:
+        return PairConfig.LINKED
+    if in1:
+        aligned = u1 < u2
+    else:
+        aligned = u1 > u2
+    return PairConfig.UNLINKED_ALIGNED if aligned else PairConfig.UNLINKED_MISALIGNED
+
+
+def label_rotation_config(alpha, beta) -> PairConfig:
+    """Reference for classify_real_pairs: the sorted order of the four
+    reals read as a word in A, a, B, b and matched up to rotation."""
+    a1, a2 = alpha
+    b1, b2 = beta
+    if len({a1, a2, b1, b2}) < 4:
+        return PairConfig.DEGENERATE
+    labels = "".join({a1: "A", a2: "a", b1: "B", b2: "b"}[x]
+                     for x in sorted((a1, a2, b1, b2)))
+    rotations = {labels[i:] + labels[:i] for i in range(4)}
+    if rotations & {"ABba", "AabB"}:
+        return PairConfig.UNLINKED_ALIGNED
+    if rotations & {"AbBa", "AaBb"}:
+        return PairConfig.UNLINKED_MISALIGNED
+    return PairConfig.LINKED
 
 
 class TestFixedAngles:
@@ -176,18 +223,74 @@ class TestClassify:
                 continue
             angs = [disk_angle(BoundaryPoint(complex(v), 1.0)) for v in vals]
             got = classify_real_pairs((vals[0], vals[1]), (vals[2], vals[3]))
-            want = classify_angle_pairs((angs[0], angs[1]), (angs[2], angs[3]),
-                                        tol=0.0)
+            want = scalar_pair_config((angs[0], angs[1]), (angs[2], angs[3]),
+                                      tol=0.0)
             assert got == want
 
     def test_real_pair_degenerate(self):
         assert classify_real_pairs((1.0, 1.0), (2.0, 3.0)) \
             == PairConfig.DEGENERATE
 
+    def test_angle_pairs_match_the_scalar_reference(self):
+        # every quadruple of angles at the tolerance edges, across the
+        # 0/1 wrap and at 1.0
+        tol = DEGENERATE_TOL
+        edges = sorted({0.35, 0.85, 1.0} | {
+            (x + d) % 1.0 for x in (0.0, 0.6)
+            for d in (0.0, 0.9999 * tol, -0.9999 * tol, 1.0001 * tol,
+                      -1.0001 * tol)})
+        pairs = [(x, y) for x in edges for y in edges if x != y]
+        seen = set()
+        for alpha in pairs:
+            for beta in pairs:
+                got = classify_angle_pairs(alpha, beta)
+                assert got == scalar_pair_config(alpha, beta)
+                seen.add(got)
+        assert seen == set(PairConfig)
+
+
+class TestRealPairs:
+    """classify_real_pairs against the label-rotation reference, at the
+    magnitudes its docstring promises and on exact ties."""
+
+    @staticmethod
+    def assert_matches_reference(quads):
+        seen = set()
+        for a1, a2, b1, b2 in quads:
+            got = classify_real_pairs((a1, a2), (b1, b2))
+            assert got == label_rotation_config((a1, a2), (b1, b2))
+            seen.add(got)
+        return seen
+
+    def test_magnitudes_from_1e_minus_300_to_1e300(self):
+        rng = np.random.default_rng(20261018)
+        quads = (rng.choice([-1.0, 1.0], (4000, 4))
+                 * 10.0 ** rng.uniform(-300.0, 300.0, (4000, 4))).tolist()
+        # neighbours one ulp apart, where any angular chart collapses
+        for x in (1e-300, -3e-200, 7.5, 1e300, -1e300):
+            up = np.nextafter(x, math.inf)
+            down = np.nextafter(x, -math.inf)
+            quads += [[x, up, down, -x], [down, x, -x, up], [x, -x, up, down]]
+        seen = self.assert_matches_reference(quads)
+        assert seen == {PairConfig.LINKED, PairConfig.UNLINKED_ALIGNED,
+                        PairConfig.UNLINKED_MISALIGNED}
+
+    def test_exact_ties_are_degenerate(self):
+        rng = np.random.default_rng(3)
+        quads = rng.integers(-3, 4, (2000, 4)).astype(float).tolist()
+        quads += [[0.0, -0.0, 1.0, 2.0], [5, 5.0, -1.0, 2.0],
+                  [1e300, 2.0, 1e300, -1e-300]]
+        seen = self.assert_matches_reference(quads)
+        for quad in quads:
+            tied = len(set(quad)) < 4
+            assert (classify_real_pairs(quad[:2], quad[2:])
+                    == PairConfig.DEGENERATE) == tied
+        assert seen == set(PairConfig)
+
 
 def scalar_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """pair_config_grid's reference: classify_angle_pairs pair by pair."""
-    return np.array([[PAIR_CONFIGS.index(classify_angle_pairs(tuple(a), tuple(b)))
+    """pair_config_grid's reference: scalar_pair_config pair by pair."""
+    return np.array([[PAIR_CONFIGS.index(scalar_pair_config(a, b))
                       for b in beta.tolist()] for a in alpha.tolist()])
 
 
@@ -236,7 +339,7 @@ class TestPairConfigGrid:
 
 class TestRankClassifier:
     """pair_config_grid ranks endpoints and applies the float rule only
-    near the tolerance; it must agree with classify_angle_pairs where the
+    near the tolerance; it must agree with the scalar reference where the
     two rules could part: gaps near DEGENERATE_TOL, exact duplicates,
     the wrap at 0/1 and large clusters."""
 

@@ -2,10 +2,12 @@
 certificates: search, independent re-validation, tamper detection, and
 the witness-based boundary diagnostic."""
 
+import ast
 import cmath
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +426,43 @@ class TestRatioBounds:
                                       np.array([0, 1]), np.array([1, 2]))
         assert bound[0] == np.inf
         assert np.isfinite(bound[1])
+
+
+class TestFixedOrderTrace:
+    """_pair_ratios sums each trace in one fixed order on the real and
+    imaginary planes; np.einsum, which it replaced, is the oracle here
+    and nowhere in src/."""
+
+    @pytest.mark.parametrize("angle", [0.0, 0.6, 0.99])
+    def test_pair_ratios_equal_the_einsum_trace_on_every_ordered_pair(
+            self, angle):
+        _, rep_m, _ = certmod._class_table(bend(fuchsian_octagon(), angle),
+                                           4)
+        table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
+        ell = wa.translation_lengths(rep_m)
+        n = len(rep_m)
+        first, second = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        tr = np.einsum("ijk,jik->k", table.take(first, axis=2),
+                       table.take(second, axis=2))
+        ell_ab = 2.0 * np.abs(np.arccosh(tr / 2.0).real)
+        ok = ell_ab > 1e-9
+        want = np.where(ok, (ell[first] + ell[second])
+                        / np.where(ok, ell_ab, 1.0), -np.inf)
+        got = certmod._pair_ratios(table, ell, first, second)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_no_einsum_in_src(self):
+        # names in code only: docstrings may still cite einsum's order
+        src = Path(certmod.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = getattr(node, "attr", None) or getattr(node, "id", None) \
+                    or getattr(node, "name", None)
+                if name == "einsum":
+                    found.append("%s:%d" % (path.name, node.lineno))
+        assert len(list(src.glob("*.py"))) > 5
+        assert not found
 
 
 class TestDiagnosticDelta:
