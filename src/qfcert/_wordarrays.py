@@ -1,37 +1,21 @@
 """Vectorized word enumeration and matrix batch evaluation.
 
-Words are stored as int8 arrays of letter ranks.  Rank order is the
-shortlex generator order of the genus-g presentation: ranks 0..2g-1 are
-the letters 1..2g and ranks 2g..4g-1 their inverses, so the inverse of
-rank r is r +- 2g and arrays built by in-order extension are
-shortlex-sorted within each length; any genus works.  Row i of a
-level of length L >= 2 extends row i // (4g - 1) of the level before by
-its last rank (``child_ranks``), so limit-set sampling, the orbit search
-of ``growth`` and the complex-trace search build each word's product as
-its parent's times one generator (``extend_products``).  The spectrum,
-the triangle harness and the certificate search read one class table,
-``conjugacy_classes``; its rotations, and the harness's combined words
-(``join_rows``), are not prefix-closed and go through
-``compose_matrices``.  Every batch product is ``_times``, left to
-right as ``representations.evaluate`` does, in one fixed order: entry
-(i, k) is (0.0 + m_i0 g_0k) + m_i1 g_1k, and a complex product is
-formed on the real and imaginary planes, so it equals the scalar
-entries bit for bit after ``MoebiusMap._unit_det``'s sign.  Real inputs
-take a float64 branch, equal to the real part of the complex product;
-the reference octagon is real and composes there (``exact_real``).
-Artifact lengths must be ``moebius.translation_length`` of the
-products: ``translation_lengths`` uses ``np.arccosh``, which differs
-from ``cmath.acosh`` in the last bit for about one word in ten.
+Words are int8 arrays of letter ranks in shortlex generator order: ranks
+0..2g-1 are the letters 1..2g and ranks 2g..4g-1 their inverses.  Limit-set
+sampling, the orbit search and the complex-trace search build each product
+from its parent's (``extend_products``); other rows, such as the class
+table's, go through ``compose_matrices``.  Every batch product is
+``_times``, equal to ``representations.evaluate`` bit for bit after
+``MoebiusMap._unit_det``'s sign.  Artifact lengths must be
+``moebius.translation_length`` of the products: ``translation_lengths``
+uses ``np.arccosh``, which differs from ``cmath.acosh`` in the last bit for
+about one word in ten.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# class dedup: matrices equal up to sign within FINGERPRINT_TOL per entry
-# are one element; only classes in neighbouring |trace| buckets compare
-FINGERPRINT_TOL = 1e-6
-TRACE_BUCKET = 1e-4
 # element dedup in the orbit search: canonical entries rounded to 1e-6
 KEY_DECIMALS = 6
 
@@ -215,44 +199,59 @@ def extend_products(parents: np.ndarray, last: np.ndarray,
         .reshape(-1, 2, 2)
 
 
+def _relator_swaps(genus: int) -> dict[tuple, list[tuple]]:
+    """Swaps s -> r of rank tuples with r s^-1 trivial and |r| <= |s| < 4g.
+
+    r s^-1 is then a rotation of a cell (the relator or its inverse) or of
+    two cells glued along one letter: other cyclically reduced trivial
+    words have 8g letters or more (Greendlinger's lemma)."""
+    inverse, full = _inverse_ranks(genus).tolist(), 4 * genus
+
+    def inv(w: tuple) -> tuple:
+        return tuple(inverse[x] for x in reversed(w))
+
+    relator = tuple(j + e + 2 * genus * side for j in range(0, 2 * genus, 2)
+                    for side in (0, 1) for e in (0, 1))
+    cells = {c[i:] + c[:i] for c in (relator, inv(relator))
+             for i in range(full)}
+    words = cells.union(a[:-1] + b[1:] for a in cells for b in cells
+                        if a[-1] == inverse[b[0]] and a[-2] != inverse[b[1]])
+    swaps: dict[tuple, list[tuple]] = {}
+    for u in {w[i:] + w[:i] for w in words for i in range(len(w))}:
+        for k in range((len(u) + 1) // 2, full):
+            swaps.setdefault(u[:k], []).append(inv(u[k:]))
+    return swaps
+
+
 def conjugacy_classes(maxlen: int,
                       gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The class table up to maxlen >= 1: rank rows and their products.
+    """The class table for 1 <= maxlen < 4g: rank rows and their products.
 
-    gens is the (4g, 2, 2) generator array of a faithful representation.
     Rows are the rotation-class minima of conjugacy_class_mask, -1 padded
-    and globally shortlex-sorted.  A rotation class that the relator
-    makes conjugate to an earlier kept one is dropped: one of its
-    rotations has the matrix of one of that class's rotations.
-    """
+    and globally shortlex-sorted; gens sets only the products.  A class
+    goes when a rotation s t of it and a rotation r t of an earlier kept
+    one have r s^-1 trivial (``_relator_swaps``).  No cyclic reduction
+    follows, so b1 and b1 b2 a2 B2 A2, both kept, are conjugate."""
     genus = gens.shape[0] // 4
-    rows, mats, buckets = [], [], {}
+    if maxlen >= 4 * genus:
+        raise ValueError("class table needs maxlen < 4g = %d" % (4 * genus))
+    swaps, kept, rows = _relator_swaps(genus), set(), []
     for level in reduced_word_levels(maxlen, genus):
         level = level[conjugacy_class_mask(level, genus)]
-        n, length = level.shape
-        rolled = np.concatenate([np.roll(level, -s, axis=1)
-                                 for s in range(length)])
-        # rots[s, i] is the product of rotation s of class row i
-        rots = compose_matrices(rolled, gens).reshape(length, n, 4)
-        tr = rots[0, :, 0] + rots[0, :, 3]
-        keys = np.rint(np.abs(np.stack([tr.real, tr.imag], axis=1))
-                       / TRACE_BUCKET).astype(np.int64).tolist()
-        keep = np.ones(n, dtype=bool)
-        for i, (kr, ki) in enumerate(keys):
-            near = [m for dr in (-1, 0, 1) for di in (-1, 0, 1)
-                    for m in buckets.get((kr + dr, ki + di), ())]
-            if near:
-                # max entry gap of each rotation pair, minimized over sign
-                a, b = rots[:, i, None], np.concatenate(near)[None]
-                keep[i] = not (np.minimum(np.abs(a - b).max(axis=-1),
-                                          np.abs(a + b).max(axis=-1))
-                               <= FINGERPRINT_TOL).any()
+        keep = np.ones(len(level), dtype=bool)
+        for i, w in enumerate(map(tuple, level.tolist())):
+            # least rotations of the words r t that swaps make of w
+            images = (min(v[q:] + v[:q] for q in range(len(v)))
+                      for u in (w[p:] + w[:p] for p in range(len(w)))
+                      for k in range(2 * genus, len(w) + 1)
+                      for v in (r + u[k:] for r in swaps.get(u[:k], ())))
+            keep[i] = kept.isdisjoint(map(bytes, images))
             if keep[i]:
-                buckets.setdefault((kr, ki), []).append(rots[:, i])
-        rows.append(np.pad(level[keep], ((0, 0), (0, maxlen - length)),
+                kept.add(bytes(w))
+        rows.append(np.pad(level[keep], ((0, 0), (0, maxlen - level.shape[1])),
                            constant_values=-1))
-        mats.append(rots[0, keep].reshape(-1, 2, 2))
-    return np.concatenate(rows), np.concatenate(mats)
+    rows = np.concatenate(rows)
+    return rows, compose_matrices(rows, gens)
 
 
 def traces(mats: np.ndarray) -> np.ndarray:
@@ -305,7 +304,8 @@ def repelling_fixed_pairs(mats: np.ndarray) -> np.ndarray:
 
 
 def disk_angles_turns(pairs: np.ndarray) -> np.ndarray:
-    """Boundary-circle positions of real projective pairs, in turns [0, 1).
+    """Boundary-circle positions of real projective pairs, in turns [0, 1]:
+    np.mod rounds an angle just below 0 up to 1.0.
 
     The upper-half-plane boundary point (w1 : w2) maps into the disk via
     z -> (z - i)/(z + i); the angle is the argument of the image.

@@ -102,14 +102,16 @@ def disk_angle(p: BoundaryPoint) -> float:
     """Angle (turns in [0,1)) of a half-plane boundary point on the disk circle.
 
     The half-plane boundary maps to the unit circle by z -> (z - i)/(z + i);
-    in projective coordinates the image is (w1 - i w2) / (w1 + i w2).
+    in projective coordinates the image is (w1 - i w2) / (w1 + i w2).  An
+    angle just below 0 rounds up to 1.0 under % and is returned as 0.0.
     """
     u = p.w1 - 1j * p.w2
     v = p.w1 + 1j * p.w2
     val = u * v.conjugate()
     if val == 0:
         raise BoundaryError("point maps to the disk center, not the circle")
-    return math.atan2(val.imag, val.real) / (2.0 * math.pi) % 1.0
+    turns = math.atan2(val.imag, val.real) / (2.0 * math.pi) % 1.0
+    return turns if turns < 1.0 else 0.0
 
 
 def fixed_angles(w: Word) -> tuple[float, float]:
@@ -998,13 +1000,20 @@ def witness_from_dict(payload: object) -> SpiralWitness:
         return BoundaryPointRef(pres.from_text(str(d["word"])),
                                 float(d["angle"]))
 
+    def indices(key: str) -> tuple[int, ...]:
+        # a JSON integer only: int() would truncate 12.7 and accept true
+        bad = [i for i in payload[key] if type(i) is not int]
+        if bad:
+            raise TypeError("%s must be integers, got %r" % (key, bad[0]))
+        return tuple(payload[key])
+
     try:
         w = SpiralWitness(
             gamma=pres.from_text(str(payload["gamma"])),
             Lambda=float(payload["Lambda"]),
             Theta=float(payload["Theta"]),
-            indices_n=tuple(int(i) for i in payload["indices_n"]),
-            indices_m=tuple(int(i) for i in payload["indices_m"]),
+            indices_n=indices("indices_n"),
+            indices_m=indices("indices_m"),
             xi=tuple(point(d) for d in payload["xi"]),
             xi_star=point(payload["xi_star"]),
             radii=tuple(float(r) for r in payload["radii"]),

@@ -316,7 +316,10 @@ def orbit_length_estimate(rep: Representation, w: Word, n: int = 64,
 
 @dataclass(frozen=True, eq=False)
 class LengthSpectrum:
-    """Translation lengths on conjugacy-class representatives."""
+    """Translation lengths on the rows of the class table
+    (``_wordarrays.conjugacy_classes``): one row per rotation class that
+    no relator swap joins to an earlier row.  A few rows share a
+    conjugacy class, such as b1 and b1 b2 a2 B2 A2."""
 
     rep_id: str
     entries: dict[Word, float]
@@ -328,6 +331,7 @@ class LengthSpectrum:
 
 
 def compute_spectrum(rep: Representation, maxlen: int) -> LengthSpectrum:
+    """The length spectrum on the class table for 1 <= maxlen < 4g."""
     if maxlen < 1:
         raise RepresentationError("maxlen must be at least 1")
     genus = rep.presentation.genus

@@ -222,7 +222,8 @@ def enumerate_words(pres: GroupPresentation, maxlen: int,
     mode "reduced" yields every freely reduced word.  mode "conjugacy"
     yields one cyclically reduced word per rotation class, the
     shortlex-least rotation, including classes that the relator makes
-    conjugate (``_wordarrays.conjugacy_classes`` merges those).
+    conjugate (``_wordarrays.conjugacy_classes`` drops those that one
+    relator swap joins to an earlier class).
     """
     if mode not in ("reduced", "conjugacy"):
         raise WordError("unknown enumeration mode %r" % (mode,))

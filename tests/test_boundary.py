@@ -23,6 +23,7 @@ from qfcert.boundary import (
     DEGENERATE_TOL,
     PAIR_CONFIGS,
     BoundaryError,
+    BoundaryPointRef,
     LimitSetSample,
     MIN_THETA,
     PairConfig,
@@ -161,6 +162,12 @@ class TestFixedAngles:
             for j in range(i + 1, 4):
                 assert abs(wrap_turns(angles[i] - angles[j])) > 1e-6
         assert classify_pairs(A1, B1) == PairConfig.LINKED
+
+    def test_angle_just_below_zero_is_zero(self):
+        # the angle is -1.6e-18 turns, and -1.6e-18 % 1.0 is 1.0 in floats
+        p = BoundaryPoint.from_complex(1e16)
+        assert disk_angle(p) == 0.0
+        assert BoundaryPointRef(A1, disk_angle(p)).angle == 0.0
 
     def test_trivial_and_identity_words_rejected(self):
         with pytest.raises(BoundaryError):
@@ -675,8 +682,17 @@ class TestSpiralWitness:
         (lambda p: {**p, "gamma": 5}, "'5'"),
         (lambda p: {**p, "xi_star": "a1"}, "string indices"),
         (lambda p: {**p, "radii": p["radii"][:3]}, "four radii"),
+        (lambda p: {**p, "indices_n": [12.7, *p["indices_n"][1:]]},
+         "indices_n must be integers, got 12.7"),
+        (lambda p: {**p, "indices_m": [True, *p["indices_m"][1:]]},
+         "indices_m must be integers, got True"),
+        (lambda p: {**p, "indices_m": ["3", *p["indices_m"][1:]]},
+         "indices_m must be integers, got '3'"),
+        (lambda p: {**p, "indices_n": 4}, "not iterable"),
     ], ids=["json-array", "missing-key", "non-numeric", "null-number",
-            "bad-word", "word-not-text", "point-not-object", "three-radii"])
+            "bad-word", "word-not-text", "point-not-object", "three-radii",
+            "fractional-index", "boolean-index", "string-index",
+            "indices-not-list"])
     def test_malformed_payload_is_a_boundary_error(self, witness_run,
                                                    mutate, match):
         payload = mutate(witness_to_dict(witness_run.witness))

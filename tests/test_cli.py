@@ -265,6 +265,8 @@ class TestPinnedArtifacts:
          "305a990e3e7da601a36e16a72c181e4a9e1f5ddeb47f51400734005d6e1f7aaf"),
         (["--maxlen", "5", "spectrum"], "spectrum.csv",
          "17b99ec3f754288a20d932fe3347d7870b924beff89762ed1f4218af5bcec642"),
+        (["--maxlen", "6", "spectrum"], "spectrum.csv",
+         "cdd28969d9429a60ea0071bf21c5b89ff53a6452c03ad435852e05613dbc04a5"),
         (["--maxlen", "7", "witness"], "witness.json",
          "f7e725723e7ee6f59228db3cbc7153abe775828712065275e0200c480ca50bd7"),
         (["--maxlen", "6", "limitset"], "limitset.csv",
@@ -283,7 +285,8 @@ class TestPinnedArtifacts:
         (["--maxlen", "4", "triangle-check"], "triangle.csv",
          "e56ca74f1d2b96207510192f7094b86c2b6f2801942f3f5fd779419fff1ae974"),
     ], ids=["spectrum", "certify", "certify-maxlen5", "triangle-check",
-            "spectrum-maxlen5", "witness-maxlen7", "limitset-maxlen6",
+            "spectrum-maxlen5", "spectrum-maxlen6", "witness-maxlen7",
+            "limitset-maxlen6",
             "limitset-maxlen6-theta0", "witness-maxlen7-theta0.76",
             "witness-maxlen7-theta0.52", "growth-rmax10",
             "triangle-check-maxlen4"])
@@ -470,6 +473,19 @@ class TestWitnessInput:
                       "--input", str(witness_file))
         assert code == 1
         assert "INVALID" in capsys.readouterr().err
+
+    def test_fractional_index_is_a_config_error(self, tmp_path, capsys,
+                                                witness_file):
+        payload = json.loads(witness_file.read_text())
+        payload["indices_n"][0] += 0.7
+        witness_file.write_text(json.dumps(payload))
+        code, _ = run(tmp_path, "--bend-angle", "0.6", "witness",
+                      "--input", str(witness_file))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "indices_n" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("text", ['{"schema": "qfcert/1"}', "[1, 2",
                                       None],

@@ -355,6 +355,47 @@ def dehn_classes(rep: Representation, maxlen: int) -> list[tuple[int, ...]]:
     return out
 
 
+# The numeric relator merge that the class table used before its swap
+# rule, kept as a reference: matrices equal up to sign within
+# FINGERPRINT_TOL per entry are one element, and only classes in
+# neighbouring |trace| buckets compare.
+FINGERPRINT_TOL = 1e-6
+TRACE_BUCKET = 1e-4
+
+
+def numeric_classes(maxlen: int, gens: np.ndarray):
+    """Rows and products of the class table, merged by matrices: a rotation
+    class is dropped when one of its rotations has, up to sign, the matrix
+    of a rotation of an earlier kept class."""
+    rows, mats, buckets = [], [], {}
+    for level in wa.reduced_word_levels(maxlen):
+        level = level[wa.conjugacy_class_mask(level)]
+        n, length = level.shape
+        rolled = np.concatenate([np.roll(level, -s, axis=1)
+                                 for s in range(length)])
+        # rots[s, i] is the product of rotation s of class row i
+        rots = wa.compose_matrices(rolled, gens).reshape(length, n, 4)
+        tr = rots[0, :, 0] + rots[0, :, 3]
+        keys = np.rint(np.abs(np.stack([tr.real, tr.imag], axis=1))
+                       / TRACE_BUCKET).astype(np.int64).tolist()
+        keep = np.ones(n, dtype=bool)
+        for i, (kr, ki) in enumerate(keys):
+            near = [m for dr in (-1, 0, 1) for di in (-1, 0, 1)
+                    for m in buckets.get((kr + dr, ki + di), ())]
+            if near:
+                # max entry gap of each rotation pair, minimized over sign
+                a, b = rots[:, i, None], np.concatenate(near)[None]
+                keep[i] = not (np.minimum(np.abs(a - b).max(axis=-1),
+                                          np.abs(a + b).max(axis=-1))
+                               <= FINGERPRINT_TOL).any()
+            if keep[i]:
+                buckets.setdefault((kr, ki), []).append(rots[:, i])
+        rows.append(np.pad(level[keep], ((0, 0), (0, maxlen - length)),
+                           constant_values=-1))
+        mats.append(rots[0, keep].reshape(-1, 2, 2))
+    return np.concatenate(rows), np.concatenate(mats)
+
+
 class TestClassTable:
     """The one class table: products bit for bit equal to scalar evaluation,
     classes equal to the group's own conjugacy merges."""
@@ -393,6 +434,64 @@ class TestClassTable:
         # and 48 up to length 5 (4148 -> 4100)
         assert [int((lengths <= n).sum()) for n in range(1, 6)] \
             == [8, 40, 160, 772, 4100]
+
+    @pytest.mark.parametrize("maxlen,angle", [
+        *((m, t) for m in range(1, 6)
+          for t in (0.0, 0.3, 0.6, 0.85, 0.99, -0.6)),
+        (6, 0.6)])
+    def test_swap_rule_equals_numeric_merge(self, base_rep, maxlen, angle):
+        gens = bend(base_rep, angle).generator_matrix_array()
+        rows, mats = wa.conjugacy_classes(maxlen, gens)
+        want_rows, want_mats = numeric_classes(maxlen, gens)
+        assert _same_bits(rows, want_rows)
+        assert _same_bits(mats, want_mats)
+
+    def test_rows_do_not_depend_on_the_generators(self, base_rep, bent_rep):
+        # the third array is no representation: the relator does not hold
+        noise = np.random.default_rng(23).normal(size=(8, 2, 2))
+        rows = [wa.conjugacy_classes(5, gens)[0] for gens in (
+            base_rep.generator_matrix_array(),
+            bent_rep.generator_matrix_array(), noise)]
+        assert np.array_equal(rows[0], rows[1])
+        assert np.array_equal(rows[0], rows[2])
+
+    def test_short_genus3_words_keep_every_rotation_class(self):
+        # a swap needs at least 2g = 6 letters, so nothing merges here
+        gens = np.random.default_rng(29).normal(size=(12, 2, 2))
+        rows, mats = wa.conjugacy_classes(4, gens)
+        pres = GroupPresentation(genus=3)
+        assert [wa.ranks_to_letters(row, 3) for row in rows] == [
+            w.letters for w in enumerate_words(pres, 4, mode="conjugacy")]
+        assert len(mats) == len(rows)
+
+    def test_relator_length_is_refused(self, bent_rep):
+        with pytest.raises(ValueError, match="maxlen < 4g = 8"):
+            wa.conjugacy_classes(8, bent_rep.generator_matrix_array())
+
+    def test_every_swap_is_a_group_equality(self):
+        pres = GroupPresentation(genus=2)
+        swaps = wa._relator_swaps(2)
+        pairs = [(s, r) for s, rs in swaps.items() for r in rs]
+        # the 16 cells (rotations of the relator and its inverse) give 16
+        # swaps at each |s| from 4 to 7; two glued cells give 112 more,
+        # each with |s| = |r| = 7
+        assert len(pairs) == 4 * 16 + 112
+        for s, r in pairs:
+            assert len(r) <= len(s) < 8
+            assert pres.are_equal(Word(wa.ranks_to_letters(np.array(s))),
+                                  Word(wa.ranks_to_letters(np.array(r))))
+
+    def test_one_product_per_class_row(self, bent_rep, monkeypatch):
+        composed = []
+        compose = wa.compose_matrices
+
+        def counting(words, gen_mats):
+            composed.append(len(words))
+            return compose(words, gen_mats)
+
+        monkeypatch.setattr(wa, "compose_matrices", counting)
+        rows, _ = wa.conjugacy_classes(5, bent_rep.generator_matrix_array())
+        assert sum(composed) == len(rows) == 4100
 
 
 def _einsum_times(m, g):

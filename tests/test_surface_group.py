@@ -196,8 +196,8 @@ class TestEnumeration:
             assert shortlex_min_rotation(w).letters == w.letters
 
     def test_conjugacy_with_matrix_filter(self, pres):
-        # a faithful-looking random representation: the class table's
-        # matrix dedup must keep rotation classes apart (no false merges)
+        # a random generator array: words this short hold no relator
+        # swap, so the class table keeps every rotation class
         rng = np.random.default_rng(107)
         gens = {}
         for x in (1, 2, 3, 4):
