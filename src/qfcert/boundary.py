@@ -315,8 +315,16 @@ class LimitSetSample:
         return out
 
     def take(self, indices) -> "LimitSetSample":
-        """Sub-sample in the given order (for ordered lift input)."""
-        idx = np.asarray(indices, dtype=int)
+        """Sub-sample in the given order (for ordered lift input).
+
+        indices are integers; a float or boolean array is refused, since
+        casting it would truncate 1.7 to 1 or read a mask as rows 0 and 1.
+        """
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise BoundaryError("sample indices must be integers, got %s"
+                                % idx.dtype)
+        idx = idx.astype(int, copy=False)
         return LimitSetSample(rep=self.rep, maxlen=self.maxlen,
                               ranks=self.ranks[idx], angles=self.angles[idx],
                               image_pairs=self.image_pairs[idx])
@@ -328,19 +336,23 @@ _CHUNK = 1 << 16
 
 def _accumulate_level(words: np.ndarray, gens: tuple[np.ndarray, np.ndarray],
                       parents: tuple[np.ndarray, np.ndarray] | None,
-                      store: bool):
-    """Per-level (angles, attracting pairs, keep mask, products).
+                      store: bool, out: tuple[np.ndarray, ...],
+                      start: int):
+    """Write one level's kept rows into out; returns (end, products).
 
-    gens are the (reference, rep) generator arrays and parents the
-    previous level's products under each, or None for length-1 words.
-    Products are built one level from the last (wa.extend_products) and
-    returned only when store is set, for the next level to extend.
+    out is the (ranks, angles, pairs) triple of `limit_set_sample`, filled
+    from row start to row end in level order; a row is kept when both its
+    products are translations.  Fixed points and angles are computed for
+    kept rows only: both are elementwise, so a row gets the same bits as
+    in a pass over the whole chunk.  gens are the (reference, rep)
+    generator arrays and parents the previous level's products under
+    each, or None for length-1 words.  Products are built one level from
+    the last (wa.extend_products) and returned only when store is set,
+    for the next level to extend.
     """
-    n = words.shape[0]
+    ranks, angles, pairs = out
+    n, width = words.shape
     fan = 1 if parents is None else gens[0].shape[0] - 1
-    angles = np.empty(n, dtype=float)
-    pairs = np.empty((n, 2), dtype=complex)
-    keep = np.empty(n, dtype=bool)
     mats = tuple(np.empty((n, 2, 2), dtype=g.dtype) for g in gens) \
         if store else None
     step = _CHUNK // fan * fan
@@ -352,26 +364,39 @@ def _accumulate_level(words: np.ndarray, gens: tuple[np.ndarray, np.ndarray],
         else:
             ref_m, rep_m = (wa.extend_products(p[lo // fan:hi // fan], last, g)
                             for p, g in zip(parents, gens))
-        keep[lo:hi] = (wa.translation_lengths(ref_m) > 1e-9) \
+        keep = (wa.translation_lengths(ref_m) > 1e-9) \
             & (wa.translation_lengths(rep_m) > 1e-9)
-        angles[lo:hi] = wa.disk_angles_turns(wa.attracting_fixed_pairs(ref_m))
-        pairs[lo:hi] = wa.attracting_fixed_pairs(rep_m)
+        end = start + int(np.count_nonzero(keep))
+        # a slice when every row is kept, so nothing is copied
+        rows = slice(None) if end - start == hi - lo else keep
+        ranks[start:end, :width] = words[lo:hi][rows]
+        angles[start:end] = wa.disk_angles_turns(
+            wa.attracting_fixed_pairs(ref_m[rows]))
+        pairs[start:end] = wa.attracting_fixed_pairs(rep_m[rows])
+        start = end
         if store:
             mats[0][lo:hi] = ref_m
             mats[1][lo:hi] = rep_m
-    return angles, pairs, keep, mats
+    return start, mats
 
 
 def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
     """Attracting fixed points of all words up to maxlen, one per boundary point.
 
     Words sharing a boundary point (powers and roots) are merged, keeping
-    the earliest word in length-then-shortlex order.  Each word's matrix
+    the earliest word in length-then-shortlex order: the first of the
+    words whose angles round alike at 12 digits.  Each word's matrix
     is its parent's times one generator; only the previous level's
     matrices are held.  The reference octagon is real and composes in
     float64.  The bent side stays complex even where it is real: a
     float64 product there can flip the sign of a zero imaginary part
     in an image point.
+
+    Memory: the rank, angle and pair arrays are allocated once, sized by
+    the word count, and filled level by level; the merge then moves the
+    first occurrences to the front in place.  The sample holds views of
+    that prefix, so the dropped rows (about 2% at maxlen 7) stay
+    allocated.
     """
     if maxlen < 1:
         raise BoundaryError("maxlen must be at least 1")
@@ -379,30 +404,29 @@ def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
         raise BoundaryError("sampling is implemented for the genus-2 group")
     gens = (wa.exact_real(reference_representation().generator_matrix_array()),
             rep.generator_matrix_array())
-
-    all_ranks: list[np.ndarray] = []
-    all_angles: list[np.ndarray] = []
-    all_pairs: list[np.ndarray] = []
-    products = None
-    for words in wa.reduced_word_levels(maxlen):
-        angles, pairs, keep, products = _accumulate_level(
-            words, gens, products, store=words.shape[1] < maxlen)
-        padded = np.full((words.shape[0], maxlen), -1, dtype=np.int8)
-        padded[:, :words.shape[1]] = words
-        all_ranks.append(padded[keep])
-        all_angles.append(angles[keep])
-        all_pairs.append(pairs[keep])
-    ranks = np.concatenate(all_ranks)
-    angles = np.concatenate(all_angles)
-    pairs = np.concatenate(all_pairs)
+    levels = wa.reduced_word_levels(maxlen)
+    total = sum(level.shape[0] for level in levels)
+    out = (np.full((total, maxlen), -1, dtype=np.int8), np.empty(total),
+           np.empty((total, 2), dtype=complex))
+    count, products = 0, None
+    for words in levels:
+        count, products = _accumulate_level(
+            words, gens, products, words.shape[1] < maxlen, out, count)
+    del levels, words, products
 
     # merge words sharing a boundary point; first occurrence (shortest,
-    # then shortlex) wins because levels were appended in order
-    quant = np.round(angles, 12)
-    _, first = np.unique(quant, return_index=True)
+    # then shortlex) wins because levels were written in order
+    _, first = np.unique(np.round(out[1][:count], 12), return_index=True)
     first.sort()
-    return LimitSetSample(rep=rep, maxlen=maxlen, ranks=ranks[first],
-                          angles=angles[first], image_pairs=pairs[first])
+    # first[i] >= i, so each slice reads only rows that no earlier slice
+    # has overwritten
+    for lo in range(0, first.size, _CHUNK):
+        rows = first[lo:lo + _CHUNK]
+        for a in out:
+            a[lo:lo + rows.size] = a[rows]
+    ranks, angles, pairs = (a[:first.size] for a in out)
+    return LimitSetSample(rep=rep, maxlen=maxlen, ranks=ranks,
+                          angles=angles, image_pairs=pairs)
 
 
 def _gamma_chart(rep: Representation,
@@ -668,23 +692,60 @@ _WINDOW_KEEP = 256
 _PAIRS_TRIED = 64
 
 
-def _window_candidates(base_args: np.ndarray, theta_rad: float,
-                       powers: range, target: float) -> tuple[np.ndarray, ...]:
+def _window_candidates(base_args: np.ndarray, by_arg: np.ndarray,
+                       theta_rad: float, powers: range,
+                       target: float) -> tuple[np.ndarray, ...]:
     """(|off|, off, n, j) arrays for the _WINDOW_KEEP best translates.
 
-    off is the signed angular offset of translate n of fundamental point j
-    from the target argument, over the powers n of one index window; the
-    order is (|off|, off, n, j).  Each power contributes its _WINDOW_KEEP
-    smallest |off| and every index tied with the last of them, so the cut
-    never depends on how a sort breaks ties.
+    off is the signed angular offset
+    np.angle(np.exp(1j * (base_args[j] + n * theta_rad - target))) of
+    translate n of fundamental point j from the target argument, over the
+    powers n of one index window; the order is (|off|, off, n, j).  Each
+    power contributes its _WINDOW_KEEP smallest |off| and every index tied
+    with the last of them, so the cut never depends on how a sort breaks
+    ties.
+
+    by_arg sorts base_args.  Power n evaluates off only on a circular run
+    of that order around target - n theta_rad, widened until the nearest
+    point outside it on each side lies farther from the centre than the
+    run's cut by more than the rounding slack.  Circular distance grows
+    away from the centre on both sides, so every point outside then has a
+    larger |off| than the cut, and the run keeps what a scan of all
+    points keeps, ties at the cut included.
     """
+    circle = base_args[by_arg]
+    size = circle.size
+    keep = min(_WINDOW_KEEP, size)
+    turn = 2.0 * math.pi
     cols = []
     for n in powers:
-        off = np.angle(np.exp(1j * (base_args + n * theta_rad - target)))
-        mag = np.abs(off)
-        kth = min(_WINDOW_KEEP, mag.size) - 1
-        j = np.flatnonzero(mag <= np.partition(mag, kth)[kth])
-        cols.append((mag[j], off[j], np.full(j.size, n), j))
+        shift = n * theta_rad
+        centre = (target - shift + math.pi) % turn - math.pi
+        # off and the distances below are short float sums whose terms
+        # are at most `scale`: each errs by a few ulps of scale, far
+        # below 2 ** -46 scale, and the cut must clear both errors
+        scale = abs(shift) + abs(target) + math.pi
+        slack = 2.0 ** -45 * scale
+        mid = int(np.searchsorted(circle, centre))
+        lo, hi = mid - keep, mid + keep
+        while True:
+            if hi - lo >= size:
+                lo, hi = 0, size
+            j = by_arg[np.arange(lo, hi) % size]
+            off = np.angle(np.exp(1j * (base_args[j] + shift - target)))
+            mag = np.abs(off)
+            cut = np.partition(mag, keep - 1)[keep - 1]
+            # the nearest points outside the run, below it and above it
+            ends = circle[[(lo - 1) % size, hi % size]]
+            near = np.abs((ends - centre + math.pi) % turn - math.pi) \
+                <= cut + slack
+            if hi - lo == size or not near.any():
+                break
+            width = hi - lo
+            lo -= width * int(near[0])
+            hi += width * int(near[1])
+        sel = np.flatnonzero(mag <= cut)
+        cols.append((mag[sel], off[sel], np.full(sel.size, n), j[sel]))
     mag, off, n, j = (np.concatenate(c) for c in zip(*cols))
     best = np.lexsort((j, n, off, mag))[:_WINDOW_KEEP]
     return mag[best], off[best], n[best], j[best]
@@ -741,18 +802,27 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     sample = limit_set_sample(rep, maxlen)
 
     # positions along the two boundary arcs between gamma's fixed points:
-    # q in (0, 1) increases toward the attracting point on each side
+    # q in (0, 1) increases toward the attracting point on each side.
+    # Each per-point array is freed once read, so that this stage peaks
+    # below the sample's own construction.
     v = (a_plus - a_minus) % 1.0
     x = (sample.angles - a_minus) % 1.0
     arc_gap = np.minimum(np.minimum(x, 1.0 - x), np.abs(x - v))
-    z_all, finite = _chart_points(sample.image_pairs, chart)
-    valid = (arc_gap > 1e-9) & finite
-    side = np.where(x < v, 1, -1)
+    valid = arc_gap > 1e-9
+    clear = arc_gap > 0.01
+    del arc_gap
+    side = np.where(x < v, np.int8(1), np.int8(-1))
     q = _arc_position(x, v, side)
+    del x
+    z_all = np.empty(len(sample), dtype=complex)
+    for lo in range(0, len(sample), _CHUNK):
+        z_all[lo:lo + _CHUNK], finite = _chart_points(
+            sample.image_pairs[lo:lo + _CHUNK], chart)
+        valid[lo:lo + _CHUNK] &= finite
 
     # deterministic seed: earliest sample point comfortably inside its arc;
     # its gamma translate closes a fundamental interval [q0, q1)
-    seed_ok = valid & (arc_gap > 0.01)
+    seed_ok = valid & clear
     if not seed_ok.any():
         raise BoundaryError("sample too sparse: no seed point clear of the "
                             "axis endpoints")
@@ -773,6 +843,11 @@ def find_spiral_witness(rep: Representation, gamma: Word,
                             "%d points" % idx_f.size)
     order = idx_f[np.argsort(q[idx_f])]
     zs = z_all[order]
+    # the nearest radius beyond the interval, checked once the net
+    # rotation is known; the per-point arrays are done with after it
+    beyond = on_side & (q >= q1)
+    r0 = float(np.min(np.abs(z_all[beyond]))) if beyond.any() else None
+    del valid, clear, side, q, z_all, seed_ok, on_side, fund, beyond
     r_f, s_f = _lift_path(zs)
 
     # net rotation across one interval, closed by the exact translate of
@@ -788,12 +863,10 @@ def find_spiral_witness(rep: Representation, gamma: Word,
 
     # index windows: each must sweep more than a full turn of argument,
     # and consecutive windows must clear the radius spread of the interval
-    beyond = on_side & (q >= q1)
-    if not beyond.any():
+    if r0 is None:
         raise BoundaryError("sample too sparse: nothing beyond the "
                             "fundamental interval")
     R0 = float(r_f.max())
-    r0 = float(np.min(np.abs(z_all[beyond])))
     if not r0 > 0:
         raise BoundaryError("sample too sparse: zero radius beyond the interval")
     dm = math.floor(1.0 / abs(theta_net)) + 1
@@ -806,7 +879,8 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     # per-window candidates: signed angular offsets from the parity target
     # (half turn for odd levels, full turn for even)
     base_args = np.angle(zs)
-    cands = [_window_candidates(base_args, theta_rad, range(n, m),
+    by_arg = np.argsort(base_args, kind="stable")
+    cands = [_window_candidates(base_args, by_arg, theta_rad, range(n, m),
                                 math.pi if k % 2 == 1 else 0.0)
              for k, (n, m) in enumerate(zip(indices_n, indices_m), start=1)]
     for k, (mag, *_) in enumerate(cands, start=1):
@@ -1067,10 +1141,9 @@ def sample_to_svg(sample: LimitSetSample, size: int = 800) -> str:
     rows = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
             'viewBox="0 0 %d %d">' % (size, size, size, size),
             '<rect width="%d" height="%d" fill="white"/>' % (size, size)]
-    for zv in pts:
-        px = (zv.real - cx + half) * scale
-        py = (cy + half - zv.imag) * scale
-        rows.append('<circle cx="%.2f" cy="%.2f" r="1" fill="black"/>'
-                    % (px, py))
+    px = (pts.real - cx + half) * scale
+    py = (cy + half - pts.imag) * scale
+    rows.extend('<circle cx="%.2f" cy="%.2f" r="1" fill="black"/>' % xy
+                for xy in zip(px.tolist(), py.tolist()))
     rows.append("</svg>")
     return "\n".join(rows) + "\n"

@@ -13,12 +13,14 @@ independent verifier, and tampered witnesses must fail it.
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qfcert import _wordarrays as wa
+from qfcert import boundary
 from qfcert.boundary import (
     DEGENERATE_TOL,
     PAIR_CONFIGS,
@@ -434,6 +436,218 @@ class TestRankClassifier:
             lo = hi
 
 
+# The sampler and the window scan as they were before the sample was
+# written into preallocated arrays and the window candidates were read
+# off a sorted circle, kept as references: each level's rows are computed
+# whole, then masked and concatenated, and every power scans every point.
+_DEFAULT_CHUNK = boundary._CHUNK
+
+
+def reference_level(words, gens, parents, store):
+    """(angles, attracting pairs, keep mask, products) of one level."""
+    n = words.shape[0]
+    fan = 1 if parents is None else gens[0].shape[0] - 1
+    angles = np.empty(n, dtype=float)
+    pairs = np.empty((n, 2), dtype=complex)
+    keep = np.empty(n, dtype=bool)
+    mats = tuple(np.empty((n, 2, 2), dtype=g.dtype) for g in gens) \
+        if store else None
+    step = _DEFAULT_CHUNK // fan * fan
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        last = words[lo:hi, -1]
+        if parents is None:
+            ref_m, rep_m = (g[last] for g in gens)
+        else:
+            ref_m, rep_m = (wa.extend_products(p[lo // fan:hi // fan], last, g)
+                            for p, g in zip(parents, gens))
+        keep[lo:hi] = (wa.translation_lengths(ref_m) > 1e-9) \
+            & (wa.translation_lengths(rep_m) > 1e-9)
+        angles[lo:hi] = wa.disk_angles_turns(wa.attracting_fixed_pairs(ref_m))
+        pairs[lo:hi] = wa.attracting_fixed_pairs(rep_m)
+        if store:
+            mats[0][lo:hi] = ref_m
+            mats[1][lo:hi] = rep_m
+    return angles, pairs, keep, mats
+
+
+def reference_sample(rep, maxlen):
+    """(ranks, angles, image pairs) of limit_set_sample(rep, maxlen)."""
+    gens = (wa.exact_real(reference_representation().generator_matrix_array()),
+            rep.generator_matrix_array())
+    all_ranks, all_angles, all_pairs = [], [], []
+    products = None
+    for words in wa.reduced_word_levels(maxlen):
+        angles, pairs, keep, products = reference_level(
+            words, gens, products, store=words.shape[1] < maxlen)
+        padded = np.full((words.shape[0], maxlen), -1, dtype=np.int8)
+        padded[:, :words.shape[1]] = words
+        all_ranks.append(padded[keep])
+        all_angles.append(angles[keep])
+        all_pairs.append(pairs[keep])
+    ranks = np.concatenate(all_ranks)
+    angles = np.concatenate(all_angles)
+    pairs = np.concatenate(all_pairs)
+    _, first = np.unique(np.round(angles, 12), return_index=True)
+    first.sort()
+    return ranks[first], angles[first], pairs[first]
+
+
+def reference_window_candidates(base_args, theta_rad, powers, target):
+    """(|off|, off, n, j) of _window_candidates, scanning every point."""
+    cols = []
+    for n in powers:
+        off = np.angle(np.exp(1j * (base_args + n * theta_rad - target)))
+        mag = np.abs(off)
+        kth = min(boundary._WINDOW_KEEP, mag.size) - 1
+        j = np.flatnonzero(mag <= np.partition(mag, kth)[kth])
+        cols.append((mag[j], off[j], np.full(j.size, n), j))
+    mag, off, n, j = (np.concatenate(c) for c in zip(*cols))
+    best = np.lexsort((j, n, off, mag))[:boundary._WINDOW_KEEP]
+    return mag[best], off[best], n[best], j[best]
+
+
+def same_bytes(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+class TestSampleReference:
+    """The streamed sample and the sorted-circle window scan reproduce
+    their references byte for byte."""
+
+    @pytest.mark.parametrize("chunk", [_DEFAULT_CHUNK, 100])
+    @pytest.mark.parametrize("angle", [0.0, 0.52, 0.6, 0.76, 0.93, -0.6])
+    def test_sample_equals_the_concatenating_reference(self, angle, chunk,
+                                                       monkeypatch):
+        monkeypatch.setattr(boundary, "_CHUNK", chunk)
+        rep = bend(fuchsian_octagon(), angle)
+        for maxlen in range(1, 7):
+            got = limit_set_sample(rep, maxlen)
+            want = reference_sample(rep, maxlen)
+            assert all(same_bytes(g, w) for g, w in zip(
+                (got.ranks, got.angles, got.image_pairs), want))
+
+    # no word of length 7 or less is dropped for the octagon and its
+    # bends, so an elliptic first generator makes the dropped rows
+    @pytest.mark.parametrize("chunk", [_DEFAULT_CHUNK, 100])
+    def test_dropped_rows_are_left_out(self, bent_rep, chunk, monkeypatch):
+        monkeypatch.setattr(boundary, "_CHUNK", chunk)
+        ref = wa.exact_real(reference_representation()
+                            .generator_matrix_array()).copy()
+        ref[0], ref[4] = [[0.0, -1.0], [1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]]
+        gens = (ref, bent_rep.generator_matrix_array())
+        levels = wa.reduced_word_levels(4)
+        total = sum(level.shape[0] for level in levels)
+        out = (np.full((total, 4), -1, dtype=np.int8), np.empty(total),
+               np.empty((total, 2), dtype=complex))
+        count, products, want_products, dropped = 0, None, None, 0
+        for words in levels:
+            start = count
+            count, products = boundary._accumulate_level(
+                words, gens, products, True, out, count)
+            # the reference solves for fixed points of the dropped rows too
+            with np.errstate(invalid="ignore"):
+                angles, pairs, keep, want_products = reference_level(
+                    words, gens, want_products, True)
+            dropped += int(np.count_nonzero(~keep))
+            width = words.shape[1]
+            assert same_bytes(out[0][start:count, :width], words[keep])
+            assert (out[0][start:count, width:] == -1).all()
+            assert same_bytes(out[1][start:count], angles[keep])
+            assert same_bytes(out[2][start:count], pairs[keep])
+            assert all(same_bytes(g, w)
+                       for g, w in zip(products, want_products))
+        assert dropped > 0
+
+    def test_peak_memory_is_near_what_the_sample_keeps(self, bent_rep):
+        # levels masked, concatenated and gathered again peaked at 3.8
+        # times the kept bytes; written in place, about 2.1
+        tracemalloc.start()
+        try:
+            sample = limit_set_sample(bent_rep, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (sample.ranks, sample.angles,
+                                      sample.image_pairs))
+        assert len(sample) == 1077825
+        assert peak <= 2.25 * kept
+
+    @pytest.mark.parametrize("angle,maxlen", [
+        (0.52, 6), (0.6, 6), (0.76, 6), (0.93, 6), (0.6, 7)])
+    def test_candidates_equal_the_full_scan_on_real_intervals(
+            self, angle, maxlen, monkeypatch):
+        found = []
+        sorted_scan = boundary._window_candidates
+
+        def compare(base_args, by_arg, theta_rad, powers, target):
+            got = sorted_scan(base_args, by_arg, theta_rad, powers, target)
+            want = reference_window_candidates(base_args, theta_rad, powers,
+                                               target)
+            found.append(all(same_bytes(g, w) for g, w in zip(got, want)))
+            return got
+
+        monkeypatch.setattr(boundary, "_window_candidates", compare)
+        rep = bend(fuchsian_octagon(), angle)
+        gamma = find_complex_trace_element(rep, 4)
+        try:
+            find_spiral_witness(rep, gamma, maxlen)
+        except BoundaryError:
+            pass   # candidates come before the pairs that can fail
+        assert found == [True] * 4
+
+    @staticmethod
+    def _adversarial(case: str) -> tuple[np.ndarray, float, range]:
+        rng = np.random.default_rng(20)
+        pi = math.pi
+        if case == "duplicates":
+            # 63 distinct values, about 300 points each: the cut falls
+            # inside a run of exact ties that reaches past the first run
+            args = np.round(rng.uniform(-pi, pi, 20000), 1)
+            return args, 0.37, range(0, 24)
+        if case == "tie-block":
+            # 700 equal arguments, more than the first run holds, with
+            # the centres of both targets sweeping across them
+            args = np.concatenate([np.full(700, -0.5), np.full(700, pi - 0.5),
+                                   rng.uniform(-pi, pi, 3000)])
+            return args, 0.01, range(40, 60)
+        if case == "wrap":
+            # blocks at -pi and pi, one circle point, next to points just
+            # inside them, with centres landing on the wrap: n theta_rad
+            # is a multiple of pi / 4
+            edge = [np.nextafter(pi, 0.0), np.nextafter(-pi, 0.0)]
+            args = np.concatenate([np.full(400, pi), np.full(400, -pi),
+                                   np.repeat(edge, 80),
+                                   rng.uniform(-pi, pi, 3000)])
+            return args, pi / 4.0, range(0, 16)
+        if case == "cluster":
+            # dense on one side of every centre near 0, sparse elsewhere
+            args = np.concatenate([rng.uniform(0.0, 1e-3, 3000),
+                                   rng.uniform(-pi, pi, 40)])
+            return args, 1e-4, range(-12, 12)
+        if case == "many-turns":
+            args = rng.uniform(-pi, pi, 5000)
+            return args, 2.3, range(100_000, 100_024)
+        size = int(case.split("-")[1])
+        return rng.uniform(-pi, pi, size), 0.9, range(3, 19)
+
+    @pytest.mark.parametrize("case", [
+        "duplicates", "tie-block", "wrap", "cluster", "many-turns",
+        "size-1", "size-5",
+        "size-255", "size-256", "size-257", "size-511", "size-512",
+        "size-600", "size-1023"])
+    @pytest.mark.parametrize("target", [0.0, math.pi])
+    def test_candidates_equal_the_full_scan_on_adversarial_arguments(
+            self, case, target):
+        args, theta_rad, powers = self._adversarial(case)
+        by_arg = np.argsort(args, kind="stable")
+        got = boundary._window_candidates(args, by_arg, theta_rad, powers,
+                                          target)
+        want = reference_window_candidates(args, theta_rad, powers, target)
+        assert all(same_bytes(g, w) for g, w in zip(got, want))
+
+
 class TestLimitSetSample:
     def test_reference_sample_is_identity_chart(self):
         sample = limit_set_sample(reference_representation(), 4)
@@ -467,6 +681,24 @@ class TestLimitSetSample:
         assert len(sub) == 3
         assert sub.word_at(0) == sample.word_at(3)
         assert sub.angles[1] == sample.angles[1]
+
+    @pytest.mark.parametrize("indices", [
+        "mask", [1.7, 2.2], np.array([1.0, 2.0]), [True, False]])
+    def test_take_refuses_non_integer_indices(self, bent_rep, indices):
+        # a mask once read as rows 0 and 1, and 1.7 as row 1
+        sample = limit_set_sample(bent_rep, 2)
+        if isinstance(indices, str):
+            indices = np.arange(len(sample)) % 7 == 0
+        with pytest.raises(BoundaryError, match="integers"):
+            sample.take(indices)
+
+    def test_take_of_no_indices_is_empty(self, bent_rep):
+        sample = limit_set_sample(bent_rep, 2)
+        for indices in ([], np.array([], dtype=np.int64)):
+            sub = sample.take(indices)
+            assert len(sub) == 0
+            assert sub.ranks.shape == (0, 2)
+            assert sub.image_pairs.shape == (0, 2)
 
     def test_equivariance_of_sampled_boundary_map(self, bent_rep):
         # conjugating the word transports its attracting point by the image

@@ -271,6 +271,8 @@ class TestPinnedArtifacts:
          "f7e725723e7ee6f59228db3cbc7153abe775828712065275e0200c480ca50bd7"),
         (["--maxlen", "6", "limitset"], "limitset.csv",
          "43e7fc0d7aebb7db7c1b9722128713ef7b334b397f6c80abbadc0fe7e58eef40"),
+        (["--maxlen", "6", "limitset"], "limitset.svg",
+         "a239a4aeb3f2df16f8ac6fa035069d0995b258ec70a898a909ebe2cf76047819"),
         # at angle 0 the bent representation is real, but its side of the
         # sample stays complex: float64 products there can flip the sign
         # of a zero imaginary part, which the csv writes as -0.0
@@ -286,7 +288,7 @@ class TestPinnedArtifacts:
          "e56ca74f1d2b96207510192f7094b86c2b6f2801942f3f5fd779419fff1ae974"),
     ], ids=["spectrum", "certify", "certify-maxlen5", "triangle-check",
             "spectrum-maxlen5", "spectrum-maxlen6", "witness-maxlen7",
-            "limitset-maxlen6",
+            "limitset-maxlen6", "limitset-svg-maxlen6",
             "limitset-maxlen6-theta0", "witness-maxlen7-theta0.76",
             "witness-maxlen7-theta0.52", "growth-rmax10",
             "triangle-check-maxlen4"])

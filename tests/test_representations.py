@@ -599,8 +599,11 @@ class TestPrefixProducts:
                 bend(base_rep, angle).generator_matrix_array())
         products = None
         for level in wa.reduced_word_levels(5):
-            _, _, _, products = boundary._accumulate_level(
-                level, gens, products, store=True)
+            n, width = level.shape
+            out = (np.empty((n, width), dtype=np.int8), np.empty(n),
+                   np.empty((n, 2), dtype=complex))
+            _, products = boundary._accumulate_level(
+                level, gens, products, True, out, 0)
             for got, g in zip(products, gens):
                 assert np.array_equal(got, wa.compose_matrices(level, g))
 
