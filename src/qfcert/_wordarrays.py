@@ -337,9 +337,15 @@ def canonical_sign(mats: np.ndarray) -> np.ndarray:
 
 def quantize_keys(mats: np.ndarray) -> np.ndarray:
     """Integer fingerprint rows for element dedup after canonical_sign:
-    entries rounded to KEY_DECIMALS places."""
-    flat = mats.reshape(mats.shape[0], 4)
-    parts = np.stack([flat.real, flat.imag], axis=-1).reshape(mats.shape[0], 8)
+    the batch's float64 view, rounded to KEY_DECIMALS places.
+
+    A complex entry gives two columns, real then imaginary part; a real
+    batch keys on its four entries.  Its complex keys would only add an
+    all-zero column after each, which decides neither equality nor the
+    memcmp order of rows_as_void, so np.unique picks the same rows.
+    """
+    flat = np.ascontiguousarray(mats).reshape(mats.shape[0], 4)
+    parts = flat.view(np.float64)
     return np.round(parts * (10.0 ** KEY_DECIMALS)).astype(np.int64)
 
 

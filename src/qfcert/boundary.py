@@ -504,23 +504,6 @@ def _chart_points(pairs: np.ndarray,
     return np.divide(w1, w2, out=np.ones_like(w1), where=finite), finite
 
 
-def argument_lift(sample: LimitSetSample,
-                  chart: MoebiusMap) -> list[tuple[float, float]]:
-    """(r, s) for each sample point, in sample order, in the given chart.
-
-    s is the continuous lift of the argument in turns: the first value is
-    the principal argument in (-1/2, 1/2]; each successive value adds the
-    representative of the argument difference in (-1/2, 1/2].  The caller
-    orders the sample (one boundary side, positions increasing); points
-    at 0 or infinity in the chart are errors.
-    """
-    z, finite = _chart_points(sample.image_pairs, chart)
-    if not finite.all():
-        raise BoundaryError("argument lift needs finite nonzero points")
-    r, s = _lift_path(z)
-    return list(zip(r.tolist(), s.tolist()))
-
-
 @dataclass(frozen=True)
 class SpiralWitness:
     """Four boundary points spiraling toward a complex-multiplier element.

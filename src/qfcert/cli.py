@@ -154,7 +154,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             if want is str and not isinstance(raw, str):
                 raise ValueError("expected a string")
             values[key] = want(raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError("config key %r: %s" % (key, exc)) from exc
     try:
         return RunConfig(**values)
@@ -166,7 +166,11 @@ def _resolve_outdir(cfg: RunConfig, flag_value: str | None) -> Path:
     chosen = flag_value or os.environ.get("QFCERT_OUTDIR") or cfg.outdir \
         or "qfcert-out"
     out = Path(chosen)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create output directory %s: %s"
+                          % (out, exc)) from exc
     return out
 
 

@@ -34,7 +34,7 @@ import cmath
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .moebius import (
     MoebiusMap,
     Point3,
     classify,
-    dist_h3,
     dist_to_geodesic,
     translation_length,
 )
@@ -254,10 +253,6 @@ def stable_lengths(mats: np.ndarray) -> list[float]:
     return lengths.tolist()
 
 
-def orbit_distance(rep: Representation, w: Word) -> float:
-    return dist_h3(evaluate(rep, w)(rep.basepoint), rep.basepoint)
-
-
 def _rescaled(mat: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     peak = float(np.abs(mat).max())
     if not math.isfinite(peak) or peak == 0.0:
@@ -378,25 +373,6 @@ def _orbit_distances_of(mats: np.ndarray, y: Point3) -> np.ndarray:
     return np.arccosh(np.maximum(1.0, cosh_d))
 
 
-def _pin_mmap_threshold() -> None:
-    """Serve every allocation of 1 MiB or more by mmap, for the rest of
-    the process (glibc ``mallopt(M_MMAP_THRESHOLD)``).
-
-    glibc otherwise raises its mmap threshold to the size of each large
-    block freed, so the orbit search's per-level temporaries, tens of MB
-    each, stay on the heap and the peak RSS follows heap layout, not the
-    work done: at Rmax 10 it moved by up to 7 % when unrelated code or the
-    output path changed.  An mmapped block goes back to the OS when freed;
-    smaller arrays keep reusing heap pages.  A no-op where the C library
-    has no mallopt.
-    """
-    import ctypes
-    try:
-        ctypes.CDLL(None).mallopt(-3, 1 << 20)  # -3 is M_MMAP_THRESHOLD
-    except (AttributeError, OSError, TypeError):
-        pass
-
-
 # frontier elements extended per batch: bounds the candidate arrays
 _FRONTIER_CHUNK = 1 << 16
 
@@ -423,7 +399,6 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
     """
     if prune_radius is None and max_word_length is None:
         raise RepresentationError("unbounded enumeration: set a prune radius or length cap")
-    _pin_mmap_threshold()
     gens = wa.exact_real(rep.generator_matrix_array())
     genus = rep.presentation.genus
     y = rep.basepoint
@@ -556,10 +531,6 @@ def representation_hash(rep: Representation) -> str:
     blob = json.dumps(representation_to_dict(rep), sort_keys=True,
                       separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def with_basepoint(rep: Representation, y: Point3) -> Representation:
-    return replace(rep, basepoint=y)
 
 
 def conjugate_representation(rep: Representation, g: MoebiusMap) -> Representation:

@@ -80,37 +80,6 @@ class Word:
         return "Word(%r)" % (self.letters,)
 
 
-def free_reduce(w: Word) -> Word:
-    return Word(free_reduce_letters(w.letters))
-
-
-def cyclic_reduce(w: Word) -> Word:
-    """Strip matching inverse letters from the two ends after free reduction."""
-    letters = list(free_reduce_letters(w.letters))
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        letters = letters[1:-1]
-    return Word(tuple(letters))
-
-
-def rotations(w: Word) -> list[Word]:
-    n = len(w.letters)
-    if n == 0:
-        return [w]
-    return [Word(w.letters[i:] + w.letters[:i]) for i in range(n)]
-
-
-def letter_sort_key(x: int) -> tuple[int, int]:
-    return (0, x) if x > 0 else (1, -x)
-
-
-def shortlex_key(w: Word) -> tuple:
-    return (len(w.letters), tuple(letter_sort_key(x) for x in w.letters))
-
-
-def shortlex_min_rotation(w: Word) -> Word:
-    return min(rotations(w), key=shortlex_key)
-
-
 @dataclass(frozen=True)
 class GroupPresentation:
     """Genus-g surface group presentation with the product-of-commutators relator."""

@@ -29,7 +29,6 @@ from qfcert.boundary import (
     LimitSetSample,
     MIN_THETA,
     PairConfig,
-    argument_lift,
     classify_angle_pairs,
     classify_pairs,
     classify_real_pairs,
@@ -774,6 +773,23 @@ def scalar_lift(zs) -> list[tuple[float, float]]:
         prev = arg
         out.append((abs(z), s))
     return out
+
+
+def argument_lift(sample: LimitSetSample,
+                  chart: MoebiusMap) -> list[tuple[float, float]]:
+    """(r, s) for each sample point, in sample order, in the given chart:
+    the witness search's chart projection and path lift on a whole sample.
+
+    s is the continuous lift of the argument in turns: the first value is
+    the principal argument in (-1/2, 1/2]; each successive value adds the
+    representative of the argument difference in (-1/2, 1/2].  Points at
+    0 or infinity in the chart are errors.
+    """
+    z, finite = boundary._chart_points(sample.image_pairs, chart)
+    if not finite.all():
+        raise BoundaryError("argument lift needs finite nonzero points")
+    r, s = boundary._lift_path(z)
+    return list(zip(r.tolist(), s.tolist()))
 
 
 class TestArgumentLift:

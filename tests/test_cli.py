@@ -122,6 +122,35 @@ class TestConfigHandling:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out" / "separation_certificate.json").exists()
 
+    @pytest.mark.parametrize("text,key", [('{"maxlen": 1e400}', "maxlen"),
+                                          ('{"genus": -Infinity}', "genus")],
+                             ids=["maxlen", "genus"])
+    def test_infinite_integer_is_a_config_error(self, tmp_path, capsys,
+                                                text, key):
+        # int() of an infinite float raises OverflowError, not ValueError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["--config", str(cfg), "--outdir", str(tmp_path / "out"),
+                     "spectrum"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("below", [False, True],
+                             ids=["is-a-file", "under-a-file"])
+    def test_uncreatable_outdir_is_a_config_error(self, tmp_path, capsys,
+                                                  below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file")
+        outdir = blocker / "out" if below else blocker
+        assert main(["--outdir", str(outdir), "ref-rep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "output directory" in err
+        assert len(err.splitlines()) == 1
+        assert blocker.read_text() == "a regular file"
+
     @pytest.mark.parametrize("value", ["1e300", "40"])
     def test_growth_refuses_an_oversized_ball(self, tmp_path, capsys,
                                               monkeypatch, value):
@@ -284,13 +313,17 @@ class TestPinnedArtifacts:
          "1771778fd110efc26d7f0b6eed1a846740c70e87f61f2d4b4bf97c54b28997de"),
         (["--rmax", "10", "growth"], "growth.json",
          "b445ab56994bd2c45fc4042bc0f4e8ee9830414a6680937d29e817749c8066ec"),
+        # Rmax 12 is the first pinned run whose levels span several
+        # frontier chunks, so it covers the cross-chunk dedup
+        (["--rmax", "12", "growth"], "growth.json",
+         "aaf0dd18afdcb4c9e0f653278bd4b72e195e7283dffd3f9266b1f42986645698"),
         (["--maxlen", "4", "triangle-check"], "triangle.csv",
          "e56ca74f1d2b96207510192f7094b86c2b6f2801942f3f5fd779419fff1ae974"),
     ], ids=["spectrum", "certify", "certify-maxlen5", "triangle-check",
             "spectrum-maxlen5", "spectrum-maxlen6", "witness-maxlen7",
             "limitset-maxlen6", "limitset-svg-maxlen6",
             "limitset-maxlen6-theta0", "witness-maxlen7-theta0.76",
-            "witness-maxlen7-theta0.52", "growth-rmax10",
+            "witness-maxlen7-theta0.52", "growth-rmax10", "growth-rmax12",
             "triangle-check-maxlen4"])
     def test_artifact_digest(self, tmp_path, argv, name, digest):
         code, out = run(tmp_path, "--bend-angle", "0.6", *argv)

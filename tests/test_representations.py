@@ -10,6 +10,8 @@ relator coincidences removed.
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +40,6 @@ from qfcert.representations import (
     find_complex_trace_element,
     fuchsian_octagon,
     normalize_spectrum,
-    orbit_distance,
     orbit_length_estimate,
     orbit_point_distances,
     power_displacement,
@@ -47,9 +48,8 @@ from qfcert.representations import (
     representation_to_dict,
     stable_length,
     stable_lengths,
-    with_basepoint,
 )
-from qfcert.surface_group import GroupPresentation, Word, enumerate_words, rotations
+from qfcert.surface_group import GroupPresentation, Word, enumerate_words
 
 # 2 * arccosh(1 + sqrt(2)), the displacement of a side-pairing
 # translation of the regular octagon with vertex angle pi/4
@@ -182,6 +182,13 @@ class TestBending:
             evaluate(bpos, w).trace.conjugate(), abs=1e-9)
 
 
+def _matrices(rep, words):
+    """(n, 2, 2) images of words, evaluated one at a time."""
+    return np.array([[[m.a, m.b], [m.c, m.d]]
+                     for m in (evaluate(rep, w) for w in words)],
+                    dtype=complex)
+
+
 class TestStableLength:
     def test_rejects_trivial_word(self, base_rep):
         with pytest.raises(RepresentationError):
@@ -232,15 +239,22 @@ class TestStableLength:
         assert stable_lengths(-mats) == stable_lengths(mats)
 
     def test_orbit_distance_dominates(self, base_rep):
-        for w in enumerate_words(base_rep.presentation, 2, mode="reduced"):
-            assert orbit_distance(base_rep, w) >= stable_length(base_rep, w) - 1e-12
+        words = list(enumerate_words(base_rep.presentation, 2, mode="reduced"))
+        dists = representations._orbit_distances_of(
+            _matrices(base_rep, words), base_rep.basepoint)
+        for w, d in zip(words, dists):
+            assert d >= stable_length(base_rep, w) - 1e-12
 
-    def test_orbit_distance_is_basepoint_displacement(self, base_rep):
-        w = Word((1, 2))
-        m = evaluate(base_rep, w)
-        y = base_rep.basepoint
-        assert orbit_distance(base_rep, w) == pytest.approx(
-            dist_h3(m(y), y), abs=1e-12)
+    def test_orbit_distance_is_basepoint_displacement(self, bent_rep):
+        # the batch distance of the orbit search, at the default basepoint
+        # and at a moved one
+        words = list(enumerate_words(bent_rep.presentation, 2, mode="reduced"))
+        mats = _matrices(bent_rep, words)
+        for y in (BASEPOINT, Point3(0.5 + 0.25j, 2.0)):
+            dists = representations._orbit_distances_of(mats, y)
+            for w, d in zip(words, dists):
+                m = evaluate(bent_rep, w)
+                assert d == pytest.approx(dist_h3(m(y), y), abs=1e-12)
 
 
 class TestPowerDisplacement:
@@ -344,7 +358,7 @@ def dehn_classes(rep: Representation, maxlen: int) -> list[tuple[int, ...]]:
     out = []
     for w in enumerate_words(pres, maxlen, mode="conjugacy"):
         size = abs(evaluate(rep, w).trace)
-        rots = rotations(w)
+        rots = [Word(w.letters[i:] + w.letters[:i]) for i in range(len(w))]
         for other_size, other_rots in kept:
             if abs(size - other_size) <= 1e-6 * size and any(
                     pres.are_equal(r, s) for r in rots for s in other_rots):
@@ -739,6 +753,54 @@ class TestOrbitSearchReference:
         assert np.array_equal(got, want)
 
 
+def _plane_stack_keys(mats):
+    """Element keys as a stack of real and imaginary planes, eight columns
+    for any batch: the layout quantize_keys replaced, kept as reference."""
+    flat = mats.reshape(mats.shape[0], 4)
+    parts = np.stack([flat.real, flat.imag], axis=-1).reshape(mats.shape[0], 8)
+    return np.round(parts * (10.0 ** wa.KEY_DECIMALS)).astype(np.int64)
+
+
+class TestElementKeys:
+    """quantize_keys reads the batch's own float64 view: complex keys
+    are the plane-stack keys, and real keys drop only all-zero columns,
+    so the dedup picks the same rows."""
+
+    def test_complex_keys_equal_plane_stack(self, bent_rep):
+        gens = bent_rep.generator_matrix_array()
+        for level in wa.reduced_word_levels(4):
+            mats = wa.canonical_sign(wa.compose_matrices(level, gens))
+            assert mats.dtype == np.complex128
+            assert _same_bits(wa.quantize_keys(mats), _plane_stack_keys(mats))
+
+    def test_real_keys_drop_only_zero_columns(self, base_rep):
+        # level 4 holds the eight relator coincidences that
+        # test_relator_coincidences_merged counts
+        gens = wa.exact_real(base_rep.generator_matrix_array())
+        mats = wa.canonical_sign(
+            wa.compose_matrices(wa.reduced_word_levels(4)[-1], gens))
+        assert mats.dtype == np.float64
+        got, want = wa.quantize_keys(mats), _plane_stack_keys(mats)
+        assert _same_bits(got, want[:, 0::2])
+        assert not want[:, 1::2].any()
+        # np.unique lists first occurrences in memcmp key order, the
+        # order the frontier keeps
+        _, got_idx = np.unique(wa.rows_as_void(got), return_index=True)
+        _, want_idx = np.unique(wa.rows_as_void(want), return_index=True)
+        assert np.array_equal(got_idx, want_idx)
+        assert got_idx.size == len(mats) - 8
+
+    def test_no_allocator_tuning_in_src(self):
+        # allocator settings are process-wide: a library call must not
+        # leave them changed in its caller
+        src = Path(representations.__file__).parent
+        files = sorted(src.rglob("*.py"))
+        found = [path.name for path in files
+                 if re.search(r"mallopt|ctypes", path.read_text())]
+        assert len(files) > 5
+        assert not found
+
+
 class TestGrowth:
     def test_prune_matches_brute_force(self, base_rep):
         # no element of word length 7+ sits below distance 6.3, so the
@@ -819,17 +881,3 @@ class TestSerialization:
         b = representation_json(bend(fuchsian_octagon(), 0.6))
         assert a == b
 
-
-class TestBasepoint:
-    def test_with_basepoint_changes_orbit_distance(self, base_rep):
-        y = Point3(0.5 + 0.25j, 2.0)
-        moved = with_basepoint(base_rep, y)
-        w = Word((1,))
-        m = evaluate(moved, w)
-        assert orbit_distance(moved, w) == pytest.approx(
-            dist_h3(m(y), y), abs=1e-12)
-
-    def test_with_basepoint_preserves_images(self, base_rep):
-        moved = with_basepoint(base_rep, Point3(1.0j, 3.0))
-        for letter in (1, 2, 3, 4):
-            assert moved.images[letter].entries() == base_rep.images[letter].entries()
