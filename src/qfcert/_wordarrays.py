@@ -6,15 +6,18 @@ sampling, the orbit search and the complex-trace search build each product
 from its parent's (``extend_products``); other rows, such as the class
 table's, go through ``compose_matrices``.  Every batch product is
 ``_times``, equal to ``representations.evaluate`` bit for bit after
-``MoebiusMap._unit_det``'s sign.  Artifact lengths must be
-``moebius.translation_length`` of the products: ``translation_lengths``
-uses ``np.arccosh``, which differs from ``cmath.acosh`` in the last bit for
-about one word in ten.
+``MoebiusMap._unit_det``'s sign.  ``translating`` decides from traces
+which products are translations, with ``moebius``'s tolerances.  Artifact
+lengths come from ``representations.stable_lengths``: its ``cmath.acosh``
+is ``moebius.translation_length`` bit for bit, and ``np.arccosh`` differs
+from it in the last bit for about one word in ten.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .moebius import PARABOLIC_TRACE_TOL, REAL_TRACE_TOL
 
 # element dedup in the orbit search: canonical entries rounded to 1e-6
 KEY_DECIMALS = 6
@@ -258,16 +261,11 @@ def traces(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, 0] + mats[..., 1, 1]
 
 
-def translation_lengths(mats: np.ndarray) -> np.ndarray:
-    """Vectorized trace-based translation length (0 for non-translation types)."""
-    tr = traces(mats)
-    half = tr.astype(complex) / 2.0
-    u = np.arccosh(half)
-    ell = 2.0 * np.abs(u.real)
-    # real trace with |tr| <= 2: elliptic/parabolic/identity -> 0
-    real_tr = np.abs(tr.imag) <= 1e-9
-    ell[real_tr & (np.abs(tr.real) <= 2.0 + 1e-9)] = 0.0
-    return ell
+def translating(tr: np.ndarray) -> np.ndarray:
+    """Where traces tr are translations': |Im tr| > REAL_TRACE_TOL or
+    |Re tr| > 2 + PARABOLIC_TRACE_TOL, as in moebius.translation_length."""
+    return (np.abs(tr.imag) > REAL_TRACE_TOL) \
+        | (np.abs(tr.real) > 2.0 + PARABOLIC_TRACE_TOL)
 
 
 def attracting_fixed_pairs(mats: np.ndarray) -> np.ndarray:

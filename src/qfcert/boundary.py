@@ -364,8 +364,8 @@ def _accumulate_level(words: np.ndarray, gens: tuple[np.ndarray, np.ndarray],
         else:
             ref_m, rep_m = (wa.extend_products(p[lo // fan:hi // fan], last, g)
                             for p, g in zip(parents, gens))
-        keep = (wa.translation_lengths(ref_m) > 1e-9) \
-            & (wa.translation_lengths(rep_m) > 1e-9)
+        keep = wa.translating(wa.traces(ref_m)) \
+            & wa.translating(wa.traces(rep_m))
         end = start + int(np.count_nonzero(keep))
         # a slice when every row is kept, so nothing is copied
         rows = slice(None) if end - start == hi - lo else keep
@@ -482,8 +482,12 @@ def _lift_path(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(re).all() and np.isfinite(im).all()) \
             or ((re == 0) & (im == 0)).any():
         raise BoundaryError("argument lift needs finite nonzero points")
-    arg = np.array(list(map(math.atan2, im.tolist(), re.tolist()))) \
-        / (2.0 * math.pi)
+    # in _CHUNK slices, so the Python float lists stay small
+    arg = np.empty(re.size)
+    for lo in range(0, re.size, _CHUNK):
+        arg[lo:lo + _CHUNK] = list(map(math.atan2, im[lo:lo + _CHUNK].tolist(),
+                                       re[lo:lo + _CHUNK].tolist()))
+    arg /= 2.0 * math.pi
     step = np.diff(arg)
     step -= np.floor(step)
     step[step > 0.5] -= 1.0
@@ -954,9 +958,28 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
     alternate sides of the origin, the (1,4)/(2,3) image axes cross
     within tolerance, and the (1,3)/(2,4) image axes stay separated,
     unlinked and aligned on the near-real circle they accumulate on.
+    The stored numbers are checked against gamma's multiplier, the
+    recomputed images and the boundary points they name: Lambda to 1e-12
+    relative, Theta, each arglift and each xi angle to 1e-9 turns.
+
+    The stored data cannot prove the integer parts of Theta and of the
+    arglifts, nor R0 and r0 beyond their sign: those two come from the
+    sample the search drew its points from.
     """
     try:
         if len(w.xi) != 4:
+            return False
+        # checked before the division R0 / r0 below
+        if not all(0.0 < x < math.inf for x in (w.R0, w.r0, *w.radii)):
+            return False
+        data, _ = _gamma_chart(rep, w.gamma)
+        if not abs(w.Lambda - data.lam) <= 1e-12 * data.lam:
+            return False
+        # Theta and each arglift are reduced before the difference: in
+        # Theta - theta a huge Theta would absorb theta, as all floats
+        # past 2^52 are integers
+        if not circular_distance_turns(wrap_turns(w.Theta),
+                                       data.theta) <= 1e-9:
             return False
         if not (w.Lambda > 1.0 and abs(w.Theta) > 0.0):
             return False
@@ -983,6 +1006,12 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
             if len(core) == 0:
                 return False
             core_attracting = fixed_angles(core)[1]
+            # the search's angle: gamma^n of the core's attracting point
+            pt = _angle_to_boundary_point(core_attracting)
+            for _ in range(n):
+                pt = ref_gamma(pt)
+            if not circular_distance_turns(disk_angle(pt), ref.angle) <= 1e-9:
+                return False
             side, t = _canonical_ray_position(n, core_attracting, ref_gamma,
                                               a_minus, a_plus, bounds)
             sides.append(side)
@@ -1004,10 +1033,13 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
 
         # image side, recomputed from the words
         images = witness_image_points(w, rep)
-        for p, r_stored in zip(images, w.radii):
+        for p, r_stored, lift in zip(images, w.radii, w.arglift):
             if not math.isfinite(abs(p)) or abs(p) == 0.0:
                 return False
             if abs(abs(p) - r_stored) > 1e-6 * r_stored:
+                return False
+            arg = math.atan2(p.imag, p.real) / (2.0 * math.pi)
+            if not circular_distance_turns(wrap_turns(lift), arg) <= 1e-9:
                 return False
         for p, sign in zip(images, (-1.0, 1.0, -1.0, 1.0)):
             if not (p.real * sign > 0.0 and abs(p.imag) < 0.5 * abs(p.real)):

@@ -148,8 +148,7 @@ def _class_table(rep: Representation, maxlen: int):
     rows, mats = wa.conjugacy_classes(maxlen, rep.generator_matrix_array())
     ref_m = wa.compose_matrices(
         rows, reference_representation().generator_matrix_array())
-    keep = (wa.translation_lengths(ref_m) > 1e-9) \
-        & (wa.translation_lengths(mats) > 1e-9)
+    keep = wa.translating(wa.traces(ref_m)) & wa.translating(wa.traces(mats))
     ref_m = ref_m[keep]
     angles = np.stack(
         [wa.disk_angles_turns(wa.repelling_fixed_pairs(ref_m)),
@@ -333,7 +332,8 @@ def find_separation_certificate(
         raise CertificateError("maxlen must be at least 1")
     threshold = max(min_ratio, 1.0 + MIN_CERTIFICATE_MARGIN)
     rows, rep_m, angles = _class_table(rep_q, maxlen)
-    ell = wa.translation_lengths(rep_m)
+    # every kept row translates, so no length needs zeroing
+    ell = 2.0 * np.abs(np.arccosh(wa.traces(rep_m) / 2.0).real)
     lengths = (rows >= 0).sum(axis=1)
     n = rows.shape[0]
     if n < 2:
@@ -443,21 +443,27 @@ def certificate_problems(cert: SeparationCertificate,
                        stable_length(rep_q, cert.b)),
                       ("ell_q_ab", cert.ell_q_ab,
                        stable_length(rep_q, cert.a * cert.b)))
+        # written "not <=" so that a NaN stored value fails too
         for name, stored, fresh in recomputed:
-            if abs(fresh - stored) > 1e-9:
+            if not abs(fresh - stored) <= 1e-9:
                 problems.append("%s stored %.17g but recomputes to %.17g"
                                 % (name, stored, fresh))
         ell_a, ell_b, ell_ab = (fresh for _, _, fresh in recomputed)
-        ratio = (ell_a + ell_b) / ell_ab
-        if abs(ratio - cert.ratio) > 1e-9:
-            problems.append("ratio stored %.17g but recomputes to %.17g"
-                            % (cert.ratio, ratio))
-        if not ratio > 1.0:
-            problems.append("recomputed ratio %.17g does not exceed 1"
-                            % ratio)
-        if abs(cert.alpha - math.log(ratio)) > 1e-9:
-            problems.append("alpha stored %.17g but log(ratio) is %.17g"
-                            % (cert.alpha, math.log(ratio)))
+        if not ell_ab > 0.0:
+            # a trivial or non-translating product: there is no ratio
+            problems.append("l(ab) recomputes to %.17g, not positive"
+                            % ell_ab)
+        else:
+            ratio = (ell_a + ell_b) / ell_ab
+            if not abs(ratio - cert.ratio) <= 1e-9:
+                problems.append("ratio stored %.17g but recomputes to %.17g"
+                                % (cert.ratio, ratio))
+            if not ratio > 1.0:
+                problems.append("recomputed ratio %.17g does not exceed 1"
+                                % ratio)
+            if not abs(cert.alpha - math.log(ratio)) <= 1e-9:
+                problems.append("alpha stored %.17g but log(ratio) is %.17g"
+                                % (cert.alpha, math.log(ratio)))
         config = classify_pairs(cert.a, cert.b)
         if config != PairConfig.UNLINKED_ALIGNED:
             problems.append("pair reclassifies to %s, not unlinked-aligned"

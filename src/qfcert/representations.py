@@ -41,8 +41,6 @@ import numpy as np
 from . import _wordarrays as wa
 from .moebius import (
     BASEPOINT,
-    PARABOLIC_TRACE_TOL,
-    REAL_TRACE_TOL,
     Geodesic3,
     IsometryKind,
     MoebiusError,
@@ -50,6 +48,7 @@ from .moebius import (
     Point3,
     classify,
     dist_to_geodesic,
+    normalizer_to_axis,
     translation_length,
 )
 from .surface_group import (
@@ -202,8 +201,7 @@ def bend(rep: Representation, angle: float) -> Representation:
         raise RepresentationError("bending curve image is not a translation")
     # normalize: repelling -> 0, attracting -> inf; endpoints are real so
     # the conjugator keeps fuchsian data real
-    x, e = cl.data.fix_minus, cl.data.fix_plus
-    n = MoebiusMap(x.w2, -x.w1, e.w2, -e.w1)
+    n = normalizer_to_axis(Geodesic3(cl.data.fix_minus, cl.data.fix_plus))
     half = cmath.exp(0.5j * angle)
     twist = MoebiusMap(half, 0.0, 0.0, 1.0 / half)
     images: dict[int, MoebiusMap] = {}
@@ -232,8 +230,9 @@ def stable_lengths(mats: np.ndarray) -> list[float]:
     """stable_length of each word from its wa.compose_matrices product,
     bit for bit, read from the trace a + d alone.
 
-    translation_length's thresholds ignore the sign of the trace.  A trace
-    past them has modulus above 1e-12, so evaluate's canonical sign
+    wa.translating picks the words of nonzero length by
+    translation_length's thresholds, which ignore the sign of the trace.
+    A trace past them has modulus above 1e-12, so evaluate's canonical sign
     negates it by _needs_sign_flip's trace rule (np.hypot is the modulus
     abs() takes, and (-a) + (-d) is exactly -(a + d)).  Each length is
     then translation_length's cmath.acosh, never np.arccosh.
@@ -242,8 +241,7 @@ def stable_lengths(mats: np.ndarray) -> list[float]:
     if not np.isfinite(np.abs(flat)).all():
         raise MoebiusError("non-finite matrix entries in a product")
     tr = flat[:, 0] + flat[:, 3]
-    live = (np.abs(tr.imag) > REAL_TRACE_TOL) \
-        | (np.abs(tr.real) > 2.0 + PARABOLIC_TRACE_TOL)
+    live = wa.translating(tr)
     tr = tr[live]
     flip = np.where(np.abs(tr.real) > 1e-14 * np.hypot(tr.real, tr.imag),
                     tr.real < 0.0, tr.imag < 0.0)

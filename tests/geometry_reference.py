@@ -4,9 +4,16 @@ No command needs these: the witness diagnostic works in a closed chart
 formula (``certificates.diagnostic_delta``).  They stay here, tested
 against closed forms in ``test_moebius.py``, as the general-geometry
 oracle that diagnostic is checked against.
+
+``translation_lengths`` is the batch ``np.arccosh`` length that the
+limit-set sample and the class table once thresholded at 1e-9 to keep
+translations; ``_wordarrays.translating`` is checked against it, and the
+certificate-scan references still take their lengths from it.
 """
 
 import math
+
+import numpy as np
 
 from qfcert.moebius import (
     ENDPOINT_TOL,
@@ -98,3 +105,15 @@ def axis_crossing_gap(geoA: Geodesic3, geoB: Geodesic3, diag: Geodesic3) -> floa
     _, foot_a, foot_b = geodesic_distance(geoA, geoB)
     p = midpoint(foot_a, foot_b)
     return busemann_gap(p, diag).value
+
+
+def translation_lengths(mats: np.ndarray) -> np.ndarray:
+    """Vectorized trace-based translation length (0 for non-translation types)."""
+    tr = mats[..., 0, 0] + mats[..., 1, 1]
+    half = tr.astype(complex) / 2.0
+    u = np.arccosh(half)
+    ell = 2.0 * np.abs(u.real)
+    # real trace with |tr| <= 2: elliptic/parabolic/identity -> 0
+    real_tr = np.abs(tr.imag) <= 1e-9
+    ell[real_tr & (np.abs(tr.real) <= 2.0 + 1e-9)] = 0.0
+    return ell

@@ -64,6 +64,8 @@ from qfcert.representations import (
 )
 from qfcert.surface_group import Word, enumerate_words
 
+from geometry_reference import translation_lengths
+
 A1 = Word((1,))
 B1 = Word((2,))
 A2 = Word((3,))
@@ -460,8 +462,8 @@ def reference_level(words, gens, parents, store):
         else:
             ref_m, rep_m = (wa.extend_products(p[lo // fan:hi // fan], last, g)
                             for p, g in zip(parents, gens))
-        keep[lo:hi] = (wa.translation_lengths(ref_m) > 1e-9) \
-            & (wa.translation_lengths(rep_m) > 1e-9)
+        keep[lo:hi] = (translation_lengths(ref_m) > 1e-9) \
+            & (translation_lengths(rep_m) > 1e-9)
         angles[lo:hi] = wa.disk_angles_turns(wa.attracting_fixed_pairs(ref_m))
         pairs[lo:hi] = wa.attracting_fixed_pairs(rep_m)
         if store:

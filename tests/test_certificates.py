@@ -44,7 +44,7 @@ from qfcert.representations import (
 )
 from qfcert.surface_group import Word
 
-from geometry_reference import axis_crossing_gap
+from geometry_reference import axis_crossing_gap, translation_lengths
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +271,7 @@ def ordered_pair_scan(rep, maxlen, min_ratio):
     best_any = -math.inf
     best = None
     for lo, ratio in ordered_ratio_blocks(
-            rep_m, wa.translation_lengths(rep_m), angles):
+            rep_m, translation_lengths(rep_m), angles):
         block_best = float(ratio.max())
         best_any = max(best_any, block_best)
         if block_best < threshold:
@@ -339,7 +339,7 @@ class TestCertificateScan:
         if chart is not None:
             rep = conjugate_representation(rep, chart)
         _, rep_m, angles = certmod._class_table(rep, 4)
-        ell = wa.translation_lengths(rep_m)
+        ell = translation_lengths(rep_m)
         grid = np.concatenate(
             [ratio for _, ratio in ordered_ratio_blocks(rep_m, ell, angles)])
         ii, jj = np.nonzero(pair_config_grid(angles, angles) == ALIGNED)
@@ -393,7 +393,7 @@ def aligned_scan_inputs(rep, maxlen):
     ii, jj = np.nonzero(np.triu(pair_config_grid(angles, angles) == ALIGNED))
     table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
     norm = np.sqrt((np.abs(rep_m) ** 2).sum(axis=(1, 2)))
-    return table, wa.translation_lengths(rep_m), norm, ii, jj
+    return table, translation_lengths(rep_m), norm, ii, jj
 
 
 class TestRatioBounds:
@@ -439,7 +439,7 @@ class TestFixedOrderTrace:
         _, rep_m, _ = certmod._class_table(bend(fuchsian_octagon(), angle),
                                            4)
         table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
-        ell = wa.translation_lengths(rep_m)
+        ell = translation_lengths(rep_m)
         n = len(rep_m)
         first, second = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
         tr = np.einsum("ijk,jik->k", table.take(first, axis=2),

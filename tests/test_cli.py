@@ -1,13 +1,16 @@
 """Command-line harness: artifact determinism, schema tags, config
 handling, exit-code contract, and the per-command happy paths."""
 
+import copy
 import hashlib
 import json
+import math
 
 import pytest
 
 from qfcert import cli
 from qfcert.boundary import witness_to_dict
+from qfcert.certificates import certificate_to_dict, find_separation_certificate
 from qfcert.cli import main
 
 SCHEMA = "qfcert/1"
@@ -535,6 +538,110 @@ class TestWitnessInput:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert len(err.splitlines()) == 1
+
+
+def numeric_fields(payload, path=()):
+    """Paths to every number in a JSON payload, depth first."""
+    items = payload.items() if isinstance(payload, dict) \
+        else enumerate(payload) if isinstance(payload, list) else ()
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from numeric_fields(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+def value_at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def with_value(payload, path, value):
+    out = copy.deepcopy(payload)
+    value_at(out, path[:-1])[path[-1]] = value
+    return out
+
+
+def run_input(tmp_path, command, payload):
+    """Exit code of `command --input` on payload, at bend angle 0.6."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    return main(["--outdir", str(tmp_path / "out"), "--bend-angle", "0.6",
+                 command, "--input", str(path)])
+
+
+FORGED_VALUES = (0, -1, math.nan, math.inf, 1e308)
+
+
+class TestInputContract:
+    """Every numeric field of a saved witness or certificate, set to an
+    extreme value, gives exit 1 or 2 and no traceback; the few settings a
+    witness verifier cannot refute are listed."""
+
+    # r0 beyond its sign comes from the sample, which the witness does not
+    # carry; window 1 starting at -1 instead of 0 still holds its point
+    UNPROVABLE = {(("r0",), 1e308), (("indices_n", 0), -1)}
+
+    @pytest.fixture(scope="class")
+    def certificate(self, bent_rep):
+        return certificate_to_dict(find_separation_certificate(bent_rep, 4))
+
+    @pytest.mark.parametrize("value", FORGED_VALUES, ids=str)
+    def test_witness_fields(self, tmp_path, capsys, witness_run, value):
+        payload = witness_to_dict(witness_run.witness)
+        accepted = set()
+        for path in numeric_fields(payload):
+            if value_at(payload, path) == value:
+                continue
+            code = run_input(tmp_path, "witness",
+                             with_value(payload, path, value))
+            assert code in (0, 1, 2), path
+            if code == 0:
+                accepted.add((path, value))
+        assert "Traceback" not in capsys.readouterr().err
+        assert accepted == {case for case in self.UNPROVABLE
+                            if case[1] == value}
+
+    @pytest.mark.parametrize("value", FORGED_VALUES, ids=str)
+    def test_certificate_fields(self, tmp_path, capsys, certificate, value):
+        assert run_input(tmp_path, "certify", certificate) == 0
+        fields = list(numeric_fields(certificate))
+        assert len(fields) == 5
+        for path in fields:
+            code = run_input(tmp_path, "certify",
+                             with_value(certificate, path, value))
+            assert code in (1, 2), path
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path,value", [
+        (("Lambda",), 1e6), (("Lambda",), math.inf), (("Theta",), 5.0),
+        (("R0",), -1.0), (("R0",), 0.0), (("r0",), -1.0), (("r0",), 0.0),
+        (("r0",), math.inf), (("radii", 3), math.inf),
+        (("arglift", 1), 0.25), (("arglift", 3), None),
+        (("xi", 2, "angle"), None),
+    ], ids=["lambda-1e6", "lambda-inf", "theta-5", "R0-negative", "R0-zero",
+            "r0-negative", "r0-zero", "r0-inf", "radius-inf",
+            "arglift-quarter", "arglift-shifted", "xi-angle-shifted"])
+    def test_forged_witness_is_invalid(self, tmp_path, capsys, witness_run,
+                                       path, value):
+        payload = witness_to_dict(witness_run.witness)
+        if value is None:
+            # a shift of 1e-6 turns from the stored value
+            value = value_at(payload, path) + 1e-6
+        assert run_input(tmp_path, "witness",
+                         with_value(payload, path, value)) == 1
+        assert capsys.readouterr().err \
+            == "witness INVALID: fails independent verification\n"
+
+    def test_relator_product_is_invalid(self, tmp_path, capsys, certificate):
+        # a b is the relator: l(ab) recomputes to 0 and there is no ratio
+        payload = {**certificate, "a": "a1 b1 A1 B1", "b": "a2 b2 A2 B2"}
+        assert run_input(tmp_path, "certify", payload) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("certificate INVALID:\n")
+        assert "  - l(ab) recomputes to 0, not positive\n" in err
+        assert "Traceback" not in err
 
 
 class TestLimitsetCommand:

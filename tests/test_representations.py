@@ -51,6 +51,8 @@ from qfcert.representations import (
 )
 from qfcert.surface_group import GroupPresentation, Word, enumerate_words
 
+from geometry_reference import translation_lengths
+
 # 2 * arccosh(1 + sqrt(2)), the displacement of a side-pairing
 # translation of the regular octagon with vertex angle pi/4
 EXPECTED_GENERATOR_LENGTH = 3.057141838961996
@@ -587,6 +589,50 @@ class TestProductKernel:
         got = wa.compose_matrices(levels[-1], real)
         want = wa.compose_matrices(levels[-1], gens)
         assert _same_bits(got, np.ascontiguousarray(want.real))
+
+
+class TestTranslating:
+    """wa.translating, the sample's and the class table's filter, keeps
+    exactly the products whose np.arccosh length exceeds 1e-9."""
+
+    @pytest.mark.parametrize("angle", [None, 0.0, 0.6, 0.99, -0.6],
+                             ids=["reference", "0", "0.6", "0.99", "-0.6"])
+    def test_equals_the_arccosh_length_threshold(self, base_rep, angle):
+        gens = wa.exact_real(base_rep.generator_matrix_array()) \
+            if angle is None else bend(base_rep, angle).generator_matrix_array()
+        mats = None
+        for level in wa.reduced_word_levels(6):
+            last = level[:, -1]
+            mats = gens[last] if mats is None \
+                else wa.extend_products(mats, last, gens)
+            assert np.array_equal(wa.translating(wa.traces(mats)),
+                                  translation_lengths(mats) > 1e-9)
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_boundary_cases(self, dtype):
+        tol = 1e-9
+        traces = {
+            # +-I with rounding, parabolic and elliptic traces
+            2.0 + 4.4e-16: False, -2.0 - 4.4e-16: False, 2.0: False,
+            -2.0: False, 2.0 * math.cos(0.3): False, 0.0: False,
+            # each side of the parabolic tolerance
+            2.0 + 0.5 * tol: False, 2.0 + 2.0 * tol: True,
+            -2.0 - 0.5 * tol: False, -2.0 - 2.0 * tol: True, 5.0: True,
+        }
+        if dtype is complex:
+            traces.update({
+                # each side of the real-trace tolerance
+                1.0 + 0.5j * tol: False, 1.0 + 2j * tol: True,
+                2.0 - 0.5j * tol: False, -2.0 - 2j * tol: True,
+                2j: True,
+            })
+        tr = np.array(list(traces), dtype=dtype)
+        # diagonal matrices with the trace split in two exact halves
+        mats = np.zeros((tr.size, 2, 2), dtype=dtype)
+        mats[:, 0, 0] = mats[:, 1, 1] = tr / 2.0
+        got = wa.translating(wa.traces(mats))
+        assert got.tolist() == list(traces.values())
+        assert np.array_equal(got, translation_lengths(mats) > 1e-9)
 
 
 class TestPrefixProducts:
