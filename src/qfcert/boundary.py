@@ -962,6 +962,9 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
     recomputed images and the boundary points they name: Lambda to 1e-12
     relative, Theta, each arglift and each xi angle to 1e-9 turns.
 
+    Each xi[k] must be gamma^n of its core's attracting point with n in
+    window k, [indices_n[k], indices_m[k]).
+
     The stored data cannot prove the integer parts of Theta and of the
     arglifts, nor R0 and r0 beyond their sign: those two come from the
     sample the search drew its points from.
@@ -1001,9 +1004,9 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
         positions: list[float] = []
         sides: list[int] = []
         bounds: dict = {}
-        for ref in w.xi:
+        for ref, n_k, m_k in zip(w.xi, w.indices_n, w.indices_m):
             n, core = _strip_conjugator(ref.word, w.gamma)
-            if len(core) == 0:
+            if len(core) == 0 or not n_k <= n < m_k:
                 return False
             core_attracting = fixed_angles(core)[1]
             # the search's angle: gamma^n of the core's attracting point

@@ -358,16 +358,29 @@ class GrowthEstimate:
 
 
 def _orbit_distances_of(mats: np.ndarray, y: Point3) -> np.ndarray:
-    """Distances d(m.y, y) for a batch of matrices."""
+    """Distances d(m.y, y) for a batch of matrices; m and -m give the
+    same bits.
+
+    A float64 batch with y on the real axis stays float64, bit for bit
+    the complex formula: NumPy divides by a real-valued complex number
+    as a multiple of its reciprocal.
+    """
     a = mats[:, 0, 0]
     b = mats[:, 0, 1]
     c = mats[:, 1, 0]
     d = mats[:, 1, 1]
-    czd = c * y.z + d
-    den = np.abs(czd) ** 2 + (np.abs(c) * y.t) ** 2
-    z = ((a * y.z + b) * np.conj(czd) + a * np.conj(c) * y.t * y.t) / den
+    if not np.iscomplexobj(mats) and y.z.imag == 0.0:
+        zr = y.z.real
+        czd = c * zr + d
+        den = czd * czd + (np.abs(c) * y.t) ** 2
+        gap = ((a * zr + b) * czd + a * c * y.t * y.t) * (1.0 / den) - zr
+    else:
+        czd = c * y.z + d
+        den = np.abs(czd) ** 2 + (np.abs(c) * y.t) ** 2
+        gap = np.abs(((a * y.z + b) * np.conj(czd)
+                      + a * np.conj(c) * y.t * y.t) / den - y.z)
     t = y.t / den
-    cosh_d = 1.0 + (np.abs(z - y.z) ** 2 + (t - y.t) ** 2) / (2.0 * t * y.t)
+    cosh_d = 1.0 + (gap ** 2 + (t - y.t) ** 2) / (2.0 * t * y.t)
     return np.arccosh(np.maximum(1.0, cosh_d))
 
 
@@ -381,8 +394,12 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
 
     Breadth-first over reduced words: each new element is extended by
     the 4g - 1 generators that do not cancel its last letter, in the
-    order of reduced_word_levels.  When prune_radius is set, candidates
-    beyond it are dropped before dedup and never extended.  An element's
+    order of reduced_word_levels.  Each batch of candidates goes through
+    distance, prune, sign and keys, in that order: m and -m have the same
+    distance bits, so only the rows that the prune keeps reach
+    canonical_sign, and those are signed before their keys, the frontier
+    and its order are read.  When prune_radius is set, candidates beyond
+    it are dropped before dedup and never extended.  An element's
     distance does not depend on its spelling, so a pruned element is
     pruned again on every later spelling and the dedup tables need only
     hold elements inside the radius (rounding can differ only within
@@ -423,11 +440,11 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
                 kids = wa.child_ranks(last[lo:lo + _FRONTIER_CHUNK], genus)
                 cand = wa.extend_products(frontier[lo:lo + _FRONTIER_CHUNK],
                                           kids, gens)
-            cand = wa.canonical_sign(cand)
             dist = _orbit_distances_of(cand, y)
             if prune_radius is not None:
                 keep = dist <= prune_radius
                 cand, kids, dist = cand[keep], kids[keep], dist[keep]
+            cand = wa.canonical_sign(cand)
             v = wa.rows_as_void(wa.quantize_keys(cand))
             uniq_v, uniq_idx = np.unique(v, return_index=True)
             new_mask = ~wa.member_of_sorted(uniq_v, seen)

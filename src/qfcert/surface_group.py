@@ -5,12 +5,6 @@ relator [a_1, b_1] [a_2, b_2] ... [a_g, b_g] of length 4g.  Letters are
 encoded as nonzero integers: a_j is 2j - 1, b_j is 2j, and a negative
 value is the inverse of the corresponding generator.
 
-The one-relator presentation satisfies a small-cancellation condition
-strong enough for Dehn's algorithm: any word representing the identity
-contains more than half of a cyclic rotation of the relator or its
-inverse, so greedily replacing such subwords with the shorter complement
-terminates at the empty word exactly for identity words.
-
 Word enumeration is shortlex with generator order
 a_1 < b_1 < ... < a_g < b_g < a_1^-1 < b_1^-1 < ... < b_g^-1.
 
@@ -20,7 +14,7 @@ Text form: "a1 B1 a2" with capitalized names denoting inverses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from . import _wordarrays as wa
@@ -72,10 +66,6 @@ class Word:
             letters = free_reduce_letters(letters + self.letters)
         return Word(letters)
 
-    @property
-    def is_reduced(self) -> bool:
-        return free_reduce_letters(self.letters) == self.letters
-
     def __repr__(self) -> str:
         return "Word(%r)" % (self.letters,)
 
@@ -85,17 +75,10 @@ class GroupPresentation:
     """Genus-g surface group presentation with the product-of-commutators relator."""
 
     genus: int = 2
-    _relator_cycles: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.genus < 2:
             raise WordError("genus must be at least 2, got %r" % (self.genus,))
-        r = self.relator().letters
-        cycles = set()
-        for base in (r, Word(r).inverse().letters):
-            for i in range(len(base)):
-                cycles.add(base[i:] + base[:i])
-        object.__setattr__(self, "_relator_cycles", tuple(sorted(cycles)))
 
     @property
     def generator_count(self) -> int:
@@ -145,43 +128,6 @@ class GroupPresentation:
         w = Word(tuple(letters))
         self.validate(w)
         return w
-
-    # -- Dehn reduction ----------------------------------------------------
-
-    def dehn_reduce(self, w: Word) -> Word:
-        """Greedy Dehn reduction; the result is empty iff w is the identity."""
-        self.validate(w)
-        half = 2 * self.genus
-        full = 4 * self.genus
-        letters = list(free_reduce_letters(w.letters))
-        changed = True
-        while changed:
-            changed = False
-            for match_len in range(min(full, len(letters)), half, -1):
-                hit = None
-                for pos in range(0, len(letters) - match_len + 1):
-                    seg = tuple(letters[pos:pos + match_len])
-                    for cyc in self._relator_cycles:
-                        if cyc[:match_len] == seg:
-                            rest = Word(cyc[match_len:]).inverse().letters
-                            hit = (pos, match_len, rest)
-                            break
-                    if hit:
-                        break
-                if hit:
-                    pos, match_len, rest = hit
-                    letters = list(free_reduce_letters(
-                        tuple(letters[:pos]) + rest + tuple(letters[pos + match_len:])
-                    ))
-                    changed = True
-                    break
-        return Word(tuple(letters))
-
-    def is_identity(self, w: Word) -> bool:
-        return len(self.dehn_reduce(w)) == 0
-
-    def are_equal(self, u: Word, v: Word) -> bool:
-        return self.is_identity(u * v.inverse())
 
 
 def enumerate_words(pres: GroupPresentation, maxlen: int,

@@ -634,6 +634,17 @@ class TestInputContract:
         assert capsys.readouterr().err \
             == "witness INVALID: fails independent verification\n"
 
+    def test_window_without_its_point_is_invalid(self, tmp_path, capsys,
+                                                 witness_run):
+        # window 1 moved to [-10, -4) keeps its width, so every index
+        # inequality still holds, but xi[0] is gamma^3 of its core point
+        payload = witness_to_dict(witness_run.witness)
+        payload = with_value(with_value(payload, ("indices_n", 0), -10),
+                             ("indices_m", 0), -4)
+        assert run_input(tmp_path, "witness", payload) == 1
+        assert capsys.readouterr().err \
+            == "witness INVALID: fails independent verification\n"
+
     def test_relator_product_is_invalid(self, tmp_path, capsys, certificate):
         # a b is the relator: l(ab) recomputes to 0 and there is no ratio
         payload = {**certificate, "a": "a1 b1 A1 B1", "b": "a2 b2 A2 B2"}

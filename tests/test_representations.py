@@ -52,6 +52,7 @@ from qfcert.representations import (
 from qfcert.surface_group import GroupPresentation, Word, enumerate_words
 
 from geometry_reference import translation_lengths
+from word_reference import are_equal
 
 # 2 * arccosh(1 + sqrt(2)), the displacement of a side-pairing
 # translation of the regular octagon with vertex angle pi/4
@@ -363,7 +364,7 @@ def dehn_classes(rep: Representation, maxlen: int) -> list[tuple[int, ...]]:
         rots = [Word(w.letters[i:] + w.letters[:i]) for i in range(len(w))]
         for other_size, other_rots in kept:
             if abs(size - other_size) <= 1e-6 * size and any(
-                    pres.are_equal(r, s) for r in rots for s in other_rots):
+                    are_equal(pres, r, s) for r in rots for s in other_rots):
                 break
         else:
             kept.append((size, rots))
@@ -494,7 +495,7 @@ class TestClassTable:
         assert len(pairs) == 4 * 16 + 112
         for s, r in pairs:
             assert len(r) <= len(s) < 8
-            assert pres.are_equal(Word(wa.ranks_to_letters(np.array(s))),
+            assert are_equal(pres, Word(wa.ranks_to_letters(np.array(s))),
                                   Word(wa.ranks_to_letters(np.array(r))))
 
     def test_one_product_per_class_row(self, bent_rep, monkeypatch):
@@ -724,7 +725,8 @@ def _dedup_then_prune_reference(rep, prune_radius=None, max_word_length=None):
     """The orbit search as it was before pruning moved ahead of dedup:
     every candidate enters the seen table, then elements beyond the
     radius are dropped.  It composes with the complex generators by
-    np.repeat and einsum, not the kernel under test.  Kept as the
+    np.repeat and einsum, and signs and measures with the complex
+    references below, not the kernels under test.  Kept as the
     bit-for-bit reference."""
     gens = rep.generator_matrix_array()
     genus = rep.presentation.genus
@@ -749,7 +751,7 @@ def _dedup_then_prune_reference(rep, prune_radius=None, max_word_length=None):
                 cand = _einsum_times(
                     np.repeat(frontier[lo:lo + chunk], gens.shape[0] - 1,
                               axis=0), gens[kids])
-            cand = wa.canonical_sign(cand)
+            cand = _gather_canonical_sign(cand)
             v = wa.rows_as_void(wa.quantize_keys(cand))
             uniq_v, uniq_idx = np.unique(v, return_index=True)
             new_mask = ~wa.member_of_sorted(uniq_v, seen)
@@ -757,7 +759,7 @@ def _dedup_then_prune_reference(rep, prune_radius=None, max_word_length=None):
             level_keys = np.sort(np.concatenate([level_keys, uniq_v[new_mask]]))
             pick = uniq_idx[new_mask]
             fresh, fresh_last = cand[pick], kids[pick]
-            dist = representations._orbit_distances_of(fresh, y)
+            dist = _complex_orbit_distances(fresh, y)
             if prune_radius is not None:
                 keep = dist <= prune_radius
                 fresh, fresh_last, dist = fresh[keep], fresh_last[keep], dist[keep]
@@ -845,6 +847,184 @@ class TestElementKeys:
                  if re.search(r"mallopt|ctypes", path.read_text())]
         assert len(files) > 5
         assert not found
+
+
+# The three shared kernels as they were before a float64 batch stayed in
+# float64, kept as references: every batch is promoted to complex128.
+
+def _gather_canonical_sign(mats):
+    """canonical_sign by an (n, 4) abs, argmax and gather."""
+    flat = mats.reshape(mats.shape[0], 4)
+    signif = np.abs(flat) > 1e-9
+    # force a pick even for near-zero rows
+    signif[:, 3] |= ~signif.any(axis=1)
+    first = np.argmax(signif, axis=1)
+    lead = flat[np.arange(flat.shape[0]), first]
+    use_imag = np.abs(lead.real) <= 1e-12 * np.abs(lead)
+    key = np.where(use_imag, lead.imag, lead.real)
+    sign = np.where(key < 0.0, -1.0, 1.0)
+    return mats * sign[:, None, None]
+
+
+def _complex_orbit_distances(mats, y):
+    """_orbit_distances_of on the complex formula for every batch."""
+    a = mats[:, 0, 0]
+    b = mats[:, 0, 1]
+    c = mats[:, 1, 0]
+    d = mats[:, 1, 1]
+    czd = c * y.z + d
+    den = np.abs(czd) ** 2 + (np.abs(c) * y.t) ** 2
+    z = ((a * y.z + b) * np.conj(czd) + a * np.conj(c) * y.t * y.t) / den
+    t = y.t / den
+    cosh_d = 1.0 + (np.abs(z - y.z) ** 2 + (t - y.t) ** 2) / (2.0 * t * y.t)
+    return np.arccosh(np.maximum(1.0, cosh_d))
+
+
+def _stacked_fixed_pairs(mats):
+    """attracting_fixed_pairs with a complex square root for every batch
+    and stacked candidate vectors."""
+    a = mats[..., 0, 0]
+    b = mats[..., 0, 1]
+    c = mats[..., 1, 0]
+    d = mats[..., 1, 1]
+    tr = a + d
+    sq = np.sqrt(tr * tr - 4.0 + 0j)
+    kp = (tr + sq) / 2.0
+    km = (tr - sq) / 2.0
+    kappa = np.where(np.abs(kp) >= np.abs(km), kp, km)
+    v1 = np.stack([b, kappa - a], axis=-1)
+    v2 = np.stack([kappa - d, c], axis=-1)
+    n1 = np.abs(v1[..., 0]) ** 2 + np.abs(v1[..., 1]) ** 2
+    n2 = np.abs(v2[..., 0]) ** 2 + np.abs(v2[..., 1]) ** 2
+    v = np.where((n1 >= n2)[..., None], v1, v2)
+    norm = np.sqrt(np.abs(v[..., 0]) ** 2 + np.abs(v[..., 1]) ** 2)
+    return v / norm[..., None]
+
+
+def _bits(x):
+    """Raw 64-bit words, so that signed zeros count."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _level_products(gens, maxlen):
+    """Products of every reduced word up to maxlen, level by level."""
+    mats, out = None, []
+    for level in wa.reduced_word_levels(maxlen):
+        last = level[:, -1]
+        mats = gens[last] if mats is None \
+            else wa.extend_products(mats, last, gens)
+        out.append(mats)
+    return out
+
+
+def _elliptic_gens(base_rep):
+    """The octagon's float64 generators with a1 a quarter turn, so that
+    products hold +-I and elliptic rows (as the sample's dropped-row test
+    builds them)."""
+    ref = wa.exact_real(base_rep.generator_matrix_array()).copy()
+    ref[0], ref[4] = [[0.0, -1.0], [1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]]
+    return ref
+
+
+def _adjugates(mats):
+    """The inverses of unit-determinant matrices; zero off-diagonal
+    entries become -0.0."""
+    out = np.empty_like(mats)
+    out[..., 0, 0], out[..., 1, 1] = mats[..., 1, 1], mats[..., 0, 0]
+    out[..., 0, 1], out[..., 1, 0] = -mats[..., 0, 1], -mats[..., 1, 0]
+    return out
+
+
+# leading entries at 0, -0, on either side of the 1e-9 cut and with a
+# vanishing real part; the last rows have no entry past the cut, and a
+# diagonal row with zero off-diagonal entries gives -0.0 when inverted
+_EDGE_ROWS = np.array([
+    [[0.0, -2.0], [1.0, -0.5]], [[-0.0, 0.0], [-3.0, 1.0 / 3.0]],
+    [[5e-10, -1.0], [1.0, 2.0]], [[-5e-10, 4.0], [-0.25, 3.0]],
+    [[-1e-9, 1e-9], [-2.0, -0.5]], [[-1e-8, 3.0], [-1.0 / 3.0, -0.1]],
+    [[-2.0, 0.0], [0.0, -0.5]], [[0.5, -0.0], [-0.0, 2.0]],
+    [[-1e-10, 2e-10], [0.0, 3e-10]], [[0.0, -0.0], [-0.0, -1e-10]],
+])
+
+
+class TestKernelBits:
+    """canonical_sign, _orbit_distances_of and attracting_fixed_pairs
+    keep a float64 batch in float64 with the bits of the complex128
+    references above; a complex batch gives the references' own bits."""
+
+    @pytest.fixture(scope="class")
+    def batches(self, base_rep):
+        real = wa.exact_real(base_rep.generator_matrix_array())
+        out = {"octagon": _level_products(real, 6),
+               "elliptic": _level_products(_elliptic_gens(base_rep), 4)}
+        out["octagon-complex"] = [m.astype(complex) for m in out["octagon"]]
+        for angle in (0.0, 0.6):
+            out["bent-%g" % angle] = _level_products(
+                bend(base_rep, angle).generator_matrix_array(), 6)
+        rng = np.random.default_rng(19)
+        out["edges"] = [_EDGE_ROWS, _EDGE_ROWS.astype(complex),
+                        _EDGE_ROWS * (1.0 - 1j), _EDGE_ROWS * 1j,
+                        _random_mats(rng, 500, True),
+                        _random_mats(rng, 500, False)]
+        return out
+
+    @pytest.mark.parametrize("name", ["octagon", "octagon-complex", "bent-0",
+                                      "bent-0.6", "elliptic", "edges"])
+    def test_canonical_sign(self, batches, name):
+        for mats in batches[name]:
+            got, want = wa.canonical_sign(mats), _gather_canonical_sign(mats)
+            assert got.dtype == mats.dtype == want.dtype
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("name", ["octagon", "octagon-complex", "bent-0",
+                                      "bent-0.6", "elliptic", "edges"])
+    @pytest.mark.parametrize("y", [BASEPOINT, Point3(0.5, 2.0),
+                                   Point3(0.5 + 0.25j, 2.0)],
+                             ids=["basepoint", "real-axis", "off-axis"])
+    def test_orbit_distances(self, batches, name, y):
+        for mats in batches[name]:
+            # the random rows with c = d = 0 send y to infinity
+            mats = mats[(mats[:, 1] != 0.0).any(axis=1)]
+            got = representations._orbit_distances_of(mats, y)
+            want = _complex_orbit_distances(mats, y)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(_bits(got), _bits(want))
+            # the sign the search applies after its prune moves no bit
+            assert np.array_equal(
+                _bits(representations._orbit_distances_of(-mats, y)),
+                _bits(got))
+
+    @pytest.mark.parametrize("name", ["octagon", "octagon-complex", "bent-0",
+                                      "bent-0.6", "elliptic", "edges"])
+    def test_attracting_fixed_pairs(self, batches, name):
+        for mats in batches[name]:
+            # +-I and elliptic rows give NaN or meaningless pairs, with
+            # an invalid-value warning at most; translations are compared
+            with np.errstate(invalid="ignore"):
+                got = wa.attracting_fixed_pairs(mats)
+                back = wa.repelling_fixed_pairs(mats)
+                want = _stacked_fixed_pairs(mats)
+                want_back = _stacked_fixed_pairs(_adjugates(mats))
+            assert got.dtype == back.dtype == mats.dtype
+            keep = wa.translating(wa.traces(mats))
+            assert keep.any()
+            for g, w in ((got, want), (back, want_back)):
+                assert np.array_equal(_bits(g[keep].astype(complex)),
+                                      _bits(w[keep]))
+
+    def test_sign_sees_only_in_radius_rows(self, base_rep, monkeypatch):
+        # prune radius 14 (growth --rmax 10) builds 1 123 032 candidates
+        # and keeps 166 160; only those are signed
+        rows = []
+        signed = wa.canonical_sign
+
+        def counting(mats):
+            rows.append(mats.shape[0])
+            return signed(mats)
+
+        monkeypatch.setattr(wa, "canonical_sign", counting)
+        orbit_point_distances(base_rep, prune_radius=14.0)
+        assert sum(rows) == 166160
 
 
 class TestGrowth:
