@@ -273,43 +273,23 @@ def attracting_fixed_pairs(mats: np.ndarray) -> np.ndarray:
 
     Caller must ensure the maps are translation types (distinct-modulus
     eigenvalues); ties are resolved arbitrarily.
-
-    A float64 batch stays float64: its pairs are, bit for bit, the real
-    parts of its complex cast's pairs, whose imaginary parts are all +0.
-    That branch takes a real square root and multiplies by 1 / norm, as
-    NumPy divides a complex number by a real-valued one.  The complex
-    branch divides by the norm: a reciprocal there would flip the sign
-    of zero imaginary parts.
     """
     a = mats[..., 0, 0]
     b = mats[..., 0, 1]
     c = mats[..., 1, 0]
     d = mats[..., 1, 1]
-    real = not np.iscomplexobj(mats)
     tr = a + d
-    disc = tr * tr - 4.0
-    sq = np.sqrt(disc if real else disc + 0j)
+    sq = np.sqrt(tr * tr - 4.0 + 0j)
     kp = (tr + sq) / 2.0
     km = (tr - sq) / 2.0
     kappa = np.where(np.abs(kp) >= np.abs(km), kp, km)
-    # eigenvectors (b, kappa - a) and (kappa - d, c): keep the longer
-    ka, kd = kappa - a, kappa - d
-    first = np.abs(b) ** 2 + np.abs(ka) ** 2 >= np.abs(kd) ** 2 + np.abs(c) ** 2
-    x = np.where(first, b, kd)
-    y = np.where(first, ka, c)
-    norm = np.sqrt(np.abs(x) ** 2 + np.abs(y) ** 2)[..., None]
-    out = np.empty(x.shape + (2,), dtype=x.dtype)
-    out[..., 0], out[..., 1] = x, y
-    if not real:
-        out /= norm
-        return out
-    # the complex division adds a zero term first, so -0.0 becomes +0.0;
-    # a zero norm (+-I) gives NaN with an invalid-value warning, as its
-    # 0 / 0 does
-    out += 0.0
-    with np.errstate(divide="ignore"):
-        out *= 1.0 / norm
-    return out
+    v1 = np.stack([b, kappa - a], axis=-1)
+    v2 = np.stack([kappa - d, c], axis=-1)
+    n1 = np.abs(v1[..., 0]) ** 2 + np.abs(v1[..., 1]) ** 2
+    n2 = np.abs(v2[..., 0]) ** 2 + np.abs(v2[..., 1]) ** 2
+    v = np.where((n1 >= n2)[..., None], v1, v2)
+    norm = np.sqrt(np.abs(v[..., 0]) ** 2 + np.abs(v[..., 1]) ** 2)
+    return v / norm[..., None]
 
 
 def repelling_fixed_pairs(mats: np.ndarray) -> np.ndarray:

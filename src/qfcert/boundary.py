@@ -962,8 +962,11 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
     recomputed images and the boundary points they name: Lambda to 1e-12
     relative, Theta, each arglift and each xi angle to 1e-9 turns.
 
-    Each xi[k] must be gamma^n of its core's attracting point with n in
-    window k, [indices_n[k], indices_m[k]).
+    The windows must hold their points: some fundamental interval F of
+    gamma on the arc has xi[k] in gamma^n F for an n in window k,
+    [indices_n[k], indices_m[k]).  This reads the points' ray positions,
+    not the split of their words into gamma^n u gamma^-n, which moves
+    with u's spelling.
 
     The stored data cannot prove the integer parts of Theta and of the
     arglifts, nor R0 and r0 beyond their sign: those two come from the
@@ -1004,9 +1007,9 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
         positions: list[float] = []
         sides: list[int] = []
         bounds: dict = {}
-        for ref, n_k, m_k in zip(w.xi, w.indices_n, w.indices_m):
+        for ref in w.xi:
             n, core = _strip_conjugator(ref.word, w.gamma)
-            if len(core) == 0 or not n_k <= n < m_k:
+            if len(core) == 0:
                 return False
             core_attracting = fixed_angles(core)[1]
             # the search's angle: gamma^n of the core's attracting point
@@ -1020,6 +1023,10 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
             sides.append(side)
             positions.append(t)
         if len(set(sides)) != 1:
+            return False
+        # F = [s, s + 1) in the ray coordinate: t_k - m_k < s <= t_k - n_k
+        if not max(t - m for t, m in zip(positions, w.indices_m)) \
+                < min(t - n for t, n in zip(positions, w.indices_n)):
             return False
         if not all(positions[i] < positions[i + 1] for i in range(3)):
             return False

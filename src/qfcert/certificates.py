@@ -146,8 +146,8 @@ def _class_table(rep: Representation, maxlen: int):
     """Class rows, their products under rep, and (repelling, attracting)
     reference angles; classes not translating under both are dropped."""
     rows, mats = wa.conjugacy_classes(maxlen, rep.generator_matrix_array())
-    ref_m = wa.compose_matrices(rows, wa.exact_real(
-        reference_representation().generator_matrix_array()))
+    ref_m = wa.compose_matrices(
+        rows, reference_representation().generator_matrix_array())
     keep = wa.translating(wa.traces(ref_m)) & wa.translating(wa.traces(mats))
     ref_m = ref_m[keep]
     angles = np.stack(

@@ -359,28 +359,16 @@ class GrowthEstimate:
 
 def _orbit_distances_of(mats: np.ndarray, y: Point3) -> np.ndarray:
     """Distances d(m.y, y) for a batch of matrices; m and -m give the
-    same bits.
-
-    A float64 batch with y on the real axis stays float64, bit for bit
-    the complex formula: NumPy divides by a real-valued complex number
-    as a multiple of its reciprocal.
-    """
+    same bits."""
     a = mats[:, 0, 0]
     b = mats[:, 0, 1]
     c = mats[:, 1, 0]
     d = mats[:, 1, 1]
-    if not np.iscomplexobj(mats) and y.z.imag == 0.0:
-        zr = y.z.real
-        czd = c * zr + d
-        den = czd * czd + (np.abs(c) * y.t) ** 2
-        gap = ((a * zr + b) * czd + a * c * y.t * y.t) * (1.0 / den) - zr
-    else:
-        czd = c * y.z + d
-        den = np.abs(czd) ** 2 + (np.abs(c) * y.t) ** 2
-        gap = np.abs(((a * y.z + b) * np.conj(czd)
-                      + a * np.conj(c) * y.t * y.t) / den - y.z)
+    czd = c * y.z + d
+    den = np.abs(czd) ** 2 + (np.abs(c) * y.t) ** 2
+    z = ((a * y.z + b) * np.conj(czd) + a * np.conj(c) * y.t * y.t) / den
     t = y.t / den
-    cosh_d = 1.0 + (gap ** 2 + (t - y.t) ** 2) / (2.0 * t * y.t)
+    cosh_d = 1.0 + (np.abs(z - y.z) ** 2 + (t - y.t) ** 2) / (2.0 * t * y.t)
     return np.arccosh(np.maximum(1.0, cosh_d))
 
 

@@ -914,6 +914,30 @@ class TestSpiralWitness:
         bad = replace(w, radii=(w.radii[0], w.radii[2], w.radii[1], w.radii[3]))
         assert not verify_witness_orders(bad, witness_run.rep)
 
+    def test_windows_read_the_points_not_the_spelling(self, witness_run):
+        # Read against gamma F instead of F, the same four points sit one
+        # translate lower: every window drops by one.  xi[1] = gamma^12 u
+        # gamma^-12 is then translate 11, the top of window [6, 12), of
+        # the gamma-conjugate gamma u gamma^-1, although its word strips
+        # to the power 12.
+        w = witness_run.witness
+        shifted = replace(w, indices_n=tuple(n - 1 for n in w.indices_n),
+                          indices_m=tuple(m - 1 for m in w.indices_m))
+        strip = boundary._strip_conjugator(w.xi[1].word, w.gamma)[0]
+        assert strip == shifted.indices_m[1]
+        assert verify_witness_orders(shifted, witness_run.rep)
+
+    def test_word_stripping_below_its_window_verifies(self):
+        # at theta 0.78, maxlen 7, the sample word drawn for level 4
+        # cancels a gamma against the conjugating power: its xi word
+        # strips to gamma^17, below window [18, 23), and the point still
+        # lies in that window's translates
+        rep = bend(fuchsian_octagon(), 0.78)
+        w = find_spiral_witness(rep, find_complex_trace_element(rep, 4), 7)
+        strip = boundary._strip_conjugator(w.xi[3].word, w.gamma)[0]
+        assert strip < w.indices_n[3]
+        assert verify_witness_orders(w, rep)
+
     def test_witness_serialization_round_trip(self, witness_run):
         w = witness_run.witness
         payload = witness_to_dict(w)

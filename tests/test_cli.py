@@ -637,7 +637,9 @@ class TestInputContract:
     def test_window_without_its_point_is_invalid(self, tmp_path, capsys,
                                                  witness_run):
         # window 1 moved to [-10, -4) keeps its width, so every index
-        # inequality still holds, but xi[0] is gamma^3 of its core point
+        # inequality still holds, but no one fundamental interval has
+        # xi[0] among its translates -10 .. -5 and each other point in
+        # its own window
         payload = witness_to_dict(witness_run.witness)
         payload = with_value(with_value(payload, ("indices_n", 0), -10),
                              ("indices_m", 0), -4)

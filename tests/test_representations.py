@@ -725,9 +725,8 @@ def _dedup_then_prune_reference(rep, prune_radius=None, max_word_length=None):
     """The orbit search as it was before pruning moved ahead of dedup:
     every candidate enters the seen table, then elements beyond the
     radius are dropped.  It composes with the complex generators by
-    np.repeat and einsum, and signs and measures with the complex
-    references below, not the kernels under test.  Kept as the
-    bit-for-bit reference."""
+    np.repeat and einsum and signs with the reference below, not the
+    kernels under test.  Kept as the bit-for-bit reference."""
     gens = rep.generator_matrix_array()
     genus = rep.presentation.genus
     y = rep.basepoint
@@ -759,7 +758,7 @@ def _dedup_then_prune_reference(rep, prune_radius=None, max_word_length=None):
             level_keys = np.sort(np.concatenate([level_keys, uniq_v[new_mask]]))
             pick = uniq_idx[new_mask]
             fresh, fresh_last = cand[pick], kids[pick]
-            dist = _complex_orbit_distances(fresh, y)
+            dist = representations._orbit_distances_of(fresh, y)
             if prune_radius is not None:
                 keep = dist <= prune_radius
                 fresh, fresh_last, dist = fresh[keep], fresh_last[keep], dist[keep]
@@ -849,8 +848,8 @@ class TestElementKeys:
         assert not found
 
 
-# The three shared kernels as they were before a float64 batch stayed in
-# float64, kept as references: every batch is promoted to complex128.
+# canonical_sign as it was before a float64 batch stayed in float64,
+# kept as a reference: it gathers each row's lead entry.
 
 def _gather_canonical_sign(mats):
     """canonical_sign by an (n, 4) abs, argmax and gather."""
@@ -864,41 +863,6 @@ def _gather_canonical_sign(mats):
     key = np.where(use_imag, lead.imag, lead.real)
     sign = np.where(key < 0.0, -1.0, 1.0)
     return mats * sign[:, None, None]
-
-
-def _complex_orbit_distances(mats, y):
-    """_orbit_distances_of on the complex formula for every batch."""
-    a = mats[:, 0, 0]
-    b = mats[:, 0, 1]
-    c = mats[:, 1, 0]
-    d = mats[:, 1, 1]
-    czd = c * y.z + d
-    den = np.abs(czd) ** 2 + (np.abs(c) * y.t) ** 2
-    z = ((a * y.z + b) * np.conj(czd) + a * np.conj(c) * y.t * y.t) / den
-    t = y.t / den
-    cosh_d = 1.0 + (np.abs(z - y.z) ** 2 + (t - y.t) ** 2) / (2.0 * t * y.t)
-    return np.arccosh(np.maximum(1.0, cosh_d))
-
-
-def _stacked_fixed_pairs(mats):
-    """attracting_fixed_pairs with a complex square root for every batch
-    and stacked candidate vectors."""
-    a = mats[..., 0, 0]
-    b = mats[..., 0, 1]
-    c = mats[..., 1, 0]
-    d = mats[..., 1, 1]
-    tr = a + d
-    sq = np.sqrt(tr * tr - 4.0 + 0j)
-    kp = (tr + sq) / 2.0
-    km = (tr - sq) / 2.0
-    kappa = np.where(np.abs(kp) >= np.abs(km), kp, km)
-    v1 = np.stack([b, kappa - a], axis=-1)
-    v2 = np.stack([kappa - d, c], axis=-1)
-    n1 = np.abs(v1[..., 0]) ** 2 + np.abs(v1[..., 1]) ** 2
-    n2 = np.abs(v2[..., 0]) ** 2 + np.abs(v2[..., 1]) ** 2
-    v = np.where((n1 >= n2)[..., None], v1, v2)
-    norm = np.sqrt(np.abs(v[..., 0]) ** 2 + np.abs(v[..., 1]) ** 2)
-    return v / norm[..., None]
 
 
 def _bits(x):
@@ -926,18 +890,9 @@ def _elliptic_gens(base_rep):
     return ref
 
 
-def _adjugates(mats):
-    """The inverses of unit-determinant matrices; zero off-diagonal
-    entries become -0.0."""
-    out = np.empty_like(mats)
-    out[..., 0, 0], out[..., 1, 1] = mats[..., 1, 1], mats[..., 0, 0]
-    out[..., 0, 1], out[..., 1, 0] = -mats[..., 0, 1], -mats[..., 1, 0]
-    return out
-
-
 # leading entries at 0, -0, on either side of the 1e-9 cut and with a
-# vanishing real part; the last rows have no entry past the cut, and a
-# diagonal row with zero off-diagonal entries gives -0.0 when inverted
+# vanishing real part; the last rows have no entry past the cut, and
+# zero entries carry either sign
 _EDGE_ROWS = np.array([
     [[0.0, -2.0], [1.0, -0.5]], [[-0.0, 0.0], [-3.0, 1.0 / 3.0]],
     [[5e-10, -1.0], [1.0, 2.0]], [[-5e-10, 4.0], [-0.25, 3.0]],
@@ -948,9 +903,9 @@ _EDGE_ROWS = np.array([
 
 
 class TestKernelBits:
-    """canonical_sign, _orbit_distances_of and attracting_fixed_pairs
-    keep a float64 batch in float64 with the bits of the complex128
-    references above; a complex batch gives the references' own bits."""
+    """canonical_sign keeps a float64 batch in float64 with the bits of
+    the reference above, and a complex batch gets the reference's own
+    bits; orbit distances do not see the sign."""
 
     @pytest.fixture(scope="class")
     def batches(self, base_rep):
@@ -981,36 +936,15 @@ class TestKernelBits:
     @pytest.mark.parametrize("y", [BASEPOINT, Point3(0.5, 2.0),
                                    Point3(0.5 + 0.25j, 2.0)],
                              ids=["basepoint", "real-axis", "off-axis"])
-    def test_orbit_distances(self, batches, name, y):
+    def test_orbit_distances_ignore_the_sign(self, batches, name, y):
+        # the search signs after its prune, so -m must prune as m does
         for mats in batches[name]:
             # the random rows with c = d = 0 send y to infinity
             mats = mats[(mats[:, 1] != 0.0).any(axis=1)]
             got = representations._orbit_distances_of(mats, y)
-            want = _complex_orbit_distances(mats, y)
-            assert got.dtype == want.dtype == np.float64
-            assert np.array_equal(_bits(got), _bits(want))
-            # the sign the search applies after its prune moves no bit
             assert np.array_equal(
                 _bits(representations._orbit_distances_of(-mats, y)),
                 _bits(got))
-
-    @pytest.mark.parametrize("name", ["octagon", "octagon-complex", "bent-0",
-                                      "bent-0.6", "elliptic", "edges"])
-    def test_attracting_fixed_pairs(self, batches, name):
-        for mats in batches[name]:
-            # +-I and elliptic rows give NaN or meaningless pairs, with
-            # an invalid-value warning at most; translations are compared
-            with np.errstate(invalid="ignore"):
-                got = wa.attracting_fixed_pairs(mats)
-                back = wa.repelling_fixed_pairs(mats)
-                want = _stacked_fixed_pairs(mats)
-                want_back = _stacked_fixed_pairs(_adjugates(mats))
-            assert got.dtype == back.dtype == mats.dtype
-            keep = wa.translating(wa.traces(mats))
-            assert keep.any()
-            for g, w in ((got, want), (back, want_back)):
-                assert np.array_equal(_bits(g[keep].astype(complex)),
-                                      _bits(w[keep]))
 
     def test_sign_sees_only_in_radius_rows(self, base_rep, monkeypatch):
         # prune radius 14 (growth --rmax 10) builds 1 123 032 candidates
