@@ -7,7 +7,8 @@ from its parent's (``extend_products``); other rows, such as the class
 table's, go through ``compose_matrices``.  Every batch product is
 ``_times``, equal to ``representations.evaluate`` bit for bit after
 ``MoebiusMap._unit_det``'s sign.  ``translating`` decides from traces
-which products are translations, with ``moebius``'s tolerances.  Artifact
+which products are translations, with ``moebius``'s tolerances, and
+``shortlex_acceptor`` which words are genus-2 normal forms.  Artifact
 lengths come from ``representations.stable_lengths``: its ``cmath.acosh``
 is ``moebius.translation_length`` bit for bit, and ``np.arccosh`` differs
 from it in the last bit for about one word in ten.
@@ -15,12 +16,11 @@ from it in the last bit for about one word in ten.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .moebius import PARABOLIC_TRACE_TOL, REAL_TRACE_TOL
-
-# element dedup in the orbit search: canonical entries rounded to 1e-6
-KEY_DECIMALS = 6
 
 
 def _inverse_ranks(genus: int) -> np.ndarray:
@@ -257,6 +257,79 @@ def conjugacy_classes(maxlen: int,
     return rows, compose_matrices(rows, gens)
 
 
+# The shortlex rewriting system of the genus-2 group in rank order
+# a1 b1 a2 b2 A1 B1 A2 B2, from a Knuth-Bendix completion (Epstein et al.,
+# Word Processing in Groups, 1992): a word is a normal form exactly when
+# no left side occurs in it.  Besides the eight free cancellations:
+SHORTLEX_LEFT_SIDES = (
+    "a2 b2 A2 B2", "b2 a2 B2 A2", "A1 b2 a2 B2", "B1 a2 b2 A2", "B1 A1 b2 a2",
+    "A2 b1 a1 B1", "B2 a1 b1 A1", "B2 A2 b1 a1", "a1 b1 A1 B1 a2",
+    "b1 a1 B1 A1 b2", "b1 A1 B1 a2 b2", "b2 A2 B2 a1 b1",
+    "a2 b2 A2 A2 B2 a1 b1", "A1 b2 a2 a2 B2 A2 b1", "B1 a2 b2 b2 A2 B2 a1",
+    "B1 A1 b2 b1 a1 B1 A1", "A2 b1 a1 a1 B1 A1 b2", "B2 a1 b1 b1 A1 B1 a2",
+)
+# and two infinite families, prefix period^k suffix for every k >= 0
+SHORTLEX_FAMILY = ("b1 A1 B1 a2", "a1 b1 A1 A1 B1 a2",
+                   ("a1 b1 A1 B1", "a1 b1 A1 A1 B1 a2 b2"))
+SHORTLEX_LETTERS = "a1 b1 a2 b2 A1 B1 A2 B2".split()
+# acceptor states: DEAD absorbs every word that is not a normal form, and
+# the empty word starts in START
+DEAD, START = 0, 1
+
+
+@functools.cache
+def shortlex_acceptor() -> np.ndarray:
+    """Transition table (state, rank) -> state of the genus-2 shortlex
+    normal forms: a word is one exactly when its run from START never
+    enters DEAD, so the accepted words are prefix-closed.
+
+    Each state is the set of partial left-side matches of a
+    nondeterministic matcher, in which the family's period loops back
+    (subset construction); a completed match goes to DEAD.
+    """
+    def ranks(text: str) -> list[int]:
+        return [SHORTLEX_LETTERS.index(name) for name in text.split()]
+
+    edges: list[list[tuple[int, int]]] = [[]]
+    matched: set[int] = set()
+
+    def chain(node: int, word: list[int]) -> int:
+        for rank in word:
+            edges.append([])
+            edges[node].append((rank, len(edges) - 1))
+            node = len(edges) - 1
+        return node
+
+    cancels = [list(pair) for pair in enumerate(_inverse_ranks(2).tolist())]
+    for word in cancels + [ranks(text) for text in SHORTLEX_LEFT_SIDES]:
+        matched.add(chain(0, word))
+    prefix, period, suffixes = SHORTLEX_FAMILY
+    hub = chain(0, ranks(prefix))
+    *body, close = ranks(period)
+    edges[chain(hub, body)].append((close, hub))
+    matched.update(chain(hub, ranks(text)) for text in suffixes)
+
+    sets = [frozenset([0])]
+    index = {sets[0]: START}
+    rows = [[DEAD] * 8]
+    for active in sets:
+        row = []
+        for rank in range(8):
+            step = frozenset([0]).union(node for n in active
+                                        for r, node in edges[n] if r == rank)
+            if step & matched:
+                row.append(DEAD)
+                continue
+            if step not in index:
+                index[step] = len(sets) + 1
+                sets.append(step)
+            row.append(index[step])
+        rows.append(row)
+    table = np.array(rows, dtype=np.int8)
+    table.flags.writeable = False
+    return table
+
+
 def traces(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, 0] + mats[..., 1, 1]
 
@@ -314,49 +387,3 @@ def disk_angles_turns(pairs: np.ndarray) -> np.ndarray:
     v = w1 + 1j * w2
     ang = np.angle(u * np.conj(v)) / (2.0 * np.pi)
     return np.mod(ang, 1.0)
-
-
-def canonical_sign(mats: np.ndarray) -> np.ndarray:
-    """Flip each matrix's sign so the first significant entry of
-    (a, b, c, d) has positive real part (or positive imaginary part when
-    the real part vanishes); d leads when no entry passes 1e-9."""
-    flat = mats.reshape(mats.shape[0], 4)
-    lead = flat[:, 3]
-    for j in (2, 1, 0):
-        lead = np.where(np.abs(flat[:, j]) > 1e-9, flat[:, j], lead)
-    if np.iscomplexobj(lead):
-        use_imag = np.abs(lead.real) <= 1e-12 * np.abs(lead)
-        lead = np.where(use_imag, lead.imag, lead.real)
-    return mats * np.where(lead < 0.0, -1.0, 1.0)[:, None, None]
-
-
-def quantize_keys(mats: np.ndarray) -> np.ndarray:
-    """Integer fingerprint rows for element dedup after canonical_sign:
-    the batch's float64 view, rounded to KEY_DECIMALS places.
-
-    A complex entry gives two columns, real then imaginary part; a real
-    batch keys on its four entries.  Its complex keys would only add an
-    all-zero column after each, which decides neither equality nor the
-    memcmp order of rows_as_void, so np.unique picks the same rows.
-    """
-    flat = np.ascontiguousarray(mats).reshape(mats.shape[0], 4)
-    parts = flat.view(np.float64)
-    return np.round(parts * (10.0 ** KEY_DECIMALS)).astype(np.int64)
-
-
-def rows_as_void(rows: np.ndarray) -> np.ndarray:
-    """View integer key rows as scalars comparable by memcmp (for sorting,
-    searchsorted-based membership, and uniqueness)."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-
-
-def member_of_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Boolean mask: which values occur in the sorted array `table`."""
-    if table.size == 0:
-        return np.zeros(values.shape[0], dtype=bool)
-    pos = np.searchsorted(table, values)
-    inside = pos < table.size
-    out = np.zeros(values.shape[0], dtype=bool)
-    out[inside] = table[pos[inside]] == values[inside]
-    return out

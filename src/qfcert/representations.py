@@ -62,8 +62,10 @@ FUCHSIAN_IMAG_TOL = 1e-12
 COMPLEX_TRACE_TOL = 1e-6
 # bending envelope with documented quasi-Fuchsian expectations
 BEND_ANGLE_ENVELOPE = 1.0
-# growth prunes orbit points beyond Rmax + GROWTH_MARGIN; pruning at a
-# radius R was first seen to lose elements near R - 2.2
+# growth prunes orbit points beyond Rmax + GROWTH_MARGIN.  The prune drops
+# an element only when a prefix of its normal form lies beyond the radius;
+# on the octagon such a prefix is at most 3.06 farther out than its
+# element, over every normal form of up to 8 letters
 GROWTH_MARGIN = 4.0
 # below this Rmax the upper half of the radius grid is too short to fit
 GROWTH_MIN_RMAX = 6.0
@@ -380,35 +382,32 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
                           max_word_length: int | None = None) -> np.ndarray:
     """Sorted orbit distances of distinct group elements from the basepoint.
 
-    Breadth-first over reduced words: each new element is extended by
-    the 4g - 1 generators that do not cancel its last letter, in the
-    order of reduced_word_levels.  Each batch of candidates goes through
-    distance, prune, sign and keys, in that order: m and -m have the same
-    distance bits, so only the rows that the prune keeps reach
-    canonical_sign, and those are signed before their keys, the frontier
-    and its order are read.  When prune_radius is set, candidates beyond
-    it are dropped before dedup and never extended.  An element's
-    distance does not depend on its spelling, so a pruned element is
-    pruned again on every later spelling and the dedup tables need only
-    hold elements inside the radius (rounding can differ only within
-    about 1e-12 of the radius).  The rest are deduplicated by their
-    canonical matrices, quantized at 1e-6, far below the separation of
-    distinct elements at these radii.  New keys are merged into the
-    sorted tables by a stable sort, which merges two sorted runs of
-    unique keys in linear time; the frontier keeps the key order of
-    np.unique, which decides the spelling each element is extended from.
+    Breadth-first over the genus-2 shortlex normal forms
+    (``_wordarrays.shortlex_acceptor``), so each element is visited once,
+    by its normal form, in shortlex order; no two rows are compared.
+    Each frontier row carries its acceptor state and is extended by the
+    4g - 1 generators that do not cancel its last letter, in the order of
+    reduced_word_levels.  A child is kept when it is a normal form and,
+    when prune_radius is set, its distance is at most the radius; kept
+    children are the next frontier.  Normal forms are prefix-closed, so
+    an element is found exactly when every prefix of its normal form lies
+    within the radius: elements near the radius may be missed, and
+    ``GROWTH_MARGIN`` bounds how far inside it that can happen.
     A representation whose generator entries all have zero imaginary
     part composes in float64, with the same distances bit for bit.
     """
     if prune_radius is None and max_word_length is None:
         raise RepresentationError("unbounded enumeration: set a prune radius or length cap")
+    if rep.presentation.genus != 2:
+        raise RepresentationError("the orbit search walks genus-2 normal forms")
     gens = wa.exact_real(rep.generator_matrix_array())
-    genus = rep.presentation.genus
+    accept = wa.shortlex_acceptor()
+    fan = gens.shape[0] - 1
     y = rep.basepoint
 
     frontier = np.eye(2, dtype=gens.dtype)[None, :, :]
-    seen = np.sort(wa.rows_as_void(wa.quantize_keys(frontier)))
     last = None  # the identity has every generator as a child
+    state = np.array([wa.START], dtype=np.int8)
     dists: list[np.ndarray] = [np.zeros(1)]
     depth = 0
     while frontier.shape[0]:
@@ -417,44 +416,29 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
             break
         if depth > 64:
             raise RepresentationError("orbit enumeration failed to terminate")
-        level_keys = seen[:0]
-        level_mats: list[np.ndarray] = []
-        level_last: list[np.ndarray] = []
-        level_dists: list[np.ndarray] = []
+        level: list[tuple[np.ndarray, ...]] = []
         for lo in range(0, frontier.shape[0], _FRONTIER_CHUNK):
+            hi = lo + _FRONTIER_CHUNK
             if last is None:
-                kids, cand = np.arange(gens.shape[0], dtype=np.int8), gens
+                kids, cand, parent = np.arange(fan + 1, dtype=np.int8), gens, state
             else:
-                kids = wa.child_ranks(last[lo:lo + _FRONTIER_CHUNK], genus)
-                cand = wa.extend_products(frontier[lo:lo + _FRONTIER_CHUNK],
-                                          kids, gens)
+                kids = wa.child_ranks(last[lo:hi])
+                cand = wa.extend_products(frontier[lo:hi], kids, gens)
+                parent = np.repeat(state[lo:hi], fan)
+            kid_state = accept[parent, kids]
             dist = _orbit_distances_of(cand, y)
+            keep = kid_state != wa.DEAD
             if prune_radius is not None:
-                keep = dist <= prune_radius
-                cand, kids, dist = cand[keep], kids[keep], dist[keep]
-            cand = wa.canonical_sign(cand)
-            v = wa.rows_as_void(wa.quantize_keys(cand))
-            uniq_v, uniq_idx = np.unique(v, return_index=True)
-            new_mask = ~wa.member_of_sorted(uniq_v, seen)
-            new_mask &= ~wa.member_of_sorted(uniq_v, level_keys)
-            if not new_mask.any():
-                continue
-            level_keys = np.concatenate([level_keys, uniq_v[new_mask]])
-            level_keys.sort(kind="stable")
-            pick = uniq_idx[new_mask]
-            level_mats.append(cand[pick])
-            level_last.append(kids[pick])
-            level_dists.append(dist[pick])
-        if level_keys.size == 0:
-            break
-        # sorted in place: np.sort would hold a third copy of the table
-        # at the level's memory peak
-        seen = np.concatenate([seen, level_keys])
-        seen.sort(kind="stable")
-        frontier = np.concatenate(level_mats)
-        last = np.concatenate(level_last)
-        dists.extend(level_dists)
-    return np.sort(np.concatenate(dists))
+                keep &= dist <= prune_radius
+            level.append((cand[keep], kids[keep], kid_state[keep], dist[keep]))
+        # the parents go before their children are joined
+        del frontier, last, state
+        frontier, last, state, dist = map(np.concatenate, zip(*level))
+        dists.append(dist)
+    # sorted in place: np.sort would hold a second copy of every distance
+    out = np.concatenate(dists)
+    out.sort()
+    return out
 
 
 def estimate_growth(rep: Representation, Rmax: float) -> GrowthEstimate:

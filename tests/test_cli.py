@@ -317,7 +317,7 @@ class TestPinnedArtifacts:
         (["--rmax", "10", "growth"], "growth.json",
          "b445ab56994bd2c45fc4042bc0f4e8ee9830414a6680937d29e817749c8066ec"),
         # Rmax 12 is the first pinned run whose levels span several
-        # frontier chunks, so it covers the cross-chunk dedup
+        # frontier chunks
         (["--rmax", "12", "growth"], "growth.json",
          "aaf0dd18afdcb4c9e0f653278bd4b72e195e7283dffd3f9266b1f42986645698"),
         (["--maxlen", "4", "triangle-check"], "triangle.csv",

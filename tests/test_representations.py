@@ -8,9 +8,12 @@ relator coincidences removed.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,7 @@ from qfcert.moebius import (
     translation_length,
 )
 from qfcert.representations import (
+    GROWTH_MARGIN,
     OCTAGON_TRANSLATION_LENGTH,
     Representation,
     RepresentationError,
@@ -52,7 +56,7 @@ from qfcert.representations import (
 from qfcert.surface_group import GroupPresentation, Word, enumerate_words
 
 from geometry_reference import translation_lengths
-from word_reference import are_equal
+from word_reference import are_equal, is_identity
 
 # 2 * arccosh(1 + sqrt(2)), the displacement of a side-pairing
 # translation of the regular octagon with vertex angle pi/4
@@ -511,6 +515,145 @@ class TestClassTable:
         assert sum(composed) == len(rows) == 4100
 
 
+# The right sides of the rewriting system whose left sides
+# _wordarrays.SHORTLEX_LEFT_SIDES lists, from the same Knuth-Bendix
+# completion.
+SHORTLEX_RIGHT_SIDES = {
+    "a2 b2 A2 B2": "b1 a1 B1 A1", "b2 a2 B2 A2": "a1 b1 A1 B1",
+    "A1 b2 a2 B2": "b1 A1 B1 a2", "B1 a2 b2 A2": "a1 B1 A1 b2",
+    "B1 A1 b2 a2": "A1 B1 a2 b2", "A2 b1 a1 B1": "b2 A2 B2 a1",
+    "B2 a1 b1 A1": "a2 B2 A2 b1", "B2 A2 b1 a1": "A2 B2 a1 b1",
+    "a1 b1 A1 B1 a2": "b2 a2 B2", "b1 a1 B1 A1 b2": "a2 b2 A2",
+    "b1 A1 B1 a2 b2": "A1 b2 a2", "b2 A2 B2 a1 b1": "A2 b1 a1",
+    "a2 b2 A2 A2 B2 a1 b1": "b1 a1 B1 A1 A2 b1 a1",
+    "A1 b2 a2 a2 B2 A2 b1": "b1 A1 B1 a2 a1 b1 A1",
+    "B1 a2 b2 b2 A2 B2 a1": "a1 B1 A1 b2 b1 a1 B1",
+    "B1 A1 b2 b1 a1 B1 A1": "A1 B1 a2 b2 b2 A2 B2",
+    "A2 b1 a1 a1 B1 A1 b2": "b2 A2 B2 a1 a2 b2 A2",
+    "B2 a1 b1 b1 A1 B1 a2": "a2 B2 A2 b1 b2 a2 B2",
+}
+# prefix period^k suffix -> FAMILY_PERIOD^(k+1) tail, one tail per suffix
+FAMILY_PERIOD, FAMILY_TAILS = "A1 b2 a2 a2 B2 A2", ("", "A1 b2 a2")
+
+
+def _shortlex_rules(max_k):
+    """(left, right) rank tuples: the free cancellations, the listed rules
+    and the families for k <= max_k."""
+    def ranks(text):
+        return tuple(wa.SHORTLEX_LETTERS.index(name) for name in text.split())
+
+    yield from (((r, r ^ 4), ()) for r in range(8))
+    assert set(SHORTLEX_RIGHT_SIDES) == set(wa.SHORTLEX_LEFT_SIDES)
+    yield from ((ranks(left), ranks(right))
+                for left, right in SHORTLEX_RIGHT_SIDES.items())
+    prefix, period, suffixes = wa.SHORTLEX_FAMILY
+    for k in range(max_k + 1):
+        for suffix, tail in zip(suffixes, FAMILY_TAILS):
+            yield (ranks(" ".join([prefix] + [period] * k + [suffix])),
+                   ranks(" ".join([FAMILY_PERIOD] * (k + 1) + [tail])))
+
+
+def _acceptor_run(word):
+    """Acceptor states after each prefix of a rank sequence, the empty
+    one first."""
+    table, states = wa.shortlex_acceptor(), [wa.START]
+    for rank in word:
+        states.append(int(table[states[-1], rank]))
+    return states
+
+
+def _accepts(word):
+    return _acceptor_run(word)[-1] != wa.DEAD
+
+
+class TestShortlexAcceptor:
+    """The acceptor accepts exactly one word per element of the genus-2
+    group, its shortlex-least spelling."""
+
+    def test_sphere_counts_are_the_growth_series(self):
+        # normal forms of length n, by the transfer matrix, against the
+        # coefficients of (1 + 2x + 2x^2 + 2x^3 + x^4) /
+        # (1 - 6x - 6x^2 - 6x^3 + x^4) (Floyd-Plotnick), to the orbit
+        # search's depth guard of 64 letters; Python ints do not overflow
+        numerator, denominator = (1, 2, 2, 2, 1), (1, -6, -6, -6, 1)
+        table = wa.shortlex_acceptor().tolist()
+        live, spheres, series = {wa.START: 1}, [], []
+        for n in range(65):
+            spheres.append(sum(live.values()))
+            series.append((numerator[n] if n < 5 else 0) - sum(
+                denominator[k] * series[n - k] for k in range(1, min(n, 4) + 1)))
+            step = {}
+            for state, count in live.items():
+                for nxt in table[state]:
+                    if nxt != wa.DEAD:
+                        step[nxt] = step.get(nxt, 0) + count
+            live = step
+        assert spheres[:5] == [1, 8, 56, 392, 2736]
+        assert spheres == series
+
+    def test_each_rule_is_a_group_equality(self):
+        # l = r in the group and r precedes l in shortlex order, so no
+        # normal form contains l; r is a normal form, and so is every
+        # proper subword of l: no left side holds another
+        pres = GroupPresentation(genus=2)
+        # the families to k = 8, whose longest left side has 59 letters
+        rules = list(_shortlex_rules(8))
+        assert len(rules) == 8 + 18 + 2 * 9
+        for left, right in rules:
+            assert (len(right), right) < (len(left), left)
+            assert is_identity(pres, _rank_word(left) * _rank_word(right).inverse())
+            assert _accepts(right)
+            assert not _accepts(left)
+            assert _accepts(left[:-1]) and _accepts(left[1:])
+
+    def test_accepted_words_are_freely_reduced_and_prefix_closed(self):
+        table = wa.shortlex_acceptor()
+        # one cached table serves every caller
+        assert not table.flags.writeable
+        assert (table[wa.DEAD] == wa.DEAD).all()
+        accepted = 0
+        for word in itertools.product(range(8), repeat=5):
+            live = [state != wa.DEAD for state in _acceptor_run(word)]
+            # once a prefix is rejected, every longer one is
+            assert live == sorted(live, reverse=True)
+            if live[-1]:
+                accepted += 1
+                assert all(b != a ^ 4 for a, b in zip(word, word[1:]))
+        assert accepted == 19096
+
+    def test_normal_forms_are_the_first_spellings(self, base_rep):
+        # in shortlex order, a reduced word up to length 5 is accepted
+        # exactly when no earlier word has its matrix (float keys of the
+        # octagon, which is faithful, are exact at this length)
+        gens = base_rep.generator_matrix_array()
+        seen = set()
+        for level in wa.reduced_word_levels(5):
+            keys = _quantize_keys(_gather_canonical_sign(
+                wa.compose_matrices(level, gens)))
+            first = []
+            for key in map(bytes, keys):
+                first.append(key not in seen)
+                seen.add(key)
+            state = np.full(len(level), wa.START)
+            for column in level.T:
+                state = wa.shortlex_acceptor()[state, column]
+            assert np.array_equal(state != wa.DEAD, first)
+
+    def test_built_on_first_use(self):
+        # the table is built by the first search, never at import
+        code = ("import qfcert.cli\n"
+                "from qfcert import _wordarrays as wa\n"
+                "print(wa.shortlex_acceptor.cache_info().currsize)\n")
+        env = {"PYTHONPATH": str(Path(wa.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
+
+
+def _rank_word(ranks):
+    return Word(wa.ranks_to_letters(np.array(ranks, dtype=np.int8)))
+
+
 def _einsum_times(m, g):
     """The batch product as np.einsum computes it: the reference that
     wa._times must equal bit for bit."""
@@ -693,11 +836,15 @@ class TestOrbitEnumeration:
         assert fast.size == len(ref)
         assert np.allclose(np.sort(np.array(ref)), fast, atol=1e-9)
 
-    def test_relator_coincidences_merged(self, base_rep):
-        # 3201 reduced words of length <= 4 collapse to 3193 distinct
-        # elements: the eight relator-cycle pairs merge
-        d = orbit_point_distances(base_rep, max_word_length=4)
-        assert d.size == 3193
+    @pytest.mark.parametrize("angle", [None, 0.6], ids=["octagon", "bent-0.6"])
+    def test_balls_are_the_growth_series(self, base_rep, angle):
+        # one distance per normal form: the partial sums of the growth
+        # series, whatever the representation; at length 4 the 3201
+        # reduced words hold 3193 elements, as eight relator pairs merge
+        rep = base_rep if angle is None else bend(base_rep, angle)
+        sizes = [orbit_point_distances(rep, max_word_length=k).size
+                 for k in range(1, 7)]
+        assert sizes == [9, 65, 457, 3193, 22289, 155577]
 
     def test_identity_counted_once(self, base_rep):
         d = orbit_point_distances(base_rep, max_word_length=2)
@@ -707,32 +854,116 @@ class TestOrbitEnumeration:
         with pytest.raises(RepresentationError):
             orbit_point_distances(base_rep)
 
+    def test_refuses_other_genera(self, base_rep):
+        pres = GroupPresentation(genus=3)
+        rep = Representation(presentation=pres, kind="fuchsian", images={
+            x: base_rep.images[1] for x in range(1, 7)})
+        with pytest.raises(RepresentationError, match="genus-2"):
+            orbit_point_distances(rep, max_word_length=1)
+
     def test_pruning_sound_and_complete_within_margin(self, base_rep):
-        # pruning at R may drop elements whose every spelling detours
-        # beyond R (first loss observed near R - 2.2); the 4.0 margin
-        # used for growth counting keeps everything below R - 4
+        # pruning at R drops the elements whose normal form has a prefix
+        # beyond R; the 4.0 margin used for growth counting keeps
+        # everything below R - 4
         full = orbit_point_distances(base_rep, max_word_length=5)
         pruned = orbit_point_distances(base_rep, prune_radius=8.0,
                                        max_word_length=5)
         assert pruned.max() <= 8.0
         assert pruned.size <= full[full <= 8.0].size
-        inner = 8.0 - 4.0
+        inner = 8.0 - GROWTH_MARGIN
         assert np.allclose(full[full <= inner], pruned[pruned <= inner],
                            atol=1e-9)
 
+    def test_margin_covers_every_prefix_detour(self, base_rep):
+        # a prune at R keeps every element within R - GROWTH_MARGIN when
+        # no prefix of a normal form lies GROWTH_MARGIN farther out than
+        # its element; the largest detour to length 6 is 3.055
+        gens = wa.exact_real(base_rep.generator_matrix_array())
+        accept, y = wa.shortlex_acceptor(), base_rep.basepoint
+        mats, last, state = gens, np.arange(8, dtype=np.int8), accept[wa.START]
+        dist = farthest = representations._orbit_distances_of(mats, y)
+        worst = 0.0
+        for _ in range(5):
+            kids = wa.child_ranks(last)
+            kid_state = accept[np.repeat(state, 7), kids]
+            keep = kid_state != wa.DEAD
+            mats = wa.extend_products(mats, kids, gens)[keep]
+            last, state = kids[keep], kid_state[keep]
+            dist = representations._orbit_distances_of(mats, y)
+            farthest = np.maximum(np.repeat(farthest, 7)[keep], dist)
+            worst = max(worst, (farthest - dist).max())
+        assert len(dist) == 133288
+        assert 3.0 < worst < GROWTH_MARGIN
 
-def _dedup_then_prune_reference(rep, prune_radius=None, max_word_length=None):
-    """The orbit search as it was before pruning moved ahead of dedup:
-    every candidate enters the seen table, then elements beyond the
-    radius are dropped.  It composes with the complex generators by
-    np.repeat and einsum and signs with the reference below, not the
-    kernels under test.  Kept as the bit-for-bit reference."""
+    def test_small_chunks_give_the_same_bits(self, base_rep, monkeypatch):
+        # 100-element chunks split every level past the third, so the
+        # acceptor states must follow their rows across chunk edges
+        want = orbit_point_distances(base_rep, prune_radius=10.0)
+        monkeypatch.setattr(representations, "_FRONTIER_CHUNK", 100)
+        got = orbit_point_distances(base_rep, prune_radius=10.0)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+# The orbit search as it was before it walked normal forms, kept as a
+# reference with the float keys it deduplicated by: every spelling is
+# extended, and an element counts once by its signed matrix rounded to
+# 1e-6.
+
+_KEY_DECIMALS = 6
+
+
+def _quantize_keys(mats):
+    """Integer key rows of signed matrices: the entries' float64 view,
+    rounded to _KEY_DECIMALS places."""
+    flat = np.ascontiguousarray(mats).reshape(mats.shape[0], 4)
+    return np.round(flat.view(np.float64) * (10.0 ** _KEY_DECIMALS)) \
+        .astype(np.int64)
+
+
+def _rows_as_void(rows):
+    """Key rows as scalars compared by memcmp."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize
+                               * rows.shape[1]))).ravel()
+
+
+def _member_of_sorted(values, table):
+    """Which values occur in the sorted array table."""
+    if table.size == 0:
+        return np.zeros(values.shape[0], dtype=bool)
+    pos = np.searchsorted(table, values)
+    inside = pos < table.size
+    out = np.zeros(values.shape[0], dtype=bool)
+    out[inside] = table[pos[inside]] == values[inside]
+    return out
+
+
+def _gather_canonical_sign(mats):
+    """Flip each matrix's sign so that its first entry past 1e-9 (d when
+    none is) has positive real part, or positive imaginary part when the
+    real part vanishes: an (n, 4) abs, argmax and gather."""
+    flat = mats.reshape(mats.shape[0], 4)
+    signif = np.abs(flat) > 1e-9
+    # force a pick even for near-zero rows
+    signif[:, 3] |= ~signif.any(axis=1)
+    first = np.argmax(signif, axis=1)
+    lead = flat[np.arange(flat.shape[0]), first]
+    use_imag = np.abs(lead.real) <= 1e-12 * np.abs(lead)
+    key = np.where(use_imag, lead.imag, lead.real)
+    sign = np.where(key < 0.0, -1.0, 1.0)
+    return mats * sign[:, None, None]
+
+
+def _float_dedup_reference(rep, prune_radius=None, max_word_length=None):
+    """Breadth-first over reduced words; each batch of candidates is
+    pruned, signed and keyed, and only keys that no earlier candidate
+    had are kept.  It composes with the complex generators by np.repeat
+    and einsum and signs with the gather reference below."""
     gens = rep.generator_matrix_array()
-    genus = rep.presentation.genus
     y = rep.basepoint
     chunk = representations._FRONTIER_CHUNK
     frontier = np.eye(2, dtype=complex)[None, :, :]
-    seen = np.sort(wa.rows_as_void(wa.quantize_keys(frontier)))
+    seen = _rows_as_void(_quantize_keys(frontier))
     last = None
     dists = [np.zeros(1)]
     depth = 0
@@ -746,25 +977,24 @@ def _dedup_then_prune_reference(rep, prune_radius=None, max_word_length=None):
             if last is None:
                 kids, cand = np.arange(gens.shape[0], dtype=np.int8), gens
             else:
-                kids = wa.child_ranks(last[lo:lo + chunk], genus)
+                kids = wa.child_ranks(last[lo:lo + chunk])
                 cand = _einsum_times(
                     np.repeat(frontier[lo:lo + chunk], gens.shape[0] - 1,
                               axis=0), gens[kids])
-            cand = _gather_canonical_sign(cand)
-            v = wa.rows_as_void(wa.quantize_keys(cand))
-            uniq_v, uniq_idx = np.unique(v, return_index=True)
-            new_mask = ~wa.member_of_sorted(uniq_v, seen)
-            new_mask &= ~wa.member_of_sorted(uniq_v, level_keys)
-            level_keys = np.sort(np.concatenate([level_keys, uniq_v[new_mask]]))
-            pick = uniq_idx[new_mask]
-            fresh, fresh_last = cand[pick], kids[pick]
-            dist = representations._orbit_distances_of(fresh, y)
+            dist = representations._orbit_distances_of(cand, y)
             if prune_radius is not None:
                 keep = dist <= prune_radius
-                fresh, fresh_last, dist = fresh[keep], fresh_last[keep], dist[keep]
-            level_mats.append(fresh)
-            level_last.append(fresh_last)
-            level_dists.append(dist)
+                cand, kids, dist = cand[keep], kids[keep], dist[keep]
+            cand = _gather_canonical_sign(cand)
+            v = _rows_as_void(_quantize_keys(cand))
+            uniq_v, uniq_idx = np.unique(v, return_index=True)
+            new_mask = ~_member_of_sorted(uniq_v, seen)
+            new_mask &= ~_member_of_sorted(uniq_v, level_keys)
+            level_keys = np.sort(np.concatenate([level_keys, uniq_v[new_mask]]))
+            pick = uniq_idx[new_mask]
+            level_mats.append(cand[pick])
+            level_last.append(kids[pick])
+            level_dists.append(dist[pick])
         if level_keys.size == 0:
             break
         seen = np.sort(np.concatenate([seen, level_keys]))
@@ -775,94 +1005,49 @@ def _dedup_then_prune_reference(rep, prune_radius=None, max_word_length=None):
 
 
 class TestOrbitSearchReference:
-    """Pruning before dedup keeps only in-radius elements in the seen
-    table and returns the same distances, bit for bit, as deduplicating
-    every candidate first."""
+    """The normal-form walk finds the elements that float dedup finds:
+    all of them for a length cap, and below prune_radius - GROWTH_MARGIN
+    for a radius.  Beyond that the two prune different spellings."""
 
     @pytest.mark.parametrize("prune_radius,max_word_length", [
         (9.0, None), (10.0, None), (8.0, 5),
         (None, 1), (None, 2), (None, 3), (None, 4), (None, 5),
     ])
-    def test_equals_dedup_then_prune(self, base_rep, prune_radius,
-                                     max_word_length):
+    def test_equals_float_dedup_within_the_margin(
+            self, base_rep, prune_radius, max_word_length):
         got = orbit_point_distances(base_rep, prune_radius=prune_radius,
                                     max_word_length=max_word_length)
-        want = _dedup_then_prune_reference(base_rep, prune_radius,
-                                           max_word_length)
-        assert np.array_equal(got, want)
-
-    def test_small_chunks_equal_reference(self, base_rep, monkeypatch):
-        # 100-element chunks split every level past the third, so the
-        # chunk-order pick and the cross-chunk level table are exercised
-        monkeypatch.setattr(representations, "_FRONTIER_CHUNK", 100)
-        got = orbit_point_distances(base_rep, prune_radius=10.0)
-        want = _dedup_then_prune_reference(base_rep, 10.0)
-        assert np.array_equal(got, want)
+        want = _float_dedup_reference(base_rep, prune_radius,
+                                      max_word_length)
+        if prune_radius is None:
+            assert got.size == want.size
+        else:
+            inner = prune_radius - GROWTH_MARGIN
+            got, want = got[got <= inner], want[want <= inner]
+            assert got.size == want.size
+        assert np.allclose(got, want, atol=1e-9)
 
 
-def _plane_stack_keys(mats):
-    """Element keys as a stack of real and imaginary planes, eight columns
-    for any batch: the layout quantize_keys replaced, kept as reference."""
-    flat = mats.reshape(mats.shape[0], 4)
-    parts = np.stack([flat.real, flat.imag], axis=-1).reshape(mats.shape[0], 8)
-    return np.round(parts * (10.0 ** wa.KEY_DECIMALS)).astype(np.int64)
-
-
-class TestElementKeys:
-    """quantize_keys reads the batch's own float64 view: complex keys
-    are the plane-stack keys, and real keys drop only all-zero columns,
-    so the dedup picks the same rows."""
-
-    def test_complex_keys_equal_plane_stack(self, bent_rep):
-        gens = bent_rep.generator_matrix_array()
-        for level in wa.reduced_word_levels(4):
-            mats = wa.canonical_sign(wa.compose_matrices(level, gens))
-            assert mats.dtype == np.complex128
-            assert _same_bits(wa.quantize_keys(mats), _plane_stack_keys(mats))
-
-    def test_real_keys_drop_only_zero_columns(self, base_rep):
-        # level 4 holds the eight relator coincidences that
-        # test_relator_coincidences_merged counts
-        gens = wa.exact_real(base_rep.generator_matrix_array())
-        mats = wa.canonical_sign(
-            wa.compose_matrices(wa.reduced_word_levels(4)[-1], gens))
-        assert mats.dtype == np.float64
-        got, want = wa.quantize_keys(mats), _plane_stack_keys(mats)
-        assert _same_bits(got, want[:, 0::2])
-        assert not want[:, 1::2].any()
-        # np.unique lists first occurrences in memcmp key order, the
-        # order the frontier keeps
-        _, got_idx = np.unique(wa.rows_as_void(got), return_index=True)
-        _, want_idx = np.unique(wa.rows_as_void(want), return_index=True)
-        assert np.array_equal(got_idx, want_idx)
-        assert got_idx.size == len(mats) - 8
-
+class TestSourceGuards:
     def test_no_allocator_tuning_in_src(self):
         # allocator settings are process-wide: a library call must not
         # leave them changed in its caller
-        src = Path(representations.__file__).parent
-        files = sorted(src.rglob("*.py"))
-        found = [path.name for path in files
-                 if re.search(r"mallopt|ctypes", path.read_text())]
-        assert len(files) > 5
-        assert not found
+        assert not _src_files_naming(r"mallopt|ctypes")
+
+    def test_no_float_dedup_in_src(self):
+        # the orbit search walks normal forms; no element is found by
+        # its rounded matrix
+        assert not _src_files_naming(
+            r"quantize_keys|rows_as_void|member_of_sorted|canonical_sign"
+            r"|KEY_DECIMALS")
 
 
-# canonical_sign as it was before a float64 batch stayed in float64,
-# kept as a reference: it gathers each row's lead entry.
-
-def _gather_canonical_sign(mats):
-    """canonical_sign by an (n, 4) abs, argmax and gather."""
-    flat = mats.reshape(mats.shape[0], 4)
-    signif = np.abs(flat) > 1e-9
-    # force a pick even for near-zero rows
-    signif[:, 3] |= ~signif.any(axis=1)
-    first = np.argmax(signif, axis=1)
-    lead = flat[np.arange(flat.shape[0]), first]
-    use_imag = np.abs(lead.real) <= 1e-12 * np.abs(lead)
-    key = np.where(use_imag, lead.imag, lead.real)
-    sign = np.where(key < 0.0, -1.0, 1.0)
-    return mats * sign[:, None, None]
+def _src_files_naming(pattern):
+    src = Path(representations.__file__).parent
+    files = sorted(src.rglob("*.py"))
+    assert len(files) > 5
+    return [path.name for path in files
+            if re.search(pattern, path.read_text())]
 
 
 def _bits(x):
@@ -890,9 +1075,8 @@ def _elliptic_gens(base_rep):
     return ref
 
 
-# leading entries at 0, -0, on either side of the 1e-9 cut and with a
-# vanishing real part; the last rows have no entry past the cut, and
-# zero entries carry either sign
+# rows with entries at 0 and -0, tiny entries near 1e-9 and, multiplied
+# by 1j, a vanishing real part
 _EDGE_ROWS = np.array([
     [[0.0, -2.0], [1.0, -0.5]], [[-0.0, 0.0], [-3.0, 1.0 / 3.0]],
     [[5e-10, -1.0], [1.0, 2.0]], [[-5e-10, 4.0], [-0.25, 3.0]],
@@ -903,9 +1087,8 @@ _EDGE_ROWS = np.array([
 
 
 class TestKernelBits:
-    """canonical_sign keeps a float64 batch in float64 with the bits of
-    the reference above, and a complex batch gets the reference's own
-    bits; orbit distances do not see the sign."""
+    """Orbit distances do not see a matrix's sign: the search keeps
+    whichever sign its products carry."""
 
     @pytest.fixture(scope="class")
     def batches(self, base_rep):
@@ -925,19 +1108,11 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("name", ["octagon", "octagon-complex", "bent-0",
                                       "bent-0.6", "elliptic", "edges"])
-    def test_canonical_sign(self, batches, name):
-        for mats in batches[name]:
-            got, want = wa.canonical_sign(mats), _gather_canonical_sign(mats)
-            assert got.dtype == mats.dtype == want.dtype
-            assert np.array_equal(_bits(got), _bits(want))
-
-    @pytest.mark.parametrize("name", ["octagon", "octagon-complex", "bent-0",
-                                      "bent-0.6", "elliptic", "edges"])
     @pytest.mark.parametrize("y", [BASEPOINT, Point3(0.5, 2.0),
                                    Point3(0.5 + 0.25j, 2.0)],
                              ids=["basepoint", "real-axis", "off-axis"])
     def test_orbit_distances_ignore_the_sign(self, batches, name, y):
-        # the search signs after its prune, so -m must prune as m does
+        # an element's distance is the same from either of its matrices
         for mats in batches[name]:
             # the random rows with c = d = 0 send y to infinity
             mats = mats[(mats[:, 1] != 0.0).any(axis=1)]
@@ -945,20 +1120,6 @@ class TestKernelBits:
             assert np.array_equal(
                 _bits(representations._orbit_distances_of(-mats, y)),
                 _bits(got))
-
-    def test_sign_sees_only_in_radius_rows(self, base_rep, monkeypatch):
-        # prune radius 14 (growth --rmax 10) builds 1 123 032 candidates
-        # and keeps 166 160; only those are signed
-        rows = []
-        signed = wa.canonical_sign
-
-        def counting(mats):
-            rows.append(mats.shape[0])
-            return signed(mats)
-
-        monkeypatch.setattr(wa, "canonical_sign", counting)
-        orbit_point_distances(base_rep, prune_radius=14.0)
-        assert sum(rows) == 166160
 
 
 class TestGrowth:
