@@ -204,61 +204,59 @@ def _near_pairs(order: np.ndarray, points: np.ndarray):
     count = np.minimum(end, start + n) - start - 1
     first = np.repeat(start, count)
     step = np.arange(first.size) - np.repeat(np.cumsum(count) - count, count)
-    return order[first], order[(first + step + 1) % n]
+    return order[first], np.tile(order, 2)[first + step + 1]
 
 
-def pair_config_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """classify_angle_pairs(alpha[i], beta[j]) for every i, j, bit for bit.
+def rank_endpoints(angles: np.ndarray):
+    """pair_config_grid's ranking of an (n, 2) table of angle pairs in
+    turns in [0, 1], whose 2n endpoints it sorts once (endpoint k is row
+    k % n): the (n, 2) int32 endpoint ranks; the near row pairs, a (2, k)
+    array of the rows (i, j) with endpoints at most _NEAR_WINDOW apart,
+    in both orders and with every (i, i), sorted; and the near rows, whose
+    own two endpoints are that close."""
+    n = angles.shape[0]
+    points = angles.T.ravel()
+    order = np.argsort(points, kind="stable")
+    row = np.tile(np.arange(n), 2)
+    p, q = (row[k] for k in _near_pairs(order, points))
+    near = np.unique(np.hstack([[p, q], [q, p], [row[:n], row[:n]]]), axis=1)
+    return (order.argsort().astype(np.int32).reshape(2, n).T, near,
+            np.unique(p[p == q]))
 
-    alpha and beta are (n, 2) and (m, 2) arrays of angle pairs in turns
-    in [0, 1]; the result is an (n, m) int8 array of indices into
-    PAIR_CONFIGS.
 
-    All 2n + 2m endpoints are sorted together once, and a pair is
-    classified from the integer ranks of its four endpoints by the rank
-    rule (_rank_pair_codes).
+def pair_config_grid(angles: np.ndarray, ranking, lo: int, hi: int,
+                     start: int = 0) -> np.ndarray:
+    """classify_angle_pairs(angles[i], angles[j]) for every row i of
+    angles[lo:hi] and j of angles[start:], bit for bit, as an int8 array
+    of indices into PAIR_CONFIGS; ranking is rank_endpoints(angles).
 
-    This equals the float rule wherever it is applied.  Sorted neighbours
-    at most _NEAR_WINDOW apart (across the wrap at 0/1 too) name the
-    pairs with an endpoint of alpha near one of beta, and the rows and
-    columns whose own two endpoints are near; the float rule is applied
-    to exactly those.  In every other pair all six endpoint gaps exceed
+    A pair is classified from the integer ranks of its four endpoints by
+    the rank rule (_rank_pair_codes).  This equals the float rule
+    wherever it is applied.  The near row pairs name the pairs with an
+    endpoint of one row near one of the other (across the wrap at 0/1
+    too, and each row with itself), and the near rows those whose own two
+    endpoints are near; the float rule is applied to exactly those pairs,
+    rows and columns.  In every other pair all six endpoint gaps exceed
     _NEAR_WINDOW - 2^-52 > DEGENERATE_TOL, so the float rule finds it
     non-degenerate, and the four endpoints are distinct, so their ranks
     give their circular order (an angle of 1.0 sorts last, next to 0.0
-    around the circle).  The float rule's offsets (x - a1) % 1.0 of
-    angles in [0, 1] are within 2^-52 of the exact ones, while any two of
-    them differ by more than DEGENERATE_TOL, so each comparison it makes
+    around the circle).  The float rule's offsets (x - a1) % 1.0 of angles
+    in [0, 1] are within 2^-52 of the exact ones, while any two of them
+    differ by more than DEGENERATE_TOL, so each comparison it makes
     agrees with the exact circular order, and with the ranks.
     """
-    n, m = alpha.shape[0], beta.shape[0]
-    if not n or not m:
-        return np.zeros((n, m), dtype=np.int8)
-    points = np.concatenate([alpha[:, 0], alpha[:, 1], beta[:, 0], beta[:, 1]])
-    order = np.argsort(points, kind="stable")
-    rank = np.empty(points.size, dtype=np.int32)
-    rank[order] = np.arange(points.size, dtype=np.int32)
-    ra1, ra2 = rank[:n, None], rank[n:2 * n, None]
-    rb1, rb2 = rank[None, 2 * n:2 * n + m], rank[None, 2 * n + m:]
-    codes = _rank_pair_codes(ra1, ra2, rb1, rb2)
-    # endpoint k of the concatenation is row k % n of alpha, for k < 2n,
-    # and column (k - 2n) % m of beta after that
-    p, q = _near_pairs(order, points)
-    p_row, q_row = p < 2 * n, q < 2 * n
-    p_idx = np.where(p_row, p % n, (p - 2 * n) % m)
-    q_idx = np.where(q_row, q % n, (q - 2 * n) % m)
-    same = (p_row == q_row) & (p_idx == q_idx)
-    for i in np.unique(p_idx[same & p_row]).tolist():
-        codes[i] = _float_pair_codes(alpha[i, 0], alpha[i, 1],
-                                     beta[:, 0], beta[:, 1])
-    for j in np.unique(p_idx[same & ~p_row]).tolist():
-        codes[:, j] = _float_pair_codes(alpha[:, 0], alpha[:, 1],
-                                        beta[j, 0], beta[j, 1])
-    cross = p_row != q_row
-    ii = np.where(p_row, p_idx, q_idx)[cross]
-    jj = np.where(p_row, q_idx, p_idx)[cross]
-    codes[ii, jj] = _float_pair_codes(alpha[ii, 0], alpha[ii, 1],
-                                      beta[jj, 0], beta[jj, 1])
+    ranks, near, near_rows = ranking
+    a, b = ranks[lo:hi], ranks[start:]
+    codes = _rank_pair_codes(a[:, :1], a[:, 1:], b[:, 0], b[:, 1])
+    rows = near_rows[(near_rows >= lo) & (near_rows < hi)]
+    codes[rows - lo] = _float_pair_codes(*angles[rows].T[..., None],
+                                         *angles[start:].T)
+    cols = near_rows[near_rows >= start]
+    codes[:, cols - start] = _float_pair_codes(*angles[lo:hi].T[..., None],
+                                               *angles[cols].T)
+    k = slice(*np.searchsorted(near[0], [lo, hi]))
+    ii, jj = near[:, k][:, near[1, k] >= start]
+    codes[ii - lo, jj - start] = _float_pair_codes(*angles[ii].T, *angles[jj].T)
     return codes
 
 

@@ -41,6 +41,7 @@ from .boundary import (
     SpiralWitness,
     classify_pairs,
     pair_config_grid,
+    rank_endpoints,
     reference_representation,
     verify_witness_orders,
     witness_image_points,
@@ -84,23 +85,25 @@ class PairScanCounts:
     exact: int
 
 
-@dataclass(frozen=True, slots=True)
-class TriangleTestRecord:
-    """One combined-length inequality check for a configured pair.
-
+@dataclass(frozen=True, eq=False)
+class TriangleRecords:
+    """Combined-length inequality checks as columns: record k checks
+    words[a[k]] with words[b[k]] in configuration PAIR_CONFIGS[config[k]].
     ell_combined is l(ab) for linked and unlinked-aligned pairs and
     l(a^-1 b) for unlinked-misaligned pairs; slack is the signed margin
     of the strict inequality the configuration dictates, positive iff
-    the inequality holds.
-    """
+    the inequality holds."""
 
-    a: Word
-    b: Word
-    config: PairConfig
-    ell_a: float
-    ell_b: float
-    ell_combined: float
-    slack: float
+    words: list[Word]          # one per class, in class-table order
+    lengths: list[float]       # stable length of each class
+    a: np.ndarray              # (k,) int class indices
+    b: np.ndarray
+    config: np.ndarray         # (k,) int8 indices into PAIR_CONFIGS
+    ell_combined: np.ndarray   # (k,) float64
+    slack: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.a.size)
 
 
 @dataclass(frozen=True)
@@ -156,8 +159,7 @@ def _class_table(rep: Representation, maxlen: int):
     return rows[keep], mats[keep], angles
 
 
-def triangle_harness(rep: Representation,
-                     maxlen: int) -> list[TriangleTestRecord]:
+def triangle_harness(rep: Representation, maxlen: int) -> TriangleRecords:
     """Check every configured conjugacy-class pair's strict inequality.
 
     Pairs with coincident boundary points are skipped as degenerate.  A
@@ -170,6 +172,7 @@ def triangle_harness(rep: Representation,
         raise CertificateError("maxlen must be at least 1")
     pres = rep.presentation
     rows, mats, angles = _class_table(rep, maxlen)
+    ranking = rank_endpoints(angles)
     words = [Word(wa.ranks_to_letters(row)) for row in rows]
     lengths = stable_lengths(mats)
     ells = np.array(lengths)
@@ -177,14 +180,14 @@ def triangle_harness(rep: Representation,
     degenerate, linked, misaligned = (PAIR_CONFIGS.index(c) for c in (
         PairConfig.DEGENERATE, PairConfig.LINKED,
         PairConfig.UNLINKED_MISALIGNED))
-    records: list[TriangleTestRecord] = []
-    # about 2^16 pairs per block bound the joined rows and their products
+    columns = []
+    # about 2^16 pairs per block bound the joined rows and their products;
+    # an empty table still makes one (empty) block of columns
     block = max(1, (1 << 16) // max(len(words), 1))
-    for lo in range(0, len(words), block):
-        grid = pair_config_grid(angles[lo:lo + block], angles)
-        live = grid != degenerate
-        live[np.arange(grid.shape[0]), lo + np.arange(grid.shape[0])] = False
-        ii, jj = np.nonzero(live)
+    for lo in range(0, max(len(words), 1), block):
+        # each class is degenerate with itself: its endpoint gaps are 0
+        grid = pair_config_grid(angles, ranking, lo, lo + block)
+        ii, jj = np.nonzero(grid != degenerate)
         codes = grid[ii, jj]
         ii += lo
         combined = np.array(stable_lengths(wa.compose_matrices(
@@ -200,14 +203,9 @@ def triangle_harness(rep: Representation,
                 "(%s, slack %.3e)" % (pres.to_text(words[ii[k]]),
                                       pres.to_text(words[jj[k]]),
                                       PAIR_CONFIGS[codes[k]].value, slack[k]))
-        records.extend(
-            TriangleTestRecord(a=words[i], b=words[j], config=PAIR_CONFIGS[c],
-                               ell_a=lengths[i], ell_b=lengths[j],
-                               ell_combined=ell, slack=gap)
-            for i, j, c, ell, gap in zip(ii.tolist(), jj.tolist(),
-                                         codes.tolist(), combined.tolist(),
-                                         slack.tolist()))
-    return records
+        columns.append((ii, jj, codes, combined, slack))
+    return TriangleRecords(words, lengths,
+                           *(np.concatenate(c) for c in zip(*columns)))
 
 
 def ratio_lower_bound(spec1: LengthSpectrum, spec2: LengthSpectrum,
@@ -332,6 +330,7 @@ def find_separation_certificate(
         raise CertificateError("maxlen must be at least 1")
     threshold = max(min_ratio, 1.0 + MIN_CERTIFICATE_MARGIN)
     rows, rep_m, angles = _class_table(rep_q, maxlen)
+    ranking = rank_endpoints(angles)
     # every kept row translates, so no length needs zeroing
     ell = 2.0 * np.abs(np.arccosh(wa.traces(rep_m) / 2.0).real)
     lengths = (rows >= 0).sum(axis=1)
@@ -348,7 +347,7 @@ def find_separation_certificate(
     lo = 0
     while lo < n - 1:
         hi = min(n, lo + max(1, _PAIR_BLOCK // (n - lo)))
-        aligned = pair_config_grid(angles[lo:hi], angles[lo:]) == aligned_code
+        aligned = pair_config_grid(angles, ranking, lo, hi, lo) == aligned_code
         # the aligned grid is symmetric with an empty diagonal, so each
         # unordered pair is classified once, at j > i
         ii, jj = np.nonzero(np.triu(aligned, 1))

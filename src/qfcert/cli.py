@@ -35,6 +35,7 @@ import sys
 from pathlib import Path
 
 from .boundary import (
+    PAIR_CONFIGS,
     BoundaryError,
     find_spiral_witness,
     limit_set_sample,
@@ -178,10 +179,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    lines = ["# schema: %s" % SCHEMA, header]
-    lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, rows) -> None:
+    with path.open("w") as f:
+        f.write("# schema: %s\n%s\n" % (SCHEMA, header))
+        f.writelines(row + "\n" for row in rows)
 
 
 def _wrapped_angle(angle: float) -> float:
@@ -257,7 +258,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
     rep = _bent_rep(cfg)
     spec = compute_spectrum(rep, maxlen)
     pres = rep.presentation
-    rows = ["%s,%.17g" % (pres.to_text(w), v) for w, v in spec.entries.items()]
+    rows = ("%s,%.17g" % (pres.to_text(w), v) for w, v in spec.entries.items())
     _write_csv(out / "spectrum.csv", "word,length", rows)
     print("spectrum for %d conjugacy classes written to %s"
           % (len(spec.entries), out / "spectrum.csv"))
@@ -303,18 +304,20 @@ def cmd_triangle_check(cfg: RunConfig, out: Path, args) -> int:
     maxlen = _preflight(cfg, "triangle-check")
     rep = fuchsian_octagon()
     records = triangle_harness(rep, maxlen)
-    # every class word recurs in hundreds of records: format it once
-    texts = {w: rep.presentation.to_text(w)
-             for w in {w for r in records for w in (r.a, r.b)}}
-    rows = ["%s,%s,%s,%.17g,%.17g,%.17g,%.17g"
-            % (texts[r.a], texts[r.b], r.config.value,
-               r.ell_a, r.ell_b, r.ell_combined, r.slack)
-            for r in records]
+    # every class recurs in hundreds of records: format each one once
+    texts = [rep.presentation.to_text(w) for w in records.words]
+    ells = ["%.17g" % ell for ell in records.lengths]
+    configs = [c.value for c in PAIR_CONFIGS]
+    rows = ("%s,%s,%s,%s,%s,%.17g,%.17g"
+            % (texts[i], texts[j], configs[c], ells[i], ells[j], ell, gap)
+            for i, j, c, ell, gap in zip(*(column.tolist() for column in (
+                records.a, records.b, records.config, records.ell_combined,
+                records.slack))))
     _write_csv(out / "triangle.csv",
                "a,b,config,ell_a,ell_b,ell_combined,slack", rows)
     print("%d combined-length inequalities checked, zero violations"
           % len(records))
-    print("minimum slack: %.6e" % min(r.slack for r in records))
+    print("minimum slack: %.6e" % records.slack.min())
     print("records written to %s" % (out / "triangle.csv"))
     return 0
 

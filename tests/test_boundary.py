@@ -38,6 +38,7 @@ from qfcert.boundary import (
     limit_set_sample,
     normalize_at,
     pair_config_grid,
+    rank_endpoints,
     reference_representation,
     sample_to_csv,
     sample_to_svg,
@@ -299,6 +300,19 @@ class TestRealPairs:
         assert seen == set(PairConfig)
 
 
+def two_set_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """pair_config_grid of every alpha pair against every beta pair: the
+    rows of one table, alpha then beta, against its columns from beta."""
+    table = np.concatenate([alpha, beta])
+    n = alpha.shape[0]
+    return pair_config_grid(table, rank_endpoints(table), 0, n, n)
+
+
+def table_grid(angles: np.ndarray) -> np.ndarray:
+    """pair_config_grid of a whole table against itself."""
+    return pair_config_grid(angles, rank_endpoints(angles), 0, len(angles))
+
+
 def scalar_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """pair_config_grid's reference: scalar_pair_config pair by pair."""
     return np.array([[PAIR_CONFIGS.index(scalar_pair_config(a, b))
@@ -317,7 +331,8 @@ class TestPairConfigGrid:
         # against classify_pairs on the words (scalar fixed_angles)
         rows, _, angles = _class_table(reference_representation(), 3)
         words = [Word(wa.ranks_to_letters(row)) for row in rows]
-        grid = pair_config_grid(angles, angles)
+        grid = table_grid(angles)
+        assert np.array_equal(grid, two_set_grid(angles, angles))
         expected = np.array([[PAIR_CONFIGS.index(classify_pairs(a, b))
                               for b in words] for a in words])
         assert np.array_equal(grid, expected)
@@ -333,7 +348,8 @@ class TestPairConfigGrid:
             (x + d) % 1.0 for x in (0.0, 0.6)
             for d in (0.0, below, -below, above, -above)})
         pairs = np.array([(x, y) for x in values for y in values if x != y])
-        grid = pair_config_grid(pairs, pairs)
+        grid = two_set_grid(pairs, pairs)
+        assert np.array_equal(grid, table_grid(pairs))
         assert np.array_equal(grid, scalar_grid(pairs, pairs))
         assert np.array_equal(grid, float_grid(pairs, pairs))
         assert set(grid.ravel().tolist()) == set(range(len(PAIR_CONFIGS)))
@@ -343,7 +359,7 @@ class TestPairConfigGrid:
                 (above, PairConfig.LINKED, PairConfig.UNLINKED_MISALIGNED)):
             alpha = np.array([[0.0, 0.2], [0.5, 1.0 - gap]])
             beta = np.array([[1.0 - gap, 0.15], [0.0, 0.2]])
-            codes = pair_config_grid(alpha, beta)
+            codes = two_set_grid(alpha, beta)
             assert (PAIR_CONFIGS[codes[0, 0]], PAIR_CONFIGS[codes[1, 1]]) \
                 == (first, second)
 
@@ -373,7 +389,7 @@ class TestRankClassifier:
                             // 2)
         alpha = angles[classes]
         beta = np.concatenate([alpha, angles[::37]])
-        assert np.array_equal(pair_config_grid(alpha, beta),
+        assert np.array_equal(two_set_grid(alpha, beta),
                               scalar_grid(alpha, beta))
 
     def test_exact_duplicate_endpoints_of_class_powers(self):
@@ -385,7 +401,7 @@ class TestRankClassifier:
         shared = np.unique(np.flatnonzero(counts[inverse] > 1) // 2)
         assert len(shared) > 100
         alpha = angles[shared]
-        grid = pair_config_grid(alpha, alpha)
+        grid = two_set_grid(alpha, alpha)
         assert np.array_equal(grid, scalar_grid(alpha, alpha))
         assert (grid == PAIR_CONFIGS.index(PairConfig.DEGENERATE)).sum() \
             > len(shared)
@@ -396,7 +412,7 @@ class TestRankClassifier:
         # endpoint off it on either side
         ends = [1.0, 0.0, gap, 1.0 - gap, 0.25, 0.5, 0.75]
         pairs = np.array([(x, y) for x in ends for y in ends if x != y])
-        assert np.array_equal(pair_config_grid(pairs, pairs),
+        assert np.array_equal(two_set_grid(pairs, pairs),
                               scalar_grid(pairs, pairs))
 
     @pytest.mark.parametrize("spread", [0.0, 1e-9, 4e-9])
@@ -410,7 +426,7 @@ class TestRankClassifier:
         alpha[::5] = alpha[::5, ::-1]
         alpha[3] = (cluster[3], cluster[5])
         beta = np.concatenate([alpha[::-1], np.stack([far, cluster], 1)])
-        assert np.array_equal(pair_config_grid(alpha, beta),
+        assert np.array_equal(two_set_grid(alpha, beta),
                               scalar_grid(alpha, beta))
 
     def test_random_endpoints_on_a_fine_lattice(self):
@@ -422,20 +438,40 @@ class TestRankClassifier:
         ends = (centers[rng.integers(0, 6, (300, 2))]
                 + step * rng.integers(-8, 9, (300, 2))) % 1.0
         alpha, beta = ends[:120], ends[120:]
-        assert np.array_equal(pair_config_grid(alpha, beta),
+        assert np.array_equal(two_set_grid(alpha, beta),
                               scalar_grid(alpha, beta))
 
     @pytest.mark.parametrize("angle", [0.0, 0.6, 0.99])
     def test_equals_the_float_rule_on_the_scan_blocks(self, angle):
         # every block the certificate scan classifies at maxlen 5
         _, _, angles = _class_table(bend(fuchsian_octagon(), angle), 5)
+        ranking = rank_endpoints(angles)
         n, lo = len(angles), 0
         while lo < n - 1:
             hi = min(n, lo + max(1, _PAIR_BLOCK // (n - lo)))
-            alpha, beta = angles[lo:hi], angles[lo:]
-            assert np.array_equal(pair_config_grid(alpha, beta),
-                                  float_grid(alpha, beta))
+            assert np.array_equal(pair_config_grid(angles, ranking, lo, hi, lo),
+                                  float_grid(angles[lo:hi], angles[lo:]))
             lo = hi
+
+    def test_rank_endpoints_of_a_table(self):
+        # endpoint k is row k % n; near pairs, across the wrap too, come
+        # in both orders with the diagonal, sorted, and a row whose own
+        # endpoints are close is a near row
+        angles = np.array([[0.0, 0.6], [0.6 + 1e-9, 0.3], [0.9, 1.0],
+                           [0.45, 0.45 + 1e-9]])
+        ranks, near, near_rows = rank_endpoints(angles)
+        assert ranks.dtype == np.int32
+        assert ranks.tolist() == [[0, 4], [5, 1], [6, 7], [2, 3]]
+        assert near.tolist() == [[0, 0, 0, 1, 1, 2, 2, 3],
+                                 [0, 1, 2, 0, 1, 0, 2, 3]]
+        assert near_rows.tolist() == [3]
+        assert np.array_equal(table_grid(angles), scalar_grid(angles, angles))
+
+    def test_rank_endpoints_of_an_empty_table(self):
+        ranks, near, near_rows = rank_endpoints(np.zeros((0, 2)))
+        assert (ranks.shape, near.shape, near_rows.shape) \
+            == ((0, 2), (2, 0), (0,))
+        assert table_grid(np.zeros((0, 2))).shape == (0, 0)
 
 
 # The sampler and the window scan as they were before the sample was

@@ -19,9 +19,11 @@ from qfcert.boundary import (
     PairConfig,
     classify_pairs,
     pair_config_grid,
+    rank_endpoints,
 )
 from qfcert.certificates import (
     CertificateError,
+    TriangleRecords,
     certificate_from_dict,
     certificate_problems,
     certificate_to_dict,
@@ -62,50 +64,104 @@ def bent_certificate(bent_rep):
     return find_separation_certificate(bent_rep, 4)
 
 
+def record_rows(records):
+    """Each record as (a, b, config, l(a), l(b), l(combined), slack)."""
+    return [(records.words[i], records.words[j], PAIR_CONFIGS[c],
+             records.lengths[i], records.lengths[j], ell, gap)
+            for i, j, c, ell, gap in zip(
+                records.a.tolist(), records.b.tolist(),
+                records.config.tolist(), records.ell_combined.tolist(),
+                records.slack.tolist())]
+
+
 class TestTriangleHarness:
     def test_runs_clean_with_positive_slack(self, harness_records):
         # the harness raises on any violation, so completing is the check
         assert len(harness_records) > 10_000
-        assert min(r.slack for r in harness_records) > 1e-9
+        assert harness_records.slack.min() > 1e-9
+
+    def test_columns_index_the_class_table(self, reference_rep,
+                                           harness_records):
+        rows, _, _ = certmod._class_table(reference_rep, 3)
+        assert harness_records.words == [
+            Word(wa.ranks_to_letters(row)) for row in rows]
+        assert len(harness_records.lengths) == len(rows)
+        assert harness_records.config.dtype == np.int8
+        for column in (harness_records.a, harness_records.b,
+                       harness_records.config, harness_records.ell_combined,
+                       harness_records.slack):
+            assert column.shape == (len(harness_records),)
+        assert 0 <= min(harness_records.a.min(), harness_records.b.min())
+        assert max(harness_records.a.max(), harness_records.b.max()) \
+            < len(rows)
 
     def test_covers_all_three_configurations(self, harness_records):
-        seen = {r.config for r in harness_records}
+        seen = {PAIR_CONFIGS[c] for c in harness_records.config.tolist()}
         assert PairConfig.LINKED in seen
         assert PairConfig.UNLINKED_ALIGNED in seen
         assert PairConfig.UNLINKED_MISALIGNED in seen
 
     def test_record_configs_match_scalar_classification(
             self, harness_records):
-        assert all(r.config is classify_pairs(r.a, r.b)
-                   for r in harness_records)
+        assert all(config is classify_pairs(a, b)
+                   for a, b, config, *_ in record_rows(harness_records))
 
     def test_same_axis_pairs_are_skipped(self, harness_records):
         a1 = Word((1,))
         square = Word((1, 1))
-        for r in harness_records:
-            assert not (r.a == a1 and r.b == square)
-            assert r.config is not PairConfig.DEGENERATE
+        for a, b, config, *_ in record_rows(harness_records):
+            assert not (a == a1 and b == square)
+            assert config is not PairConfig.DEGENERATE
 
     def test_linked_slack_against_direct_trace_recomputation(
             self, reference_rep, harness_records):
-        rec = next(r for r in harness_records
-                   if r.config is PairConfig.LINKED)
-        prod = evaluate(reference_rep, rec.a * rec.b)
+        a, b, _, ell_a, ell_b, ell_combined, slack = next(
+            r for r in record_rows(harness_records)
+            if r[2] is PairConfig.LINKED)
+        prod = evaluate(reference_rep, a * b)
         ell = 2.0 * abs(cmath.acosh(prod.trace / 2.0).real)
-        assert rec.ell_combined == pytest.approx(ell, abs=1e-9)
-        assert rec.slack == pytest.approx(
-            (rec.ell_a + rec.ell_b) - ell, abs=1e-9)
+        assert ell_combined == pytest.approx(ell, abs=1e-9)
+        assert slack == pytest.approx((ell_a + ell_b) - ell, abs=1e-9)
 
     def test_lengths_equal_scalar_stable_length(self, reference_rep,
                                                 harness_records):
         # the batch join and composition reproduce the scalar lengths
         # bit for bit, on every maxlen-3 record
-        for r in harness_records:
-            first = r.a.inverse() \
-                if r.config is PairConfig.UNLINKED_MISALIGNED else r.a
-            assert r.ell_combined == stable_length(reference_rep, first * r.b)
-            assert r.ell_a == stable_length(reference_rep, r.a)
-            assert r.ell_b == stable_length(reference_rep, r.b)
+        for a, b, config, ell_a, ell_b, ell_combined, _ in record_rows(
+                harness_records):
+            first = a.inverse() \
+                if config is PairConfig.UNLINKED_MISALIGNED else a
+            assert ell_combined == stable_length(reference_rep, first * b)
+            assert ell_a == stable_length(reference_rep, a)
+            assert ell_b == stable_length(reference_rep, b)
+
+    def test_builds_one_word_per_class(self, reference_rep, monkeypatch):
+        built = []
+        post_init = Word.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Word, "__post_init__", counting)
+        records = triangle_harness(reference_rep, 3)
+        monkeypatch.undo()
+        n = len(certmod._class_table(reference_rep, 3)[0])
+        assert len(records.words) == n
+        assert len(built) <= n
+
+    def test_trivial_representation_gives_no_records(self, reference_rep):
+        # every image is the identity, so the class table is empty
+        identity = MoebiusMap(1.0, 0.0, 0.0, 1.0)
+        rep = dataclasses.replace(
+            reference_rep, images={x: identity for x in (1, 2, 3, 4)})
+        assert len(certmod._class_table(rep, 2)[0]) == 0
+        records = triangle_harness(rep, 2)
+        assert isinstance(records, TriangleRecords)
+        assert len(records) == 0
+        assert (records.words, records.lengths) == ([], [])
+        with pytest.raises(CertificateError, match="not enough classes"):
+            find_separation_certificate(rep, 2)
 
     @pytest.mark.parametrize("angle", [0.8, 1.0])
     def test_first_violation_matches_scalar_scan(self, angle):
@@ -244,15 +300,21 @@ SKEW_CHART = MoebiusMap(-0.8691056643855141 + 0.4281468299936646j,
                         -0.9442898028405537 - 0.06255282941830957j)
 
 
+def full_grid(angles):
+    """The pair grid of a whole class table against itself."""
+    return pair_config_grid(angles, rank_endpoints(angles), 0, len(angles))
+
+
 def ordered_ratio_blocks(rep_m, ell, angles):
     """Reference: the ratio grid over all ordered class pairs as the
     search computed it before it scanned unordered pairs, by blocks of
     rows: (first row, ratios of those rows against every class)."""
     n = len(rep_m)
+    ranking = rank_endpoints(angles)
     block = max(1, min(256, (1 << 24) // n))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        aligned = pair_config_grid(angles[lo:hi], angles) == ALIGNED
+        aligned = pair_config_grid(angles, ranking, lo, hi) == ALIGNED
         tr = np.einsum("aij,bji->ab", rep_m[lo:hi], rep_m)
         ell_ab = 2.0 * np.abs(np.arccosh(tr.astype(complex) / 2.0).real)
         ok = aligned & (ell_ab > 1e-9)
@@ -323,9 +385,10 @@ class TestCertificateScan:
         # the scan classifies each unordered pair once, at j > i
         _, _, angles = certmod._class_table(
             bend(fuchsian_octagon(), angle), maxlen)
+        n, ranking = len(angles), rank_endpoints(angles)
         aligned = np.concatenate([
-            pair_config_grid(angles[lo:lo + 512], angles) == ALIGNED
-            for lo in range(0, len(angles), 512)])
+            pair_config_grid(angles, ranking, lo, min(n, lo + 512)) == ALIGNED
+            for lo in range(0, n, 512)])
         assert np.array_equal(aligned, aligned.T)
         assert not aligned.diagonal().any()
 
@@ -342,7 +405,7 @@ class TestCertificateScan:
         ell = translation_lengths(rep_m)
         grid = np.concatenate(
             [ratio for _, ratio in ordered_ratio_blocks(rep_m, ell, angles)])
-        ii, jj = np.nonzero(pair_config_grid(angles, angles) == ALIGNED)
+        ii, jj = np.nonzero(full_grid(angles) == ALIGNED)
         table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
         assert np.array_equal(certmod._pair_ratios(table, ell, ii, jj),
                               grid[ii, jj])
@@ -377,6 +440,20 @@ class TestCertificateScan:
         assert cert.scan.aligned == len(ii)
         assert len(evaluated) < 100
 
+    def test_each_scan_ranks_its_table_once(self, bent_rep, reference_rep,
+                                            monkeypatch):
+        calls = []
+
+        def counting(angles):
+            calls.append(len(angles))
+            return rank_endpoints(angles)
+
+        monkeypatch.setattr(certmod, "rank_endpoints", counting)
+        find_separation_certificate(bent_rep, 4)
+        triangle_harness(reference_rep, 3)
+        assert calls == [len(certmod._class_table(bent_rep, 4)[0]),
+                         len(certmod._class_table(reference_rep, 3)[0])]
+
     def test_scan_counts(self, bent_rep):
         with pytest.raises(CertificateError) as info:
             find_separation_certificate(bent_rep, 3, min_ratio=2.0)
@@ -390,7 +467,7 @@ def aligned_scan_inputs(rep, maxlen):
     """The certificate scan's class table, lengths, Frobenius norms and
     aligned unordered pairs (i < j) for rep."""
     _, rep_m, angles = certmod._class_table(rep, maxlen)
-    ii, jj = np.nonzero(np.triu(pair_config_grid(angles, angles) == ALIGNED))
+    ii, jj = np.nonzero(np.triu(full_grid(angles) == ALIGNED))
     table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
     norm = np.sqrt((np.abs(rep_m) ** 2).sum(axis=(1, 2)))
     return table, translation_lengths(rep_m), norm, ii, jj
