@@ -2,13 +2,13 @@
 
 Words are int8 arrays of letter ranks in shortlex generator order: ranks
 0..2g-1 are the letters 1..2g and ranks 2g..4g-1 their inverses.  Limit-set
-sampling, the orbit search and the complex-trace search build each product
-from its parent's (``extend_products``); other rows, such as the class
-table's, go through ``compose_matrices``.  Every batch product is
+sampling, the orbit search and the complex-trace search walk the genus-2
+normal forms that ``shortlex_acceptor`` accepts (``normal_forms``), each
+product built from its parent's (``extend_products``); other rows, such as
+the class table's, go through ``compose_matrices``.  Every batch product is
 ``_times``, equal to ``representations.evaluate`` bit for bit after
 ``MoebiusMap._unit_det``'s sign.  ``translating`` decides from traces
-which products are translations, with ``moebius``'s tolerances, and
-``shortlex_acceptor`` which words are genus-2 normal forms.  Artifact
+which products are translations, with ``moebius``'s tolerances.  Artifact
 lengths come from ``representations.stable_lengths``: its ``cmath.acosh``
 is ``moebius.translation_length`` bit for bit, and ``np.arccosh`` differs
 from it in the last bit for about one word in ten.
@@ -190,12 +190,12 @@ def compose_matrices(words: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
 
 def extend_products(parents: np.ndarray, last: np.ndarray,
                     gen_mats: np.ndarray) -> np.ndarray:
-    """Products of the reduced_word_levels rows that extend `parents`.
+    """Products of the children of the words whose products are `parents`.
 
-    parents holds the products of consecutive rows of one level, last
-    the last ranks of their 4g - 1 children each, in level order.  Each
-    parent is broadcast against its children's generators.  The result
-    equals compose_matrices of the full child rows bit for bit.
+    last holds the last ranks of the 4g - 1 children of each parent, in
+    parent order (``child_ranks``).  Each parent is broadcast against its
+    children's generators.  The result equals compose_matrices of the
+    full child rows bit for bit.
     """
     fan = gen_mats.shape[0] - 1
     return _times(parents[:, None], gen_mats[last.reshape(-1, fan)]) \
@@ -328,6 +328,62 @@ def shortlex_acceptor() -> np.ndarray:
     table = np.array(rows, dtype=np.int8)
     table.flags.writeable = False
     return table
+
+
+# parents extended per chunk of the normal-form walk
+_WALK_CHUNK = 1024
+
+
+def normal_forms(gens: tuple[np.ndarray, ...], maxlen: int, keep=None):
+    """Genus-2 shortlex normal forms of 1 to maxlen letters and their
+    products, breadth-first in shortlex order.
+
+    Yields chunks (rows, products): an (n, L) int8 array of rank rows of
+    one length, and one (n, 2, 2) product array per generator array in
+    gens, each row's built from its parent's, so equal to
+    compose_matrices bit for bit.  keep(products), when given, is called
+    before each chunk is yielded and picks the rows that the next length
+    extends.  Each length below maxlen stores its picked rows in arrays
+    allocated once, sized by their parents' live children; the last
+    length is not stored.
+    """
+    accept = shortlex_acceptor()
+    live = (accept != DEAD).sum(axis=1)
+    # the empty word, in state START, is the parent of the first chunk
+    state = np.array([START])
+    chunks = [(np.arange(8, dtype=np.int8)[:, None], accept[START], gens)]
+    for width in range(1, maxlen + 1):
+        size = int(live[state].sum()) if width < maxlen else 0
+        store = (np.empty((size, width), dtype=np.int8),
+                 np.empty(size, dtype=np.int8),
+                 *(np.empty((size, 2, 2), dtype=g.dtype) for g in gens))
+        end = 0
+        for rows, kid_state, mats in chunks:
+            pick = keep(mats) if keep else np.ones(len(rows), dtype=bool)
+            yield rows, mats
+            if size:
+                stop = end + int(np.count_nonzero(pick))
+                for a, b in zip(store, (rows, kid_state, *mats)):
+                    np.compress(pick, b, axis=0, out=a[end:stop])
+                end = stop
+        rows, state, *mats = (a[:end] for a in store)
+        chunks = _children(rows, state, mats, gens)
+
+
+def _children(rows: np.ndarray, state: np.ndarray, mats: list[np.ndarray],
+              gens: tuple[np.ndarray, ...]):
+    """Chunks (rows, states, products) of the live children of rows."""
+    accept = shortlex_acceptor()
+    for lo in range(0, len(rows), _WALK_CHUNK):
+        hi = lo + _WALK_CHUNK
+        kids = child_ranks(rows[lo:hi, -1])
+        kid_state = accept[np.repeat(state[lo:hi], 7), kids]
+        ok = kid_state != DEAD
+        parent = lo + np.flatnonzero(ok) // 7
+        # all 7 children's products, then the live ones: faster than a gather
+        yield (np.column_stack([rows[parent], kids[ok]]), kid_state[ok],
+               tuple(extend_products(m[lo:hi], kids, g)[ok]
+                     for m, g in zip(mats, gens)))
 
 
 def traces(mats: np.ndarray) -> np.ndarray:

@@ -328,73 +328,32 @@ class LimitSetSample:
                               image_pairs=self.image_pairs[idx])
 
 
-# words per chunk of a sampled level, rounded down to whole sibling groups
+# rows per slice of the sample's merge and of passes over a sample
 _CHUNK = 1 << 16
 
 
-def _accumulate_level(words: np.ndarray, gens: tuple[np.ndarray, np.ndarray],
-                      parents: tuple[np.ndarray, np.ndarray] | None,
-                      store: bool, out: tuple[np.ndarray, ...],
-                      start: int):
-    """Write one level's kept rows into out; returns (end, products).
-
-    out is the (ranks, angles, pairs) triple of `limit_set_sample`, filled
-    from row start to row end in level order; a row is kept when both its
-    products are translations.  Fixed points and angles are computed for
-    kept rows only: both are elementwise, so a row gets the same bits as
-    in a pass over the whole chunk.  gens are the (reference, rep)
-    generator arrays and parents the previous level's products under
-    each, or None for length-1 words.  Products are built one level from
-    the last (wa.extend_products) and returned only when store is set,
-    for the next level to extend.
-    """
-    ranks, angles, pairs = out
-    n, width = words.shape
-    fan = 1 if parents is None else gens[0].shape[0] - 1
-    mats = tuple(np.empty((n, 2, 2), dtype=g.dtype) for g in gens) \
-        if store else None
-    step = _CHUNK // fan * fan
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        last = words[lo:hi, -1]
-        if parents is None:
-            ref_m, rep_m = (g[last] for g in gens)
-        else:
-            ref_m, rep_m = (wa.extend_products(p[lo // fan:hi // fan], last, g)
-                            for p, g in zip(parents, gens))
-        keep = wa.translating(wa.traces(ref_m)) \
-            & wa.translating(wa.traces(rep_m))
-        end = start + int(np.count_nonzero(keep))
-        # a slice when every row is kept, so nothing is copied
-        rows = slice(None) if end - start == hi - lo else keep
-        ranks[start:end, :width] = words[lo:hi][rows]
-        angles[start:end] = wa.disk_angles_turns(
-            wa.attracting_fixed_pairs(ref_m[rows]))
-        pairs[start:end] = wa.attracting_fixed_pairs(rep_m[rows])
-        start = end
-        if store:
-            mats[0][lo:hi] = ref_m
-            mats[1][lo:hi] = rep_m
-    return start, mats
-
-
 def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
-    """Attracting fixed points of all words up to maxlen, one per boundary point.
+    """Attracting fixed points of the group elements up to maxlen letters,
+    one per boundary point.
 
-    Words sharing a boundary point (powers and roots) are merged, keeping
-    the earliest word in length-then-shortlex order: the first of the
-    words whose angles round alike at 12 digits.  Each word's matrix
-    is its parent's times one generator; only the previous level's
-    matrices are held.  The reference octagon is real and composes in
-    float64.  The bent side stays complex even where it is real: a
-    float64 product there can flip the sign of a zero imaginary part
-    in an image point.
+    Elements come once each, by their shortlex normal forms
+    (``_wordarrays.normal_forms``), and are kept when their images under
+    the reference octagon and rep are both translations.  Elements
+    sharing a boundary point (powers and roots) are merged, keeping the
+    earliest in length-then-shortlex order: the first of those whose
+    angles round alike at 12 digits.  That key is numeric: it splits a
+    point whose angles straddle a rounding boundary, and it merges
+    distinct points that agree to 12 digits (128 of the 1 368 merges at
+    maxlen 6, such as a1 a1 a1 a1 b1 at 6.09352337e-07 turns and
+    a1 a1 a1 a1 b1 a1 at 6.09352157e-07).  The reference octagon is
+    real and composes in float64.  The bent side stays complex even where
+    it is real: a float64 product there can flip the sign of a zero
+    imaginary part in an image point.
 
     Memory: the rank, angle and pair arrays are allocated once, sized by
-    the word count, and filled level by level; the merge then moves the
-    first occurrences to the front in place.  The sample holds views of
-    that prefix, so the dropped rows (about 2% at maxlen 7) stay
-    allocated.
+    the reduced words (a bound on the normal forms); the merge moves the
+    first occurrences to the front in place, and the sample holds views
+    of that prefix.
     """
     if maxlen < 1:
         raise BoundaryError("maxlen must be at least 1")
@@ -402,19 +361,31 @@ def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
         raise BoundaryError("sampling is implemented for the genus-2 group")
     gens = (wa.exact_real(reference_representation().generator_matrix_array()),
             rep.generator_matrix_array())
-    levels = wa.reduced_word_levels(maxlen)
-    total = sum(level.shape[0] for level in levels)
-    out = (np.full((total, maxlen), -1, dtype=np.int8), np.empty(total),
-           np.empty((total, 2), dtype=complex))
-    count, products = 0, None
-    for words in levels:
-        count, products = _accumulate_level(
-            words, gens, products, words.shape[1] < maxlen, out, count)
-    del levels, words, products
+    total = sum(8 * 7 ** k for k in range(maxlen))
+    ranks, angles, pairs = out = (
+        np.full((total, maxlen), -1, dtype=np.int8), np.empty(total),
+        np.empty((total, 2), dtype=complex))
+    count = 0
+    for words, (ref_m, rep_m) in wa.normal_forms(gens, maxlen):
+        keep = wa.translating(wa.traces(ref_m)) \
+            & wa.translating(wa.traces(rep_m))
+        end = count + int(np.count_nonzero(keep))
+        # a slice when every row is kept, so nothing is copied
+        rows = slice(None) if end - count == len(words) else keep
+        ranks[count:end, :words.shape[1]] = words[rows]
+        angles[count:end] = wa.disk_angles_turns(
+            wa.attracting_fixed_pairs(ref_m[rows]))
+        pairs[count:end] = wa.attracting_fixed_pairs(rep_m[rows])
+        count = end
 
-    # merge words sharing a boundary point; first occurrence (shortest,
-    # then shortlex) wins because levels were written in order
-    _, first = np.unique(np.round(out[1][:count], 12), return_index=True)
+    # the first of each run of equal keys in a stable sort: the shortest,
+    # then shortlex-least word
+    key = np.round(angles[:count], 12)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.ones(count, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    first = order[head]
     first.sort()
     # first[i] >= i, so each slice reads only rows that no earlier slice
     # has overwritten
@@ -422,9 +393,9 @@ def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
         rows = first[lo:lo + _CHUNK]
         for a in out:
             a[lo:lo + rows.size] = a[rows]
-    ranks, angles, pairs = (a[:first.size] for a in out)
-    return LimitSetSample(rep=rep, maxlen=maxlen, ranks=ranks,
-                          angles=angles, image_pairs=pairs)
+    return LimitSetSample(rep=rep, maxlen=maxlen, ranks=ranks[:first.size],
+                          angles=angles[:first.size],
+                          image_pairs=pairs[:first.size])
 
 
 def _gamma_chart(rep: Representation,

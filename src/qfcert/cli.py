@@ -200,7 +200,8 @@ def _bent_rep(cfg: RunConfig):
 
 
 def _word_estimate(maxlen: int) -> float:
-    """Reduced genus-2 words of lengths 1..maxlen: 8 * 7^(L-1) at length L."""
+    """Reduced genus-2 words of lengths 1..maxlen, 8 * 7^(L-1) at length L:
+    a bound on the normal forms that limit-set sampling walks."""
     try:
         return 8.0 * (7.0 ** maxlen - 1.0) / 6.0
     except OverflowError:

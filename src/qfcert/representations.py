@@ -374,67 +374,37 @@ def _orbit_distances_of(mats: np.ndarray, y: Point3) -> np.ndarray:
     return np.arccosh(np.maximum(1.0, cosh_d))
 
 
-# frontier elements extended per batch: bounds the candidate arrays
-_FRONTIER_CHUNK = 1 << 16
-
-
 def orbit_point_distances(rep: Representation, prune_radius: float | None = None,
                           max_word_length: int | None = None) -> np.ndarray:
     """Sorted orbit distances of distinct group elements from the basepoint.
 
-    Breadth-first over the genus-2 shortlex normal forms
-    (``_wordarrays.shortlex_acceptor``), so each element is visited once,
-    by its normal form, in shortlex order; no two rows are compared.
-    Each frontier row carries its acceptor state and is extended by the
-    4g - 1 generators that do not cancel its last letter, in the order of
-    reduced_word_levels.  A child is kept when it is a normal form and,
-    when prune_radius is set, its distance is at most the radius; kept
-    children are the next frontier.  Normal forms are prefix-closed, so
-    an element is found exactly when every prefix of its normal form lies
-    within the radius: elements near the radius may be missed, and
-    ``GROWTH_MARGIN`` bounds how far inside it that can happen.
-    A representation whose generator entries all have zero imaginary
-    part composes in float64, with the same distances bit for bit.
+    Each element is visited once, by its genus-2 shortlex normal form
+    (``_wordarrays.normal_forms``); with prune_radius set, only those
+    within it are counted and extended.  Normal forms are prefix-closed,
+    so an element is found exactly when every prefix of its normal form
+    lies within the radius: elements near the radius may be missed, and
+    ``GROWTH_MARGIN`` bounds how far inside it that can happen.  A
+    representation whose generator entries all have zero imaginary part
+    composes in float64, with the same distances bit for bit.
     """
     if prune_radius is None and max_word_length is None:
         raise RepresentationError("unbounded enumeration: set a prune radius or length cap")
     if rep.presentation.genus != 2:
         raise RepresentationError("the orbit search walks genus-2 normal forms")
     gens = wa.exact_real(rep.generator_matrix_array())
-    accept = wa.shortlex_acceptor()
-    fan = gens.shape[0] - 1
-    y = rep.basepoint
-
-    frontier = np.eye(2, dtype=gens.dtype)[None, :, :]
-    last = None  # the identity has every generator as a child
-    state = np.array([wa.START], dtype=np.int8)
+    radius = math.inf if prune_radius is None else prune_radius
     dists: list[np.ndarray] = [np.zeros(1)]
-    depth = 0
-    while frontier.shape[0]:
-        depth += 1
-        if max_word_length is not None and depth > max_word_length:
-            break
-        if depth > 64:
+
+    def near(products: tuple[np.ndarray, ...]) -> np.ndarray:
+        dist = _orbit_distances_of(products[0], rep.basepoint)
+        inside = dist <= radius
+        dists.append(dist[inside])
+        return inside
+
+    for words, _ in wa.normal_forms((gens,), 65 if max_word_length is None
+                                    else max_word_length, keep=near):
+        if words.shape[1] > 64:
             raise RepresentationError("orbit enumeration failed to terminate")
-        level: list[tuple[np.ndarray, ...]] = []
-        for lo in range(0, frontier.shape[0], _FRONTIER_CHUNK):
-            hi = lo + _FRONTIER_CHUNK
-            if last is None:
-                kids, cand, parent = np.arange(fan + 1, dtype=np.int8), gens, state
-            else:
-                kids = wa.child_ranks(last[lo:hi])
-                cand = wa.extend_products(frontier[lo:hi], kids, gens)
-                parent = np.repeat(state[lo:hi], fan)
-            kid_state = accept[parent, kids]
-            dist = _orbit_distances_of(cand, y)
-            keep = kid_state != wa.DEAD
-            if prune_radius is not None:
-                keep &= dist <= prune_radius
-            level.append((cand[keep], kids[keep], kid_state[keep], dist[keep]))
-        # the parents go before their children are joined
-        del frontier, last, state
-        frontier, last, state, dist = map(np.concatenate, zip(*level))
-        dists.append(dist)
     # sorted in place: np.sort would hold a second copy of every distance
     out = np.concatenate(dists)
     out.sort()
@@ -468,17 +438,18 @@ def estimate_growth(rep: Representation, Rmax: float) -> GrowthEstimate:
 def find_complex_trace_element(rep: Representation, maxlen: int) -> Word:
     """Shortlex-first word whose image has decisively non-real trace.
 
-    Such an image is loxodromic: every other kind has a real trace.
+    Such an image is loxodromic: every other kind has a real trace.  The
+    first normal form found is the first reduced word: a word's normal
+    form has its image and comes no later in shortlex order.
     """
-    genus = rep.presentation.genus
-    gens = rep.generator_matrix_array()
-    mats = None
-    for level in wa.reduced_word_levels(maxlen, genus):
-        mats = gens if mats is None else \
-            wa.extend_products(mats, level[:, -1], gens)
+    if rep.presentation.genus != 2:
+        raise RepresentationError("the complex-trace search walks genus-2 "
+                                  "normal forms")
+    for words, (mats,) in wa.normal_forms((rep.generator_matrix_array(),),
+                                          maxlen):
         hits = np.flatnonzero(np.abs(wa.traces(mats).imag) > COMPLEX_TRACE_TOL)
         if hits.size:
-            return Word(wa.ranks_to_letters(level[hits[0]], genus))
+            return Word(wa.ranks_to_letters(words[hits[0]]))
     raise RepresentationError(
         "no word of length <= %d has non-real trace; the representation "
         "looks conjugate into the real maps" % maxlen

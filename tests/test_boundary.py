@@ -15,6 +15,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -550,15 +551,41 @@ def same_bytes(got, want) -> bool:
         and got.tobytes() == want.tobytes()
 
 
+def accepted(rows):
+    """Which -1-padded rank rows are shortlex normal forms."""
+    table, state = wa.shortlex_acceptor(), np.full(len(rows), wa.START)
+    for column in rows.T:
+        state = np.where(column >= 0, table[state, column], state)
+    return state != wa.DEAD
+
+
+def normal_form_rows(maxlen):
+    """Every normal form up to maxlen letters, -1 padded, in shortlex
+    order: the reduced words that the acceptor takes."""
+    rows = np.concatenate([
+        np.pad(level, ((0, 0), (0, maxlen - level.shape[1])),
+               constant_values=-1)
+        for level in wa.reduced_word_levels(maxlen)])
+    return rows[accepted(rows)]
+
+
+def small_chunks(monkeypatch, chunk):
+    """Walk chunk and merge slices of `chunk` rows; None keeps both."""
+    if chunk is not None:
+        monkeypatch.setattr(wa, "_WALK_CHUNK", chunk)
+        monkeypatch.setattr(boundary, "_CHUNK", chunk)
+
+
 class TestSampleReference:
     """The streamed sample and the sorted-circle window scan reproduce
     their references byte for byte."""
 
-    @pytest.mark.parametrize("chunk", [_DEFAULT_CHUNK, 100])
+    # 100-parent chunks split every length past the third
+    @pytest.mark.parametrize("chunk", [None, 100])
     @pytest.mark.parametrize("angle", [0.0, 0.52, 0.6, 0.76, 0.93, -0.6])
     def test_sample_equals_the_concatenating_reference(self, angle, chunk,
                                                        monkeypatch):
-        monkeypatch.setattr(boundary, "_CHUNK", chunk)
+        small_chunks(monkeypatch, chunk)
         rep = bend(fuchsian_octagon(), angle)
         for maxlen in range(1, 7):
             got = limit_set_sample(rep, maxlen)
@@ -568,39 +595,36 @@ class TestSampleReference:
 
     # no word of length 7 or less is dropped for the octagon and its
     # bends, so an elliptic first generator makes the dropped rows
-    @pytest.mark.parametrize("chunk", [_DEFAULT_CHUNK, 100])
+    @pytest.mark.parametrize("chunk", [None, 100])
     def test_dropped_rows_are_left_out(self, bent_rep, chunk, monkeypatch):
-        monkeypatch.setattr(boundary, "_CHUNK", chunk)
+        small_chunks(monkeypatch, chunk)
         ref = wa.exact_real(reference_representation()
                             .generator_matrix_array()).copy()
         ref[0], ref[4] = [[0.0, -1.0], [1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]]
-        gens = (ref, bent_rep.generator_matrix_array())
-        levels = wa.reduced_word_levels(4)
-        total = sum(level.shape[0] for level in levels)
-        out = (np.full((total, 4), -1, dtype=np.int8), np.empty(total),
-               np.empty((total, 2), dtype=complex))
-        count, products, want_products, dropped = 0, None, None, 0
-        for words in levels:
-            start = count
-            count, products = boundary._accumulate_level(
-                words, gens, products, True, out, count)
-            # the reference solves for fixed points of the dropped rows too
-            with np.errstate(invalid="ignore"):
-                angles, pairs, keep, want_products = reference_level(
-                    words, gens, want_products, True)
-            dropped += int(np.count_nonzero(~keep))
-            width = words.shape[1]
-            assert same_bytes(out[0][start:count, :width], words[keep])
-            assert (out[0][start:count, width:] == -1).all()
-            assert same_bytes(out[1][start:count], angles[keep])
-            assert same_bytes(out[2][start:count], pairs[keep])
-            assert all(same_bytes(g, w)
-                       for g, w in zip(products, want_products))
-        assert dropped > 0
+        monkeypatch.setattr(boundary, "reference_representation",
+                            lambda: SimpleNamespace(
+                                generator_matrix_array=lambda: ref))
+        got = limit_set_sample(bent_rep, 4)
+        # the reference composes every normal form whole, and solves for
+        # the fixed points of the dropped rows too
+        rows = normal_form_rows(4)
+        ref_m, rep_m = (wa.compose_matrices(rows, g)
+                        for g in (ref, bent_rep.generator_matrix_array()))
+        keep = (translation_lengths(ref_m) > 1e-9) \
+            & (translation_lengths(rep_m) > 1e-9)
+        with np.errstate(invalid="ignore"):
+            angles = wa.disk_angles_turns(wa.attracting_fixed_pairs(ref_m))
+            pairs = wa.attracting_fixed_pairs(rep_m)
+        _, first = np.unique(np.round(angles[keep], 12), return_index=True)
+        first.sort()
+        assert np.count_nonzero(~keep) > 0
+        assert all(same_bytes(g, w[keep][first]) for g, w in zip(
+            (got.ranks, got.angles, got.image_pairs), (rows, angles, pairs)))
 
     def test_peak_memory_is_near_what_the_sample_keeps(self, bent_rep):
         # levels masked, concatenated and gathered again peaked at 3.8
-        # times the kept bytes; written in place, about 2.1
+        # times the kept bytes; written in place, about 2.1; from the
+        # normal-form walk, 1.6
         tracemalloc.start()
         try:
             sample = limit_set_sample(bent_rep, 7)
@@ -609,7 +633,7 @@ class TestSampleReference:
             tracemalloc.stop()
         kept = sum(a.nbytes for a in (sample.ranks, sample.angles,
                                       sample.image_pairs))
-        assert len(sample) == 1077825
+        assert len(sample) == 1077823
         assert peak <= 2.25 * kept
 
     @pytest.mark.parametrize("angle,maxlen", [
@@ -761,6 +785,23 @@ class TestLimitSetSample:
                 moved = to_c(mu_map(BoundaryPoint(complex(pair[0]),
                                                   complex(pair[1]))))
                 assert chordal(got, moved) < 1e-8
+
+    def test_rows_are_the_normal_forms(self, bent_rep):
+        # two spellings that the 12-digit key kept beside the normal
+        # forms of their elements, a1 and A1 b2 a2 a2 B2
+        sample = limit_set_sample(bent_rep, 7)
+        assert len(sample) == 1077823
+        assert accepted(sample.ranks).all()
+
+        def present(text):
+            row = np.full(7, -1, dtype=np.int8)
+            names = text.split()
+            row[:len(names)] = [wa.SHORTLEX_LETTERS.index(n) for n in names]
+            return (sample.ranks == row).all(axis=1).any()
+
+        assert present("a1")
+        assert not present("b2 a2 B2 A2 b1 a1 B1")
+        assert not present("b1 A1 B1 a2 b2 a2 B2")
 
     def test_rejects_bad_maxlen(self):
         with pytest.raises(BoundaryError):

@@ -284,7 +284,9 @@ class TestPinnedArtifacts:
     enumeration, the pair search, limit-set sampling, the witness
     search, the orbit search and the combined-length harness; a refactor
     must reproduce them exactly.  A later --bend-angle
-    overrides the default 0.6."""
+    overrides the default 0.6.  The maxlen-7 witness digests were taken
+    again when the sample began walking normal forms: its maxlen-7 sample
+    lost two rows, spellings that were not normal forms."""
 
     @pytest.mark.parametrize("argv,name,digest", [
         (["--maxlen", "4", "spectrum"], "spectrum.csv",
@@ -300,7 +302,7 @@ class TestPinnedArtifacts:
         (["--maxlen", "6", "spectrum"], "spectrum.csv",
          "cdd28969d9429a60ea0071bf21c5b89ff53a6452c03ad435852e05613dbc04a5"),
         (["--maxlen", "7", "witness"], "witness.json",
-         "f7e725723e7ee6f59228db3cbc7153abe775828712065275e0200c480ca50bd7"),
+         "2a1529e9e3d789ef27eb155e07c0aef84462634acf1e695612b09a74d0f40946"),
         (["--maxlen", "6", "limitset"], "limitset.csv",
          "43e7fc0d7aebb7db7c1b9722128713ef7b334b397f6c80abbadc0fe7e58eef40"),
         (["--maxlen", "6", "limitset"], "limitset.svg",
@@ -311,13 +313,12 @@ class TestPinnedArtifacts:
         (["--bend-angle", "0", "--maxlen", "6", "limitset"], "limitset.csv",
          "9d8b20401fcd6fe4a7028c8bf6847f2ce8dd26ed260992e5cf80ed16d77b3374"),
         (["--bend-angle", "0.76", "--maxlen", "7", "witness"], "witness.json",
-         "7b58dc2405c1108d7e1bd13085be45cdf238c8e988f8f12e644394c4cc8d773e"),
+         "d5775d002ea5138b3a138b84e2d40edab5df1f14aeb375fe112120a411d8360c"),
         (["--bend-angle", "0.52", "--maxlen", "7", "witness"], "witness.json",
-         "1771778fd110efc26d7f0b6eed1a846740c70e87f61f2d4b4bf97c54b28997de"),
+         "8e2b85c44da303a39ddf91d930f354cd13abb117513ed2ed59edb033ab11adf7"),
         (["--rmax", "10", "growth"], "growth.json",
          "b445ab56994bd2c45fc4042bc0f4e8ee9830414a6680937d29e817749c8066ec"),
-        # Rmax 12 is the first pinned run whose levels span several
-        # frontier chunks
+        # Rmax 12 walks about seven times as many elements as Rmax 10
         (["--rmax", "12", "growth"], "growth.json",
          "aaf0dd18afdcb4c9e0f653278bd4b72e195e7283dffd3f9266b1f42986645698"),
         (["--maxlen", "4", "triangle-check"], "triangle.csv",

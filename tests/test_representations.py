@@ -780,9 +780,10 @@ class TestTranslating:
 
 
 class TestPrefixProducts:
-    """Limit-set sampling multiplies each word's parent product by one
-    generator; the parent of row i is row i // (4g - 1) of the level
-    before, and the products equal full composition bit for bit."""
+    """The normal-form walk multiplies each word's parent product by one
+    generator, and its products equal full composition bit for bit; in
+    reduced_word_levels the parent of row i is row i // (4g - 1) of the
+    level before."""
 
     @pytest.mark.parametrize("genus,maxlen", [(2, 5), (3, 3)])
     def test_row_extends_parent_row(self, genus, maxlen):
@@ -792,24 +793,77 @@ class TestPrefixProducts:
             assert parent[-1] == prev.shape[0] - 1
             assert np.array_equal(level[:, :-1], prev[parent])
 
-    # 98-word chunks put sibling groups on both sides of chunk edges
-    @pytest.mark.parametrize("chunk", [boundary._CHUNK, 100])
+    # 100-parent chunks split every length past the third
+    @pytest.mark.parametrize("chunk", [None, 100])
     @pytest.mark.parametrize("angle", [0.0, 0.6])
     def test_sample_products_equal_full_composition(self, base_rep, angle,
                                                     chunk, monkeypatch):
-        monkeypatch.setattr(boundary, "_CHUNK", chunk)
+        if chunk is not None:
+            monkeypatch.setattr(wa, "_WALK_CHUNK", chunk)
         # the reference side composes in float64, as limit_set_sample does
         gens = (wa.exact_real(base_rep.generator_matrix_array()),
                 bend(base_rep, angle).generator_matrix_array())
-        products = None
-        for level in wa.reduced_word_levels(5):
-            n, width = level.shape
-            out = (np.empty((n, width), dtype=np.int8), np.empty(n),
-                   np.empty((n, 2), dtype=complex))
-            _, products = boundary._accumulate_level(
-                level, gens, products, True, out, 0)
+        assert [g.dtype for g in gens] == [np.float64, np.complex128]
+        for rows, products in wa.normal_forms(gens, 5):
             for got, g in zip(products, gens):
-                assert np.array_equal(got, wa.compose_matrices(level, g))
+                assert _same_bits(got, wa.compose_matrices(rows, g))
+
+
+class TestNormalFormWalk:
+    """wa.normal_forms yields the genus-2 normal forms in shortlex order,
+    and extends only the rows that keep picks."""
+
+    def test_rows_come_in_shortlex_order(self, base_rep):
+        gens = (base_rep.generator_matrix_array(),)
+        rows = [tuple(r) for chunk, _ in wa.normal_forms(gens, 5)
+                for r in chunk.tolist()]
+        assert rows == sorted(rows, key=lambda r: (len(r), r))
+        assert [sum(len(r) == n for r in rows) for n in range(1, 6)] \
+            == [8, 56, 392, 2736, 19096]
+        assert all(_accepts(r) for r in rows)
+
+    @pytest.mark.parametrize("chunk", [None, 100])
+    def test_keep_drops_the_descendants(self, base_rep, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(wa, "_WALK_CHUNK", chunk)
+        gens = (wa.exact_real(base_rep.generator_matrix_array()),)
+        y = base_rep.basepoint
+
+        def near(products):
+            return representations._orbit_distances_of(products[0], y) <= 6.0
+
+        walked = [(rows, near(products)) for rows, products
+                  in wa.normal_forms(gens, 5, keep=near)]
+        kept = {tuple(r) for rows, inside in walked
+                for r in rows[inside].tolist()}
+        dropped = {tuple(r) for rows, inside in walked
+                   for r in rows[~inside].tolist()}
+        assert kept and dropped
+        # the walk yields, once each, exactly the normal forms whose
+        # proper prefixes were all kept
+        want = {r for level in wa.reduced_word_levels(5)
+                for r in map(tuple, level.tolist())
+                if _accepts(r) and all(r[:k] in kept for k in range(1, len(r)))}
+        assert kept | dropped == want
+        assert sum(len(rows) for rows, _ in walked) == len(want)
+
+    def test_searches_do_not_enumerate_reduced_words(self, bent_rep,
+                                                     monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reduced_word_levels was called")
+
+        monkeypatch.setattr(wa, "reduced_word_levels", refuse)
+        assert len(boundary.limit_set_sample(bent_rep, 4)) > 0
+        assert orbit_point_distances(bent_rep, max_word_length=3).size == 457
+        assert orbit_point_distances(bent_rep, prune_radius=6.0).size > 0
+        assert find_complex_trace_element(bent_rep, 4).letters
+
+    def test_complex_trace_search_refuses_other_genera(self, base_rep):
+        pres = GroupPresentation(genus=3)
+        rep = Representation(presentation=pres, kind="fuchsian", images={
+            x: base_rep.images[1] for x in range(1, 7)})
+        with pytest.raises(RepresentationError, match="genus-2"):
+            find_complex_trace_element(rep, 2)
 
 
 class TestOrbitEnumeration:
@@ -896,10 +950,10 @@ class TestOrbitEnumeration:
         assert 3.0 < worst < GROWTH_MARGIN
 
     def test_small_chunks_give_the_same_bits(self, base_rep, monkeypatch):
-        # 100-element chunks split every level past the third, so the
+        # 100-parent chunks split every length past the third, so the
         # acceptor states must follow their rows across chunk edges
         want = orbit_point_distances(base_rep, prune_radius=10.0)
-        monkeypatch.setattr(representations, "_FRONTIER_CHUNK", 100)
+        monkeypatch.setattr(wa, "_WALK_CHUNK", 100)
         got = orbit_point_distances(base_rep, prune_radius=10.0)
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -961,7 +1015,7 @@ def _float_dedup_reference(rep, prune_radius=None, max_word_length=None):
     and einsum and signs with the gather reference below."""
     gens = rep.generator_matrix_array()
     y = rep.basepoint
-    chunk = representations._FRONTIER_CHUNK
+    chunk = wa._WALK_CHUNK
     frontier = np.eye(2, dtype=complex)[None, :, :]
     seen = _rows_as_void(_quantize_keys(frontier))
     last = None
