@@ -1,17 +1,19 @@
 """Vectorized word enumeration and matrix batch evaluation.
 
 Words are int8 arrays of letter ranks in shortlex generator order: ranks
-0..2g-1 are the letters 1..2g and ranks 2g..4g-1 their inverses.  Limit-set
-sampling, the orbit search and the complex-trace search walk the genus-2
-normal forms that ``shortlex_acceptor`` accepts (``normal_forms``), each
-product built from its parent's (``extend_products``); other rows, such as
-the class table's, go through ``compose_matrices``.  Every batch product is
-``_times``, equal to ``representations.evaluate`` bit for bit after
-``MoebiusMap._unit_det``'s sign.  ``translating`` decides from traces
-which products are translations, with ``moebius``'s tolerances.  Artifact
-lengths come from ``representations.stable_lengths``: its ``cmath.acosh``
-is ``moebius.translation_length`` bit for bit, and ``np.arccosh`` differs
-from it in the last bit for about one word in ten.
+0..2g-1 are the letters 1..2g and ranks 2g..4g-1 their inverses.  One walk,
+``normal_forms``, enumerates words, each product built from its parent's
+(``extend_products``): limit-set sampling, the orbit search and the
+complex-trace search walk the genus-2 normal forms that
+``shortlex_acceptor`` accepts, and the class table and
+``surface_group.enumerate_words`` the freely reduced words that
+``free_acceptor`` accepts.  Joined rows go through ``compose_matrices``.
+Every batch product is ``_times``, equal to ``representations.evaluate`` bit
+for bit after ``MoebiusMap._unit_det``'s sign.  ``translating`` decides from
+traces which products are translations, with ``moebius``'s tolerances.
+Artifact lengths come from ``representations.stable_lengths``: its
+``cmath.acosh`` is ``moebius.translation_length`` bit for bit, and
+``np.arccosh`` differs from it in the last bit for about one word in ten.
 """
 
 from __future__ import annotations
@@ -33,28 +35,6 @@ def ranks_to_letters(ranks: np.ndarray, genus: int = 2) -> tuple[int, ...]:
     half = 2 * genus
     return tuple(r + 1 if r < half else half - 1 - r
                  for r in ranks.tolist() if r >= 0)
-
-
-def reduced_word_levels(maxlen: int, genus: int = 2) -> list[np.ndarray]:
-    """Freely reduced words as rank arrays, one (n, L) array per length L.
-
-    Each level is in shortlex order.  Level L is built by appending every
-    non-cancelling rank to each level-(L-1) word in rank order, so every
-    word has 4g - 1 children and row i of level L >= 2 extends row
-    i // (4g - 1) of level L - 1.
-    """
-    if maxlen < 1:
-        return []
-    current = np.arange(4 * genus, dtype=np.int8).reshape(-1, 1)
-    levels = [current]
-    for _ in range(2, maxlen + 1):
-        last = child_ranks(current[:, -1], genus)
-        new = np.empty((last.size, current.shape[1] + 1), dtype=np.int8)
-        new[:, :-1] = np.repeat(current, 4 * genus - 1, axis=0)
-        new[:, -1] = last
-        levels.append(new)
-        current = new
-    return levels
 
 
 def child_ranks(last: np.ndarray, genus: int = 2) -> np.ndarray:
@@ -227,22 +207,24 @@ def _relator_swaps(genus: int) -> dict[tuple, list[tuple]]:
 
 
 def conjugacy_classes(maxlen: int,
-                      gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The class table for 1 <= maxlen < 4g: rank rows and their products.
+                      *gens: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The class table for 1 <= maxlen < 4g: rank rows, then their products
+    under each generator array in gens, which set only the products.
 
-    Rows are the rotation-class minima of conjugacy_class_mask, -1 padded
-    and globally shortlex-sorted; gens sets only the products.  A class
-    goes when a rotation s t of it and a rotation r t of an earlier kept
-    one have r s^-1 trivial (``_relator_swaps``).  No cyclic reduction
-    follows, so b1 and b1 b2 a2 B2 A2, both kept, are conjugate."""
-    genus = gens.shape[0] // 4
+    Rows are the rotation-class minima of conjugacy_class_mask among the
+    freely reduced words (``free_acceptor``), -1 padded and shortlex-sorted;
+    their products are the walk's.  A class goes when a rotation s t of it
+    and a rotation r t of an earlier kept one have r s^-1 trivial
+    (``_relator_swaps``).  No cyclic reduction follows, so b1 and
+    b1 b2 a2 B2 A2, both kept, are conjugate."""
+    genus = gens[0].shape[0] // 4
     if maxlen >= 4 * genus:
         raise ValueError("class table needs maxlen < 4g = %d" % (4 * genus))
-    swaps, kept, rows = _relator_swaps(genus), set(), []
-    for level in reduced_word_levels(maxlen, genus):
-        level = level[conjugacy_class_mask(level, genus)]
-        keep = np.ones(len(level), dtype=bool)
-        for i, w in enumerate(map(tuple, level.tolist())):
+    swaps, kept, rows, mats = _relator_swaps(genus), set(), [], []
+    for chunk, products in normal_forms(gens, maxlen, free_acceptor(genus)):
+        pick = np.flatnonzero(conjugacy_class_mask(chunk, genus))
+        keep = np.ones(len(pick), dtype=bool)
+        for i, w in enumerate(map(tuple, chunk[pick].tolist())):
             # least rotations of the words r t that swaps make of w
             images = (min(v[q:] + v[:q] for q in range(len(v)))
                       for u in (w[p:] + w[:p] for p in range(len(w)))
@@ -251,10 +233,11 @@ def conjugacy_classes(maxlen: int,
             keep[i] = kept.isdisjoint(map(bytes, images))
             if keep[i]:
                 kept.add(bytes(w))
-        rows.append(np.pad(level[keep], ((0, 0), (0, maxlen - level.shape[1])),
+        pick = pick[keep]
+        rows.append(np.pad(chunk[pick], ((0, 0), (0, maxlen - chunk.shape[1])),
                            constant_values=-1))
-    rows = np.concatenate(rows)
-    return rows, compose_matrices(rows, gens)
+        mats.append([p[pick] for p in products])
+    return np.concatenate(rows), *map(np.concatenate, zip(*mats))
 
 
 # The shortlex rewriting system of the genus-2 group in rank order
@@ -272,7 +255,7 @@ SHORTLEX_LEFT_SIDES = (
 SHORTLEX_FAMILY = ("b1 A1 B1 a2", "a1 b1 A1 A1 B1 a2",
                    ("a1 b1 A1 B1", "a1 b1 A1 A1 B1 a2 b2"))
 SHORTLEX_LETTERS = "a1 b1 a2 b2 A1 B1 A2 B2".split()
-# acceptor states: DEAD absorbs every word that is not a normal form, and
+# acceptor states: DEAD absorbs every word that an acceptor rejects, and
 # the empty word starts in START
 DEAD, START = 0, 1
 
@@ -330,13 +313,27 @@ def shortlex_acceptor() -> np.ndarray:
     return table
 
 
+@functools.cache
+def free_acceptor(genus: int) -> np.ndarray:
+    """Transition table of the freely reduced words of genus g: state
+    2 + r follows rank r, and the inverse of r leads to DEAD."""
+    count = 4 * genus
+    table = np.zeros((count + 2, count), dtype=np.int8)
+    table[START:] = np.arange(2, count + 2)
+    table[np.arange(2, count + 2), _inverse_ranks(genus)] = DEAD
+    table.flags.writeable = False
+    return table
+
+
 # parents extended per chunk of the normal-form walk
 _WALK_CHUNK = 1024
 
 
-def normal_forms(gens: tuple[np.ndarray, ...], maxlen: int, keep=None):
-    """Genus-2 shortlex normal forms of 1 to maxlen letters and their
-    products, breadth-first in shortlex order.
+def normal_forms(gens: tuple[np.ndarray, ...], maxlen: int, accept=None,
+                 keep=None):
+    """Words of 1 to maxlen letters that the table accept takes, the genus-2
+    shortlex normal forms by default, and their products, breadth-first in
+    shortlex order.
 
     Yields chunks (rows, products): an (n, L) int8 array of rank rows of
     one length, and one (n, 2, 2) product array per generator array in
@@ -347,11 +344,12 @@ def normal_forms(gens: tuple[np.ndarray, ...], maxlen: int, keep=None):
     allocated once, sized by their parents' live children; the last
     length is not stored.
     """
-    accept = shortlex_acceptor()
+    accept = shortlex_acceptor() if accept is None else accept
     live = (accept != DEAD).sum(axis=1)
     # the empty word, in state START, is the parent of the first chunk
     state = np.array([START])
-    chunks = [(np.arange(8, dtype=np.int8)[:, None], accept[START], gens)]
+    chunks = [(np.arange(accept.shape[1], dtype=np.int8)[:, None],
+               accept[START], gens)]
     for width in range(1, maxlen + 1):
         size = int(live[state].sum()) if width < maxlen else 0
         store = (np.empty((size, width), dtype=np.int8),
@@ -367,20 +365,20 @@ def normal_forms(gens: tuple[np.ndarray, ...], maxlen: int, keep=None):
                     np.compress(pick, b, axis=0, out=a[end:stop])
                 end = stop
         rows, state, *mats = (a[:end] for a in store)
-        chunks = _children(rows, state, mats, gens)
+        chunks = _children(rows, state, mats, gens, accept)
 
 
 def _children(rows: np.ndarray, state: np.ndarray, mats: list[np.ndarray],
-              gens: tuple[np.ndarray, ...]):
+              gens: tuple[np.ndarray, ...], accept: np.ndarray):
     """Chunks (rows, states, products) of the live children of rows."""
-    accept = shortlex_acceptor()
+    fan = accept.shape[1] - 1
     for lo in range(0, len(rows), _WALK_CHUNK):
         hi = lo + _WALK_CHUNK
-        kids = child_ranks(rows[lo:hi, -1])
-        kid_state = accept[np.repeat(state[lo:hi], 7), kids]
+        kids = child_ranks(rows[lo:hi, -1], accept.shape[1] // 4)
+        kid_state = accept[np.repeat(state[lo:hi], fan), kids]
         ok = kid_state != DEAD
-        parent = lo + np.flatnonzero(ok) // 7
-        # all 7 children's products, then the live ones: faster than a gather
+        parent = lo + np.flatnonzero(ok) // fan
+        # all children's products, then the live ones: faster than a gather
         yield (np.column_stack([rows[parent], kids[ok]]), kid_state[ok],
                tuple(extend_products(m[lo:hi], kids, g)[ok]
                      for m, g in zip(mats, gens)))

@@ -175,14 +175,18 @@ def _resolve_outdir(cfg: RunConfig, flag_value: str | None) -> Path:
     return out
 
 
+def _write(path: Path, head: str, lines=()) -> None:
+    """Write head, then the lines, to path; an OSError is a config error."""
+    try:
+        with path.open("w") as f:
+            f.write(head)
+            f.writelines(lines)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc)) from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    with path.open("w") as f:
-        f.write("# schema: %s\n%s\n" % (SCHEMA, header))
-        f.writelines(row + "\n" for row in rows)
+    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _wrapped_angle(angle: float) -> float:
@@ -225,7 +229,7 @@ def _preflight(cfg: RunConfig, command: str) -> int:
 
 def cmd_ref_rep(cfg: RunConfig, out: Path, args) -> int:
     rep = fuchsian_octagon()
-    (out / "representation.json").write_text(representation_json(rep))
+    _write(out / "representation.json", representation_json(rep))
     print("reference representation written to %s" % (out / "representation.json"))
     print("relator residual: %.3e" % rep.relator_residual())
     return 0
@@ -241,7 +245,7 @@ def cmd_bend(cfg: RunConfig, out: Path, args) -> int:
               "envelope (%.1f rad); results are not certified quasi-Fuchsian"
               % (abs(angle), BEND_ANGLE_ENVELOPE))
     rep = bend(fuchsian_octagon(), angle)
-    (out / "bent_representation.json").write_text(representation_json(rep))
+    _write(out / "bent_representation.json", representation_json(rep))
     print("bent representation written to %s" % (out / "bent_representation.json"))
     print("relator residual: %.3e" % rep.relator_residual())
     try:
@@ -259,8 +263,9 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
     rep = _bent_rep(cfg)
     spec = compute_spectrum(rep, maxlen)
     pres = rep.presentation
-    rows = ("%s,%.17g" % (pres.to_text(w), v) for w, v in spec.entries.items())
-    _write_csv(out / "spectrum.csv", "word,length", rows)
+    rows = ("%s,%.17g\n" % (pres.to_text(w), v)
+            for w, v in spec.entries.items())
+    _write(out / "spectrum.csv", "# schema: %s\nword,length\n" % SCHEMA, rows)
     print("spectrum for %d conjugacy classes written to %s"
           % (len(spec.entries), out / "spectrum.csv"))
     return 0
@@ -309,13 +314,13 @@ def cmd_triangle_check(cfg: RunConfig, out: Path, args) -> int:
     texts = [rep.presentation.to_text(w) for w in records.words]
     ells = ["%.17g" % ell for ell in records.lengths]
     configs = [c.value for c in PAIR_CONFIGS]
-    rows = ("%s,%s,%s,%s,%s,%.17g,%.17g"
+    rows = ("%s,%s,%s,%s,%s,%.17g,%.17g\n"
             % (texts[i], texts[j], configs[c], ells[i], ells[j], ell, gap)
             for i, j, c, ell, gap in zip(*(column.tolist() for column in (
                 records.a, records.b, records.config, records.ell_combined,
                 records.slack))))
-    _write_csv(out / "triangle.csv",
-               "a,b,config,ell_a,ell_b,ell_combined,slack", rows)
+    head = "# schema: %s\na,b,config,ell_a,ell_b,ell_combined,slack\n"
+    _write(out / "triangle.csv", head % SCHEMA, rows)
     print("%d combined-length inequalities checked, zero violations"
           % len(records))
     print("minimum slack: %.6e" % records.slack.min())
@@ -438,11 +443,10 @@ def cmd_limitset(cfg: RunConfig, out: Path, args) -> int:
         sample = sample.take(order[sel])
         print("sampled %d boundary points; emitting an even thinning of %d"
               % (total, len(sample)))
-    (out / "limitset.csv").write_text(
-        "# schema: %s\n%s" % (SCHEMA, sample_to_csv(sample)))
-    svg = sample_to_svg(sample)
-    (out / "limitset.svg").write_text(
-        "<!-- schema: %s -->\n%s" % (SCHEMA, svg))
+    _write(out / "limitset.csv",
+           "# schema: %s\n%s" % (SCHEMA, sample_to_csv(sample)))
+    _write(out / "limitset.svg",
+           "<!-- schema: %s -->\n%s" % (SCHEMA, sample_to_svg(sample)))
     print("%d limit-set points written to %s and %s"
           % (len(sample), out / "limitset.csv", out / "limitset.svg"))
     return 0
@@ -490,10 +494,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         out = _resolve_outdir(cfg, args.outdir)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
         return _COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -229,7 +229,7 @@ def stable_length(rep: Representation, w: Word) -> float:
 
 
 def stable_lengths(mats: np.ndarray) -> list[float]:
-    """stable_length of each word from its wa.compose_matrices product,
+    """stable_length of each word from its batch product (wa._times),
     bit for bit, read from the trace a + d alone.
 
     wa.translating picks the words of nonzero length by

@@ -132,7 +132,8 @@ class GroupPresentation:
 
 def enumerate_words(pres: GroupPresentation, maxlen: int,
                     mode: str = "reduced") -> Iterator[Word]:
-    """Nonempty words up to maxlen in shortlex order, from rank arrays.
+    """Nonempty words up to maxlen in shortlex order, from the walk of the
+    freely reduced words (``_wordarrays.free_acceptor``).
 
     mode "reduced" yields every freely reduced word.  mode "conjugacy"
     yields one cyclically reduced word per rotation class, the
@@ -142,9 +143,10 @@ def enumerate_words(pres: GroupPresentation, maxlen: int,
     """
     if mode not in ("reduced", "conjugacy"):
         raise WordError("unknown enumeration mode %r" % (mode,))
-    levels = wa.reduced_word_levels(maxlen, pres.genus)
+    chunks = (rows for rows, _ in wa.normal_forms(
+        (), maxlen, wa.free_acceptor(pres.genus)))
     if mode == "conjugacy":
-        levels = [level[wa.conjugacy_class_mask(level, pres.genus)]
-                  for level in levels]
+        chunks = (rows[wa.conjugacy_class_mask(rows, pres.genus)]
+                  for rows in chunks)
     return (Word(wa.ranks_to_letters(row, pres.genus))
-            for level in levels for row in level)
+            for rows in chunks for row in rows)

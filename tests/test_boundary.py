@@ -67,7 +67,7 @@ from qfcert.representations import (
 from qfcert.surface_group import Word, enumerate_words
 
 from geometry_reference import translation_lengths
-from word_reference import is_reduced
+from word_reference import is_reduced, reduced_word_levels
 
 A1 = Word((1,))
 B1 = Word((2,))
@@ -516,7 +516,7 @@ def reference_sample(rep, maxlen):
             rep.generator_matrix_array())
     all_ranks, all_angles, all_pairs = [], [], []
     products = None
-    for words in wa.reduced_word_levels(maxlen):
+    for words in reduced_word_levels(maxlen):
         angles, pairs, keep, products = reference_level(
             words, gens, products, store=words.shape[1] < maxlen)
         padded = np.full((words.shape[0], maxlen), -1, dtype=np.int8)
@@ -565,7 +565,7 @@ def normal_form_rows(maxlen):
     rows = np.concatenate([
         np.pad(level, ((0, 0), (0, maxlen - level.shape[1])),
                constant_values=-1)
-        for level in wa.reduced_word_levels(maxlen)])
+        for level in reduced_word_levels(maxlen)])
     return rows[accepted(rows)]
 
 

@@ -154,6 +154,23 @@ class TestConfigHandling:
         assert len(err.splitlines()) == 1
         assert blocker.read_text() == "a regular file"
 
+    # one case per write path: the CSV rows, a JSON payload, a whole text
+    @pytest.mark.parametrize("args,artifact", [
+        (("--maxlen", "2", "spectrum"), "spectrum.csv"),
+        (("--rmax", "7", "growth"), "growth.json"),
+        (("ref-rep",), "representation.json"),
+    ], ids=["csv", "json", "text"])
+    def test_unwritable_artifact_is_a_config_error(self, tmp_path, capsys,
+                                                   args, artifact):
+        # a directory in the artifact's place cannot be opened for writing
+        (tmp_path / artifact).mkdir()
+        assert main(["--outdir", str(tmp_path), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write") \
+            and artifact in err
+        assert len(err.splitlines()) == 1
+        assert (tmp_path / artifact).is_dir()
+
     @pytest.mark.parametrize("value", ["1e300", "40"])
     def test_growth_refuses_an_oversized_ball(self, tmp_path, capsys,
                                               monkeypatch, value):

@@ -7,6 +7,7 @@ definition, and enumeration counts are checked against word counts with
 relator coincidences removed.
 """
 
+import ast
 import hashlib
 import itertools
 import json
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from qfcert import _wordarrays as wa
-from qfcert import boundary, representations
+from qfcert import representations
 from qfcert.moebius import (
     BASEPOINT,
     IsometryKind,
@@ -56,7 +57,7 @@ from qfcert.representations import (
 from qfcert.surface_group import GroupPresentation, Word, enumerate_words
 
 from geometry_reference import translation_lengths
-from word_reference import are_equal, is_identity
+from word_reference import are_equal, is_identity, reduced_word_levels
 
 # 2 * arccosh(1 + sqrt(2)), the displacement of a side-pairing
 # translation of the regular octagon with vertex angle pi/4
@@ -389,7 +390,7 @@ def numeric_classes(maxlen: int, gens: np.ndarray):
     class is dropped when one of its rotations has, up to sign, the matrix
     of a rotation of an earlier kept class."""
     rows, mats, buckets = [], [], {}
-    for level in wa.reduced_word_levels(maxlen):
+    for level in reduced_word_levels(maxlen):
         level = level[wa.conjugacy_class_mask(level)]
         n, length = level.shape
         rolled = np.concatenate([np.roll(level, -s, axis=1)
@@ -425,7 +426,7 @@ class TestClassTable:
     def test_products_equal_scalar_evaluation(self, base_rep, angle):
         rep = bend(base_rep, angle)
         got, want = [], []
-        for level in wa.reduced_word_levels(4):
+        for level in reduced_word_levels(4):
             mats = wa.compose_matrices(level, rep.generator_matrix_array())
             for row, m in zip(level, mats.reshape(-1, 4).tolist()):
                 got.append(MoebiusMap._unit_det(*m).entries())
@@ -502,7 +503,9 @@ class TestClassTable:
             assert are_equal(pres, Word(wa.ranks_to_letters(np.array(s))),
                                   Word(wa.ranks_to_letters(np.array(r))))
 
-    def test_one_product_per_class_row(self, bent_rep, monkeypatch):
+    def test_one_product_per_class_row(self, base_rep, bent_rep,
+                                       monkeypatch):
+        # the products are the walk's: the table composes no row again
         composed = []
         compose = wa.compose_matrices
 
@@ -511,8 +514,14 @@ class TestClassTable:
             return compose(words, gen_mats)
 
         monkeypatch.setattr(wa, "compose_matrices", counting)
-        rows, _ = wa.conjugacy_classes(5, bent_rep.generator_matrix_array())
-        assert sum(composed) == len(rows) == 4100
+        gens = (bent_rep.generator_matrix_array(),
+                base_rep.generator_matrix_array())
+        rows, *mats = wa.conjugacy_classes(5, *gens)
+        assert composed == []
+        assert len(rows) == 4100
+        assert len(mats) == 2
+        for got, g in zip(mats, gens):
+            assert _same_bits(got, compose(rows, g))
 
 
 # The right sides of the rewriting system whose left sides
@@ -627,7 +636,7 @@ class TestShortlexAcceptor:
         # octagon, which is faithful, are exact at this length)
         gens = base_rep.generator_matrix_array()
         seen = set()
-        for level in wa.reduced_word_levels(5):
+        for level in reduced_word_levels(5):
             keys = _quantize_keys(_gather_canonical_sign(
                 wa.compose_matrices(level, gens)))
             first = []
@@ -713,7 +722,7 @@ class TestProductKernel:
         gens = _random_mats(rng, 4 * genus, real)
         fan = 4 * genus - 1
         parents = None
-        for level in wa.reduced_word_levels(4 if genus == 2 else 3, genus):
+        for level in reduced_word_levels(4 if genus == 2 else 3, genus):
             last = level[:, -1]
             if parents is None:
                 parents = gens[last]
@@ -729,7 +738,7 @@ class TestProductKernel:
         assert real.dtype == np.float64 and np.array_equal(real, gens)
         assert wa.exact_real(bent_rep.generator_matrix_array()).dtype \
             == np.complex128
-        levels = wa.reduced_word_levels(5)
+        levels = reduced_word_levels(5)
         got = wa.compose_matrices(levels[-1], real)
         want = wa.compose_matrices(levels[-1], gens)
         assert _same_bits(got, np.ascontiguousarray(want.real))
@@ -745,7 +754,7 @@ class TestTranslating:
         gens = wa.exact_real(base_rep.generator_matrix_array()) \
             if angle is None else bend(base_rep, angle).generator_matrix_array()
         mats = None
-        for level in wa.reduced_word_levels(6):
+        for level in reduced_word_levels(6):
             last = level[:, -1]
             mats = gens[last] if mats is None \
                 else wa.extend_products(mats, last, gens)
@@ -787,7 +796,7 @@ class TestPrefixProducts:
 
     @pytest.mark.parametrize("genus,maxlen", [(2, 5), (3, 3)])
     def test_row_extends_parent_row(self, genus, maxlen):
-        levels = wa.reduced_word_levels(maxlen, genus)
+        levels = reduced_word_levels(maxlen, genus)
         for prev, level in zip(levels, levels[1:]):
             parent = np.arange(level.shape[0]) // (4 * genus - 1)
             assert parent[-1] == prev.shape[0] - 1
@@ -810,8 +819,9 @@ class TestPrefixProducts:
 
 
 class TestNormalFormWalk:
-    """wa.normal_forms yields the genus-2 normal forms in shortlex order,
-    and extends only the rows that keep picks."""
+    """wa.normal_forms yields the genus-2 normal forms, or over
+    wa.free_acceptor the freely reduced words, in shortlex order, and
+    extends only the rows that keep picks."""
 
     def test_rows_come_in_shortlex_order(self, base_rep):
         gens = (base_rep.generator_matrix_array(),)
@@ -841,22 +851,39 @@ class TestNormalFormWalk:
         assert kept and dropped
         # the walk yields, once each, exactly the normal forms whose
         # proper prefixes were all kept
-        want = {r for level in wa.reduced_word_levels(5)
+        want = {r for level in reduced_word_levels(5)
                 for r in map(tuple, level.tolist())
                 if _accepts(r) and all(r[:k] in kept for k in range(1, len(r)))}
         assert kept | dropped == want
         assert sum(len(rows) for rows, _ in walked) == len(want)
 
-    def test_searches_do_not_enumerate_reduced_words(self, bent_rep,
-                                                     monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("reduced_word_levels was called")
+    @pytest.mark.parametrize("genus,maxlen", [(2, 5), (3, 3)])
+    def test_free_acceptor_walks_the_reduced_words(self, genus, maxlen):
+        rng = np.random.default_rng(31)
+        gens = (rng.normal(size=(4 * genus, 2, 2))
+                + 1j * rng.normal(size=(4 * genus, 2, 2)),
+                rng.normal(size=(4 * genus, 2, 2)))
+        walked = list(wa.normal_forms(gens, maxlen, wa.free_acceptor(genus)))
+        rows = [tuple(r) for chunk, _ in walked for r in chunk.tolist()]
+        assert rows == [tuple(r) for level in reduced_word_levels(
+            maxlen, genus) for r in level.tolist()]
+        assert rows == sorted(rows, key=lambda r: (len(r), r))
+        for chunk, products in walked:
+            for got, g in zip(products, gens):
+                assert _same_bits(got, wa.compose_matrices(chunk, g))
 
-        monkeypatch.setattr(wa, "reduced_word_levels", refuse)
-        assert len(boundary.limit_set_sample(bent_rep, 4)) > 0
-        assert orbit_point_distances(bent_rep, max_word_length=3).size == 457
-        assert orbit_point_distances(bent_rep, prune_radius=6.0).size > 0
-        assert find_complex_trace_element(bent_rep, 4).letters
+    def test_src_does_not_name_reduced_word_levels(self):
+        # the walk is the one enumerator: the tests keep the reference
+        src = Path(wa.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = getattr(node, "attr", None) or getattr(node, "id", None) \
+                    or getattr(node, "name", None)
+                if name == "reduced_word_levels":
+                    found.append("%s:%d" % (path.name, node.lineno))
+        assert len(list(src.glob("*.py"))) > 5
+        assert not found
 
     def test_complex_trace_search_refuses_other_genera(self, base_rep):
         pres = GroupPresentation(genus=3)
@@ -1112,7 +1139,7 @@ def _bits(x):
 def _level_products(gens, maxlen):
     """Products of every reduced word up to maxlen, level by level."""
     mats, out = None, []
-    for level in wa.reduced_word_levels(maxlen):
+    for level in reduced_word_levels(maxlen):
         last = level[:, -1]
         mats = gens[last] if mats is None \
             else wa.extend_products(mats, last, gens)

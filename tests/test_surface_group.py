@@ -21,6 +21,7 @@ from word_reference import (
     dehn_reduce,
     is_identity,
     is_reduced,
+    reduced_word_levels,
     relator_cycles,
 )
 
@@ -292,7 +293,7 @@ class TestJoinRows:
         return np.concatenate([
             np.pad(level, ((0, 0), (0, maxlen - level.shape[1])),
                    constant_values=-1)
-            for level in wa.reduced_word_levels(maxlen, genus)])
+            for level in reduced_word_levels(maxlen, genus)])
 
     @pytest.mark.parametrize("genus,maxlen", [(2, 3), (3, 2)])
     def test_matches_free_reduction(self, genus, maxlen):

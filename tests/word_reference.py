@@ -1,9 +1,12 @@
-"""Dehn's algorithm for the surface-group word problem, kept as an
-independent reference.
+"""Reference enumeration of freely reduced words, and Dehn's algorithm
+for the surface-group word problem, kept as independent references.
 
-No command needs it: the class table merges classes by exact relator
-swaps (``_wordarrays.conjugacy_classes``).  The class-table, enumeration
-and sample tests use it as the oracle for equality in the group.
+No command needs them: every enumeration in the package walks an acceptor
+(``_wordarrays.normal_forms``), and the class table merges classes by
+exact relator swaps (``_wordarrays.conjugacy_classes``).  The walk, class
+table, enumeration and sample tests use ``reduced_word_levels`` as the
+reference list of reduced words, and Dehn's algorithm as the oracle for
+equality in the group.
 
 The one-relator presentation satisfies a small-cancellation condition
 strong enough for Dehn's algorithm: any word representing the identity
@@ -12,7 +15,32 @@ inverse, so greedily replacing such subwords with the shorter complement
 terminates at the empty word exactly for identity words.
 """
 
+import numpy as np
+
+from qfcert._wordarrays import child_ranks
 from qfcert.surface_group import GroupPresentation, Word, free_reduce_letters
+
+
+def reduced_word_levels(maxlen: int, genus: int = 2) -> list[np.ndarray]:
+    """Freely reduced words as rank arrays, one (n, L) array per length L.
+
+    Each level is in shortlex order.  Level L is built by appending every
+    non-cancelling rank to each level-(L-1) word in rank order, so every
+    word has 4g - 1 children and row i of level L >= 2 extends row
+    i // (4g - 1) of level L - 1.
+    """
+    if maxlen < 1:
+        return []
+    current = np.arange(4 * genus, dtype=np.int8).reshape(-1, 1)
+    levels = [current]
+    for _ in range(2, maxlen + 1):
+        last = child_ranks(current[:, -1], genus)
+        new = np.empty((last.size, current.shape[1] + 1), dtype=np.int8)
+        new[:, :-1] = np.repeat(current, 4 * genus - 1, axis=0)
+        new[:, -1] = last
+        levels.append(new)
+        current = new
+    return levels
 
 
 def is_reduced(w: Word) -> bool:
