@@ -128,29 +128,9 @@ def fixed_angles(w: Word) -> tuple[float, float]:
 
 
 PAIR_CONFIGS = tuple(PairConfig)
-# endpoints closer than this (in turns) send their pairs to the float rule;
-# every other pair is classified by endpoint rank
+# endpoints this close in sorted order are the candidates for the
+# DEGENERATE_TOL gap test; farther ones are more than DEGENERATE_TOL apart
 _NEAR_WINDOW = 2.0 * DEGENERATE_TOL
-
-
-def _float_pair_codes(a1, a2, b1, b2) -> np.ndarray:
-    """classify_angle_pairs' float rule, elementwise on broadcast arrays
-    of endpoints; int8 indices into PAIR_CONFIGS."""
-    degenerate = np.zeros(np.broadcast_shapes(*map(np.shape, (a1, a2, b1, b2))),
-                          dtype=bool)
-    for p, q in itertools.combinations((a1, a2, b1, b2), 2):
-        y = (p - q) - np.floor(p - q)  # abs(wrap_turns(p - q)) elementwise
-        degenerate |= np.where(y > 0.5, 1.0 - y, y) < DEGENERATE_TOL
-    v = (a2 - a1) % 1.0
-    u1 = (b1 - a1) % 1.0
-    u2 = (b2 - a1) % 1.0
-    in1 = u1 < v
-    return np.select(
-        [degenerate, in1 != (u2 < v), np.where(in1, u1 < u2, u1 > u2)],
-        [PAIR_CONFIGS.index(c) for c in (PairConfig.DEGENERATE,
-                                         PairConfig.LINKED,
-                                         PairConfig.UNLINKED_ALIGNED)],
-        PAIR_CONFIGS.index(PairConfig.UNLINKED_MISALIGNED)).astype(np.int8)
 
 
 def _rank_pair_codes(ra1, ra2, rb1, rb2) -> np.ndarray:
@@ -173,6 +153,13 @@ def _rank_pair_codes(ra1, ra2, rb1, rb2) -> np.ndarray:
     return np.where(linked, np.int8(0), misaligned.view(np.int8) + np.int8(1))
 
 
+def _four_point_config(values) -> PairConfig:
+    """The rank rule on four distinct values (alpha then beta), ranked by
+    sorting them: their sorted order is their circular order cut open."""
+    ranks = np.argsort(np.argsort(values))
+    return PAIR_CONFIGS[int(_rank_pair_codes(*ranks))]
+
+
 def classify_angle_pairs(alpha: tuple[float, float],
                          beta: tuple[float, float]) -> PairConfig:
     """Configuration of two ordered point pairs on a circle (angles in turns).
@@ -181,12 +168,19 @@ def classify_angle_pairs(alpha: tuple[float, float],
     beta points share one complementary arc, the configuration is aligned
     exactly if the four points read alpha1, beta1, beta2, alpha2 or
     alpha1, alpha2, beta2, beta1 around the circle; the other two
-    patterns are misaligned.  Flipping a single pair toggles
-    aligned/misaligned; flipping both, or swapping the roles of the
-    pairs, preserves the configuration.  Endpoints closer than
-    DEGENERATE_TOL make the pair degenerate.
+    patterns are misaligned.  Two endpoints closer than DEGENERATE_TOL by
+    circular_distance_turns make the pair degenerate; otherwise the four
+    angles, reduced mod 1, are distinct and classified by their ranks.
+    The gap is symmetric to the bit and the ranks encode only the
+    circular order, so at every input flipping a single pair toggles
+    aligned/misaligned, and flipping both, or swapping the roles of the
+    pairs, preserves the configuration.
     """
-    return PAIR_CONFIGS[int(_float_pair_codes(*alpha, *beta))]
+    values = (*alpha, *beta)
+    if any(circular_distance_turns(p, q) < DEGENERATE_TOL
+           for p, q in itertools.combinations(values, 2)):
+        return PairConfig.DEGENERATE
+    return _four_point_config([x % 1.0 for x in values])
 
 
 def _near_pairs(order: np.ndarray, points: np.ndarray):
@@ -210,53 +204,43 @@ def _near_pairs(order: np.ndarray, points: np.ndarray):
 def rank_endpoints(angles: np.ndarray):
     """pair_config_grid's ranking of an (n, 2) table of angle pairs in
     turns in [0, 1], whose 2n endpoints it sorts once (endpoint k is row
-    k % n): the (n, 2) int32 endpoint ranks; the near row pairs, a (2, k)
-    array of the rows (i, j) with endpoints at most _NEAR_WINDOW apart,
-    in both orders and with every (i, i), sorted; and the near rows, whose
-    own two endpoints are that close."""
+    k % n): the (n, 2) int32 endpoint ranks; the degenerate row pairs, a
+    (2, k) array of the rows (i, j) with an endpoint of i closer than
+    DEGENERATE_TOL to one of j, in both orders and with every (i, i),
+    sorted; and the degenerate rows, whose own two endpoints are that
+    close.  The gap is classify_angle_pairs' circular_distance_turns,
+    taken on the _near_pairs candidates."""
     n = angles.shape[0]
     points = angles.T.ravel()
     order = np.argsort(points, kind="stable")
     row = np.tile(np.arange(n), 2)
-    p, q = (row[k] for k in _near_pairs(order, points))
-    near = np.unique(np.hstack([[p, q], [q, p], [row[:n], row[:n]]]), axis=1)
-    return (order.argsort().astype(np.int32).reshape(2, n).T, near,
+    p, q = _near_pairs(order, points)
+    close = circular_distance_turns(points[p], points[q]) < DEGENERATE_TOL
+    p, q = row[p[close]], row[q[close]]
+    pairs = np.unique(np.hstack([[p, q], [q, p], [row[:n], row[:n]]]), axis=1)
+    return (order.argsort().astype(np.int32).reshape(2, n).T, pairs,
             np.unique(p[p == q]))
 
 
-def pair_config_grid(angles: np.ndarray, ranking, lo: int, hi: int,
-                     start: int = 0) -> np.ndarray:
+def pair_config_grid(ranking, lo: int, hi: int, start: int = 0) -> np.ndarray:
     """classify_angle_pairs(angles[i], angles[j]) for every row i of
     angles[lo:hi] and j of angles[start:], bit for bit, as an int8 array
     of indices into PAIR_CONFIGS; ranking is rank_endpoints(angles).
 
-    A pair is classified from the integer ranks of its four endpoints by
-    the rank rule (_rank_pair_codes).  This equals the float rule
-    wherever it is applied.  The near row pairs name the pairs with an
-    endpoint of one row near one of the other (across the wrap at 0/1
-    too, and each row with itself), and the near rows those whose own two
-    endpoints are near; the float rule is applied to exactly those pairs,
-    rows and columns.  In every other pair all six endpoint gaps exceed
-    _NEAR_WINDOW - 2^-52 > DEGENERATE_TOL, so the float rule finds it
-    non-degenerate, and the four endpoints are distinct, so their ranks
-    give their circular order (an angle of 1.0 sorts last, next to 0.0
-    around the circle).  The float rule's offsets (x - a1) % 1.0 of angles
-    in [0, 1] are within 2^-52 of the exact ones, while any two of them
-    differ by more than DEGENERATE_TOL, so each comparison it makes
-    agrees with the exact circular order, and with the ranks.
+    The degenerate rows, columns and row pairs are marked DEGENERATE and
+    every other pair is classified by the rank rule (_rank_pair_codes):
+    its four endpoints are distinct, so their ranks give their circular
+    order (an angle of 1.0 sorts last, next to 0.0 around the circle).
     """
-    ranks, near, near_rows = ranking
+    ranks, pairs, rows = ranking
     a, b = ranks[lo:hi], ranks[start:]
     codes = _rank_pair_codes(a[:, :1], a[:, 1:], b[:, 0], b[:, 1])
-    rows = near_rows[(near_rows >= lo) & (near_rows < hi)]
-    codes[rows - lo] = _float_pair_codes(*angles[rows].T[..., None],
-                                         *angles[start:].T)
-    cols = near_rows[near_rows >= start]
-    codes[:, cols - start] = _float_pair_codes(*angles[lo:hi].T[..., None],
-                                               *angles[cols].T)
-    k = slice(*np.searchsorted(near[0], [lo, hi]))
-    ii, jj = near[:, k][:, near[1, k] >= start]
-    codes[ii - lo, jj - start] = _float_pair_codes(*angles[ii].T, *angles[jj].T)
+    degenerate = PAIR_CONFIGS.index(PairConfig.DEGENERATE)
+    codes[rows[(rows >= lo) & (rows < hi)] - lo] = degenerate
+    codes[:, rows[rows >= start] - start] = degenerate
+    k = slice(*np.searchsorted(pairs[0], [lo, hi]))
+    ii, jj = pairs[:, k][:, pairs[1, k] >= start]
+    codes[ii - lo, jj - start] = degenerate
     return codes
 
 
@@ -271,16 +255,15 @@ def classify_real_pairs(alpha: tuple[float, float],
 
     Exact order combinatorics: no tolerance, so points whose magnitudes
     differ by hundreds of orders (which would collapse any angular chart)
-    still classify correctly.  Tied values are degenerate.
+    still classify correctly.  Tied values are degenerate; four distinct
+    values are ranked by sorting, as classify_angle_pairs ranks its
+    angles, since the cyclic order on R u {inf} restricted to four finite
+    points is their sorted order on R.
     """
     values = (*alpha, *beta)
     if len(set(values)) < 4:
         return PairConfig.DEGENERATE
-    # the cyclic order on R u {inf} restricted to four finite points is
-    # their sorted order on R
-    order = sorted(values)
-    ranks = np.array([order.index(x) for x in values])
-    return PAIR_CONFIGS[int(_rank_pair_codes(*ranks))]
+    return _four_point_config(values)
 
 
 @dataclass(frozen=True, eq=False)

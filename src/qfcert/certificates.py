@@ -186,7 +186,7 @@ def triangle_harness(rep: Representation, maxlen: int) -> TriangleRecords:
     block = max(1, (1 << 16) // max(len(words), 1))
     for lo in range(0, max(len(words), 1), block):
         # each class is degenerate with itself: its endpoint gaps are 0
-        grid = pair_config_grid(angles, ranking, lo, lo + block)
+        grid = pair_config_grid(ranking, lo, lo + block)
         ii, jj = np.nonzero(grid != degenerate)
         codes = grid[ii, jj]
         ii += lo
@@ -316,8 +316,10 @@ def find_separation_certificate(
     The scan runs in blocks of unordered pairs: the boundary
     configuration is classified once per pair i < j, which relies on the
     unlinked-aligned relation being symmetric (a pair is aligned with b
-    exactly when b is aligned with a, and no class with itself).  Each
-    aligned pair gets an upper bound on its ratio in both orientations
+    exactly when b is aligned with a, and no class with itself).  That
+    holds by construction: degeneracy comes from a gap that is symmetric
+    to the bit, and the rank rule reads only circular order.  Each aligned
+    pair gets an upper bound on its ratio in both orientations
     (_ratio_bounds).  In each block the pair with the largest bound is
     evaluated exactly first, in both orientations, and then every pair
     whose bound reaches the best exact ratio so far; those ratios come
@@ -347,7 +349,7 @@ def find_separation_certificate(
     lo = 0
     while lo < n - 1:
         hi = min(n, lo + max(1, _PAIR_BLOCK // (n - lo)))
-        aligned = pair_config_grid(angles, ranking, lo, hi, lo) == aligned_code
+        aligned = pair_config_grid(ranking, lo, hi, lo) == aligned_code
         # the aligned grid is symmetric with an empty diagonal, so each
         # unordered pair is classified once, at j > i
         ii, jj = np.nonzero(np.triu(aligned, 1))

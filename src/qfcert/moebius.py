@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 # Trace-based classification thresholds.
 PARABOLIC_TRACE_TOL = 1e-9
 REAL_TRACE_TOL = 1e-9
@@ -44,9 +46,12 @@ def wrap_turns(x: float) -> float:
     return y
 
 
-def circular_distance_turns(x: float, y: float) -> float:
-    """Distance between two circle positions measured in turns, in [0, 1/2]."""
-    return abs(wrap_turns(x - y))
+def circular_distance_turns(x, y):
+    """Distance between two circle positions measured in turns, in [0, 1/2],
+    elementwise on arrays.  |x - y| is the same bits in either argument
+    order, and so is the distance."""
+    d = abs(x - y) % 1.0
+    return np.minimum(d, 1.0 - d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,10 +11,13 @@ the end-to-end witness for the bent representation is re-validated by an
 independent verifier, and tampered witnesses must fail it.
 """
 
+import ast
+import itertools
 import json
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,7 +49,6 @@ from qfcert.boundary import (
     verify_witness_orders,
     witness_from_dict,
     witness_to_dict,
-    _float_pair_codes,
 )
 from qfcert.certificates import _PAIR_BLOCK, _class_table
 from qfcert.moebius import (
@@ -105,7 +107,8 @@ IDENTITY_CHART = MoebiusMap(1.0, 0.0, 0.0, 1.0)
 
 
 def scalar_pair_config(alpha, beta, tol=DEGENERATE_TOL) -> PairConfig:
-    """Reference for the float rule: the scalar classifier, pair by pair."""
+    """Scalar reference for classify_angle_pairs: circular_distance_turns
+    gaps, then float offsets from a1 in place of endpoint ranks."""
     a1, a2 = alpha
     b1, b2 = beta
     pts = (a1, a2, b1, b2)
@@ -306,12 +309,12 @@ def two_set_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     rows of one table, alpha then beta, against its columns from beta."""
     table = np.concatenate([alpha, beta])
     n = alpha.shape[0]
-    return pair_config_grid(table, rank_endpoints(table), 0, n, n)
+    return pair_config_grid(rank_endpoints(table), 0, n, n)
 
 
 def table_grid(angles: np.ndarray) -> np.ndarray:
     """pair_config_grid of a whole table against itself."""
-    return pair_config_grid(angles, rank_endpoints(angles), 0, len(angles))
+    return pair_config_grid(rank_endpoints(angles), 0, len(angles))
 
 
 def scalar_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -320,10 +323,32 @@ def scalar_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
                       for b in beta.tolist()] for a in alpha.tolist()])
 
 
+def float_pair_codes(a1, a2, b1, b2) -> np.ndarray:
+    """The float rule that classify_angle_pairs applied before the rank
+    rule, elementwise on broadcast arrays of endpoints; int8 indices into
+    PAIR_CONFIGS.  Its gap, 1 - ((p - q) mod 1) for p just below q, may
+    differ from the gap with p and q swapped in the last bit."""
+    degenerate = np.zeros(np.broadcast_shapes(*map(np.shape, (a1, a2, b1, b2))),
+                          dtype=bool)
+    for p, q in itertools.combinations((a1, a2, b1, b2), 2):
+        y = (p - q) - np.floor(p - q)  # abs(wrap_turns(p - q)) elementwise
+        degenerate |= np.where(y > 0.5, 1.0 - y, y) < DEGENERATE_TOL
+    v = (a2 - a1) % 1.0
+    u1 = (b1 - a1) % 1.0
+    u2 = (b2 - a1) % 1.0
+    in1 = u1 < v
+    return np.select(
+        [degenerate, in1 != (u2 < v), np.where(in1, u1 < u2, u1 > u2)],
+        [PAIR_CONFIGS.index(c) for c in (PairConfig.DEGENERATE,
+                                         PairConfig.LINKED,
+                                         PairConfig.UNLINKED_ALIGNED)],
+        PAIR_CONFIGS.index(PairConfig.UNLINKED_MISALIGNED)).astype(np.int8)
+
+
 def float_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """The float rule of classify_angle_pairs over a whole grid."""
-    return _float_pair_codes(alpha[:, 0, None], alpha[:, 1, None],
-                             beta[None, :, 0], beta[None, :, 1])
+    """The float rule over a whole grid."""
+    return float_pair_codes(alpha[:, 0, None], alpha[:, 1, None],
+                            beta[None, :, 0], beta[None, :, 1])
 
 
 class TestPairConfigGrid:
@@ -366,10 +391,11 @@ class TestPairConfigGrid:
 
 
 class TestRankClassifier:
-    """pair_config_grid ranks endpoints and applies the float rule only
-    near the tolerance; it must agree with the scalar reference where the
-    two rules could part: gaps near DEGENERATE_TOL, exact duplicates,
-    the wrap at 0/1 and large clusters."""
+    """pair_config_grid marks the pairs with an endpoint gap under
+    DEGENERATE_TOL and classifies the rest by endpoint rank; it must agree
+    with the scalar reference and the float rule where ranks and floats
+    could part: gaps near DEGENERATE_TOL, exact duplicates, the wrap at
+    0/1 and large clusters."""
 
     def test_near_tolerance_pairs_of_the_class_table(self):
         # consecutive sorted endpoints of the maxlen-5 table at gaps from
@@ -450,29 +476,95 @@ class TestRankClassifier:
         n, lo = len(angles), 0
         while lo < n - 1:
             hi = min(n, lo + max(1, _PAIR_BLOCK // (n - lo)))
-            assert np.array_equal(pair_config_grid(angles, ranking, lo, hi, lo),
+            assert np.array_equal(pair_config_grid(ranking, lo, hi, lo),
                                   float_grid(angles[lo:hi], angles[lo:]))
             lo = hi
 
     def test_rank_endpoints_of_a_table(self):
-        # endpoint k is row k % n; near pairs, across the wrap too, come
-        # in both orders with the diagonal, sorted, and a row whose own
-        # endpoints are close is a near row
+        # endpoint k is row k % n; degenerate pairs, across the wrap too,
+        # come in both orders with the diagonal, sorted, and a row whose
+        # own endpoints are close is a degenerate row
         angles = np.array([[0.0, 0.6], [0.6 + 1e-9, 0.3], [0.9, 1.0],
                            [0.45, 0.45 + 1e-9]])
-        ranks, near, near_rows = rank_endpoints(angles)
+        ranks, pairs, rows = rank_endpoints(angles)
         assert ranks.dtype == np.int32
         assert ranks.tolist() == [[0, 4], [5, 1], [6, 7], [2, 3]]
-        assert near.tolist() == [[0, 0, 0, 1, 1, 2, 2, 3],
-                                 [0, 1, 2, 0, 1, 0, 2, 3]]
-        assert near_rows.tolist() == [3]
+        assert pairs.tolist() == [[0, 0, 0, 1, 1, 2, 2, 3],
+                                  [0, 1, 2, 0, 1, 0, 2, 3]]
+        assert rows.tolist() == [3]
         assert np.array_equal(table_grid(angles), scalar_grid(angles, angles))
 
     def test_rank_endpoints_of_an_empty_table(self):
-        ranks, near, near_rows = rank_endpoints(np.zeros((0, 2)))
-        assert (ranks.shape, near.shape, near_rows.shape) \
+        ranks, pairs, rows = rank_endpoints(np.zeros((0, 2)))
+        assert (ranks.shape, pairs.shape, rows.shape) \
             == ((0, 2), (2, 0), (0,))
         assert table_grid(np.zeros((0, 2))).shape == (0, 0)
+
+    def test_src_names_no_float_rule(self):
+        # one configuration rule in src: the float rule is a test reference
+        src = Path(boundary.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = getattr(node, "attr", None) or getattr(node, "id", None) \
+                    or getattr(node, "name", None)
+                if name == "_float_pair_codes" or (
+                        name == "select" and isinstance(node, ast.Attribute)
+                        and getattr(node.value, "id", None) == "np"):
+                    found.append("%s:%d" % (path.name, node.lineno))
+        assert len(list(src.glob("*.py"))) > 5
+        assert not found
+
+
+# two endpoints DEGENERATE_TOL apart to within an ulp of the tolerance:
+# the gap (p - q) - floor(p - q), folded, read this pair as degenerate in
+# one argument order and not in the other
+EDGE_ALPHA = (0.007091828603166261, 0.5)
+EDGE_BETA = (0.007091838603166257, 0.3)
+
+
+class TestSwapSymmetry:
+    """Swapping the two pairs never changes a configuration, at the
+    tolerance edge too, and angles classify as their residues mod 1."""
+
+    def test_the_tolerance_edge_quadruple(self):
+        assert classify_angle_pairs(EDGE_ALPHA, EDGE_BETA) \
+            == classify_angle_pairs(EDGE_BETA, EDGE_ALPHA)
+
+    @pytest.mark.parametrize("p", [0.0, 0.007091828603166261, 0.3, 0.6,
+                                   1.0 - DEGENERATE_TOL])
+    def test_ulp_offsets_of_the_tolerance(self, p):
+        far = ((p + 0.5) % 1.0, (p + 0.25) % 1.0)
+        seen = set()
+        for direction in (math.inf, -math.inf):
+            q = p + DEGENERATE_TOL
+            for _ in range(200):
+                alpha, beta = (p, far[0]), (q, far[1])
+                got = classify_angle_pairs(alpha, beta)
+                assert classify_angle_pairs(beta, alpha) == got
+                assert classify_angle_pairs(beta[::-1], alpha[::-1]) == got
+                seen.add(got)
+                q = math.nextafter(q, direction)
+        assert PairConfig.DEGENERATE in seen and len(seen) == 2
+
+    def test_grid_of_the_edge_pair_equals_its_transpose(self):
+        angles = np.array([EDGE_ALPHA, EDGE_BETA, (0.8, 0.9)])
+        grid = table_grid(angles)
+        assert np.array_equal(grid, grid.T)
+        assert np.array_equal(grid, np.array(
+            [[PAIR_CONFIGS.index(classify_angle_pairs(a, b))
+              for b in angles.tolist()] for a in angles.tolist()]))
+
+    def test_angles_classify_as_their_residues(self):
+        quads = [((0.25, 0.5), (0.3, 0.7)), ((0.25, 0.5), (0.3, 0.4)),
+                 ((0.25, 0.5), (0.4, 0.3)), ((0.25, 0.5), (0.25, 0.7))]
+        assert {classify_angle_pairs(*q) for q in quads} == set(PairConfig)
+        for alpha, beta in quads:
+            want = classify_angle_pairs(alpha, beta)
+            assert classify_angle_pairs((1.25, alpha[1]), beta) == want
+            assert classify_angle_pairs((-0.75, alpha[1]), beta) == want
+            assert classify_angle_pairs(alpha, (beta[0] + 2.0,
+                                                beta[1] - 1.0)) == want
 
 
 # The sampler and the window scan as they were before the sample was

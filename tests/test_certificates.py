@@ -302,7 +302,7 @@ SKEW_CHART = MoebiusMap(-0.8691056643855141 + 0.4281468299936646j,
 
 def full_grid(angles):
     """The pair grid of a whole class table against itself."""
-    return pair_config_grid(angles, rank_endpoints(angles), 0, len(angles))
+    return pair_config_grid(rank_endpoints(angles), 0, len(angles))
 
 
 def ordered_ratio_blocks(rep_m, ell, angles):
@@ -314,7 +314,7 @@ def ordered_ratio_blocks(rep_m, ell, angles):
     block = max(1, min(256, (1 << 24) // n))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        aligned = pair_config_grid(angles, ranking, lo, hi) == ALIGNED
+        aligned = pair_config_grid(ranking, lo, hi) == ALIGNED
         tr = np.einsum("aij,bji->ab", rep_m[lo:hi], rep_m)
         ell_ab = 2.0 * np.abs(np.arccosh(tr.astype(complex) / 2.0).real)
         ok = aligned & (ell_ab > 1e-9)
@@ -387,7 +387,7 @@ class TestCertificateScan:
             bend(fuchsian_octagon(), angle), maxlen)
         n, ranking = len(angles), rank_endpoints(angles)
         aligned = np.concatenate([
-            pair_config_grid(angles, ranking, lo, min(n, lo + 512)) == ALIGNED
+            pair_config_grid(ranking, lo, min(n, lo + 512)) == ALIGNED
             for lo in range(0, n, 512)])
         assert np.array_equal(aligned, aligned.T)
         assert not aligned.diagonal().any()
