@@ -549,12 +549,20 @@ def _strip_conjugator(w: Word, gamma: Word) -> tuple[int, Word]:
 
 def _arc_data(gamma: Word) -> tuple[MoebiusMap, float, float]:
     """Reference image of gamma with its boundary angles (repelling, attracting)."""
-    ref_gamma = evaluate(reference_representation(), gamma)
-    ref_cl = classify(ref_gamma)
-    if ref_cl.kind != IsometryKind.HYPERBOLIC:
-        raise BoundaryError("base element is not a translation on the group")
-    return (ref_gamma, disk_angle(ref_cl.data.fix_minus),
-            disk_angle(ref_cl.data.fix_plus))
+    a_minus, a_plus = fixed_angles(gamma)
+    return evaluate(reference_representation(), gamma), a_minus, a_plus
+
+
+def _gamma_power_angle(ref_gamma: MoebiusMap, angle: float, n: int) -> float:
+    """Disk angle of gamma^n (n >= 0) applied to the boundary point at angle.
+
+    gamma acts through its reference image ref_gamma, one application at
+    a time, so the angle carries the rounding of n steps of that map.
+    """
+    pt = _angle_to_boundary_point(angle)
+    for _ in range(n):
+        pt = ref_gamma(pt)
+    return disk_angle(pt)
 
 
 def _arc_position(x, v: float, side):
@@ -568,52 +576,37 @@ def _arc_position(x, v: float, side):
     return np.where(side == 1, x / v, (1.0 - x) / (1.0 - v))
 
 
-def _interval_bounds(side: int, ref_gamma: MoebiusMap, a_minus: float,
-                     a_plus: float) -> tuple[float, float]:
-    """Canonical fundamental interval [c, g(c)) of gamma on one side arc.
-
-    Positions are measured in the coordinate increasing from 0 at the
-    repelling angle to 1 at the attracting angle along the chosen arc.
-    """
-    v = (a_plus - a_minus) % 1.0
-    c = 0.5
-    if side == 1:
-        ang = (a_minus + c * v) % 1.0
-    else:
-        ang = (a_minus + 1.0 - c * (1.0 - v)) % 1.0
-    img = disk_angle(ref_gamma(_angle_to_boundary_point(ang)))
-    gc = float(_arc_position((img - a_minus) % 1.0, v, side))
-    if not c < gc < 1.0:
-        raise BoundaryError("fundamental interval of the base element collapsed")
-    return c, gc
-
-
 def _canonical_ray_position(n: int, ang: float, ref_gamma: MoebiusMap,
-                            a_minus: float, a_plus: float,
-                            bounds: dict) -> tuple[int, float]:
+                            a_minus: float, a_plus: float) -> tuple[int, float]:
     """(side, ray position) of gamma^n applied to the boundary point at ang.
 
-    The position is an integer level plus a coordinate in [0, 1) inside
-    one fixed fundamental interval of the gamma action, so positions of
-    points presented with different conjugating powers are directly
-    comparable: larger means closer to the attracting point along the arc.
+    Positions along a side arc of the base axis run from 0 at the
+    repelling to 1 at the attracting angle.  On the point's own side the
+    canonical fundamental interval of gamma is [c, gamma(c)) with c = 1/2;
+    the ray position is an integer level plus the coordinate in [0, 1)
+    inside that interval, so positions of points presented with different
+    conjugating powers are directly comparable: larger means closer to
+    the attracting point along the arc.
     """
     v = (a_plus - a_minus) % 1.0
     x = (ang - a_minus) % 1.0
     if x == 0.0 or x == v:
         raise BoundaryError("point sits at an endpoint of the base axis")
     side = 1 if x < v else -1
-    if side not in bounds:
-        bounds[side] = _interval_bounds(side, ref_gamma, a_minus, a_plus)
-    c, gc = bounds[side]
+
+    def pos(angle: float) -> float:
+        return float(_arc_position((angle - a_minus) % 1.0, v, side))
+
+    c = 0.5
+    c_angle = (a_minus + c * v) % 1.0 if side == 1 \
+        else (a_minus + 1.0 - c * (1.0 - v)) % 1.0
+    gc = pos(_gamma_power_angle(ref_gamma, c_angle, 1))
+    if not c < gc < 1.0:
+        raise BoundaryError("fundamental interval of the base element collapsed")
     inv = ref_gamma.inverse()
     pt = _angle_to_boundary_point(ang)
-
-    def pos(p: BoundaryPoint) -> float:
-        return float(_arc_position((disk_angle(p) - a_minus) % 1.0, v, side))
-
-    q = pos(pt)
     for _ in range(256):
+        q = pos(disk_angle(pt))
         if q < c:
             pt = ref_gamma(pt)
             n -= 1
@@ -622,7 +615,6 @@ def _canonical_ray_position(n: int, ang: float, ref_gamma: MoebiusMap,
             n += 1
         else:
             return side, n + (q - c) / (gc - c)
-        q = pos(pt)
     raise BoundaryError("ray position failed to normalize")
 
 
@@ -768,8 +760,7 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     seed = int(np.argmax(seed_ok))
     seed_side = int(side[seed])
     q0 = float(q[seed])
-    t_angle = disk_angle(ref_gamma(_angle_to_boundary_point(
-        float(sample.angles[seed]))))
+    t_angle = _gamma_power_angle(ref_gamma, float(sample.angles[seed]), 1)
     q1 = float(_arc_position((t_angle - a_minus) % 1.0, v, seed_side))
     if not q0 < q1 < 1.0:
         raise BoundaryError("sample too sparse: fundamental interval collapsed")
@@ -831,12 +822,9 @@ def find_spiral_witness(rep: Representation, gamma: Word,
         refs = []
         for n, j in sel:
             row = int(order[j])
-            pt = _angle_to_boundary_point(float(sample.angles[row]))
-            for _ in range(n):
-                pt = ref_gamma(pt)
             refs.append(BoundaryPointRef(
                 (gamma ** n) * sample.word_at(row) * (gamma ** -n),
-                disk_angle(pt)))
+                _gamma_power_angle(ref_gamma, float(sample.angles[row]), n)))
         return SpiralWitness(
             gamma=gamma, Lambda=lam, Theta=theta_net,
             indices_n=indices_n, indices_m=indices_m, xi=tuple(refs),
@@ -871,21 +859,12 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     raise BoundaryError("sample too sparse: " + last_error)
 
 
-def witness_image_points(w: SpiralWitness,
-                         rep: Representation) -> tuple[complex, complex,
-                                                       complex, complex]:
-    """The four chart images of the witness points, recomputed from words.
-
-    Each xi word factors as gamma^n u gamma^-n with u short; its image
-    point is mu^n times the chart image of u's attracting point.  The
-    gamma action in its own chart is exact multiplication by mu, so this
-    stays accurate at radii far beyond where iterating the matrix would
-    collapse the point onto the attracting direction.
-    """
-    data, chart = _gamma_chart(rep, w.gamma)
+def _image_points(splits: list[tuple[int, Word]], rep: Representation,
+                  data: LoxodromicData,
+                  chart: MoebiusMap) -> tuple[complex, ...]:
+    """mu^n times the chart image of u's attracting point, per split (n, u)."""
     out = []
-    for ref in w.xi:
-        n, core = _strip_conjugator(ref.word, w.gamma)
+    for n, core in splits:
         core_cl = classify(evaluate(rep, core)) if len(core) else None
         if core_cl is None or core_cl.kind not in (IsometryKind.LOXODROMIC,
                                                    IsometryKind.HYPERBOLIC):
@@ -900,13 +879,33 @@ def witness_image_points(w: SpiralWitness,
     return tuple(out)
 
 
+def witness_image_points(w: SpiralWitness,
+                         rep: Representation) -> tuple[complex, complex,
+                                                       complex, complex]:
+    """The four chart images of the witness points, recomputed from words.
+
+    Each xi word is split once into gamma^n u gamma^-n with u short, and
+    gamma's chart is built once; the image point is mu^n times the chart
+    image of u's attracting point.  The gamma action in its own chart is
+    exact multiplication by mu, so this stays accurate at radii far
+    beyond where iterating the matrix would collapse the point onto the
+    attracting direction.
+    """
+    data, chart = _gamma_chart(rep, w.gamma)
+    return _image_points([_strip_conjugator(ref.word, w.gamma)
+                          for ref in w.xi], rep, data, chart)
+
+
 def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
     """Independently re-check a spiral witness against the representation.
 
-    Verifies the index inequalities, strictly increasing radii, the
-    boundary-side position order and pair configurations (computed in the
-    exact ray coordinate along gamma, where stored angles would saturate
-    at the attracting point), and the image-side facts: the images
+    Each xi word is split once into gamma^n u gamma^-n and gamma's chart
+    is built once; the boundary side and the image side both read those
+    splits, and every number is recomputed from the words.  Verifies the
+    index inequalities, strictly increasing radii, the boundary-side
+    position order and pair configurations (computed in the exact ray
+    coordinate along gamma, where stored angles would saturate at the
+    attracting point), and the image-side facts: the images
     alternate sides of the origin, the (1,4)/(2,3) image axes cross
     within tolerance, and the (1,3)/(2,4) image axes stay separated,
     unlinked and aligned on the near-real circle they accumulate on.
@@ -930,7 +929,7 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
         # checked before the division R0 / r0 below
         if not all(0.0 < x < math.inf for x in (w.R0, w.r0, *w.radii)):
             return False
-        data, _ = _gamma_chart(rep, w.gamma)
+        data, chart = _gamma_chart(rep, w.gamma)
         if not abs(w.Lambda - data.lam) <= 1e-12 * data.lam:
             return False
         # Theta and each arglift are reduced before the difference: in
@@ -955,23 +954,21 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
         # short core on the arc, and compare positions in one fixed
         # fundamental interval — the exact ray order toward the attracting
         # point, computed where stored angles would saturate
+        splits = [_strip_conjugator(ref.word, w.gamma) for ref in w.xi]
         ref_gamma, a_minus, a_plus = _arc_data(w.gamma)
         positions: list[float] = []
         sides: list[int] = []
-        bounds: dict = {}
-        for ref in w.xi:
-            n, core = _strip_conjugator(ref.word, w.gamma)
+        for ref, (n, core) in zip(w.xi, splits):
             if len(core) == 0:
                 return False
             core_attracting = fixed_angles(core)[1]
             # the search's angle: gamma^n of the core's attracting point
-            pt = _angle_to_boundary_point(core_attracting)
-            for _ in range(n):
-                pt = ref_gamma(pt)
-            if not circular_distance_turns(disk_angle(pt), ref.angle) <= 1e-9:
+            if not circular_distance_turns(
+                    _gamma_power_angle(ref_gamma, core_attracting, n),
+                    ref.angle) <= 1e-9:
                 return False
             side, t = _canonical_ray_position(n, core_attracting, ref_gamma,
-                                              a_minus, a_plus, bounds)
+                                              a_minus, a_plus)
             sides.append(side)
             positions.append(t)
         if len(set(sides)) != 1:
@@ -993,8 +990,8 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
         if classify_real_pairs((t1, t3), (t2, t4)) != PairConfig.LINKED:
             return False
 
-        # image side, recomputed from the words
-        images = witness_image_points(w, rep)
+        # image side, recomputed from the same splits
+        images = _image_points(splits, rep, data, chart)
         for p, r_stored, lift in zip(images, w.radii, w.arglift):
             if not math.isfinite(abs(p)) or abs(p) == 0.0:
                 return False

@@ -128,14 +128,20 @@ _FIELD_TYPES = {
 }
 
 
+def _read_json(what: str, path: str, parse=lambda payload: payload):
+    """The JSON payload at path, passed through parse.  A file that cannot
+    be read, decoded or parsed (a ValueError) is a config error."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, ValueError) as exc:
+        raise ConfigError("cannot read %s %s: %s" % (what, path, exc)) from exc
+
+
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Config file merged with flag overrides, every key validated."""
     values: dict = {}
     if path is not None:
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
+        payload = _read_json("config", path)
         if not isinstance(payload, dict):
             raise ConfigError("config must be a JSON object")
         for key, raw in payload.items():
@@ -331,13 +337,8 @@ def cmd_triangle_check(cfg: RunConfig, out: Path, args) -> int:
 def cmd_witness(cfg: RunConfig, out: Path, args) -> int:
     rep = _bent_rep(cfg)
     if args.input is not None:
-        try:
-            # a malformed payload raises BoundaryError, a ValueError
-            witness = witness_from_dict(
-                json.loads(Path(args.input).read_text()))
-        except (OSError, ValueError) as exc:
-            raise ConfigError("cannot read witness %s: %s"
-                              % (args.input, exc)) from exc
+        # a malformed payload raises BoundaryError, a ValueError
+        witness = _read_json("witness", args.input, witness_from_dict)
         if not verify_witness_orders(witness, rep):
             print("witness INVALID: fails independent verification",
                   file=sys.stderr)
@@ -376,13 +377,8 @@ def _report_scan(scan) -> None:
 def cmd_certify(cfg: RunConfig, out: Path, args) -> int:
     rep = _bent_rep(cfg)
     if args.input is not None:
-        try:
-            # a malformed payload raises CertificateError, a ValueError
-            cert = certificate_from_dict(
-                json.loads(Path(args.input).read_text()))
-        except (OSError, ValueError) as exc:
-            raise ConfigError("cannot read certificate %s: %s"
-                              % (args.input, exc)) from exc
+        # a malformed payload raises CertificateError, a ValueError
+        cert = _read_json("certificate", args.input, certificate_from_dict)
         problems = certificate_problems(cert, rep)
         rep_id = representation_hash(rep)
         if cert.rep_id != rep_id:
@@ -408,14 +404,14 @@ def cmd_certify(cfg: RunConfig, out: Path, args) -> int:
         print("no certificate found: %s" % exc, file=sys.stderr)
         return 1
     _report_scan(cert.scan)
-    _write_json(out / "separation_certificate.json",
-                certificate_to_dict(cert))
     problems = certificate_problems(cert, rep)
     if problems:
         print("emitted certificate failed re-validation", file=sys.stderr)
         for line in problems:
             print("  - %s" % line, file=sys.stderr)
         return 1
+    _write_json(out / "separation_certificate.json",
+                certificate_to_dict(cert))
     pres = rep.presentation
     print("certificate: a = %s, b = %s" % (pres.to_text(cert.a),
                                            pres.to_text(cert.b)))

@@ -1096,6 +1096,18 @@ class TestSpiralWitness:
         assert strip == shifted.indices_m[1]
         assert verify_witness_orders(shifted, witness_run.rep)
 
+    def test_verifier_splits_each_point_once(self, witness_run, monkeypatch):
+        # the boundary side and the image side read one split per xi word
+        # and one chart of gamma
+        calls = {"_strip_conjugator": 0, "_gamma_chart": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(boundary, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(boundary, name, counted)
+        assert verify_witness_orders(witness_run.witness, witness_run.rep)
+        assert calls == {"_strip_conjugator": 4, "_gamma_chart": 1}
+
     def test_word_stripping_below_its_window_verifies(self):
         # at theta 0.78, maxlen 7, the sample word drawn for level 4
         # cancels a gamma against the conjugating power: its xi word

@@ -443,6 +443,17 @@ class TestCertifyCommand:
         code, _ = run(tmp_path, "certify", "--input", "does-not-exist.json")
         assert code == 2
 
+    def test_failed_revalidation_writes_no_certificate(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(cli, "certificate_problems",
+                            lambda cert, rep: ["forced problem"])
+        code, out = run(tmp_path, "certify")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "emitted certificate failed re-validation" in err
+        assert "  - forced problem" in err
+        assert not (out / "separation_certificate.json").exists()
+
 
 _CERTIFICATE_PAYLOAD = {
     "schema": SCHEMA, "type": "separation_certificate", "rep_id": "0" * 16,
@@ -500,6 +511,19 @@ class TestWitnessCommand:
         assert capsys.readouterr().err == (
             "invariant falsified or computation failed: sample too sparse: "
             "no candidate pair balances the crossing and disjoint axes\n")
+        assert not (out / "witness.json").exists()
+
+    def test_failed_verification_writes_no_witness(self, tmp_path, capsys,
+                                                   monkeypatch, witness_run):
+        # the search returns the fixture's witness; only the final check fails
+        monkeypatch.setattr(cli, "find_spiral_witness",
+                            lambda rep, gamma, maxlen: witness_run.witness)
+        monkeypatch.setattr(cli, "verify_witness_orders",
+                            lambda witness, rep: False)
+        code, out = run(tmp_path, "witness")
+        assert code == 1
+        assert "witness FAILED independent verification" \
+            in capsys.readouterr().err
         assert not (out / "witness.json").exists()
 
 
