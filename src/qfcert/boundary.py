@@ -1036,6 +1036,14 @@ def witness_to_dict(w: SpiralWitness) -> dict:
     }
 
 
+def json_float(value) -> float:
+    """float(value) for a number read from a JSON artifact; a boolean,
+    which float() would read as 0.0 or 1.0, raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got %r" % value)
+    return float(value)
+
+
 def witness_from_dict(payload: object) -> SpiralWitness:
     """The witness a JSON payload describes; BoundaryError names what is
     missing or malformed."""
@@ -1046,7 +1054,7 @@ def witness_from_dict(payload: object) -> SpiralWitness:
 
     def point(d) -> BoundaryPointRef:
         return BoundaryPointRef(pres.from_text(str(d["word"])),
-                                float(d["angle"]))
+                                json_float(d["angle"]))
 
     def indices(key: str) -> tuple[int, ...]:
         # a JSON integer only: int() would truncate 12.7 and accept true
@@ -1058,16 +1066,16 @@ def witness_from_dict(payload: object) -> SpiralWitness:
     try:
         w = SpiralWitness(
             gamma=pres.from_text(str(payload["gamma"])),
-            Lambda=float(payload["Lambda"]),
-            Theta=float(payload["Theta"]),
+            Lambda=json_float(payload["Lambda"]),
+            Theta=json_float(payload["Theta"]),
             indices_n=indices("indices_n"),
             indices_m=indices("indices_m"),
             xi=tuple(point(d) for d in payload["xi"]),
             xi_star=point(payload["xi_star"]),
-            radii=tuple(float(r) for r in payload["radii"]),
-            arglift=tuple(float(s) for s in payload["arglift"]),
-            R0=float(payload["R0"]),
-            r0=float(payload["r0"]),
+            radii=tuple(map(json_float, payload["radii"])),
+            arglift=tuple(map(json_float, payload["arglift"])),
+            R0=json_float(payload["R0"]),
+            r0=json_float(payload["r0"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise BoundaryError("malformed witness payload: %r" % exc) from exc

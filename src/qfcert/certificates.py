@@ -40,6 +40,7 @@ from .boundary import (
     PairConfig,
     SpiralWitness,
     classify_pairs,
+    json_float,
     pair_config_grid,
     rank_endpoints,
     reference_representation,
@@ -76,9 +77,9 @@ class CertificateError(ValueError):
 
 @dataclass(frozen=True)
 class PairScanCounts:
-    """What a certificate search touched: unordered class pairs
-    classified on the boundary, those found unlinked-aligned, and ordered
-    pairs whose ratio was evaluated exactly."""
+    """What a certificate search touched, in unordered class pairs: those
+    classified on the boundary, those found unlinked-aligned, and those
+    whose ratio was evaluated exactly, each once."""
 
     classified: int
     aligned: int
@@ -150,7 +151,7 @@ def _class_table(rep: Representation, maxlen: int):
     reference angles; classes not translating under both are dropped."""
     rows, mats, ref_m = wa.conjugacy_classes(
         maxlen, rep.generator_matrix_array(),
-        reference_representation().generator_matrix_array())
+        wa.exact_real(reference_representation().generator_matrix_array()))
     keep = wa.translating(wa.traces(ref_m)) & wa.translating(wa.traces(mats))
     ref_m = ref_m[keep]
     angles = np.stack(
@@ -261,17 +262,16 @@ _MIN_BOUNDED_LENGTH = 0.125
 
 def _ratio_bounds(table: np.ndarray, ell: np.ndarray, norm: np.ndarray,
                   first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Upper bounds on _pair_ratios at both (first[k], second[k]) and
-    (second[k], first[k]); +inf where the lower bound on l(ab) is under
-    _MIN_BOUNDED_LENGTH.  norm holds the Frobenius norms of the class
-    products.
+    """Upper bounds on _pair_ratios at (first[k], second[k]); +inf where
+    the lower bound on l(ab) is under _MIN_BOUNDED_LENGTH.  norm holds
+    the Frobenius norms of the class products.
 
     The trace t = sum_ij A_ij B_ji is summed here as four elementwise
     products.  A complex product errs by at most sqrt(2) gamma_2 |x||y|
     and a sum of four terms in any order by gamma_3 times their sum of
-    moduli, so this trace and the fixed-order one of _pair_ratios, in
-    either orientation, each lie within 6u sum |A_ij||B_ji|
-    <= 6u |A|_F |B|_F of the exact trace.  With z = t / 2,
+    moduli, so this trace and the fixed-order one of _pair_ratios each
+    lie within 6u sum |A_ij||B_ji| <= 6u |A|_F |B|_F of the exact
+    trace.  With z = t / 2,
 
         s(z) = (|z + 1| + |z - 1|) / 2 = cosh(Re arccosh z),
 
@@ -304,29 +304,32 @@ def find_separation_certificate(
         min_ratio: float = 1.0 + MIN_CERTIFICATE_MARGIN) -> SeparationCertificate:
     """Search class pairs for an unlinked-aligned pair with contracting ratio.
 
-    All ordered pairs of conjugacy representatives up to maxlen are
-    candidates; among pairs classified unlinked-aligned on the group
-    boundary with ratio at or above the threshold, the maximal-ratio pair
-    wins, with exact ties broken by total word length then shortlex order
-    of a, then of b.  When nothing reaches the threshold, the raised
-    error reports the best ratio found so the caller can increase maxlen
-    or the deformation.  The certificate and the error carry the scan's
-    PairScanCounts.
+    All unordered pairs of conjugacy representatives up to maxlen are
+    candidates, each once, with a the shortlex-earlier class: l(ab) =
+    l(ba), so the ratio belongs to the pair.  Among pairs classified
+    unlinked-aligned on the group boundary with ratio at or above the
+    threshold, the maximal-ratio pair wins, with exact ties broken by
+    total word length then shortlex order of a, then of b.  Exact ties
+    occur: at maxlen 6 and bend 0.6 at least three pairs share the ratio
+    1.0000821716516761 to the bit, so the tie-break alone picks the
+    winner, and lengths one ulp apart pick another.  When nothing
+    reaches the threshold, the raised error reports the best ratio found
+    so the caller can increase maxlen or the deformation.  The
+    certificate and the error carry the scan's PairScanCounts.
 
-    The scan runs in blocks of unordered pairs: the boundary
-    configuration is classified once per pair i < j, which relies on the
+    The scan runs in blocks of pairs i < j of class rows: the boundary
+    configuration is classified once per pair, which relies on the
     unlinked-aligned relation being symmetric (a pair is aligned with b
     exactly when b is aligned with a, and no class with itself).  That
     holds by construction: degeneracy comes from a gap that is symmetric
     to the bit, and the rank rule reads only circular order.  Each aligned
-    pair gets an upper bound on its ratio in both orientations
-    (_ratio_bounds).  In each block the pair with the largest bound is
-    evaluated exactly first, in both orientations, and then every pair
-    whose bound reaches the best exact ratio so far; those ratios come
-    from _pair_ratios, bit for bit as a full ordered-pair scan computes
-    them.  A pair left out has every ratio below the best one, so the
-    maximum, all pairs tied with it and the reported best ratio are the
-    full scan's.
+    pair gets an upper bound on its ratio (_ratio_bounds).  In each block
+    the pair with the largest bound is evaluated exactly first, and then
+    every pair whose bound reaches the best exact ratio so far; those
+    ratios come from _pair_ratios at (i, j), bit for bit as a full scan
+    of the pairs computes them.  A pair left out has its ratio below the
+    best one, so the maximum, all pairs tied with it and the reported
+    best ratio are the full scan's.
     """
     if maxlen < 1:
         raise CertificateError("maxlen must be at least 1")
@@ -367,18 +370,13 @@ def find_separation_certificate(
         # ratio usually leaves no other pair of the block to evaluate
         seed = int(np.argmax(np.where(keep & (bound < np.inf), bound,
                                       -np.inf)))
-        first = np.array([ii[seed], jj[seed]])
-        second = first[::-1].copy()
-        ratio = _pair_ratios(table, ell, first, second)
-        best_any = max(best_any, float(ratio.max()))
+        ratio = _pair_ratios(table, ell, ii[[seed]], jj[[seed]])
+        best_any = max(best_any, float(ratio[0]))
         keep &= ~(bound < best_any)
         keep[seed] = False
-        # traces of (i, j) and (j, i) differ in the last bit, so each
-        # orientation gets its own ratio
-        first = np.concatenate([first, ii[keep], jj[keep]])
-        second = np.concatenate([second, jj[keep], ii[keep]])
-        ratio = np.concatenate(
-            [ratio, _pair_ratios(table, ell, first[2:], second[2:])])
+        ii = np.append(ii[seed], ii[keep])
+        jj = np.append(jj[seed], jj[keep])
+        ratio = np.append(ratio, _pair_ratios(table, ell, ii[1:], jj[1:]))
         n_exact += ratio.size
         block_best = float(ratio.max())
         best_any = max(best_any, block_best)
@@ -386,7 +384,7 @@ def find_separation_certificate(
             continue
         # rows are shortlex-sorted, so row order is the shortlex tie-break
         for k in np.flatnonzero(ratio >= max(threshold, block_best)).tolist():
-            i, j = int(first[k]), int(second[k])
+            i, j = int(ii[k]), int(jj[k])
             cand = (-float(ratio[k]), int(lengths[i] + lengths[j]), i, j)
             if best is None or cand < best:
                 best = cand
@@ -549,11 +547,11 @@ def certificate_from_dict(payload: object) -> SeparationCertificate:
             a=pres.from_text(str(payload["a"])),
             b=pres.from_text(str(payload["b"])),
             config=PairConfig(payload["config"]),
-            ell_q_a=float(payload["ell_q_a"]),
-            ell_q_b=float(payload["ell_q_b"]),
-            ell_q_ab=float(payload["ell_q_ab"]),
-            ratio=float(payload["ratio"]),
-            alpha=float(payload["alpha"]),
+            ell_q_a=json_float(payload["ell_q_a"]),
+            ell_q_b=json_float(payload["ell_q_b"]),
+            ell_q_ab=json_float(payload["ell_q_ab"]),
+            ratio=json_float(payload["ratio"]),
+            alpha=json_float(payload["alpha"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError("malformed certificate payload: %r" % exc) from exc

@@ -370,7 +370,7 @@ def cmd_witness(cfg: RunConfig, out: Path, args) -> int:
 def _report_scan(scan) -> None:
     if scan is not None:
         print("pair scan: %d class pairs classified, %d unlinked-aligned, "
-              "%d ordered pairs evaluated exactly"
+              "%d pairs evaluated exactly"
               % (scan.classified, scan.aligned, scan.exact), file=sys.stderr)
 
 

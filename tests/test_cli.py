@@ -409,13 +409,15 @@ class TestCertifyCommand:
 
     def test_search_reports_its_pair_counts_on_stderr(self, tmp_path,
                                                       capsys):
-        code, _ = run(tmp_path, "certify")
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "pair scan" not in captured.out
-        assert captured.err == (
-            "pair scan: 297606 class pairs classified, 95791 "
-            "unlinked-aligned, 12 ordered pairs evaluated exactly\n")
+        for maxlen, counts in (("4", (297606, 95791, 6)),
+                               ("5", (8402950, 2716606, 11))):
+            code, _ = run(tmp_path, "--maxlen", maxlen, "certify")
+            assert code == 0
+            captured = capsys.readouterr()
+            assert "pair scan" not in captured.out
+            assert captured.err == (
+                "pair scan: %d class pairs classified, %d unlinked-aligned, "
+                "%d pairs evaluated exactly\n" % counts)
 
     @pytest.mark.parametrize("angle", ["0.6", "0.7"])
     def test_certificate_for_another_representation_is_invalid(
@@ -613,7 +615,7 @@ def run_input(tmp_path, command, payload):
                  command, "--input", str(path)])
 
 
-FORGED_VALUES = (0, -1, math.nan, math.inf, 1e308)
+FORGED_VALUES = (0, -1, math.nan, math.inf, 1e308, True)
 
 
 class TestInputContract:
