@@ -48,7 +48,6 @@ from .moebius import (
 )
 from .representations import (
     Representation,
-    RepresentationError,
     conjugate_representation,
     evaluate,
     fuchsian_octagon,
@@ -718,12 +717,13 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     fundamental interval of the gamma action carry exact translate
     arithmetic (radius scales by Lambda and argument lift shifts by Theta
     per step), so candidates for the four half-turn levels are drawn from
-    all translates landing in the prescribed index windows.  Among
-    near-level candidates, the pair for levels 2 and 3 is chosen so the
-    axes of the crossing claim meet within tolerance — their residual
-    angular offsets must cancel against the radius ratio — while the
-    disjoint axes keep their separation; the assembled witness must pass
-    the independent verifier before it is returned.
+    all translates landing in the prescribed index windows.  Levels 1
+    and 4 take their nearest candidate; `_middle_pairs` proposes the
+    level-2/3 pairs, ranked so the residual angular offsets cancel
+    against the radius ratio, and is the only pre-filter.  Each proposal
+    is assembled and the first one `verify_witness_orders` accepts is
+    returned: the verifier alone applies the radii order and the two
+    axis tolerances.
     """
     data, chart = _gamma_chart(rep, gamma)
     lam, theta_rad = data.lam, 2.0 * math.pi * data.theta
@@ -837,22 +837,7 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     first, fourth = ((int(c[2][0]), int(c[3][0])) for c in (cands[0], cands[3]))
     last_error = "no candidate pair balances the crossing and disjoint axes"
     for n2, j2, n3, j3 in _middle_pairs(cands[1], cands[2], lam, r_f):
-        sel = [first, (n2, j2), (n3, j3), fourth]
-        p1, p2, p3, p4 = ((lam ** n) * cmath.exp(1j * n * theta_rad)
-                          * complex(zs[j]) for n, j in sel)
-        if not abs(p1) < abs(p2) < abs(p3) < abs(p4):
-            last_error = "candidate radii not strictly increasing"
-            continue
-        try:
-            if not _geodesic_gap(p1, p4, p2, p3) < AXIS_CROSS_TOL:
-                last_error = "crossing axes failed the tolerance"
-                continue
-            if not _geodesic_gap(p1, p3, p2, p4) >= AXIS_CROSS_TOL:
-                last_error = "disjoint axes failed the tolerance"
-                continue
-        except BoundaryError:
-            continue
-        witness = assemble(sel)
+        witness = assemble([first, (n2, j2), (n3, j3), fourth])
         if verify_witness_orders(witness, rep):
             return witness
         last_error = "candidate witness failed independent verification"
@@ -1012,7 +997,7 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
                 != PairConfig.UNLINKED_ALIGNED:
             return False
         return True
-    except (BoundaryError, RepresentationError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         return False
 
 

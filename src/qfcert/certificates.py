@@ -36,7 +36,6 @@ import numpy as np
 from . import _wordarrays as wa
 from .boundary import (
     PAIR_CONFIGS,
-    BoundaryError,
     PairConfig,
     SpiralWitness,
     classify_pairs,
@@ -47,11 +46,9 @@ from .boundary import (
     verify_witness_orders,
     witness_image_points,
 )
-from .moebius import MoebiusError
 from .representations import (
     LengthSpectrum,
     Representation,
-    RepresentationError,
     representation_hash,
     stable_length,
     stable_lengths,
@@ -467,8 +464,7 @@ def certificate_problems(cert: SeparationCertificate,
         if config != PairConfig.UNLINKED_ALIGNED:
             problems.append("pair reclassifies to %s, not unlinked-aligned"
                             % config.value)
-    except (BoundaryError, RepresentationError, MoebiusError, ValueError,
-            OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         problems.append("recomputation failed: %s" % exc)
     return problems
 

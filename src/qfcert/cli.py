@@ -353,17 +353,19 @@ def cmd_witness(cfg: RunConfig, out: Path, args) -> int:
     if not verify_witness_orders(witness, rep):
         print("witness FAILED independent verification", file=sys.stderr)
         return 1
-    _write_json(out / "witness.json", witness_to_dict(witness))
-    print("witness verified; written to %s" % (out / "witness.json"))
+    # the delta and the gap report come before the write: exit 1 writes nothing
     delta = diagnostic_delta(rep, witness)
-    print("diagnostic delta = %.9e (> 0)" % delta)
     try:
         cert = find_separation_certificate(rep, 4, cfg.min_ratio)
         gap = cert.ell_q_a + cert.ell_q_b - cert.ell_q_ab
-        print("achieved certificate gap %.9e alongside delta/2 = %.9e "
-              "(reported, not asserted)" % (gap, delta / 2.0))
+        gap_line = ("achieved certificate gap %.9e alongside delta/2 = %.9e "
+                    "(reported, not asserted)" % (gap, delta / 2.0))
     except CertificateError:
-        print("no certificate at search length 4 to report a gap for")
+        gap_line = "no certificate at search length 4 to report a gap for"
+    _write_json(out / "witness.json", witness_to_dict(witness))
+    print("witness verified; written to %s" % (out / "witness.json"))
+    print("diagnostic delta = %.9e (> 0)" % delta)
+    print(gap_line)
     return 0
 
 
@@ -439,10 +441,10 @@ def cmd_limitset(cfg: RunConfig, out: Path, args) -> int:
         sample = sample.take(order[sel])
         print("sampled %d boundary points; emitting an even thinning of %d"
               % (total, len(sample)))
-    _write(out / "limitset.csv",
-           "# schema: %s\n%s" % (SCHEMA, sample_to_csv(sample)))
-    _write(out / "limitset.svg",
-           "<!-- schema: %s -->\n%s" % (SCHEMA, sample_to_svg(sample)))
+    csv = "# schema: %s\n%s" % (SCHEMA, sample_to_csv(sample))
+    svg = "<!-- schema: %s -->\n%s" % (SCHEMA, sample_to_svg(sample))
+    _write(out / "limitset.csv", csv)
+    _write(out / "limitset.svg", svg)
     print("%d limit-set points written to %s and %s"
           % (len(sample), out / "limitset.csv", out / "limitset.svg"))
     return 0

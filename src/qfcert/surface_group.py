@@ -61,10 +61,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        letters: tuple[int, ...] = ()
-        for _ in range(n):
-            letters = free_reduce_letters(letters + self.letters)
-        return Word(letters)
+        return Word(free_reduce_letters(self.letters * n))
 
     def __repr__(self) -> str:
         return "Word(%r)" % (self.letters,)

@@ -12,6 +12,7 @@ independent verifier, and tampered witnesses must fail it.
 """
 
 import ast
+import hashlib
 import itertools
 import json
 import math
@@ -1180,6 +1181,60 @@ class TestSpiralWitness:
         w = witness_run.witness
         for (_, s0), (_, s1) in zip(lift0, lift1):
             assert abs(wrap_turns(s1 - s0 - w.Theta)) < 2e-3
+
+
+# maxlen 6 at theta 0.50, 0.54, ..., 0.98: the sha256 of the witness.json
+# bytes the CLI writes, or None where no middle pair is proposed
+WITNESS_GRID_MAXLEN6 = {
+    0.50: "565a95ed2f6d994f02f5e182b746d63356bb400f9588ad625cb26b86aa13020f",
+    0.54: "17f23f3eb28315f6e2c224dd4930f0172d7ad4fb123eeaaa80d5ef25beb4a754",
+    0.58: None,
+    0.62: None,
+    0.66: None,
+    0.70: "55ab6b6f9a144aa39a570ecb140dd94bfbc9e801a8058e428590be362c98617c",
+    0.74: "73da50f54b18f1e66d38f78522ebbc15409093dbdfc112a10c220cdacfba1346",
+    0.78: "acc564d1e1f7ef617e87c08f719e93d22570e9eba2b95f970ca4ca2f7974e88c",
+    0.82: "89827a1d50fdcb7e6bcea4254e602a9db32f98f6f9371019d308d23e7867178d",
+    0.86: "2de3bdfb27626f66c68063bf02671a97807746ea4077b1df0c840edd8fd4a790",
+    0.90: None,
+    0.94: "4b892bbbde9ae5ba19f31e1088bdeb478829140087b76dd9f7c502256e72a8db",
+    0.98: "ed654c94bdb092322be7779ad3547b2ffc991a74183684ce07d9e6d8e20970e9",
+}
+
+
+class TestWitnessGrid:
+    """The witness outcome per angle is pinned, successes and failures."""
+
+    @pytest.mark.parametrize("theta", sorted(WITNESS_GRID_MAXLEN6))
+    def test_outcome_per_angle(self, theta):
+        rep = bend(fuchsian_octagon(), theta)
+        gamma = find_complex_trace_element(rep, 4)
+        digest = WITNESS_GRID_MAXLEN6[theta]
+        if digest is None:
+            with pytest.raises(BoundaryError) as exc:
+                find_spiral_witness(rep, gamma, 6)
+            assert str(exc.value) == (
+                "sample too sparse: no candidate pair balances the crossing "
+                "and disjoint axes")
+            return
+        text = json.dumps(witness_to_dict(find_spiral_witness(rep, gamma, 6)),
+                          sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_only_the_verifier_applies_the_axis_tolerances(self):
+        # the search proposes and the verifier accepts: no other code in
+        # src names _geodesic_gap
+        src = Path(boundary.__file__).parent
+        users = set()
+        for path in sorted(src.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    name = getattr(node, "attr", None) \
+                        or getattr(node, "id", None)
+                    if name == "_geodesic_gap":
+                        users.add((path.name, getattr(top, "name", None)))
+        assert len(list(src.glob("*.py"))) > 5
+        assert users == {("boundary.py", "verify_witness_orders")}
 
 
 class TestExports:

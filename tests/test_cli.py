@@ -9,8 +9,12 @@ import math
 import pytest
 
 from qfcert import cli
-from qfcert.boundary import witness_to_dict
-from qfcert.certificates import certificate_to_dict, find_separation_certificate
+from qfcert.boundary import BoundaryError, witness_to_dict
+from qfcert.certificates import (
+    CertificateError,
+    certificate_to_dict,
+    find_separation_certificate,
+)
 from qfcert.cli import main
 
 SCHEMA = "qfcert/1"
@@ -491,9 +495,8 @@ class TestWitnessCommand:
         code, out = run(tmp_path, "witness")
         assert code == 0
         text = capsys.readouterr().out
-        assert "witness verified" in text
-        assert "diagnostic delta" in text
-        assert "delta/2" in text
+        assert text.index("witness verified") < text.index("diagnostic delta") \
+            < text.index("delta/2")
         payload = json.loads((out / "witness.json").read_text())
         assert payload["schema"] == SCHEMA
 
@@ -526,6 +529,18 @@ class TestWitnessCommand:
         assert code == 1
         assert "witness FAILED independent verification" \
             in capsys.readouterr().err
+        assert not (out / "witness.json").exists()
+
+
+    def test_failed_delta_writes_no_witness(self, tmp_path, capsys,
+                                            monkeypatch):
+        def no_delta(rep, witness):
+            raise CertificateError("forced delta failure")
+        monkeypatch.setattr(cli, "diagnostic_delta", no_delta)
+        code, out = run(tmp_path, "--maxlen", "6", "--bend-angle", "0.5",
+                        "witness")
+        assert code == 1
+        assert "forced delta failure" in capsys.readouterr().err
         assert not (out / "witness.json").exists()
 
 
@@ -712,3 +727,12 @@ class TestLimitsetCommand:
         svg = (out / "limitset.svg").read_text()
         assert svg.startswith("<!-- schema: " + SCHEMA + " -->")
         assert svg.count("<circle") >= 1000
+
+    def test_failed_svg_writes_no_csv(self, tmp_path, capsys, monkeypatch):
+        def no_svg(sample):
+            raise BoundaryError("forced svg failure")
+        monkeypatch.setattr(cli, "sample_to_svg", no_svg)
+        code, out = run(tmp_path, "--maxlen", "3", "limitset")
+        assert code == 1
+        assert "forced svg failure" in capsys.readouterr().err
+        assert not (out / "limitset.csv").exists()

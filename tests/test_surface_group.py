@@ -88,6 +88,17 @@ class TestWord:
         assert (w ** 3).letters == (1, 2, 1, 2, 1, 2)
         assert (w ** 0).letters == ()
         assert (w ** -2).letters == (-2, -1, -2, -1)
+        # random words, unreduced and cyclically cancelling, against the
+        # n-fold product of w (or of its inverse for n < 0)
+        rng = np.random.default_rng(25)
+        letters = [1, 2, 3, 4, -1, -2, -3, -4]
+        for _ in range(200):
+            w = Word(tuple(rng.choice(letters, size=rng.integers(0, 9))))
+            for n in range(-6, 7):
+                expected = Word()
+                for _ in range(abs(n)):
+                    expected = expected * (w if n > 0 else w.inverse())
+                assert (w ** n).letters == expected.letters
 
     def test_cyclic_reduce(self):
         assert cyclic_reduce(Word((-3, 1, 2, 3))).letters == (1, 2)
