@@ -888,9 +888,9 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
     is built once; the boundary side and the image side both read those
     splits, and every number is recomputed from the words.  Verifies the
     index inequalities, strictly increasing radii, the boundary-side
-    position order and pair configurations (computed in the exact ray
-    coordinate along gamma, where stored angles would saturate at the
-    attracting point), and the image-side facts: the images
+    position order (computed in the exact ray coordinate along gamma,
+    where stored angles would saturate at the attracting point), and the
+    image-side facts: the images
     alternate sides of the origin, the (1,4)/(2,3) image axes cross
     within tolerance, and the (1,3)/(2,4) image axes stay separated,
     unlinked and aligned on the near-real circle they accumulate on.
@@ -903,6 +903,12 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
     [indices_n[k], indices_m[k]).  This reads the points' ray positions,
     not the split of their words into gamma^n u gamma^-n, which moves
     with u's spelling.
+
+    The position order t1 < t2 < t3 < t4 fixes the boundary-side pair
+    configurations: by the rank rule (t1, t4)/(t2, t3) is then unlinked
+    and aligned and (t1, t3)/(t2, t4) linked, so neither is classified
+    again.  The image-side configuration is classified, since the radii
+    do not fix the order of the real parts.
 
     The stored data cannot prove the integer parts of Theta and of the
     arglifts, nor R0 and r0 beyond their sign: those two come from the
@@ -965,14 +971,6 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
         if not all(positions[i] < positions[i + 1] for i in range(3)):
             return False
         if circular_distance_turns(w.xi_star.angle, a_plus) > 1e-9:
-            return False
-
-        # boundary-side pair configurations in the ray coordinate
-        t1, t2, t3, t4 = positions
-        if classify_real_pairs((t1, t4), (t2, t3)) \
-                != PairConfig.UNLINKED_ALIGNED:
-            return False
-        if classify_real_pairs((t1, t3), (t2, t4)) != PairConfig.LINKED:
             return False
 
         # image side, recomputed from the same splits

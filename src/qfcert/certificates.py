@@ -314,6 +314,13 @@ def find_separation_certificate(
     so the caller can increase maxlen or the deformation.  The
     certificate and the error carry the scan's PairScanCounts.
 
+    The scan only proposes a winner; only certificate_problems accepts
+    it.  Its fields are recomputed scalar, and the certificate is
+    returned when certificate_problems finds nothing and the recomputed
+    ratio still reaches the threshold.  Otherwise CertificateError names
+    the recomputed ratio and every problem; a zero l(ab) is one of them,
+    not a division by zero.
+
     The scan runs in blocks of pairs i < j of class rows: the boundary
     configuration is classified once per pair, which relies on the
     unlinked-aligned relation being symmetric (a pair is aligned with b
@@ -396,19 +403,20 @@ def find_separation_certificate(
     a = Word(wa.ranks_to_letters(rows[i]))
     b = Word(wa.ranks_to_letters(rows[j]))
     # final certificate fields are recomputed scalar, not taken from the
-    # vectorized scan
-    ell_a = stable_length(rep_q, a)
-    ell_b = stable_length(rep_q, b)
-    ell_ab = stable_length(rep_q, a * b)
-    ratio = (ell_a + ell_b) / ell_ab
-    config = classify_pairs(a, b)
-    if config != PairConfig.UNLINKED_ALIGNED or not ratio >= threshold:
-        raise CertificateError("winning pair failed scalar recomputation",
-                               best_ratio=ratio, scan=scan)
-    return SeparationCertificate(
-        rep_id=representation_hash(rep_q), a=a, b=b, config=config,
-        ell_q_a=ell_a, ell_q_b=ell_b, ell_q_ab=ell_ab, ratio=ratio,
-        alpha=math.log(ratio), scan=scan)
+    # vectorized scan; a zero l(ab) leaves a NaN ratio for the check
+    ell_a, ell_b, ell_ab = (stable_length(rep_q, w) for w in (a, b, a * b))
+    ratio = (ell_a + ell_b) / ell_ab if ell_ab > 0.0 else math.nan
+    cert = SeparationCertificate(
+        rep_id=representation_hash(rep_q), a=a, b=b,
+        config=PairConfig.UNLINKED_ALIGNED, ell_q_a=ell_a, ell_q_b=ell_b,
+        ell_q_ab=ell_ab, ratio=ratio, alpha=math.log(ratio), scan=scan)
+    problems = certificate_problems(cert, rep_q)
+    if problems or not ratio >= threshold:
+        raise CertificateError("; ".join(
+            ["winning pair failed scalar recomputation: ratio %.17g, "
+             "threshold %.17g" % (ratio, threshold)] + problems),
+            best_ratio=ratio, scan=scan)
+    return cert
 
 
 def certificate_problems(cert: SeparationCertificate,
@@ -494,6 +502,10 @@ def diagnostic_delta(rep_q: Representation, witness: SpiralWitness) -> float:
         delta = log1p(|u| / |1 - u|),
 
     which is -log(1 - u) when the axes meet.
+
+    The witness is verified first, and one that fails raises
+    CertificateError: the witness command computes delta before it
+    writes anything, so this is its gate before the write.
     """
     if not verify_witness_orders(witness, rep_q):
         raise CertificateError("witness does not verify against this "

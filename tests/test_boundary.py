@@ -304,6 +304,26 @@ class TestRealPairs:
                     == PairConfig.DEGENERATE) == tied
         assert seen == set(PairConfig)
 
+    def test_strict_order_fixes_the_witness_configurations(self):
+        # verify_witness_orders requires t1 < t2 < t3 < t4 on the boundary
+        # side and classifies nothing there: the order alone makes
+        # (t1, t4)/(t2, t3) unlinked-aligned and (t1, t3)/(t2, t4) linked
+        rng = np.random.default_rng(20261019)
+        quads = np.sort(rng.uniform(-1e3, 1e3, (2000, 4)), axis=1).tolist()
+        signed = np.concatenate([-np.logspace(300, -300, 7),
+                                 np.logspace(-300, 300, 7)])
+        quads += [sorted(rng.choice(signed, 4, replace=False).tolist())
+                  for _ in range(200)]
+        quads += [[-1e300, -1e-300, 1e-300, 1e300], [1e-300, 1e-200, 1e200,
+                  1e300], [-1e300, -1e200, -1e-200, -1e-300],
+                  [0.0, np.nextafter(0.0, 1.0), 1e-300, 1e300]]
+        for t1, t2, t3, t4 in quads:
+            assert t1 < t2 < t3 < t4
+            assert classify_real_pairs((t1, t4), (t2, t3)) \
+                == PairConfig.UNLINKED_ALIGNED
+            assert classify_real_pairs((t1, t3), (t2, t4)) \
+                == PairConfig.LINKED
+
 
 def two_set_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """pair_config_grid of every alpha pair against every beta pair: the

@@ -254,6 +254,29 @@ class TestSeparationCertificate:
         assert info.value.best_ratio is not None
         assert info.value.best_ratio < 1.0
 
+    def test_only_certificate_problems_accepts_the_winner(self, bent_rep,
+                                                          monkeypatch):
+        monkeypatch.setattr(certmod, "certificate_problems",
+                            lambda cert, rep: ["forced problem"])
+        with pytest.raises(CertificateError) as info:
+            find_separation_certificate(bent_rep, 4)
+        assert str(info.value).startswith(
+            "winning pair failed scalar recomputation: ratio ")
+        assert str(info.value).endswith("; forced problem")
+        assert info.value.best_ratio > 1.0
+        assert info.value.scan is not None
+
+    def test_zero_product_length_is_a_certificate_error(
+            self, bent_certificate, bent_rep, monkeypatch):
+        product = bent_certificate.a * bent_certificate.b
+        monkeypatch.setattr(
+            certmod, "stable_length",
+            lambda rep, w: 0.0 if w == product else stable_length(rep, w))
+        with pytest.raises(CertificateError) as info:
+            find_separation_certificate(bent_rep, 4)
+        assert "stored ell_q_ab = 0.0 is not positive" in str(info.value)
+        assert math.isnan(info.value.best_ratio)
+
     def test_nonpositive_maxlen_is_an_error(self, bent_rep):
         with pytest.raises(CertificateError):
             find_separation_certificate(bent_rep, 0)

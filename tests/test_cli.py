@@ -1,14 +1,16 @@
 """Command-line harness: artifact determinism, schema tags, config
 handling, exit-code contract, and the per-command happy paths."""
 
+import ast
 import copy
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from qfcert import cli
+from qfcert import boundary, certificates, cli
 from qfcert.boundary import BoundaryError, witness_to_dict
 from qfcert.certificates import (
     CertificateError,
@@ -451,13 +453,16 @@ class TestCertifyCommand:
 
     def test_failed_revalidation_writes_no_certificate(self, tmp_path, capsys,
                                                         monkeypatch):
-        monkeypatch.setattr(cli, "certificate_problems",
+        # the search's own acceptance check rejects its winner
+        monkeypatch.setattr(certificates, "certificate_problems",
                             lambda cert, rep: ["forced problem"])
         code, out = run(tmp_path, "certify")
         assert code == 1
-        err = capsys.readouterr().err
-        assert "emitted certificate failed re-validation" in err
-        assert "  - forced problem" in err
+        scan, failure = capsys.readouterr().err.splitlines()
+        assert scan.startswith("pair scan: ")
+        assert failure.startswith("no certificate found: winning pair failed "
+                                  "scalar recomputation")
+        assert failure.endswith("; forced problem")
         assert not (out / "separation_certificate.json").exists()
 
 
@@ -520,15 +525,17 @@ class TestWitnessCommand:
 
     def test_failed_verification_writes_no_witness(self, tmp_path, capsys,
                                                    monkeypatch, witness_run):
-        # the search returns the fixture's witness; only the final check fails
+        # the search returns the fixture's witness; the check inside
+        # diagnostic_delta, the gate before the write, fails
         monkeypatch.setattr(cli, "find_spiral_witness",
                             lambda rep, gamma, maxlen: witness_run.witness)
-        monkeypatch.setattr(cli, "verify_witness_orders",
+        monkeypatch.setattr(certificates, "verify_witness_orders",
                             lambda witness, rep: False)
         code, out = run(tmp_path, "witness")
         assert code == 1
-        assert "witness FAILED independent verification" \
-            in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "invariant falsified or computation failed: witness does not "
+            "verify against this representation\n")
         assert not (out / "witness.json").exists()
 
 
@@ -714,6 +721,49 @@ class TestInputContract:
         assert err.startswith("certificate INVALID:\n")
         assert "  - l(ab) recomputes to 0, not positive\n" in err
         assert "Traceback" not in err
+
+
+def calls_of(module, name):
+    """(enclosing top-level function, whether inside an ``if args.input is
+    not None`` body) for each call of name in module's source."""
+    found = []
+
+    def visit(node, top, in_input):
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.append((top, in_input))
+        input_branch = isinstance(node, ast.If) \
+            and ast.unparse(node.test) == "args.input is not None"
+        for child in ast.iter_child_nodes(node):
+            visit(child, top,
+                  in_input or (input_branch and child in node.body))
+
+    for top in ast.parse(Path(module.__file__).read_text()).body:
+        visit(top, getattr(top, "name", None), False)
+    return found
+
+
+class TestOneAcceptanceCheck:
+    """Each artifact is accepted once, by the code that produces it: the
+    search's winner by certificate_problems, a witness by the search and
+    again by diagnostic_delta; the CLI applies each rule only to --input
+    files."""
+
+    def test_only_certificate_problems_classifies_a_certificate_pair(self):
+        assert calls_of(certificates, "classify_pairs") \
+            == [("certificate_problems", False)]
+
+    @pytest.mark.parametrize("name,command", [
+        ("verify_witness_orders", "cmd_witness"),
+        ("certificate_problems", "cmd_certify")])
+    def test_cli_checks_only_input_files(self, name, command):
+        assert calls_of(cli, name) == [(command, True)]
+
+    def test_verifier_classifies_only_the_image_side(self):
+        assert [top for top, _ in calls_of(boundary, "classify_real_pairs")
+                if top == "verify_witness_orders"] \
+            == ["verify_witness_orders"]
 
 
 class TestLimitsetCommand:
