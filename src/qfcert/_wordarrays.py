@@ -1,10 +1,11 @@
 """Vectorized word enumeration and matrix batch evaluation.
 
-Words are int8 arrays of letter ranks in shortlex generator order: ranks
-0..2g-1 are the letters 1..2g and ranks 2g..4g-1 their inverses.  One walk,
-``normal_forms``, enumerates words, each product built from its parent's
-(``extend_products``): limit-set sampling, the orbit search and the
-complex-trace search walk the genus-2 normal forms that
+Words of the genus-2 group are int8 arrays of letter ranks, indices into
+one alphabet table (``NAMES``, ``LETTERS``, ``INVERSE``) in shortlex
+generator order: ranks 0..3 are the generators a1 b1 a2 b2 and 4..7 their
+inverses.  One walk, ``normal_forms``, enumerates words, each product built
+from its parent's (``extend_products``): limit-set sampling, the orbit
+search and the complex-trace search walk the normal forms that
 ``shortlex_acceptor`` accepts, and the class table and
 ``surface_group.enumerate_words`` the freely reduced words that
 ``free_acceptor`` accepts.  Joined rows go through ``compose_matrices``.
@@ -25,31 +26,42 @@ import numpy as np
 from .moebius import PARABOLIC_TRACE_TOL, REAL_TRACE_TOL
 
 
-def _inverse_ranks(genus: int) -> np.ndarray:
-    count = 4 * genus
-    return ((np.arange(count) + 2 * genus) % count).astype(np.int8)
+# The alphabet of the group in rank order: the generators, then
+# their inverses, capitalized.  A signed letter is 2j - 1 for a_j and 2j
+# for b_j, negated for an inverse; INVERSE[r] is the rank of r's inverse.
+NAMES = ("a1", "b1", "a2", "b2", "A1", "B1", "A2", "B2")
+LETTERS = (1, 2, 3, 4, -1, -2, -3, -4)
+INVERSE = np.array([LETTERS.index(-x) for x in LETTERS], dtype=np.int8)
+INVERSE.flags.writeable = False
 
 
-def ranks_to_letters(ranks: np.ndarray, genus: int = 2) -> tuple[int, ...]:
+def _ranks(text: str) -> tuple[int, ...]:
+    """Ranks of a text word such as "a1 B1"."""
+    return tuple(NAMES.index(name) for name in text.split())
+
+
+# the relator [a1, b1] [a2, b2]
+RELATOR = _ranks("a1 b1 A1 B1 a2 b2 A2 B2")
+
+
+def ranks_to_letters(ranks: np.ndarray) -> tuple[int, ...]:
     """Letters of one rank row; -1 padding is skipped."""
-    half = 2 * genus
-    return tuple(r + 1 if r < half else half - 1 - r
-                 for r in ranks.tolist() if r >= 0)
+    return tuple(LETTERS[r] for r in ranks.tolist() if r >= 0)
 
 
-def child_ranks(last: np.ndarray, genus: int = 2) -> np.ndarray:
+def child_ranks(last: np.ndarray) -> np.ndarray:
     """Last ranks of the children of words ending in the ranks `last`.
 
-    Each word has 4g - 1 children, every rank except the inverse of its
-    last one, in rank order; the result lists them word by word.
+    Each word has 7 children, every rank except the inverse of its last
+    one, in rank order; the result lists them word by word.
     """
-    ranks = np.arange(4 * genus, dtype=np.int8)
-    keep = ranks != _inverse_ranks(genus)[last][:, None]
+    ranks = np.arange(len(NAMES), dtype=np.int8)
+    keep = ranks != INVERSE[last][:, None]
     return np.broadcast_to(ranks, keep.shape)[keep]
 
 
-def join_rows(left: np.ndarray, right: np.ndarray, invert: np.ndarray,
-              genus: int = 2) -> np.ndarray:
+def join_rows(left: np.ndarray, right: np.ndarray,
+              invert: np.ndarray) -> np.ndarray:
     """Freely reduced rank rows of left[i] * right[i], or of
     left[i]^-1 * right[i] where invert[i].
 
@@ -57,19 +69,18 @@ def join_rows(left: np.ndarray, right: np.ndarray, invert: np.ndarray,
     cancel only at the junction; the result is -1 padded to the sum of
     the two widths.
     """
-    inverse = _inverse_ranks(genus)
     n_left = (left >= 0).sum(axis=1)[:, None]
     n_right = (right >= 0).sum(axis=1)[:, None]
     # the inverse word reads the live letters backwards, each inverted
     back = n_left - 1 - np.arange(left.shape[1])
-    flipped = inverse[np.take_along_axis(left, np.maximum(back, 0), axis=1)]
+    flipped = INVERSE[np.take_along_axis(left, np.maximum(back, 0), axis=1)]
     left = np.where(invert[:, None] & (back >= 0), flipped, left)
     # step t of the junction pairs the t-th letter from the end of left
     # with the t-th letter of right; the first mismatch stops it
     width = min(left.shape[1], right.shape[1])
     tail = n_left - 1 - np.arange(width)
     meet = np.take_along_axis(left, np.maximum(tail, 0), axis=1) \
-        == inverse[right[:, :width]]
+        == INVERSE[right[:, :width]]
     meet &= (tail >= 0) & (np.arange(width) < n_right)
     cut = np.cumprod(meet, axis=1).sum(axis=1)[:, None]
     # keep left[:n_left - cut], then right[cut:n_right]
@@ -82,26 +93,25 @@ def join_rows(left: np.ndarray, right: np.ndarray, invert: np.ndarray,
     return out
 
 
-def _pack(words: np.ndarray, base: int) -> np.ndarray:
+def _pack(words: np.ndarray) -> np.ndarray:
     """Pack rank rows into integers; lexicographic order is preserved."""
     out = np.zeros(words.shape[0], dtype=np.int64)
     for j in range(words.shape[1]):
-        out = out * base + words[:, j].astype(np.int64)
+        out = out * len(NAMES) + words[:, j].astype(np.int64)
     return out
 
 
-def conjugacy_class_mask(words: np.ndarray, genus: int = 2) -> np.ndarray:
+def conjugacy_class_mask(words: np.ndarray) -> np.ndarray:
     """True for rows that are cyclically reduced and minimal among rotations.
 
     Freely reduced rows of one length are assumed; the kept rows are the
     shortlex-least spelling of each rotation class.
     """
-    base = 4 * genus
-    mask = words[:, 0] != _inverse_ranks(genus)[words[:, -1]]
-    own = _pack(words, base)
+    mask = words[:, 0] != INVERSE[words[:, -1]]
+    own = _pack(words)
     best = own.copy()
     for shift in range(1, words.shape[1]):
-        np.minimum(best, _pack(np.roll(words, -shift, axis=1), base), out=best)
+        np.minimum(best, _pack(np.roll(words, -shift, axis=1)), out=best)
     return mask & (own == best)
 
 
@@ -182,20 +192,18 @@ def extend_products(parents: np.ndarray, last: np.ndarray,
         .reshape(-1, 2, 2)
 
 
-def _relator_swaps(genus: int) -> dict[tuple, list[tuple]]:
-    """Swaps s -> r of rank tuples with r s^-1 trivial and |r| <= |s| < 4g.
+def _relator_swaps() -> dict[tuple, list[tuple]]:
+    """Swaps s -> r of rank tuples with r s^-1 trivial and |r| <= |s| < 8.
 
     r s^-1 is then a rotation of a cell (the relator or its inverse) or of
     two cells glued along one letter: other cyclically reduced trivial
-    words have 8g letters or more (Greendlinger's lemma)."""
-    inverse, full = _inverse_ranks(genus).tolist(), 4 * genus
+    words have 16 letters or more (Greendlinger's lemma)."""
+    inverse, full = INVERSE.tolist(), len(RELATOR)
 
     def inv(w: tuple) -> tuple:
         return tuple(inverse[x] for x in reversed(w))
 
-    relator = tuple(j + e + 2 * genus * side for j in range(0, 2 * genus, 2)
-                    for side in (0, 1) for e in (0, 1))
-    cells = {c[i:] + c[:i] for c in (relator, inv(relator))
+    cells = {c[i:] + c[:i] for c in (RELATOR, inv(RELATOR))
              for i in range(full)}
     words = cells.union(a[:-1] + b[1:] for a in cells for b in cells
                         if a[-1] == inverse[b[0]] and a[-2] != inverse[b[1]])
@@ -208,7 +216,7 @@ def _relator_swaps(genus: int) -> dict[tuple, list[tuple]]:
 
 def conjugacy_classes(maxlen: int,
                       *gens: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The class table for 1 <= maxlen < 4g: rank rows, then their products
+    """The class table for 1 <= maxlen < 8: rank rows, then their products
     under each generator array in gens, which set only the products.
 
     Rows are the rotation-class minima of conjugacy_class_mask among the
@@ -217,18 +225,17 @@ def conjugacy_classes(maxlen: int,
     and a rotation r t of an earlier kept one have r s^-1 trivial
     (``_relator_swaps``).  No cyclic reduction follows, so b1 and
     b1 b2 a2 B2 A2, both kept, are conjugate."""
-    genus = gens[0].shape[0] // 4
-    if maxlen >= 4 * genus:
-        raise ValueError("class table needs maxlen < 4g = %d" % (4 * genus))
-    swaps, kept, rows, mats = _relator_swaps(genus), set(), [], []
-    for chunk, products in normal_forms(gens, maxlen, free_acceptor(genus)):
-        pick = np.flatnonzero(conjugacy_class_mask(chunk, genus))
+    if maxlen >= len(RELATOR):
+        raise ValueError("class table needs maxlen < %d" % len(RELATOR))
+    swaps, kept, rows, mats = _relator_swaps(), set(), [], []
+    for chunk, products in normal_forms(gens, maxlen, free_acceptor()):
+        pick = np.flatnonzero(conjugacy_class_mask(chunk))
         keep = np.ones(len(pick), dtype=bool)
         for i, w in enumerate(map(tuple, chunk[pick].tolist())):
             # least rotations of the words r t that swaps make of w
             images = (min(v[q:] + v[:q] for q in range(len(v)))
                       for u in (w[p:] + w[:p] for p in range(len(w)))
-                      for k in range(2 * genus, len(w) + 1)
+                      for k in range(len(RELATOR) // 2, len(w) + 1)
                       for v in (r + u[k:] for r in swaps.get(u[:k], ())))
             keep[i] = kept.isdisjoint(map(bytes, images))
             if keep[i]:
@@ -240,10 +247,10 @@ def conjugacy_classes(maxlen: int,
     return np.concatenate(rows), *map(np.concatenate, zip(*mats))
 
 
-# The shortlex rewriting system of the genus-2 group in rank order
-# a1 b1 a2 b2 A1 B1 A2 B2, from a Knuth-Bendix completion (Epstein et al.,
-# Word Processing in Groups, 1992): a word is a normal form exactly when
-# no left side occurs in it.  Besides the eight free cancellations:
+# The shortlex rewriting system of the group in rank order, from
+# a Knuth-Bendix completion (Epstein et al., Word Processing in Groups,
+# 1992): a word is a normal form exactly when no left side occurs in it.
+# Besides the eight free cancellations:
 SHORTLEX_LEFT_SIDES = (
     "a2 b2 A2 B2", "b2 a2 B2 A2", "A1 b2 a2 B2", "B1 a2 b2 A2", "B1 A1 b2 a2",
     "A2 b1 a1 B1", "B2 a1 b1 A1", "B2 A2 b1 a1", "a1 b1 A1 B1 a2",
@@ -254,7 +261,6 @@ SHORTLEX_LEFT_SIDES = (
 # and two infinite families, prefix period^k suffix for every k >= 0
 SHORTLEX_FAMILY = ("b1 A1 B1 a2", "a1 b1 A1 A1 B1 a2",
                    ("a1 b1 A1 B1", "a1 b1 A1 A1 B1 a2 b2"))
-SHORTLEX_LETTERS = "a1 b1 a2 b2 A1 B1 A2 B2".split()
 # acceptor states: DEAD absorbs every word that an acceptor rejects, and
 # the empty word starts in START
 DEAD, START = 0, 1
@@ -270,34 +276,31 @@ def shortlex_acceptor() -> np.ndarray:
     nondeterministic matcher, in which the family's period loops back
     (subset construction); a completed match goes to DEAD.
     """
-    def ranks(text: str) -> list[int]:
-        return [SHORTLEX_LETTERS.index(name) for name in text.split()]
-
     edges: list[list[tuple[int, int]]] = [[]]
     matched: set[int] = set()
 
-    def chain(node: int, word: list[int]) -> int:
+    def chain(node: int, word: tuple[int, ...]) -> int:
         for rank in word:
             edges.append([])
             edges[node].append((rank, len(edges) - 1))
             node = len(edges) - 1
         return node
 
-    cancels = [list(pair) for pair in enumerate(_inverse_ranks(2).tolist())]
-    for word in cancels + [ranks(text) for text in SHORTLEX_LEFT_SIDES]:
+    cancels = list(enumerate(INVERSE.tolist()))
+    for word in cancels + [_ranks(text) for text in SHORTLEX_LEFT_SIDES]:
         matched.add(chain(0, word))
     prefix, period, suffixes = SHORTLEX_FAMILY
-    hub = chain(0, ranks(prefix))
-    *body, close = ranks(period)
+    hub = chain(0, _ranks(prefix))
+    *body, close = _ranks(period)
     edges[chain(hub, body)].append((close, hub))
-    matched.update(chain(hub, ranks(text)) for text in suffixes)
+    matched.update(chain(hub, _ranks(text)) for text in suffixes)
 
     sets = [frozenset([0])]
     index = {sets[0]: START}
-    rows = [[DEAD] * 8]
+    rows = [[DEAD] * len(NAMES)]
     for active in sets:
         row = []
-        for rank in range(8):
+        for rank in range(len(NAMES)):
             step = frozenset([0]).union(node for n in active
                                         for r, node in edges[n] if r == rank)
             if step & matched:
@@ -314,13 +317,13 @@ def shortlex_acceptor() -> np.ndarray:
 
 
 @functools.cache
-def free_acceptor(genus: int) -> np.ndarray:
-    """Transition table of the freely reduced words of genus g: state
-    2 + r follows rank r, and the inverse of r leads to DEAD."""
-    count = 4 * genus
+def free_acceptor() -> np.ndarray:
+    """Transition table of the freely reduced words: state 2 + r follows
+    rank r, and the inverse of r leads to DEAD."""
+    count = len(NAMES)
     table = np.zeros((count + 2, count), dtype=np.int8)
     table[START:] = np.arange(2, count + 2)
-    table[np.arange(2, count + 2), _inverse_ranks(genus)] = DEAD
+    table[np.arange(2, count + 2), INVERSE] = DEAD
     table.flags.writeable = False
     return table
 
@@ -374,7 +377,7 @@ def _children(rows: np.ndarray, state: np.ndarray, mats: list[np.ndarray],
     fan = accept.shape[1] - 1
     for lo in range(0, len(rows), _WALK_CHUNK):
         hi = lo + _WALK_CHUNK
-        kids = child_ranks(rows[lo:hi, -1], accept.shape[1] // 4)
+        kids = child_ranks(rows[lo:hi, -1])
         kid_state = accept[np.repeat(state[lo:hi], fan), kids]
         ok = kid_state != DEAD
         parent = lo + np.flatnonzero(ok) // fan

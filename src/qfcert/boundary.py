@@ -216,9 +216,17 @@ def rank_endpoints(angles: np.ndarray):
     p, q = _near_pairs(order, points)
     close = circular_distance_turns(points[p], points[q]) < DEGENERATE_TOL
     p, q = row[p[close]], row[q[close]]
-    pairs = np.unique(np.hstack([[p, q], [q, p], [row[:n], row[:n]]]), axis=1)
-    return (order.argsort().astype(np.int32).reshape(2, n).T, pairs,
-            np.unique(p[p == q]))
+    pairs = np.hstack([[p, q], [q, p], [row[:n], row[:n]]])
+    return (order.argsort().astype(np.int32).reshape(2, n).T,
+            _distinct_columns(pairs[:, np.lexsort(pairs[::-1])]),
+            _distinct_columns(np.sort(p[p == q])[None])[0])
+
+
+def _distinct_columns(a: np.ndarray) -> np.ndarray:
+    """The distinct columns of a 2-D array whose columns are sorted."""
+    keep = np.ones(a.shape[1], dtype=bool)
+    keep[1:] = (a[:, 1:] != a[:, :-1]).any(axis=0)
+    return a[:, keep]
 
 
 def pair_config_grid(ranking, lo: int, hi: int, start: int = 0) -> np.ndarray:
@@ -339,8 +347,6 @@ def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
     """
     if maxlen < 1:
         raise BoundaryError("maxlen must be at least 1")
-    if rep.presentation.genus != 2:
-        raise BoundaryError("sampling is implemented for the genus-2 group")
     gens = (wa.exact_real(reference_representation().generator_matrix_array()),
             rep.generator_matrix_array())
     total = sum(8 * 7 ** k for k in range(maxlen))
@@ -1071,19 +1077,17 @@ def witness_from_dict(payload: object) -> SpiralWitness:
 
 
 def sample_to_csv(sample: LimitSetSample) -> str:
-    """CSV text: word, reference angle, real part, imaginary part."""
-    pres = sample.rep.presentation
-    names = [pres.letter_name(x) for x in pres.letters()]  # in rank order
-    lines = ["word,angle_ref,re,im"]
-    for row, angle, zv in zip(sample.ranks.tolist(), sample.angles.tolist(),
-                              sample.image_complex().tolist()):
-        if not math.isfinite(abs(zv)):
-            re_s, im_s = "inf", "inf"
-        else:
-            re_s, im_s = repr(zv.real), repr(zv.imag)
-        lines.append("%s,%r,%s,%s" % (" ".join(names[r] for r in row if r >= 0),
-                                      angle, re_s, im_s))
-    return "\n".join(lines) + "\n"
+    """CSV text: word, reference angle, real part, imaginary part; a point
+    whose modulus is not finite prints inf,inf."""
+    words = (" ".join(wa.NAMES[r] for r in row if r >= 0)
+             for row in sample.ranks.tolist())
+    zs = sample.image_complex()
+    re_s, im_s = ([*map(repr, part.tolist())] for part in (zs.real, zs.imag))
+    for i in np.flatnonzero(~np.isfinite(np.abs(zs))).tolist():
+        re_s[i] = im_s[i] = "inf"
+    lines = map(",".join, zip(words, map(repr, sample.angles.tolist()),
+                              re_s, im_s))
+    return "\n".join(["word,angle_ref,re,im", *lines]) + "\n"
 
 
 def sample_to_svg(sample: LimitSetSample, size: int = 800) -> str:

@@ -189,7 +189,7 @@ def triangle_harness(rep: Representation, maxlen: int) -> TriangleRecords:
         codes = grid[ii, jj]
         ii += lo
         combined = np.array(stable_lengths(wa.compose_matrices(
-            wa.join_rows(rows[ii], rows[jj], codes == misaligned, pres.genus),
+            wa.join_rows(rows[ii], rows[jj], codes == misaligned),
             gens)))
         total = ells[ii] + ells[jj]
         slack = np.where(codes == linked, total - combined, combined - total)

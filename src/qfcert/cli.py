@@ -9,7 +9,6 @@ the output directory resolves flag > QFCERT_OUTDIR environment variable
 Config schema (all keys optional)::
 
     {
-      "genus": 2,              # only genus 2 is supported
       "bend_angle": 0.6,       # radians; wrapped into (-pi, pi)
       "maxlen": 4,             # word-length bound (per-command default)
       "Rmax": 12.0,            # orbit-count radius for growth runs
@@ -98,7 +97,6 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated run parameters shared by all subcommands."""
 
-    genus: int = 2
     bend_angle: float = 0.6
     maxlen: int | None = None
     Rmax: float = 12.0
@@ -106,8 +104,6 @@ class RunConfig:
     outdir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.genus != 2:
-            raise ConfigError("only genus 2 is supported, got %r" % (self.genus,))
         if not math.isfinite(self.bend_angle):
             raise ConfigError("bend_angle must be a finite real")
         if self.maxlen is not None and self.maxlen < 1:
@@ -119,7 +115,6 @@ class RunConfig:
 
 
 _FIELD_TYPES = {
-    "genus": int,
     "bend_angle": float,
     "maxlen": int,
     "Rmax": float,
@@ -460,7 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--outdir", help="artifact directory "
                         "(overrides QFCERT_OUTDIR and the config)")
-    parser.add_argument("--genus", type=int)
     parser.add_argument("--bend-angle", type=float, dest="bend_angle")
     parser.add_argument("--maxlen", type=int)
     parser.add_argument("--rmax", type=float, dest="Rmax")

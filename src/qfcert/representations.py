@@ -105,7 +105,7 @@ class Representation:
         if self.kind not in ("fuchsian", "bent"):
             raise RepresentationError("unknown representation kind %r" % (self.kind,))
         images = dict(self.images)
-        for x in range(1, self.presentation.generator_count + 1):
+        for x in self.presentation.generators():
             if x not in images:
                 raise RepresentationError("missing image for generator %d" % x)
             if -x not in images:
@@ -120,7 +120,7 @@ class Representation:
         if self.kind == "fuchsian":
             worst = max(
                 abs(e.imag)
-                for x in range(1, self.presentation.generator_count + 1)
+                for x in self.presentation.generators()
                 for e in images[x].entries()
             )
             if worst > FUCHSIAN_IMAG_TOL:
@@ -136,7 +136,7 @@ class Representation:
         return evaluate(self, w)
 
     def generator_matrix_array(self) -> np.ndarray:
-        """(4g, 2, 2) complex array in rank (shortlex letter) order for
+        """(8, 2, 2) complex array in rank (shortlex letter) order for
         batch evaluation."""
         letters = self.presentation.letters()
         out = np.empty((len(letters), 2, 2), dtype=complex)
@@ -175,7 +175,7 @@ def fuchsian_octagon() -> Representation:
             m = m @ pairing[x]
         images[letter] = MoebiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
     return Representation(
-        presentation=GroupPresentation(genus=2),
+        presentation=GroupPresentation(),
         images=images,
         kind="fuchsian",
     )
@@ -326,12 +326,11 @@ class LengthSpectrum:
 
 
 def compute_spectrum(rep: Representation, maxlen: int) -> LengthSpectrum:
-    """The length spectrum on the class table for 1 <= maxlen < 4g."""
+    """The length spectrum on the class table for 1 <= maxlen < 8."""
     if maxlen < 1:
         raise RepresentationError("maxlen must be at least 1")
-    genus = rep.presentation.genus
     rows, mats = wa.conjugacy_classes(maxlen, rep.generator_matrix_array())
-    entries = {Word(wa.ranks_to_letters(row, genus)): ell
+    entries = {Word(wa.ranks_to_letters(row)): ell
                for row, ell in zip(rows, stable_lengths(mats))}
     return LengthSpectrum(rep_id=representation_hash(rep), entries=entries)
 
@@ -378,7 +377,7 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
                           max_word_length: int | None = None) -> np.ndarray:
     """Sorted orbit distances of distinct group elements from the basepoint.
 
-    Each element is visited once, by its genus-2 shortlex normal form
+    Each element is visited once, by its shortlex normal form
     (``_wordarrays.normal_forms``); with prune_radius set, only those
     within it are counted and extended.  Normal forms are prefix-closed,
     so an element is found exactly when every prefix of its normal form
@@ -389,8 +388,6 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
     """
     if prune_radius is None and max_word_length is None:
         raise RepresentationError("unbounded enumeration: set a prune radius or length cap")
-    if rep.presentation.genus != 2:
-        raise RepresentationError("the orbit search walks genus-2 normal forms")
     gens = wa.exact_real(rep.generator_matrix_array())
     radius = math.inf if prune_radius is None else prune_radius
     dists: list[np.ndarray] = [np.zeros(1)]
@@ -442,9 +439,6 @@ def find_complex_trace_element(rep: Representation, maxlen: int) -> Word:
     first normal form found is the first reduced word: a word's normal
     form has its image and comes no later in shortlex order.
     """
-    if rep.presentation.genus != 2:
-        raise RepresentationError("the complex-trace search walks genus-2 "
-                                  "normal forms")
     for words, (mats,) in wa.normal_forms((rep.generator_matrix_array(),),
                                           maxlen):
         hits = np.flatnonzero(np.abs(wa.traces(mats).imag) > COMPLEX_TRACE_TOL)
@@ -466,13 +460,13 @@ def _complex_pair(z: complex) -> list[float]:
 def representation_to_dict(rep: Representation) -> dict:
     pres = rep.presentation
     images = {}
-    for x in range(1, pres.generator_count + 1):
+    for x in pres.generators():
         m = rep.images[x]
         images[pres.letter_name(x)] = [_complex_pair(e) for e in m.entries()]
     return {
         "schema": "qfcert/1",
         "type": "representation",
-        "genus": pres.genus,
+        "genus": 2,
         "kind": rep.kind,
         "angle": float(rep.angle),
         "basepoint": [float(rep.basepoint.z.real), float(rep.basepoint.z.imag),

@@ -1,19 +1,18 @@
-"""Words in a closed orientable surface group of genus g >= 2.
+"""Words in the fundamental group of the closed orientable surface of genus 2.
 
-The presentation has 2g generators a_1, b_1, ..., a_g, b_g and the single
-relator [a_1, b_1] [a_2, b_2] ... [a_g, b_g] of length 4g.  Letters are
-encoded as nonzero integers: a_j is 2j - 1, b_j is 2j, and a negative
-value is the inverse of the corresponding generator.
+The presentation has the generators a1, b1, a2, b2 and the single relator
+[a1, b1] [a2, b2] of length 8.  Letters are encoded as nonzero integers:
+a_j is 2j - 1, b_j is 2j, and a negative value is the inverse of the
+corresponding generator.  The alphabet is one table in ``_wordarrays``
+(``NAMES``, ``LETTERS``, ``INVERSE``), in the shortlex generator order
+a1 < b1 < a2 < b2 < A1 < B1 < A2 < B2.
 
-Word enumeration is shortlex with generator order
-a_1 < b_1 < ... < a_g < b_g < a_1^-1 < b_1^-1 < ... < b_g^-1.
-
-Text form: "a1 B1 a2" with capitalized names denoting inverses.
+Text form: "a1 B1 a2" with capitalized names denoting inverses; a token is
+exactly one of the eight names.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -67,64 +66,46 @@ class Word:
         return "Word(%r)" % (self.letters,)
 
 
+_NAME_OF = dict(zip(wa.LETTERS, wa.NAMES))
+_LETTER_OF = dict(zip(wa.NAMES, wa.LETTERS))
+
+
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Genus-g surface group presentation with the product-of-commutators relator."""
-
-    genus: int = 2
-
-    def __post_init__(self) -> None:
-        if self.genus < 2:
-            raise WordError("genus must be at least 2, got %r" % (self.genus,))
-
-    @property
-    def generator_count(self) -> int:
-        return 2 * self.genus
+    """The genus-2 surface group with the product-of-commutators relator."""
 
     def relator(self) -> Word:
-        letters: list[int] = []
-        for j in range(1, self.genus + 1):
-            a, b = 2 * j - 1, 2 * j
-            letters += [a, b, -a, -b]
-        return Word(tuple(letters))
+        return Word(tuple(wa.LETTERS[r] for r in wa.RELATOR))
 
     def letters(self) -> list[int]:
-        """All 4g letters in shortlex order."""
-        n = self.generator_count
-        return list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
+        """All 8 letters in shortlex order."""
+        return list(wa.LETTERS)
+
+    def generators(self) -> list[int]:
+        """The letters a1 b1 a2 b2."""
+        return [x for x in wa.LETTERS if x > 0]
 
     def validate(self, w: Word) -> None:
-        n = self.generator_count
-        if any(abs(x) > n for x in w.letters):
-            raise WordError("letter out of range for genus %d: %r" % (self.genus, w))
+        if not set(w.letters) <= _NAME_OF.keys():
+            raise WordError("letter out of range: %r" % (w,))
 
     # -- text form ---------------------------------------------------------
 
     def letter_name(self, x: int) -> str:
-        j = (abs(x) + 1) // 2
-        name = ("a" if abs(x) % 2 == 1 else "b") + str(j)
-        return name.upper() if x < 0 else name
+        return _NAME_OF[x]
 
     def to_text(self, w: Word) -> str:
         self.validate(w)
-        return " ".join(self.letter_name(x) for x in w.letters)
+        return " ".join(_NAME_OF[x] for x in w.letters)
 
     def from_text(self, text: str) -> Word:
+        """The word of a text form whose every token is one of the names."""
         letters = []
         for tok in text.split():
-            m = re.fullmatch(r"([abAB])(\d+)", tok)
-            if not m:
+            if tok not in _LETTER_OF:
                 raise WordError("bad letter token %r" % (tok,))
-            kind, j = m.group(1), int(m.group(2))
-            if not (1 <= j <= self.genus):
-                raise WordError("generator index out of range in %r" % (tok,))
-            x = 2 * j - 1 if kind.lower() == "a" else 2 * j
-            if kind.isupper():
-                x = -x
-            letters.append(x)
-        w = Word(tuple(letters))
-        self.validate(w)
-        return w
+            letters.append(_LETTER_OF[tok])
+        return Word(tuple(letters))
 
 
 def enumerate_words(pres: GroupPresentation, maxlen: int,
@@ -140,10 +121,8 @@ def enumerate_words(pres: GroupPresentation, maxlen: int,
     """
     if mode not in ("reduced", "conjugacy"):
         raise WordError("unknown enumeration mode %r" % (mode,))
-    chunks = (rows for rows, _ in wa.normal_forms(
-        (), maxlen, wa.free_acceptor(pres.genus)))
+    chunks = (rows for rows, _ in wa.normal_forms((), maxlen,
+                                                  wa.free_acceptor()))
     if mode == "conjugacy":
-        chunks = (rows[wa.conjugacy_class_mask(rows, pres.genus)]
-                  for rows in chunks)
-    return (Word(wa.ranks_to_letters(row, pres.genus))
-            for rows in chunks for row in rows)
+        chunks = (rows[wa.conjugacy_class_mask(rows)] for rows in chunks)
+    return (Word(wa.ranks_to_letters(row)) for rows in chunks for row in rows)

@@ -909,7 +909,7 @@ class TestLimitSetSample:
         def present(text):
             row = np.full(7, -1, dtype=np.int8)
             names = text.split()
-            row[:len(names)] = [wa.SHORTLEX_LETTERS.index(n) for n in names]
+            row[:len(names)] = [wa.NAMES.index(n) for n in names]
             return (sample.ranks == row).all(axis=1).any()
 
         assert present("a1")
@@ -1265,6 +1265,24 @@ class TestExports:
         assert lines[0] == "word,angle_ref,re,im"
         assert len(lines) == len(sample) + 1
         assert all(line.count(",") == 3 for line in lines)
+
+    def test_csv_rows_spell_words_and_flag_points_at_infinity(self):
+        # the third point's parts are finite but its modulus overflows;
+        # the fourth sits at infinity (w2 = 0)
+        sample = LimitSetSample(
+            rep=reference_representation(), maxlen=3,
+            ranks=np.array([[0, 5, -1], [7, 7, 2], [3, -1, -1], [4, -1, -1]],
+                           dtype=np.int8),
+            angles=np.array([0.25, 0.1, 1.0 / 3.0, 0.5]),
+            image_pairs=np.array([[0.5 - 2j, 1], [-1.5 + 1e-300j, 1],
+                                  [1.5e308 + 1.5e308j, 1], [1, 0]]))
+        assert sample_to_csv(sample).split("\n") == [
+            "word,angle_ref,re,im",
+            "a1 B1,0.25,0.5,-2.0",
+            "B2 B2 a2,0.1,-1.5,1e-300",
+            "b2,0.3333333333333333,inf,inf",
+            "A1,0.5,inf,inf",
+            ""]
 
     def test_svg_renders_points(self, bent_rep):
         sample = limit_set_sample(bent_rep, 3)

@@ -6,6 +6,9 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,11 +38,19 @@ def clean_env(monkeypatch):
 
 
 class TestConfigHandling:
-    def test_genus_one_is_a_config_error(self, tmp_path, capsys):
+    def test_genus_is_an_unknown_config_key(self, tmp_path, capsys):
+        # the group is genus 2; there is no genus to configure
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"genus": 1}')
+        cfg.write_text('{"genus": 2}')
         assert main(["--config", str(cfg), "ref-rep"]) == 2
-        assert "genus" in capsys.readouterr().err
+        assert "unknown config key 'genus'" in capsys.readouterr().err
+
+    def test_genus_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--outdir", str(tmp_path / "out"), "--genus", "2",
+                  "ref-rep"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -132,8 +143,8 @@ class TestConfigHandling:
         assert not (tmp_path / "out" / "separation_certificate.json").exists()
 
     @pytest.mark.parametrize("text,key", [('{"maxlen": 1e400}', "maxlen"),
-                                          ('{"genus": -Infinity}', "genus")],
-                             ids=["maxlen", "genus"])
+                                          ('{"maxlen": -Infinity}', "maxlen")],
+                             ids=["maxlen", "negative-maxlen"])
     def test_infinite_integer_is_a_config_error(self, tmp_path, capsys,
                                                 text, key):
         # int() of an infinite float raises OverflowError, not ValueError
@@ -786,3 +797,23 @@ class TestLimitsetCommand:
         assert code == 1
         assert "forced svg failure" in capsys.readouterr().err
         assert not (out / "limitset.csv").exists()
+
+
+class TestImports:
+    def test_pair_scans_do_not_import_numpy_ma(self, tmp_path):
+        # np.unique goes through numpy.ma; the pair scans' endpoint
+        # ranking deduplicates by sorting.  A fresh interpreter, since
+        # this one may already hold numpy.ma
+        script = (
+            "import sys\n"
+            "from qfcert.cli import main\n"
+            "out = ['--outdir', sys.argv[1]]\n"
+            "assert main([*out, '--maxlen', '3', 'certify']) in (0, 1)\n"
+            "assert main([*out, 'triangle-check']) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("QFCERT_OUTDIR", None)
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr

@@ -477,22 +477,13 @@ class TestClassTable:
         assert np.array_equal(rows[0], rows[1])
         assert np.array_equal(rows[0], rows[2])
 
-    def test_short_genus3_words_keep_every_rotation_class(self):
-        # a swap needs at least 2g = 6 letters, so nothing merges here
-        gens = np.random.default_rng(29).normal(size=(12, 2, 2))
-        rows, mats = wa.conjugacy_classes(4, gens)
-        pres = GroupPresentation(genus=3)
-        assert [wa.ranks_to_letters(row, 3) for row in rows] == [
-            w.letters for w in enumerate_words(pres, 4, mode="conjugacy")]
-        assert len(mats) == len(rows)
-
     def test_relator_length_is_refused(self, bent_rep):
-        with pytest.raises(ValueError, match="maxlen < 4g = 8"):
+        with pytest.raises(ValueError, match="maxlen < 8"):
             wa.conjugacy_classes(8, bent_rep.generator_matrix_array())
 
     def test_every_swap_is_a_group_equality(self):
-        pres = GroupPresentation(genus=2)
-        swaps = wa._relator_swaps(2)
+        pres = GroupPresentation()
+        swaps = wa._relator_swaps()
         pairs = [(s, r) for s, rs in swaps.items() for r in rs]
         # the 16 cells (rotations of the relator and its inverse) give 16
         # swaps at each |s| from 4 to 7; two glued cells give 112 more,
@@ -549,7 +540,7 @@ def _shortlex_rules(max_k):
     """(left, right) rank tuples: the free cancellations, the listed rules
     and the families for k <= max_k."""
     def ranks(text):
-        return tuple(wa.SHORTLEX_LETTERS.index(name) for name in text.split())
+        return tuple(wa.NAMES.index(name) for name in text.split())
 
     yield from (((r, r ^ 4), ()) for r in range(8))
     assert set(SHORTLEX_RIGHT_SIDES) == set(wa.SHORTLEX_LEFT_SIDES)
@@ -604,7 +595,7 @@ class TestShortlexAcceptor:
         # l = r in the group and r precedes l in shortlex order, so no
         # normal form contains l; r is a normal form, and so is every
         # proper subword of l: no left side holds another
-        pres = GroupPresentation(genus=2)
+        pres = GroupPresentation()
         # the families to k = 8, whose longest left side has 59 letters
         rules = list(_shortlex_rules(8))
         assert len(rules) == 8 + 18 + 2 * 9
@@ -715,14 +706,13 @@ class TestProductKernel:
         assert _same_bits(got, _einsum_times(m, g))
         assert got[0, 0, 0] == 0.0 and not np.signbit(got.real[0, 0, 0])
 
-    @pytest.mark.parametrize("genus", [2, 3])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_extend_products_equals_repeat_and_einsum(self, genus, real):
-        rng = np.random.default_rng(genus)
-        gens = _random_mats(rng, 4 * genus, real)
-        fan = 4 * genus - 1
+    def test_extend_products_equals_repeat_and_einsum(self, real):
+        rng = np.random.default_rng(2)
+        gens = _random_mats(rng, 8, real)
+        fan = 7
         parents = None
-        for level in reduced_word_levels(4 if genus == 2 else 3, genus):
+        for level in reduced_word_levels(4):
             last = level[:, -1]
             if parents is None:
                 parents = gens[last]
@@ -791,14 +781,13 @@ class TestTranslating:
 class TestPrefixProducts:
     """The normal-form walk multiplies each word's parent product by one
     generator, and its products equal full composition bit for bit; in
-    reduced_word_levels the parent of row i is row i // (4g - 1) of the
-    level before."""
+    reduced_word_levels the parent of row i is row i // 7 of the level
+    before."""
 
-    @pytest.mark.parametrize("genus,maxlen", [(2, 5), (3, 3)])
-    def test_row_extends_parent_row(self, genus, maxlen):
-        levels = reduced_word_levels(maxlen, genus)
+    def test_row_extends_parent_row(self):
+        levels = reduced_word_levels(5)
         for prev, level in zip(levels, levels[1:]):
-            parent = np.arange(level.shape[0]) // (4 * genus - 1)
+            parent = np.arange(level.shape[0]) // 7
             assert parent[-1] == prev.shape[0] - 1
             assert np.array_equal(level[:, :-1], prev[parent])
 
@@ -857,16 +846,14 @@ class TestNormalFormWalk:
         assert kept | dropped == want
         assert sum(len(rows) for rows, _ in walked) == len(want)
 
-    @pytest.mark.parametrize("genus,maxlen", [(2, 5), (3, 3)])
-    def test_free_acceptor_walks_the_reduced_words(self, genus, maxlen):
+    def test_free_acceptor_walks_the_reduced_words(self):
         rng = np.random.default_rng(31)
-        gens = (rng.normal(size=(4 * genus, 2, 2))
-                + 1j * rng.normal(size=(4 * genus, 2, 2)),
-                rng.normal(size=(4 * genus, 2, 2)))
-        walked = list(wa.normal_forms(gens, maxlen, wa.free_acceptor(genus)))
+        gens = (rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2)),
+                rng.normal(size=(8, 2, 2)))
+        walked = list(wa.normal_forms(gens, 5, wa.free_acceptor()))
         rows = [tuple(r) for chunk, _ in walked for r in chunk.tolist()]
-        assert rows == [tuple(r) for level in reduced_word_levels(
-            maxlen, genus) for r in level.tolist()]
+        assert rows == [tuple(r) for level in reduced_word_levels(5)
+                        for r in level.tolist()]
         assert rows == sorted(rows, key=lambda r: (len(r), r))
         for chunk, products in walked:
             for got, g in zip(products, gens):
@@ -884,13 +871,6 @@ class TestNormalFormWalk:
                     found.append("%s:%d" % (path.name, node.lineno))
         assert len(list(src.glob("*.py"))) > 5
         assert not found
-
-    def test_complex_trace_search_refuses_other_genera(self, base_rep):
-        pres = GroupPresentation(genus=3)
-        rep = Representation(presentation=pres, kind="fuchsian", images={
-            x: base_rep.images[1] for x in range(1, 7)})
-        with pytest.raises(RepresentationError, match="genus-2"):
-            find_complex_trace_element(rep, 2)
 
 
 class TestOrbitEnumeration:
@@ -934,13 +914,6 @@ class TestOrbitEnumeration:
     def test_requires_some_bound(self, base_rep):
         with pytest.raises(RepresentationError):
             orbit_point_distances(base_rep)
-
-    def test_refuses_other_genera(self, base_rep):
-        pres = GroupPresentation(genus=3)
-        rep = Representation(presentation=pres, kind="fuchsian", images={
-            x: base_rep.images[1] for x in range(1, 7)})
-        with pytest.raises(RepresentationError, match="genus-2"):
-            orbit_point_distances(rep, max_word_length=1)
 
     def test_pruning_sound_and_complete_within_margin(self, base_rep):
         # pruning at R drops the elements whose normal form has a prefix

@@ -58,7 +58,7 @@ def shortlex_min_rotation(w: Word) -> Word:
 
 @pytest.fixture(scope="module")
 def pres() -> GroupPresentation:
-    return GroupPresentation(genus=2)
+    return GroupPresentation()
 
 
 class TestWord:
@@ -129,9 +129,23 @@ class TestTextForm:
         assert pres.from_text("").letters == ()
 
     def test_bad_tokens(self, pres):
-        for text in ["x1", "a3", "a0", "a1b1", "a"]:
-            with pytest.raises(WordError):
+        # int() would read a01 as a1 and the digits U+0662 and U+FF11 as
+        # 2 and 1; only the eight names are tokens
+        for text in ["x1", "a3", "a0", "a1b1", "a", "a01", "a1 a\u0662",
+                     "B\uff11", "b+1", "A-1"]:
+            with pytest.raises(WordError, match="bad letter token"):
                 pres.from_text(text)
+
+    def test_alphabet_round_trip(self, pres):
+        # rank -> letter -> name -> from_text -> rank, for every rank
+        for rank, (letter, name) in enumerate(zip(wa.LETTERS, wa.NAMES)):
+            assert pres.letter_name(letter) == name
+            (back,) = pres.from_text(name).letters
+            assert wa.LETTERS.index(back) == rank
+            assert wa.LETTERS[wa.INVERSE[rank]] == -letter
+        assert sorted(wa.LETTERS) == [-4, -3, -2, -1, 1, 2, 3, 4]
+        assert (wa.INVERSE[wa.INVERSE] == np.arange(8)).all()
+        assert (wa.INVERSE != np.arange(8)).all()
 
     def test_out_of_range_letters(self, pres):
         with pytest.raises(WordError):
@@ -143,10 +157,6 @@ class TestPresentation:
         r = pres.relator()
         assert pres.to_text(r) == "a1 b1 A1 B1 a2 b2 A2 B2"
         assert len(r) == 8
-
-    def test_genus_validation(self):
-        with pytest.raises(WordError):
-            GroupPresentation(genus=1)
 
     def test_small_cancellation_pieces(self, pres):
         # all 16 length-2 subwords of relator rotations are distinct, the
@@ -271,18 +281,14 @@ def brute_force_reduced(pres: GroupPresentation, maxlen: int) -> list[Word]:
 class TestEnumerationParity:
     """The rank-array enumerator against product-and-filter references."""
 
-    @pytest.mark.parametrize("genus,maxlen", [(2, 4), (3, 3)])
-    def test_reduced_matches_brute_force(self, genus, maxlen):
-        pres = GroupPresentation(genus=genus)
-        assert list(enumerate_words(pres, maxlen, mode="reduced")) \
-            == brute_force_reduced(pres, maxlen)
+    def test_reduced_matches_brute_force(self, pres):
+        assert list(enumerate_words(pres, 4, mode="reduced")) \
+            == brute_force_reduced(pres, 4)
 
-    @pytest.mark.parametrize("genus,maxlen", [(2, 5), (3, 3)])
-    def test_conjugacy_matches_rotation_filter(self, genus, maxlen):
-        pres = GroupPresentation(genus=genus)
-        expected = [w for w in brute_force_reduced(pres, maxlen)
+    def test_conjugacy_matches_rotation_filter(self, pres):
+        expected = [w for w in brute_force_reduced(pres, 5)
                     if cyclic_reduce(w) == w and shortlex_min_rotation(w) == w]
-        assert list(enumerate_words(pres, maxlen, mode="conjugacy")) == expected
+        assert list(enumerate_words(pres, 5, mode="conjugacy")) == expected
 
     def test_cumulative_rotation_class_counts(self, pres):
         words = list(enumerate_words(pres, 5, mode="conjugacy"))
@@ -295,29 +301,27 @@ class TestEnumerationParity:
 
 
 class TestJoinRows:
-    """wa.join_rows against free_reduce_letters on every pair of short
-    reduced words; genus 3 stops at length 2 to keep the Python
-    reference loop short."""
+    """wa.join_rows against free_reduce_letters on every pair of reduced
+    words up to length 3."""
 
     @staticmethod
-    def _padded_words(genus, maxlen):
+    def _padded_words(maxlen):
         return np.concatenate([
             np.pad(level, ((0, 0), (0, maxlen - level.shape[1])),
                    constant_values=-1)
-            for level in reduced_word_levels(maxlen, genus)])
+            for level in reduced_word_levels(maxlen)])
 
-    @pytest.mark.parametrize("genus,maxlen", [(2, 3), (3, 2)])
-    def test_matches_free_reduction(self, genus, maxlen):
-        words = self._padded_words(genus, maxlen)
-        letters = [wa.ranks_to_letters(row, genus) for row in words]
+    def test_matches_free_reduction(self):
+        maxlen = 3
+        words = self._padded_words(maxlen)
+        letters = [wa.ranks_to_letters(row) for row in words]
         ii, jj = np.divmod(np.arange(words.shape[0] ** 2), words.shape[0])
         # each pair is joined twice, once per orientation of the left
         # factor, with the inverted rows interleaved with plain ones
         flip = ii % 2 == jj % 2
-        names = wa.ranks_to_letters(np.arange(4 * genus), genus)
         swallowed = {"left": 0, "right": 0}
         for invert in (flip, ~flip):
-            out = wa.join_rows(words[ii], words[jj], invert, genus)
+            out = wa.join_rows(words[ii], words[jj], invert)
             assert out.shape == (ii.size, 2 * maxlen)
             assert out.dtype == np.int8
             for i, j, inv, row in zip(ii.tolist(), jj.tolist(),
@@ -327,7 +331,7 @@ class TestJoinRows:
                     left = tuple(-x for x in reversed(left))
                 want = free_reduce_letters(left + right)
                 assert row[len(want):] == [-1] * (len(row) - len(want))
-                assert tuple(names[r] for r in row[:len(want)]) == want
+                assert tuple(wa.LETTERS[r] for r in row[:len(want)]) == want
                 if len(want) == len(right) - len(left):
                     swallowed["left"] += 1
                 if len(want) == len(left) - len(right):
@@ -336,6 +340,6 @@ class TestJoinRows:
         assert min(swallowed.values()) > words.shape[0]
 
     def test_empty_product_is_all_padding(self):
-        words = self._padded_words(2, 3)
+        words = self._padded_words(3)
         out = wa.join_rows(words, words, np.ones(words.shape[0], bool))
         assert (out == -1).all()

@@ -21,22 +21,22 @@ from qfcert._wordarrays import child_ranks
 from qfcert.surface_group import GroupPresentation, Word, free_reduce_letters
 
 
-def reduced_word_levels(maxlen: int, genus: int = 2) -> list[np.ndarray]:
+def reduced_word_levels(maxlen: int) -> list[np.ndarray]:
     """Freely reduced words as rank arrays, one (n, L) array per length L.
 
     Each level is in shortlex order.  Level L is built by appending every
     non-cancelling rank to each level-(L-1) word in rank order, so every
-    word has 4g - 1 children and row i of level L >= 2 extends row
-    i // (4g - 1) of level L - 1.
+    word has 7 children and row i of level L >= 2 extends row i // 7 of
+    level L - 1.
     """
     if maxlen < 1:
         return []
-    current = np.arange(4 * genus, dtype=np.int8).reshape(-1, 1)
+    current = np.arange(8, dtype=np.int8).reshape(-1, 1)
     levels = [current]
     for _ in range(2, maxlen + 1):
-        last = child_ranks(current[:, -1], genus)
+        last = child_ranks(current[:, -1])
         new = np.empty((last.size, current.shape[1] + 1), dtype=np.int8)
-        new[:, :-1] = np.repeat(current, 4 * genus - 1, axis=0)
+        new[:, :-1] = np.repeat(current, 7, axis=0)
         new[:, -1] = last
         levels.append(new)
         current = new
@@ -60,8 +60,8 @@ def relator_cycles(pres: GroupPresentation) -> tuple[tuple[int, ...], ...]:
 def dehn_reduce(pres: GroupPresentation, w: Word) -> Word:
     """Greedy Dehn reduction; the result is empty iff w is the identity."""
     pres.validate(w)
-    half = 2 * pres.genus
-    full = 4 * pres.genus
+    full = len(pres.relator())
+    half = full // 2
     cycles = relator_cycles(pres)
     letters = list(free_reduce_letters(w.letters))
     changed = True
