@@ -515,6 +515,33 @@ class TestRankClassifier:
         assert rows.tolist() == [3]
         assert np.array_equal(table_grid(angles), scalar_grid(angles, angles))
 
+    @pytest.mark.parametrize("table", ["maxlen3", "maxlen4", "lattice"])
+    def test_rank_endpoints_matches_all_pairs_reference(self, table):
+        # the degenerate pairs and rows against every endpoint pair and
+        # np.unique; the lattice has clusters and close endpoints in a row
+        if table == "lattice":
+            rng = np.random.default_rng(7)
+            step = DEGENERATE_TOL / 3.0
+            centers = rng.uniform(0.0, 1.0, 5)
+            angles = (centers[rng.integers(0, 5, (200, 2))]
+                      + step * rng.integers(-4, 5, (200, 2))) % 1.0
+        else:
+            _, _, angles = _class_table(bend(fuchsian_octagon(), 0.6),
+                                        int(table[-1]))
+        n = len(angles)
+        points = angles.T.ravel()
+        row = np.tile(np.arange(n), 2)
+        k, l = np.nonzero(circular_distance_turns(
+            points[:, None], points[None, :]) < DEGENERATE_TOL)
+        ranks, pairs, rows = rank_endpoints(angles)
+        assert np.array_equal(np.argsort(points, kind="stable"),
+                              np.argsort(ranks.T.ravel()))
+        assert np.array_equal(pairs,
+                              np.unique(np.stack([row[k], row[l]]), axis=1))
+        assert np.array_equal(rows, np.unique(row[k][(row[k] == row[l])
+                                                     & (k != l)]))
+        assert pairs.dtype == rows.dtype == np.int64
+
     def test_rank_endpoints_of_an_empty_table(self):
         ranks, pairs, rows = rank_endpoints(np.zeros((0, 2)))
         assert (ranks.shape, pairs.shape, rows.shape) \

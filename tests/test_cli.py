@@ -800,20 +800,34 @@ class TestLimitsetCommand:
 
 
 class TestImports:
-    def test_pair_scans_do_not_import_numpy_ma(self, tmp_path):
-        # np.unique goes through numpy.ma; the pair scans' endpoint
-        # ranking deduplicates by sorting.  A fresh interpreter, since
-        # this one may already hold numpy.ma
-        script = (
-            "import sys\n"
-            "from qfcert.cli import main\n"
-            "out = ['--outdir', sys.argv[1]]\n"
-            "assert main([*out, '--maxlen', '3', 'certify']) in (0, 1)\n"
-            "assert main([*out, 'triangle-check']) == 0\n"
-            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    """np.unique goes through numpy.ma; the endpoint ranking deduplicates
+    by sorting.  Each check runs commands in a fresh interpreter, since
+    this one may already hold numpy.ma."""
+
+    @staticmethod
+    def _run_fresh(tmp_path, *calls):
+        script = "\n".join([
+            "import sys",
+            "from qfcert.cli import main",
+            "out = ['--outdir', sys.argv[1]]",
+            *calls,
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'"])
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         env.pop("QFCERT_OUTDIR", None)
         done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                               env=env, capture_output=True, text=True,
                               timeout=300)
         assert done.returncode == 0, done.stderr
+
+    def test_pair_scans_do_not_import_numpy_ma(self, tmp_path):
+        self._run_fresh(
+            tmp_path,
+            "assert main([*out, '--maxlen', '3', 'certify']) in (0, 1)",
+            "assert main([*out, 'triangle-check']) == 0")
+
+    def test_witness_does_not_import_numpy_ma(self, tmp_path):
+        self._run_fresh(
+            tmp_path,
+            "assert main([*out, '--maxlen', '5', 'witness']) == 0",
+            "assert main([*out, 'witness', '--input',"
+            " sys.argv[1] + '/witness.json']) == 0")

@@ -477,6 +477,15 @@ class TestClassTable:
         assert np.array_equal(rows[0], rows[1])
         assert np.array_equal(rows[0], rows[2])
 
+    def test_short_words_keep_every_rotation_class(self, bent_rep):
+        # a swap needs at least 4 letters, so nothing merges to length 3
+        rows, mats = wa.conjugacy_classes(
+            3, bent_rep.generator_matrix_array())
+        assert [wa.ranks_to_letters(row) for row in rows] == [
+            w.letters for w in enumerate_words(GroupPresentation(), 3,
+                                               mode="conjugacy")]
+        assert len(mats) == len(rows)
+
     def test_relator_length_is_refused(self, bent_rep):
         with pytest.raises(ValueError, match="maxlen < 8"):
             wa.conjugacy_classes(8, bent_rep.generator_matrix_array())

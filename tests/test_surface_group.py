@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,15 @@ class TestTextForm:
                      "B\uff11", "b+1", "A-1"]:
             with pytest.raises(WordError, match="bad letter token"):
                 pres.from_text(text)
+
+    @pytest.mark.parametrize("tok", ["a01", "a\u0662", "B\uff11"],
+                             ids=["leading-zero", "arabic-indic-digit",
+                                  "fullwidth-digit"])
+    def test_lookalike_token_is_named(self, pres, tok):
+        # each of these parses to a name under int(); the refusal quotes
+        # the token as written
+        with pytest.raises(WordError, match=re.escape(repr(tok))):
+            pres.from_text("a1 %s b2" % tok)
 
     def test_alphabet_round_trip(self, pres):
         # rank -> letter -> name -> from_text -> rank, for every rank
@@ -302,7 +312,7 @@ class TestEnumerationParity:
 
 class TestJoinRows:
     """wa.join_rows against free_reduce_letters on every pair of reduced
-    words up to length 3."""
+    words up to length 2 and up to length 3."""
 
     @staticmethod
     def _padded_words(maxlen):
@@ -311,8 +321,8 @@ class TestJoinRows:
                    constant_values=-1)
             for level in reduced_word_levels(maxlen)])
 
-    def test_matches_free_reduction(self):
-        maxlen = 3
+    @pytest.mark.parametrize("maxlen", [2, 3])
+    def test_matches_free_reduction(self, maxlen):
         words = self._padded_words(maxlen)
         letters = [wa.ranks_to_letters(row) for row in words]
         ii, jj = np.divmod(np.arange(words.shape[0] ** 2), words.shape[0])
