@@ -49,15 +49,17 @@ def ranks_to_letters(ranks: np.ndarray) -> tuple[int, ...]:
     return tuple(LETTERS[r] for r in ranks.tolist() if r >= 0)
 
 
-def child_ranks(last: np.ndarray) -> np.ndarray:
-    """Last ranks of the children of words ending in the ranks `last`.
+# CHILDREN[r]: the 7 ranks that may follow rank r in a freely reduced
+# word, every rank except r's inverse, in rank order
+CHILDREN = np.array([[s for s in range(len(NAMES)) if s != INVERSE[r]]
+                     for r in range(len(NAMES))], dtype=np.int8)
+CHILDREN.flags.writeable = False
 
-    Each word has 7 children, every rank except the inverse of its last
-    one, in rank order; the result lists them word by word.
-    """
-    ranks = np.arange(len(NAMES), dtype=np.int8)
-    keep = ranks != INVERSE[last][:, None]
-    return np.broadcast_to(ranks, keep.shape)[keep]
+
+def child_ranks(last: np.ndarray) -> np.ndarray:
+    """Last ranks of the children of words ending in the ranks `last`,
+    word by word (``CHILDREN``)."""
+    return CHILDREN[last].ravel()
 
 
 def join_rows(left: np.ndarray, right: np.ndarray,
@@ -182,14 +184,14 @@ def extend_products(parents: np.ndarray, last: np.ndarray,
                     gen_mats: np.ndarray) -> np.ndarray:
     """Products of the children of the words whose products are `parents`.
 
-    last holds the last ranks of the 4g - 1 children of each parent, in
-    parent order (``child_ranks``).  Each parent is broadcast against its
-    children's generators.  The result equals compose_matrices of the
-    full child rows bit for bit.
+    last holds the last ranks of the 7 children of each parent, in
+    parent order (``CHILDREN``), flat or one row per parent.  Each parent
+    is broadcast against its children's generators.  The result equals
+    compose_matrices of the full child rows bit for bit.
     """
     fan = gen_mats.shape[0] - 1
-    return _times(parents[:, None], gen_mats[last.reshape(-1, fan)]) \
-        .reshape(-1, 2, 2)
+    gathered = np.take(gen_mats, last.reshape(-1, fan), axis=0)
+    return _times(parents[:, None], gathered).reshape(-1, 2, 2)
 
 
 def _relator_swaps() -> dict[tuple, list[tuple]]:
@@ -332,6 +334,12 @@ def free_acceptor() -> np.ndarray:
 _WALK_CHUNK = 1024
 
 
+def _arrays(n: int, width: int, gens: tuple[np.ndarray, ...]):
+    """Empty rank rows, states and products for n words of width letters."""
+    return (np.empty((n, width), dtype=np.int8), np.empty(n, dtype=np.int8),
+            *(np.empty((n, 2, 2), dtype=g.dtype) for g in gens))
+
+
 def normal_forms(gens: tuple[np.ndarray, ...], maxlen: int, accept=None,
                  keep=None):
     """Words of 1 to maxlen letters that the table accept takes, the genus-2
@@ -342,48 +350,59 @@ def normal_forms(gens: tuple[np.ndarray, ...], maxlen: int, accept=None,
     one length, and one (n, 2, 2) product array per generator array in
     gens, each row's built from its parent's, so equal to
     compose_matrices bit for bit.  keep(products), when given, is called
-    before each chunk is yielded and picks the rows that the next length
-    extends.  Each length below maxlen stores its picked rows in arrays
-    allocated once, sized by their parents' live children; the last
-    length is not stored.
+    on the products of each chunk's accepted children, in shortlex order,
+    before any row is built: it picks the rows that are yielded and
+    extended, and a chunk that it empties is not yielded.  Each length
+    below maxlen writes its picked rows straight into arrays allocated
+    once, sized by their parents' live children, and yields views of
+    them; the last length is not stored.
     """
     accept = shortlex_acceptor() if accept is None else accept
     live = (accept != DEAD).sum(axis=1)
-    # the empty word, in state START, is the parent of the first chunk
+    # the first length's one parent is the empty word, in state START:
+    # its children are the letters and their products the generators
     state = np.array([START])
-    chunks = [(np.arange(accept.shape[1], dtype=np.int8)[:, None],
-               accept[START], gens)]
+    chunks = [(np.empty((1, 0), dtype=np.int8),
+               np.arange(accept.shape[1], dtype=np.int8)[None],
+               accept[START][None], gens)]
     for width in range(1, maxlen + 1):
         size = int(live[state].sum()) if width < maxlen else 0
-        store = (np.empty((size, width), dtype=np.int8),
-                 np.empty(size, dtype=np.int8),
-                 *(np.empty((size, 2, 2), dtype=g.dtype) for g in gens))
+        store = _arrays(size, width, gens)
         end = 0
-        for rows, kid_state, mats in chunks:
-            pick = keep(mats) if keep else np.ones(len(rows), dtype=bool)
-            yield rows, mats
-            if size:
-                stop = end + int(np.count_nonzero(pick))
-                for a, b in zip(store, (rows, kid_state, *mats)):
-                    np.compress(pick, b, axis=0, out=a[end:stop])
-                end = stop
+        for parents, kids, kid_state, products in chunks:
+            # the picked children, as indices among all of the chunk's
+            # children (take) and among the rows of products (pick)
+            take = np.flatnonzero(kid_state != DEAD)
+            pick = take
+            if keep is not None:
+                products = tuple(np.take(p, take, axis=0) for p in products)
+                pick = np.flatnonzero(keep(products))
+                take = take[pick]
+            stop = end + len(take)
+            rows, kid_out, *mats = (a[end:stop] for a in store) if size \
+                else _arrays(len(take), width, gens)
+            rows[:, :-1] = np.take(parents, take // kids.shape[1], axis=0)
+            np.take(kids, take, out=rows[:, -1])
+            np.take(kid_state, take, out=kid_out)
+            for p, m in zip(products, mats):
+                np.take(p, pick, axis=0, out=m)
+            if len(take):
+                yield rows, tuple(mats)
+            end = stop
         rows, state, *mats = (a[:end] for a in store)
         chunks = _children(rows, state, mats, gens, accept)
 
 
 def _children(rows: np.ndarray, state: np.ndarray, mats: list[np.ndarray],
               gens: tuple[np.ndarray, ...], accept: np.ndarray):
-    """Chunks (rows, states, products) of the live children of rows."""
-    fan = accept.shape[1] - 1
+    """Chunks (parent rows, child ranks, child states, child products) of
+    every child of rows, dead ones included: the ranks and states are
+    (n, 7), the products (7 n, 2, 2)."""
     for lo in range(0, len(rows), _WALK_CHUNK):
         hi = lo + _WALK_CHUNK
-        kids = child_ranks(rows[lo:hi, -1])
-        kid_state = accept[np.repeat(state[lo:hi], fan), kids]
-        ok = kid_state != DEAD
-        parent = lo + np.flatnonzero(ok) // fan
-        # all children's products, then the live ones: faster than a gather
-        yield (np.column_stack([rows[parent], kids[ok]]), kid_state[ok],
-               tuple(extend_products(m[lo:hi], kids, g)[ok]
+        kids = np.take(CHILDREN, rows[lo:hi, -1], axis=0)
+        yield (rows[lo:hi], kids, accept[state[lo:hi, None], kids],
+               tuple(extend_products(m[lo:hi], kids, g)
                      for m, g in zip(mats, gens)))
 
 

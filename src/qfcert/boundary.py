@@ -1090,6 +1090,25 @@ def sample_to_csv(sample: LimitSetSample) -> str:
     return "\n".join(["word,angle_ref,re,im", *lines]) + "\n"
 
 
+def _percentiles(x: np.ndarray, qs: tuple[int, ...]) -> list[float]:
+    """np.percentile(x, qs) bit for bit, from a sort: np.percentile
+    imports numpy.ma.
+
+    Its linear method reads the q-th percentile at the virtual index
+    v = (n - 1) q / 100, between x[floor(v)] and the next element, and
+    interpolates from the nearer one, as NumPy's ``_lerp`` does; from
+    the last element on, it reads x[-1] at index -1, with weight v + 1."""
+    x = np.sort(x)
+    out = []
+    for q in qs:
+        v = (len(x) - 1) * (q / 100)
+        i, j = (math.floor(v), math.floor(v) + 1) if v < len(x) - 1 \
+            else (-1, -1)
+        a, b, t = float(x[i]), float(x[j]), v - i
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
+
+
 def sample_to_svg(sample: LimitSetSample, size: int = 800) -> str:
     """SVG scatter of the sampled limit set (finite points only)."""
     zs = sample.image_complex()
@@ -1098,8 +1117,8 @@ def sample_to_svg(sample: LimitSetSample, size: int = 800) -> str:
     if pts.size == 0:
         raise BoundaryError("no finite points to draw")
     # robust window: the central percentile box, padded
-    re_lo, re_hi = np.percentile(pts.real, [2, 98])
-    im_lo, im_hi = np.percentile(pts.imag, [2, 98])
+    re_lo, re_hi = _percentiles(pts.real, (2, 98))
+    im_lo, im_hi = _percentiles(pts.imag, (2, 98))
     span = max(re_hi - re_lo, im_hi - im_lo, 1e-9)
     cx = (re_lo + re_hi) / 2.0
     cy = (im_lo + im_hi) / 2.0

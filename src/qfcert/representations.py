@@ -360,11 +360,25 @@ class GrowthEstimate:
 
 def _orbit_distances_of(mats: np.ndarray, y: Point3) -> np.ndarray:
     """Distances d(m.y, y) for a batch of matrices; m and -m give the
-    same bits."""
+    same bits.
+
+    Real matrices at a basepoint with real z take a float64 branch whose
+    every operation is the real part of the complex one, so it gives the
+    same bits: the imaginary parts there are zeros, and NumPy divides a
+    complex by a real as a multiply by the reciprocal (Smith's method).
+    """
     a = mats[:, 0, 0]
     b = mats[:, 0, 1]
     c = mats[:, 1, 0]
     d = mats[:, 1, 1]
+    if not np.iscomplexobj(mats) and y.z.imag == 0.0:
+        x0, t0 = y.z.real, y.t
+        q = c * x0 + d
+        den = q * q + (np.abs(c) * t0) ** 2
+        zr = ((a * x0 + b) * q + a * c * t0 * t0) * (1.0 / den)
+        t = t0 / den
+        cosh_d = 1.0 + ((zr - x0) ** 2 + (t - t0) ** 2) / (2.0 * t * t0)
+        return np.arccosh(np.maximum(1.0, cosh_d))
     czd = c * y.z + d
     den = np.abs(czd) ** 2 + (np.abs(c) * y.t) ** 2
     z = ((a * y.z + b) * np.conj(czd) + a * np.conj(c) * y.t * y.t) / den
@@ -384,12 +398,16 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
     lies within the radius: elements near the radius may be missed, and
     ``GROWTH_MARGIN`` bounds how far inside it that can happen.  A
     representation whose generator entries all have zero imaginary part
-    composes in float64, with the same distances bit for bit.
+    composes in float64, and at a basepoint with real z its distances
+    take the float64 branch of ``_orbit_distances_of``: the distances
+    are the same bit for bit.  Without a length cap, keeping a 64-letter
+    element raises: it has a live child, which would need 65 letters.
     """
     if prune_radius is None and max_word_length is None:
         raise RepresentationError("unbounded enumeration: set a prune radius or length cap")
     gens = wa.exact_real(rep.generator_matrix_array())
     radius = math.inf if prune_radius is None else prune_radius
+    cap = 65 if max_word_length is None else max_word_length
     dists: list[np.ndarray] = [np.zeros(1)]
 
     def near(products: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -398,9 +416,9 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
         dists.append(dist[inside])
         return inside
 
-    for words, _ in wa.normal_forms((gens,), 65 if max_word_length is None
-                                    else max_word_length, keep=near):
-        if words.shape[1] > 64:
+    for words, _ in wa.normal_forms((gens,), min(cap, 64), keep=near):
+        # every accepted word has an accepted child, one letter longer
+        if words.shape[1] == 64 < cap:
             raise RepresentationError("orbit enumeration failed to terminate")
     # sorted in place: np.sort would hold a second copy of every distance
     out = np.concatenate(dists)

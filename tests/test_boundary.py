@@ -1311,6 +1311,28 @@ class TestExports:
             "A1,0.5,inf,inf",
             ""]
 
+    def test_percentiles_match_numpy(self):
+        # the SVG window's 2 / 98 % quantiles, bit for bit, on arrays of
+        # 1 to 1000 points, with ties and a wide spread; 0.0 and -0.0
+        # compare equal, so which one a sort or a partition puts at an
+        # index is open, and mixed zeros match as values
+        rng = np.random.default_rng(28)
+        sizes = [1, 2, 3, 49, 50, 51, 52, 101, 999, 1000] \
+            + rng.integers(1, 1001, 40).tolist()
+        for n in sizes:
+            for x in (rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n),
+                      rng.integers(-3, 4, n).astype(float),
+                      np.round(rng.normal(size=n), 1) + 0.0,
+                      np.where(rng.random(n) < 0.5, -0.0, 0.0)):
+                got = np.array(boundary._percentiles(x, (2, 98)))
+                want = np.percentile(x, [2, 98])
+                assert np.array_equal(got, want), (n, x)
+                zeros = np.signbit(x[x == 0.0])
+                if zeros.any() and not zeros.all():
+                    continue
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64)), (n, x)
+
     def test_svg_renders_points(self, bent_rep):
         sample = limit_set_sample(bent_rep, 3)
         svg = sample_to_svg(sample, size=400)

@@ -800,8 +800,9 @@ class TestLimitsetCommand:
 
 
 class TestImports:
-    """np.unique goes through numpy.ma; the endpoint ranking deduplicates
-    by sorting.  Each check runs commands in a fresh interpreter, since
+    """np.unique and np.percentile go through numpy.ma; the endpoint
+    ranking deduplicates and the SVG window takes its quantiles by
+    sorting.  Each check runs commands in a fresh interpreter, since
     this one may already hold numpy.ma."""
 
     @staticmethod
@@ -824,6 +825,16 @@ class TestImports:
             tmp_path,
             "assert main([*out, '--maxlen', '3', 'certify']) in (0, 1)",
             "assert main([*out, 'triangle-check']) == 0")
+
+    def test_limitset_does_not_import_numpy_ma(self, tmp_path):
+        # the SVG window's quantiles come from a sort, not np.percentile
+        self._run_fresh(
+            tmp_path,
+            "assert main([*out, '--maxlen', '4', 'limitset']) == 0")
+
+    def test_growth_does_not_import_numpy_ma(self, tmp_path):
+        self._run_fresh(
+            tmp_path, "assert main([*out, '--rmax', '6', 'growth']) == 0")
 
     def test_witness_does_not_import_numpy_ma(self, tmp_path):
         self._run_fresh(

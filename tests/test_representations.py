@@ -816,10 +816,41 @@ class TestPrefixProducts:
                 assert _same_bits(got, wa.compose_matrices(rows, g))
 
 
+def _unpruned_walk(gens, maxlen, accept):
+    """The normal-form walk without keep, as it was when every chunk
+    gathered each live child's row and product before storing it."""
+    fan = accept.shape[1] - 1
+    chunks = [(np.arange(accept.shape[1], dtype=np.int8)[:, None],
+               accept[wa.START], gens)]
+    for width in range(1, maxlen + 1):
+        store = [[], [], [[] for _ in gens]]
+        for rows, kid_state, mats in chunks:
+            yield rows, mats
+            store[0].append(rows)
+            store[1].append(kid_state)
+            for kept, m in zip(store[2], mats):
+                kept.append(m)
+        if width == maxlen:
+            return
+        rows, state = np.concatenate(store[0]), np.concatenate(store[1])
+        mats = [np.concatenate(m) for m in store[2]]
+        chunks = []
+        for lo in range(0, len(rows), wa._WALK_CHUNK):
+            hi = lo + wa._WALK_CHUNK
+            kids = wa.child_ranks(rows[lo:hi, -1])
+            kid_state = accept[np.repeat(state[lo:hi], fan), kids]
+            ok = kid_state != wa.DEAD
+            parent = lo + np.flatnonzero(ok) // fan
+            chunks.append((np.column_stack([rows[parent], kids[ok]]),
+                           kid_state[ok],
+                           tuple(wa.extend_products(m[lo:hi], kids, g)[ok]
+                                 for m, g in zip(mats, gens))))
+
+
 class TestNormalFormWalk:
     """wa.normal_forms yields the genus-2 normal forms, or over
     wa.free_acceptor the freely reduced words, in shortlex order, and
-    extends only the rows that keep picks."""
+    yields and extends only the rows that keep picks."""
 
     def test_rows_come_in_shortlex_order(self, base_rep):
         gens = (base_rep.generator_matrix_array(),)
@@ -840,20 +871,54 @@ class TestNormalFormWalk:
         def near(products):
             return representations._orbit_distances_of(products[0], y) <= 6.0
 
-        walked = [(rows, near(products)) for rows, products
-                  in wa.normal_forms(gens, 5, keep=near)]
-        kept = {tuple(r) for rows, inside in walked
-                for r in rows[inside].tolist()}
-        dropped = {tuple(r) for rows, inside in walked
-                   for r in rows[~inside].tolist()}
-        assert kept and dropped
-        # the walk yields, once each, exactly the normal forms whose
-        # proper prefixes were all kept
-        want = {r for level in reduced_word_levels(5)
-                for r in map(tuple, level.tolist())
-                if _accepts(r) and all(r[:k] in kept for k in range(1, len(r)))}
-        assert kept | dropped == want
-        assert sum(len(rows) for rows, _ in walked) == len(want)
+        seen = []
+
+        def spy(products):
+            seen.append(products[0].copy())
+            return near(products)
+
+        walked = [(rows.copy(), products[0].copy()) for rows, products
+                  in wa.normal_forms(gens, 5, keep=spy)]
+        # level by level: the normal forms whose proper prefixes were all
+        # kept, in shortlex order, and the ones among them that near keeps
+        kept, offered, picked = set(), [], []
+        for level in reduced_word_levels(5):
+            rows = level[[_accepts(r) and all(r[:k] in kept
+                                              for k in range(1, len(r)))
+                          for r in map(tuple, level.tolist())]]
+            mats = wa.compose_matrices(rows, gens[0])
+            inside = near((mats,))
+            kept.update(map(tuple, rows[inside].tolist()))
+            offered.append(mats)
+            picked.append((rows[inside], mats[inside]))
+        assert 0 < len(kept) < sum(map(len, offered))
+        # keep sees exactly the offered products, each once, in order
+        assert _same_bits(np.concatenate(seen), np.concatenate(offered))
+        # the walk yields exactly the normal forms of which every prefix,
+        # the form itself included, was kept, each once
+        assert [tuple(r) for rows, _ in walked for r in rows.tolist()] \
+            == [tuple(r) for rows, _ in picked for r in rows.tolist()]
+        assert _same_bits(np.concatenate([m for _, m in walked]),
+                          np.concatenate([m for _, m in picked]))
+
+    # 100-parent chunks split every length past the third
+    @pytest.mark.parametrize("chunk", [None, 100])
+    @pytest.mark.parametrize("free", [False, True], ids=["shortlex", "free"])
+    def test_walk_without_keep_yields_the_unpruned_chunks(
+            self, base_rep, bent_rep, chunk, free, monkeypatch):
+        # the same chunks, rows and products bit for bit, as the walk
+        # that built every live child's row before keep could prune
+        if chunk is not None:
+            monkeypatch.setattr(wa, "_WALK_CHUNK", chunk)
+        gens = (wa.exact_real(base_rep.generator_matrix_array()),
+                bent_rep.generator_matrix_array())
+        accept = wa.free_acceptor() if free else wa.shortlex_acceptor()
+        got = list(wa.normal_forms(gens, 5, accept))
+        want = list(_unpruned_walk(gens, 5, accept))
+        assert len(got) == len(want) > 5
+        for (rows, mats), (want_rows, want_mats) in zip(got, want):
+            assert _same_bits(rows, want_rows)
+            assert all(map(_same_bits, mats, want_mats))
 
     def test_free_acceptor_walks_the_reduced_words(self):
         rng = np.random.default_rng(31)
@@ -923,6 +988,30 @@ class TestOrbitEnumeration:
     def test_requires_some_bound(self, base_rep):
         with pytest.raises(RepresentationError):
             orbit_point_distances(base_rep)
+
+    def test_stops_where_a_65_letter_word_would_be_walked(self, base_rep,
+                                                           monkeypatch):
+        # an acceptor of the powers of each letter: every word has one
+        # live child, so a search that keeps a 64-letter word cannot end
+        powers = np.full((10, 8), wa.DEAD, dtype=np.int8)
+        ranks = np.arange(8)
+        powers[wa.START, ranks] = powers[2 + ranks, ranks] = 2 + ranks
+        monkeypatch.setattr(wa, "shortlex_acceptor", lambda: powers)
+        capped = orbit_point_distances(base_rep, max_word_length=64)
+        assert capped.size == 1 + 64 * 8
+        for kwargs in ({"prune_radius": math.inf}, {"max_word_length": 65},
+                       {"prune_radius": capped.max()}):
+            with pytest.raises(RepresentationError,
+                               match="failed to terminate"):
+                orbit_point_distances(base_rep, **kwargs)
+        # a radius just short of every 64-letter power ends the walk there
+        longest = np.setdiff1d(
+            capped, orbit_point_distances(base_rep, max_word_length=63))
+        radius = np.nextafter(longest.min(), 0.0)
+        assert np.array_equal(
+            orbit_point_distances(base_rep, prune_radius=radius),
+            orbit_point_distances(base_rep, prune_radius=radius,
+                                  max_word_length=64))
 
     def test_pruning_sound_and_complete_within_margin(self, base_rep):
         # pruning at R drops the elements whose normal form has a prefix
@@ -1183,6 +1272,49 @@ class TestKernelBits:
             assert np.array_equal(
                 _bits(representations._orbit_distances_of(-mats, y)),
                 _bits(got))
+
+
+    @pytest.fixture(scope="class")
+    def walk14(self, base_rep):
+        """Every product that the prune-radius-14 orbit search measures."""
+        gens = (wa.exact_real(base_rep.generator_matrix_array()),)
+        seen = []
+
+        def near(products):
+            seen.append(products[0])
+            return representations._orbit_distances_of(
+                products[0], base_rep.basepoint) <= 14.0
+
+        for _ in wa.normal_forms(gens, 64, keep=near):
+            pass
+        return np.concatenate(seen)
+
+    def test_float_branch_equals_the_complex_path(self, walk14):
+        # real products at a basepoint with real z: the float64 branch
+        # gives the complex path's distances bit for bit
+        assert walk14.dtype == np.float64 and len(walk14) > 10 ** 6
+        rng = np.random.default_rng(28)
+        points = [BASEPOINT, Point3(0.5, 2.0), Point3(-3.25, 0.125)] + [
+            Point3(rng.normal() * 4.0, 2.0 ** rng.uniform(-4, 4))
+            for _ in range(3)]
+        for y in points:
+            got = representations._orbit_distances_of(walk14, y)
+            want = representations._orbit_distances_of(
+                walk14.astype(complex), y)
+            assert got.dtype == np.float64
+            assert np.array_equal(_bits(got), _bits(want)), y
+
+    def test_off_axis_basepoint_takes_the_complex_path(self, walk14):
+        # real products at (0.5 + 0.25i, 2): the complex path's distances,
+        # not those of the real-axis point (0.5, 2) that dropping z's
+        # imaginary part would give
+        mats = walk14[:20000]
+        y = Point3(0.5 + 0.25j, 2.0)
+        got = representations._orbit_distances_of(mats, y)
+        assert np.array_equal(_bits(got), _bits(
+            representations._orbit_distances_of(mats.astype(complex), y)))
+        assert not np.allclose(got, representations._orbit_distances_of(
+            mats, Point3(0.5, 2.0)))
 
 
 class TestGrowth:
