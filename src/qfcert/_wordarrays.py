@@ -56,12 +56,6 @@ CHILDREN = np.array([[s for s in range(len(NAMES)) if s != INVERSE[r]]
 CHILDREN.flags.writeable = False
 
 
-def child_ranks(last: np.ndarray) -> np.ndarray:
-    """Last ranks of the children of words ending in the ranks `last`,
-    word by word (``CHILDREN``)."""
-    return CHILDREN[last].ravel()
-
-
 def join_rows(left: np.ndarray, right: np.ndarray,
               invert: np.ndarray) -> np.ndarray:
     """Freely reduced rank rows of left[i] * right[i], or of

@@ -38,6 +38,7 @@ from . import _wordarrays as wa
 from .moebius import (
     BoundaryPoint,
     Geodesic3,
+    InvariantError,
     IsometryKind,
     LoxodromicData,
     MoebiusMap,
@@ -66,7 +67,7 @@ MIN_THETA = 1e-4
 _REFERENCE: Representation | None = None
 
 
-class BoundaryError(ValueError):
+class BoundaryError(InvariantError):
     """Raised for invalid boundary-combinatorics requests."""
 
 

@@ -46,6 +46,7 @@ from .boundary import (
     verify_witness_orders,
     witness_image_points,
 )
+from .moebius import InvariantError
 from .representations import (
     LengthSpectrum,
     Representation,
@@ -62,7 +63,7 @@ MIN_CERTIFICATE_MARGIN = 1e-6
 _PAIR_BLOCK = 1 << 18
 
 
-class CertificateError(ValueError):
+class CertificateError(InvariantError):
     """Raised for violated inequalities or failed certificate searches."""
 
     def __init__(self, message: str, best_ratio: float | None = None,

@@ -33,27 +33,9 @@ import os
 import sys
 from pathlib import Path
 
-from .boundary import (
-    PAIR_CONFIGS,
-    BoundaryError,
-    find_spiral_witness,
-    limit_set_sample,
-    sample_to_csv,
-    sample_to_svg,
-    verify_witness_orders,
-    witness_from_dict,
-    witness_to_dict,
-)
-from .certificates import (
-    CertificateError,
-    certificate_from_dict,
-    certificate_problems,
-    certificate_to_dict,
-    diagnostic_delta,
-    find_separation_certificate,
-    triangle_harness,
-)
-from .moebius import MoebiusError
+# boundary and certificates are imported by the handlers that use them,
+# so growth, spectrum, ref-rep and bend never load either
+from .moebius import InvariantError
 from .representations import (
     BEND_ANGLE_ENVELOPE,
     GROWTH_MARGIN,
@@ -307,6 +289,9 @@ def cmd_growth(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_triangle_check(cfg: RunConfig, out: Path, args) -> int:
+    from .boundary import PAIR_CONFIGS
+    from .certificates import triangle_harness
+
     maxlen = _preflight(cfg, "triangle-check")
     rep = fuchsian_octagon()
     records = triangle_harness(rep, maxlen)
@@ -329,6 +314,11 @@ def cmd_triangle_check(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_witness(cfg: RunConfig, out: Path, args) -> int:
+    from .boundary import (find_spiral_witness, verify_witness_orders,
+                           witness_from_dict, witness_to_dict)
+    from .certificates import (CertificateError, diagnostic_delta,
+                               find_separation_certificate)
+
     rep = _bent_rep(cfg)
     if args.input is not None:
         # a malformed payload raises BoundaryError, a ValueError
@@ -368,6 +358,10 @@ def _report_scan(scan) -> None:
 
 
 def cmd_certify(cfg: RunConfig, out: Path, args) -> int:
+    from .certificates import (CertificateError, certificate_from_dict,
+                               certificate_problems, certificate_to_dict,
+                               find_separation_certificate)
+
     rep = _bent_rep(cfg)
     if args.input is not None:
         # a malformed payload raises CertificateError, a ValueError
@@ -413,6 +407,8 @@ LIMITSET_EMIT_CAP = 50_000
 
 def cmd_limitset(cfg: RunConfig, out: Path, args) -> int:
     import numpy as np
+
+    from .boundary import limit_set_sample, sample_to_csv, sample_to_svg
 
     maxlen = _preflight(cfg, "limitset")
     rep = _bent_rep(cfg)
@@ -480,8 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (CertificateError, BoundaryError, RepresentationError,
-            MoebiusError) as exc:
+    except InvariantError as exc:
         print("invariant falsified or computation failed: %s" % exc,
               file=sys.stderr)
         return 1

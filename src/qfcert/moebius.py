@@ -34,7 +34,12 @@ IDENTITY_TOL = 1e-9
 ENDPOINT_TOL = 1e-10
 
 
-class MoebiusError(ValueError):
+class InvariantError(ValueError):
+    """Base of the errors a computation raises when a mathematical
+    invariant fails or a search finds nothing; the CLI maps it to exit 1."""
+
+
+class MoebiusError(InvariantError):
     """Raised for singular matrices or degenerate geometric input."""
 
 

@@ -31,7 +31,6 @@ plane and acquire complex traces.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from . import _wordarrays as wa
 from .moebius import (
     BASEPOINT,
     Geodesic3,
+    InvariantError,
     IsometryKind,
     MoebiusError,
     MoebiusMap,
@@ -83,7 +83,7 @@ _GENERATOR_ASSIGNMENT: dict[int, tuple[int, ...]] = {
 }
 
 
-class RepresentationError(ValueError):
+class RepresentationError(InvariantError):
     """Raised for invalid representations or failed searches."""
 
 
@@ -498,6 +498,8 @@ def representation_json(rep: Representation) -> str:
 
 
 def representation_hash(rep: Representation) -> str:
+    import hashlib
+
     blob = json.dumps(representation_to_dict(rep), sort_keys=True,
                       separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -20,7 +20,9 @@ from qfcert.certificates import (
     certificate_to_dict,
     find_separation_certificate,
 )
-from qfcert.cli import main
+from qfcert.cli import ConfigError, main
+from qfcert.moebius import InvariantError, MoebiusError
+from qfcert.representations import RepresentationError
 
 SCHEMA = "qfcert/1"
 
@@ -226,14 +228,18 @@ class TestConfigHandling:
         assert cli._growth_ball_estimate(14.0) <= cli.GROWTH_BALL_BUDGET \
             < cli._growth_ball_estimate(16.0)
 
+    # each search is patched where its handler looks it up: cli for the
+    # representations names, the defining module for the names that a
+    # handler imports when it runs
     @pytest.mark.parametrize("command,searches,artifact", [
-        ("spectrum", ["compute_spectrum"], "spectrum.csv"),
-        ("certify", ["find_separation_certificate"],
+        ("spectrum", ["qfcert.cli.compute_spectrum"], "spectrum.csv"),
+        ("certify", ["qfcert.certificates.find_separation_certificate"],
          "separation_certificate.json"),
-        ("triangle-check", ["triangle_harness"], "triangle.csv"),
-        ("witness", ["find_complex_trace_element", "find_spiral_witness"],
-         "witness.json"),
-        ("limitset", ["limit_set_sample"], "limitset.csv"),
+        ("triangle-check", ["qfcert.certificates.triangle_harness"],
+         "triangle.csv"),
+        ("witness", ["qfcert.cli.find_complex_trace_element",
+                     "qfcert.boundary.find_spiral_witness"], "witness.json"),
+        ("limitset", ["qfcert.boundary.limit_set_sample"], "limitset.csv"),
     ])
     def test_maxlen_preflight_refuses_before_any_search(
             self, tmp_path, capsys, monkeypatch, command, searches,
@@ -242,8 +248,8 @@ class TestConfigHandling:
         # before any search starts
         def no_search(*args):
             raise AssertionError("search started")
-        for name in searches:
-            monkeypatch.setattr(cli, name, no_search)
+        for target in searches:
+            monkeypatch.setattr(target, no_search)
         code, out = run(tmp_path, "--maxlen", "40", command)
         assert code == 2
         err = capsys.readouterr().err
@@ -265,6 +271,47 @@ class TestConfigHandling:
         assert cli._word_estimate(1) == 8.0
         assert cli._word_estimate(3) == 8.0 + 56.0 + 392.0
         assert cli._word_estimate(10 ** 6) == float("inf")
+
+
+INVARIANT_ERRORS = [MoebiusError, RepresentationError, BoundaryError,
+                    CertificateError]
+
+
+class TestErrorMapping:
+    """main maps a ConfigError to exit 2 and an InvariantError to exit 1,
+    each with one stderr line; any other exception propagates."""
+
+    @staticmethod
+    def _raising(monkeypatch, exc):
+        def command(cfg, out, args):
+            raise exc
+        monkeypatch.setitem(cli._COMMANDS, "ref-rep", command)
+
+    @pytest.mark.parametrize("error", INVARIANT_ERRORS,
+                             ids=lambda error: error.__name__)
+    def test_error_class_is_an_invariant_error(self, error):
+        assert issubclass(error, InvariantError)
+
+    @pytest.mark.parametrize("error", INVARIANT_ERRORS,
+                             ids=lambda error: error.__name__)
+    def test_invariant_error_exits_one(self, tmp_path, capsys, monkeypatch,
+                                       error):
+        self._raising(monkeypatch, error("forced failure"))
+        code, _ = run(tmp_path, "ref-rep")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "invariant falsified or computation failed: forced failure\n")
+
+    def test_config_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        self._raising(monkeypatch, ConfigError("forced failure"))
+        code, _ = run(tmp_path, "ref-rep")
+        assert code == 2
+        assert capsys.readouterr().err == "config error: forced failure\n"
+
+    def test_plain_value_error_propagates(self, tmp_path, monkeypatch):
+        self._raising(monkeypatch, ValueError("not an invariant"))
+        with pytest.raises(ValueError, match="not an invariant"):
+            run(tmp_path, "ref-rep")
 
 
 class TestArtifacts:
@@ -538,7 +585,7 @@ class TestWitnessCommand:
                                                    monkeypatch, witness_run):
         # the search returns the fixture's witness; the check inside
         # diagnostic_delta, the gate before the write, fails
-        monkeypatch.setattr(cli, "find_spiral_witness",
+        monkeypatch.setattr(boundary, "find_spiral_witness",
                             lambda rep, gamma, maxlen: witness_run.witness)
         monkeypatch.setattr(certificates, "verify_witness_orders",
                             lambda witness, rep: False)
@@ -554,7 +601,7 @@ class TestWitnessCommand:
                                             monkeypatch):
         def no_delta(rep, witness):
             raise CertificateError("forced delta failure")
-        monkeypatch.setattr(cli, "diagnostic_delta", no_delta)
+        monkeypatch.setattr(certificates, "diagnostic_delta", no_delta)
         code, out = run(tmp_path, "--maxlen", "6", "--bend-angle", "0.5",
                         "witness")
         assert code == 1
@@ -792,7 +839,7 @@ class TestLimitsetCommand:
     def test_failed_svg_writes_no_csv(self, tmp_path, capsys, monkeypatch):
         def no_svg(sample):
             raise BoundaryError("forced svg failure")
-        monkeypatch.setattr(cli, "sample_to_svg", no_svg)
+        monkeypatch.setattr(boundary, "sample_to_svg", no_svg)
         code, out = run(tmp_path, "--maxlen", "3", "limitset")
         assert code == 1
         assert "forced svg failure" in capsys.readouterr().err
@@ -800,19 +847,24 @@ class TestLimitsetCommand:
 
 
 class TestImports:
-    """np.unique and np.percentile go through numpy.ma; the endpoint
-    ranking deduplicates and the SVG window takes its quantiles by
-    sorting.  Each check runs commands in a fresh interpreter, since
-    this one may already hold numpy.ma."""
+    """Each command loads only the modules it runs.  np.unique and
+    np.percentile go through numpy.ma; the endpoint ranking deduplicates
+    and the SVG window takes its quantiles by sorting.  boundary and
+    certificates are imported by the handlers that use them.  Each check
+    runs commands in a fresh interpreter, since this one has loaded every
+    module already."""
 
     @staticmethod
-    def _run_fresh(tmp_path, *calls):
+    def _run_fresh(tmp_path, unloaded, *calls):
+        """Run calls in a fresh interpreter, then assert that none of the
+        modules named in unloaded was imported."""
         script = "\n".join([
             "import sys",
             "from qfcert.cli import main",
             "out = ['--outdir', sys.argv[1]]",
             *calls,
-            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'"])
+            *("assert %r not in sys.modules, '%s was imported'"
+              % (name, name) for name in unloaded)])
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         env.pop("QFCERT_OUTDIR", None)
         done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
@@ -822,23 +874,51 @@ class TestImports:
 
     def test_pair_scans_do_not_import_numpy_ma(self, tmp_path):
         self._run_fresh(
-            tmp_path,
+            tmp_path, ["numpy.ma"],
             "assert main([*out, '--maxlen', '3', 'certify']) in (0, 1)",
             "assert main([*out, 'triangle-check']) == 0")
 
     def test_limitset_does_not_import_numpy_ma(self, tmp_path):
         # the SVG window's quantiles come from a sort, not np.percentile
         self._run_fresh(
-            tmp_path,
+            tmp_path, ["numpy.ma"],
             "assert main([*out, '--maxlen', '4', 'limitset']) == 0")
 
     def test_growth_does_not_import_numpy_ma(self, tmp_path):
         self._run_fresh(
-            tmp_path, "assert main([*out, '--rmax', '6', 'growth']) == 0")
+            tmp_path, ["numpy.ma"],
+            "assert main([*out, '--rmax', '6', 'growth']) == 0")
 
     def test_witness_does_not_import_numpy_ma(self, tmp_path):
         self._run_fresh(
-            tmp_path,
+            tmp_path, ["numpy.ma"],
             "assert main([*out, '--maxlen', '5', 'witness']) == 0",
             "assert main([*out, 'witness', '--input',"
             " sys.argv[1] + '/witness.json']) == 0")
+
+    @pytest.mark.parametrize("argv", [
+        ["--rmax", "6", "growth"],
+        ["spectrum"],
+        ["ref-rep"],
+        ["bend"],
+    ], ids=["growth", "spectrum", "ref-rep", "bend"])
+    def test_command_loads_neither_boundary_nor_certificates(self, tmp_path,
+                                                             argv):
+        self._run_fresh(
+            tmp_path, ["qfcert.boundary", "qfcert.certificates"],
+            "assert main([*out, *%r]) == 0" % (argv,))
+
+    def test_limitset_does_not_load_certificates(self, tmp_path):
+        self._run_fresh(
+            tmp_path, ["qfcert.certificates"],
+            "assert main([*out, '--maxlen', '4', 'limitset']) == 0",
+            "assert 'qfcert.boundary' in sys.modules")
+
+    def test_config_error_loads_neither_boundary_nor_certificates(
+            self, tmp_path):
+        # load_config refuses before any handler runs
+        self._run_fresh(
+            tmp_path, ["qfcert.boundary", "qfcert.certificates"],
+            "assert main([*out, '--rmax', '-1', 'certify']) == 2",
+            "assert main([*out, '--config', sys.argv[1] + '/missing.json',"
+            " 'witness']) == 2")

@@ -1,0 +1,102 @@
+"""The package namespace: every public name resolves on first access to
+its submodule's own object, and ``import qfcert`` loads no submodule."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qfcert
+
+# every name qfcert re-exported when it imported its submodules eagerly,
+# by submodule
+EXPORTED = {
+    "moebius": [
+        "BASEPOINT", "BoundaryPoint", "BusemannGap", "Geodesic3", "INF",
+        "IsometryClass", "IsometryKind", "LoxodromicData", "MoebiusError",
+        "MoebiusMap", "Point3", "busemann_gap", "classify", "dist_h3",
+        "dist_to_geodesic", "fixed_points", "geodesic_point",
+        "normalizer_to_axis", "point_near_geodesic", "translation_length",
+        "wrap_turns"],
+    "surface_group": [
+        "GroupPresentation", "Word", "WordError", "enumerate_words"],
+    "representations": [
+        "BEND_ANGLE_ENVELOPE", "OCTAGON_TRANSLATION_LENGTH",
+        "GrowthEstimate", "LengthSpectrum", "Representation",
+        "RepresentationError", "bend", "bending_curve_word",
+        "compute_spectrum", "conjugate_representation", "estimate_growth",
+        "evaluate", "find_complex_trace_element", "fuchsian_octagon",
+        "normalize_spectrum", "orbit_length_estimate",
+        "orbit_point_distances", "power_displacement",
+        "representation_hash", "representation_json",
+        "representation_to_dict", "stable_length"],
+    "boundary": [
+        "AXIS_CROSS_TOL", "BoundaryError", "BoundaryPointRef",
+        "DEGENERATE_TOL", "LimitSetSample", "MIN_THETA", "PairConfig",
+        "SpiralWitness", "classify_angle_pairs", "classify_pairs",
+        "classify_real_pairs", "disk_angle", "find_spiral_witness",
+        "fixed_angles", "limit_set_sample", "normalize_at",
+        "reference_representation", "sample_to_csv", "sample_to_svg",
+        "verify_witness_orders", "witness_from_dict", "witness_image_points",
+        "witness_to_dict"],
+    "certificates": [
+        "MIN_CERTIFICATE_MARGIN", "CertificateError", "DlipRatioBound",
+        "SeparationCertificate", "TriangleRecords", "certificate_from_dict",
+        "certificate_problems", "certificate_to_dict", "certify",
+        "diagnostic_delta", "find_separation_certificate",
+        "ratio_lower_bound", "triangle_harness"],
+}
+NAMES = sorted(name for names in EXPORTED.values() for name in names)
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTED))
+def test_names_resolve_to_the_submodule_objects(module):
+    home = importlib.import_module("qfcert." + module)
+    for name in EXPORTED[module]:
+        scope = {}
+        exec("from qfcert import %s as got" % name, scope)
+        assert scope["got"] is getattr(home, name), name
+
+
+def test_dir_and_all_list_the_names():
+    assert set(NAMES) <= set(qfcert.__all__)
+    assert set(qfcert.__all__) <= set(dir(qfcert))
+    assert "InvariantError" in qfcert.__all__
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qfcert.no_such_name
+    with pytest.raises(ImportError):
+        exec("from qfcert import no_such_name", {})
+
+
+def run_fresh(script):
+    """Run script in a fresh interpreter: this one has loaded every
+    submodule already."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qfcert.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_submodule_import_still_works():
+    # the package's __getattr__ refuses the name, so the import system
+    # imports the submodule
+    run_fresh("import sys\n"
+              "from qfcert import boundary\n"
+              "assert boundary is sys.modules['qfcert.boundary']\n")
+
+
+def test_import_loads_no_submodule():
+    run_fresh("import sys\n"
+              "import qfcert\n"
+              "loaded = [m for m in sys.modules if m.startswith('qfcert.')]\n"
+              "assert not loaded, loaded\n"
+              "assert 'Word' in dir(qfcert) and 'Word' in qfcert.__all__\n"
+              "assert not [m for m in sys.modules if m.startswith('qfcert.')]\n"
+              "qfcert.Word\n"
+              "assert 'qfcert.boundary' not in sys.modules\n")

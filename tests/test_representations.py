@@ -57,7 +57,12 @@ from qfcert.representations import (
 from qfcert.surface_group import GroupPresentation, Word, enumerate_words
 
 from geometry_reference import translation_lengths
-from word_reference import are_equal, is_identity, reduced_word_levels
+from word_reference import (
+    are_equal,
+    child_ranks,
+    is_identity,
+    reduced_word_levels,
+)
 
 # 2 * arccosh(1 + sqrt(2)), the displacement of a side-pairing
 # translation of the regular octagon with vertex angle pi/4
@@ -837,7 +842,7 @@ def _unpruned_walk(gens, maxlen, accept):
         chunks = []
         for lo in range(0, len(rows), wa._WALK_CHUNK):
             hi = lo + wa._WALK_CHUNK
-            kids = wa.child_ranks(rows[lo:hi, -1])
+            kids = child_ranks(rows[lo:hi, -1])
             kid_state = accept[np.repeat(state[lo:hi], fan), kids]
             ok = kid_state != wa.DEAD
             parent = lo + np.flatnonzero(ok) // fan
@@ -1036,7 +1041,7 @@ class TestOrbitEnumeration:
         dist = farthest = representations._orbit_distances_of(mats, y)
         worst = 0.0
         for _ in range(5):
-            kids = wa.child_ranks(last)
+            kids = child_ranks(last)
             kid_state = accept[np.repeat(state, 7), kids]
             keep = kid_state != wa.DEAD
             mats = wa.extend_products(mats, kids, gens)[keep]
@@ -1129,7 +1134,7 @@ def _float_dedup_reference(rep, prune_radius=None, max_word_length=None):
             if last is None:
                 kids, cand = np.arange(gens.shape[0], dtype=np.int8), gens
             else:
-                kids = wa.child_ranks(last[lo:lo + chunk])
+                kids = child_ranks(last[lo:lo + chunk])
                 cand = _einsum_times(
                     np.repeat(frontier[lo:lo + chunk], gens.shape[0] - 1,
                               axis=0), gens[kids])

@@ -17,8 +17,14 @@ terminates at the empty word exactly for identity words.
 
 import numpy as np
 
-from qfcert._wordarrays import child_ranks
+from qfcert._wordarrays import CHILDREN
 from qfcert.surface_group import GroupPresentation, Word, free_reduce_letters
+
+
+def child_ranks(last: np.ndarray) -> np.ndarray:
+    """Last ranks of the 7 children of each word ending in a rank of
+    `last`, word by word, flat."""
+    return np.take(CHILDREN, last, axis=0).ravel()
 
 
 def reduced_word_levels(maxlen: int) -> list[np.ndarray]:
