@@ -21,7 +21,8 @@ _EXPORTS = {
         "wrap_turns",
     ),
     "surface_group": (
-        "GroupPresentation", "Word", "WordError", "enumerate_words",
+        "Word", "WordError", "enumerate_words", "word_from_text",
+        "word_to_text",
     ),
     "representations": (
         "BEND_ANGLE_ENVELOPE", "OCTAGON_TRANSLATION_LENGTH", "GrowthEstimate",

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,7 +54,7 @@ from .representations import (
     evaluate,
     fuchsian_octagon,
 )
-from .surface_group import Word
+from .surface_group import Word, word_from_text, word_to_text
 
 # angular separations below this (in turns) make pair classification
 # meaningless
@@ -64,19 +65,15 @@ AXIS_CROSS_TOL = 1e-8
 # a net rotation smaller than this per step cannot be resolved by sampling
 MIN_THETA = 1e-4
 
-_REFERENCE: Representation | None = None
-
 
 class BoundaryError(InvariantError):
     """Raised for invalid boundary-combinatorics requests."""
 
 
+@functools.cache
 def reference_representation() -> Representation:
     """The plane representation that coordinatizes the group boundary."""
-    global _REFERENCE
-    if _REFERENCE is None:
-        _REFERENCE = fuchsian_octagon()
-    return _REFERENCE
+    return fuchsian_octagon()
 
 
 class PairConfig(enum.Enum):
@@ -283,8 +280,6 @@ class LimitSetSample:
     out, yielding inf for points at infinity.
     """
 
-    rep: Representation
-    maxlen: int
     ranks: np.ndarray        # (n, maxlen) int8, -1 padded
     angles: np.ndarray       # (n,) float64 reference angles in turns
     image_pairs: np.ndarray  # (n, 2) complex, projective attracting points
@@ -314,8 +309,7 @@ class LimitSetSample:
             raise BoundaryError("sample indices must be integers, got %s"
                                 % idx.dtype)
         idx = idx.astype(int, copy=False)
-        return LimitSetSample(rep=self.rep, maxlen=self.maxlen,
-                              ranks=self.ranks[idx], angles=self.angles[idx],
+        return LimitSetSample(ranks=self.ranks[idx], angles=self.angles[idx],
                               image_pairs=self.image_pairs[idx])
 
 
@@ -382,8 +376,7 @@ def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
         rows = first[lo:lo + _CHUNK]
         for a in out:
             a[lo:lo + rows.size] = a[rows]
-    return LimitSetSample(rep=rep, maxlen=maxlen, ranks=ranks[:first.size],
-                          angles=angles[:first.size],
+    return LimitSetSample(ranks=ranks[:first.size], angles=angles[:first.size],
                           image_pairs=pairs[:first.size])
 
 
@@ -1007,17 +1000,17 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
 
 
 def witness_to_dict(w: SpiralWitness) -> dict:
-    pres = reference_representation().presentation
     return {
         "schema": "qfcert/1",
         "type": "spiral_witness",
-        "gamma": pres.to_text(w.gamma),
+        "gamma": word_to_text(w.gamma),
         "Lambda": w.Lambda,
         "Theta": w.Theta,
         "indices_n": list(w.indices_n),
         "indices_m": list(w.indices_m),
-        "xi": [{"word": pres.to_text(p.word), "angle": p.angle} for p in w.xi],
-        "xi_star": {"word": pres.to_text(w.xi_star.word),
+        "xi": [{"word": word_to_text(p.word), "angle": p.angle}
+               for p in w.xi],
+        "xi_star": {"word": word_to_text(w.xi_star.word),
                     "angle": w.xi_star.angle},
         "radii": list(w.radii),
         "arglift": list(w.arglift),
@@ -1040,10 +1033,9 @@ def witness_from_dict(payload: object) -> SpiralWitness:
     if not isinstance(payload, dict) or payload.get("schema") != "qfcert/1" \
             or payload.get("type") != "spiral_witness":
         raise BoundaryError("not a spiral witness payload")
-    pres = reference_representation().presentation
 
     def point(d) -> BoundaryPointRef:
-        return BoundaryPointRef(pres.from_text(str(d["word"])),
+        return BoundaryPointRef(word_from_text(str(d["word"])),
                                 json_float(d["angle"]))
 
     def indices(key: str) -> tuple[int, ...]:
@@ -1055,7 +1047,7 @@ def witness_from_dict(payload: object) -> SpiralWitness:
 
     try:
         w = SpiralWitness(
-            gamma=pres.from_text(str(payload["gamma"])),
+            gamma=word_from_text(str(payload["gamma"])),
             Lambda=json_float(payload["Lambda"]),
             Theta=json_float(payload["Theta"]),
             indices_n=indices("indices_n"),

@@ -54,7 +54,7 @@ from .representations import (
     stable_length,
     stable_lengths,
 )
-from .surface_group import Word
+from .surface_group import Word, word_from_text, word_to_text
 
 # a certificate must clear 1 by at least this much to be emitted
 MIN_CERTIFICATE_MARGIN = 1e-6
@@ -147,6 +147,9 @@ class DlipRatioBound:
 def _class_table(rep: Representation, maxlen: int):
     """Class rows, their products under rep, and (repelling, attracting)
     reference angles; classes not translating under both are dropped."""
+    if not 1 <= maxlen < len(wa.RELATOR):
+        raise CertificateError("maxlen must be at least 1 and below %d"
+                               % len(wa.RELATOR))
     rows, mats, ref_m = wa.conjugacy_classes(
         maxlen, rep.generator_matrix_array(),
         wa.exact_real(reference_representation().generator_matrix_array()))
@@ -167,9 +170,6 @@ def triangle_harness(rep: Representation, maxlen: int) -> TriangleRecords:
     Records are in row-major order of the class table; each combined
     word is composed in batch, bit for bit as stable_length would.
     """
-    if maxlen < 1:
-        raise CertificateError("maxlen must be at least 1")
-    pres = rep.presentation
     rows, mats, angles = _class_table(rep, maxlen)
     ranking = rank_endpoints(angles)
     words = [Word(wa.ranks_to_letters(row)) for row in rows]
@@ -199,8 +199,8 @@ def triangle_harness(rep: Representation, maxlen: int) -> TriangleRecords:
             k = bad[0]
             raise CertificateError(
                 "combined-length inequality violated for %s, %s "
-                "(%s, slack %.3e)" % (pres.to_text(words[ii[k]]),
-                                      pres.to_text(words[jj[k]]),
+                "(%s, slack %.3e)" % (word_to_text(words[ii[k]]),
+                                      word_to_text(words[jj[k]]),
                                       PAIR_CONFIGS[codes[k]].value, slack[k]))
         columns.append((ii, jj, codes, combined, slack))
     return TriangleRecords(words, lengths,
@@ -336,8 +336,6 @@ def find_separation_certificate(
     best one, so the maximum, all pairs tied with it and the reported
     best ratio are the full scan's.
     """
-    if maxlen < 1:
-        raise CertificateError("maxlen must be at least 1")
     threshold = max(min_ratio, 1.0 + MIN_CERTIFICATE_MARGIN)
     rows, rep_m, angles = _class_table(rep_q, maxlen)
     ranking = rank_endpoints(angles)
@@ -527,13 +525,12 @@ def diagnostic_delta(rep_q: Representation, witness: SpiralWitness) -> float:
 
 
 def certificate_to_dict(cert: SeparationCertificate) -> dict:
-    pres = reference_representation().presentation
     return {
         "schema": "qfcert/1",
         "type": "separation_certificate",
         "rep_id": cert.rep_id,
-        "a": pres.to_text(cert.a),
-        "b": pres.to_text(cert.b),
+        "a": word_to_text(cert.a),
+        "b": word_to_text(cert.b),
         "config": cert.config.value,
         "ell_q_a": cert.ell_q_a,
         "ell_q_b": cert.ell_q_b,
@@ -549,12 +546,11 @@ def certificate_from_dict(payload: object) -> SeparationCertificate:
     if not isinstance(payload, dict) or payload.get("schema") != "qfcert/1" \
             or payload.get("type") != "separation_certificate":
         raise CertificateError("not a separation certificate payload")
-    pres = reference_representation().presentation
     try:
         return SeparationCertificate(
             rep_id=str(payload["rep_id"]),
-            a=pres.from_text(str(payload["a"])),
-            b=pres.from_text(str(payload["b"])),
+            a=word_from_text(str(payload["a"])),
+            b=word_from_text(str(payload["b"])),
             config=PairConfig(payload["config"]),
             ell_q_a=json_float(payload["ell_q_a"]),
             ell_q_b=json_float(payload["ell_q_b"]),

@@ -49,6 +49,7 @@ from .representations import (
     representation_hash,
     representation_json,
 )
+from .surface_group import word_to_text
 
 SCHEMA = "qfcert/1"
 
@@ -233,7 +234,7 @@ def cmd_bend(cfg: RunConfig, out: Path, args) -> int:
     try:
         w = find_complex_trace_element(rep, COMPLEX_TRACE_MAXLEN)
         print("first complex-trace word up to length %d: %s"
-              % (COMPLEX_TRACE_MAXLEN, rep.presentation.to_text(w)))
+              % (COMPLEX_TRACE_MAXLEN, word_to_text(w)))
     except RepresentationError:
         print("no complex-trace word up to length %d (representation is "
               "conjugate into the real maps)" % COMPLEX_TRACE_MAXLEN)
@@ -244,8 +245,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
     maxlen = _preflight(cfg, "spectrum")
     rep = _bent_rep(cfg)
     spec = compute_spectrum(rep, maxlen)
-    pres = rep.presentation
-    rows = ("%s,%.17g\n" % (pres.to_text(w), v)
+    rows = ("%s,%.17g\n" % (word_to_text(w), v)
             for w, v in spec.entries.items())
     _write(out / "spectrum.csv", "# schema: %s\nword,length\n" % SCHEMA, rows)
     print("spectrum for %d conjugacy classes written to %s"
@@ -296,7 +296,7 @@ def cmd_triangle_check(cfg: RunConfig, out: Path, args) -> int:
     rep = fuchsian_octagon()
     records = triangle_harness(rep, maxlen)
     # every class recurs in hundreds of records: format each one once
-    texts = [rep.presentation.to_text(w) for w in records.words]
+    texts = [word_to_text(w) for w in records.words]
     ells = ["%.17g" % ell for ell in records.lengths]
     configs = [c.value for c in PAIR_CONFIGS]
     rows = ("%s,%s,%s,%s,%s,%.17g,%.17g\n"
@@ -328,11 +328,11 @@ def cmd_witness(cfg: RunConfig, out: Path, args) -> int:
                   file=sys.stderr)
             return 1
         print("witness valid: spiraling element %s"
-              % rep.presentation.to_text(witness.gamma))
+              % word_to_text(witness.gamma))
         return 0
     maxlen = _preflight(cfg, "witness")
     gamma = find_complex_trace_element(rep, COMPLEX_TRACE_MAXLEN)
-    print("spiraling element: %s" % rep.presentation.to_text(gamma))
+    print("spiraling element: %s" % word_to_text(gamma))
     witness = find_spiral_witness(rep, gamma, maxlen)
     # diagnostic_delta verifies the witness again and raises before the write
     delta = diagnostic_delta(rep, witness)
@@ -393,9 +393,8 @@ def cmd_certify(cfg: RunConfig, out: Path, args) -> int:
     _report_scan(cert.scan)
     _write_json(out / "separation_certificate.json",
                 certificate_to_dict(cert))
-    pres = rep.presentation
-    print("certificate: a = %s, b = %s" % (pres.to_text(cert.a),
-                                           pres.to_text(cert.b)))
+    print("certificate: a = %s, b = %s" % (word_to_text(cert.a),
+                                           word_to_text(cert.b)))
     print("ratio %.12f, alpha %.6e (lower bound on the Lipschitz distance "
           "to every plane representation)" % (cert.ratio, cert.alpha))
     print("written to %s" % (out / "separation_certificate.json"))

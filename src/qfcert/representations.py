@@ -52,8 +52,9 @@ from .moebius import (
     translation_length,
 )
 from .surface_group import (
-    GroupPresentation,
+    RELATOR_WORD,
     Word,
+    _check_letters,
     free_reduce_letters,
 )
 
@@ -95,7 +96,6 @@ class Representation:
     kind is "fuchsian" (real entries) or "bent" (angle records the twist).
     """
 
-    presentation: GroupPresentation
     images: dict[int, MoebiusMap]
     kind: str
     angle: float = 0.0
@@ -105,7 +105,8 @@ class Representation:
         if self.kind not in ("fuchsian", "bent"):
             raise RepresentationError("unknown representation kind %r" % (self.kind,))
         images = dict(self.images)
-        for x in self.presentation.generators():
+        gens = [x for x in wa.LETTERS if x > 0]
+        for x in gens:
             if x not in images:
                 raise RepresentationError("missing image for generator %d" % x)
             if -x not in images:
@@ -120,7 +121,7 @@ class Representation:
         if self.kind == "fuchsian":
             worst = max(
                 abs(e.imag)
-                for x in self.presentation.generators()
+                for x in gens
                 for e in images[x].entries()
             )
             if worst > FUCHSIAN_IMAG_TOL:
@@ -129,7 +130,7 @@ class Representation:
                 )
 
     def relator_residual(self) -> float:
-        m = self(self.presentation.relator())
+        m = self(RELATOR_WORD)
         return m.distance_to(MoebiusMap.identity())
 
     def __call__(self, w: Word) -> MoebiusMap:
@@ -138,16 +139,15 @@ class Representation:
     def generator_matrix_array(self) -> np.ndarray:
         """(8, 2, 2) complex array in rank (shortlex letter) order for
         batch evaluation."""
-        letters = self.presentation.letters()
-        out = np.empty((len(letters), 2, 2), dtype=complex)
-        for r, x in enumerate(letters):
+        out = np.empty((len(wa.LETTERS), 2, 2), dtype=complex)
+        for r, x in enumerate(wa.LETTERS):
             m = self.images[x]
             out[r] = [[m.a, m.b], [m.c, m.d]]
         return out
 
 
 def evaluate(rep: Representation, w: Word) -> MoebiusMap:
-    rep.presentation.validate(w)
+    _check_letters(w)
     m = MoebiusMap.identity()
     for x in w.letters:
         m = m @ rep.images[x]
@@ -174,11 +174,7 @@ def fuchsian_octagon() -> Representation:
         for x in word:
             m = m @ pairing[x]
         images[letter] = MoebiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-    return Representation(
-        presentation=GroupPresentation(),
-        images=images,
-        kind="fuchsian",
-    )
+    return Representation(images=images, kind="fuchsian")
 
 
 def bending_curve_word() -> Word:
@@ -213,7 +209,6 @@ def bend(rep: Representation, angle: float) -> Representation:
         moved = rep.images[letter].conjugate_by(n)
         images[letter] = moved.conjugate_by(twist)
     return Representation(
-        presentation=rep.presentation,
         images=images,
         kind="bent",
         angle=float(angle),
@@ -327,8 +322,9 @@ class LengthSpectrum:
 
 def compute_spectrum(rep: Representation, maxlen: int) -> LengthSpectrum:
     """The length spectrum on the class table for 1 <= maxlen < 8."""
-    if maxlen < 1:
-        raise RepresentationError("maxlen must be at least 1")
+    if not 1 <= maxlen < len(wa.RELATOR):
+        raise RepresentationError("maxlen must be at least 1 and below %d"
+                                  % len(wa.RELATOR))
     rows, mats = wa.conjugacy_classes(maxlen, rep.generator_matrix_array())
     entries = {Word(wa.ranks_to_letters(row)): ell
                for row, ell in zip(rows, stable_lengths(mats))}
@@ -476,11 +472,8 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def representation_to_dict(rep: Representation) -> dict:
-    pres = rep.presentation
-    images = {}
-    for x in pres.generators():
-        m = rep.images[x]
-        images[pres.letter_name(x)] = [_complex_pair(e) for e in m.entries()]
+    images = {name: [_complex_pair(e) for e in rep.images[x].entries()]
+              for x, name in zip(wa.LETTERS, wa.NAMES) if x > 0}
     return {
         "schema": "qfcert/1",
         "type": "representation",
@@ -513,7 +506,6 @@ def conjugate_representation(rep: Representation, g: MoebiusMap) -> Representati
     """
     images = {k: v.conjugate_by(g) for k, v in rep.images.items() if k > 0}
     return Representation(
-        presentation=rep.presentation,
         images=images,
         kind=rep.kind,
         angle=rep.angle,

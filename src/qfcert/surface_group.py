@@ -7,8 +7,9 @@ corresponding generator.  The alphabet is one table in ``_wordarrays``
 (``NAMES``, ``LETTERS``, ``INVERSE``), in the shortlex generator order
 a1 < b1 < a2 < b2 < A1 < B1 < A2 < B2.
 
-Text form: "a1 B1 a2" with capitalized names denoting inverses; a token is
-exactly one of the eight names.
+Text form (``word_to_text``, ``word_from_text``): "a1 B1 a2" with
+capitalized names denoting inverses; a token is exactly one of the eight
+names.
 """
 
 from __future__ import annotations
@@ -69,47 +70,31 @@ class Word:
 _NAME_OF = dict(zip(wa.LETTERS, wa.NAMES))
 _LETTER_OF = dict(zip(wa.NAMES, wa.LETTERS))
 
-
-@dataclass(frozen=True)
-class GroupPresentation:
-    """The genus-2 surface group with the product-of-commutators relator."""
-
-    def relator(self) -> Word:
-        return Word(tuple(wa.LETTERS[r] for r in wa.RELATOR))
-
-    def letters(self) -> list[int]:
-        """All 8 letters in shortlex order."""
-        return list(wa.LETTERS)
-
-    def generators(self) -> list[int]:
-        """The letters a1 b1 a2 b2."""
-        return [x for x in wa.LETTERS if x > 0]
-
-    def validate(self, w: Word) -> None:
-        if not set(w.letters) <= _NAME_OF.keys():
-            raise WordError("letter out of range: %r" % (w,))
-
-    # -- text form ---------------------------------------------------------
-
-    def letter_name(self, x: int) -> str:
-        return _NAME_OF[x]
-
-    def to_text(self, w: Word) -> str:
-        self.validate(w)
-        return " ".join(_NAME_OF[x] for x in w.letters)
-
-    def from_text(self, text: str) -> Word:
-        """The word of a text form whose every token is one of the names."""
-        letters = []
-        for tok in text.split():
-            if tok not in _LETTER_OF:
-                raise WordError("bad letter token %r" % (tok,))
-            letters.append(_LETTER_OF[tok])
-        return Word(tuple(letters))
+# the relator [a1, b1] [a2, b2]
+RELATOR_WORD = Word(tuple(wa.LETTERS[r] for r in wa.RELATOR))
 
 
-def enumerate_words(pres: GroupPresentation, maxlen: int,
-                    mode: str = "reduced") -> Iterator[Word]:
+def _check_letters(w: Word) -> None:
+    if not set(w.letters) <= _NAME_OF.keys():
+        raise WordError("letter out of range: %r" % (w,))
+
+
+def word_to_text(w: Word) -> str:
+    _check_letters(w)
+    return " ".join(_NAME_OF[x] for x in w.letters)
+
+
+def word_from_text(text: str) -> Word:
+    """The word of a text form whose every token is one of the names."""
+    letters = []
+    for tok in text.split():
+        if tok not in _LETTER_OF:
+            raise WordError("bad letter token %r" % (tok,))
+        letters.append(_LETTER_OF[tok])
+    return Word(tuple(letters))
+
+
+def enumerate_words(maxlen: int, mode: str = "reduced") -> Iterator[Word]:
     """Nonempty words up to maxlen in shortlex order, from the walk of the
     freely reduced words (``_wordarrays.free_acceptor``).
 

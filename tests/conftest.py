@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from qfcert import boundary
 from qfcert.boundary import SpiralWitness, find_spiral_witness, limit_set_sample
 from qfcert.representations import (
     Representation,
@@ -21,6 +22,16 @@ class WitnessRun:
     gamma: Word
     witness: SpiralWitness
     elapsed: float
+
+
+@pytest.fixture
+def octagon_refused(monkeypatch):
+    """Building the reference octagon fails for the rest of the test."""
+    def refuse():
+        raise AssertionError("fuchsian_octagon called")
+
+    monkeypatch.setattr(boundary, "fuchsian_octagon", refuse)
+    boundary.reference_representation.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -130,7 +130,7 @@ def test_5_complex_trace_element_exists_only_off_the_plane():
     ref = fuchsian_octagon()
     worst_imag = max(
         abs(evaluate(ref, w).trace.imag)
-        for w in enumerate_words(ref.presentation, 4, mode="reduced"))
+        for w in enumerate_words(4, mode="reduced"))
     assert worst_imag < 1e-9
     with pytest.raises(RepresentationError):
         find_complex_trace_element(ref, 4)

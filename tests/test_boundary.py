@@ -99,8 +99,7 @@ def synthetic_sample(points) -> LimitSetSample:
     """A sample backed by given chart-domain points (for lift tests)."""
     pairs = np.array([[complex(p), 1.0 + 0j] for p in points])
     n = len(points)
-    return LimitSetSample(rep=reference_representation(), maxlen=1,
-                          ranks=np.zeros((n, 1), dtype=np.int8),
+    return LimitSetSample(ranks=np.zeros((n, 1), dtype=np.int8),
                           angles=np.zeros(n), image_pairs=pairs)
 
 
@@ -906,8 +905,7 @@ class TestLimitSetSample:
         # conjugating the word transports its attracting point by the image
         # of the conjugator
         sample = limit_set_sample(bent_rep, 4)
-        pres = bent_rep.presentation
-        conjugators = [u for u in enumerate_words(pres, 2, mode="reduced")
+        conjugators = [u for u in enumerate_words(2, mode="reduced")
                        if len(u) >= 1]
         step = max(1, len(sample) // 12)
         rows = list(range(0, len(sample), step))[:12]
@@ -1067,8 +1065,8 @@ class TestArgumentLift:
         sample = synthetic_sample([1.0, 2.0])
         inf_pairs = sample.image_pairs.copy()
         inf_pairs[1] = (1.0, 0.0)
-        bad = LimitSetSample(rep=sample.rep, maxlen=1, ranks=sample.ranks,
-                             angles=sample.angles, image_pairs=inf_pairs)
+        bad = LimitSetSample(ranks=sample.ranks, angles=sample.angles,
+                             image_pairs=inf_pairs)
         with pytest.raises(BoundaryError):
             argument_lift(bad, IDENTITY_CHART)
 
@@ -1175,6 +1173,12 @@ class TestSpiralWitness:
         assert back == w
         assert verify_witness_orders(back, witness_run.rep)
 
+    def test_serialization_builds_no_representation(self, witness_run,
+                                                    octagon_refused):
+        # the text form of a word needs no representation
+        w = witness_run.witness
+        assert witness_from_dict(witness_to_dict(w)) == w
+
     @pytest.mark.parametrize("mutate,match", [
         (lambda p: [p], "not a spiral witness"),
         (lambda p: {k: v for k, v in p.items() if k != "R0"}, "R0"),
@@ -1221,8 +1225,7 @@ class TestSpiralWitness:
         m = evaluate(bent_rep, gamma)
         moved_pairs = base.image_pairs @ np.array(
             [[m.a, m.c], [m.b, m.d]], dtype=complex)
-        moved = LimitSetSample(rep=base.rep, maxlen=base.maxlen,
-                               ranks=base.ranks, angles=base.angles,
+        moved = LimitSetSample(ranks=base.ranks, angles=base.angles,
                                image_pairs=moved_pairs)
         lift1 = argument_lift(moved, chart)
         w = witness_run.witness
@@ -1297,7 +1300,6 @@ class TestExports:
         # the third point's parts are finite but its modulus overflows;
         # the fourth sits at infinity (w2 = 0)
         sample = LimitSetSample(
-            rep=reference_representation(), maxlen=3,
             ranks=np.array([[0, 5, -1], [7, 7, 2], [3, -1, -1], [4, -1, -1]],
                            dtype=np.int8),
             angles=np.array([0.25, 0.1, 1.0 / 3.0, 0.5]),

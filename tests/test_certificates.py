@@ -44,7 +44,7 @@ from qfcert.representations import (
     normalize_spectrum,
     stable_length,
 )
-from qfcert.surface_group import Word
+from qfcert.surface_group import Word, word_to_text
 
 from geometry_reference import axis_crossing_gap, translation_lengths
 
@@ -163,6 +163,10 @@ class TestTriangleHarness:
         with pytest.raises(CertificateError, match="not enough classes"):
             find_separation_certificate(rep, 2)
 
+    def test_relator_length_maxlen_is_an_error(self, reference_rep):
+        with pytest.raises(CertificateError, match="below 8"):
+            triangle_harness(reference_rep, 8)
+
     @pytest.mark.parametrize("angle", [0.8, 1.0])
     def test_first_violation_matches_scalar_scan(self, angle):
         # a bent representation breaks the plane inequalities; the error
@@ -184,8 +188,7 @@ class TestTriangleHarness:
             if not gap > 0.0:
                 expected = "combined-length inequality violated for " \
                     "%s, %s (%s, slack %.3e)" % (
-                        rep.presentation.to_text(a),
-                        rep.presentation.to_text(b), config.value, gap)
+                        word_to_text(a), word_to_text(b), config.value, gap)
                 break
         assert expected is not None
         with pytest.raises(CertificateError) as info:
@@ -281,6 +284,11 @@ class TestSeparationCertificate:
         with pytest.raises(CertificateError):
             find_separation_certificate(bent_rep, 0)
 
+    def test_relator_length_maxlen_is_an_error(self, bent_rep):
+        # the class table ends below the relator's 8 letters
+        with pytest.raises(CertificateError, match="below 8"):
+            find_separation_certificate(bent_rep, 8)
+
     def test_tampered_length_is_rejected_with_discrepancy(
             self, bent_certificate, bent_rep):
         bad = dataclasses.replace(bent_certificate,
@@ -304,6 +312,12 @@ class TestSeparationCertificate:
         assert payload["schema"] == "qfcert/1"
         assert payload["type"] == "separation_certificate"
         assert certificate_from_dict(payload) == bent_certificate
+
+    def test_dict_roundtrip_builds_no_representation(self, bent_certificate,
+                                                     octagon_refused):
+        # the text form of a word needs no representation
+        assert certificate_from_dict(
+            certificate_to_dict(bent_certificate)) == bent_certificate
 
     def test_from_dict_rejects_wrong_schema(self, bent_certificate):
         payload = certificate_to_dict(bent_certificate)

@@ -1,8 +1,10 @@
 """The package namespace: every public name resolves on first access to
 its submodule's own object, and ``import qfcert`` loads no submodule."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import qfcert
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # every name qfcert re-exported when it imported its submodules eagerly,
 # by submodule
@@ -22,7 +26,8 @@ EXPORTED = {
         "normalizer_to_axis", "point_near_geodesic", "translation_length",
         "wrap_turns"],
     "surface_group": [
-        "GroupPresentation", "Word", "WordError", "enumerate_words"],
+        "Word", "WordError", "enumerate_words", "word_from_text",
+        "word_to_text"],
     "representations": [
         "BEND_ANGLE_ENVELOPE", "OCTAGON_TRANSLATION_LENGTH",
         "GrowthEstimate", "LengthSpectrum", "Representation",
@@ -100,3 +105,16 @@ def test_import_loads_no_submodule():
               "assert not [m for m in sys.modules if m.startswith('qfcert.')]\n"
               "qfcert.Word\n"
               "assert 'qfcert.boundary' not in sys.modules\n")
+
+
+def test_readme_imports_resolve():
+    # every qfcert import in README's python blocks names something the
+    # package still has
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
+    imports = [node for block in blocks for node in ast.walk(ast.parse(block))
+               if isinstance(node, ast.ImportFrom)
+               and node.module.split(".")[0] == "qfcert"]
+    assert imports
+    for node in imports:
+        exec(ast.unparse(node), {})

@@ -54,7 +54,12 @@ from qfcert.representations import (
     stable_length,
     stable_lengths,
 )
-from qfcert.surface_group import GroupPresentation, Word, enumerate_words
+from qfcert.surface_group import (
+    RELATOR_WORD,
+    Word,
+    WordError,
+    enumerate_words,
+)
 
 from geometry_reference import translation_lengths
 from word_reference import (
@@ -122,8 +127,12 @@ class TestReferenceRepresentation:
     def test_evaluate_trivial_word(self, base_rep):
         assert evaluate(base_rep, Word(())).is_identity(0.0)
 
+    def test_evaluate_refuses_out_of_range_letters(self, base_rep):
+        with pytest.raises(WordError):
+            evaluate(base_rep, Word((5,)))
+
     def test_evaluate_relator(self, base_rep):
-        m = evaluate(base_rep, base_rep.presentation.relator())
+        m = evaluate(base_rep, RELATOR_WORD)
         assert m.is_identity(1e-9)
 
     def test_constructor_rejects_broken_relator(self, base_rep):
@@ -132,12 +141,12 @@ class TestReferenceRepresentation:
         images = {k: v for k, v in images.items() if k > 0}
         images[1] = bad
         with pytest.raises(RepresentationError):
-            Representation(base_rep.presentation, images, kind="fuchsian")
+            Representation(images, kind="fuchsian")
 
     def test_fuchsian_tag_rejects_complex_entries(self, base_rep, bent_rep):
         images = {k: v for k, v in bent_rep.images.items() if k > 0}
         with pytest.raises(RepresentationError):
-            Representation(bent_rep.presentation, images, kind="fuchsian")
+            Representation(images, kind="fuchsian")
 
 
 class TestBending:
@@ -150,7 +159,7 @@ class TestBending:
 
     def test_zero_angle_preserves_lengths(self, base_rep):
         b0 = bend(base_rep, 0.0)
-        for w in enumerate_words(base_rep.presentation, 3, mode="conjugacy"):
+        for w in enumerate_words(3, mode="conjugacy"):
             assert stable_length(b0, w) == pytest.approx(
                 stable_length(base_rep, w), abs=1e-9)
 
@@ -212,7 +221,7 @@ class TestStableLength:
         # unit-determinant renormalization injects noise of order
         # (entry scale)^2 * machine epsilon
         rng = np.random.default_rng(5)
-        words = list(enumerate_words(base_rep.presentation, 3, mode="reduced"))
+        words = list(enumerate_words(3, mode="reduced"))
         for idx in rng.choice(len(words), size=25, replace=False):
             w = words[idx]
             assert stable_length(base_rep, w * w) == pytest.approx(
@@ -224,7 +233,7 @@ class TestStableLength:
         # accurate to (entry scale)^2 * machine epsilon, so the tolerance
         # follows that error model
         rng = np.random.default_rng(11)
-        words = list(enumerate_words(base_rep.presentation, 3, mode="reduced"))
+        words = list(enumerate_words(3, mode="reduced"))
         for rep in (base_rep, bent_rep):
             for _ in range(100):
                 w = words[rng.integers(len(words))]
@@ -252,7 +261,7 @@ class TestStableLength:
         assert stable_lengths(-mats) == stable_lengths(mats)
 
     def test_orbit_distance_dominates(self, base_rep):
-        words = list(enumerate_words(base_rep.presentation, 2, mode="reduced"))
+        words = list(enumerate_words(2, mode="reduced"))
         dists = representations._orbit_distances_of(
             _matrices(base_rep, words), base_rep.basepoint)
         for w, d in zip(words, dists):
@@ -261,7 +270,7 @@ class TestStableLength:
     def test_orbit_distance_is_basepoint_displacement(self, bent_rep):
         # the batch distance of the orbit search, at the default basepoint
         # and at a moved one
-        words = list(enumerate_words(bent_rep.presentation, 2, mode="reduced"))
+        words = list(enumerate_words(2, mode="reduced"))
         mats = _matrices(bent_rep, words)
         for y in (BASEPOINT, Point3(0.5 + 0.25j, 2.0)):
             dists = representations._orbit_distances_of(mats, y)
@@ -297,7 +306,7 @@ class TestPowerDisplacement:
 class TestOrbitLengthEstimate:
     def test_matches_stable_length_on_sample(self, base_rep, bent_rep):
         rng = np.random.default_rng(23)
-        words = list(enumerate_words(base_rep.presentation, 3, mode="reduced"))
+        words = list(enumerate_words(3, mode="reduced"))
         picks = rng.choice(len(words), size=20, replace=False)
         for rep in (base_rep, bent_rep):
             for idx in picks:
@@ -330,6 +339,12 @@ class TestSpectrum:
         spec = compute_spectrum(base_rep, 3)
         assert min(spec.lengths()) == pytest.approx(
             EXPECTED_GENERATOR_LENGTH, abs=1e-10)
+
+    @pytest.mark.parametrize("maxlen", [0, 8])
+    def test_maxlen_outside_the_class_table_is_refused(self, base_rep,
+                                                        maxlen):
+        with pytest.raises(RepresentationError, match="at least 1"):
+            compute_spectrum(base_rep, maxlen)
 
     def test_fuchsian_traces_real(self, base_rep):
         for w in compute_spectrum(base_rep, 3).entries:
@@ -366,15 +381,14 @@ def dehn_classes(rep: Representation, maxlen: int) -> list[tuple[int, ...]]:
     """The class table's reference: a rotation class merges into an earlier
     kept one when some pair of their rotations is equal in the group (Dehn
     reduction).  |trace| only preselects the classes compared."""
-    pres = rep.presentation
     kept: list[tuple[float, list[Word]]] = []
     out = []
-    for w in enumerate_words(pres, maxlen, mode="conjugacy"):
+    for w in enumerate_words(maxlen, mode="conjugacy"):
         size = abs(evaluate(rep, w).trace)
         rots = [Word(w.letters[i:] + w.letters[:i]) for i in range(len(w))]
         for other_size, other_rots in kept:
             if abs(size - other_size) <= 1e-6 * size and any(
-                    are_equal(pres, r, s) for r in rots for s in other_rots):
+                    are_equal(r, s) for r in rots for s in other_rots):
                 break
         else:
             kept.append((size, rots))
@@ -487,8 +501,7 @@ class TestClassTable:
         rows, mats = wa.conjugacy_classes(
             3, bent_rep.generator_matrix_array())
         assert [wa.ranks_to_letters(row) for row in rows] == [
-            w.letters for w in enumerate_words(GroupPresentation(), 3,
-                                               mode="conjugacy")]
+            w.letters for w in enumerate_words(3, mode="conjugacy")]
         assert len(mats) == len(rows)
 
     def test_relator_length_is_refused(self, bent_rep):
@@ -496,7 +509,6 @@ class TestClassTable:
             wa.conjugacy_classes(8, bent_rep.generator_matrix_array())
 
     def test_every_swap_is_a_group_equality(self):
-        pres = GroupPresentation()
         swaps = wa._relator_swaps()
         pairs = [(s, r) for s, rs in swaps.items() for r in rs]
         # the 16 cells (rotations of the relator and its inverse) give 16
@@ -505,8 +517,8 @@ class TestClassTable:
         assert len(pairs) == 4 * 16 + 112
         for s, r in pairs:
             assert len(r) <= len(s) < 8
-            assert are_equal(pres, Word(wa.ranks_to_letters(np.array(s))),
-                                  Word(wa.ranks_to_letters(np.array(r))))
+            assert are_equal(Word(wa.ranks_to_letters(np.array(s))),
+                             Word(wa.ranks_to_letters(np.array(r))))
 
     def test_one_product_per_class_row(self, base_rep, bent_rep,
                                        monkeypatch):
@@ -609,13 +621,12 @@ class TestShortlexAcceptor:
         # l = r in the group and r precedes l in shortlex order, so no
         # normal form contains l; r is a normal form, and so is every
         # proper subword of l: no left side holds another
-        pres = GroupPresentation()
         # the families to k = 8, whose longest left side has 59 letters
         rules = list(_shortlex_rules(8))
         assert len(rules) == 8 + 18 + 2 * 9
         for left, right in rules:
             assert (len(right), right) < (len(left), left)
-            assert is_identity(pres, _rank_word(left) * _rank_word(right).inverse())
+            assert is_identity(_rank_word(left) * _rank_word(right).inverse())
             assert _accepts(right)
             assert not _accepts(left)
             assert _accepts(left[:-1]) and _accepts(left[1:])
@@ -959,7 +970,7 @@ class TestOrbitEnumeration:
         seen = {}
         y = base_rep.basepoint
         ref = [0.0]
-        for w in enumerate_words(base_rep.presentation, 3, mode="reduced"):
+        for w in enumerate_words(3, mode="reduced"):
             m = evaluate(base_rep, w)
             key = tuple(round(v, 6) for e in m.entries()
                         for v in (abs(e.real), abs(e.imag)))
@@ -1359,8 +1370,7 @@ class TestComplexTraceSearch:
 
     def test_witness_is_shortlex_first(self, bent_rep):
         w = find_complex_trace_element(bent_rep, 4)
-        for earlier in enumerate_words(bent_rep.presentation, len(w.letters),
-                                       mode="reduced"):
+        for earlier in enumerate_words(len(w.letters), mode="reduced"):
             if earlier == w:
                 break
             assert abs(evaluate(bent_rep, earlier).trace.imag) <= 1e-6

@@ -10,11 +10,13 @@ import pytest
 from qfcert import _wordarrays as wa
 from qfcert.moebius import MoebiusMap
 from qfcert.surface_group import (
-    GroupPresentation,
+    RELATOR_WORD,
     Word,
     WordError,
     enumerate_words,
     free_reduce_letters,
+    word_from_text,
+    word_to_text,
 )
 
 from word_reference import (
@@ -55,11 +57,6 @@ def shortlex_key(w: Word) -> tuple:
 
 def shortlex_min_rotation(w: Word) -> Word:
     return min(rotations(w), key=shortlex_key)
-
-
-@pytest.fixture(scope="module")
-def pres() -> GroupPresentation:
-    return GroupPresentation()
 
 
 class TestWord:
@@ -120,121 +117,127 @@ class TestWord:
 
 
 class TestTextForm:
-    def test_roundtrip(self, pres):
-        w = pres.from_text("a1 B1 a2")
+    def test_roundtrip(self):
+        w = word_from_text("a1 B1 a2")
         assert w.letters == (1, -2, 3)
-        assert pres.to_text(w) == "a1 B1 a2"
+        assert word_to_text(w) == "a1 B1 a2"
 
-    def test_empty(self, pres):
-        assert pres.to_text(Word(())) == ""
-        assert pres.from_text("").letters == ()
+    def test_empty(self):
+        assert word_to_text(Word(())) == ""
+        assert word_from_text("").letters == ()
 
-    def test_bad_tokens(self, pres):
+    def test_bad_tokens(self):
         # int() would read a01 as a1 and the digits U+0662 and U+FF11 as
         # 2 and 1; only the eight names are tokens
         for text in ["x1", "a3", "a0", "a1b1", "a", "a01", "a1 a\u0662",
                      "B\uff11", "b+1", "A-1"]:
             with pytest.raises(WordError, match="bad letter token"):
-                pres.from_text(text)
+                word_from_text(text)
 
     @pytest.mark.parametrize("tok", ["a01", "a\u0662", "B\uff11"],
                              ids=["leading-zero", "arabic-indic-digit",
                                   "fullwidth-digit"])
-    def test_lookalike_token_is_named(self, pres, tok):
+    def test_lookalike_token_is_named(self, tok):
         # each of these parses to a name under int(); the refusal quotes
         # the token as written
         with pytest.raises(WordError, match=re.escape(repr(tok))):
-            pres.from_text("a1 %s b2" % tok)
+            word_from_text("a1 %s b2" % tok)
 
-    def test_alphabet_round_trip(self, pres):
+    def test_alphabet_round_trip(self):
         # rank -> letter -> name -> from_text -> rank, for every rank
         for rank, (letter, name) in enumerate(zip(wa.LETTERS, wa.NAMES)):
-            assert pres.letter_name(letter) == name
-            (back,) = pres.from_text(name).letters
+            assert word_to_text(Word((letter,))) == name
+            (back,) = word_from_text(name).letters
             assert wa.LETTERS.index(back) == rank
             assert wa.LETTERS[wa.INVERSE[rank]] == -letter
         assert sorted(wa.LETTERS) == [-4, -3, -2, -1, 1, 2, 3, 4]
         assert (wa.INVERSE[wa.INVERSE] == np.arange(8)).all()
         assert (wa.INVERSE != np.arange(8)).all()
 
-    def test_out_of_range_letters(self, pres):
+    def test_out_of_range_letters(self):
         with pytest.raises(WordError):
-            pres.to_text(Word((5,)))
+            word_to_text(Word((5,)))
+
+    def test_every_short_reduced_word_round_trips(self):
+        words = list(enumerate_words(3, "reduced"))
+        assert len(words) == 8 + 8 * 7 + 8 * 7 * 7
+        for w in words:
+            assert word_from_text(word_to_text(w)) == w
 
 
 class TestPresentation:
-    def test_relator(self, pres):
-        r = pres.relator()
-        assert pres.to_text(r) == "a1 b1 A1 B1 a2 b2 A2 B2"
+    def test_relator(self):
+        r = RELATOR_WORD
+        assert word_to_text(r) == "a1 b1 A1 B1 a2 b2 A2 B2"
         assert len(r) == 8
 
-    def test_small_cancellation_pieces(self, pres):
+    def test_small_cancellation_pieces(self):
         # all 16 length-2 subwords of relator rotations are distinct, the
         # condition that makes greedy Dehn reduction a decision procedure
         pieces = set()
-        for cyc in relator_cycles(pres):
+        for cyc in relator_cycles():
             pieces.add(cyc[:2])
         assert len(pieces) == 16
 
-    def test_relator_reduces_to_identity(self, pres):
-        assert is_identity(pres, pres.relator())
-        assert is_identity(pres, pres.relator().inverse())
-        assert is_identity(pres, Word(()))
+    def test_relator_reduces_to_identity(self):
+        assert is_identity(RELATOR_WORD)
+        assert is_identity(RELATOR_WORD.inverse())
+        assert is_identity(Word(()))
 
-    def test_rotated_relator_is_identity(self, pres):
-        r = pres.relator()
+    def test_rotated_relator_is_identity(self):
+        r = RELATOR_WORD
         for rot in rotations(r):
-            assert is_identity(pres, rot)
+            assert is_identity(rot)
 
-    def test_conjugated_relator_products(self, pres):
+    def test_conjugated_relator_products(self):
         rng = np.random.default_rng(97)
-        r = pres.relator()
-        alphabet = pres.letters()
+        r = RELATOR_WORD
+        alphabet = wa.LETTERS
         for _ in range(20):
             picks = rng.integers(0, len(alphabet), size=6)
             u = Word(tuple(alphabet[i] for i in picks[:3]))
             v = Word(tuple(alphabet[i] for i in picks[3:]))
             w = (u * r * u.inverse()) * (v * r.inverse() * v.inverse())
-            assert is_identity(pres, w)
+            assert is_identity(w)
 
-    def test_generators_not_identity(self, pres):
-        for x in pres.letters():
-            assert not is_identity(pres, Word((x,)))
+    def test_generators_not_identity(self):
+        for x in wa.LETTERS:
+            assert not is_identity(Word((x,)))
 
-    def test_long_prefix_rewrites_to_short_complement(self, pres):
+    def test_long_prefix_rewrites_to_short_complement(self):
         # first 7 letters of the relator equal the inverse of the last letter
-        r = pres.relator().letters
+        r = RELATOR_WORD.letters
         prefix = Word(r[:7])
-        assert are_equal(pres, prefix, Word((-r[7],)))
-        reduced = dehn_reduce(pres, prefix)
+        assert are_equal(prefix, Word((-r[7],)))
+        reduced = dehn_reduce(prefix)
         assert len(reduced) == 1
 
-    def test_dehn_reduce_never_grows(self, pres):
+    def test_dehn_reduce_never_grows(self):
         rng = np.random.default_rng(101)
-        alphabet = pres.letters()
+        alphabet = wa.LETTERS
         for _ in range(50):
             n = int(rng.integers(1, 12))
             w = Word(tuple(alphabet[i] for i in rng.integers(0, 8, size=n)))
-            red = dehn_reduce(pres, w)
+            red = dehn_reduce(w)
             assert len(red) <= len(free_reduce_letters(w.letters))
 
-    def test_are_equal_modulo_relator_insertion(self, pres):
+    def test_are_equal_modulo_relator_insertion(self):
         rng = np.random.default_rng(103)
-        alphabet = pres.letters()
-        r = pres.relator()
+        alphabet = wa.LETTERS
+        r = RELATOR_WORD
         for _ in range(20):
             n = int(rng.integers(2, 8))
             letters = tuple(alphabet[i] for i in rng.integers(0, 8, size=n))
             w = Word(letters)
             cut = int(rng.integers(0, n))
             stuffed = Word(letters[:cut]) * r * Word(letters[cut:])
-            assert are_equal(pres, w, stuffed)
-            assert not are_equal(pres, w, w * Word((1,)))
+            assert are_equal(w, stuffed)
+            assert not are_equal(w, w * Word((1,)))
 
 
 class TestEnumeration:
-    def test_reduced_counts(self, pres):
-        words = list(enumerate_words(pres, 3, mode="reduced"))
+    def test_reduced_counts(self):
+        words = list(enumerate_words(3, mode="reduced"))
         by_len = {}
         for w in words:
             by_len.setdefault(len(w), []).append(w)
@@ -243,23 +246,23 @@ class TestEnumeration:
         assert len(by_len[3]) == 8 * 7 * 7
         assert all(is_reduced(w) for w in words)
 
-    def test_reduced_order(self, pres):
-        words = list(enumerate_words(pres, 2, mode="reduced"))
-        texts = [pres.to_text(w) for w in words[:10]]
+    def test_reduced_order(self):
+        words = list(enumerate_words(2, mode="reduced"))
+        texts = [word_to_text(w) for w in words[:10]]
         assert texts == ["a1", "b1", "a2", "b2", "A1", "B1", "A2", "B2", "a1 a1", "a1 b1"]
         keys = [shortlex_key(w) for w in words]
         assert keys == sorted(keys)
 
-    def test_conjugacy_rotation_classes(self, pres):
+    def test_conjugacy_rotation_classes(self):
         # length 1: all 8 letters; length 2: 8 squares + 24 mixed classes
-        reps = list(enumerate_words(pres, 2, mode="conjugacy"))
+        reps = list(enumerate_words(2, mode="conjugacy"))
         assert len([w for w in reps if len(w) == 1]) == 8
         assert len([w for w in reps if len(w) == 2]) == 32
         for w in reps:
             assert cyclic_reduce(w).letters == w.letters
             assert shortlex_min_rotation(w).letters == w.letters
 
-    def test_conjugacy_with_matrix_filter(self, pres):
+    def test_conjugacy_with_matrix_filter(self):
         # a random generator array: words this short hold no relator
         # swap, so the class table keeps every rotation class
         rng = np.random.default_rng(107)
@@ -270,44 +273,44 @@ class TestEnumeration:
             gens[x] = m
             gens[-x] = m.inverse()
         gen_array = np.array([[[gens[x].a, gens[x].b], [gens[x].c, gens[x].d]]
-                              for x in pres.letters()])
+                              for x in wa.LETTERS])
 
-        plain = [w.letters for w in enumerate_words(pres, 2, mode="conjugacy")]
+        plain = [w.letters for w in enumerate_words(2, mode="conjugacy")]
         rows, _ = wa.conjugacy_classes(2, gen_array)
         assert [wa.ranks_to_letters(row) for row in rows] == plain
 
-    def test_unknown_mode(self, pres):
+    def test_unknown_mode(self):
         with pytest.raises(WordError):
-            list(enumerate_words(pres, 2, mode="woof"))
+            list(enumerate_words(2, mode="woof"))
 
 
-def brute_force_reduced(pres: GroupPresentation, maxlen: int) -> list[Word]:
+def brute_force_reduced(maxlen: int) -> list[Word]:
     """Every freely reduced word up to maxlen, sorted by shortlex_key."""
     words = (Word(t) for n in range(1, maxlen + 1)
-             for t in itertools.product(pres.letters(), repeat=n))
+             for t in itertools.product(wa.LETTERS, repeat=n))
     return sorted((w for w in words if is_reduced(w)), key=shortlex_key)
 
 
 class TestEnumerationParity:
     """The rank-array enumerator against product-and-filter references."""
 
-    def test_reduced_matches_brute_force(self, pres):
-        assert list(enumerate_words(pres, 4, mode="reduced")) \
-            == brute_force_reduced(pres, 4)
+    def test_reduced_matches_brute_force(self):
+        assert list(enumerate_words(4, mode="reduced")) \
+            == brute_force_reduced(4)
 
-    def test_conjugacy_matches_rotation_filter(self, pres):
-        expected = [w for w in brute_force_reduced(pres, 5)
+    def test_conjugacy_matches_rotation_filter(self):
+        expected = [w for w in brute_force_reduced(5)
                     if cyclic_reduce(w) == w and shortlex_min_rotation(w) == w]
-        assert list(enumerate_words(pres, 5, mode="conjugacy")) == expected
+        assert list(enumerate_words(5, mode="conjugacy")) == expected
 
-    def test_cumulative_rotation_class_counts(self, pres):
-        words = list(enumerate_words(pres, 5, mode="conjugacy"))
+    def test_cumulative_rotation_class_counts(self):
+        words = list(enumerate_words(5, mode="conjugacy"))
         counts = [sum(len(w) <= n for w in words) for n in range(1, 6)]
         assert counts == [8, 40, 160, 780, 4148]
 
-    def test_zero_maxlen_yields_nothing(self, pres):
-        assert list(enumerate_words(pres, 0, mode="reduced")) == []
-        assert list(enumerate_words(pres, 0, mode="conjugacy")) == []
+    def test_zero_maxlen_yields_nothing(self):
+        assert list(enumerate_words(0, mode="reduced")) == []
+        assert list(enumerate_words(0, mode="conjugacy")) == []
 
 
 class TestJoinRows:

@@ -18,7 +18,12 @@ terminates at the empty word exactly for identity words.
 import numpy as np
 
 from qfcert._wordarrays import CHILDREN
-from qfcert.surface_group import GroupPresentation, Word, free_reduce_letters
+from qfcert.surface_group import (
+    RELATOR_WORD,
+    Word,
+    _check_letters,
+    free_reduce_letters,
+)
 
 
 def child_ranks(last: np.ndarray) -> np.ndarray:
@@ -53,9 +58,9 @@ def is_reduced(w: Word) -> bool:
     return free_reduce_letters(w.letters) == w.letters
 
 
-def relator_cycles(pres: GroupPresentation) -> tuple[tuple[int, ...], ...]:
+def relator_cycles() -> tuple[tuple[int, ...], ...]:
     """Every rotation of the relator and of its inverse, sorted."""
-    r = pres.relator().letters
+    r = RELATOR_WORD.letters
     cycles = set()
     for base in (r, Word(r).inverse().letters):
         for i in range(len(base)):
@@ -63,12 +68,12 @@ def relator_cycles(pres: GroupPresentation) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(cycles))
 
 
-def dehn_reduce(pres: GroupPresentation, w: Word) -> Word:
+def dehn_reduce(w: Word) -> Word:
     """Greedy Dehn reduction; the result is empty iff w is the identity."""
-    pres.validate(w)
-    full = len(pres.relator())
+    _check_letters(w)
+    full = len(RELATOR_WORD)
     half = full // 2
-    cycles = relator_cycles(pres)
+    cycles = relator_cycles()
     letters = list(free_reduce_letters(w.letters))
     changed = True
     while changed:
@@ -94,9 +99,9 @@ def dehn_reduce(pres: GroupPresentation, w: Word) -> Word:
     return Word(tuple(letters))
 
 
-def is_identity(pres: GroupPresentation, w: Word) -> bool:
-    return len(dehn_reduce(pres, w)) == 0
+def is_identity(w: Word) -> bool:
+    return len(dehn_reduce(w)) == 0
 
 
-def are_equal(pres: GroupPresentation, u: Word, v: Word) -> bool:
-    return is_identity(pres, u * v.inverse())
+def are_equal(u: Word, v: Word) -> bool:
+    return is_identity(u * v.inverse())
