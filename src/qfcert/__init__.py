@@ -33,20 +33,22 @@ _EXPORTS = {
         "orbit_point_distances", "power_displacement", "representation_hash",
         "representation_json", "representation_to_dict", "stable_length",
     ),
-    "boundary": (
+    "check": (
         "AXIS_CROSS_TOL", "BoundaryError", "BoundaryPointRef",
-        "DEGENERATE_TOL", "LimitSetSample", "MIN_THETA", "PairConfig",
-        "SpiralWitness", "classify_angle_pairs", "classify_pairs",
-        "classify_real_pairs", "disk_angle", "find_spiral_witness",
-        "fixed_angles", "limit_set_sample", "normalize_at",
-        "reference_representation", "sample_to_csv", "sample_to_svg",
+        "CertificateError", "DEGENERATE_TOL", "PairConfig",
+        "SeparationCertificate", "SpiralWitness", "certificate_from_dict",
+        "certificate_problems", "certificate_to_dict", "certify",
+        "classify_angle_pairs", "classify_pairs", "classify_real_pairs",
+        "disk_angle", "fixed_angles", "reference_representation",
         "verify_witness_orders", "witness_from_dict", "witness_image_points",
         "witness_to_dict",
     ),
+    "boundary": (
+        "LimitSetSample", "MIN_THETA", "find_spiral_witness",
+        "limit_set_sample", "normalize_at", "sample_to_csv", "sample_to_svg",
+    ),
     "certificates": (
-        "MIN_CERTIFICATE_MARGIN", "CertificateError", "DlipRatioBound",
-        "SeparationCertificate", "TriangleRecords", "certificate_from_dict",
-        "certificate_problems", "certificate_to_dict", "certify",
+        "MIN_CERTIFICATE_MARGIN", "DlipRatioBound", "TriangleRecords",
         "diagnostic_delta", "find_separation_certificate",
         "ratio_lower_bound", "triangle_harness",
     ),

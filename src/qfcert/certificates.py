@@ -21,32 +21,34 @@ Three layers of verifiable content:
   separates the space representation from all of them simultaneously.
 
 Certificates are serialized as JSON with full-precision lengths and the
-representation fingerprint; `certify` independently re-derives every
-field before accepting one.
+representation fingerprint.  Their format and their acceptance check
+(`certificate_problems`, which re-derives every field) live in `check`;
+the search here only proposes a winner.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _wordarrays as wa
-from .boundary import (
+from .boundary import pair_config_grid, rank_endpoints
+from .check import (
     PAIR_CONFIGS,
+    CertificateError,
     PairConfig,
+    SeparationCertificate,
     SpiralWitness,
-    classify_pairs,
-    json_float,
-    pair_config_grid,
-    rank_endpoints,
+    certificate_problems,
     reference_representation,
     verify_witness_orders,
     witness_image_points,
 )
-from .moebius import InvariantError
+# perfbench imports the certificate reader from here
+from .check import certificate_from_dict
 from .representations import (
     LengthSpectrum,
     Representation,
@@ -54,23 +56,13 @@ from .representations import (
     stable_length,
     stable_lengths,
 )
-from .surface_group import Word, word_from_text, word_to_text
+from .surface_group import Word, word_to_text
 
 # a certificate must clear 1 by at least this much to be emitted
 MIN_CERTIFICATE_MARGIN = 1e-6
 # class pairs per block of the certificate scan: bounds the pair grid and
 # the matrices gathered from it (64 rows of 4 100 classes at maxlen 5)
 _PAIR_BLOCK = 1 << 18
-
-
-class CertificateError(InvariantError):
-    """Raised for violated inequalities or failed certificate searches."""
-
-    def __init__(self, message: str, best_ratio: float | None = None,
-                 scan: PairScanCounts | None = None):
-        super().__init__(message)
-        self.best_ratio = best_ratio
-        self.scan = scan
 
 
 @dataclass(frozen=True)
@@ -103,30 +95,6 @@ class TriangleRecords:
 
     def __len__(self) -> int:
         return int(self.a.size)
-
-
-@dataclass(frozen=True)
-class SeparationCertificate:
-    """An unlinked-aligned pair whose combined length contracts.
-
-    ratio = (l(a) + l(b)) / l(ab) > 1 under the space representation,
-    while every plane-like negatively curved metric keeps this ratio
-    below 1 for an unlinked-aligned pair; alpha = log(ratio) therefore
-    lower-bounds the Lipschitz distance to all of them at once.
-    """
-
-    rep_id: str
-    a: Word
-    b: Word
-    config: PairConfig
-    ell_q_a: float
-    ell_q_b: float
-    ell_q_ab: float
-    ratio: float
-    alpha: float
-    # the search's counts; not part of the certificate or its equality
-    scan: PairScanCounts | None = field(default=None, compare=False,
-                                        repr=False)
 
 
 @dataclass(frozen=True)
@@ -418,69 +386,6 @@ def find_separation_certificate(
     return cert
 
 
-def certificate_problems(cert: SeparationCertificate,
-                         rep_q: Representation) -> list[str]:
-    """Every discrepancy found when re-deriving the certificate from rep_q.
-
-    Empty list means the certificate is valid.  Each entry names the
-    failed check with the stored and recomputed values.
-    """
-    problems: list[str] = []
-    try:
-        if cert.config != PairConfig.UNLINKED_ALIGNED:
-            problems.append("stored config is %s, not unlinked-aligned"
-                            % cert.config.value)
-        for name, value in (("ell_q_a", cert.ell_q_a),
-                            ("ell_q_b", cert.ell_q_b),
-                            ("ell_q_ab", cert.ell_q_ab)):
-            if not value > 0.0:
-                problems.append("stored %s = %r is not positive"
-                                % (name, value))
-        if not cert.ratio > 1.0:
-            problems.append("stored ratio %r does not exceed 1" % cert.ratio)
-        if problems:
-            return problems
-        recomputed = (("ell_q_a", cert.ell_q_a,
-                       stable_length(rep_q, cert.a)),
-                      ("ell_q_b", cert.ell_q_b,
-                       stable_length(rep_q, cert.b)),
-                      ("ell_q_ab", cert.ell_q_ab,
-                       stable_length(rep_q, cert.a * cert.b)))
-        # written "not <=" so that a NaN stored value fails too
-        for name, stored, fresh in recomputed:
-            if not abs(fresh - stored) <= 1e-9:
-                problems.append("%s stored %.17g but recomputes to %.17g"
-                                % (name, stored, fresh))
-        ell_a, ell_b, ell_ab = (fresh for _, _, fresh in recomputed)
-        if not ell_ab > 0.0:
-            # a trivial or non-translating product: there is no ratio
-            problems.append("l(ab) recomputes to %.17g, not positive"
-                            % ell_ab)
-        else:
-            ratio = (ell_a + ell_b) / ell_ab
-            if not abs(ratio - cert.ratio) <= 1e-9:
-                problems.append("ratio stored %.17g but recomputes to %.17g"
-                                % (cert.ratio, ratio))
-            if not ratio > 1.0:
-                problems.append("recomputed ratio %.17g does not exceed 1"
-                                % ratio)
-            if not abs(cert.alpha - math.log(ratio)) <= 1e-9:
-                problems.append("alpha stored %.17g but log(ratio) is %.17g"
-                                % (cert.alpha, math.log(ratio)))
-        config = classify_pairs(cert.a, cert.b)
-        if config != PairConfig.UNLINKED_ALIGNED:
-            problems.append("pair reclassifies to %s, not unlinked-aligned"
-                            % config.value)
-    except (ValueError, OverflowError) as exc:
-        problems.append("recomputation failed: %s" % exc)
-    return problems
-
-
-def certify(cert: SeparationCertificate, rep_q: Representation) -> bool:
-    """Independently re-derive every certificate field against rep_q."""
-    return not certificate_problems(cert, rep_q)
-
-
 def diagnostic_delta(rep_q: Representation, witness: SpiralWitness) -> float:
     """Busemann gap of the witness diagonal where the image axes cross.
 
@@ -522,41 +427,3 @@ def diagnostic_delta(rep_q: Representation, witness: SpiralWitness) -> float:
     if not cmath.isfinite(u) or u in (0, 1):
         raise CertificateError("witness image points coincide")
     return math.log1p(abs(u) / abs(1.0 - u))
-
-
-def certificate_to_dict(cert: SeparationCertificate) -> dict:
-    return {
-        "schema": "qfcert/1",
-        "type": "separation_certificate",
-        "rep_id": cert.rep_id,
-        "a": word_to_text(cert.a),
-        "b": word_to_text(cert.b),
-        "config": cert.config.value,
-        "ell_q_a": cert.ell_q_a,
-        "ell_q_b": cert.ell_q_b,
-        "ell_q_ab": cert.ell_q_ab,
-        "ratio": cert.ratio,
-        "alpha": cert.alpha,
-    }
-
-
-def certificate_from_dict(payload: object) -> SeparationCertificate:
-    """The certificate a JSON payload describes; CertificateError names
-    what is missing or malformed."""
-    if not isinstance(payload, dict) or payload.get("schema") != "qfcert/1" \
-            or payload.get("type") != "separation_certificate":
-        raise CertificateError("not a separation certificate payload")
-    try:
-        return SeparationCertificate(
-            rep_id=str(payload["rep_id"]),
-            a=word_from_text(str(payload["a"])),
-            b=word_from_text(str(payload["b"])),
-            config=PairConfig(payload["config"]),
-            ell_q_a=json_float(payload["ell_q_a"]),
-            ell_q_b=json_float(payload["ell_q_b"]),
-            ell_q_ab=json_float(payload["ell_q_ab"]),
-            ratio=json_float(payload["ratio"]),
-            alpha=json_float(payload["alpha"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateError("malformed certificate payload: %r" % exc) from exc

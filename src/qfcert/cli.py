@@ -33,25 +33,27 @@ import os
 import sys
 from pathlib import Path
 
-# boundary and certificates are imported by the handlers that use them,
-# so growth, spectrum, ref-rep and bend never load either
+# check, boundary and certificates are imported by the handlers that use
+# them, so growth, spectrum, ref-rep and bend load none of them, and the
+# --input checks load check alone
 from .moebius import InvariantError
 from .representations import (
     BEND_ANGLE_ENVELOPE,
     GROWTH_MARGIN,
     GROWTH_MIN_RMAX,
+    SCHEMA,
     RepresentationError,
     bend,
     compute_spectrum,
     estimate_growth,
     find_complex_trace_element,
     fuchsian_octagon,
+    json_number,
+    json_text,
     representation_hash,
     representation_json,
 )
 from .surface_group import word_to_text
-
-SCHEMA = "qfcert/1"
 
 # growth refuses an Rmax whose estimated ball holds more elements than
 # this: Rmax 14 (about 1.6e7) runs, Rmax 16 (about 1.2e8) is refused
@@ -132,12 +134,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     for key, raw in values.items():
         want = _FIELD_TYPES[key]
         try:
-            if want is not str and isinstance(raw, bool):
-                raise ValueError("expected a number, not a boolean")
+            raw = json_text(raw) if want is str else json_number(raw)
             if want is int and isinstance(raw, float) and raw != int(raw):
                 raise ValueError("not an integer")
-            if want is str and not isinstance(raw, str):
-                raise ValueError("expected a string")
             values[key] = want(raw)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError("config key %r: %s" % (key, exc)) from exc
@@ -289,8 +288,8 @@ def cmd_growth(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_triangle_check(cfg: RunConfig, out: Path, args) -> int:
-    from .boundary import PAIR_CONFIGS
     from .certificates import triangle_harness
+    from .check import PAIR_CONFIGS
 
     maxlen = _preflight(cfg, "triangle-check")
     rep = fuchsian_octagon()
@@ -314,10 +313,8 @@ def cmd_triangle_check(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_witness(cfg: RunConfig, out: Path, args) -> int:
-    from .boundary import (find_spiral_witness, verify_witness_orders,
-                           witness_from_dict, witness_to_dict)
-    from .certificates import (CertificateError, diagnostic_delta,
-                               find_separation_certificate)
+    from .check import (CertificateError, verify_witness_orders,
+                        witness_from_dict, witness_to_dict)
 
     rep = _bent_rep(cfg)
     if args.input is not None:
@@ -330,6 +327,9 @@ def cmd_witness(cfg: RunConfig, out: Path, args) -> int:
         print("witness valid: spiraling element %s"
               % word_to_text(witness.gamma))
         return 0
+    from .boundary import find_spiral_witness
+    from .certificates import diagnostic_delta, find_separation_certificate
+
     maxlen = _preflight(cfg, "witness")
     gamma = find_complex_trace_element(rep, COMPLEX_TRACE_MAXLEN)
     print("spiraling element: %s" % word_to_text(gamma))
@@ -358,9 +358,8 @@ def _report_scan(scan) -> None:
 
 
 def cmd_certify(cfg: RunConfig, out: Path, args) -> int:
-    from .certificates import (CertificateError, certificate_from_dict,
-                               certificate_problems, certificate_to_dict,
-                               find_separation_certificate)
+    from .check import (CertificateError, certificate_from_dict,
+                        certificate_problems, certificate_to_dict)
 
     rep = _bent_rep(cfg)
     if args.input is not None:
@@ -383,6 +382,8 @@ def cmd_certify(cfg: RunConfig, out: Path, args) -> int:
         print("certificate valid: ratio %.12f, alpha %.6e"
               % (cert.ratio, cert.alpha))
         return 0
+    from .certificates import find_separation_certificate
+
     maxlen = _preflight(cfg, "certify")
     try:
         cert = find_separation_certificate(rep, maxlen, cfg.min_ratio)

@@ -466,6 +466,28 @@ def find_complex_trace_element(rep: Representation, maxlen: int) -> Word:
 
 # -- serialization -----------------------------------------------------------
 
+# the schema tag of every artifact
+SCHEMA = "qfcert/1"
+
+
+def json_number(value):
+    """value, where JSON input gives a number: an int or a float.  A bool,
+    which float() and int() read as 0 or 1, and a str, which they parse,
+    raise TypeError; any other value is left to the conversion."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, not a boolean")
+    if isinstance(value, str):
+        raise TypeError("expected a number, got %r" % value)
+    return value
+
+
+def json_text(value) -> str:
+    """value, where JSON input gives a string; anything else raises
+    TypeError."""
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
 
 def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
@@ -475,7 +497,7 @@ def representation_to_dict(rep: Representation) -> dict:
     images = {name: [_complex_pair(e) for e in rep.images[x].entries()]
               for x, name in zip(wa.LETTERS, wa.NAMES) if x > 0}
     return {
-        "schema": "qfcert/1",
+        "schema": SCHEMA,
         "type": "representation",
         "genus": 2,
         "kind": rep.kind,

@@ -5,8 +5,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from qfcert import boundary
-from qfcert.boundary import SpiralWitness, find_spiral_witness, limit_set_sample
+from qfcert import check
+from qfcert.boundary import find_spiral_witness, limit_set_sample
+from qfcert.check import SpiralWitness
 from qfcert.representations import (
     Representation,
     bend,
@@ -30,8 +31,8 @@ def octagon_refused(monkeypatch):
     def refuse():
         raise AssertionError("fuchsian_octagon called")
 
-    monkeypatch.setattr(boundary, "fuchsian_octagon", refuse)
-    boundary.reference_representation.cache_clear()
+    monkeypatch.setattr(check, "fuchsian_octagon", refuse)
+    check.reference_representation.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -25,28 +25,30 @@ import numpy as np
 import pytest
 
 from qfcert import _wordarrays as wa
-from qfcert import boundary
+from qfcert import boundary, check
 from qfcert.boundary import (
+    LimitSetSample,
+    MIN_THETA,
+    find_spiral_witness,
+    limit_set_sample,
+    normalize_at,
+    pair_config_grid,
+    rank_endpoints,
+    sample_to_csv,
+    sample_to_svg,
+)
+from qfcert.check import (
     DEGENERATE_TOL,
     PAIR_CONFIGS,
     BoundaryError,
     BoundaryPointRef,
-    LimitSetSample,
-    MIN_THETA,
     PairConfig,
     classify_angle_pairs,
     classify_pairs,
     classify_real_pairs,
     disk_angle,
-    find_spiral_witness,
     fixed_angles,
-    limit_set_sample,
-    normalize_at,
-    pair_config_grid,
-    rank_endpoints,
     reference_representation,
-    sample_to_csv,
-    sample_to_svg,
     verify_witness_orders,
     witness_from_dict,
     witness_to_dict,
@@ -1077,6 +1079,13 @@ class TestArgumentLift:
             argument_lift(synthetic_sample([1.0, point, 2.0]), IDENTITY_CHART)
 
 
+@pytest.fixture(scope="module")
+def witness07():
+    """(witness, rep): the witness of `witness --maxlen 7` at theta 0.7."""
+    rep = bend(fuchsian_octagon(), 0.7)
+    return find_spiral_witness(rep, find_complex_trace_element(rep, 4), 7), rep
+
+
 class TestSpiralWitness:
     def test_end_to_end_witness_verifies(self, witness_run):
         w = witness_run.witness
@@ -1129,6 +1138,16 @@ class TestSpiralWitness:
         bad = replace(w, radii=(w.radii[0], w.radii[2], w.radii[1], w.radii[3]))
         assert not verify_witness_orders(bad, witness_run.rep)
 
+    @pytest.mark.parametrize("key", ["indices_n", "indices_m", "radii",
+                                     "arglift"])
+    def test_verifier_rejects_three_entries(self, witness07, key):
+        # a short radii or indices_n would be indexed past its end, and zip
+        # would cut the checks short at a short indices_m or arglift
+        w, rep = witness07
+        assert verify_witness_orders(w, rep)
+        assert not verify_witness_orders(
+            replace(w, **{key: getattr(w, key)[:3]}), rep)
+
     def test_windows_read_the_points_not_the_spelling(self, witness_run):
         # Read against gamma F instead of F, the same four points sit one
         # translate lower: every window drops by one.  xi[1] = gamma^12 u
@@ -1138,7 +1157,7 @@ class TestSpiralWitness:
         w = witness_run.witness
         shifted = replace(w, indices_n=tuple(n - 1 for n in w.indices_n),
                           indices_m=tuple(m - 1 for m in w.indices_m))
-        strip = boundary._strip_conjugator(w.xi[1].word, w.gamma)[0]
+        strip = check._strip_conjugator(w.xi[1].word, w.gamma)[0]
         assert strip == shifted.indices_m[1]
         assert verify_witness_orders(shifted, witness_run.rep)
 
@@ -1147,10 +1166,10 @@ class TestSpiralWitness:
         # and one chart of gamma
         calls = {"_strip_conjugator": 0, "_gamma_chart": 0}
         for name in calls:
-            def counted(*args, _fn=getattr(boundary, name), _name=name):
+            def counted(*args, _fn=getattr(check, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(boundary, name, counted)
+            monkeypatch.setattr(check, name, counted)
         assert verify_witness_orders(witness_run.witness, witness_run.rep)
         assert calls == {"_strip_conjugator": 4, "_gamma_chart": 1}
 
@@ -1161,7 +1180,7 @@ class TestSpiralWitness:
         # lies in that window's translates
         rep = bend(fuchsian_octagon(), 0.78)
         w = find_spiral_witness(rep, find_complex_trace_element(rep, 4), 7)
-        strip = boundary._strip_conjugator(w.xi[3].word, w.gamma)[0]
+        strip = check._strip_conjugator(w.xi[3].word, w.gamma)[0]
         assert strip < w.indices_n[3]
         assert verify_witness_orders(w, rep)
 
@@ -1187,7 +1206,7 @@ class TestSpiralWitness:
          "NoneType"),
         (lambda p: {**p, "xi": [{**p["xi"][0], "word": "a9"}, *p["xi"][1:]]},
          "a9"),
-        (lambda p: {**p, "gamma": 5}, "'5'"),
+        (lambda p: {**p, "gamma": 5}, "expected a string"),
         (lambda p: {**p, "xi_star": "a1"}, "string indices"),
         (lambda p: {**p, "radii": p["radii"][:3]}, "four radii"),
         (lambda p: {**p, "indices_n": [12.7, *p["indices_n"][1:]]},
@@ -1284,7 +1303,7 @@ class TestWitnessGrid:
                     if name == "_geodesic_gap":
                         users.add((path.name, getattr(top, "name", None)))
         assert len(list(src.glob("*.py"))) > 5
-        assert users == {("boundary.py", "verify_witness_orders")}
+        assert users == {("check.py", "verify_witness_orders")}
 
 
 class TestExports:

@@ -14,24 +14,23 @@ import pytest
 
 import qfcert.certificates as certmod
 from qfcert import _wordarrays as wa
-from qfcert.boundary import (
-    PAIR_CONFIGS,
-    PairConfig,
-    classify_pairs,
-    pair_config_grid,
-    rank_endpoints,
-)
+from qfcert.boundary import pair_config_grid, rank_endpoints
 from qfcert.certificates import (
-    CertificateError,
     TriangleRecords,
-    certificate_from_dict,
-    certificate_problems,
-    certificate_to_dict,
-    certify,
     diagnostic_delta,
     find_separation_certificate,
     ratio_lower_bound,
     triangle_harness,
+)
+from qfcert.check import (
+    PAIR_CONFIGS,
+    CertificateError,
+    PairConfig,
+    certificate_from_dict,
+    certificate_problems,
+    certificate_to_dict,
+    certify,
+    classify_pairs,
 )
 from qfcert.moebius import INF, Geodesic3, MoebiusMap
 from qfcert.representations import (

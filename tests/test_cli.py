@@ -13,12 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from qfcert import boundary, certificates, cli
-from qfcert.boundary import BoundaryError, witness_to_dict
-from qfcert.certificates import (
+from qfcert import boundary, certificates, check, cli
+from qfcert.certificates import find_separation_certificate
+from qfcert.check import (
+    BoundaryError,
     CertificateError,
     certificate_to_dict,
-    find_separation_certificate,
+    witness_to_dict,
 )
 from qfcert.cli import ConfigError, main
 from qfcert.moebius import InvariantError, MoebiusError
@@ -112,6 +113,19 @@ class TestConfigHandling:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "boolean" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+    def test_quoted_number_is_not_a_number(self, tmp_path, capsys):
+        # int("3") and float("0.6") would parse the strings
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"maxlen": "3", "bend_angle": "0.6"}')
+        code = main(["--config", str(cfg), "--outdir", str(tmp_path / "out"),
+                     "spectrum"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key ") \
+            and "expected a number, got '" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out" / "spectrum.csv").exists()
 
@@ -780,6 +794,49 @@ class TestInputContract:
         assert "  - l(ab) recomputes to 0, not positive\n" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def assert_malformed(capsys, what, runs):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == runs
+        assert all(line.startswith("config error: cannot read %s " % what)
+                   and "malformed %s payload" % what in line for line in err)
+
+    def test_quoted_certificate_numbers_are_malformed(self, tmp_path, capsys,
+                                                      certificate):
+        # float() would parse "1.5", so a quoted number would still validate
+        payload = certificate
+        for path in numeric_fields(certificate):
+            payload = with_value(payload, path, repr(value_at(payload, path)))
+        assert run_input(tmp_path, "certify", payload) == 2
+        self.assert_malformed(capsys, "certificate", 1)
+
+    def test_quoted_witness_numbers_are_malformed(self, tmp_path, capsys,
+                                                  witness_run):
+        payload = witness_to_dict(witness_run.witness)
+        paths = list(numeric_fields(payload))
+        for path in paths:
+            quoted = with_value(payload, path, repr(value_at(payload, path)))
+            assert run_input(tmp_path, "witness", quoted) == 2, path
+        self.assert_malformed(capsys, "witness", len(paths))
+
+    def test_witness_lists_must_be_arrays(self, tmp_path, capsys,
+                                          witness_run):
+        # iterating the string "1234" would read radii (1, 2, 3, 4)
+        payload = witness_to_dict(witness_run.witness)
+        keys = ("xi", "indices_n", "indices_m", "radii", "arglift")
+        for key in keys:
+            assert run_input(tmp_path, "witness", {**payload, key: "1234"}) \
+                == 2, key
+        self.assert_malformed(capsys, "witness", len(keys))
+
+    def test_certificate_text_fields_must_be_strings(self, tmp_path, capsys,
+                                                     certificate):
+        # str() would make the number 1234 a rep_id, which only mismatches
+        for key in ("rep_id", "a", "b"):
+            assert run_input(tmp_path, "certify", {**certificate, key: 1234}) \
+                == 2, key
+        self.assert_malformed(capsys, "certificate", 3)
+
 
 def calls_of(module, name):
     """(enclosing top-level function, whether inside an ``if args.input is
@@ -809,7 +866,7 @@ class TestOneAcceptanceCheck:
     files."""
 
     def test_only_certificate_problems_classifies_a_certificate_pair(self):
-        assert calls_of(certificates, "classify_pairs") \
+        assert calls_of(check, "classify_pairs") \
             == [("certificate_problems", False)]
 
     @pytest.mark.parametrize("name,command", [
@@ -819,7 +876,7 @@ class TestOneAcceptanceCheck:
         assert calls_of(cli, name) == [(command, True)]
 
     def test_verifier_classifies_only_the_image_side(self):
-        assert [top for top, _ in calls_of(boundary, "classify_real_pairs")
+        assert [top for top, _ in calls_of(check, "classify_real_pairs")
                 if top == "verify_witness_orders"] \
             == ["verify_witness_orders"]
 
@@ -849,10 +906,10 @@ class TestLimitsetCommand:
 class TestImports:
     """Each command loads only the modules it runs.  np.unique and
     np.percentile go through numpy.ma; the endpoint ranking deduplicates
-    and the SVG window takes its quantiles by sorting.  boundary and
-    certificates are imported by the handlers that use them.  Each check
-    runs commands in a fresh interpreter, since this one has loaded every
-    module already."""
+    and the SVG window takes its quantiles by sorting.  check, boundary
+    and certificates are imported by the handlers that use them, and an
+    --input check loads check alone.  Each check runs commands in a fresh
+    interpreter, since this one has loaded every module already."""
 
     @staticmethod
     def _run_fresh(tmp_path, unloaded, *calls):
@@ -905,8 +962,28 @@ class TestImports:
     def test_command_loads_neither_boundary_nor_certificates(self, tmp_path,
                                                              argv):
         self._run_fresh(
-            tmp_path, ["qfcert.boundary", "qfcert.certificates"],
+            tmp_path, ["qfcert.boundary", "qfcert.certificates",
+                       "qfcert.check"],
             "assert main([*out, *%r]) == 0" % (argv,))
+
+    def test_certificate_input_loads_only_the_checker(self, tmp_path,
+                                                      bent_rep):
+        path = tmp_path / "certificate.json"
+        path.write_text(json.dumps(certificate_to_dict(
+            find_separation_certificate(bent_rep, 4))))
+        self._run_fresh(
+            tmp_path, ["qfcert.boundary", "qfcert.certificates"],
+            "assert main([*out, 'certify', '--input', %r]) == 0" % str(path),
+            "assert 'qfcert.check' in sys.modules")
+
+    def test_witness_input_loads_only_the_checker(self, tmp_path,
+                                                  witness_run):
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(witness_to_dict(witness_run.witness)))
+        self._run_fresh(
+            tmp_path, ["qfcert.boundary", "qfcert.certificates"],
+            "assert main([*out, 'witness', '--input', %r]) == 0" % str(path),
+            "assert 'qfcert.check' in sys.modules")
 
     def test_limitset_does_not_load_certificates(self, tmp_path):
         self._run_fresh(
@@ -918,7 +995,8 @@ class TestImports:
             self, tmp_path):
         # load_config refuses before any handler runs
         self._run_fresh(
-            tmp_path, ["qfcert.boundary", "qfcert.certificates"],
+            tmp_path, ["qfcert.boundary", "qfcert.certificates",
+                       "qfcert.check"],
             "assert main([*out, '--rmax', '-1', 'certify']) == 2",
             "assert main([*out, '--config', sys.argv[1] + '/missing.json',"
             " 'witness']) == 2")

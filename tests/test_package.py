@@ -16,7 +16,7 @@ import qfcert
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # every name qfcert re-exported when it imported its submodules eagerly,
-# by submodule
+# by the submodule that defines it
 EXPORTED = {
     "moebius": [
         "BASEPOINT", "BoundaryPoint", "BusemannGap", "Geodesic3", "INF",
@@ -38,19 +38,20 @@ EXPORTED = {
         "orbit_point_distances", "power_displacement",
         "representation_hash", "representation_json",
         "representation_to_dict", "stable_length"],
-    "boundary": [
+    "check": [
         "AXIS_CROSS_TOL", "BoundaryError", "BoundaryPointRef",
-        "DEGENERATE_TOL", "LimitSetSample", "MIN_THETA", "PairConfig",
-        "SpiralWitness", "classify_angle_pairs", "classify_pairs",
-        "classify_real_pairs", "disk_angle", "find_spiral_witness",
-        "fixed_angles", "limit_set_sample", "normalize_at",
-        "reference_representation", "sample_to_csv", "sample_to_svg",
+        "CertificateError", "DEGENERATE_TOL", "PairConfig",
+        "SeparationCertificate", "SpiralWitness", "certificate_from_dict",
+        "certificate_problems", "certificate_to_dict", "certify",
+        "classify_angle_pairs", "classify_pairs", "classify_real_pairs",
+        "disk_angle", "fixed_angles", "reference_representation",
         "verify_witness_orders", "witness_from_dict", "witness_image_points",
         "witness_to_dict"],
+    "boundary": [
+        "LimitSetSample", "MIN_THETA", "find_spiral_witness",
+        "limit_set_sample", "normalize_at", "sample_to_csv", "sample_to_svg"],
     "certificates": [
-        "MIN_CERTIFICATE_MARGIN", "CertificateError", "DlipRatioBound",
-        "SeparationCertificate", "TriangleRecords", "certificate_from_dict",
-        "certificate_problems", "certificate_to_dict", "certify",
+        "MIN_CERTIFICATE_MARGIN", "DlipRatioBound", "TriangleRecords",
         "diagnostic_delta", "find_separation_certificate",
         "ratio_lower_bound", "triangle_harness"],
 }
@@ -118,3 +119,22 @@ def test_readme_imports_resolve():
     assert imports
     for node in imports:
         exec(ast.unparse(node), {})
+
+
+def test_check_imports_no_search():
+    # the checker is the trusted base: the standard library, numpy and the
+    # scalar modules, never boundary, certificates or _wordarrays
+    path = Path(qfcert.__file__).with_name("check.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level
+            found.update([base + node.module] if node.module
+                         else [base + alias.name for alias in node.names])
+    allowed = {".moebius", ".surface_group", ".representations", "numpy"}
+    outside = {name for name in found if name not in allowed
+               and name.split(".")[0] not in sys.stdlib_module_names}
+    assert not outside
+    assert {".moebius", ".surface_group", ".representations"} <= found
