@@ -9,9 +9,14 @@ search and the complex-trace search walk the normal forms that
 ``shortlex_acceptor`` accepts, and the class table and
 ``surface_group.enumerate_words`` the freely reduced words that
 ``free_acceptor`` accepts.  Joined rows go through ``compose_matrices``.
-Every batch product is ``_times``, equal to ``representations.evaluate`` bit
-for bit after ``MoebiusMap._unit_det``'s sign.  ``translating`` decides from
-traces which products are translations, with ``moebius``'s tolerances.
+Every batch product is evaluated on contiguous float64 planes, the real and
+imaginary parts of each entry (``_plane_products``; ``_times`` is its form
+on matrices), equal to ``representations.evaluate`` bit for bit after
+``MoebiusMap._unit_det``'s sign.  Real generators, such as the reference
+octagon's after ``exact_real``, give float64 products, whose fixed points
+``attracting_fixed_pairs`` solves in a float64 branch.  ``translating``
+decides from traces which products are translations, with ``moebius``'s
+tolerances.
 Artifact lengths come from ``representations.stable_lengths``: its
 ``cmath.acosh`` is ``moebius.translation_length`` bit for bit, and
 ``np.arccosh`` differs from it in the last bit for about one word in ten.
@@ -114,48 +119,67 @@ def conjugacy_class_mask(words: np.ndarray) -> np.ndarray:
 _ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _plus(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """(0.0 + p0) + p1, in place in p0: a sum into a zeroed output.
+def _planes(m: np.ndarray, cplx: bool) -> np.ndarray:
+    """(P, ...) contiguous planes of (..., 2, 2) matrices: the value of
+    entry e = 2 i + k is plane e (float64, P = 4), or its real and
+    imaginary parts are planes 2 e and 2 e + 1 (cplx, P = 8)."""
+    m = np.ascontiguousarray(m, dtype=complex if cplx else np.float64)
+    planes = 8 if cplx else 4
+    flat = m.view(np.float64).reshape(-1, planes)
+    return np.ascontiguousarray(flat.T).reshape(planes, *m.shape[:-2])
 
-    The 0.0 turns a -0.0 first term into +0.0, so the sum of two -0.0
-    terms is +0.0.
+
+def _plane_products(mp: np.ndarray, gp: np.ndarray, out: np.ndarray) -> None:
+    """Products of the matrices whose planes (``_planes``) are mp and gp,
+    broadcast over their trailing axes, written into the planes out.
+
+    Entry (i, k) is (0.0 + m_i0 g_0k) + m_i1 g_1k: the 0.0 turns a -0.0
+    first term into +0.0, so the sum of two -0.0 terms is +0.0.  A
+    complex term x y is (xr yr - xi yi, xr yi + xi yr) on the planes:
+    NumPy's complex multiply may fuse a multiply-add in its SIMD loop.
+    Each sum is formed in a contiguous buffer, then copied into out,
+    whose planes may be strided.
     """
-    p0 += 0.0
-    p0 += p1
-    return p0
+    cplx = out.shape[0] == 8
+    t, u, w = (np.empty(out.shape[1:]) for _ in range(3))
+    for e, (i, k) in enumerate(_ENTRIES):
+        # term j pairs entry 2 i + j of m with entry 2 j + k of g
+        terms = [(2 * i + j, 2 * j + k) for j in (0, 1)]
+        if not cplx:
+            for (x, y), acc in zip(terms, (t, u)):
+                np.multiply(mp[x], gp[y], out=acc)
+            t += 0.0
+            t += u
+            out[e] = t
+            continue
+        # the real part xr yr - xi yi, then the imaginary part xr yi + xi yr
+        for part, combine in ((0, np.subtract), (1, np.add)):
+            for (x, y), acc in zip(terms, (t, u)):
+                np.multiply(mp[2 * x], gp[2 * y + part], out=acc)
+                np.multiply(mp[2 * x + 1], gp[2 * y + 1 - part], out=w)
+                combine(acc, w, out=acc)
+            t += 0.0
+            t += u
+            out[2 * e + part] = t
 
 
 def _times(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """2x2 products m[..., :, :] @ g[..., :, :], broadcast over the
-    leading axes; every batch product goes here.
-
-    Each entry sums its two terms from 0.0 (``_plus``).  A
-    complex term x y is (xr yr - xi yi, xr yi + xi yr) on the planes:
-    NumPy's complex multiply may fuse a multiply-add in its SIMD loop.
-    Real m and g give a float64 result.
-    """
-    shape = np.broadcast_shapes(m.shape, g.shape)
-    if not (np.iscomplexobj(m) or np.iscomplexobj(g)):
-        out = np.empty(shape)
-        for i, k in _ENTRIES:
-            out[..., i, k] = _plus(*(m[..., i, j] * g[..., j, k]
-                                     for j in (0, 1)))
-        return out
-    mr, mi, gr, gi = m.real, m.imag, g.real, g.imag
-    out = np.empty(shape, dtype=complex)
-    for i, k in _ENTRIES:
-        terms = [(mr[..., i, j], mi[..., i, j], gr[..., j, k], gi[..., j, k])
-                 for j in (0, 1)]
-        out.real[..., i, k] = _plus(*(xr * yr - xi * yi
-                                      for xr, xi, yr, yi in terms))
-        out.imag[..., i, k] = _plus(*(xr * yi + xi * yr
-                                      for xr, xi, yr, yi in terms))
+    leading axes: ``_plane_products`` on the planes of m and g.  Real m
+    and g give a float64 result."""
+    cplx = np.iscomplexobj(m) or np.iscomplexobj(g)
+    out = np.empty(np.broadcast_shapes(m.shape, g.shape),
+                   dtype=complex if cplx else np.float64)
+    flat = out.view(np.float64).reshape(*out.shape[:-2], 8 if cplx else 4)
+    _plane_products(_planes(m, cplx), _planes(g, cplx),
+                    np.moveaxis(flat, -1, 0))
     return out
 
 
 def exact_real(gen_mats: np.ndarray) -> np.ndarray:
     """gen_mats as float64 when every entry's imaginary part is zero, so
-    its products take the real branch of ``_times``; else unchanged."""
+    its products take the real planes of ``_plane_products``; else
+    unchanged."""
     if np.iscomplexobj(gen_mats) and not gen_mats.imag.any():
         return np.ascontiguousarray(gen_mats.real)
     return gen_mats
@@ -163,15 +187,22 @@ def exact_real(gen_mats: np.ndarray) -> np.ndarray:
 
 def compose_matrices(words: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
     """Product matrices for rank rows, which may end in -1 padding;
-    gen_mats is (4g, 2, 2), complex or real."""
-    m = gen_mats[words[:, 0]]
-    for j in range(1, words.shape[1]):
-        live = words[:, j] >= 0
-        if live.all():
-            m = _times(m, gen_mats[words[:, j]])
-        else:
-            m[live] = _times(m[live], gen_mats[words[live, j]])
-    return m
+    gen_mats is (4g, 2, 2), complex or real.  The running products are
+    planes, and each column's live rows gather their generators from the
+    generators' planes."""
+    cplx = np.iscomplexobj(gen_mats)
+    table = _planes(gen_mats, cplx)
+    m = np.take(table, words[:, 0], axis=1)
+    for col in words[:, 1:].T:
+        rows = np.flatnonzero(col >= 0)
+        step = np.empty((m.shape[0], rows.size))
+        _plane_products(np.take(m, rows, axis=1),
+                        np.take(table, np.take(col, rows), axis=1), step)
+        m[:, rows] = step
+    out = np.empty((words.shape[0], 2, 2),
+                   dtype=complex if cplx else np.float64)
+    out.view(np.float64).reshape(m.shape[::-1])[...] = m.T
+    return out
 
 
 def extend_products(parents: np.ndarray, last: np.ndarray,
@@ -179,13 +210,21 @@ def extend_products(parents: np.ndarray, last: np.ndarray,
     """Products of the children of the words whose products are `parents`.
 
     last holds the last ranks of the 7 children of each parent, in
-    parent order (``CHILDREN``), flat or one row per parent.  Each parent
-    is broadcast against its children's generators.  The result equals
-    compose_matrices of the full child rows bit for bit.
+    parent order (``CHILDREN``), flat or one row per parent.  The
+    children's generators are gathered from the (P, 8) planes of
+    gen_mats into (P, 7, n) planes, against which each parent's planes
+    are broadcast, and the products are written straight into the
+    (n, 7, 2, 2) result.  It equals compose_matrices of the full child
+    rows bit for bit.
     """
-    fan = gen_mats.shape[0] - 1
-    gathered = np.take(gen_mats, last.reshape(-1, fan), axis=0)
-    return _times(parents[:, None], gathered).reshape(-1, 2, 2)
+    cplx = np.iscomplexobj(parents) or np.iscomplexobj(gen_mats)
+    n, fan = parents.shape[0], gen_mats.shape[0] - 1
+    out = np.empty((n, fan, 2, 2), dtype=complex if cplx else np.float64)
+    _plane_products(
+        _planes(parents, cplx)[:, None],
+        np.take(_planes(gen_mats, cplx), last.reshape(n, fan).T, axis=1),
+        out.view(np.float64).reshape(n, fan, 8 if cplx else 4).T)
+    return out.reshape(-1, 2, 2)
 
 
 def _relator_swaps() -> dict[tuple, list[tuple]]:
@@ -415,24 +454,47 @@ def attracting_fixed_pairs(mats: np.ndarray) -> np.ndarray:
     """Projective pairs (w1, w2), unit norm, of the attracting fixed points.
 
     Caller must ensure the maps are translation types (distinct-modulus
-    eigenvalues); ties are resolved arbitrarily.
+    eigenvalues); ties are resolved arbitrarily.  The eigenvector is
+    (b, kappa - a) or (kappa - d, c), whichever has the larger squared
+    norm, for the larger eigenvalue kappa.  Complex maps give complex
+    pairs.  Real maps, such as the reference octagon's products after
+    ``exact_real``, take a float64 branch whose pairs are the real parts
+    of the complex computation's, bit for bit, where the maps translate;
+    there the imaginary parts are all +0.0.
     """
-    a = mats[..., 0, 0]
-    b = mats[..., 0, 1]
-    c = mats[..., 1, 0]
-    d = mats[..., 1, 1]
+    cplx = np.iscomplexobj(mats)
+    a, b, c, d = (mats[..., i, k] for i, k in _ENTRIES)
     tr = a + d
-    sq = np.sqrt(tr * tr - 4.0 + 0j)
-    kp = (tr + sq) / 2.0
-    km = (tr - sq) / 2.0
+    if cplx:
+        sq = np.sqrt(tr * tr - 4.0 + 0j)
+        kp, km = (tr + sq) / 2.0, (tr - sq) / 2.0
+    else:
+        # the complex branch's sqrt of (x, +0.0) and division by (2, 0),
+        # both on the real part alone; a negative discriminant (no
+        # translation) is clipped, so nothing warns that the complex
+        # branch lets pass
+        sq = np.sqrt(np.maximum(tr * tr - 4.0, 0.0))
+        kp, km = ((tr + sq) + 0.0) * 0.5, ((tr - sq) + 0.0) * 0.5
+    # the complex |z| is np.hypot, which no plane formula matches
     kappa = np.where(np.abs(kp) >= np.abs(km), kp, km)
-    v1 = np.stack([b, kappa - a], axis=-1)
-    v2 = np.stack([kappa - d, c], axis=-1)
-    n1 = np.abs(v1[..., 0]) ** 2 + np.abs(v1[..., 1]) ** 2
-    n2 = np.abs(v2[..., 0]) ** 2 + np.abs(v2[..., 1]) ** 2
-    v = np.where((n1 >= n2)[..., None], v1, v2)
-    norm = np.sqrt(np.abs(v[..., 0]) ** 2 + np.abs(v[..., 1]) ** 2)
-    return v / norm[..., None]
+    p, r = kappa - a, kappa - d
+    n1 = np.abs(b) ** 2 + np.abs(p) ** 2
+    n2 = np.abs(r) ** 2 + np.abs(c) ** 2
+    first = n1 >= n2
+    norm = np.sqrt(np.where(first, n1, n2))
+    if not cplx:
+        # NumPy divides (x, 0) by a real norm as (x + 0.0) * (1.0 / norm);
+        # a zero norm (no translation) gives nan
+        scale = np.divide(1.0, norm, out=np.full_like(norm, np.nan),
+                          where=norm > 0.0)
+    out = np.empty(tr.shape + (2,), dtype=tr.dtype)
+    for k, x in enumerate((np.where(first, b, r), np.where(first, p, c))):
+        if cplx:
+            np.divide(x, norm, out=out[..., k])
+        else:
+            x += 0.0
+            np.multiply(x, scale, out=out[..., k])
+    return out
 
 
 def repelling_fixed_pairs(mats: np.ndarray) -> np.ndarray:

@@ -14,7 +14,10 @@ rule to whole tables of angle pairs.
 For a representation leaving the plane, the limit set is sampled on the
 dense subset of attracting fixed points: the word w contributes the
 attracting fixed point of its image, which is exactly the boundary-map
-image of w's attracting boundary point by equivariance.
+image of w's attracting boundary point by equivariance.  The walk forms
+both images' products on float64 planes (``_wordarrays``); the reference
+side is real and takes the float64 branch of the fixed-point solver, the
+bent side the complex one.
 
 Spiraling is witnessed in the chart that puts a chosen complex-multiplier
 element gamma at (0, infinity): there the gamma action is the linear map
@@ -173,12 +176,54 @@ class LimitSetSample:
             raise BoundaryError("sample indices must be integers, got %s"
                                 % idx.dtype)
         idx = idx.astype(int, copy=False)
-        return LimitSetSample(ranks=self.ranks[idx], angles=self.angles[idx],
-                              image_pairs=self.image_pairs[idx])
+        return LimitSetSample(*(np.take(a, idx, axis=0) for a in (
+            self.ranks, self.angles, self.image_pairs)))
 
 
 # rows per slice of the sample's merge and of passes over a sample
 _CHUNK = 1 << 16
+
+
+def _first_rows(angles: np.ndarray) -> np.ndarray:
+    """The first row of each key, the angles rounded to 12 digits, in
+    ascending order: the least index in each run of equal keys of the
+    default (SIMD) sort.  -0.0 equals 0.0, and each nan is a key of its
+    own.  Each array is freed once read, so that the merge peaks no
+    higher than a stable sort's."""
+    key = np.round(angles, 12)
+    order = np.argsort(key)
+    key = np.take(key, order)
+    head = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    del key
+    if not head.size:
+        return order
+    first = np.minimum.reduceat(order, np.flatnonzero(head))
+    first.sort()
+    return first
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable") of a 1-D float array, from the
+    default (SIMD) sort: only the runs of tied keys are sorted again, by
+    index.  -0.0 ties with 0.0, and the nans sort last and tie with each
+    other, as in the stable sort."""
+    order = np.argsort(keys)
+    s = np.take(keys, order)
+    nan = np.isnan(s)
+    tie = (s[1:] == s[:-1]) | (nan[1:] & nan[:-1])
+    if tie.any():
+        # the positions in runs of ties, each keyed by its run, then by
+        # its index
+        edge = np.zeros(order.size, dtype=bool)
+        edge[:-1] |= tie
+        edge[1:] |= tie
+        pos = np.flatnonzero(edge)
+        run = np.concatenate([[0], np.cumsum(~tie)])[pos]
+        key = run * order.size + order[pos]
+        key.sort()
+        order[pos] = key - run * order.size
+    return order
 
 
 def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
@@ -195,9 +240,10 @@ def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
     distinct points that agree to 12 digits (128 of the 1 368 merges at
     maxlen 6, such as a1 a1 a1 a1 b1 at 6.09352337e-07 turns and
     a1 a1 a1 a1 b1 a1 at 6.09352157e-07).  The reference octagon is
-    real and composes in float64.  The bent side stays complex even where
-    it is real: a float64 product there can flip the sign of a zero
-    imaginary part in an image point.
+    real: it composes on float64 planes, and its fixed points take the
+    float64 branch of ``attracting_fixed_pairs``.  The bent side stays
+    complex even where it is real: a float64 product there can flip the
+    sign of a zero imaginary part in an image point.
 
     Memory: the rank, angle and pair arrays are allocated once, sized by
     the reduced words (a bound on the normal forms); the merge moves the
@@ -217,29 +263,24 @@ def limit_set_sample(rep: Representation, maxlen: int) -> LimitSetSample:
         keep = wa.translating(wa.traces(ref_m)) \
             & wa.translating(wa.traces(rep_m))
         end = count + int(np.count_nonzero(keep))
-        # a slice when every row is kept, so nothing is copied
-        rows = slice(None) if end - count == len(words) else keep
-        ranks[count:end, :words.shape[1]] = words[rows]
+        # copied only when some row is dropped
+        if end - count < len(words):
+            words, ref_m, rep_m = (np.compress(keep, x, axis=0)
+                                   for x in (words, ref_m, rep_m))
+        ranks[count:end, :words.shape[1]] = words
         angles[count:end] = wa.disk_angles_turns(
-            wa.attracting_fixed_pairs(ref_m[rows]))
-        pairs[count:end] = wa.attracting_fixed_pairs(rep_m[rows])
+            wa.attracting_fixed_pairs(ref_m))
+        pairs[count:end] = wa.attracting_fixed_pairs(rep_m)
         count = end
 
-    # the first of each run of equal keys in a stable sort: the shortest,
-    # then shortlex-least word
-    key = np.round(angles[:count], 12)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    head = np.ones(count, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=head[1:])
-    first = order[head]
-    first.sort()
+    # the first row of each key: the shortest, then shortlex-least word
+    first = _first_rows(angles[:count])
     # first[i] >= i, so each slice reads only rows that no earlier slice
     # has overwritten
     for lo in range(0, first.size, _CHUNK):
         rows = first[lo:lo + _CHUNK]
         for a in out:
-            a[lo:lo + rows.size] = a[rows]
+            a[lo:lo + rows.size] = np.take(a, rows, axis=0)
     return LimitSetSample(ranks=ranks[:first.size], angles=angles[:first.size],
                           image_pairs=pairs[:first.size])
 
@@ -424,19 +465,22 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     side = np.where(x < v, np.int8(1), np.int8(-1))
     q = _arc_position(x, v, side)
     del x
-    z_all = np.empty(len(sample), dtype=complex)
-    for lo in range(0, len(sample), _CHUNK):
-        z_all[lo:lo + _CHUNK], finite = _chart_points(
-            sample.image_pairs[lo:lo + _CHUNK], chart)
-        valid[lo:lo + _CHUNK] &= finite
 
-    # deterministic seed: earliest sample point comfortably inside its arc;
-    # its gamma translate closes a fundamental interval [q0, q1)
-    seed_ok = valid & clear
-    if not seed_ok.any():
+    # deterministic seed: earliest sample point comfortably inside its arc
+    # whose chart value is finite; its gamma translate closes a
+    # fundamental interval [q0, q1).  The candidates are charted in
+    # slices that double, so at most twice those up to the seed.
+    cands, seed, lo, step = np.flatnonzero(valid & clear), None, 0, 1
+    while seed is None and lo < cands.size:
+        rows = cands[lo:lo + step]
+        finite = _chart_points(np.take(sample.image_pairs, rows, axis=0),
+                               chart)[1]
+        if finite.any():
+            seed = int(rows[np.argmax(finite)])
+        lo, step = lo + step, 2 * step
+    if seed is None:
         raise BoundaryError("sample too sparse: no seed point clear of the "
                             "axis endpoints")
-    seed = int(np.argmax(seed_ok))
     seed_side = int(side[seed])
     q0 = float(q[seed])
     t_angle = _gamma_power_angle(ref_gamma, float(sample.angles[seed]), 1)
@@ -444,19 +488,29 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     if not q0 < q1 < 1.0:
         raise BoundaryError("sample too sparse: fundamental interval collapsed")
 
-    on_side = valid & (side == seed_side)
-    fund = on_side & (q >= q0) & (q < q1)
+    # the rest reads only the points on the seed's side from q0 on: their
+    # chart values, and which of them are finite
+    rows = np.flatnonzero(valid & (side == seed_side) & (q >= q0))
+    q = np.take(q, rows)
+    del valid, clear, side, cands
+    z = np.empty(rows.size, dtype=complex)
+    finite = np.empty(rows.size, dtype=bool)
+    for lo in range(0, rows.size, _CHUNK):
+        z[lo:lo + _CHUNK], finite[lo:lo + _CHUNK] = _chart_points(
+            np.take(sample.image_pairs, rows[lo:lo + _CHUNK], axis=0), chart)
+    fund = finite & (q < q1)
     idx_f = np.flatnonzero(fund)
     if idx_f.size < 8:
         raise BoundaryError("sample too sparse: fundamental interval has only "
                             "%d points" % idx_f.size)
-    order = idx_f[np.argsort(q[idx_f])]
-    zs = z_all[order]
+    local = idx_f[np.argsort(q[idx_f])]
+    zs = z[local]
+    order = rows[local]
     # the nearest radius beyond the interval, checked once the net
     # rotation is known; the per-point arrays are done with after it
-    beyond = on_side & (q >= q1)
-    r0 = float(np.min(np.abs(z_all[beyond]))) if beyond.any() else None
-    del valid, clear, side, q, z_all, seed_ok, on_side, fund, beyond
+    beyond = finite & (q >= q1)
+    r0 = float(np.min(np.abs(z[beyond]))) if beyond.any() else None
+    del rows, q, z, finite, fund, beyond
     r_f, s_f = _lift_path(zs)
 
     # net rotation across one interval, closed by the exact translate of
@@ -488,7 +542,7 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     # per-window candidates: signed angular offsets from the parity target
     # (half turn for odd levels, full turn for even)
     base_args = np.angle(zs)
-    by_arg = np.argsort(base_args, kind="stable")
+    by_arg = stable_argsort(base_args)
     cands = [_window_candidates(base_args, by_arg, theta_rad, range(n, m),
                                 math.pi if k % 2 == 1 else 0.0)
              for k, (n, m) in enumerate(zip(indices_n, indices_m), start=1)]
@@ -523,11 +577,23 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     raise BoundaryError("sample too sparse: " + last_error)
 
 
+def _word_texts(ranks: np.ndarray) -> list[str]:
+    """The text of each -1-padded rank row, its names joined by spaces.
+
+    Each rank is 3 bytes of a table, its name and a space, and the
+    padding is 3 null bytes; a row's last space becomes a null too, and
+    the nulls, all trailing, drop out of the row's bytes."""
+    table = np.array([name + " " for name in wa.NAMES] + [""], dtype="S3")
+    n, width = ranks.shape
+    text = np.take(table, ranks).view(np.uint8).reshape(n, 3 * width)
+    text[np.arange(n), 3 * (ranks >= 0).sum(axis=1) - 1] = 0
+    return text.view("S%d" % (3 * width)).ravel().astype(str).tolist()
+
+
 def sample_to_csv(sample: LimitSetSample) -> str:
     """CSV text: word, reference angle, real part, imaginary part; a point
     whose modulus is not finite prints inf,inf."""
-    words = (" ".join(wa.NAMES[r] for r in row if r >= 0)
-             for row in sample.ranks.tolist())
+    words = _word_texts(sample.ranks)
     zs = sample.image_complex()
     re_s, im_s = ([*map(repr, part.tolist())] for part in (zs.real, zs.imag))
     for i in np.flatnonzero(~np.isfinite(np.abs(zs))).tolist():

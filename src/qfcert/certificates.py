@@ -122,11 +122,12 @@ def _class_table(rep: Representation, maxlen: int):
         maxlen, rep.generator_matrix_array(),
         wa.exact_real(reference_representation().generator_matrix_array()))
     keep = wa.translating(wa.traces(ref_m)) & wa.translating(wa.traces(mats))
-    ref_m = ref_m[keep]
+    rows, mats, ref_m = (np.compress(keep, x, axis=0)
+                         for x in (rows, mats, ref_m))
     angles = np.stack(
         [wa.disk_angles_turns(wa.repelling_fixed_pairs(ref_m)),
          wa.disk_angles_turns(wa.attracting_fixed_pairs(ref_m))], axis=-1)
-    return rows[keep], mats[keep], angles
+    return rows, mats, angles
 
 
 def triangle_harness(rep: Representation, maxlen: int) -> TriangleRecords:

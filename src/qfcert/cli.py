@@ -408,7 +408,8 @@ LIMITSET_EMIT_CAP = 50_000
 def cmd_limitset(cfg: RunConfig, out: Path, args) -> int:
     import numpy as np
 
-    from .boundary import limit_set_sample, sample_to_csv, sample_to_svg
+    from .boundary import (limit_set_sample, sample_to_csv, sample_to_svg,
+                           stable_argsort)
 
     maxlen = _preflight(cfg, "limitset")
     rep = _bent_rep(cfg)
@@ -417,7 +418,7 @@ def cmd_limitset(cfg: RunConfig, out: Path, args) -> int:
     if total > LIMITSET_EMIT_CAP:
         # deterministic even-stride thinning over the angle-sorted circle,
         # so artifacts stay viewable at large word lengths
-        order = np.argsort(sample.angles, kind="stable")
+        order = stable_argsort(sample.angles)
         sel = np.linspace(0, total - 1, LIMITSET_EMIT_CAP).round().astype(int)
         sample = sample.take(order[sel])
         print("sampled %d boundary points; emitting an even thinning of %d"

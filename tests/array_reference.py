@@ -1,0 +1,97 @@
+"""The batch kernels of limit-set sampling and the spiral-witness search as
+they were before they moved to NumPy's contiguous and SIMD paths, kept as
+bit-for-bit references.
+
+No command needs them.  The package now forms products on contiguous
+planes (``_wordarrays._plane_products``), solves real fixed points in
+float64, merges the sample with the default sort and ``reduceat``,
+repairs ties of the default sort instead of sorting stably, and builds
+CSV word text from a byte table.  Each of these must write what the
+formulas below write, byte for byte.
+"""
+
+import numpy as np
+
+from qfcert._wordarrays import NAMES
+
+_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _plus(p0, p1):
+    p0 += 0.0
+    p0 += p1
+    return p0
+
+
+def strided_times(m, g):
+    """2x2 products formed on the strided real and imaginary views of
+    the complex arrays, entry (i, k) as (0.0 + m_i0 g_0k) + m_i1 g_1k."""
+    shape = np.broadcast_shapes(m.shape, g.shape)
+    if not (np.iscomplexobj(m) or np.iscomplexobj(g)):
+        out = np.empty(shape)
+        for i, k in _ENTRIES:
+            out[..., i, k] = _plus(*(m[..., i, j] * g[..., j, k]
+                                     for j in (0, 1)))
+        return out
+    mr, mi, gr, gi = m.real, m.imag, g.real, g.imag
+    out = np.empty(shape, dtype=complex)
+    for i, k in _ENTRIES:
+        terms = [(mr[..., i, j], mi[..., i, j], gr[..., j, k], gi[..., j, k])
+                 for j in (0, 1)]
+        out.real[..., i, k] = _plus(*(xr * yr - xi * yi
+                                      for xr, xi, yr, yi in terms))
+        out.imag[..., i, k] = _plus(*(xr * yi + xi * yr
+                                      for xr, xi, yr, yi in terms))
+    return out
+
+
+def strided_compose(words, gen_mats):
+    """Products of -1-padded rank rows, column by column, by fancy
+    indexing and strided_times."""
+    m = gen_mats[words[:, 0]]
+    for j in range(1, words.shape[1]):
+        live = words[:, j] >= 0
+        if live.all():
+            m = strided_times(m, gen_mats[words[:, j]])
+        else:
+            m[live] = strided_times(m[live], gen_mats[words[live, j]])
+    return m
+
+
+def stacked_fixed_pairs(mats):
+    """Attracting fixed pairs from stacked eigenvector candidates, always
+    in complex arithmetic."""
+    a = mats[..., 0, 0]
+    b = mats[..., 0, 1]
+    c = mats[..., 1, 0]
+    d = mats[..., 1, 1]
+    tr = a + d
+    sq = np.sqrt(tr * tr - 4.0 + 0j)
+    kp = (tr + sq) / 2.0
+    km = (tr - sq) / 2.0
+    kappa = np.where(np.abs(kp) >= np.abs(km), kp, km)
+    v1 = np.stack([b, kappa - a], axis=-1)
+    v2 = np.stack([kappa - d, c], axis=-1)
+    n1 = np.abs(v1[..., 0]) ** 2 + np.abs(v1[..., 1]) ** 2
+    n2 = np.abs(v2[..., 0]) ** 2 + np.abs(v2[..., 1]) ** 2
+    v = np.where((n1 >= n2)[..., None], v1, v2)
+    norm = np.sqrt(np.abs(v[..., 0]) ** 2 + np.abs(v[..., 1]) ** 2)
+    return v / norm[..., None]
+
+
+def stable_first_rows(key):
+    """The first row of each run of equal keys in a stable sort, in
+    ascending order."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    first = order[head]
+    first.sort()
+    return first
+
+
+def joined_word_texts(ranks):
+    """Each -1-padded rank row's names joined by spaces, row by row."""
+    return [" ".join(NAMES[r] for r in row if r >= 0)
+            for row in ranks.tolist()]
