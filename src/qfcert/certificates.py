@@ -19,6 +19,11 @@ Three layers of verifiable content:
   length under a space representation contracts (ratio > 1): since every
   plane-like negatively curved metric stretches such pairs, the log-ratio
   separates the space representation from all of them simultaneously.
+  The search bounds each pair's ratio from above in float64, with a
+  rounding-error argument (_ratio_bounds), and evaluates exactly only the
+  pairs whose bound reaches the best ratio so far; a float32 screen with
+  its own error argument (_Screen) first drops, a block of pairs at a
+  time, the pairs whose float64 bound cannot reach it.
 
 Certificates are serialized as JSON with full-precision lengths and the
 representation fingerprint.  Their format and their acceptance check
@@ -266,6 +271,116 @@ def _ratio_bounds(table: np.ndarray, ell: np.ndarray, norm: np.ndarray,
                     / np.where(ok, ell_lo, 1.0), np.inf)
 
 
+# the screen's relative margin and absolute allowance, 32 float32 units
+# (_Screen shows that 9.1 and 24.1 units suffice)
+_SCREEN_SLACK = 2.0 ** -19
+# class pairs per chunk of the screen, so that its work arrays stay in cache
+_SCREEN_CHUNK = 1 << 15
+
+
+class _Screen:
+    """The float32 screen of the certificate scan: the pairs of a block
+    whose float64 ratio bound (_ratio_bounds) may reach the best ratio B.
+
+    _ratio_bounds leaves out a pair when its bound is below B, roughly
+    when s_lo > cosh(X), X = c (l(a) + l(b)) = x_a + x_b, c = (1 +
+    _BOUND_SLACK) / (2B).  As cosh(X) = C_a C_b + S_a S_b with C = cosh(x)
+    and S = sinh(x), the threshold of a block is an outer product of
+    per-class vectors; and s >= |z|, z = t / 2, t = tr(AB).  So the
+    screen computes, with n_A = max(1, |A|_F), m = n_A n_B, e =
+    _SCREEN_SLACK, u32 = 2^-24 and u = 2^-53,
+
+        q = |t / m| in complex64, from A / n_A and B / n_B,
+        r = 2 (1 + e) cosh(X) / m + e in float32, from C / n and S / n,
+
+    with x raised to at least _MIN_BOUNDED_LENGTH / 4, and drops a pair
+    only where q > r.  The computed values put the dropped pair's float64
+    bound below B:
+
+    * (float32 trace) The scaled entries, rounded to complex64, err by
+      u + u32 relative; the four complex products err by sqrt(2) gamma_2
+      and their sum by gamma_3 (Higham, Accuracy and Stability of
+      Numerical Algorithms, 3.1 and 3.6).  The scaled products have
+      |A|_F <= 1, so the trace errs by at most 8 u32, and NumPy's complex
+      abs, a scaled hypot of five roundings, by 4 u32 relative: |t| / m
+      >= q (1 - 4 u32) - 8 u32.  No entry exceeds 1, so nothing
+      overflows; underflow adds under 2^-140 in all.
+    * (float64 bound) By the argument of _ratio_bounds, its s_lo is at
+      least s (1 - 16 u) - 12 u |A|_F |B|_F, so 2 s_lo / m >= q (1 - 4.02
+      u32) - 8.02 u32.
+    * (threshold) Each vector entry has float64 errors under 2^-40 and
+      one float32 rounding; two products and two sums of nonnegative
+      terms round once each, so the computed r is at least (1 - 5.01 u32)
+      times its exact value, less 2^-20 for underflow (a factor under
+      2^-126 errs by 2^-150, and the other is under 2^128).
+    * (drop) So q > r gives 2 s_lo / m > 2 cosh(X)(1 + e)(1 - 9.03 u32) /
+      m + e (1 - 9.03 u32) - 2^-20 - 8.02 u32 >= 2 cosh(X)(1 + 2^-28) / m,
+      as e = 32 u32.  Then acosh(s_lo) > X (1 + 2^-40 + 4u) for X < 1 421
+      (a larger x overflows cosh(x) in float64 and keeps the pair).  With
+      arccosh within 2^-40 relative, as _BOUND_SLACK assumes, l_lo >
+      2 X (1 + u)^3, which is above _MIN_BOUNDED_LENGTH; the numerator
+      l(a) + l(b), rounded twice, and the division then leave the bound
+      below (1 + _BOUND_SLACK)(l(a) + l(b)) / (2X) <= B.  Raising x only
+      raises r.
+
+    So every pair whose bound reaches B is kept.  An infinite norm makes q
+    0 or NaN, and any other NaN or infinity in the table, the norms or the
+    lengths makes q NaN or r infinite or NaN: the pair is kept, and no
+    warning is raised.
+    """
+
+    def __init__(self, table: np.ndarray, ell: np.ndarray, norm: np.ndarray):
+        self.scale = np.maximum(norm, 1.0)
+        with np.errstate(invalid="ignore"):
+            self.rows = (table / self.scale).astype(np.complex64)
+        self.cols = np.ascontiguousarray(self.rows.transpose(1, 0, 2))
+        self.ell = ell
+        self.best = None
+        size = max(_SCREEN_CHUNK, len(ell))
+        self._trace, self._term = np.empty((2, size), np.complex64)
+        self._bound, self._work = np.empty((2, size), np.float32)
+
+    def _set_best(self, best: float) -> None:
+        x = np.maximum(self.ell * ((1.0 + _BOUND_SLACK) / (2.0 * best)),
+                       _MIN_BOUNDED_LENGTH / 4.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = np.stack([np.cosh(x), np.sinh(x)]) / self.scale
+            self.row_cs = (cols * (2.0 * (1.0 + _SCREEN_SLACK))).astype(
+                np.float32)
+            self.col_cs = cols.astype(np.float32)
+        self.best = best
+
+    def keep(self, lo: int, hi: int, best: float) -> np.ndarray:
+        """The pairs of rows i in [lo, hi) and j >= lo as a (hi - lo, n -
+        lo) grid, False only where the pair's bound is below best > 0."""
+        if best != self.best:
+            self._set_best(best)
+        width = len(self.ell) - lo
+        drop = np.empty((hi - lo, width), dtype=bool)
+        step = max(1, _SCREEN_CHUNK // width)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in range(lo, hi, step):
+                b = min(hi, a + step)
+                t, term, r, q = (w[:(b - a) * width].reshape(b - a, width)
+                                 for w in (self._trace, self._term,
+                                           self._bound, self._work))
+                np.multiply(self.rows[0, 0, a:b, None], self.cols[0, 0, lo:],
+                            out=t)
+                for i, j in ((0, 1), (1, 0), (1, 1)):
+                    np.multiply(self.rows[i, j, a:b, None],
+                                self.cols[i, j, lo:], out=term)
+                    t += term
+                np.multiply(self.row_cs[0, a:b, None], self.col_cs[0, lo:],
+                            out=r)
+                np.multiply(self.row_cs[1, a:b, None], self.col_cs[1, lo:],
+                            out=q)
+                r += q
+                r += np.float32(_SCREEN_SLACK)
+                np.abs(t, out=q)
+                np.greater(q, r, out=drop[a - lo:b - lo])
+        return np.logical_not(drop, out=drop)
+
+
 def find_separation_certificate(
         rep_q: Representation, maxlen: int,
         min_ratio: float = 1.0 + MIN_CERTIFICATE_MARGIN) -> SeparationCertificate:
@@ -304,6 +419,14 @@ def find_separation_certificate(
     of the pairs computes them.  A pair left out has its ratio below the
     best one, so the maximum, all pairs tied with it and the reported
     best ratio are the full scan's.
+
+    Once an exact ratio is positive, a float32 screen (_Screen) runs on
+    each whole block first and passes on only the aligned pairs whose
+    float64 bound may reach the best ratio so far; its rounding-error
+    argument shows that it drops no pair the bound would keep.  So the
+    pairs bounded, the seed, every exact evaluation and the counts are
+    those of the scan without it.  The aligned count is taken before the
+    screen.
     """
     threshold = max(min_ratio, 1.0 + MIN_CERTIFICATE_MARGIN)
     rows, rep_m, angles = _class_table(rep_q, maxlen)
@@ -317,6 +440,7 @@ def find_separation_certificate(
     aligned_code = PAIR_CONFIGS.index(PairConfig.UNLINKED_ALIGNED)
     table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
     norm = np.sqrt((np.abs(rep_m) ** 2).sum(axis=(1, 2)))
+    screen = _Screen(table, ell, norm)
     best_any = -math.inf
     # (-ratio, total length, row of a, row of b): the least tuple wins
     best: tuple[float, int, int, int] | None = None
@@ -326,14 +450,19 @@ def find_separation_certificate(
         hi = min(n, lo + max(1, _PAIR_BLOCK // (n - lo)))
         aligned = pair_config_grid(ranking, lo, hi, lo) == aligned_code
         # the aligned grid is symmetric with an empty diagonal, so each
-        # unordered pair is classified once, at j > i
-        ii, jj = np.nonzero(np.triu(aligned, 1))
+        # unordered pair is classified once, at j > i; past column hi -
+        # lo every pair has j > i
+        aligned[:, :hi - lo] = np.triu(aligned[:, :hi - lo], 1)
+        n_aligned += int(np.count_nonzero(aligned))
+        if best_any > 0.0:
+            aligned &= screen.keep(lo, hi, best_any)
+        # row-major order, as np.nonzero gives it, but on the flat grid
+        ii, jj = np.divmod(np.flatnonzero(aligned), n - lo)
         ii += lo
         jj += lo
         lo = hi
         if not ii.size:
             continue
-        n_aligned += ii.size
         bound = _ratio_bounds(table, ell, norm, ii, jj)
         keep = ~(bound < best_any)
         if not keep.any():

@@ -7,6 +7,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -554,6 +555,118 @@ class TestRatioBounds:
                                       np.array([0, 1]), np.array([1, 2]))
         assert bound[0] == np.inf
         assert np.isfinite(bound[1])
+
+
+def scan_record(rep, maxlen, monkeypatch, screen=True):
+    """The search's _pair_ratios calls, in order, its outcome and scan
+    counts, and the pairs its screen dropped, with the screen as built
+    or patched to keep every pair."""
+    calls, dropped = [], []
+    ratios, keep = certmod._pair_ratios, certmod._Screen.keep
+
+    def recording(table, ell, first, second):
+        calls.append((first.tolist(), second.tolist()))
+        return ratios(table, ell, first, second)
+
+    def counting(self, lo, hi, best):
+        grid = keep(self, lo, hi, best) if screen else \
+            np.ones((hi - lo, len(self.ell) - lo), dtype=bool)
+        dropped.append(grid.size - int(np.count_nonzero(grid)))
+        return grid
+
+    with monkeypatch.context() as patch:
+        patch.setattr(certmod, "_pair_ratios", recording)
+        patch.setattr(certmod._Screen, "keep", counting)
+        try:
+            cert = find_separation_certificate(rep, maxlen)
+            outcome = (cert.a, cert.b, cert.ratio, cert.scan)
+        except CertificateError as exc:
+            outcome = (str(exc), exc.best_ratio, exc.scan)
+    return calls, outcome, sum(dropped)
+
+
+def scan_rep(angle, chart):
+    """The octagon bent by angle, conjugated by chart unless it is None."""
+    rep = bend(fuchsian_octagon(), angle)
+    return rep if chart is None else conjugate_representation(rep, chart)
+
+
+class TestScreen:
+    """The float32 screen drops only pairs whose float64 bound is below
+    the best ratio, so the search evaluates what it would without it."""
+
+    @pytest.mark.parametrize("maxlen,angle,chart", [
+        *((4, angle, None) for angle in SCAN_ANGLES),
+        *((4, angle, SKEW_CHART) for angle in SCAN_ANGLES),
+        (1, 0.0, None), (2, 0.0, None), (4, 0.0, None),  # best below 1
+        (5, 0.6, None),
+    ], ids=[*("4-%s" % a for a in SCAN_ANGLES),
+            *("4-%s-skew" % a for a in SCAN_ANGLES),
+            "1-0.0", "2-0.0", "4-0.0", "5-0.6"])
+    def test_search_is_the_search_without_the_screen(
+            self, maxlen, angle, chart, monkeypatch):
+        rep = scan_rep(angle, chart)
+        calls, outcome, dropped = scan_record(rep, maxlen, monkeypatch)
+        want_calls, want, _ = scan_record(rep, maxlen, monkeypatch,
+                                          screen=False)
+        assert calls == want_calls
+        assert outcome == want
+        if maxlen >= 4:
+            assert dropped > 0
+        if angle == 0.0:
+            assert outcome[1] < 1.0
+
+    @pytest.mark.parametrize("chart", [None, SKEW_CHART],
+                             ids=["plain", "skew"])
+    @pytest.mark.parametrize("angle", SCAN_ANGLES)
+    def test_keeps_every_pair_whose_bound_reaches_b(self, angle, chart):
+        table, ell, norm, ii, jj = aligned_scan_inputs(
+            scan_rep(angle, chart), 4)
+        bound = certmod._ratio_bounds(table, ell, norm, ii, jj)
+        top = float(certmod._pair_ratios(table, ell, ii, jj).max())
+        screen = certmod._Screen(table, ell, norm)
+        near = [top * (1.0 + k * 2.0 ** -52) for k in range(-4, 5)]
+        wide = [top * (1.0 + d) for d in (-1e-3, -1e-6, -1e-9, 1e-9, 1e-6)]
+        for b in [*near, np.nextafter(top, 0.0), np.nextafter(top, 2.0),
+                  *wide, 0.5]:
+            kept = screen.keep(0, len(ell), b)[ii, jj]
+            assert kept[bound >= b].all()
+        # at the maximum it keeps under 1 % of the aligned pairs
+        assert np.count_nonzero(screen.keep(0, len(ell), top)[ii, jj]) \
+            < len(ii) // 100
+
+    def test_non_finite_values_are_kept_without_warning(self):
+        mats = np.array([
+            [[2, 1], [1, 1]],
+            [[3, 2], [1, 1]],
+            # their products overflow float32 unless scaled by the norms
+            1e20 * np.array([[1, 1], [1, 2]]),
+            1e30 * np.array([[2, 1j], [1, 1]]),
+            1e200 * np.array([[1, 1], [1, 2]]),  # its norm overflows float64
+            [[np.inf, 0], [0, 1]],
+            [[np.nan, 0], [0, 1]],
+            [[2, 1], [1, 1]],  # cosh of its length overflows float32
+            [[2, 1], [1, 1]],  # and float64
+        ], dtype=complex)
+        with np.errstate(all="ignore"):
+            norm = np.sqrt((np.abs(mats) ** 2).sum(axis=(1, 2)))
+            ell = 2.0 * np.abs(np.arccosh(np.trace(mats, axis1=1,
+                                                   axis2=2) / 2.0).real)
+        ell[7:] = 1e3, 1e5
+        table = np.ascontiguousarray(mats.transpose(1, 2, 0))
+        n = len(mats)
+        ii, jj = np.triu_indices(n, 1)
+        with np.errstate(all="ignore"):
+            bound = certmod._ratio_bounds(table, ell, norm, ii, jj)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            screen = certmod._Screen(table, ell, norm)
+            grids = {b: screen.keep(0, n, b) for b in (0.5, 1.0, 1.5, 4.0)}
+        for b, grid in grids.items():
+            assert grid[ii, jj][~(bound < b)].all()
+            assert grid[4:, :].all() and grid[:, 4:].all()
+        # the finite rows are screened: not every pair is kept
+        assert not grids[4.0][:4, :4].all()
 
 
 class TestFixedOrderTrace:

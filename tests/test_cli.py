@@ -480,10 +480,13 @@ class TestCertifyCommand:
         code = main(["--outdir", str(out), "--bend-angle", "0.0",
                      "certify"])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "no certificate found" in err
-        assert err.startswith("pair scan: 297606 class pairs classified, "
-                              "95791 unlinked-aligned, ")
+        # the whole report, counts and best ratio included
+        assert capsys.readouterr().err == (
+            "pair scan: 297606 class pairs classified, 95791 "
+            "unlinked-aligned, 8 pairs evaluated exactly\n"
+            "no certificate found: no unlinked-aligned pair reached ratio "
+            "1.0000010 (best found 1.0000000); increase maxlen or the "
+            "deformation\n")
 
     def test_search_reports_its_pair_counts_on_stderr(self, tmp_path,
                                                       capsys):

@@ -51,6 +51,11 @@ RUNS = (
                    ["certify", "--input",
                     OUT + "/separation_certificate.json"]]),
     ("certify-6", [["--maxlen", "6", "certify"]]),
+    # θ 0 finds nothing and reports its best ratio, below 1
+    *(("certify-5-" + theta,
+       [["--bend-angle", theta, "--maxlen", "5", "certify"]])
+      for theta in ("0", "0.45", "1.0")),
+    ("certify-min-ratio", [["--min-ratio", "1.1", "certify"]]),
     ("spectrum-5", [["--maxlen", "5", "spectrum"]]),
     *(("triangle-check-%d" % n, [["--maxlen", str(n), "triangle-check"]])
       for n in (3, 4)),
