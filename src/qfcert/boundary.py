@@ -9,7 +9,8 @@ placed on the unit circle of the disk model.  Pair configurations
 order of those angles and are topological data of the group, independent
 of the representation under study.  The rule, the reference octagon and
 the witness verifier live in `check`; `pair_config_grid` applies that
-rule to whole tables of angle pairs.
+rule to whole tables of angle pairs, and `aligned_pair_grid` gives the
+unlinked-aligned pairs of a table alone, from the rule's boolean parts.
 
 For a representation leaving the plane, the limit set is sampled on the
 dense subset of attracting fixed points: the word w contributes the
@@ -53,6 +54,7 @@ from .check import (
     _gamma_chart,
     _gamma_power_angle,
     _rank_pair_codes,
+    _rank_pair_parts,
     reference_representation,
     verify_witness_orders,
 )
@@ -116,6 +118,21 @@ def _distinct_columns(a: np.ndarray) -> np.ndarray:
     return a[:, keep]
 
 
+def _rank_grid(rule, ranking, lo: int, hi: int, start: int, degenerate):
+    """rule (a rank rule of `check`) on the endpoint ranks of every row i
+    of angles[lo:hi] against every j of angles[start:], with the cells of
+    the degenerate rows, columns and row pairs then set to degenerate."""
+    ranks, pairs, rows = ranking
+    a, b = ranks[lo:hi], ranks[start:]
+    grid = rule(a[:, :1], a[:, 1:], b[:, 0], b[:, 1])
+    grid[rows[(rows >= lo) & (rows < hi)] - lo] = degenerate
+    grid[:, rows[rows >= start] - start] = degenerate
+    k = slice(*np.searchsorted(pairs[0], [lo, hi]))
+    ii, jj = pairs[:, k][:, pairs[1, k] >= start]
+    grid[ii - lo, jj - start] = degenerate
+    return grid
+
+
 def pair_config_grid(ranking, lo: int, hi: int, start: int = 0) -> np.ndarray:
     """classify_angle_pairs(angles[i], angles[j]) for every row i of
     angles[lo:hi] and j of angles[start:], bit for bit, as an int8 array
@@ -126,16 +143,23 @@ def pair_config_grid(ranking, lo: int, hi: int, start: int = 0) -> np.ndarray:
     its four endpoints are distinct, so their ranks give their circular
     order (an angle of 1.0 sorts last, next to 0.0 around the circle).
     """
-    ranks, pairs, rows = ranking
-    a, b = ranks[lo:hi], ranks[start:]
-    codes = _rank_pair_codes(a[:, :1], a[:, 1:], b[:, 0], b[:, 1])
-    degenerate = PAIR_CONFIGS.index(PairConfig.DEGENERATE)
-    codes[rows[(rows >= lo) & (rows < hi)] - lo] = degenerate
-    codes[:, rows[rows >= start] - start] = degenerate
-    k = slice(*np.searchsorted(pairs[0], [lo, hi]))
-    ii, jj = pairs[:, k][:, pairs[1, k] >= start]
-    codes[ii - lo, jj - start] = degenerate
-    return codes
+    return _rank_grid(_rank_pair_codes, ranking, lo, hi, start,
+                      PAIR_CONFIGS.index(PairConfig.DEGENERATE))
+
+
+def _unlinked_aligned(ra1, ra2, rb1, rb2) -> np.ndarray:
+    """Where the rank rule gives UNLINKED_ALIGNED: neither linked nor
+    misaligned."""
+    linked, misaligned = _rank_pair_parts(ra1, ra2, rb1, rb2)
+    return ~(linked | misaligned)
+
+
+def aligned_pair_grid(ranking, lo: int, hi: int,
+                      start: int = 0) -> np.ndarray:
+    """pair_config_grid(ranking, lo, hi, start) == UNLINKED_ALIGNED,
+    formed from the rank rule's boolean parts (_rank_pair_parts) without
+    the int8 codes."""
+    return _rank_grid(_unlinked_aligned, ranking, lo, hi, start, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,9 +222,16 @@ def _first_rows(angles: np.ndarray) -> np.ndarray:
     del key
     if not head.size:
         return order
-    first = np.minimum.reduceat(order, np.flatnonzero(head))
-    first.sort()
-    return first
+    starts = np.flatnonzero(head)
+    del head
+    least = np.minimum.reduceat(order, starts)
+    del starts
+    # each run's least index, marked, reads in ascending order
+    first = np.zeros(order.size, dtype=bool)
+    del order
+    first[least] = True
+    del least
+    return np.flatnonzero(first)
 
 
 def stable_argsort(keys: np.ndarray) -> np.ndarray:
@@ -577,23 +608,10 @@ def find_spiral_witness(rep: Representation, gamma: Word,
     raise BoundaryError("sample too sparse: " + last_error)
 
 
-def _word_texts(ranks: np.ndarray) -> list[str]:
-    """The text of each -1-padded rank row, its names joined by spaces.
-
-    Each rank is 3 bytes of a table, its name and a space, and the
-    padding is 3 null bytes; a row's last space becomes a null too, and
-    the nulls, all trailing, drop out of the row's bytes."""
-    table = np.array([name + " " for name in wa.NAMES] + [""], dtype="S3")
-    n, width = ranks.shape
-    text = np.take(table, ranks).view(np.uint8).reshape(n, 3 * width)
-    text[np.arange(n), 3 * (ranks >= 0).sum(axis=1) - 1] = 0
-    return text.view("S%d" % (3 * width)).ravel().astype(str).tolist()
-
-
 def sample_to_csv(sample: LimitSetSample) -> str:
     """CSV text: word, reference angle, real part, imaginary part; a point
     whose modulus is not finite prints inf,inf."""
-    words = _word_texts(sample.ranks)
+    words = wa.word_texts(sample.ranks)
     zs = sample.image_complex()
     re_s, im_s = ([*map(repr, part.tolist())] for part in (zs.real, zs.imag))
     for i in np.flatnonzero(~np.isfinite(np.abs(zs))).tolist():

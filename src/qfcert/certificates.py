@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _wordarrays as wa
-from .boundary import pair_config_grid, rank_endpoints
+from .boundary import aligned_pair_grid, pair_config_grid, rank_endpoints
 from .check import (
     PAIR_CONFIGS,
     CertificateError,
@@ -61,7 +61,7 @@ from .representations import (
     stable_length,
     stable_lengths,
 )
-from .surface_group import Word, word_to_text
+from .surface_group import Word
 
 # a certificate must clear 1 by at least this much to be emitted
 MIN_CERTIFICATE_MARGIN = 1e-6
@@ -83,14 +83,15 @@ class PairScanCounts:
 
 @dataclass(frozen=True, eq=False)
 class TriangleRecords:
-    """Combined-length inequality checks as columns: record k checks
-    words[a[k]] with words[b[k]] in configuration PAIR_CONFIGS[config[k]].
+    """Combined-length inequality checks as columns: record k checks the
+    class of row ranks[a[k]] with that of ranks[b[k]] (words[a[k]] with
+    words[b[k]]) in configuration PAIR_CONFIGS[config[k]].
     ell_combined is l(ab) for linked and unlinked-aligned pairs and
     l(a^-1 b) for unlinked-misaligned pairs; slack is the signed margin
     of the strict inequality the configuration dictates, positive iff
     the inequality holds."""
 
-    words: list[Word]          # one per class, in class-table order
+    ranks: np.ndarray          # (n, maxlen) int8 class rows, -1 padded
     lengths: list[float]       # stable length of each class
     a: np.ndarray              # (k,) int class indices
     b: np.ndarray
@@ -100,6 +101,11 @@ class TriangleRecords:
 
     def __len__(self) -> int:
         return int(self.a.size)
+
+    @property
+    def words(self) -> list[Word]:
+        """The classes, one per row of ranks."""
+        return [Word(wa.ranks_to_letters(row)) for row in self.ranks]
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,6 @@ def triangle_harness(rep: Representation, maxlen: int) -> TriangleRecords:
     """
     rows, mats, angles = _class_table(rep, maxlen)
     ranking = rank_endpoints(angles)
-    words = [Word(wa.ranks_to_letters(row)) for row in rows]
     lengths = stable_lengths(mats)
     ells = np.array(lengths)
     gens = rep.generator_matrix_array()
@@ -156,8 +161,8 @@ def triangle_harness(rep: Representation, maxlen: int) -> TriangleRecords:
     columns = []
     # about 2^16 pairs per block bound the joined rows and their products;
     # an empty table still makes one (empty) block of columns
-    block = max(1, (1 << 16) // max(len(words), 1))
-    for lo in range(0, max(len(words), 1), block):
+    block = max(1, (1 << 16) // max(len(rows), 1))
+    for lo in range(0, max(len(rows), 1), block):
         # each class is degenerate with itself: its endpoint gaps are 0
         grid = pair_config_grid(ranking, lo, lo + block)
         ii, jj = np.nonzero(grid != degenerate)
@@ -173,11 +178,10 @@ def triangle_harness(rep: Representation, maxlen: int) -> TriangleRecords:
             k = bad[0]
             raise CertificateError(
                 "combined-length inequality violated for %s, %s "
-                "(%s, slack %.3e)" % (word_to_text(words[ii[k]]),
-                                      word_to_text(words[jj[k]]),
+                "(%s, slack %.3e)" % (*wa.word_texts(rows[[ii[k], jj[k]]]),
                                       PAIR_CONFIGS[codes[k]].value, slack[k]))
         columns.append((ii, jj, codes, combined, slack))
-    return TriangleRecords(words, lengths,
+    return TriangleRecords(rows, lengths,
                            *(np.concatenate(c) for c in zip(*columns)))
 
 
@@ -411,7 +415,9 @@ def find_separation_certificate(
     unlinked-aligned relation being symmetric (a pair is aligned with b
     exactly when b is aligned with a, and no class with itself).  That
     holds by construction: degeneracy comes from a gap that is symmetric
-    to the bit, and the rank rule reads only circular order.  Each aligned
+    to the bit, and the rank rule reads only circular order.  A block's
+    aligned pairs come straight from the rule's boolean parts
+    (aligned_pair_grid), with no configuration codes formed.  Each aligned
     pair gets an upper bound on its ratio (_ratio_bounds).  In each block
     the pair with the largest bound is evaluated exactly first, and then
     every pair whose bound reaches the best exact ratio so far; those
@@ -437,7 +443,6 @@ def find_separation_certificate(
     n = rows.shape[0]
     if n < 2:
         raise CertificateError("not enough classes to form a pair")
-    aligned_code = PAIR_CONFIGS.index(PairConfig.UNLINKED_ALIGNED)
     table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
     norm = np.sqrt((np.abs(rep_m) ** 2).sum(axis=(1, 2)))
     screen = _Screen(table, ell, norm)
@@ -448,7 +453,7 @@ def find_separation_certificate(
     lo = 0
     while lo < n - 1:
         hi = min(n, lo + max(1, _PAIR_BLOCK // (n - lo)))
-        aligned = pair_config_grid(ranking, lo, hi, lo) == aligned_code
+        aligned = aligned_pair_grid(ranking, lo, hi, lo)
         # the aligned grid is symmetric with an empty diagonal, so each
         # unordered pair is classified once, at j > i; past column hi -
         # lo every pair has j > i

@@ -76,10 +76,11 @@ class PairConfig(enum.Enum):
 PAIR_CONFIGS = tuple(PairConfig)
 
 
-def _rank_pair_codes(ra1, ra2, rb1, rb2) -> np.ndarray:
-    """The rank rule, elementwise on broadcast integer arrays: the
-    configuration of pairs of four distinct points from their ranks along
-    the circle cut open anywhere; int8 indices into PAIR_CONFIGS.
+def _rank_pair_parts(ra1, ra2, rb1, rb2) -> tuple[np.ndarray, np.ndarray]:
+    """The rank rule, elementwise on broadcast integer arrays: for pairs
+    of four distinct points, from their ranks along the circle cut open
+    anywhere, the boolean arrays (linked, misaligned); misaligned is
+    meaningful only where the pair is not linked.
 
     With g_k = (b_k ranked above a1), h_k = (b_k ranked above a2) and
     s = (a1 ranked above a2), b_k lies on the arc from a1 to a2 (across
@@ -89,9 +90,18 @@ def _rank_pair_codes(ra1, ra2, rb1, rb2) -> np.ndarray:
     misaligned when that order disagrees with b1 lying on the arc:
     h1 ^ g2 ^ s ^ (b1 ranked below b2).
     """
-    g2, h1 = rb2 > ra1, rb1 > ra2
-    linked = (rb1 > ra1) ^ g2 ^ h1 ^ (rb2 > ra2)
-    misaligned = g2 ^ h1 ^ (ra1 > ra2) ^ (rb1 < rb2)
+    # g2 ^ h1 reads all four ranks, so it has the broadcast shape
+    linked = np.not_equal(rb2 > ra1, rb1 > ra2)
+    misaligned = np.not_equal(linked, ra1 > ra2)
+    misaligned ^= rb1 < rb2
+    linked ^= rb1 > ra1
+    linked ^= rb2 > ra2
+    return linked, misaligned
+
+
+def _rank_pair_codes(ra1, ra2, rb1, rb2) -> np.ndarray:
+    """The rank rule (_rank_pair_parts) as int8 indices into PAIR_CONFIGS."""
+    linked, misaligned = _rank_pair_parts(ra1, ra2, rb1, rb2)
     # LINKED 0, UNLINKED_ALIGNED 1, UNLINKED_MISALIGNED 2
     return np.where(linked, np.int8(0), misaligned.view(np.int8) + np.int8(1))
 

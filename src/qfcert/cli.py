@@ -36,6 +36,7 @@ from pathlib import Path
 # check, boundary and certificates are imported by the handlers that use
 # them, so growth, spectrum, ref-rep and bend load none of them, and the
 # --input checks load check alone
+from ._wordarrays import word_texts
 from .moebius import InvariantError
 from .representations import (
     BEND_ANGLE_ENVELOPE,
@@ -44,7 +45,6 @@ from .representations import (
     SCHEMA,
     RepresentationError,
     bend,
-    compute_spectrum,
     estimate_growth,
     find_complex_trace_element,
     fuchsian_octagon,
@@ -52,6 +52,7 @@ from .representations import (
     json_text,
     representation_hash,
     representation_json,
+    spectrum_rows,
 )
 from .surface_group import word_to_text
 
@@ -243,12 +244,11 @@ def cmd_bend(cfg: RunConfig, out: Path, args) -> int:
 def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
     maxlen = _preflight(cfg, "spectrum")
     rep = _bent_rep(cfg)
-    spec = compute_spectrum(rep, maxlen)
-    rows = ("%s,%.17g\n" % (word_to_text(w), v)
-            for w, v in spec.entries.items())
+    ranks, lengths = spectrum_rows(rep, maxlen)
+    rows = ("%s,%.17g\n" % row for row in zip(word_texts(ranks), lengths))
     _write(out / "spectrum.csv", "# schema: %s\nword,length\n" % SCHEMA, rows)
     print("spectrum for %d conjugacy classes written to %s"
-          % (len(spec.entries), out / "spectrum.csv"))
+          % (len(lengths), out / "spectrum.csv"))
     return 0
 
 
@@ -295,7 +295,7 @@ def cmd_triangle_check(cfg: RunConfig, out: Path, args) -> int:
     rep = fuchsian_octagon()
     records = triangle_harness(rep, maxlen)
     # every class recurs in hundreds of records: format each one once
-    texts = [word_to_text(w) for w in records.words]
+    texts = word_texts(records.ranks)
     ells = ["%.17g" % ell for ell in records.lengths]
     configs = [c.value for c in PAIR_CONFIGS]
     rows = ("%s,%s,%s,%s,%s,%.17g,%.17g\n"

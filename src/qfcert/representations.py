@@ -320,14 +320,22 @@ class LengthSpectrum:
         return list(self.entries.values())
 
 
-def compute_spectrum(rep: Representation, maxlen: int) -> LengthSpectrum:
-    """The length spectrum on the class table for 1 <= maxlen < 8."""
+def spectrum_rows(rep: Representation,
+                  maxlen: int) -> tuple[np.ndarray, list[float]]:
+    """The class table's rank rows for 1 <= maxlen < 8 and their stable
+    lengths under rep: the spectrum without Word objects."""
     if not 1 <= maxlen < len(wa.RELATOR):
         raise RepresentationError("maxlen must be at least 1 and below %d"
                                   % len(wa.RELATOR))
     rows, mats = wa.conjugacy_classes(maxlen, rep.generator_matrix_array())
+    return rows, stable_lengths(mats)
+
+
+def compute_spectrum(rep: Representation, maxlen: int) -> LengthSpectrum:
+    """The length spectrum on the class table for 1 <= maxlen < 8."""
+    rows, lengths = spectrum_rows(rep, maxlen)
     entries = {Word(wa.ranks_to_letters(row)): ell
-               for row, ell in zip(rows, stable_lengths(mats))}
+               for row, ell in zip(rows, lengths)}
     return LengthSpectrum(rep_id=representation_hash(rep), entries=entries)
 
 

@@ -1,18 +1,21 @@
-"""The batch kernels of limit-set sampling and the spiral-witness search as
-they were before they moved to NumPy's contiguous and SIMD paths, kept as
-bit-for-bit references.
+"""The batch kernels of limit-set sampling, the spiral-witness search and
+the class table as they were before they moved to NumPy's contiguous and
+SIMD paths, kept as bit-for-bit references.
 
 No command needs them.  The package now forms products on contiguous
 planes (``_wordarrays._plane_products``), solves real fixed points in
 float64, merges the sample with the default sort and ``reduceat``,
-repairs ties of the default sort instead of sorting stably, and builds
-CSV word text from a byte table.  Each of these must write what the
-formulas below write, byte for byte.
+repairs ties of the default sort instead of sorting stably, builds CSV
+word text from a byte table, takes rotations as slices of a doubled row,
+and forms the relator-swap images of a class row only where a
+rotation's prefix is a swap key.  Each of these
+must write what the formulas below write, byte for byte.
 """
 
 import numpy as np
 
-from qfcert._wordarrays import NAMES
+from qfcert import _wordarrays as wa
+from qfcert._wordarrays import NAMES, RELATOR
 
 _ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -95,3 +98,40 @@ def joined_word_texts(ranks):
     """Each -1-padded rank row's names joined by spaces, row by row."""
     return [" ".join(NAMES[r] for r in row if r >= 0)
             for row in ranks.tolist()]
+
+
+def rolled_class_mask(words):
+    """conjugacy_class_mask with each rotation made by np.roll."""
+    mask = words[:, 0] != wa.INVERSE[words[:, -1]]
+    own = wa._pack(words)
+    best = own.copy()
+    for shift in range(1, words.shape[1]):
+        np.minimum(best, wa._pack(np.roll(words, -shift, axis=1)), out=best)
+    return mask & (own == best)
+
+
+def swap_images(w, swaps):
+    """The least rotations of the words r t that swaps make of the rank
+    tuple w, for each rotation s t of w with s a key of swaps."""
+    return [min(v[q:] + v[:q] for q in range(len(v)))
+            for u in (w[p:] + w[:p] for p in range(len(w)))
+            for k in range(len(RELATOR) // 2, len(w) + 1)
+            for v in (r + u[k:] for r in swaps.get(u[:k], ()))]
+
+
+def swap_loop_classes(maxlen, *gens):
+    """The class table with the swap images of every rotation class
+    formed in turn, each checked against the rows kept before it."""
+    swaps, kept, rows, mats = wa._relator_swaps(), set(), [], []
+    for chunk, products in wa.normal_forms(gens, maxlen, wa.free_acceptor()):
+        pick = np.flatnonzero(rolled_class_mask(chunk))
+        keep = np.ones(len(pick), dtype=bool)
+        for i, w in enumerate(map(tuple, chunk[pick].tolist())):
+            keep[i] = kept.isdisjoint(map(bytes, swap_images(w, swaps)))
+            if keep[i]:
+                kept.add(bytes(w))
+        pick = pick[keep]
+        rows.append(np.pad(chunk[pick], ((0, 0), (0, maxlen - chunk.shape[1])),
+                           constant_values=-1))
+        mats.append([p[pick] for p in products])
+    return np.concatenate(rows), *map(np.concatenate, zip(*mats))

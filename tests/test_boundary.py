@@ -29,6 +29,7 @@ from qfcert import boundary, check
 from qfcert.boundary import (
     LimitSetSample,
     MIN_THETA,
+    aligned_pair_grid,
     find_spiral_witness,
     limit_set_sample,
     normalize_at,
@@ -43,6 +44,8 @@ from qfcert.check import (
     BoundaryError,
     BoundaryPointRef,
     PairConfig,
+    _rank_pair_codes,
+    _rank_pair_parts,
     classify_angle_pairs,
     classify_pairs,
     classify_real_pairs,
@@ -401,6 +404,9 @@ class TestPairConfigGrid:
         assert np.array_equal(grid, scalar_grid(pairs, pairs))
         assert np.array_equal(grid, float_grid(pairs, pairs))
         assert set(grid.ravel().tolist()) == set(range(len(PAIR_CONFIGS)))
+        assert np.array_equal(
+            aligned_pair_grid(rank_endpoints(pairs), 0, len(pairs)),
+            grid == PAIR_CONFIGS.index(PairConfig.UNLINKED_ALIGNED))
         # 1 - gap and 0 sit gap apart across the wrap
         for gap, first, second in (
                 (below, PairConfig.DEGENERATE, PairConfig.DEGENERATE),
@@ -487,8 +493,11 @@ class TestRankClassifier:
         ends = (centers[rng.integers(0, 6, (300, 2))]
                 + step * rng.integers(-8, 9, (300, 2))) % 1.0
         alpha, beta = ends[:120], ends[120:]
-        assert np.array_equal(two_set_grid(alpha, beta),
-                              scalar_grid(alpha, beta))
+        grid = two_set_grid(alpha, beta)
+        assert np.array_equal(grid, scalar_grid(alpha, beta))
+        assert np.array_equal(
+            aligned_pair_grid(rank_endpoints(ends), 0, 120, 120),
+            grid == PAIR_CONFIGS.index(PairConfig.UNLINKED_ALIGNED))
 
     @pytest.mark.parametrize("angle", [0.0, 0.6, 0.99])
     def test_equals_the_float_rule_on_the_scan_blocks(self, angle):
@@ -543,11 +552,55 @@ class TestRankClassifier:
                                                      & (k != l)]))
         assert pairs.dtype == rows.dtype == np.int64
 
+    def test_rank_pair_codes_equal_the_scalar_rule(self):
+        # the 24 orders of four distinct ranks, as scalars and broadcast,
+        # against scalar_pair_config at angles a quarter turn apart
+        perms = np.array(list(itertools.permutations(range(4))))
+        want = [PAIR_CONFIGS.index(scalar_pair_config(
+            tuple((p[:2] + 0.5) / 4.0), tuple((p[2:] + 0.5) / 4.0)))
+            for p in perms]
+        assert [int(_rank_pair_codes(*p)) for p in perms] == want
+        codes = _rank_pair_codes(*perms.T)
+        assert codes.dtype == np.int8 and codes.tolist() == want
+        linked, misaligned = _rank_pair_parts(*perms.T)
+        assert np.array_equal(linked, codes == 0)
+        assert np.array_equal(~linked & misaligned, codes == 2)
+        assert set(want) == {0, 1, 2}
+
+    @pytest.mark.parametrize("lo,hi,start", [
+        (0, 48, 0), (0, 8, 0), (3, 17, 3), (5, 9, 40), (47, 48, 0),
+        (10, 20, 47), (0, 48, 48)])
+    def test_aligned_grid_with_degenerate_rows_and_pairs(self, lo, hi,
+                                                         start):
+        # endpoints at 0.0 and 1.0 (one point of the circle), rows whose
+        # own endpoints meet, and row pairs that share an endpoint or sit
+        # within DEGENERATE_TOL of one, inside and outside the block
+        rng = np.random.default_rng(17)
+        ends = rng.uniform(0.0, 1.0, (48, 2))
+        ends[:12] = [[0.0, 0.5], [1.0, 0.25], [0.3, 0.3], [0.3 + 5e-9, 0.7],
+                     [0.7, 0.0], [0.9, 0.5 + 5e-9], [0.6, 0.6 + 2e-9],
+                     [1.0, 0.125], [0.8, 1.0 - 5e-9], [0.125, 0.875],
+                     [0.25 + 3e-8, 0.75], [0.0, 1.0]]
+        ends[40:44] = ends[2:6]
+        ranking = rank_endpoints(ends)
+        assert ranking[2].size >= 4
+        codes = pair_config_grid(ranking, lo, hi, start)
+        got = aligned_pair_grid(ranking, lo, hi, start)
+        aligned = PAIR_CONFIGS.index(PairConfig.UNLINKED_ALIGNED)
+        assert got.dtype == bool and got.shape == codes.shape
+        assert np.array_equal(got, codes == aligned)
+        assert np.array_equal(
+            got, scalar_grid(ends[lo:hi], ends[start:]) == aligned)
+        if got.size:
+            assert got.any() and (codes == PAIR_CONFIGS.index(
+                PairConfig.DEGENERATE)).any()
+
     def test_rank_endpoints_of_an_empty_table(self):
         ranks, pairs, rows = rank_endpoints(np.zeros((0, 2)))
         assert (ranks.shape, pairs.shape, rows.shape) \
             == ((0, 2), (2, 0), (0,))
         assert table_grid(np.zeros((0, 2))).shape == (0, 0)
+        assert aligned_pair_grid((ranks, pairs, rows), 0, 0).shape == (0, 0)
 
     def test_src_names_no_float_rule(self):
         # one configuration rule in src: the float rule is a test reference

@@ -15,7 +15,11 @@ import pytest
 
 import qfcert.certificates as certmod
 from qfcert import _wordarrays as wa
-from qfcert.boundary import pair_config_grid, rank_endpoints
+from qfcert.boundary import (
+    aligned_pair_grid,
+    pair_config_grid,
+    rank_endpoints,
+)
 from qfcert.certificates import (
     TriangleRecords,
     diagnostic_delta,
@@ -392,6 +396,29 @@ def ordered_pair_scan(rep, maxlen, min_ratio):
     ratio = (stable_length(rep, a) + stable_length(rep, b)) \
         / stable_length(rep, a * b)
     return a, b, ratio
+
+
+class TestAlignedPairGrid:
+    @pytest.mark.parametrize("chart", [None, SKEW_CHART],
+                             ids=["plain", "skew"])
+    @pytest.mark.parametrize("angle", SCAN_ANGLES)
+    @pytest.mark.parametrize("maxlen", [4, 5])
+    def test_equals_the_config_grid_on_every_scan_block(self, maxlen, angle,
+                                                        chart):
+        # the blocks find_separation_certificate classifies
+        rep = bend(fuchsian_octagon(), angle)
+        if chart is not None:
+            rep = conjugate_representation(rep, chart)
+        _, _, angles = certmod._class_table(rep, maxlen)
+        n, ranking = len(angles), rank_endpoints(angles)
+        lo = 0
+        while lo < n - 1:
+            hi = min(n, lo + max(1, certmod._PAIR_BLOCK // (n - lo)))
+            got = aligned_pair_grid(ranking, lo, hi, lo)
+            assert got.dtype == bool
+            assert np.array_equal(
+                got, pair_config_grid(ranking, lo, hi, lo) == ALIGNED)
+            lo = hi
 
 
 class TestCertificateScan:

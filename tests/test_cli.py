@@ -246,7 +246,7 @@ class TestConfigHandling:
     # representations names, the defining module for the names that a
     # handler imports when it runs
     @pytest.mark.parametrize("command,searches,artifact", [
-        ("spectrum", ["qfcert.cli.compute_spectrum"], "spectrum.csv"),
+        ("spectrum", ["qfcert.cli.spectrum_rows"], "spectrum.csv"),
         ("certify", ["qfcert.certificates.find_separation_certificate"],
          "separation_certificate.json"),
         ("triangle-check", ["qfcert.certificates.triangle_harness"],

@@ -1,7 +1,8 @@
-"""The contiguous batch kernels of sampling and the witness search write
-what their references in array_reference.py write, byte for byte: plane
-products, the float64 fixed points, the tie-repairing sort, the sample's
-merge and the CSV word text."""
+"""The contiguous batch kernels of sampling, the witness search and the
+class table write what their references in array_reference.py write,
+byte for byte: plane products, the float64 fixed points, the
+tie-repairing sort, the sample's merge, the CSV word text and the class
+table's relator swaps."""
 
 import warnings
 
@@ -15,10 +16,13 @@ from qfcert.representations import bend, fuchsian_octagon
 
 from array_reference import (
     joined_word_texts,
+    rolled_class_mask,
     stable_first_rows,
     stacked_fixed_pairs,
     strided_compose,
     strided_times,
+    swap_images,
+    swap_loop_classes,
 )
 
 
@@ -145,9 +149,42 @@ class TestWordTexts:
         ranks = boundary.limit_set_sample(
             bend(fuchsian_octagon(), 0.6), 4).ranks
         assert (ranks < 0).any()
-        assert boundary._word_texts(ranks) == joined_word_texts(ranks)
+        assert wa.word_texts(ranks) == joined_word_texts(ranks)
 
     def test_one_letter_rows(self):
         ranks = np.arange(8, dtype=np.int8)[:, None]
-        assert boundary._word_texts(ranks) == joined_word_texts(ranks) \
+        assert wa.word_texts(ranks) == joined_word_texts(ranks) \
             == list(wa.NAMES)
+
+
+class TestClassTableSwaps:
+    """The class table forms swap images only for its hit rows."""
+
+    @pytest.mark.parametrize("arrays", [1, 2])
+    @pytest.mark.parametrize("maxlen", range(1, 7))
+    def test_equals_the_swap_loop(self, maxlen, arrays):
+        gens = (bend(fuchsian_octagon(), 0.6).generator_matrix_array(),
+                wa.exact_real(reference_representation()
+                              .generator_matrix_array()))[:arrays]
+        got = wa.conjugacy_classes(maxlen, *gens)
+        want = swap_loop_classes(maxlen, *gens)
+        assert len(got) == len(want) == 1 + arrays
+        for g, w in zip(got, want):
+            assert same_bytes(g, w)
+
+    @pytest.mark.parametrize("maxlen,hits,candidates", [
+        (3, 0, 160), (4, 16, 780), (5, 96, 4148), (6, 684, 23836)])
+    def test_hit_rows_are_the_rows_with_swap_images(self, maxlen, hits,
+                                                    candidates):
+        swaps = wa._relator_swaps()
+        n_hits = n_candidates = 0
+        for chunk, _ in wa.normal_forms((), maxlen, wa.free_acceptor()):
+            mask = wa.conjugacy_class_mask(chunk)
+            assert same_bytes(mask, rolled_class_mask(chunk))
+            words = chunk[mask]
+            hit = wa._swap_hits(words, swaps)
+            assert hit.tolist() == [bool(swap_images(w, swaps))
+                                    for w in map(tuple, words.tolist())]
+            n_hits += int(hit.sum())
+            n_candidates += len(words)
+        assert (n_hits, n_candidates) == (hits, candidates)

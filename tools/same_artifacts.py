@@ -56,7 +56,7 @@ RUNS = (
        [["--bend-angle", theta, "--maxlen", "5", "certify"]])
       for theta in ("0", "0.45", "1.0")),
     ("certify-min-ratio", [["--min-ratio", "1.1", "certify"]]),
-    ("spectrum-5", [["--maxlen", "5", "spectrum"]]),
+    *(("spectrum-%d" % n, [["--maxlen", str(n), "spectrum"]]) for n in (5, 6)),
     *(("triangle-check-%d" % n, [["--maxlen", str(n), "triangle-check"]])
       for n in (3, 4)),
     *(("growth-%d" % r, [["--rmax", str(r), "growth"]]) for r in (10, 12)),
