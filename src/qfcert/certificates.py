@@ -45,6 +45,7 @@ from .check import (
     PAIR_CONFIGS,
     CertificateError,
     PairConfig,
+    PairScanCounts,
     SeparationCertificate,
     SpiralWitness,
     certificate_problems,
@@ -70,22 +71,11 @@ MIN_CERTIFICATE_MARGIN = 1e-6
 _PAIR_BLOCK = 1 << 18
 
 
-@dataclass(frozen=True)
-class PairScanCounts:
-    """What a certificate search touched, in unordered class pairs: those
-    classified on the boundary, those found unlinked-aligned, and those
-    whose ratio was evaluated exactly, each once."""
-
-    classified: int
-    aligned: int
-    exact: int
-
-
 @dataclass(frozen=True, eq=False)
 class TriangleRecords:
     """Combined-length inequality checks as columns: record k checks the
-    class of row ranks[a[k]] with that of ranks[b[k]] (words[a[k]] with
-    words[b[k]]) in configuration PAIR_CONFIGS[config[k]].
+    class of row ranks[a[k]] with that of ranks[b[k]] in configuration
+    PAIR_CONFIGS[config[k]].
     ell_combined is l(ab) for linked and unlinked-aligned pairs and
     l(a^-1 b) for unlinked-misaligned pairs; slack is the signed margin
     of the strict inequality the configuration dictates, positive iff
@@ -101,11 +91,6 @@ class TriangleRecords:
 
     def __len__(self) -> int:
         return int(self.a.size)
-
-    @property
-    def words(self) -> list[Word]:
-        """The classes, one per row of ranks."""
-        return [Word(wa.ranks_to_letters(row)) for row in self.ranks]
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ from .moebius import (
     wrap_turns,
 )
 from .representations import (
-    SCHEMA,
     Representation,
+    envelope,
     evaluate,
     fuchsian_octagon,
     json_number,
@@ -540,10 +540,21 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
         return False
 
 
+@dataclass(frozen=True)
+class PairScanCounts:
+    """What a certificate search touched, in unordered class pairs: those
+    classified on the boundary, those found unlinked-aligned, and those
+    whose ratio was evaluated exactly, each once.  No check reads it."""
+
+    classified: int
+    aligned: int
+    exact: int
+
+
 class CertificateError(InvariantError):
     """Raised for violated inequalities or failed certificate searches."""
 
-    # scan is the search's certificates.PairScanCounts, which no check reads
+    # scan is the search's counts, when a search raised
     def __init__(self, message: str, best_ratio: float | None = None,
                  scan: PairScanCounts | None = None):
         super().__init__(message)
@@ -638,23 +649,18 @@ def certify(cert: SeparationCertificate, rep_q: Representation) -> bool:
     return not certificate_problems(cert, rep_q)
 
 
-def _envelope(kind: str) -> dict:
-    """The keys that open every artifact of this kind."""
-    return {"schema": SCHEMA, "type": kind}
-
-
 def _opened(payload: object, kind: str, error: type) -> dict:
     """payload, when it opens with the envelope of this kind; error
     otherwise."""
     if not (isinstance(payload, dict)
-            and _envelope(kind).items() <= payload.items()):
+            and envelope(kind).items() <= payload.items()):
         raise error("not a %s payload" % kind.replace("_", " "))
     return payload
 
 
 def witness_to_dict(w: SpiralWitness) -> dict:
     return {
-        **_envelope("spiral_witness"),
+        **envelope("spiral_witness"),
         "gamma": word_to_text(w.gamma),
         "Lambda": w.Lambda,
         "Theta": w.Theta,
@@ -713,7 +719,7 @@ def witness_from_dict(payload: object) -> SpiralWitness:
 
 def certificate_to_dict(cert: SeparationCertificate) -> dict:
     return {
-        **_envelope("separation_certificate"),
+        **envelope("separation_certificate"),
         "rep_id": cert.rep_id,
         "a": word_to_text(cert.a),
         "b": word_to_text(cert.b),

@@ -45,6 +45,7 @@ from .representations import (
     SCHEMA,
     RepresentationError,
     bend,
+    envelope,
     estimate_growth,
     find_complex_trace_element,
     fuchsian_octagon,
@@ -59,17 +60,14 @@ from .surface_group import word_to_text
 # growth refuses an Rmax whose estimated ball holds more elements than
 # this: Rmax 14 (about 1.6e7) runs, Rmax 16 (about 1.2e8) is refused
 GROWTH_BALL_BUDGET = 2e7
-# per maxlen command: (default maxlen, unit, budget).  A run is refused
-# when its size estimate exceeds the budget: reduced words up to maxlen,
-# or class pairs (at most words squared) for the pair scans.  spectrum
-# runs to maxlen 7, witness and limitset to 8, certify to 6 and
-# triangle-check to 4; one more is refused
+# per maxlen command: (default maxlen, largest maxlen run); one more is
+# refused before any search starts
 MAXLEN_COMMANDS = {
-    "spectrum": (4, "words", 2e6),
-    "triangle-check": (3, "pairs", 1e8),
-    "witness": (8, "words", 1e7),
-    "certify": (4, "pairs", 1e11),
-    "limitset": (8, "words", 1e7),
+    "spectrum": (4, 7),
+    "triangle-check": (3, 4),
+    "witness": (8, 8),
+    "certify": (4, 6),
+    "limitset": (8, 8),
 }
 # bend and witness look for a complex-trace word up to this length
 COMPLEX_TRACE_MAXLEN = 4
@@ -187,27 +185,14 @@ def _bent_rep(cfg: RunConfig):
     return bend(fuchsian_octagon(), angle)
 
 
-def _word_estimate(maxlen: int) -> float:
-    """Reduced genus-2 words of lengths 1..maxlen, 8 * 7^(L-1) at length L:
-    a bound on the normal forms that limit-set sampling walks."""
-    try:
-        return 8.0 * (7.0 ** maxlen - 1.0) / 6.0
-    except OverflowError:
-        return math.inf
-
-
 def _preflight(cfg: RunConfig, command: str) -> int:
-    """The command's maxlen (configured or default), once its size
-    estimate is within budget."""
-    default, unit, budget = MAXLEN_COMMANDS[command]
+    """The command's maxlen (configured or default), once it is within
+    the command's cap."""
+    default, largest = MAXLEN_COMMANDS[command]
     maxlen = cfg.maxlen if cfg.maxlen is not None else default
-    estimate = _word_estimate(maxlen)
-    if unit == "pairs":
-        estimate *= estimate
-    if estimate > budget:
-        raise ConfigError("%s at maxlen %d would take about %.3g %s, over "
-                          "the budget of %.3g" % (command, maxlen, estimate,
-                                                  unit, budget))
+    if maxlen > largest:
+        raise ConfigError("%s at maxlen %d is over its cap of maxlen %d"
+                          % (command, maxlen, largest))
     return maxlen
 
 
@@ -274,8 +259,7 @@ def cmd_growth(cfg: RunConfig, out: Path, args) -> int:
     rep = fuchsian_octagon()
     est = estimate_growth(rep, cfg.Rmax)
     _write_json(out / "growth.json", {
-        "schema": SCHEMA,
-        "type": "growth_estimate",
+        **envelope("growth_estimate"),
         "Rmax": cfg.Rmax,
         "h": est.h,
         "radii": list(est.radii),

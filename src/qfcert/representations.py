@@ -478,6 +478,11 @@ def find_complex_trace_element(rep: Representation, maxlen: int) -> Word:
 SCHEMA = "qfcert/1"
 
 
+def envelope(kind: str) -> dict:
+    """The keys that open every JSON artifact of this kind."""
+    return {"schema": SCHEMA, "type": kind}
+
+
 def json_number(value):
     """value, where JSON input gives a number: an int or a float.  A bool,
     which float() and int() read as 0 or 1, and a str, which they parse,
@@ -505,8 +510,7 @@ def representation_to_dict(rep: Representation) -> dict:
     images = {name: [_complex_pair(e) for e in rep.images[x].entries()]
               for x, name in zip(wa.LETTERS, wa.NAMES) if x > 0}
     return {
-        "schema": SCHEMA,
-        "type": "representation",
+        **envelope("representation"),
         "genus": 2,
         "kind": rep.kind,
         "angle": float(rep.angle),

@@ -3,10 +3,13 @@ its submodule's own object, and ``import qfcert`` loads no submodule."""
 
 import ast
 import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -138,3 +141,40 @@ def test_check_imports_no_search():
                and name.split(".")[0] not in sys.stdlib_module_names}
     assert not outside
     assert {".moebius", ".surface_group", ".representations"} <= found
+
+
+def _annotated():
+    """(qualified name, object) for every class and function that a
+    module of the package defines, and every function in a class body."""
+    modules = [qfcert] + [importlib.import_module("qfcert." + info.name)
+                          for info in pkgutil.iter_modules(qfcert.__path__)]
+    for module in modules:
+        for name, obj in sorted(vars(module).items()):
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield "%s.%s" % (module.__name__, name), obj
+            elif inspect.isclass(obj):
+                yield "%s.%s" % (module.__name__, name), obj
+                for attr, member in sorted(vars(obj).items()):
+                    member = getattr(member, "fget", member)
+                    member = getattr(member, "__func__", member)
+                    if inspect.isfunction(member):
+                        yield "%s.%s.%s" % (module.__name__, name,
+                                            attr), member
+
+
+def test_annotations_resolve():
+    # every annotation names something its module can see, so
+    # typing.get_type_hints works on the whole package
+    found = dict(_annotated())
+    assert {"qfcert.check.SeparationCertificate",
+            "qfcert.check.CertificateError.__init__",
+            "qfcert.certificates.triangle_harness"} <= set(found)
+    unresolved = []
+    for name, obj in found.items():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append("%s: %s" % (name, exc))
+    assert not unresolved
