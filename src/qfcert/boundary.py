@@ -1,5 +1,5 @@
-"""Boundary-circle searches: sampled limit sets, the batch pair grid and
-the spiral-witness search.
+"""Boundary-circle searches: sampled limit sets, the pair walk and the
+spiral-witness search.
 
 The abstract boundary circle of the genus-2 group is coordinatized once
 and for all by the reference plane representation: a group element's
@@ -8,9 +8,10 @@ placed on the unit circle of the disk model.  Pair configurations
 (linked / unlinked-aligned / unlinked-misaligned) are decided by circular
 order of those angles and are topological data of the group, independent
 of the representation under study.  The rule, the reference octagon and
-the witness verifier live in `check`; `pair_config_grid` applies that
-rule to whole tables of angle pairs, and `aligned_pair_grid` gives the
-unlinked-aligned pairs of a table alone, from the rule's boolean parts.
+the witness verifier live in `check`; `pair_blocks` applies that rule
+to a whole table of angle pairs, block by block, as the rule's two
+boolean grids.  It is the one pair walk: the triangle harness reads
+every ordered pair from it and the certificate search every pair i < j.
 
 For a representation leaving the plane, the limit set is sampled on the
 dense subset of attracting fixed points: the word w contributes the
@@ -44,16 +45,13 @@ from . import _wordarrays as wa
 from .check import (
     AXIS_CROSS_TOL,
     DEGENERATE_TOL,
-    PAIR_CONFIGS,
     BoundaryError,
     BoundaryPointRef,
-    PairConfig,
     SpiralWitness,
     _arc_data,
     _arc_position,
     _gamma_chart,
     _gamma_power_angle,
-    _rank_pair_codes,
     _rank_pair_parts,
     reference_representation,
     verify_witness_orders,
@@ -90,7 +88,7 @@ def _near_pairs(order: np.ndarray, points: np.ndarray):
 
 
 def rank_endpoints(angles: np.ndarray):
-    """pair_config_grid's ranking of an (n, 2) table of angle pairs in
+    """pair_blocks' ranking of an (n, 2) table of angle pairs in
     turns in [0, 1], whose 2n endpoints it sorts once (endpoint k is row
     k % n): the (n, 2) int32 endpoint ranks; the degenerate row pairs, a
     (2, k) array of the rows (i, j) with an endpoint of i closer than
@@ -118,48 +116,50 @@ def _distinct_columns(a: np.ndarray) -> np.ndarray:
     return a[:, keep]
 
 
-def _rank_grid(rule, ranking, lo: int, hi: int, start: int, degenerate):
-    """rule (a rank rule of `check`) on the endpoint ranks of every row i
-    of angles[lo:hi] against every j of angles[start:], with the cells of
-    the degenerate rows, columns and row pairs then set to degenerate."""
-    ranks, pairs, rows = ranking
-    a, b = ranks[lo:hi], ranks[start:]
-    grid = rule(a[:, :1], a[:, 1:], b[:, 0], b[:, 1])
-    grid[rows[(rows >= lo) & (rows < hi)] - lo] = degenerate
-    grid[:, rows[rows >= start] - start] = degenerate
-    k = slice(*np.searchsorted(pairs[0], [lo, hi]))
-    ii, jj = pairs[:, k][:, pairs[1, k] >= start]
-    grid[ii - lo, jj - start] = degenerate
-    return grid
+# class pairs per block of the pair walk: bounds each block's grids and
+# what its consumer gathers from them (64 rows of 4 100 classes at maxlen 5)
+_PAIR_BLOCK = 1 << 18
 
 
-def pair_config_grid(ranking, lo: int, hi: int, start: int = 0) -> np.ndarray:
-    """classify_angle_pairs(angles[i], angles[j]) for every row i of
-    angles[lo:hi] and j of angles[start:], bit for bit, as an int8 array
-    of indices into PAIR_CONFIGS; ranking is rank_endpoints(angles).
+def pair_blocks(angles: np.ndarray, upper: bool):
+    """Walk the pairs of an (n, 2) table of angle pairs in blocks of rows,
+    about _PAIR_BLOCK pairs each, ranking the table once
+    (rank_endpoints).  Yields (lo, hi, linked, misaligned) for rows i in
+    [lo, hi) against columns j in [lo, n) when upper, and [0, n)
+    otherwise: the rank rule's boolean grids (_rank_pair_parts), so that
+    classify_angle_pairs(angles[i], angles[j]) is LINKED, UNLINKED_ALIGNED
+    or UNLINKED_MISALIGNED where exactly linked, neither or misaligned
+    holds, bit for bit.
 
-    The degenerate rows, columns and row pairs are marked DEGENERATE and
-    every other pair is classified by the rank rule (_rank_pair_codes):
-    its four endpoints are distinct, so their ranks give their circular
-    order (an angle of 1.0 sorts last, next to 0.0 around the circle).
+    Both grids are True on the cells classify_angle_pairs calls
+    DEGENERATE (the degenerate rows, columns and row pairs, each row
+    against itself among them) and, when upper, on every j <= i; the
+    rule never sets both elsewhere.  The other pairs have four distinct
+    endpoints, so their ranks give their circular order (an angle of 1.0
+    sorts last, next to 0.0 around the circle).  Upper blocks end at row
+    n - 1, which has no pair j > i; an empty table yields no block.
+    The walk drops its hold on a block's grids before it forms the next.
     """
-    return _rank_grid(_rank_pair_codes, ranking, lo, hi, start,
-                      PAIR_CONFIGS.index(PairConfig.DEGENERATE))
-
-
-def _unlinked_aligned(ra1, ra2, rb1, rb2) -> np.ndarray:
-    """Where the rank rule gives UNLINKED_ALIGNED: neither linked nor
-    misaligned."""
-    linked, misaligned = _rank_pair_parts(ra1, ra2, rb1, rb2)
-    return ~(linked | misaligned)
-
-
-def aligned_pair_grid(ranking, lo: int, hi: int,
-                      start: int = 0) -> np.ndarray:
-    """pair_config_grid(ranking, lo, hi, start) == UNLINKED_ALIGNED,
-    formed from the rank rule's boolean parts (_rank_pair_parts) without
-    the int8 codes."""
-    return _rank_grid(_unlinked_aligned, ranking, lo, hi, start, False)
+    ranks, pairs, rows = rank_endpoints(angles)
+    n, lo = len(ranks), 0
+    while lo < (n - 1 if upper else n):
+        start = lo if upper else 0
+        hi = min(n, lo + max(1, _PAIR_BLOCK // (n - start)))
+        a, b = ranks[lo:hi], ranks[start:]
+        grids = _rank_pair_parts(a[:, :1], a[:, 1:], b[:, 0], b[:, 1])
+        k = slice(*np.searchsorted(pairs[0], [lo, hi]))
+        ii, jj = pairs[:, k][:, pairs[1, k] >= start] - [[lo], [start]]
+        own = rows[(rows >= lo) & (rows < hi)] - lo
+        other = rows[rows >= start] - start
+        for grid in grids:
+            grid[own] = True
+            grid[:, other] = True
+            grid[ii, jj] = True
+            if upper:
+                grid[:, :hi - lo] |= np.tri(hi - lo, dtype=bool)
+        yield lo, hi, *grids
+        del grids
+        lo = hi
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _wordarrays as wa
-from .boundary import aligned_pair_grid, pair_config_grid, rank_endpoints
+from .boundary import pair_blocks
 from .check import (
     PAIR_CONFIGS,
     CertificateError,
@@ -66,9 +66,6 @@ from .surface_group import Word
 
 # a certificate must clear 1 by at least this much to be emitted
 MIN_CERTIFICATE_MARGIN = 1e-6
-# class pairs per block of the certificate scan: bounds the pair grid and
-# the matrices gathered from it (64 rows of 4 100 classes at maxlen 5)
-_PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,28 +133,23 @@ def triangle_harness(rep: Representation, maxlen: int) -> TriangleRecords:
     word is composed in batch, bit for bit as stable_length would.
     """
     rows, mats, angles = _class_table(rep, maxlen)
-    ranking = rank_endpoints(angles)
     lengths = stable_lengths(mats)
     ells = np.array(lengths)
     gens = rep.generator_matrix_array()
-    degenerate, linked, misaligned = (PAIR_CONFIGS.index(c) for c in (
-        PairConfig.DEGENERATE, PairConfig.LINKED,
-        PairConfig.UNLINKED_MISALIGNED))
-    columns = []
-    # about 2^16 pairs per block bound the joined rows and their products;
-    # an empty table still makes one (empty) block of columns
-    block = max(1, (1 << 16) // max(len(rows), 1))
-    for lo in range(0, max(len(rows), 1), block):
-        # each class is degenerate with itself: its endpoint gaps are 0
-        grid = pair_config_grid(ranking, lo, lo + block)
-        ii, jj = np.nonzero(grid != degenerate)
-        codes = grid[ii, jj]
+    # typed empty columns, so that a table without pairs gives no records
+    columns = [(np.empty(0, np.intp), np.empty(0, np.intp),
+                np.empty(0, np.int8), np.empty(0), np.empty(0))]
+    for lo, _, linked, misaligned in pair_blocks(angles, False):
+        # both grids hold only on degenerate pairs, each class with itself
+        # among them: its endpoint gaps are 0
+        ii, jj = np.nonzero(~(linked & misaligned))
+        link, mis = linked[ii, jj], misaligned[ii, jj]
+        codes = np.int8(1) + mis - link
         ii += lo
         combined = np.array(stable_lengths(wa.compose_matrices(
-            wa.join_rows(rows[ii], rows[jj], codes == misaligned),
-            gens)))
+            wa.join_rows(rows[ii], rows[jj], mis), gens)))
         total = ells[ii] + ells[jj]
-        slack = np.where(codes == linked, total - combined, combined - total)
+        slack = np.where(link, total - combined, combined - total)
         bad = np.flatnonzero(~(slack > 0.0))
         if bad.size:
             k = bad[0]
@@ -395,15 +387,16 @@ def find_separation_certificate(
     the recomputed ratio and every problem; a zero l(ab) is one of them,
     not a division by zero.
 
-    The scan runs in blocks of pairs i < j of class rows: the boundary
-    configuration is classified once per pair, which relies on the
-    unlinked-aligned relation being symmetric (a pair is aligned with b
-    exactly when b is aligned with a, and no class with itself).  That
-    holds by construction: degeneracy comes from a gap that is symmetric
-    to the bit, and the rank rule reads only circular order.  A block's
-    aligned pairs come straight from the rule's boolean parts
-    (aligned_pair_grid), with no configuration codes formed.  Each aligned
-    pair gets an upper bound on its ratio (_ratio_bounds).  In each block
+    The scan reads the pairs i < j of class rows from the upper pair
+    walk (boundary.pair_blocks): the boundary configuration is classified
+    once per pair, which relies on the unlinked-aligned relation being
+    symmetric (a pair is aligned with b exactly when b is aligned with a,
+    and no class with itself).  That holds by construction: degeneracy
+    comes from a gap that is symmetric to the bit, and the rank rule
+    reads only circular order.  A block's aligned pairs are those where
+    neither of the walk's grids (linked, misaligned) holds, formed in
+    place with no configuration codes.  Each aligned pair gets an upper
+    bound on its ratio (_ratio_bounds).  In each block
     the pair with the largest bound is evaluated exactly first, and then
     every pair whose bound reaches the best exact ratio so far; those
     ratios come from _pair_ratios at (i, j), bit for bit as a full scan
@@ -421,7 +414,6 @@ def find_separation_certificate(
     """
     threshold = max(min_ratio, 1.0 + MIN_CERTIFICATE_MARGIN)
     rows, rep_m, angles = _class_table(rep_q, maxlen)
-    ranking = rank_endpoints(angles)
     # every kept row translates, so no length needs zeroing
     ell = 2.0 * np.abs(np.arccosh(wa.traces(rep_m) / 2.0).real)
     lengths = (rows >= 0).sum(axis=1)
@@ -435,22 +427,19 @@ def find_separation_certificate(
     # (-ratio, total length, row of a, row of b): the least tuple wins
     best: tuple[float, int, int, int] | None = None
     n_aligned = n_exact = 0
-    lo = 0
-    while lo < n - 1:
-        hi = min(n, lo + max(1, _PAIR_BLOCK // (n - lo)))
-        aligned = aligned_pair_grid(ranking, lo, hi, lo)
-        # the aligned grid is symmetric with an empty diagonal, so each
-        # unordered pair is classified once, at j > i; past column hi -
-        # lo every pair has j > i
-        aligned[:, :hi - lo] = np.triu(aligned[:, :hi - lo], 1)
+    # the aligned relation is symmetric with an empty diagonal, so each
+    # unordered pair is classified once, at j > i
+    for lo, hi, linked, misaligned in pair_blocks(angles, True):
+        # aligned: neither linked nor misaligned, nor degenerate or j <= i
+        aligned = np.logical_or(linked, misaligned, out=linked)
+        np.logical_not(aligned, out=aligned)
         n_aligned += int(np.count_nonzero(aligned))
         if best_any > 0.0:
             aligned &= screen.keep(lo, hi, best_any)
         # row-major order, as np.nonzero gives it, but on the flat grid
-        ii, jj = np.divmod(np.flatnonzero(aligned), n - lo)
+        ii, jj = np.divmod(np.flatnonzero(aligned), aligned.shape[1])
         ii += lo
         jj += lo
-        lo = hi
         if not ii.size:
             continue
         bound = _ratio_bounds(table, ell, norm, ii, jj)

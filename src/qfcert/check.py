@@ -80,7 +80,7 @@ def _rank_pair_parts(ra1, ra2, rb1, rb2) -> tuple[np.ndarray, np.ndarray]:
     """The rank rule, elementwise on broadcast integer arrays: for pairs
     of four distinct points, from their ranks along the circle cut open
     anywhere, the boolean arrays (linked, misaligned); misaligned is
-    meaningful only where the pair is not linked.
+    False wherever linked is True, so the two never hold together.
 
     With g_k = (b_k ranked above a1), h_k = (b_k ranked above a2) and
     s = (a1 ranked above a2), b_k lies on the arc from a1 to a2 (across
@@ -88,7 +88,7 @@ def _rank_pair_parts(ra1, ra2, rb1, rb2) -> tuple[np.ndarray, np.ndarray]:
     when g1 ^ g2 ^ h1 ^ h2.  Going from a1, b1 comes before b2 exactly
     when (b1 ranked below b2) ^ g1 ^ g2, and an unlinked pair is
     misaligned when that order disagrees with b1 lying on the arc:
-    h1 ^ g2 ^ s ^ (b1 ranked below b2).
+    h1 ^ g2 ^ s ^ (b1 ranked below b2), cleared where the pair is linked.
     """
     # g2 ^ h1 reads all four ranks, so it has the broadcast shape
     linked = np.not_equal(rb2 > ra1, rb1 > ra2)
@@ -96,6 +96,8 @@ def _rank_pair_parts(ra1, ra2, rb1, rb2) -> tuple[np.ndarray, np.ndarray]:
     misaligned ^= rb1 < rb2
     linked ^= rb1 > ra1
     linked ^= rb2 > ra2
+    # misaligned and not linked, in place (a 0-d array for scalar ranks)
+    misaligned = np.greater(misaligned, linked, out=np.asarray(misaligned))
     return linked, misaligned
 
 
@@ -103,7 +105,7 @@ def _rank_pair_codes(ra1, ra2, rb1, rb2) -> np.ndarray:
     """The rank rule (_rank_pair_parts) as int8 indices into PAIR_CONFIGS."""
     linked, misaligned = _rank_pair_parts(ra1, ra2, rb1, rb2)
     # LINKED 0, UNLINKED_ALIGNED 1, UNLINKED_MISALIGNED 2
-    return np.where(linked, np.int8(0), misaligned.view(np.int8) + np.int8(1))
+    return np.int8(1) + misaligned - linked
 
 
 def _four_point_config(values) -> PairConfig:

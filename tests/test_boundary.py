@@ -29,11 +29,10 @@ from qfcert import boundary, check
 from qfcert.boundary import (
     LimitSetSample,
     MIN_THETA,
-    aligned_pair_grid,
     find_spiral_witness,
     limit_set_sample,
     normalize_at,
-    pair_config_grid,
+    pair_blocks,
     rank_endpoints,
     sample_to_csv,
     sample_to_svg,
@@ -56,7 +55,7 @@ from qfcert.check import (
     witness_from_dict,
     witness_to_dict,
 )
-from qfcert.certificates import _PAIR_BLOCK, _class_table
+from qfcert.certificates import _class_table
 from qfcert.moebius import (
     BoundaryPoint,
     IsometryKind,
@@ -75,6 +74,7 @@ from qfcert.representations import (
 from qfcert.surface_group import Word, enumerate_words
 
 from geometry_reference import translation_lengths
+from pair_walk import block_codes, walk_codes
 from word_reference import is_reduced, reduced_word_levels
 
 A1 = Word((1,))
@@ -329,21 +329,8 @@ class TestRealPairs:
                 == PairConfig.LINKED
 
 
-def two_set_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """pair_config_grid of every alpha pair against every beta pair: the
-    rows of one table, alpha then beta, against its columns from beta."""
-    table = np.concatenate([alpha, beta])
-    n = alpha.shape[0]
-    return pair_config_grid(rank_endpoints(table), 0, n, n)
-
-
-def table_grid(angles: np.ndarray) -> np.ndarray:
-    """pair_config_grid of a whole table against itself."""
-    return pair_config_grid(rank_endpoints(angles), 0, len(angles))
-
-
 def scalar_grid(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """pair_config_grid's reference: scalar_pair_config pair by pair."""
+    """The pair walk's reference: scalar_pair_config pair by pair."""
     return np.array([[PAIR_CONFIGS.index(scalar_pair_config(a, b))
                       for b in beta.tolist()] for a in alpha.tolist()])
 
@@ -382,8 +369,8 @@ class TestPairConfigGrid:
         # against classify_pairs on the words (scalar fixed_angles)
         rows, _, angles = _class_table(reference_representation(), 3)
         words = [Word(wa.ranks_to_letters(row)) for row in rows]
-        grid = table_grid(angles)
-        assert np.array_equal(grid, two_set_grid(angles, angles))
+        grid = walk_codes(angles)
+        assert np.array_equal(grid, walk_codes(angles, angles))
         expected = np.array([[PAIR_CONFIGS.index(classify_pairs(a, b))
                               for b in words] for a in words])
         assert np.array_equal(grid, expected)
@@ -399,27 +386,24 @@ class TestPairConfigGrid:
             (x + d) % 1.0 for x in (0.0, 0.6)
             for d in (0.0, below, -below, above, -above)})
         pairs = np.array([(x, y) for x in values for y in values if x != y])
-        grid = two_set_grid(pairs, pairs)
-        assert np.array_equal(grid, table_grid(pairs))
+        grid = walk_codes(pairs, pairs)
+        assert np.array_equal(grid, walk_codes(pairs))
         assert np.array_equal(grid, scalar_grid(pairs, pairs))
         assert np.array_equal(grid, float_grid(pairs, pairs))
         assert set(grid.ravel().tolist()) == set(range(len(PAIR_CONFIGS)))
-        assert np.array_equal(
-            aligned_pair_grid(rank_endpoints(pairs), 0, len(pairs)),
-            grid == PAIR_CONFIGS.index(PairConfig.UNLINKED_ALIGNED))
         # 1 - gap and 0 sit gap apart across the wrap
         for gap, first, second in (
                 (below, PairConfig.DEGENERATE, PairConfig.DEGENERATE),
                 (above, PairConfig.LINKED, PairConfig.UNLINKED_MISALIGNED)):
             alpha = np.array([[0.0, 0.2], [0.5, 1.0 - gap]])
             beta = np.array([[1.0 - gap, 0.15], [0.0, 0.2]])
-            codes = two_set_grid(alpha, beta)
+            codes = walk_codes(alpha, beta)
             assert (PAIR_CONFIGS[codes[0, 0]], PAIR_CONFIGS[codes[1, 1]]) \
                 == (first, second)
 
 
 class TestRankClassifier:
-    """pair_config_grid marks the pairs with an endpoint gap under
+    """The pair walk marks the pairs with an endpoint gap under
     DEGENERATE_TOL and classifies the rest by endpoint rank; it must agree
     with the scalar reference and the float rule where ranks and floats
     could part: gaps near DEGENERATE_TOL, exact duplicates, the wrap at
@@ -444,7 +428,7 @@ class TestRankClassifier:
                             // 2)
         alpha = angles[classes]
         beta = np.concatenate([alpha, angles[::37]])
-        assert np.array_equal(two_set_grid(alpha, beta),
+        assert np.array_equal(walk_codes(alpha, beta),
                               scalar_grid(alpha, beta))
 
     def test_exact_duplicate_endpoints_of_class_powers(self):
@@ -456,7 +440,7 @@ class TestRankClassifier:
         shared = np.unique(np.flatnonzero(counts[inverse] > 1) // 2)
         assert len(shared) > 100
         alpha = angles[shared]
-        grid = two_set_grid(alpha, alpha)
+        grid = walk_codes(alpha, alpha)
         assert np.array_equal(grid, scalar_grid(alpha, alpha))
         assert (grid == PAIR_CONFIGS.index(PairConfig.DEGENERATE)).sum() \
             > len(shared)
@@ -467,7 +451,7 @@ class TestRankClassifier:
         # endpoint off it on either side
         ends = [1.0, 0.0, gap, 1.0 - gap, 0.25, 0.5, 0.75]
         pairs = np.array([(x, y) for x in ends for y in ends if x != y])
-        assert np.array_equal(two_set_grid(pairs, pairs),
+        assert np.array_equal(walk_codes(pairs, pairs),
                               scalar_grid(pairs, pairs))
 
     @pytest.mark.parametrize("spread", [0.0, 1e-9, 4e-9])
@@ -481,7 +465,7 @@ class TestRankClassifier:
         alpha[::5] = alpha[::5, ::-1]
         alpha[3] = (cluster[3], cluster[5])
         beta = np.concatenate([alpha[::-1], np.stack([far, cluster], 1)])
-        assert np.array_equal(two_set_grid(alpha, beta),
+        assert np.array_equal(walk_codes(alpha, beta),
                               scalar_grid(alpha, beta))
 
     def test_random_endpoints_on_a_fine_lattice(self):
@@ -493,23 +477,21 @@ class TestRankClassifier:
         ends = (centers[rng.integers(0, 6, (300, 2))]
                 + step * rng.integers(-8, 9, (300, 2))) % 1.0
         alpha, beta = ends[:120], ends[120:]
-        grid = two_set_grid(alpha, beta)
-        assert np.array_equal(grid, scalar_grid(alpha, beta))
-        assert np.array_equal(
-            aligned_pair_grid(rank_endpoints(ends), 0, 120, 120),
-            grid == PAIR_CONFIGS.index(PairConfig.UNLINKED_ALIGNED))
+        assert np.array_equal(walk_codes(alpha, beta),
+                              scalar_grid(alpha, beta))
 
     @pytest.mark.parametrize("angle", [0.0, 0.6, 0.99])
     def test_equals_the_float_rule_on_the_scan_blocks(self, angle):
-        # every block the certificate scan classifies at maxlen 5
+        # every block the certificate scan classifies at maxlen 5, on
+        # the pairs j > i it reads; both grids hold on the others
         _, _, angles = _class_table(bend(fuchsian_octagon(), angle), 5)
-        ranking = rank_endpoints(angles)
-        n, lo = len(angles), 0
-        while lo < n - 1:
-            hi = min(n, lo + max(1, _PAIR_BLOCK // (n - lo)))
-            assert np.array_equal(pair_config_grid(ranking, lo, hi, lo),
-                                  float_grid(angles[lo:hi], angles[lo:]))
-            lo = hi
+        n = len(angles)
+        for lo, hi, linked, misaligned in pair_blocks(angles, True):
+            above = np.arange(lo, n) > np.arange(lo, hi)[:, None]
+            assert np.array_equal(
+                block_codes(linked, misaligned)[above],
+                float_grid(angles[lo:hi], angles[lo:])[above])
+            assert (linked & misaligned)[~above].all()
 
     def test_rank_endpoints_of_a_table(self):
         # endpoint k is row k % n; degenerate pairs, across the wrap too,
@@ -523,7 +505,7 @@ class TestRankClassifier:
         assert pairs.tolist() == [[0, 0, 0, 1, 1, 2, 2, 3],
                                   [0, 1, 2, 0, 1, 0, 2, 3]]
         assert rows.tolist() == [3]
-        assert np.array_equal(table_grid(angles), scalar_grid(angles, angles))
+        assert np.array_equal(walk_codes(angles), scalar_grid(angles, angles))
 
     @pytest.mark.parametrize("table", ["maxlen3", "maxlen4", "lattice"])
     def test_rank_endpoints_matches_all_pairs_reference(self, table):
@@ -564,17 +546,23 @@ class TestRankClassifier:
         assert codes.dtype == np.int8 and codes.tolist() == want
         linked, misaligned = _rank_pair_parts(*perms.T)
         assert np.array_equal(linked, codes == 0)
-        assert np.array_equal(~linked & misaligned, codes == 2)
+        assert np.array_equal(misaligned, codes == 2)
+        # misaligned is cleared on linked pairs, as scalars too
+        assert not (linked & misaligned).any()
+        assert not any(np.logical_and(*_rank_pair_parts(*p)) for p in perms)
         assert set(want) == {0, 1, 2}
 
-    @pytest.mark.parametrize("lo,hi,start", [
-        (0, 48, 0), (0, 8, 0), (3, 17, 3), (5, 9, 40), (47, 48, 0),
-        (10, 20, 47), (0, 48, 48)])
-    def test_aligned_grid_with_degenerate_rows_and_pairs(self, lo, hi,
-                                                         start):
-        # endpoints at 0.0 and 1.0 (one point of the circle), rows whose
-        # own endpoints meet, and row pairs that share an endpoint or sit
-        # within DEGENERATE_TOL of one, inside and outside the block
+    def test_rank_endpoints_of_an_empty_table(self):
+        ranks, pairs, rows = rank_endpoints(np.zeros((0, 2)))
+        assert (ranks.shape, pairs.shape, rows.shape) \
+            == ((0, 2), (2, 0), (0,))
+        assert walk_codes(np.zeros((0, 2))).shape == (0, 0)
+
+    @staticmethod
+    def degenerate_table() -> np.ndarray:
+        """48 rows with endpoints at 0.0 and 1.0 (one point of the
+        circle), rows whose own endpoints meet, and row pairs that share
+        an endpoint or sit within DEGENERATE_TOL of one."""
         rng = np.random.default_rng(17)
         ends = rng.uniform(0.0, 1.0, (48, 2))
         ends[:12] = [[0.0, 0.5], [1.0, 0.25], [0.3, 0.3], [0.3 + 5e-9, 0.7],
@@ -582,25 +570,51 @@ class TestRankClassifier:
                      [1.0, 0.125], [0.8, 1.0 - 5e-9], [0.125, 0.875],
                      [0.25 + 3e-8, 0.75], [0.0, 1.0]]
         ends[40:44] = ends[2:6]
-        ranking = rank_endpoints(ends)
-        assert ranking[2].size >= 4
-        codes = pair_config_grid(ranking, lo, hi, start)
-        got = aligned_pair_grid(ranking, lo, hi, start)
-        aligned = PAIR_CONFIGS.index(PairConfig.UNLINKED_ALIGNED)
-        assert got.dtype == bool and got.shape == codes.shape
-        assert np.array_equal(got, codes == aligned)
-        assert np.array_equal(
-            got, scalar_grid(ends[lo:hi], ends[start:]) == aligned)
-        if got.size:
-            assert got.any() and (codes == PAIR_CONFIGS.index(
-                PairConfig.DEGENERATE)).any()
+        return ends
 
-    def test_rank_endpoints_of_an_empty_table(self):
-        ranks, pairs, rows = rank_endpoints(np.zeros((0, 2)))
-        assert (ranks.shape, pairs.shape, rows.shape) \
-            == ((0, 2), (2, 0), (0,))
-        assert table_grid(np.zeros((0, 2))).shape == (0, 0)
-        assert aligned_pair_grid((ranks, pairs, rows), 0, 0).shape == (0, 0)
+    @pytest.mark.parametrize("upper", [False, True])
+    @pytest.mark.parametrize("block", [1, 7, 100, 1000, 1 << 18])
+    def test_blocks_tile_the_pairs_in_row_major_order(self, block, upper,
+                                                      monkeypatch):
+        # every ordered pair once, or every pair i < j once when upper,
+        # in row-major order across blocks of one row, of a few rows,
+        # and of the whole table; both grids hold on the other cells
+        monkeypatch.setattr(boundary, "_PAIR_BLOCK", block)
+        ends = self.degenerate_table()
+        n = len(ends)
+        assert rank_endpoints(ends)[2].size >= 4
+        cells, codes, end = [], [], 0
+        for lo, hi, linked, misaligned in pair_blocks(ends, upper):
+            assert lo == end < hi
+            end, start = hi, lo if upper else 0
+            assert linked.dtype == misaligned.dtype == bool
+            assert linked.shape == misaligned.shape == (hi - lo, n - start)
+            i, j = np.indices(linked.shape)
+            i += lo
+            j += start
+            pair = j > i if upper else np.ones(linked.shape, dtype=bool)
+            assert (linked & misaligned)[~pair].all()
+            cells += zip(i[pair].tolist(), j[pair].tolist())
+            codes.append(block_codes(linked, misaligned)[pair])
+        want = [(i, j) for i in range(n) for j in range(n)
+                if j > i or not upper]
+        assert cells == want
+        got = np.concatenate(codes)
+        assert np.array_equal(
+            got, scalar_grid(ends, ends)[tuple(np.array(want).T)])
+        assert set(got.tolist()) == set(range(len(PAIR_CONFIGS)))
+
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_empty_and_one_row_tables_yield_no_pair(self, upper):
+        assert list(pair_blocks(np.zeros((0, 2)), upper)) == []
+        blocks = list(pair_blocks(np.array([[0.25, 0.5]]), upper))
+        if upper:
+            assert blocks == []
+        else:
+            # the row against itself only, which is degenerate
+            (lo, hi, linked, misaligned), = blocks
+            assert (lo, hi) == (0, 1)
+            assert linked.tolist() == misaligned.tolist() == [[True]]
 
     def test_src_names_no_float_rule(self):
         # one configuration rule in src: the float rule is a test reference
@@ -651,7 +665,7 @@ class TestSwapSymmetry:
 
     def test_grid_of_the_edge_pair_equals_its_transpose(self):
         angles = np.array([EDGE_ALPHA, EDGE_BETA, (0.8, 0.9)])
-        grid = table_grid(angles)
+        grid = walk_codes(angles)
         assert np.array_equal(grid, grid.T)
         assert np.array_equal(grid, np.array(
             [[PAIR_CONFIGS.index(classify_angle_pairs(a, b))

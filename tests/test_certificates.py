@@ -15,11 +15,8 @@ import pytest
 
 import qfcert.certificates as certmod
 from qfcert import _wordarrays as wa
-from qfcert.boundary import (
-    aligned_pair_grid,
-    pair_config_grid,
-    rank_endpoints,
-)
+from qfcert import boundary
+from qfcert.boundary import pair_blocks
 from qfcert.certificates import (
     TriangleRecords,
     diagnostic_delta,
@@ -51,6 +48,7 @@ from qfcert.representations import (
 from qfcert.surface_group import Word, word_to_text
 
 from geometry_reference import axis_crossing_gap, translation_lengths
+from pair_walk import walk_codes
 
 
 @pytest.fixture(scope="module")
@@ -342,21 +340,16 @@ SKEW_CHART = MoebiusMap(-0.8691056643855141 + 0.4281468299936646j,
                         -0.9442898028405537 - 0.06255282941830957j)
 
 
-def full_grid(angles):
-    """The pair grid of a whole class table against itself."""
-    return pair_config_grid(rank_endpoints(angles), 0, len(angles))
-
-
 def ordered_ratio_blocks(rep_m, ell, angles):
     """Reference: the ratio grid over all ordered class pairs as the
     search computed it before it scanned unordered pairs, by blocks of
     rows: (first row, ratios of those rows against every class)."""
     n = len(rep_m)
-    ranking = rank_endpoints(angles)
+    codes = walk_codes(angles)
     block = max(1, min(256, (1 << 24) // n))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        aligned = pair_config_grid(ranking, lo, hi) == ALIGNED
+        aligned = codes[lo:hi] == ALIGNED
         tr = np.einsum("aij,bji->ab", rep_m[lo:hi], rep_m)
         ell_ab = 2.0 * np.abs(np.arccosh(tr.astype(complex) / 2.0).real)
         ok = aligned & (ell_ab > 1e-9)
@@ -406,20 +399,17 @@ class TestAlignedPairGrid:
     @pytest.mark.parametrize("maxlen", [4, 5])
     def test_equals_the_config_grid_on_every_scan_block(self, maxlen, angle,
                                                         chart):
-        # the blocks find_separation_certificate classifies
+        # the blocks find_separation_certificate classifies, read as it
+        # reads them, against the codes of the walk of every ordered pair
         rep = bend(fuchsian_octagon(), angle)
         if chart is not None:
             rep = conjugate_representation(rep, chart)
         _, _, angles = certmod._class_table(rep, maxlen)
-        n, ranking = len(angles), rank_endpoints(angles)
-        lo = 0
-        while lo < n - 1:
-            hi = min(n, lo + max(1, certmod._PAIR_BLOCK // (n - lo)))
-            got = aligned_pair_grid(ranking, lo, hi, lo)
-            assert got.dtype == bool
-            assert np.array_equal(
-                got, pair_config_grid(ranking, lo, hi, lo) == ALIGNED)
-            lo = hi
+        n, codes = len(angles), walk_codes(angles)
+        for lo, hi, linked, misaligned in pair_blocks(angles, True):
+            got = ~(linked | misaligned)
+            above = np.arange(lo, n) > np.arange(lo, hi)[:, None]
+            assert np.array_equal(got, above & (codes[lo:hi, lo:] == ALIGNED))
 
 
 class TestCertificateScan:
@@ -453,10 +443,7 @@ class TestCertificateScan:
         # the scan classifies each unordered pair once, at j > i
         _, _, angles = certmod._class_table(
             bend(fuchsian_octagon(), angle), maxlen)
-        n, ranking = len(angles), rank_endpoints(angles)
-        aligned = np.concatenate([
-            pair_config_grid(ranking, lo, min(n, lo + 512)) == ALIGNED
-            for lo in range(0, n, 512)])
+        aligned = walk_codes(angles) == ALIGNED
         assert np.array_equal(aligned, aligned.T)
         assert not aligned.diagonal().any()
 
@@ -473,7 +460,7 @@ class TestCertificateScan:
         ell = translation_lengths(rep_m)
         grid = np.concatenate(
             [ratio for _, ratio in ordered_ratio_blocks(rep_m, ell, angles)])
-        ii, jj = np.nonzero(full_grid(angles) == ALIGNED)
+        ii, jj = np.nonzero(walk_codes(angles) == ALIGNED)
         table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
         assert np.array_equal(certmod._pair_ratios(table, ell, ii, jj),
                               grid[ii, jj])
@@ -510,12 +497,13 @@ class TestCertificateScan:
     def test_each_scan_ranks_its_table_once(self, bent_rep, reference_rep,
                                             monkeypatch):
         calls = []
+        rank_endpoints = boundary.rank_endpoints
 
         def counting(angles):
             calls.append(len(angles))
             return rank_endpoints(angles)
 
-        monkeypatch.setattr(certmod, "rank_endpoints", counting)
+        monkeypatch.setattr(boundary, "rank_endpoints", counting)
         find_separation_certificate(bent_rep, 4)
         triangle_harness(reference_rep, 3)
         assert calls == [len(certmod._class_table(bent_rep, 4)[0]),
@@ -547,7 +535,7 @@ def aligned_scan_inputs(rep, maxlen):
     """The certificate scan's class table, lengths, Frobenius norms and
     aligned unordered pairs (i < j) for rep."""
     _, rep_m, angles = certmod._class_table(rep, maxlen)
-    ii, jj = np.nonzero(np.triu(full_grid(angles) == ALIGNED))
+    ii, jj = np.nonzero(np.triu(walk_codes(angles) == ALIGNED))
     table = np.ascontiguousarray(rep_m.transpose(1, 2, 0))
     norm = np.sqrt((np.abs(rep_m) ** 2).sum(axis=(1, 2)))
     return table, translation_lengths(rep_m), norm, ii, jj

@@ -22,6 +22,7 @@ import pytest
 
 from qfcert import _wordarrays as wa
 from qfcert import representations
+from qfcert.certificates import _class_table
 from qfcert.moebius import (
     BASEPOINT,
     IsometryKind,
@@ -51,6 +52,7 @@ from qfcert.representations import (
     representation_hash,
     representation_json,
     representation_to_dict,
+    spectrum_rows,
     stable_length,
     stable_lengths,
 )
@@ -345,6 +347,17 @@ class TestSpectrum:
                                                         maxlen):
         with pytest.raises(RepresentationError, match="at least 1"):
             compute_spectrum(base_rep, maxlen)
+
+    def test_spectrum_keeps_the_rows_the_scans_drop(self):
+        # at bend 2.0 some classes stop translating: the spectrum keeps
+        # them with length 0, the pair scans' table leaves them out
+        rep = bend(fuchsian_octagon(), 2.0)
+        rows, lengths = spectrum_rows(rep, 5)
+        zero = np.array(lengths) == 0.0
+        assert (len(rows), int(zero.sum())) == (4100, 20)
+        table = _class_table(rep, 5)[0]
+        assert len(table) == 4080
+        assert np.array_equal(rows[~zero], table)
 
     def test_fuchsian_traces_real(self, base_rep):
         for w in compute_spectrum(base_rep, 3).entries:

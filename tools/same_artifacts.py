@@ -51,10 +51,13 @@ RUNS = (
                    ["certify", "--input",
                     OUT + "/separation_certificate.json"]]),
     ("certify-6", [["--maxlen", "6", "certify"]]),
-    # θ 0 finds nothing and reports its best ratio, below 1
+    # θ 0 finds nothing and reports its best ratio, below 1; at θ 2.0, 20
+    # classes stop translating, so the scan's table is filtered and its
+    # pair blocks fall elsewhere; θ 3.1 at maxlen 3 scans a single block
     *(("certify-5-" + theta,
        [["--bend-angle", theta, "--maxlen", "5", "certify"]])
-      for theta in ("0", "0.45", "1.0")),
+      for theta in ("0", "0.45", "1.0", "2.0")),
+    ("certify-3-3.1", [["--bend-angle", "3.1", "--maxlen", "3", "certify"]]),
     ("certify-min-ratio", [["--min-ratio", "1.1", "certify"]]),
     *(("spectrum-%d" % n, [["--maxlen", str(n), "spectrum"]]) for n in (5, 6)),
     *(("triangle-check-%d" % n, [["--maxlen", str(n), "triangle-check"]])
