@@ -19,11 +19,9 @@ Three layers of verifiable content:
   length under a space representation contracts (ratio > 1): since every
   plane-like negatively curved metric stretches such pairs, the log-ratio
   separates the space representation from all of them simultaneously.
-  The search bounds each pair's ratio from above in float64, with a
-  rounding-error argument (_ratio_bounds), and evaluates exactly only the
-  pairs whose bound reaches the best ratio so far; a float32 screen with
-  its own error argument (_Screen) first drops, a block of pairs at a
-  time, the pairs whose float64 bound cannot reach it.
+  The search evaluates each pair's ratio exactly unless a float32 screen
+  with a rounding-error argument (_Screen) shows, a block of pairs at a
+  time, that it is below the best ratio so far.
 
 Certificates are serialized as JSON with full-precision lengths and the
 representation fingerprint.  Their format and their acceptance check
@@ -205,51 +203,10 @@ def _pair_ratios(table: np.ndarray, ell: np.ndarray, first: np.ndarray,
                     -np.inf)
 
 
-# the double rounding unit
-_U = 2.0 ** -53
-# relative error allowed between the bounded and the exact arccosh lengths
+# the relative error the screen allows each arccosh of _pair_ratios
 _BOUND_SLACK = 2.0 ** -40
-# below this lower bound on l(ab) a pair is not bounded, only evaluated
+# the screen drops no pair whose l(ab) is at most this
 _MIN_BOUNDED_LENGTH = 0.125
-
-
-def _ratio_bounds(table: np.ndarray, ell: np.ndarray, norm: np.ndarray,
-                  first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Upper bounds on _pair_ratios at (first[k], second[k]); +inf where
-    the lower bound on l(ab) is under _MIN_BOUNDED_LENGTH.  norm holds
-    the Frobenius norms of the class products.
-
-    The trace t = sum_ij A_ij B_ji is summed here as four elementwise
-    products.  A complex product errs by at most sqrt(2) gamma_2 |x||y|
-    and a sum of four terms in any order by gamma_3 times their sum of
-    moduli, so this trace and the fixed-order one of _pair_ratios each
-    lie within 6u sum |A_ij||B_ji| <= 6u |A|_F |B|_F of the exact
-    trace.  With z = t / 2,
-
-        s(z) = (|z + 1| + |z - 1|) / 2 = cosh(Re arccosh z),
-
-    and s is 1-Lipschitz, so s at the trace of _pair_ratios is at least
-    this s minus 6u |A|_F |B|_F and its own rounding (5u s); s_lo subtracts
-    8u (s + |A|_F |B|_F), which also covers the rounding of the norms.
-    l(ab) >= 2 arccosh(s_lo) then bounds the exact l(ab) from below.
-    Both sides share the numerator l(a) + l(b), rounded once; the bound
-    adds _BOUND_SLACK for the arccosh evaluations and the divisions.  A
-    length computed through s with relative error u errs by about
-    2u / l^2 relative, at most 2^7 u for l >= _MIN_BOUNDED_LENGTH, so
-    the slack of 2^13 u leaves room for library arccosh errors of
-    thousands of ulps.
-    """
-    a00, a01, a10, a11 = (table[i, j].take(first) for i in (0, 1)
-                          for j in (0, 1))
-    b00, b01, b10, b11 = (table[i, j].take(second) for i in (0, 1)
-                          for j in (0, 1))
-    z = (a00 * b00 + a01 * b10 + a10 * b01 + a11 * b11) / 2.0
-    s = (np.abs(z + 1.0) + np.abs(z - 1.0)) / 2.0
-    s_lo = s - 8.0 * _U * (s + norm[first] * norm[second])
-    ell_lo = 2.0 * np.arccosh(np.maximum(s_lo, 1.0))
-    ok = ell_lo >= _MIN_BOUNDED_LENGTH
-    return np.where(ok, (ell[first] + ell[second]) * (1.0 + _BOUND_SLACK)
-                    / np.where(ok, ell_lo, 1.0), np.inf)
 
 
 # the screen's relative margin and absolute allowance, 32 float32 units
@@ -261,22 +218,22 @@ _SCREEN_CHUNK = 1 << 15
 
 class _Screen:
     """The float32 screen of the certificate scan: the pairs of a block
-    whose float64 ratio bound (_ratio_bounds) may reach the best ratio B.
+    whose exact ratio (_pair_ratios) may reach the best ratio B.
 
-    _ratio_bounds leaves out a pair when its bound is below B, roughly
-    when s_lo > cosh(X), X = c (l(a) + l(b)) = x_a + x_b, c = (1 +
-    _BOUND_SLACK) / (2B).  As cosh(X) = C_a C_b + S_a S_b with C = cosh(x)
-    and S = sinh(x), the threshold of a block is an outer product of
-    per-class vectors; and s >= |z|, z = t / 2, t = tr(AB).  So the
-    screen computes, with n_A = max(1, |A|_F), m = n_A n_B, e =
-    _SCREEN_SLACK, u32 = 2^-24 and u = 2^-53,
+    With s(z) = (|z + 1| + |z - 1|) / 2 = cosh(Re arccosh z), z half the
+    trace that _pair_ratios computes, the ratio is below B roughly when
+    s > cosh(X), X = c (l(a) + l(b)) = x_a + x_b, c = (1 + _BOUND_SLACK) /
+    (2B).  As cosh(X) = C_a C_b + S_a S_b with C = cosh(x) and S = sinh(x),
+    the threshold of a block is an outer product of per-class vectors; and
+    s >= |z|.  So the screen computes, with t = tr(AB), n_A = max(1,
+    |A|_F), m = n_A n_B, e = _SCREEN_SLACK, u32 = 2^-24 and u = 2^-53,
 
         q = |t / m| in complex64, from A / n_A and B / n_B,
         r = 2 (1 + e) cosh(X) / m + e in float32, from C / n and S / n,
 
     with x raised to at least _MIN_BOUNDED_LENGTH / 4, and drops a pair
-    only where q > r.  The computed values put the dropped pair's float64
-    bound below B:
+    only where q > r.  The computed values put the dropped pair's exact
+    ratio below B:
 
     * (float32 trace) The scaled entries, rounded to complex64, err by
       u + u32 relative; the four complex products err by sqrt(2) gamma_2
@@ -286,28 +243,32 @@ class _Screen:
       abs, a scaled hypot of five roundings, by 4 u32 relative: |t| / m
       >= q (1 - 4 u32) - 8 u32.  No entry exceeds 1, so nothing
       overflows; underflow adds under 2^-140 in all.
-    * (float64 bound) By the argument of _ratio_bounds, its s_lo is at
-      least s (1 - 16 u) - 12 u |A|_F |B|_F, so 2 s_lo / m >= q (1 - 4.02
-      u32) - 8.02 u32.
+    * (float64 trace) _pair_ratios forms the same four products in
+      float64 and sums them in a fixed order, so by the same two bounds
+      its trace is within 6u sum |A_ij||B_ji| <= 6u |A|_F |B|_F of t, and
+      the computed norms are within 4u relative of the exact ones.  As s
+      >= |z|, 2 s / m >= |t| / m - 6.01 u >= q (1 - 4 u32) - 8.01 u32.
     * (threshold) Each vector entry has float64 errors under 2^-40 and
       one float32 rounding; two products and two sums of nonnegative
       terms round once each, so the computed r is at least (1 - 5.01 u32)
       times its exact value, less 2^-20 for underflow (a factor under
       2^-126 errs by 2^-150, and the other is under 2^128).
-    * (drop) So q > r gives 2 s_lo / m > 2 cosh(X)(1 + e)(1 - 9.03 u32) /
-      m + e (1 - 9.03 u32) - 2^-20 - 8.02 u32 >= 2 cosh(X)(1 + 2^-28) / m,
-      as e = 32 u32.  Then acosh(s_lo) > X (1 + 2^-40 + 4u) for X < 1 421
-      (a larger x overflows cosh(x) in float64 and keeps the pair).  With
-      arccosh within 2^-40 relative, as _BOUND_SLACK assumes, l_lo >
-      2 X (1 + u)^3, which is above _MIN_BOUNDED_LENGTH; the numerator
-      l(a) + l(b), rounded twice, and the division then leave the bound
-      below (1 + _BOUND_SLACK)(l(a) + l(b)) / (2X) <= B.  Raising x only
+    * (drop) So q > r gives 2 s / m > 2 cosh(X)(1 + e)(1 - 9.02 u32) / m
+      + e (1 - 9.02 u32) - 2^-20 - 8.01 u32 >= 2 cosh(X)(1 + 2^-28) / m,
+      as e = 32 u32.  Then acosh(s) > X (1 + 2^-40 + 4u) for X < 1 421 (a
+      larger x overflows cosh(x) in float64 and keeps the pair).  With
+      arccosh within 2^-40 relative, as _BOUND_SLACK assumes, and the
+      halving and doubling exact, the l(ab) of _pair_ratios exceeds 2 X (1
+      + u)^3, which is above _MIN_BOUNDED_LENGTH and its 1e-9 cutoff.  The
+      numerator l(a) + l(b) and the division round once each, and x_a >=
+      c l(a) (1 - u)^2, so the ratio is below (l(a) + l(b)) / (2X (1 + u))
+      <= B / ((1 + _BOUND_SLACK)(1 - u)^2 (1 + u)) < B.  Raising x only
       raises r.
 
-    So every pair whose bound reaches B is kept.  An infinite norm makes q
-    0 or NaN, and any other NaN or infinity in the table, the norms or the
-    lengths makes q NaN or r infinite or NaN: the pair is kept, and no
-    warning is raised.
+    So every pair whose exact ratio reaches B is kept.  An infinite norm
+    makes q 0 or NaN, and any other NaN or infinity in the table, the
+    norms or the lengths makes q NaN or r infinite or NaN: the pair is
+    kept, and no warning is raised.
     """
 
     def __init__(self, table: np.ndarray, ell: np.ndarray, norm: np.ndarray):
@@ -333,7 +294,7 @@ class _Screen:
 
     def keep(self, lo: int, hi: int, best: float) -> np.ndarray:
         """The pairs of rows i in [lo, hi) and j >= lo as a (hi - lo, n -
-        lo) grid, False only where the pair's bound is below best > 0."""
+        lo) grid, False only where the pair's ratio is below best > 0."""
         if best != self.best:
             self._set_best(best)
         width = len(self.ell) - lo
@@ -395,22 +356,18 @@ def find_separation_certificate(
     comes from a gap that is symmetric to the bit, and the rank rule
     reads only circular order.  A block's aligned pairs are those where
     neither of the walk's grids (linked, misaligned) holds, formed in
-    place with no configuration codes.  Each aligned pair gets an upper
-    bound on its ratio (_ratio_bounds).  In each block
-    the pair with the largest bound is evaluated exactly first, and then
-    every pair whose bound reaches the best exact ratio so far; those
-    ratios come from _pair_ratios at (i, j), bit for bit as a full scan
-    of the pairs computes them.  A pair left out has its ratio below the
-    best one, so the maximum, all pairs tied with it and the reported
-    best ratio are the full scan's.
+    place with no configuration codes.
 
-    Once an exact ratio is positive, a float32 screen (_Screen) runs on
-    each whole block first and passes on only the aligned pairs whose
-    float64 bound may reach the best ratio so far; its rounding-error
-    argument shows that it drops no pair the bound would keep.  So the
-    pairs bounded, the seed, every exact evaluation and the counts are
-    those of the scan without it.  The aligned count is taken before the
-    screen.
+    Two tiers evaluate them.  Once an exact ratio is positive, a float32
+    screen (_Screen) runs on each whole block and drops the aligned
+    pairs whose ratio its rounding-error argument shows to be below the
+    best ratio of the blocks before.  Every other aligned pair gets its
+    ratio from _pair_ratios at (i, j), bit for bit as a full scan of the
+    pairs computes it.  A pair left out has its ratio below the best
+    one, so the maximum, all pairs tied with it and the reported best
+    ratio are the full scan's.  The aligned count is taken before the
+    screen; the exact count is every aligned pair up to the block of the
+    first positive ratio and the screen's survivors after it.
     """
     threshold = max(min_ratio, 1.0 + MIN_CERTIFICATE_MARGIN)
     rows, rep_m, angles = _class_table(rep_q, maxlen)
@@ -442,21 +399,7 @@ def find_separation_certificate(
         jj += lo
         if not ii.size:
             continue
-        bound = _ratio_bounds(table, ell, norm, ii, jj)
-        keep = ~(bound < best_any)
-        if not keep.any():
-            continue
-        # the pair with the largest finite bound goes first: its exact
-        # ratio usually leaves no other pair of the block to evaluate
-        seed = int(np.argmax(np.where(keep & (bound < np.inf), bound,
-                                      -np.inf)))
-        ratio = _pair_ratios(table, ell, ii[[seed]], jj[[seed]])
-        best_any = max(best_any, float(ratio[0]))
-        keep &= ~(bound < best_any)
-        keep[seed] = False
-        ii = np.append(ii[seed], ii[keep])
-        jj = np.append(jj[seed], jj[keep])
-        ratio = np.append(ratio, _pair_ratios(table, ell, ii[1:], jj[1:]))
+        ratio = _pair_ratios(table, ell, ii, jj)
         n_exact += ratio.size
         block_best = float(ratio.max())
         best_any = max(best_any, block_best)

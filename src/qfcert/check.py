@@ -709,7 +709,7 @@ def witness_from_dict(payload: object) -> SpiralWitness:
             R0=float(json_number(payload["R0"])),
             r0=float(json_number(payload["r0"])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BoundaryError("malformed witness payload: %r" % exc) from exc
     short = [key for key in ("xi", "indices_n", "indices_m", "radii", "arglift")
              if len(getattr(w, key)) != 4]
@@ -750,5 +750,5 @@ def certificate_from_dict(payload: object) -> SeparationCertificate:
             ratio=float(json_number(payload["ratio"])),
             alpha=float(json_number(payload["alpha"])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CertificateError("malformed certificate payload: %r" % exc) from exc

@@ -10,12 +10,18 @@ word text from a byte table, takes rotations as slices of a doubled row,
 and forms the relator-swap images of a class row only where a
 rotation's prefix is a swap key.  Each of these
 must write what the formulas below write, byte for byte.
+
+The float64 bound on a certificate pair's ratio (ratio_bounds) once ran
+between the certificate scan's float32 screen and its exact ratios.  It
+is kept as an oracle: it is at least the exact ratio, and the screen
+keeps every pair whose bound reaches the best ratio.
 """
 
 import numpy as np
 
 from qfcert import _wordarrays as wa
 from qfcert._wordarrays import NAMES, RELATOR
+from qfcert.certificates import _BOUND_SLACK, _MIN_BOUNDED_LENGTH
 
 _ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -135,3 +141,45 @@ def swap_loop_classes(maxlen, *gens):
                            constant_values=-1))
         mats.append([p[pick] for p in products])
     return np.concatenate(rows), *map(np.concatenate, zip(*mats))
+
+
+# the double rounding unit
+_U = 2.0 ** -53
+
+
+def ratio_bounds(table, ell, norm, first, second):
+    """Upper bounds on _pair_ratios at (first[k], second[k]); +inf where
+    the lower bound on l(ab) is under _MIN_BOUNDED_LENGTH.  norm holds
+    the Frobenius norms of the class products.
+
+    The trace t = sum_ij A_ij B_ji is summed here as four elementwise
+    products.  A complex product errs by at most sqrt(2) gamma_2 |x||y|
+    and a sum of four terms in any order by gamma_3 times their sum of
+    moduli, so this trace and the fixed-order one of _pair_ratios each
+    lie within 6u sum |A_ij||B_ji| <= 6u |A|_F |B|_F of the exact
+    trace.  With z = t / 2,
+
+        s(z) = (|z + 1| + |z - 1|) / 2 = cosh(Re arccosh z),
+
+    and s is 1-Lipschitz, so s at the trace of _pair_ratios is at least
+    this s minus 6u |A|_F |B|_F and its own rounding (5u s); s_lo subtracts
+    8u (s + |A|_F |B|_F), which also covers the rounding of the norms.
+    l(ab) >= 2 arccosh(s_lo) then bounds the exact l(ab) from below.
+    Both sides share the numerator l(a) + l(b), rounded once; the bound
+    adds _BOUND_SLACK for the arccosh evaluations and the divisions.  A
+    length computed through s with relative error u errs by about
+    2u / l^2 relative, at most 2^7 u for l >= _MIN_BOUNDED_LENGTH, so
+    the slack of 2^13 u leaves room for library arccosh errors of
+    thousands of ulps.
+    """
+    a00, a01, a10, a11 = (table[i, j].take(first) for i in (0, 1)
+                          for j in (0, 1))
+    b00, b01, b10, b11 = (table[i, j].take(second) for i in (0, 1)
+                          for j in (0, 1))
+    z = (a00 * b00 + a01 * b10 + a10 * b01 + a11 * b11) / 2.0
+    s = (np.abs(z + 1.0) + np.abs(z - 1.0)) / 2.0
+    s_lo = s - 8.0 * _U * (s + norm[first] * norm[second])
+    ell_lo = 2.0 * np.arccosh(np.maximum(s_lo, 1.0))
+    ok = ell_lo >= _MIN_BOUNDED_LENGTH
+    return np.where(ok, (ell[first] + ell[second]) * (1.0 + _BOUND_SLACK)
+                    / np.where(ok, ell_lo, 1.0), np.inf)

@@ -7,6 +7,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from qfcert.representations import (
 )
 from qfcert.surface_group import Word, word_to_text
 
+from array_reference import ratio_bounds
 from geometry_reference import axis_crossing_gap, translation_lengths
 from pair_walk import walk_codes
 
@@ -474,25 +476,39 @@ class TestCertificateScan:
     def test_each_ordered_pair_within_its_bound_of_the_maximum_is_evaluated_once(
             self, bent_rep, monkeypatch):
         # once, and only as (lower row, higher row)
-        evaluated = []
-        ratios = certmod._pair_ratios
+        evaluated, screened, kept = [], [], set()
+        ratios, keep = certmod._pair_ratios, certmod._Screen.keep
 
         def recording(table, ell, first, second):
             evaluated.extend(zip(first.tolist(), second.tolist()))
             return ratios(table, ell, first, second)
 
+        def keeping(self, lo, hi, best):
+            grid = keep(self, lo, hi, best)
+            screened.append(lo)
+            i, j = np.nonzero(grid)
+            kept.update(zip((i + lo).tolist(), (j + lo).tolist()))
+            return grid
+
         monkeypatch.setattr(certmod, "_pair_ratios", recording)
+        monkeypatch.setattr(certmod._Screen, "keep", keeping)
         cert = find_separation_certificate(bent_rep, 4)
         table, ell, norm, ii, jj = aligned_scan_inputs(bent_rep, 4)
-        bound = certmod._ratio_bounds(table, ell, norm, ii, jj)
+        bound = ratio_bounds(table, ell, norm, ii, jj)
         within = bound >= ratios(table, ell, ii, jj).max()
         assert len(evaluated) == len(set(evaluated)) == cert.scan.exact
         assert all(i < j for i, j in evaluated)
+        aligned = set(zip(ii.tolist(), jj.tolist()))
         assert set(zip(ii[within].tolist(), jj[within].tolist())) \
             <= set(evaluated)
-        # the filter leaves a handful of the 95 791 aligned pairs
+        # every aligned pair the screen keeps is evaluated, and so is
+        # every aligned pair of the first block, which is not screened
+        assert set(evaluated) == aligned & kept \
+            | {(i, j) for i, j in aligned if i < screened[0]}
         assert cert.scan.aligned == len(ii)
-        assert len(evaluated) < 100
+        # the first block's 67 486 aligned pairs and no later one of the
+        # 95 791
+        assert len(evaluated) == 67486
 
     def test_each_scan_ranks_its_table_once(self, bent_rep, reference_rep,
                                             monkeypatch):
@@ -521,6 +537,19 @@ class TestCertificateScan:
         monkeypatch.setattr(wa, "conjugacy_classes", recording)
         certmod._class_table(bent_rep, 3)
         assert dtypes == [[np.complex128, np.float64]]
+
+    def test_peak_memory_is_the_first_blocks_exact_ratios(self, bent_rep):
+        # a float64 bound tier that gathered eight complex columns of the
+        # first block peaked at 20.4 MiB; the exact ratios of its 94 118
+        # pairs take about 11
+        tracemalloc.start()
+        try:
+            cert = find_separation_certificate(bent_rep, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.scan.exact == 94118
+        assert peak < 14 * 2 ** 20
 
     def test_scan_counts(self, bent_rep):
         with pytest.raises(CertificateError) as info:
@@ -551,7 +580,7 @@ class TestRatioBounds:
         if chart is not None:
             rep = conjugate_representation(rep, chart)
         table, ell, norm, ii, jj = aligned_scan_inputs(rep, 4)
-        bound = certmod._ratio_bounds(table, ell, norm, ii, jj)
+        bound = ratio_bounds(table, ell, norm, ii, jj)
         assert np.isfinite(bound).all()
         for first, second in ((ii, jj), (jj, ii)):
             exact = certmod._pair_ratios(table, ell, first, second)
@@ -567,22 +596,24 @@ class TestRatioBounds:
         mats = np.stack([eye, near, 5.0 * eye])
         table = np.ascontiguousarray(mats.transpose(1, 2, 0))
         norm = np.sqrt((np.abs(mats) ** 2).sum(axis=(1, 2)))
-        bound = certmod._ratio_bounds(table, np.ones(3), norm,
-                                      np.array([0, 1]), np.array([1, 2]))
+        bound = ratio_bounds(table, np.ones(3), norm, np.array([0, 1]),
+                             np.array([1, 2]))
         assert bound[0] == np.inf
         assert np.isfinite(bound[1])
 
 
 def scan_record(rep, maxlen, monkeypatch, screen=True):
-    """The search's _pair_ratios calls, in order, its outcome and scan
-    counts, and the pairs its screen dropped, with the screen as built
-    or patched to keep every pair."""
+    """The (i, j, ratio) of the search's _pair_ratios calls, in order,
+    its outcome with the classified and aligned counts, and the number
+    of pairs its screen dropped, with the screen as built or patched to
+    keep every pair."""
     calls, dropped = [], []
     ratios, keep = certmod._pair_ratios, certmod._Screen.keep
 
     def recording(table, ell, first, second):
-        calls.append((first.tolist(), second.tolist()))
-        return ratios(table, ell, first, second)
+        ratio = ratios(table, ell, first, second)
+        calls.extend(zip(first.tolist(), second.tolist(), ratio.tolist()))
+        return ratio
 
     def counting(self, lo, hi, best):
         grid = keep(self, lo, hi, best) if screen else \
@@ -595,10 +626,10 @@ def scan_record(rep, maxlen, monkeypatch, screen=True):
         patch.setattr(certmod._Screen, "keep", counting)
         try:
             cert = find_separation_certificate(rep, maxlen)
-            outcome = (cert.a, cert.b, cert.ratio, cert.scan)
+            outcome, scan = (cert.a, cert.b, cert.ratio), cert.scan
         except CertificateError as exc:
-            outcome = (str(exc), exc.best_ratio, exc.scan)
-    return calls, outcome, sum(dropped)
+            outcome, scan = (str(exc), exc.best_ratio), exc.scan
+    return calls, (*outcome, scan.classified, scan.aligned), sum(dropped)
 
 
 def scan_rep(angle, chart):
@@ -608,8 +639,9 @@ def scan_rep(angle, chart):
 
 
 class TestScreen:
-    """The float32 screen drops only pairs whose float64 bound is below
-    the best ratio, so the search evaluates what it would without it."""
+    """The float32 screen drops only pairs whose ratio is below the best
+    ratio, so the search finds what it would without it; the float64
+    bound, which is at least the ratio, checks its argument."""
 
     @pytest.mark.parametrize("maxlen,angle,chart", [
         *((4, angle, None) for angle in SCAN_ANGLES),
@@ -625,8 +657,14 @@ class TestScreen:
         calls, outcome, dropped = scan_record(rep, maxlen, monkeypatch)
         want_calls, want, _ = scan_record(rep, maxlen, monkeypatch,
                                           screen=False)
-        assert calls == want_calls
         assert outcome == want
+        # the screened evaluations, ratios included, are a subsequence of
+        # the unscreened ones, and none left out reaches their maximum
+        rest = iter(want_calls)
+        assert all(call in rest for call in calls)
+        top = max(ratio for _, _, ratio in want_calls)
+        assert all(ratio < top for _, _, ratio in
+                   set(want_calls).difference(calls))
         if maxlen >= 4:
             assert dropped > 0
         if angle == 0.0:
@@ -638,7 +676,7 @@ class TestScreen:
     def test_keeps_every_pair_whose_bound_reaches_b(self, angle, chart):
         table, ell, norm, ii, jj = aligned_scan_inputs(
             scan_rep(angle, chart), 4)
-        bound = certmod._ratio_bounds(table, ell, norm, ii, jj)
+        bound = ratio_bounds(table, ell, norm, ii, jj)
         top = float(certmod._pair_ratios(table, ell, ii, jj).max())
         screen = certmod._Screen(table, ell, norm)
         near = [top * (1.0 + k * 2.0 ** -52) for k in range(-4, 5)]
@@ -673,7 +711,7 @@ class TestScreen:
         n = len(mats)
         ii, jj = np.triu_indices(n, 1)
         with np.errstate(all="ignore"):
-            bound = certmod._ratio_bounds(table, ell, norm, ii, jj)
+            bound = ratio_bounds(table, ell, norm, ii, jj)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             screen = certmod._Screen(table, ell, norm)

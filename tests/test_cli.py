@@ -480,15 +480,15 @@ class TestCertifyCommand:
         # the whole report, counts and best ratio included
         assert capsys.readouterr().err == (
             "pair scan: 297606 class pairs classified, 95791 "
-            "unlinked-aligned, 8 pairs evaluated exactly\n"
+            "unlinked-aligned, 67486 pairs evaluated exactly\n"
             "no certificate found: no unlinked-aligned pair reached ratio "
             "1.0000010 (best found 1.0000000); increase maxlen or the "
             "deformation\n")
 
     def test_search_reports_its_pair_counts_on_stderr(self, tmp_path,
                                                       capsys):
-        for maxlen, counts in (("4", (297606, 95791, 6)),
-                               ("5", (8402950, 2716606, 11))):
+        for maxlen, counts in (("4", (297606, 95791, 67486)),
+                               ("5", (8402950, 2716606, 94118))):
             code, _ = run(tmp_path, "--maxlen", maxlen, "certify")
             assert code == 0
             captured = capsys.readouterr()
@@ -709,7 +709,13 @@ def run_input(tmp_path, command, payload):
                  command, "--input", str(path)])
 
 
-FORGED_VALUES = (0, -1, math.nan, math.inf, 1e308, True)
+# 10 ** 400 is beyond float range: float() raises OverflowError on it
+FORGED_VALUES = (0, -1, math.nan, math.inf, 1e308, 10 ** 400, True)
+
+
+def forged_id(value):
+    """The test id of a forged value; the 401-digit integer is named."""
+    return "10**400" if value == 10 ** 400 else str(value)
 
 
 class TestInputContract:
@@ -725,7 +731,7 @@ class TestInputContract:
     def certificate(self, bent_rep):
         return certificate_to_dict(find_separation_certificate(bent_rep, 4))
 
-    @pytest.mark.parametrize("value", FORGED_VALUES, ids=str)
+    @pytest.mark.parametrize("value", FORGED_VALUES, ids=forged_id)
     def test_witness_fields(self, tmp_path, capsys, witness_run, value):
         payload = witness_to_dict(witness_run.witness)
         accepted = set()
@@ -741,7 +747,7 @@ class TestInputContract:
         assert accepted == {case for case in self.UNPROVABLE
                             if case[1] == value}
 
-    @pytest.mark.parametrize("value", FORGED_VALUES, ids=str)
+    @pytest.mark.parametrize("value", FORGED_VALUES, ids=forged_id)
     def test_certificate_fields(self, tmp_path, capsys, certificate, value):
         assert run_input(tmp_path, "certify", certificate) == 0
         fields = list(numeric_fields(certificate))

@@ -72,3 +72,19 @@ def test_a_changed_constant_is_reported(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["DIFF   spectrum-2 (exit 0): artifact spectrum.csv",
                      "same   config-error (exit 2)", "2 runs, 1 differ"]
+
+
+def test_a_changed_message_shows_its_first_differing_line(tmp_path, capsys):
+    shutil.copytree(SRC / "qfcert", tmp_path / "qfcert",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "qfcert" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"config error: %s"') == 1
+    cli.write_text(text.replace('"config error: %s"', '"config problem: %s"'))
+    assert same_artifacts.main([str(SRC), str(tmp_path)], runs=TWO_RUNS) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["same   spectrum-2 (exit 0)",
+                     "DIFF   config-error (exit 2): command 1 stderr",
+                     "    parent: config error: maxlen must be at least 1",
+                     "    change: config problem: maxlen must be at least 1",
+                     "2 runs, 1 differ"]

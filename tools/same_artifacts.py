@@ -11,8 +11,10 @@ tree first on ``PYTHONPATH``, in a fresh temporary working directory,
 with ``--outdir`` pointing to a fresh temporary output directory.  The
 run's exit codes, stdout and stderr (with the output directory replaced
 by ``OUT``) and the sha256 of every file it wrote are compared between
-the two trees.  One line is printed per run, then a total; the exit
-status is 1 when any run differs.  Nothing is written into the trees.
+the two trees.  One line is printed per run, then a total; under a run
+whose stdout or stderr differs, two indented lines give the first
+differing line of that output in each tree.  The exit status is 1 when
+any run differs.  Nothing is written into the trees.
 Standard library only.
 """
 
@@ -103,15 +105,31 @@ def run_once(src: Path, commands: list[list[str]]) -> dict:
         return {"steps": steps, "artifacts": _digests(out)}
 
 
-def _differences(a: dict, b: dict) -> list[str]:
-    what = []
+def _first_difference(x: str, y: str) -> list[str]:
+    """The first line at which two outputs differ, one indented line per
+    tree; "(end)" where that output has no such line."""
+    a, b = x.splitlines(keepends=True), y.splitlines(keepends=True)
+    k = next((k for k, (p, q) in enumerate(zip(a, b)) if p != q),
+             min(len(a), len(b)))
+    return ["    %s: %s" % (tree, lines[k].rstrip("\n") if k < len(lines)
+                            else "(end)")
+            for tree, lines in (("parent", a), ("change", b))]
+
+
+def _differences(a: dict, b: dict) -> tuple[list[str], list[str]]:
+    """What differs between two runs' results, and the first differing
+    line of each differing stdout and stderr."""
+    what, lines = [], []
     for k, (sa, sb) in enumerate(zip(a["steps"], b["steps"])):
-        what += ["command %d %s" % (k + 1, name) for name, x, y
-                 in zip(("exit code", "stdout", "stderr"), sa, sb) if x != y]
+        for name, x, y in zip(("exit code", "stdout", "stderr"), sa, sb):
+            if x != y:
+                what.append("command %d %s" % (k + 1, name))
+                if name != "exit code":
+                    lines += _first_difference(x, y)
     what += ["artifact " + name for name in sorted(
         set(a["artifacts"]) | set(b["artifacts"]))
         if a["artifacts"].get(name) != b["artifacts"].get(name)]
-    return what
+    return what, lines
 
 
 def main(argv: list[str], runs=RUNS) -> int:
@@ -123,11 +141,12 @@ def main(argv: list[str], runs=RUNS) -> int:
     differing = 0
     for label, commands in runs:
         a, b = run_once(parent, commands), run_once(change, commands)
-        what = _differences(a, b)
+        what, lines = _differences(a, b)
         codes = "/".join(str(step[0]) for step in a["steps"])
         detail = ": " + ", ".join(what) if what else ""
         print("%-6s %s (exit %s)%s" % ("DIFF" if what else "same", label,
-                                       codes, detail), flush=True)
+                                       codes, detail), *lines, sep="\n",
+              flush=True)
         differing += bool(what)
     print("%d runs, %d differ" % (len(runs), differing))
     return 1 if differing else 0
