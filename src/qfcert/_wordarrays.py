@@ -4,14 +4,14 @@ Words of the genus-2 group are int8 arrays of letter ranks, indices into
 one alphabet table (``NAMES``, ``LETTERS``, ``INVERSE``) in shortlex
 generator order: ranks 0..3 are the generators a1 b1 a2 b2 and 4..7 their
 inverses.  One walk, ``normal_forms``, enumerates words, each product built
-from its parent's (``extend_products``): limit-set sampling, the orbit
+from its parent's and written once: limit-set sampling, the orbit
 search and the complex-trace search walk the normal forms that
 ``shortlex_acceptor`` accepts, and the class table and
 ``surface_group.enumerate_words`` the freely reduced words that
 ``free_acceptor`` accepts.  Joined rows go through ``compose_matrices``.
 Every batch product is evaluated on contiguous float64 planes, the real and
-imaginary parts of each entry (``_plane_products``; ``_times`` is its form
-on matrices), equal to ``representations.evaluate`` bit for bit after
+imaginary parts of each entry (``_plane_products``), equal to
+``representations.evaluate`` bit for bit after
 ``MoebiusMap._unit_det``'s sign.  Real generators, such as the reference
 octagon's after ``exact_real``, give float64 products, whose fixed points
 ``attracting_fixed_pairs`` solves in a float64 branch.  ``translating``
@@ -178,19 +178,6 @@ def _plane_products(mp: np.ndarray, gp: np.ndarray, out: np.ndarray) -> None:
             out[2 * e + part] = t
 
 
-def _times(m: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """2x2 products m[..., :, :] @ g[..., :, :], broadcast over the
-    leading axes: ``_plane_products`` on the planes of m and g.  Real m
-    and g give a float64 result."""
-    cplx = np.iscomplexobj(m) or np.iscomplexobj(g)
-    out = np.empty(np.broadcast_shapes(m.shape, g.shape),
-                   dtype=complex if cplx else np.float64)
-    flat = out.view(np.float64).reshape(*out.shape[:-2], 8 if cplx else 4)
-    _plane_products(_planes(m, cplx), _planes(g, cplx),
-                    np.moveaxis(flat, -1, 0))
-    return out
-
-
 def exact_real(gen_mats: np.ndarray) -> np.ndarray:
     """gen_mats as float64 when every entry's imaginary part is zero, so
     its products take the real planes of ``_plane_products``; else
@@ -218,28 +205,6 @@ def compose_matrices(words: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
                    dtype=complex if cplx else np.float64)
     out.view(np.float64).reshape(m.shape[::-1])[...] = m.T
     return out
-
-
-def extend_products(parents: np.ndarray, last: np.ndarray,
-                    gen_mats: np.ndarray) -> np.ndarray:
-    """Products of the children of the words whose products are `parents`.
-
-    last holds the last ranks of the 7 children of each parent, in
-    parent order (``CHILDREN``), flat or one row per parent.  The
-    children's generators are gathered from the (P, 8) planes of
-    gen_mats into (P, 7, n) planes, against which each parent's planes
-    are broadcast, and the products are written straight into the
-    (n, 7, 2, 2) result.  It equals compose_matrices of the full child
-    rows bit for bit.
-    """
-    cplx = np.iscomplexobj(parents) or np.iscomplexobj(gen_mats)
-    n, fan = parents.shape[0], gen_mats.shape[0] - 1
-    out = np.empty((n, fan, 2, 2), dtype=complex if cplx else np.float64)
-    _plane_products(
-        _planes(parents, cplx)[:, None],
-        np.take(_planes(gen_mats, cplx), last.reshape(n, fan).T, axis=1),
-        out.view(np.float64).reshape(n, fan, 8 if cplx else 4).T)
-    return out.reshape(-1, 2, 2)
 
 
 def _relator_swaps() -> dict[tuple, list[tuple]]:
@@ -428,63 +393,63 @@ def normal_forms(gens: tuple[np.ndarray, ...], maxlen: int, accept=None,
 
     Yields chunks (rows, products): an (n, L) int8 array of rank rows of
     one length, and one (n, 2, 2) product array per generator array in
-    gens, each row's built from its parent's, so equal to
-    compose_matrices bit for bit.  keep(products), when given, is called
-    on the products of each chunk's accepted children, in shortlex order,
-    before any row is built: it picks the rows that are yielded and
-    extended, and a chunk that it empties is not yielded.  Each length
-    below maxlen writes its picked rows straight into arrays allocated
-    once, sized by their parents' live children, and yields views of
-    them; the last length is not stored.
+    gens.  Each product is written once: one ``_plane_products`` call per
+    chunk and generator array multiplies the accepted children's parents
+    by their last generators, straight into the arrays that are yielded,
+    so every product equals compose_matrices bit for bit.  keep(products),
+    when given, is called on the products of each chunk's accepted
+    children, in shortlex order, before any row is built: it picks the
+    rows that are yielded and extended, whose products are moved down in
+    place, and a chunk that it empties is not yielded.  Each length below
+    maxlen is written into arrays allocated once, sized by their parents'
+    live children, and yielded as views of them; the last length is not
+    stored.
     """
     accept = shortlex_acceptor() if accept is None else accept
     live = (accept != DEAD).sum(axis=1)
-    # the first length's one parent is the empty word, in state START:
-    # its children are the letters and their products the generators
-    state = np.array([START])
-    chunks = [(np.empty((1, 0), dtype=np.int8),
-               np.arange(accept.shape[1], dtype=np.int8)[None],
-               accept[START][None], gens)]
+    tables = [_planes(g, np.iscomplexobj(g)) for g in gens]
+    # the first length's one parent is the empty word, in state START: its
+    # children are the letters, whose products are the generators
+    # themselves (an identity parent would turn a -0.0 entry into +0.0)
+    rows, state = np.empty((1, 0), dtype=np.int8), np.array([START])
+    mats = gens
     for width in range(1, maxlen + 1):
         size = int(live[state].sum()) if width < maxlen else 0
         store = _arrays(size, width, gens)
         end = 0
-        for parents, kids, kid_state, products in chunks:
-            # the picked children, as indices among all of the chunk's
-            # children (take) and among the rows of products (pick)
+        for lo in range(0, len(rows), _WALK_CHUNK):
+            parents = rows[lo:lo + _WALK_CHUNK]
+            kids = np.take(CHILDREN, parents[:, -1], axis=0) if width > 1 \
+                else np.arange(len(NAMES), dtype=np.int8)[None]
+            kid_state = accept[state[lo:lo + _WALK_CHUNK, None], kids]
+            # the accepted children, as indices among all of the chunk's
+            # children, and their last ranks
             take = np.flatnonzero(kid_state != DEAD)
-            pick = take
+            last = np.take(kids, take)
+            out, kid_out, *products = (a[end:end + len(take)] for a in store) \
+                if size else _arrays(len(take), width, gens)
+            for g, table, m, p in zip(gens, tables, mats, products):
+                if width == 1:
+                    np.take(g, last, axis=0, out=p)
+                    continue
+                m = _planes(m[lo:lo + _WALK_CHUNK], np.iscomplexobj(m))
+                _plane_products(np.take(m, take // kids.shape[1], axis=1),
+                                np.take(table, last, axis=1),
+                                p.view(np.float64).reshape(-1, len(table)).T)
             if keep is not None:
-                products = tuple(np.take(p, take, axis=0) for p in products)
-                pick = np.flatnonzero(keep(products))
+                pick = np.flatnonzero(keep(tuple(products)))
                 take = take[pick]
-            stop = end + len(take)
-            rows, kid_out, *mats = (a[end:stop] for a in store) if size \
-                else _arrays(len(take), width, gens)
-            rows[:, :-1] = np.take(parents, take // kids.shape[1], axis=0)
-            np.take(kids, take, out=rows[:, -1])
+                # np.take buffers out, so the overlapping move is safe
+                products = [np.take(p, pick, axis=0, out=p[:len(pick)])
+                            for p in products]
+                out, kid_out = out[:len(pick)], kid_out[:len(pick)]
+            out[:, :-1] = np.take(parents, take // kids.shape[1], axis=0)
+            np.take(kids, take, out=out[:, -1])
             np.take(kid_state, take, out=kid_out)
-            for p, m in zip(products, mats):
-                np.take(p, pick, axis=0, out=m)
             if len(take):
-                yield rows, tuple(mats)
-            end = stop
+                yield out, tuple(products)
+            end += len(take)
         rows, state, *mats = (a[:end] for a in store)
-        chunks = _children(rows, state, mats, gens, accept)
-
-
-def _children(rows: np.ndarray, state: np.ndarray, mats: list[np.ndarray],
-              gens: tuple[np.ndarray, ...], accept: np.ndarray):
-    """Chunks (parent rows, child ranks, child states, child products) of
-    every child of rows, dead ones included: the ranks and states are
-    (n, 7), the products (7 n, 2, 2)."""
-    for lo in range(0, len(rows), _WALK_CHUNK):
-        hi = lo + _WALK_CHUNK
-        kids = np.take(CHILDREN, rows[lo:hi, -1], axis=0)
-        yield (rows[lo:hi], kids, accept[state[lo:hi, None], kids],
-               tuple(extend_products(m[lo:hi], kids, g)
-                     for m, g in zip(mats, gens)))
-
 
 def traces(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, 0] + mats[..., 1, 1]

@@ -190,7 +190,7 @@ def _pair_ratios(table: np.ndarray, ell: np.ndarray, first: np.ndarray,
 
     The trace is summed in one fixed order, from 0.0: A00 B00, A01 B10,
     A10 B01, A11 B11, each complex term formed on the real and imaginary
-    planes as _wordarrays._times does.
+    planes as _wordarrays._plane_products does.
     """
     tr = np.zeros(first.size, dtype=complex)
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):

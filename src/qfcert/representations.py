@@ -99,7 +99,6 @@ class Representation:
     images: dict[int, MoebiusMap]
     kind: str
     angle: float = 0.0
-    basepoint: Point3 = BASEPOINT
 
     def __post_init__(self) -> None:
         if self.kind not in ("fuchsian", "bent"):
@@ -212,7 +211,6 @@ def bend(rep: Representation, angle: float) -> Representation:
         images=images,
         kind="bent",
         angle=float(angle),
-        basepoint=rep.basepoint,
     )
 
 
@@ -224,8 +222,8 @@ def stable_length(rep: Representation, w: Word) -> float:
 
 
 def stable_lengths(mats: np.ndarray) -> list[float]:
-    """stable_length of each word from its batch product (wa._times),
-    bit for bit, read from the trace a + d alone.
+    """stable_length of each word from its batch product
+    (wa._plane_products), bit for bit, read from the trace a + d alone.
 
     wa.translating picks the words of nonzero length by
     translation_length's thresholds, which ignore the sign of the trace.
@@ -291,16 +289,16 @@ def orbit_length_estimate(rep: Representation, w: Word, n: int = 64,
 
     The limit over n is independent of y; at finite n the estimate
     carries an O(dist(y, axis)/n) bias, so y defaults to the point of
-    the axis nearest the representation basepoint.
+    the axis nearest BASEPOINT.
     """
     m = evaluate(rep, w)
     if y is None:
         cl = classify(m)
         if cl.data is None:
-            y = rep.basepoint
+            y = BASEPOINT
         else:
             geo = Geodesic3(cl.data.fix_minus, cl.data.fix_plus)
-            _, y = dist_to_geodesic(rep.basepoint, geo)
+            _, y = dist_to_geodesic(BASEPOINT, geo)
     return power_displacement(m, n, y) / float(n)
 
 
@@ -399,7 +397,7 @@ def _orbit_distances_of(mats: np.ndarray, y: Point3) -> np.ndarray:
 
 def orbit_point_distances(rep: Representation, prune_radius: float | None = None,
                           max_word_length: int | None = None) -> np.ndarray:
-    """Sorted orbit distances of distinct group elements from the basepoint.
+    """Sorted orbit distances of distinct group elements from BASEPOINT.
 
     Each element is visited once, by its shortlex normal form
     (``_wordarrays.normal_forms``); with prune_radius set, only those
@@ -408,8 +406,8 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
     lies within the radius: elements near the radius may be missed, and
     ``GROWTH_MARGIN`` bounds how far inside it that can happen.  A
     representation whose generator entries all have zero imaginary part
-    composes in float64, and at a basepoint with real z its distances
-    take the float64 branch of ``_orbit_distances_of``: the distances
+    composes in float64, and BASEPOINT's real z sends its distances
+    through the float64 branch of ``_orbit_distances_of``: the distances
     are the same bit for bit.  Without a length cap, keeping a 64-letter
     element raises: it has a live child, which would need 65 letters.
     """
@@ -421,7 +419,7 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
     dists: list[np.ndarray] = [np.zeros(1)]
 
     def near(products: tuple[np.ndarray, ...]) -> np.ndarray:
-        dist = _orbit_distances_of(products[0], rep.basepoint)
+        dist = _orbit_distances_of(products[0], BASEPOINT)
         inside = dist <= radius
         dists.append(dist[inside])
         return inside
@@ -520,8 +518,8 @@ def representation_to_dict(rep: Representation) -> dict:
         "genus": 2,
         "kind": rep.kind,
         "angle": float(rep.angle),
-        "basepoint": [float(rep.basepoint.z.real), float(rep.basepoint.z.imag),
-                      float(rep.basepoint.t)],
+        "basepoint": [float(BASEPOINT.z.real), float(BASEPOINT.z.imag),
+                      float(BASEPOINT.t)],
         "images": images,
     }
 
@@ -549,5 +547,4 @@ def conjugate_representation(rep: Representation, g: MoebiusMap) -> Representati
         images=images,
         kind=rep.kind,
         angle=rep.angle,
-        basepoint=rep.basepoint,
     )

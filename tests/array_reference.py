@@ -54,6 +54,19 @@ def strided_times(m, g):
     return out
 
 
+def plane_times(m, g):
+    """2x2 products m[..., :, :] @ g[..., :, :], broadcast over the
+    leading axes, by wa._plane_products on the planes (wa._planes) of m
+    and g.  Real m and g give a float64 result."""
+    cplx = np.iscomplexobj(m) or np.iscomplexobj(g)
+    out = np.empty(np.broadcast_shapes(m.shape, g.shape),
+                   dtype=complex if cplx else np.float64)
+    flat = out.view(np.float64).reshape(*out.shape[:-2], 8 if cplx else 4)
+    wa._plane_products(wa._planes(m, cplx), wa._planes(g, cplx),
+                       np.moveaxis(flat, -1, 0))
+    return out
+
+
 def strided_compose(words, gen_mats):
     """Products of -1-padded rank rows, column by column, by fancy
     indexing and strided_times."""

@@ -73,6 +73,7 @@ from qfcert.representations import (
 )
 from qfcert.surface_group import Word, enumerate_words
 
+from array_reference import strided_times
 from geometry_reference import translation_lengths
 from pair_walk import block_codes, walk_codes
 from word_reference import is_reduced, reduced_word_levels
@@ -706,7 +707,8 @@ def reference_level(words, gens, parents, store):
         if parents is None:
             ref_m, rep_m = (g[last] for g in gens)
         else:
-            ref_m, rep_m = (wa.extend_products(p[lo // fan:hi // fan], last, g)
+            ref_m, rep_m = (strided_times(np.repeat(p[lo // fan:hi // fan],
+                                                    fan, axis=0), g[last])
                             for p, g in zip(parents, gens))
         keep[lo:hi] = (translation_lengths(ref_m) > 1e-9) \
             & (translation_lengths(rep_m) > 1e-9)

@@ -16,6 +16,7 @@ from qfcert.representations import bend, fuchsian_octagon
 
 from array_reference import (
     joined_word_texts,
+    plane_times,
     rolled_class_mask,
     stable_first_rows,
     stacked_fixed_pairs,
@@ -63,7 +64,7 @@ class TestPlaneProducts:
         if not real:
             m, g = m + 1j * rng.normal(size=m.shape), g + 1j * g[::-1]
         m[..., 0, 0] = -0.0
-        assert same_bytes(wa._times(m, g), strided_times(m, g))
+        assert same_bytes(plane_times(m, g), strided_times(m, g))
 
 
 class TestRealFixedPairs:

@@ -63,6 +63,7 @@ from qfcert.surface_group import (
     enumerate_words,
 )
 
+from array_reference import plane_times
 from geometry_reference import translation_lengths
 from word_reference import (
     are_equal,
@@ -265,7 +266,7 @@ class TestStableLength:
     def test_orbit_distance_dominates(self, base_rep):
         words = list(enumerate_words(2, mode="reduced"))
         dists = representations._orbit_distances_of(
-            _matrices(base_rep, words), base_rep.basepoint)
+            _matrices(base_rep, words), BASEPOINT)
         for w, d in zip(words, dists):
             assert d >= stable_length(base_rep, w) - 1e-12
 
@@ -320,7 +321,7 @@ class TestOrbitLengthEstimate:
         # |d(m^n y1, y1) - d(m^n y2, y2)| <= 2 d(y1, y2)
         w = Word((1, -2, 3))
         n = 64
-        y1 = base_rep.basepoint
+        y1 = BASEPOINT
         y2 = Point3(0.4 - 0.2j, 2.5)
         e1 = orbit_length_estimate(base_rep, w, n=n, y=y1)
         e2 = orbit_length_estimate(base_rep, w, n=n, y=y2)
@@ -694,8 +695,14 @@ def _rank_word(ranks):
 
 def _einsum_times(m, g):
     """The batch product as np.einsum computes it: the reference that
-    wa._times must equal bit for bit."""
+    the plane products must equal bit for bit."""
     return np.einsum("nij,njk->nik", m, g)
+
+
+def _child_products(parents, last, gens):
+    """Products of the 7 children of each parent, whose last ranks are
+    last (flat, in parent order), by np.einsum."""
+    return _einsum_times(np.repeat(parents, 7, axis=0), gens[last])
 
 
 def _same_bits(got, want):
@@ -714,15 +721,15 @@ def _random_mats(rng, n, real):
 
 
 class TestProductKernel:
-    """wa._times sums each entry as (0.0 + p0) + p1 with complex terms
-    formed on the planes, so it equals np.einsum("nij,njk->nik") bit for
+    """wa._plane_products sums each entry as (0.0 + p0) + p1 with complex
+    terms formed on the planes, so it equals np.einsum("nij,njk->nik") bit for
     bit; its float64 branch equals the real part of the complex einsum."""
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_times_equals_einsum(self, real):
         rng = np.random.default_rng(7)
         m, g = _random_mats(rng, 5000, real), _random_mats(rng, 5000, real)
-        got = wa._times(m, g)
+        got = plane_times(m, g)
         assert got.dtype == (np.float64 if real else np.complex128)
         assert _same_bits(got, _einsum_times(m, g))
 
@@ -730,7 +737,7 @@ class TestProductKernel:
         rng = np.random.default_rng(8)
         m, g = _random_mats(rng, 5000, True), _random_mats(rng, 5000, True)
         want = _einsum_times(m.astype(complex), g.astype(complex))
-        assert _same_bits(wa._times(m, g), np.ascontiguousarray(want.real))
+        assert _same_bits(plane_times(m, g), np.ascontiguousarray(want.real))
         assert not want.imag.any()
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -740,25 +747,9 @@ class TestProductKernel:
         g = np.array([[[0.0, 1.0], [-0.0, 1.0]]])
         if not real:
             m, g = m.astype(complex), g.astype(complex)
-        got = wa._times(m, g)
+        got = plane_times(m, g)
         assert _same_bits(got, _einsum_times(m, g))
         assert got[0, 0, 0] == 0.0 and not np.signbit(got.real[0, 0, 0])
-
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_extend_products_equals_repeat_and_einsum(self, real):
-        rng = np.random.default_rng(2)
-        gens = _random_mats(rng, 8, real)
-        fan = 7
-        parents = None
-        for level in reduced_word_levels(4):
-            last = level[:, -1]
-            if parents is None:
-                parents = gens[last]
-                continue
-            got = wa.extend_products(parents, last, gens)
-            want = _einsum_times(np.repeat(parents, fan, axis=0), gens[last])
-            assert _same_bits(got, want)
-            parents = want
 
     def test_reference_octagon_composes_in_float64(self, base_rep, bent_rep):
         gens = base_rep.generator_matrix_array()
@@ -785,7 +776,7 @@ class TestTranslating:
         for level in reduced_word_levels(6):
             last = level[:, -1]
             mats = gens[last] if mats is None \
-                else wa.extend_products(mats, last, gens)
+                else _child_products(mats, last, gens)
             assert np.array_equal(wa.translating(wa.traces(mats)),
                                   translation_lengths(mats) > 1e-9)
 
@@ -872,7 +863,7 @@ def _unpruned_walk(gens, maxlen, accept):
             parent = lo + np.flatnonzero(ok) // fan
             chunks.append((np.column_stack([rows[parent], kids[ok]]),
                            kid_state[ok],
-                           tuple(wa.extend_products(m[lo:hi], kids, g)[ok]
+                           tuple(_child_products(m[lo:hi], kids, g)[ok]
                                  for m, g in zip(mats, gens))))
 
 
@@ -895,7 +886,7 @@ class TestNormalFormWalk:
         if chunk is not None:
             monkeypatch.setattr(wa, "_WALK_CHUNK", chunk)
         gens = (wa.exact_real(base_rep.generator_matrix_array()),)
-        y = base_rep.basepoint
+        y = BASEPOINT
 
         def near(products):
             return representations._orbit_distances_of(products[0], y) <= 6.0
@@ -949,6 +940,39 @@ class TestNormalFormWalk:
             assert _same_bits(rows, want_rows)
             assert all(map(_same_bits, mats, want_mats))
 
+    @pytest.mark.parametrize("pruned", [False, True], ids=["all", "keep"])
+    @pytest.mark.parametrize("free", [False, True], ids=["shortlex", "free"])
+    def test_each_product_is_written_once(self, base_rep, bent_rep, free,
+                                          pruned, monkeypatch):
+        # past the first length, whose products are the generators, the
+        # walk forms exactly the accepted children's products, each in the
+        # array that it yields: no dead child's product, and no copy
+        plane_products, outs, offered = wa._plane_products, [], []
+
+        def spy(mp, gp, out):
+            outs.append(out)
+            plane_products(mp, gp, out)
+
+        def every_third_dropped(products):
+            offered.append(len(products[0]))
+            return np.arange(len(products[0])) % 3 > 0
+
+        monkeypatch.setattr(wa, "_plane_products", spy)
+        gens = (wa.exact_real(base_rep.generator_matrix_array()),
+                bent_rep.generator_matrix_array())
+        accept = wa.free_acceptor() if free else wa.shortlex_acceptor()
+        longer = [(rows, products) for rows, products in wa.normal_forms(
+            gens, 6, accept, every_third_dropped if pruned else None)
+            if rows.shape[1] > 1]
+        # the first keep call offers the letters
+        children = sum(offered[1:]) if pruned \
+            else sum(len(rows) for rows, _ in longer)
+        assert len(longer) > 5 and children > 0
+        assert sum(out[0].size for out in outs) == len(gens) * children
+        for _, products in longer:
+            for p in products:
+                assert any(np.may_share_memory(p, out) for out in outs)
+
     def test_free_acceptor_walks_the_reduced_words(self):
         rng = np.random.default_rng(31)
         gens = (rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2)),
@@ -981,7 +1005,7 @@ class TestOrbitEnumeration:
         # enumerate words to length 3, dedup elements by matrix, and
         # compare the distance multiset with the vectorized enumeration
         seen = {}
-        y = base_rep.basepoint
+        y = BASEPOINT
         ref = [0.0]
         for w in enumerate_words(3, mode="reduced"):
             m = evaluate(base_rep, w)
@@ -1060,7 +1084,7 @@ class TestOrbitEnumeration:
         # no prefix of a normal form lies GROWTH_MARGIN farther out than
         # its element; the largest detour to length 6 is 3.055
         gens = wa.exact_real(base_rep.generator_matrix_array())
-        accept, y = wa.shortlex_acceptor(), base_rep.basepoint
+        accept, y = wa.shortlex_acceptor(), BASEPOINT
         mats, last, state = gens, np.arange(8, dtype=np.int8), accept[wa.START]
         dist = farthest = representations._orbit_distances_of(mats, y)
         worst = 0.0
@@ -1068,7 +1092,7 @@ class TestOrbitEnumeration:
             kids = child_ranks(last)
             kid_state = accept[np.repeat(state, 7), kids]
             keep = kid_state != wa.DEAD
-            mats = wa.extend_products(mats, kids, gens)[keep]
+            mats = _child_products(mats, kids, gens)[keep]
             last, state = kids[keep], kid_state[keep]
             dist = representations._orbit_distances_of(mats, y)
             farthest = np.maximum(np.repeat(farthest, 7)[keep], dist)
@@ -1141,7 +1165,7 @@ def _float_dedup_reference(rep, prune_radius=None, max_word_length=None):
     had are kept.  It composes with the complex generators by np.repeat
     and einsum and signs with the gather reference below."""
     gens = rep.generator_matrix_array()
-    y = rep.basepoint
+    y = BASEPOINT
     chunk = wa._WALK_CHUNK
     frontier = np.eye(2, dtype=complex)[None, :, :]
     seen = _rows_as_void(_quantize_keys(frontier))
@@ -1242,7 +1266,7 @@ def _level_products(gens, maxlen):
     for level in reduced_word_levels(maxlen):
         last = level[:, -1]
         mats = gens[last] if mats is None \
-            else wa.extend_products(mats, last, gens)
+            else _child_products(mats, last, gens)
         out.append(mats)
     return out
 
@@ -1312,7 +1336,7 @@ class TestKernelBits:
         def near(products):
             seen.append(products[0])
             return representations._orbit_distances_of(
-                products[0], base_rep.basepoint) <= 14.0
+                products[0], BASEPOINT) <= 14.0
 
         for _ in wa.normal_forms(gens, 64, keep=near):
             pass

@@ -64,7 +64,9 @@ RUNS = (
     *(("spectrum-%d" % n, [["--maxlen", str(n), "spectrum"]]) for n in (5, 6)),
     *(("triangle-check-%d" % n, [["--maxlen", str(n), "triangle-check"]])
       for n in (3, 4)),
-    *(("growth-%d" % r, [["--rmax", str(r), "growth"]]) for r in (10, 12)),
+    # Rmax 14, the largest the CLI runs, is the orbit search's largest store
+    *(("growth-%d" % r, [["--rmax", str(r), "growth"]])
+      for r in (10, 12, 14)),
     ("config-errors", [
         ["--maxlen", "0", "witness"],
         ["--maxlen", "9", "limitset"],
