@@ -400,7 +400,9 @@ def normal_forms(gens: tuple[np.ndarray, ...], maxlen: int, accept=None,
     when given, is called on the products of each chunk's accepted
     children, in shortlex order, before any row is built: it picks the
     rows that are yielded and extended, whose products are moved down in
-    place, and a chunk that it empties is not yielded.  Each length below
+    place, and a chunk that it empties is not yielded.  The arrays keep
+    sees are views that the walk overwrites after keep returns, so a keep
+    that holds on to them must copy them.  Each length below
     maxlen is written into arrays allocated once, sized by their parents'
     live children, and yielded as views of them; the last length is not
     stored.

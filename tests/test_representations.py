@@ -1334,7 +1334,8 @@ class TestKernelBits:
         seen = []
 
         def near(products):
-            seen.append(products[0])
+            # a copy: the walk overwrites keep's views after keep returns
+            seen.append(products[0].copy())
             return representations._orbit_distances_of(
                 products[0], BASEPOINT) <= 14.0
 
