@@ -109,10 +109,11 @@ _FIELD_TYPES = {
 
 def _read_json(what: str, path: str, parse=lambda payload: payload):
     """The JSON payload at path, passed through parse.  A file that cannot
-    be read, decoded or parsed (a ValueError) is a config error."""
+    be read, decoded or parsed (a ValueError), or that nests too deep for
+    the decoder (a RecursionError), is a config error."""
     try:
         return parse(json.loads(Path(path).read_text()))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError("cannot read %s %s: %s" % (what, path, exc)) from exc
 
 

@@ -366,33 +366,13 @@ class GrowthEstimate:
     residual: float
 
 
-def _orbit_distances_of(mats: np.ndarray, y: Point3) -> np.ndarray:
-    """Distances d(m.y, y) for a batch of matrices; m and -m give the
-    same bits.
-
-    Real matrices at a basepoint with real z take a float64 branch whose
-    every operation is the real part of the complex one, so it gives the
-    same bits: the imaginary parts there are zeros, and NumPy divides a
-    complex by a real as a multiply by the reciprocal (Smith's method).
-    """
-    a = mats[:, 0, 0]
-    b = mats[:, 0, 1]
-    c = mats[:, 1, 0]
-    d = mats[:, 1, 1]
-    if not np.iscomplexobj(mats) and y.z.imag == 0.0:
-        x0, t0 = y.z.real, y.t
-        q = c * x0 + d
-        den = q * q + (np.abs(c) * t0) ** 2
-        zr = ((a * x0 + b) * q + a * c * t0 * t0) * (1.0 / den)
-        t = t0 / den
-        cosh_d = 1.0 + ((zr - x0) ** 2 + (t - t0) ** 2) / (2.0 * t * t0)
-        return np.arccosh(np.maximum(1.0, cosh_d))
-    czd = c * y.z + d
-    den = np.abs(czd) ** 2 + (np.abs(c) * y.t) ** 2
-    z = ((a * y.z + b) * np.conj(czd) + a * np.conj(c) * y.t * y.t) / den
-    t = y.t / den
-    cosh_d = 1.0 + (np.abs(z - y.z) ** 2 + (t - y.t) ** 2) / (2.0 * t * y.t)
-    return np.arccosh(np.maximum(1.0, cosh_d))
+def _basepoint_distances(mats: np.ndarray) -> np.ndarray:
+    """Distances d(m.o, o) from BASEPOINT o = (0, 1) for a batch of det-1
+    matrices: cosh d = ||m||_F^2 / 2, one path for float64 and complex
+    entries, the same bits for m and -m."""
+    q = np.abs(mats.reshape(-1, 4)) ** 2
+    s = ((q[:, 0] + q[:, 1]) + q[:, 2]) + q[:, 3]
+    return np.arccosh(np.maximum(1.0, s / 2.0))
 
 
 def orbit_point_distances(rep: Representation, prune_radius: float | None = None,
@@ -404,12 +384,9 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
     within it are counted and extended.  Normal forms are prefix-closed,
     so an element is found exactly when every prefix of its normal form
     lies within the radius: elements near the radius may be missed, and
-    ``GROWTH_MARGIN`` bounds how far inside it that can happen.  A
-    representation whose generator entries all have zero imaginary part
-    composes in float64, and BASEPOINT's real z sends its distances
-    through the float64 branch of ``_orbit_distances_of``: the distances
-    are the same bit for bit.  Without a length cap, keeping a 64-letter
-    element raises: it has a live child, which would need 65 letters.
+    ``GROWTH_MARGIN`` bounds how far inside it that can happen.  Without
+    a length cap, keeping a 64-letter element raises: it has a live
+    child, which would need 65 letters.
     """
     if prune_radius is None and max_word_length is None:
         raise RepresentationError("unbounded enumeration: set a prune radius or length cap")
@@ -419,7 +396,7 @@ def orbit_point_distances(rep: Representation, prune_radius: float | None = None
     dists: list[np.ndarray] = [np.zeros(1)]
 
     def near(products: tuple[np.ndarray, ...]) -> np.ndarray:
-        dist = _orbit_distances_of(products[0], BASEPOINT)
+        dist = _basepoint_distances(products[0])
         inside = dist <= radius
         dists.append(dist[inside])
         return inside
@@ -441,12 +418,14 @@ def estimate_growth(rep: Representation, Rmax: float) -> GrowthEstimate:
     the growth rate is the least-squares slope of log N(R) over the
     upper half of the radius grid.
     """
+    if not math.isfinite(Rmax):
+        raise RepresentationError("Rmax must be finite, got %r" % Rmax)
     if Rmax < GROWTH_MIN_RMAX:
         raise RepresentationError("Rmax below %g leaves too few usable grid "
                                   "points" % GROWTH_MIN_RMAX)
     dists = orbit_point_distances(rep, prune_radius=Rmax + GROWTH_MARGIN)
     radii = [1.0 + 0.5 * k for k in range(int(round((Rmax - 1.0) / 0.5)) + 1)]
-    counts = [int(np.searchsorted(dists, r, side="left")) for r in radii]
+    counts = np.searchsorted(dists, radii).tolist()
     upper = [(r, n) for r, n in zip(radii, counts) if r >= radii[len(radii) // 2] and n > 0]
     if len(upper) < 3:
         raise RepresentationError("not enough grid points with nonzero counts")

@@ -66,6 +66,21 @@ class TestConfigHandling:
         cfg.write_text("{not json")
         assert main(["--config", str(cfg), "ref-rep"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--config", "{path}", "spectrum"],
+        ["certify", "--input", "{path}"],
+        ["witness", "--input", "{path}"],
+    ], ids=["config", "certify-input", "witness-input"])
+    def test_deep_nesting_is_a_config_error(self, tmp_path, capsys, argv):
+        # json.loads raises RecursionError on nesting this deep
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code, _ = run(tmp_path, *(a.format(path=path) for a in argv))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read ")
+        assert len(err.splitlines()) == 1
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"bend_angle": 0.0}')

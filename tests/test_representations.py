@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -265,21 +266,22 @@ class TestStableLength:
 
     def test_orbit_distance_dominates(self, base_rep):
         words = list(enumerate_words(2, mode="reduced"))
-        dists = representations._orbit_distances_of(
-            _matrices(base_rep, words), BASEPOINT)
+        dists = representations._basepoint_distances(
+            _matrices(base_rep, words))
         for w, d in zip(words, dists):
             assert d >= stable_length(base_rep, w) - 1e-12
 
-    def test_orbit_distance_is_basepoint_displacement(self, bent_rep):
-        # the batch distance of the orbit search, at the default basepoint
-        # and at a moved one
-        words = list(enumerate_words(2, mode="reduced"))
-        mats = _matrices(bent_rep, words)
-        for y in (BASEPOINT, Point3(0.5 + 0.25j, 2.0)):
-            dists = representations._orbit_distances_of(mats, y)
-            for w, d in zip(words, dists):
-                m = evaluate(bent_rep, w)
-                assert d == pytest.approx(dist_h3(m(y), y), abs=1e-12)
+    @pytest.mark.parametrize("angle", [None, 0.6], ids=["octagon", "bent-0.6"])
+    def test_orbit_distance_is_basepoint_displacement(self, base_rep, angle):
+        # the batch distance of the orbit search, cosh d = ||m||_F^2 / 2,
+        # is the displacement of BASEPOINT
+        rep = base_rep if angle is None else bend(base_rep, angle)
+        words = list(enumerate_words(3, mode="reduced"))
+        dists = representations._basepoint_distances(_matrices(rep, words))
+        for w, d in zip(words, dists):
+            m = evaluate(rep, w)
+            assert d == pytest.approx(dist_h3(m(BASEPOINT), BASEPOINT),
+                                      abs=1e-12)
 
 
 class TestPowerDisplacement:
@@ -683,7 +685,7 @@ class TestShortlexAcceptor:
         code = ("import qfcert.cli\n"
                 "from qfcert import _wordarrays as wa\n"
                 "print(wa.shortlex_acceptor.cache_info().currsize)\n")
-        env = {"PYTHONPATH": str(Path(wa.__file__).parents[1])}
+        env = dict(os.environ, PYTHONPATH=str(Path(wa.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "0"
@@ -886,10 +888,9 @@ class TestNormalFormWalk:
         if chunk is not None:
             monkeypatch.setattr(wa, "_WALK_CHUNK", chunk)
         gens = (wa.exact_real(base_rep.generator_matrix_array()),)
-        y = BASEPOINT
 
         def near(products):
-            return representations._orbit_distances_of(products[0], y) <= 6.0
+            return representations._basepoint_distances(products[0]) <= 6.0
 
         seen = []
 
@@ -1084,9 +1085,9 @@ class TestOrbitEnumeration:
         # no prefix of a normal form lies GROWTH_MARGIN farther out than
         # its element; the largest detour to length 6 is 3.055
         gens = wa.exact_real(base_rep.generator_matrix_array())
-        accept, y = wa.shortlex_acceptor(), BASEPOINT
+        accept = wa.shortlex_acceptor()
         mats, last, state = gens, np.arange(8, dtype=np.int8), accept[wa.START]
-        dist = farthest = representations._orbit_distances_of(mats, y)
+        dist = farthest = representations._basepoint_distances(mats)
         worst = 0.0
         for _ in range(5):
             kids = child_ranks(last)
@@ -1094,7 +1095,7 @@ class TestOrbitEnumeration:
             keep = kid_state != wa.DEAD
             mats = _child_products(mats, kids, gens)[keep]
             last, state = kids[keep], kid_state[keep]
-            dist = representations._orbit_distances_of(mats, y)
+            dist = representations._basepoint_distances(mats)
             farthest = np.maximum(np.repeat(farthest, 7)[keep], dist)
             worst = max(worst, (farthest - dist).max())
         assert len(dist) == 133288
@@ -1165,7 +1166,6 @@ def _float_dedup_reference(rep, prune_radius=None, max_word_length=None):
     had are kept.  It composes with the complex generators by np.repeat
     and einsum and signs with the gather reference below."""
     gens = rep.generator_matrix_array()
-    y = BASEPOINT
     chunk = wa._WALK_CHUNK
     frontier = np.eye(2, dtype=complex)[None, :, :]
     seen = _rows_as_void(_quantize_keys(frontier))
@@ -1186,7 +1186,7 @@ def _float_dedup_reference(rep, prune_radius=None, max_word_length=None):
                 cand = _einsum_times(
                     np.repeat(frontier[lo:lo + chunk], gens.shape[0] - 1,
                               axis=0), gens[kids])
-            dist = representations._orbit_distances_of(cand, y)
+            dist = representations._basepoint_distances(cand)
             if prune_radius is not None:
                 keep = dist <= prune_radius
                 cand, kids, dist = cand[keep], kids[keep], dist[keep]
@@ -1313,19 +1313,13 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("name", ["octagon", "octagon-complex", "bent-0",
                                       "bent-0.6", "elliptic", "edges"])
-    @pytest.mark.parametrize("y", [BASEPOINT, Point3(0.5, 2.0),
-                                   Point3(0.5 + 0.25j, 2.0)],
-                             ids=["basepoint", "real-axis", "off-axis"])
-    def test_orbit_distances_ignore_the_sign(self, batches, name, y):
+    def test_orbit_distances_ignore_the_sign(self, batches, name):
         # an element's distance is the same from either of its matrices
         for mats in batches[name]:
-            # the random rows with c = d = 0 send y to infinity
-            mats = mats[(mats[:, 1] != 0.0).any(axis=1)]
-            got = representations._orbit_distances_of(mats, y)
+            got = representations._basepoint_distances(mats)
             assert np.array_equal(
-                _bits(representations._orbit_distances_of(-mats, y)),
+                _bits(representations._basepoint_distances(-mats)),
                 _bits(got))
-
 
     @pytest.fixture(scope="class")
     def walk14(self, base_rep):
@@ -1336,39 +1330,20 @@ class TestKernelBits:
         def near(products):
             # a copy: the walk overwrites keep's views after keep returns
             seen.append(products[0].copy())
-            return representations._orbit_distances_of(
-                products[0], BASEPOINT) <= 14.0
+            return representations._basepoint_distances(products[0]) <= 14.0
 
         for _ in wa.normal_forms(gens, 64, keep=near):
             pass
         return np.concatenate(seen)
 
-    def test_float_branch_equals_the_complex_path(self, walk14):
-        # real products at a basepoint with real z: the float64 branch
-        # gives the complex path's distances bit for bit
+    def test_float64_equals_complex(self, walk14):
+        # one kernel for both dtypes: real products and their complex
+        # copies, whose imaginary parts are zeros, give the same bits
         assert walk14.dtype == np.float64 and len(walk14) > 10 ** 6
-        rng = np.random.default_rng(28)
-        points = [BASEPOINT, Point3(0.5, 2.0), Point3(-3.25, 0.125)] + [
-            Point3(rng.normal() * 4.0, 2.0 ** rng.uniform(-4, 4))
-            for _ in range(3)]
-        for y in points:
-            got = representations._orbit_distances_of(walk14, y)
-            want = representations._orbit_distances_of(
-                walk14.astype(complex), y)
-            assert got.dtype == np.float64
-            assert np.array_equal(_bits(got), _bits(want)), y
-
-    def test_off_axis_basepoint_takes_the_complex_path(self, walk14):
-        # real products at (0.5 + 0.25i, 2): the complex path's distances,
-        # not those of the real-axis point (0.5, 2) that dropping z's
-        # imaginary part would give
-        mats = walk14[:20000]
-        y = Point3(0.5 + 0.25j, 2.0)
-        got = representations._orbit_distances_of(mats, y)
-        assert np.array_equal(_bits(got), _bits(
-            representations._orbit_distances_of(mats.astype(complex), y)))
-        assert not np.allclose(got, representations._orbit_distances_of(
-            mats, Point3(0.5, 2.0)))
+        got = representations._basepoint_distances(walk14)
+        want = representations._basepoint_distances(walk14.astype(complex))
+        assert got.dtype == np.float64
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestGrowth:
@@ -1391,6 +1366,16 @@ class TestGrowth:
     def test_rejects_small_radius(self, base_rep):
         with pytest.raises(RepresentationError):
             estimate_growth(base_rep, 4.0)
+
+    @pytest.mark.parametrize("Rmax", [math.nan, math.inf])
+    def test_rejects_non_finite_radius(self, base_rep, Rmax, monkeypatch):
+        # refused before any walk: an infinite radius would prune nothing
+        def walk(*args, **kwargs):
+            raise AssertionError("the orbit search was started")
+
+        monkeypatch.setattr(representations, "orbit_point_distances", walk)
+        with pytest.raises(RepresentationError, match="finite"):
+            estimate_growth(base_rep, Rmax)
 
 
 class TestComplexTraceSearch:

@@ -73,6 +73,7 @@ RUNS = (
         ["--bend-angle", "nan", "spectrum"],
         ["--min-ratio", "0.5", "certify"],
         ["--config", MISSING, "spectrum"],
+        ["--config", OUT, "spectrum"],
         ["witness", "--input", MISSING],
         ["certify", "--input", MISSING],
     ]),
