@@ -271,17 +271,19 @@ class TestStableLength:
         for w, d in zip(words, dists):
             assert d >= stable_length(base_rep, w) - 1e-12
 
-    @pytest.mark.parametrize("angle", [None, 0.6], ids=["octagon", "bent-0.6"])
-    def test_orbit_distance_is_basepoint_displacement(self, base_rep, angle):
+    def test_orbit_distance_is_basepoint_displacement(self, base_rep):
         # the batch distance of the orbit search, cosh d = ||m||_F^2 / 2,
-        # is the displacement of BASEPOINT
-        rep = base_rep if angle is None else bend(base_rep, angle)
+        # is the displacement of BASEPOINT; of a moved point y once the
+        # products are moved there, on the octagon and bend 0.6
         words = list(enumerate_words(3, mode="reduced"))
-        dists = representations._basepoint_distances(_matrices(rep, words))
-        for w, d in zip(words, dists):
-            m = evaluate(rep, w)
-            assert d == pytest.approx(dist_h3(m(BASEPOINT), BASEPOINT),
-                                      abs=1e-12)
+        for rep in (base_rep, bend(base_rep, 0.6)):
+            mats = _matrices(rep, words)
+            for y in (BASEPOINT, Point3(0.5 + 0.25j, 2.0)):
+                dists = representations._basepoint_distances(
+                    _moved_to(mats, y))
+                for w, d in zip(words, dists):
+                    m = evaluate(rep, w)
+                    assert d == pytest.approx(dist_h3(m(y), y), abs=1e-12)
 
 
 class TestPowerDisplacement:
@@ -1260,6 +1262,17 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
+def _moved_to(mats, y):
+    """h^-1 m h for each m, where h = [[sqrt t, z / sqrt t], [0, 1 / sqrt t]]
+    sends BASEPOINT to y = (z, t): d(BASEPOINT, h^-1 m h.BASEPOINT) is
+    d(y, m.y).  Real products stay real for real z."""
+    r = math.sqrt(y.t)
+    z = y.z.real if y.z.imag == 0.0 else y.z
+    h = np.array([[r, z / r], [0.0, 1.0 / r]])
+    h_inv = np.array([[1.0 / r, -z / r], [0.0, r]])
+    return h_inv @ mats @ h
+
+
 def _level_products(gens, maxlen):
     """Products of every reduced word up to maxlen, level by level."""
     mats, out = None, []
@@ -1313,9 +1326,15 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("name", ["octagon", "octagon-complex", "bent-0",
                                       "bent-0.6", "elliptic", "edges"])
-    def test_orbit_distances_ignore_the_sign(self, batches, name):
-        # an element's distance is the same from either of its matrices
+    @pytest.mark.parametrize("y", [BASEPOINT, Point3(0.5, 2.0),
+                                   Point3(0.5 + 0.25j, 2.0)],
+                             ids=["basepoint", "real-axis", "off-axis"])
+    def test_orbit_distances_ignore_the_sign(self, batches, name, y):
+        # an element's distance is the same from either of its matrices,
+        # also for products moved to y (real for real z, else complex)
         for mats in batches[name]:
+            if y is not BASEPOINT:
+                mats = _moved_to(mats, y)
             got = representations._basepoint_distances(mats)
             assert np.array_equal(
                 _bits(representations._basepoint_distances(-mats)),
@@ -1344,6 +1363,21 @@ class TestKernelBits:
         want = representations._basepoint_distances(walk14.astype(complex))
         assert got.dtype == np.float64
         assert np.array_equal(_bits(got), _bits(want))
+
+    def test_off_axis_basepoint_takes_the_complex_path(self, walk14):
+        # real products moved to (0.5 + 0.25i, 2) are complex, and the
+        # kernel reads their imaginary parts: the distances are not those
+        # of the real-axis point (0.5, 2) that dropping z's imaginary part
+        # would give
+        mats = walk14[:20000]
+        moved = _moved_to(mats, Point3(0.5 + 0.25j, 2.0))
+        assert moved.dtype == complex
+        got = representations._basepoint_distances(moved)
+        assert np.array_equal(_bits(got), _bits(
+            representations._basepoint_distances(
+                _moved_to(mats.astype(complex), Point3(0.5 + 0.25j, 2.0)))))
+        assert not np.allclose(got, representations._basepoint_distances(
+            _moved_to(mats, Point3(0.5, 2.0))))
 
 
 class TestGrowth:
