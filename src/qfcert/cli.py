@@ -20,7 +20,14 @@ Every run is deterministic: rerunning a command with the same
 configuration produces byte-identical artifacts.  Every artifact carries
 the schema tag qfcert/1.  Exit status: 0 all checks passed, 1 a
 mathematical invariant was falsified (or a search found nothing), 2
-usage or configuration error.
+usage or configuration error, including standard output or an artifact
+that cannot be written.
+
+The CLI sets ``OPENBLAS_THREAD_TIMEOUT=4`` unless it is already set, so
+the worker thread that numpy's OpenBLAS starts on import sleeps at once
+instead of spinning on the CPU: qfcert's arithmetic is 2x2 and
+elementwise, so the pool sits idle.  Importing ``qfcert`` or any library
+module leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ import math
 import os
 import sys
 from pathlib import Path
+
+# qfcert's arithmetic is 2x2 and elementwise, so OpenBLAS's pool sits idle;
+# 4 is OpenBLAS's smallest timeout, so an idle worker sleeps at once
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 # check, boundary and certificates are imported by the handlers that use
 # them, so growth, spectrum, ref-rep and bend load none of them, and the
@@ -166,6 +177,36 @@ def _write(path: Path, head: str, lines=()) -> None:
             f.writelines(lines)
     except OSError as exc:
         raise ConfigError("cannot write %s: %s" % (path, exc)) from exc
+
+
+class _Stdout:
+    """Standard output for the length of a command: a write or flush that
+    fails is a config error.  When the stream is the process's own
+    stdout, fd 1 then points at os.devnull, so the interpreter's shutdown
+    flush of what the stream still holds does not fail again."""
+
+    def __init__(self, stream) -> None:
+        self._stream = stream
+
+    def __getattr__(self, name: str):
+        return getattr(self._stream, name)
+
+    def write(self, text: str) -> int:
+        return self._guarded(self._stream.write, text)
+
+    def flush(self) -> None:
+        self._guarded(self._stream.flush)
+
+    def _guarded(self, call, *args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            if self._stream is sys.__stdout__:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, self._stream.fileno())
+                os.close(devnull)
+            raise ConfigError("cannot write standard output: %s"
+                              % exc) from exc
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -455,10 +496,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     overrides = {key: getattr(args, key) for key in _FIELD_TYPES
                  if key != "outdir" and hasattr(args, key)}
+    stdout = sys.stdout
+    if stdout is not None:  # None when the process started with fd 1 closed
+        sys.stdout = _Stdout(stdout)
     try:
         cfg = load_config(args.config, overrides)
         out = _resolve_outdir(cfg, args.outdir)
-        return _COMMANDS[args.command](cfg, out, args)
+        status = _COMMANDS[args.command](cfg, out, args)
+        # a pipe or file fails here when the command's lines sat in a
+        # buffer; print, unlike sys.stdout.flush(), passes over a None stdout
+        print(end="", flush=True)
+        return status
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -466,6 +514,8 @@ def main(argv: list[str] | None = None) -> int:
         print("invariant falsified or computation failed: %s" % exc,
               file=sys.stderr)
         return 1
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

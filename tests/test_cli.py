@@ -3,7 +3,9 @@ handling, exit-code contract, and the per-command happy paths."""
 
 import ast
 import copy
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -338,6 +340,77 @@ class TestErrorMapping:
         self._raising(monkeypatch, ValueError("not an invariant"))
         with pytest.raises(ValueError, match="not an invariant"):
             run(tmp_path, "ref-rep")
+
+
+def _fresh_env(**preset):
+    """The environment of a fresh interpreter that imports this tree's
+    qfcert, with no output directory and no OpenBLAS timeout inherited,
+    then preset on top."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("QFCERT_OUTDIR", None)
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    env.update(preset)
+    return env
+
+
+class TestStandardOutput:
+    """A write or flush of standard output that fails is a config error:
+    exit 2 with one stderr line and no traceback, whether it fails in a
+    command's print or in main's final flush of a buffer."""
+
+    @pytest.mark.parametrize("method, error", [
+        ("write", BrokenPipeError(errno.EPIPE, "Broken pipe")),
+        ("write", OSError(errno.ENOSPC, "No space left on device")),
+        ("flush", BrokenPipeError(errno.EPIPE, "Broken pipe")),
+    ], ids=["write-broken-pipe", "write-no-space", "flush-broken-pipe"])
+    def test_failed_stdout_exits_two(self, tmp_path, capsys, monkeypatch,
+                                     method, error):
+        def fail(*args):
+            raise error
+
+        stdout = io.StringIO()
+        monkeypatch.setattr(stdout, method, fail)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code, out = run(tmp_path, "--maxlen", "3", "spectrum")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: cannot write standard output: %s\n" % error)
+        assert sys.stdout is stdout
+        assert (out / "spectrum.csv").exists()
+
+    def test_absent_stdout_is_left_alone(self, tmp_path, monkeypatch):
+        # sys.stdout is None when the process started with fd 1 closed;
+        # print then writes nothing, and the command runs as before
+        monkeypatch.setattr(sys, "stdout", None)
+        code, out = run(tmp_path, "--maxlen", "3", "spectrum")
+        assert code == 0
+        assert sys.stdout is None
+        assert (out / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("buffered", [False, True],
+                             ids=["unbuffered", "buffered"])
+    def test_closed_pipe_exits_two_without_traceback(self, tmp_path,
+                                                     buffered):
+        # buffered, the lines reach the pipe only at main's final flush
+        env = _fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "qfcert.cli", "--outdir",
+                 str(tmp_path), "--maxlen", "3", "spectrum"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=300)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
+        assert done.stderr == ("config error: cannot write standard output: "
+                               "[Errno 32] Broken pipe\n")
+        assert done.returncode == 2
 
 
 class TestArtifacts:
@@ -943,11 +1016,9 @@ class TestImports:
             *calls,
             *("assert %r not in sys.modules, '%s was imported'"
               % (name, name) for name in unloaded)])
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        env.pop("QFCERT_OUTDIR", None)
         done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                              env=env, capture_output=True, text=True,
-                              timeout=300)
+                              env=_fresh_env(), capture_output=True,
+                              text=True, timeout=300)
         assert done.returncode == 0, done.stderr
 
     def test_pair_scans_do_not_import_numpy_ma(self, tmp_path):
@@ -1021,3 +1092,53 @@ class TestImports:
             "assert main([*out, '--rmax', '-1', 'certify']) == 2",
             "assert main([*out, '--config', sys.argv[1] + '/missing.json',"
             " 'witness']) == 2")
+
+
+class TestBlasThreadTimeout:
+    """The CLI sets OPENBLAS_THREAD_TIMEOUT before numpy loads, so the
+    worker thread numpy's OpenBLAS starts on import sleeps at once; a
+    value already set holds, and the package and library modules leave
+    the environment alone.  Each check runs in a fresh interpreter whose
+    environment lacks the variable."""
+
+    @staticmethod
+    def _run_fresh(*lines, **preset):
+        done = subprocess.run([sys.executable, "-c", "\n".join(lines)],
+                              env=_fresh_env(**preset), capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    def test_set_before_numpy_is_looked_up(self):
+        self._run_fresh(
+            "import os, sys",
+            "seen = []",
+            "class Spy:",
+            "    @staticmethod",
+            "    def find_spec(name, path=None, target=None):",
+            "        if name == 'numpy':",
+            "            if 'OPENBLAS_THREAD_TIMEOUT' not in os.environ:",
+            "                raise ImportError('numpy looked up before "
+            "OPENBLAS_THREAD_TIMEOUT was set')",
+            "            seen.append(name)",
+            "sys.meta_path.insert(0, Spy)",
+            "assert 'numpy' not in sys.modules",
+            "import qfcert.cli",
+            "assert seen == ['numpy'], seen",
+            "assert os.environ['OPENBLAS_THREAD_TIMEOUT'] == '4'")
+
+    def test_preset_value_holds(self):
+        self._run_fresh(
+            "import os",
+            "import qfcert.cli",
+            "assert os.environ['OPENBLAS_THREAD_TIMEOUT'] == '12'",
+            OPENBLAS_THREAD_TIMEOUT="12")
+
+    def test_library_imports_leave_it_unset(self):
+        self._run_fresh(
+            "import os, sys",
+            "import qfcert",
+            "assert 'OPENBLAS_THREAD_TIMEOUT' not in os.environ",
+            "import qfcert.boundary",
+            "assert 'numpy' in sys.modules",
+            "assert 'qfcert.cli' not in sys.modules",
+            "assert 'OPENBLAS_THREAD_TIMEOUT' not in os.environ")

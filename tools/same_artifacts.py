@@ -8,10 +8,12 @@ Each SRC is a directory that holds the ``qfcert`` package, such as the
 ``src`` of a checkout.  Every run in ``RUNS`` is made once against each
 tree: its commands run in order as ``python -m qfcert.cli`` with that
 tree first on ``PYTHONPATH``, in a fresh temporary working directory,
-with ``--outdir`` pointing to a fresh temporary output directory.  The
-run's exit codes, stdout and stderr (with the output directory replaced
-by ``OUT``) and the sha256 of every file it wrote are compared between
-the two trees.  One line is printed per run, then a total; under a run
+with ``--outdir`` pointing to a fresh temporary output directory.
+``QFCERT_OUTDIR`` and ``OPENBLAS_THREAD_TIMEOUT`` are dropped from the
+commands' environment, so each tree runs under its own CLI's defaults,
+whatever the calling shell sets.  The run's exit codes, stdout and
+stderr (with the output directory replaced by ``OUT``) and the sha256 of
+every file it wrote are compared between the two trees.  One line is printed per run, then a total; under a run
 whose stdout or stderr differs, two indented lines give the first
 differing line of that output in each tree.  The exit status is 1 when
 any run differs.  Nothing is written into the trees.
@@ -87,7 +89,8 @@ def _digests(out: Path) -> dict[str, str]:
 
 def run_once(src: Path, commands: list[list[str]]) -> dict:
     """The normalised results of one run's commands against one tree."""
-    env = {k: v for k, v in os.environ.items() if k != "QFCERT_OUTDIR"}
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("QFCERT_OUTDIR", "OPENBLAS_THREAD_TIMEOUT")}
     env["PYTHONPATH"] = str(src)
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory() as tmp:
