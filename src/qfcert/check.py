@@ -1,6 +1,12 @@
 """Acceptance of the artifacts: what a valid spiral witness or separation
 certificate is, and how each is read from and written to JSON.
 
+The dataclass is the artifact's schema.  `representations.artifact_dict`
+writes the envelope and one key per compared field; `_read_artifact`
+reads them back field by field, each from its declared type, and
+refuses what JSON would let through a plain conversion: a bool or a
+quoted number for a float, a fractional or boolean index, a non-list.
+
 This is the trusted base of the certificates.  Every number it accepts
 is recomputed here from the words, through the scalar path of
 `representations` (`evaluate`, `stable_length`) and the reference
@@ -21,7 +27,8 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +46,7 @@ from .moebius import (
 )
 from .representations import (
     Representation,
+    artifact_dict,
     envelope,
     evaluate,
     fuchsian_octagon,
@@ -46,7 +54,7 @@ from .representations import (
     json_text,
     stable_length,
 )
-from .surface_group import Word, word_from_text, word_to_text
+from .surface_group import Word, word_from_text
 
 # angular separations below this (in turns) make pair classification
 # meaningless
@@ -438,7 +446,9 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
     unlinked and aligned on the near-real circle they accumulate on.
     The stored numbers are checked against gamma's multiplier, the
     recomputed images and the boundary points they name: Lambda to 1e-12
-    relative, Theta, each arglift and each xi angle to 1e-9 turns.
+    relative, Theta, each arglift and each xi angle to 1e-9 turns, and
+    xi_star's angle to 1e-9 turns of gamma's attracting angle and of the
+    attracting angle of its own word.
 
     The windows must hold their points: some fundamental interval F of
     gamma on the arc has xi[k] in gamma^n F for an n in window k,
@@ -513,7 +523,10 @@ def verify_witness_orders(w: SpiralWitness, rep: Representation) -> bool:
             return False
         if not all(positions[i] < positions[i + 1] for i in range(3)):
             return False
-        if circular_distance_turns(w.xi_star.angle, a_plus) > 1e-9:
+        # xi_star is gamma's attracting point, and its word names it
+        star = fixed_angles(w.xi_star.word)[1]
+        if not all(circular_distance_turns(w.xi_star.angle, x) <= 1e-9
+                   for x in (a_plus, star)):
             return False
 
         # image side, recomputed from the same splits
@@ -651,104 +664,68 @@ def certify(cert: SeparationCertificate, rep_q: Representation) -> bool:
     return not certificate_problems(cert, rep_q)
 
 
-def _opened(payload: object, kind: str, error: type) -> dict:
-    """payload, when it opens with the envelope of this kind; error
-    otherwise."""
+def _read_artifact(cls, kind: str, error: type, payload: object):
+    """The cls a JSON artifact of this kind describes, read field by field
+    in field order, each from its declared type; error names what is
+    missing or malformed."""
     if not (isinstance(payload, dict)
             and envelope(kind).items() <= payload.items()):
         raise error("not a %s payload" % kind.replace("_", " "))
-    return payload
+    noun = kind.rsplit("_", 1)[-1]  # "witness", "certificate"
+    try:
+        value = _read_value(cls, payload, None)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise error("malformed %s payload: %r" % (noun, exc)) from exc
+    # the one arity of an artifact tuple is the witness's four points
+    short = [name for name, tp in typing.get_type_hints(cls).items()
+             if typing.get_origin(tp) is tuple
+             and len(getattr(value, name)) != len(typing.get_args(tp))]
+    if short:
+        raise error("%s must carry exactly four %s" % (noun, ", ".join(short)))
+    return value
+
+
+def _read_value(tp, value, name: str | None):
+    """A JSON value as the declared type tp of the field name."""
+    if tp is float:
+        return float(json_number(value))
+    if tp is int:
+        # a JSON integer only: int() would truncate 12.7 and accept true
+        if type(value) is not int:
+            raise TypeError("%s must be integers, got %r" % (name, value))
+        return value
+    if tp is str:
+        return json_text(value)
+    if tp is Word:
+        return word_from_text(json_text(value))
+    if typing.get_origin(tp) is tuple:
+        # an artifact tuple holds one type
+        return tuple(_read_value(typing.get_args(tp)[0], x, name)
+                     for x in value)
+    if issubclass(tp, enum.Enum):
+        return tp(value)
+    hints = typing.get_type_hints(tp)
+    return tp(**{f.name: _read_value(hints[f.name], value[f.name], f.name)
+                 for f in fields(tp) if f.compare})
 
 
 def witness_to_dict(w: SpiralWitness) -> dict:
-    return {
-        **envelope("spiral_witness"),
-        "gamma": word_to_text(w.gamma),
-        "Lambda": w.Lambda,
-        "Theta": w.Theta,
-        "indices_n": list(w.indices_n),
-        "indices_m": list(w.indices_m),
-        "xi": [{"word": word_to_text(p.word), "angle": p.angle}
-               for p in w.xi],
-        "xi_star": {"word": word_to_text(w.xi_star.word),
-                    "angle": w.xi_star.angle},
-        "radii": list(w.radii),
-        "arglift": list(w.arglift),
-        "R0": w.R0,
-        "r0": w.r0,
-    }
+    return artifact_dict("spiral_witness", w)
 
 
 def witness_from_dict(payload: object) -> SpiralWitness:
     """The witness a JSON payload describes; BoundaryError names what is
     missing or malformed."""
-    payload = _opened(payload, "spiral_witness", BoundaryError)
-
-    def point(d) -> BoundaryPointRef:
-        return BoundaryPointRef(word_from_text(json_text(d["word"])),
-                                float(json_number(d["angle"])))
-
-    def indices(key: str) -> tuple[int, ...]:
-        # a JSON integer only: int() would truncate 12.7 and accept true
-        bad = [i for i in payload[key] if type(i) is not int]
-        if bad:
-            raise TypeError("%s must be integers, got %r" % (key, bad[0]))
-        return tuple(payload[key])
-
-    try:
-        w = SpiralWitness(
-            gamma=word_from_text(json_text(payload["gamma"])),
-            Lambda=float(json_number(payload["Lambda"])),
-            Theta=float(json_number(payload["Theta"])),
-            indices_n=indices("indices_n"),
-            indices_m=indices("indices_m"),
-            xi=tuple(point(d) for d in payload["xi"]),
-            xi_star=point(payload["xi_star"]),
-            radii=tuple(float(json_number(x)) for x in payload["radii"]),
-            arglift=tuple(float(json_number(x)) for x in payload["arglift"]),
-            R0=float(json_number(payload["R0"])),
-            r0=float(json_number(payload["r0"])),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise BoundaryError("malformed witness payload: %r" % exc) from exc
-    short = [key for key in ("xi", "indices_n", "indices_m", "radii", "arglift")
-             if len(getattr(w, key)) != 4]
-    if short:
-        raise BoundaryError("witness must carry exactly four %s"
-                            % ", ".join(short))
-    return w
+    return _read_artifact(SpiralWitness, "spiral_witness", BoundaryError,
+                          payload)
 
 
 def certificate_to_dict(cert: SeparationCertificate) -> dict:
-    return {
-        **envelope("separation_certificate"),
-        "rep_id": cert.rep_id,
-        "a": word_to_text(cert.a),
-        "b": word_to_text(cert.b),
-        "config": cert.config.value,
-        "ell_q_a": cert.ell_q_a,
-        "ell_q_b": cert.ell_q_b,
-        "ell_q_ab": cert.ell_q_ab,
-        "ratio": cert.ratio,
-        "alpha": cert.alpha,
-    }
+    return artifact_dict("separation_certificate", cert)
 
 
 def certificate_from_dict(payload: object) -> SeparationCertificate:
     """The certificate a JSON payload describes; CertificateError names
     what is missing or malformed."""
-    payload = _opened(payload, "separation_certificate", CertificateError)
-    try:
-        return SeparationCertificate(
-            rep_id=json_text(payload["rep_id"]),
-            a=word_from_text(json_text(payload["a"])),
-            b=word_from_text(json_text(payload["b"])),
-            config=PairConfig(payload["config"]),
-            ell_q_a=float(json_number(payload["ell_q_a"])),
-            ell_q_b=float(json_number(payload["ell_q_b"])),
-            ell_q_ab=float(json_number(payload["ell_q_ab"])),
-            ratio=float(json_number(payload["ratio"])),
-            alpha=float(json_number(payload["alpha"])),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CertificateError("malformed certificate payload: %r" % exc) from exc
+    return _read_artifact(SeparationCertificate, "separation_certificate",
+                          CertificateError, payload)

@@ -55,8 +55,8 @@ from .representations import (
     GROWTH_MIN_RMAX,
     SCHEMA,
     RepresentationError,
+    artifact_dict,
     bend,
-    envelope,
     estimate_growth,
     find_complex_trace_element,
     fuchsian_octagon,
@@ -300,14 +300,8 @@ def cmd_growth(cfg: RunConfig, out: Path, args) -> int:
                           % (cfg.Rmax, ball, GROWTH_BALL_BUDGET))
     rep = fuchsian_octagon()
     est = estimate_growth(rep, cfg.Rmax)
-    _write_json(out / "growth.json", {
-        **envelope("growth_estimate"),
-        "Rmax": cfg.Rmax,
-        "h": est.h,
-        "radii": list(est.radii),
-        "counts": [int(c) for c in est.counts],
-        "residual": est.residual,
-    })
+    _write_json(out / "growth.json",
+                {**artifact_dict("growth_estimate", est), "Rmax": cfg.Rmax})
     print("growth rate estimate h = %.6f (residual %.3e) written to %s"
           % (est.h, est.residual, out / "growth.json"))
     return 0

@@ -26,14 +26,22 @@ rotation E = diag(e^{i angle/2}, e^{-i angle/2}) about that axis.  E
 commutes with the diagonalized commutator image, so the relator is
 preserved exactly; the resulting representations leave the hyperbolic
 plane and acquire complex traces.
+
+Serialization: every JSON artifact opens with `envelope(kind)`, and
+`artifact_dict` writes a dataclass as that envelope plus one key per
+compared field (a word as its text, an enum by value, a nested dataclass
+as an object, a tuple as a list).  So the dataclass is the artifact's
+schema: `check.SpiralWitness`, `check.SeparationCertificate` and
+`GrowthEstimate`, to which `growth.json` adds only `Rmax`.
 """
 
 from __future__ import annotations
 
 import cmath
+import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -56,6 +64,7 @@ from .surface_group import (
     Word,
     _check_letters,
     free_reduce_letters,
+    word_to_text,
 )
 
 RELATOR_TOL = 1e-9
@@ -464,6 +473,28 @@ SCHEMA = "qfcert/1"
 def envelope(kind: str) -> dict:
     """The keys that open every JSON artifact of this kind."""
     return {"schema": SCHEMA, "type": kind}
+
+
+def artifact_dict(kind: str, value) -> dict:
+    """The JSON artifact of a dataclass: the envelope of this kind, then
+    one key per compared field (a field with compare=False, such as a
+    search's counts, is not part of the artifact)."""
+    return {**envelope(kind), **_json_value(value)}
+
+
+def _json_value(value):
+    """A field value as JSON: a word as its text, an enum by value, a
+    dataclass as an object of its compared fields, a tuple as a list."""
+    if isinstance(value, Word):
+        return word_to_text(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name))
+                for f in fields(value) if f.compare}
+    if isinstance(value, (tuple, list)):
+        return [_json_value(x) for x in value]
+    return value
 
 
 def json_number(value):

@@ -16,8 +16,9 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -43,6 +44,7 @@ from qfcert.check import (
     BoundaryError,
     BoundaryPointRef,
     PairConfig,
+    SpiralWitness,
     _rank_pair_codes,
     _rank_pair_parts,
     classify_angle_pairs,
@@ -67,6 +69,7 @@ from qfcert.moebius import (
 from qfcert.representations import (
     RepresentationError,
     bend,
+    envelope,
     evaluate,
     find_complex_trace_element,
     fuchsian_octagon,
@@ -77,6 +80,10 @@ from array_reference import strided_times
 from geometry_reference import translation_lengths
 from pair_walk import block_codes, walk_codes
 from word_reference import is_reduced, reduced_word_levels
+
+# the keys of witness.json: the envelope, then the dataclass's fields
+ENVELOPE = envelope("spiral_witness")
+WITNESS_FIELDS = [f.name for f in fields(SpiralWitness) if f.compare]
 
 A1 = Word((1,))
 B1 = Word((2,))
@@ -1256,6 +1263,8 @@ class TestSpiralWitness:
     def test_witness_serialization_round_trip(self, witness_run):
         w = witness_run.witness
         payload = witness_to_dict(w)
+        # the schema is the dataclass: the envelope, then its fields
+        assert payload.keys() == {*ENVELOPE, *WITNESS_FIELDS}
         text = json.dumps(payload, sort_keys=True)
         back = witness_from_dict(json.loads(text))
         assert back == w
@@ -1269,7 +1278,6 @@ class TestSpiralWitness:
 
     @pytest.mark.parametrize("mutate,match", [
         (lambda p: [p], "not a spiral witness"),
-        (lambda p: {k: v for k, v in p.items() if k != "R0"}, "R0"),
         (lambda p: {**p, "Lambda": "big"}, "big"),
         (lambda p: {**p, "radii": [p["radii"][0], None, *p["radii"][2:]]},
          "NoneType"),
@@ -1285,10 +1293,17 @@ class TestSpiralWitness:
         (lambda p: {**p, "indices_m": ["3", *p["indices_m"][1:]]},
          "indices_m must be integers, got '3'"),
         (lambda p: {**p, "indices_n": 4}, "not iterable"),
-    ], ids=["json-array", "missing-key", "non-numeric", "null-number",
+        # every key is required
+        *((lambda p, key=key: {k: v for k, v in p.items() if k != key},
+           "^%s$" % re.escape(
+               "not a spiral witness payload" if key in ENVELOPE
+               else "malformed witness payload: KeyError(%r)" % key))
+          for key in (*ENVELOPE, *WITNESS_FIELDS)),
+    ], ids=["json-array", "non-numeric", "null-number",
             "bad-word", "word-not-text", "point-not-object", "three-radii",
             "fractional-index", "boolean-index", "string-index",
-            "indices-not-list"])
+            "indices-not-list",
+            *("missing-" + key for key in (*ENVELOPE, *WITNESS_FIELDS))])
     def test_malformed_payload_is_a_boundary_error(self, witness_run,
                                                    mutate, match):
         payload = mutate(witness_to_dict(witness_run.witness))

@@ -29,6 +29,7 @@ from qfcert.check import (
     PAIR_CONFIGS,
     CertificateError,
     PairConfig,
+    SeparationCertificate,
     certificate_from_dict,
     certificate_problems,
     certificate_to_dict,
@@ -41,6 +42,7 @@ from qfcert.representations import (
     bend,
     compute_spectrum,
     conjugate_representation,
+    envelope,
     evaluate,
     fuchsian_octagon,
     normalize_spectrum,
@@ -51,6 +53,12 @@ from qfcert.surface_group import Word, word_to_text
 from array_reference import ratio_bounds
 from geometry_reference import axis_crossing_gap, translation_lengths
 from pair_walk import walk_codes
+
+# the keys of separation_certificate.json: the envelope, then the
+# dataclass's compared fields
+CERTIFICATE_ENVELOPE = envelope("separation_certificate")
+CERTIFICATE_FIELDS = [f.name for f in dataclasses.fields(SeparationCertificate)
+                      if f.compare]
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +324,22 @@ class TestSeparationCertificate:
         payload = certificate_to_dict(bent_certificate)
         assert payload["schema"] == "qfcert/1"
         assert payload["type"] == "separation_certificate"
+        # the schema is the dataclass: the envelope, then its compared
+        # fields, so the search's counts stay out
+        assert payload.keys() == {*CERTIFICATE_ENVELOPE, *CERTIFICATE_FIELDS}
         assert certificate_from_dict(payload) == bent_certificate
+
+    @pytest.mark.parametrize("key", [*CERTIFICATE_ENVELOPE,
+                                     *CERTIFICATE_FIELDS])
+    def test_every_key_is_required(self, bent_certificate, key):
+        payload = certificate_to_dict(bent_certificate)
+        del payload[key]
+        with pytest.raises(CertificateError) as exc:
+            certificate_from_dict(payload)
+        assert str(exc.value) == (
+            "not a separation certificate payload"
+            if key in CERTIFICATE_ENVELOPE
+            else "malformed certificate payload: KeyError(%r)" % key)
 
     def test_dict_roundtrip_builds_no_representation(self, bent_certificate,
                                                      octagon_refused):

@@ -3,6 +3,7 @@ handling, exit-code contract, and the per-command happy paths."""
 
 import ast
 import copy
+import dataclasses
 import errno
 import hashlib
 import io
@@ -25,7 +26,11 @@ from qfcert.check import (
 )
 from qfcert.cli import ConfigError, main
 from qfcert.moebius import InvariantError, MoebiusError
-from qfcert.representations import RepresentationError
+from qfcert.representations import (
+    GrowthEstimate,
+    RepresentationError,
+    envelope,
+)
 
 SCHEMA = "qfcert/1"
 
@@ -353,6 +358,10 @@ def _fresh_env(**preset):
     return env
 
 
+_BROKEN_PIPE = "config error: cannot write standard output: [Errno 32] " \
+    "Broken pipe\n"
+
+
 class TestStandardOutput:
     """A write or flush of standard output that fails is a config error:
     exit 2 with one stderr line and no traceback, whether it fails in a
@@ -387,10 +396,16 @@ class TestStandardOutput:
         assert sys.stdout is None
         assert (out / "spectrum.csv").exists()
 
-    @pytest.mark.parametrize("buffered", [False, True],
-                             ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("buffered,argv,code,stderr", [
+        (False, ["--maxlen", "3", "spectrum"], 2, _BROKEN_PIPE),
+        (True, ["--maxlen", "3", "spectrum"], 2, _BROKEN_PIPE),
+        # argparse's help drops the failed write and exits 0; buffered,
+        # the write fails only at the interpreter's shutdown flush instead
+        (False, ["--help"], 0, ""),
+    ], ids=["unbuffered", "buffered", "help-unbuffered"])
     def test_closed_pipe_exits_two_without_traceback(self, tmp_path,
-                                                     buffered):
+                                                     buffered, argv, code,
+                                                     stderr):
         # buffered, the lines reach the pipe only at main's final flush
         env = _fresh_env()
         env.pop("PYTHONUNBUFFERED", None)
@@ -401,16 +416,15 @@ class TestStandardOutput:
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "qfcert.cli", "--outdir",
-                 str(tmp_path), "--maxlen", "3", "spectrum"],
+                 str(tmp_path), *argv],
                 stdout=write_end, stderr=subprocess.PIPE, env=env,
                 text=True, timeout=300)
         finally:
             os.close(write_end)
         assert "Traceback" not in done.stderr
         assert "Exception ignored" not in done.stderr
-        assert done.stderr == ("config error: cannot write standard output: "
-                               "[Errno 32] Broken pipe\n")
-        assert done.returncode == 2
+        assert done.stderr == stderr
+        assert done.returncode == code
 
 
 class TestArtifacts:
@@ -447,6 +461,10 @@ class TestArtifacts:
         assert payload["schema"] == SCHEMA
         assert payload["type"] == "growth_estimate"
         assert payload["h"] > 0.0
+        # the envelope, the dataclass's fields, and the radius it ran to
+        assert payload.keys() == {
+            *envelope("growth_estimate"),
+            *(f.name for f in dataclasses.fields(GrowthEstimate)), "Rmax"}
 
     def test_triangle_check_writes_records(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -852,9 +870,12 @@ class TestInputContract:
         (("r0",), math.inf), (("radii", 3), math.inf),
         (("arglift", 1), 0.25), (("arglift", 3), None),
         (("xi", 2, "angle"), None),
+        # a word that does not name the stored point, or names none
+        (("xi_star", "word"), "b2"), (("xi_star", "word"), ""),
     ], ids=["lambda-1e6", "lambda-inf", "theta-5", "R0-negative", "R0-zero",
             "r0-negative", "r0-zero", "r0-inf", "radius-inf",
-            "arglift-quarter", "arglift-shifted", "xi-angle-shifted"])
+            "arglift-quarter", "arglift-shifted", "xi-angle-shifted",
+            "xi-star-word-b2", "xi-star-word-empty"])
     def test_forged_witness_is_invalid(self, tmp_path, capsys, witness_run,
                                        path, value):
         payload = witness_to_dict(witness_run.witness)

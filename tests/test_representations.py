@@ -200,6 +200,28 @@ class TestBending:
         with pytest.raises(RepresentationError):
             bend(base_rep, math.pi)
 
+    def test_bending_never_lengthens_a_class(self, base_rep):
+        # the pleated plane is a 1-Lipschitz equivariant map
+        # (Epstein-Marden 1987), so no class gets longer; the 474 classes
+        # that miss the bending curve keep their length.  The angles lie
+        # inside the proved quasi-Fuchsian range |angle| < 1.27354, and
+        # the bend by -angle is the mirror image, the same to the bit
+        rows, ell0 = spectrum_rows(base_rep, 6)
+        ell0 = np.array(ell0)
+        assert len(rows) == 23455
+        kept = []
+        for angle in (0.3, 0.6, 1.0, 1.27):
+            bent_rows, ell = spectrum_rows(bend(base_rep, angle), 6)
+            assert np.array_equal(bent_rows, rows)
+            ell = np.array(ell)
+            assert np.all(ell <= ell0 * (1.0 + 1e-12)), angle
+            kept.append(np.flatnonzero(np.abs(ell - ell0) <= 1e-13 * ell0))
+            mirror_rows, mirror = spectrum_rows(bend(base_rep, -angle), 6)
+            assert np.array_equal(mirror_rows, rows)
+            assert mirror == ell.tolist(), angle
+        assert len(kept[0]) == 474
+        assert all(np.array_equal(k, kept[0]) for k in kept)
+
     def test_negative_angle_mirrors_positive(self, base_rep):
         bpos = bend(base_rep, 0.4)
         bneg = bend(base_rep, -0.4)

@@ -88,3 +88,25 @@ def test_a_changed_message_shows_its_first_differing_line(tmp_path, capsys):
                      "    parent: config error: maxlen must be at least 1",
                      "    change: config problem: maxlen must be at least 1",
                      "2 runs, 1 differ"]
+
+
+def test_a_changed_reader_message_shows_on_a_payload_run(tmp_path, capsys):
+    # the run writes a certificate, drops one key from it and reads it back
+    shutil.copytree(SRC / "qfcert", tmp_path / "qfcert",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    check = tmp_path / "qfcert" / "check.py"
+    text = check.read_text()
+    assert text.count('"malformed %s payload: %r"') == 1
+    check.write_text(text.replace('"malformed %s payload: %r"',
+                                  '"broken %s payload: %r"'))
+    label = "certify-input-missing-key"
+    runs = [run for run in same_artifacts.RUNS if run[0] == label]
+    assert same_artifacts.main([str(SRC), str(tmp_path)], runs=runs) == 1
+    lines = capsys.readouterr().out.splitlines()
+    read = "config error: cannot read certificate OUT/payload.json: "
+    assert lines == ["DIFF   %s (exit 0/2): command 2 stderr" % label,
+                     "    parent: " + read + "malformed certificate "
+                     "payload: KeyError('ell_q_ab')",
+                     "    change: " + read + "broken certificate "
+                     "payload: KeyError('ell_q_ab')",
+                     "1 runs, 1 differ"]

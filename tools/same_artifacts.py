@@ -8,7 +8,10 @@ Each SRC is a directory that holds the ``qfcert`` package, such as the
 ``src`` of a checkout.  Every run in ``RUNS`` is made once against each
 tree: its commands run in order as ``python -m qfcert.cli`` with that
 tree first on ``PYTHONPATH``, in a fresh temporary working directory,
-with ``--outdir`` pointing to a fresh temporary output directory.
+with ``--outdir`` pointing to a fresh temporary output directory.  A
+``Payload`` step between commands writes an input file outside the
+output directory: a JSON artifact the run has written, with one edit, so
+that the readers' error paths are compared too.
 ``QFCERT_OUTDIR`` and ``OPENBLAS_THREAD_TIMEOUT`` are dropped from the
 commands' environment, so each tree runs under its own CLI's defaults,
 whatever the calling shell sets.  The run's exit codes, stdout and
@@ -23,15 +26,64 @@ Standard library only.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-# placeholders in a command: the run's output directory, and a path that
-# does not exist
-OUT, MISSING = "{OUT}", "{MISSING}"
+# placeholders in a command: the run's output directory, a path that does
+# not exist, and the file a Payload step writes
+OUT, MISSING, PAYLOAD = "{OUT}", "{MISSING}", "{PAYLOAD}"
+
+
+class Payload(NamedTuple):
+    """A step that writes the file PAYLOAD: the JSON artifact the run wrote
+    under this name in its output directory, passed through edit.  When
+    that artifact cannot be read, no file is written."""
+
+    artifact: str
+    edit: Callable
+
+
+def _setting(key: str, value) -> Callable:
+    return lambda payload: {**payload, key: value}
+
+
+def _deleting(key: str) -> Callable:
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
+def _setting_first(key: str, value) -> Callable:
+    """The edit that sets the first entry of the list at key."""
+    return lambda payload: {**payload, key: [value, *payload[key][1:]]}
+
+
+# (label suffix, edit) per malformed payload: what a reader refuses
+_WITNESS_EDITS = (
+    ("json-array", lambda payload: [payload]),
+    ("wrong-type", _setting("type", "separation_certificate")),
+    ("missing-key", _deleting("R0")),
+    ("quoted-number", _setting("Lambda", "1.5")),
+    ("fractional-index", _setting_first("indices_n", 12.7)),
+    ("boolean-index", _setting_first("indices_m", True)),
+    ("string-index", _setting_first("indices_m", "3")),
+    ("three-radii", lambda payload: {**payload,
+                                     "radii": payload["radii"][:3]}),
+    ("point-not-object", _setting("xi_star", "a1")),
+    ("bad-token", _setting("gamma", "a9")),
+)
+_CERTIFICATE_EDITS = (
+    ("json-array", lambda payload: [payload]),
+    ("wrong-type", _setting("type", "spiral_witness")),
+    ("missing-key", _deleting("ell_q_ab")),
+    ("quoted-number", _setting("ratio", "1.5")),
+    ("bad-token", _setting("a", "a9")),
+    ("unknown-config", _setting("config", "sideways")),
+    ("word-not-text", _setting("a", 5)),
+)
 
 
 def _witness_runs():
@@ -69,6 +121,15 @@ RUNS = (
     # Rmax 14, the largest the CLI runs, is the orbit search's largest store
     *(("growth-%d" % r, [["--rmax", str(r), "growth"]])
       for r in (10, 12, 14)),
+    *(("witness-input-" + name,
+       [["--bend-angle", "0.7", "--maxlen", "6", "witness"],
+        Payload("witness.json", edit),
+        ["--bend-angle", "0.7", "witness", "--input", PAYLOAD]])
+      for name, edit in _WITNESS_EDITS),
+    *(("certify-input-" + name,
+       [["certify"], Payload("separation_certificate.json", edit),
+        ["certify", "--input", PAYLOAD]])
+      for name, edit in _CERTIFICATE_EDITS),
     ("config-errors", [
         ["--maxlen", "0", "witness"],
         ["--maxlen", "9", "limitset"],
@@ -87,7 +148,7 @@ def _digests(out: Path) -> dict[str, str]:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def run_once(src: Path, commands: list[list[str]]) -> dict:
+def run_once(src: Path, commands: list[list[str] | Payload]) -> dict:
     """The normalised results of one run's commands against one tree."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("QFCERT_OUTDIR", "OPENBLAS_THREAD_TIMEOUT")}
@@ -97,10 +158,19 @@ def run_once(src: Path, commands: list[list[str]]) -> dict:
         cwd, out = Path(tmp) / "cwd", Path(tmp) / "out"
         cwd.mkdir()
         out.mkdir()
+        payload = Path(tmp) / "payload.json"
         steps = []
         for args in commands:
+            if isinstance(args, Payload):
+                try:
+                    payload.write_text(json.dumps(args.edit(json.loads(
+                        (out / args.artifact).read_text()))))
+                except (OSError, ValueError):
+                    pass
+                continue
             args = [a.replace(OUT, str(out))
                     .replace(MISSING, str(Path(tmp) / "missing.json"))
+                    .replace(PAYLOAD, str(payload))
                     for a in args]
             proc = subprocess.run(
                 [sys.executable, "-m", "qfcert.cli", "--outdir", str(out),
